@@ -7,8 +7,8 @@ over the isolating interval with interval arithmetic, bisecting the interval
 (a sign test of the minimal polynomial at the midpoint) until the sign is
 certain.  No floating point enters any comparison.
 
-Factoring the characteristic polynomial and producing the first isolating
-interval is delegated to sympy; everything after that is Fraction arithmetic.
+``dominant_root_field`` builds the field of a cubic's positive root in exact
+arithmetic too: Descartes' rule of signs and integer root tests.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
+
+from .errors import CertificateFailure
 
 
 def _poly_trim(c: list[Fraction]) -> tuple[Fraction, ...]:
@@ -144,7 +146,7 @@ class NumberField:
             if hi < 0:
                 return -1
             self.refine_interval()
-        raise AssertionError("sign determination did not converge")
+        raise CertificateFailure("sign determination did not converge")
 
     def to_float(self, coeffs: Sequence[Fraction], bits: int = 60) -> float:
         if self.degree == 1:
@@ -247,27 +249,21 @@ class FieldElement:
 
 
 def dominant_root_field(int_coeffs: Sequence[int]) -> NumberField:
-    """Field of the largest real root of the given integer polynomial
-    (coefficients low degree first)."""
-    import sympy
-
-    x = sympy.Symbol("x")
-    expr = sum(int(c) * x**i for i, c in enumerate(int_coeffs))
-    poly = sympy.Poly(expr, x)
-    roots = poly.real_roots()
-    if not roots:
-        raise ValueError("polynomial has no real root")
-    root = roots[-1]
-    if root.is_rational:
-        q = Fraction(int(root.p), int(root.q)) if hasattr(root, "p") else Fraction(str(root))
-        return NumberField([-q, Fraction(1)], q, q)
-    mp = sympy.minimal_polynomial(root, x, polys=True)
-    coeffs = [Fraction(int(c)) for c in reversed(mp.all_coeffs())]
-    approx = root.eval_rational(dx=sympy.Rational(1, 10**30))
-    center = Fraction(int(approx.p), int(approx.q))
-    delta = Fraction(1, 10**28)
-    lo, hi = center - delta, center + delta
-    # exact sanity: exactly one root of the minimal polynomial inside
-    assert mp.count_roots(sympy.Rational(lo.numerator, lo.denominator),
-                          sympy.Rational(hi.numerator, hi.denominator)) == 1
-    return NumberField(coeffs, lo, hi)
+    """Field of the positive root of a monic integer polynomial of degree at
+    most 3 (low degree first) whose signs change once: by Descartes' rule its
+    only positive root, so (0, 1 + max|c_i|] isolates it.  Rational roots are
+    integers dividing the constant term; with the negative ones divided out,
+    no rational root is left, so what is left is the minimal polynomial."""
+    poly = _poly_trim([Fraction(int(c)) for c in int_coeffs])
+    signs = [c > 0 for c in poly if c]
+    changes = sum(s != t for s, t in zip(signs, signs[1:]))
+    if not poly or poly[-1] != 1 or len(poly) > 4 or changes != 1:
+        raise ValueError("need a monic integer polynomial of degree <= 3 with one sign change")
+    hi = 1 + max(abs(c) for c in poly)
+    poly = poly[next(i for i, c in enumerate(poly) if c):]  # divide out the roots at 0
+    for r in range(1, int(hi)):
+        if poly[0].numerator % r == 0 and _poly_eval(poly, Fraction(r)) == 0:
+            return NumberField([-r, 1], r, r)
+        while poly[0].numerator % r == 0 and _poly_eval(poly, Fraction(-r)) == 0:
+            poly = _poly_divmod(poly, (Fraction(r), Fraction(1)))[0]
+    return NumberField(poly, Fraction(0), hi)

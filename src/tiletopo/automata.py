@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping
 
 from . import linalg
+from .errors import BudgetExceeded, CertificateFailure
 from .numsys import Address, RationalPoint, TileParams, point_eval
 
 State = Hashable
@@ -446,12 +447,13 @@ def product_intersection(
         lv = point_eval(la, params)
         rv = point_eval(ra, params)
         expected = (rv[0] - initial_diff[0], rv[1] - initial_diff[1])
-        assert lv == expected, "difference tracking broken"
+        if lv != expected:
+            raise CertificateFailure("difference tracking broken")
         runs.append(Run(la, ra, lv))
 
     def explore(node: State, prefix_l: list[int], prefix_r: list[int]) -> None:
         if len(runs) > max_runs:
-            raise AssertionError("run enumeration exceeded bound")
+            raise BudgetExceeded(f"run enumeration exceeded {max_runs} runs")
         if node in cyclic:
             emit(prefix_l, prefix_r, node)
             return

@@ -35,7 +35,7 @@ from .contact import (
     psi,
     walk_compare,
 )
-from .errors import ChainViolation, IdentityFailure, WrongRegime
+from .errors import CertificateFailure, ChainViolation, IdentityFailure, WrongRegime
 from .neighbors import neighbor_set_formula
 from .numsys import (
     Address,
@@ -95,7 +95,8 @@ def alpha_table(params: TileParams) -> list[tuple[Walk, Walk]]:
             Walk(3, (2 * (b - a) + 1,), (2 * a - 2,)),
         )
     )
-    assert len(rows) == b
+    if len(rows) != b:
+        raise CertificateFailure(f"alpha table has {len(rows)} rows, expected {b}")
     return rows
 
 
@@ -234,7 +235,8 @@ def lex_interval_language(
         n = 0
         while lo.letter(n + 1) == hi.letter(n + 1):
             n += 1
-            assert n < 10000, "identical walks should have been caught"
+            if n >= 10000:
+                raise CertificateFailure("identical walks should have been caught")
         state = lo.start
         path: list[tuple[int, int]] = []
         for m in range(n):
@@ -364,11 +366,6 @@ def flipped_curves(setup: ChainSetup, curves: list[AlphaCurve]) -> list[FlippedC
             )
         )
     return out
-
-
-def alpha_language(i: int, setup: ChainSetup) -> DigitNFA:
-    s, t = alpha_table(setup.params)[i - 1]
-    return lex_interval_language(setup.ordered, s, t)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .algebraic import FieldElement, NumberField, dominant_root_field
 from .automata import DigitNFA
 from .errors import (
     BudgetExceeded,
+    CertificateFailure,
     NoConsistentOrdering,
     NotIrreducible,
     NonPeriodicWalk,
@@ -116,7 +117,8 @@ def build_contact_graph(params: TileParams) -> ContactGraph:
                 if 0 <= ap < b:
                     edges.append((i, a, ap, j))
     graph = ContactGraph(params, states, tuple(edges))
-    assert graph.is_strongly_connected(), "contact graph must be strongly connected"
+    if not graph.is_strongly_connected():
+        raise CertificateFailure("contact graph must be strongly connected")
     return graph
 
 
@@ -406,13 +408,10 @@ def perron_data(graph: ContactGraph) -> PerronData:
         raise NotIrreducible("incidence matrix is reducible")
     adj = graph.adjacency()
     incidence = tuple(tuple(adj[j][i] for j in range(6)) for i in range(6))
-
-    import sympy
-
-    x = sympy.Symbol("x")
-    charpoly = sympy.Matrix(incidence).charpoly(x)
-    coeffs = [int(c) for c in reversed(charpoly.all_coeffs())]
-    field = dominant_root_field(coeffs)
+    # boundary cubic; by Perron-Frobenius the positive eigenvector below
+    # certifies that its root is the Perron root
+    a, b = graph.params.a, graph.params.b
+    field = dominant_root_field([-b, a - b, 1 - a, 1])
     beta = field.beta()
 
     # nullspace of (adj - beta I) acting on column vectors: beta u = adj u
@@ -440,19 +439,18 @@ def perron_data(graph: ContactGraph) -> PerronData:
         pivots.append(c)
         r += 1
     free = [c for c in range(6) if c not in pivots]
-    if len(free) != 1:
+    if not free:
+        raise CertificateFailure("the boundary cubic's root is not an eigenvalue")
+    if len(free) > 1:
         raise NotIrreducible("Perron eigenvalue is not simple")
     sol = [field.zero()] * 6
     sol[free[0]] = field.one()
     for row, c in zip(rows, pivots):
         sol[c] = -row[free[0]]
-    total = sol[0]
-    for v in sol[1:]:
-        total = total + v
-    inv_total = total.inverse()
+    inv_total = sum(sol[1:], sol[0]).inverse()
     u = tuple(v * inv_total for v in sol)
     if any(v.sign() <= 0 for v in u):
-        raise NotIrreducible("left eigenvector is not strictly positive")
+        raise CertificateFailure("left eigenvector is not strictly positive")
     return PerronData(incidence, field, beta, u)
 
 
@@ -521,15 +519,14 @@ def param_to_walk(
 
     # choose the start state: first i with t <= L_{i+1}
     cum = field.zero()
-    state = None
-    for i in range(1, 7):
-        nxt = cum + data.u[i - 1]
+    for state in range(1, 7):
+        nxt = cum + data.u[state - 1]
         if (t - nxt).sign() <= 0:
-            state = i
-            tau = t - cum
             break
         cum = nxt
-    assert state is not None
+    else:
+        raise CertificateFailure("interval lengths do not add up to 1")
+    tau = t - cum
     start_state = state
     beta_inv = beta.inverse()
     letters: list[int] = []

@@ -100,10 +100,14 @@ def _candidate_pairs(arr: np.ndarray) -> np.ndarray:
     y0, y1 = np.minimum(ra[:, 1], rb[:, 1]) - eps, np.maximum(ra[:, 1], rb[:, 1]) + eps
     cx = max(float(np.median(x1 - x0)), 1e-12)
     cy = max(float(np.median(y1 - y0)), 1e-12)
-    gx0 = np.floor(x0 / cx).astype(np.int64)
-    gx1 = np.floor(x1 / cx).astype(np.int64)
-    gy0 = np.floor(y0 / cy).astype(np.int64)
-    gy1 = np.floor(y1 / cy).astype(np.int64)
+    # a pair is a candidate iff its boxes overlap, whatever the cell size;
+    # coarsen the cells until they number at most 64 per segment
+    while True:
+        gx0, gx1 = np.floor(x0 / cx).astype(np.int64), np.floor(x1 / cx).astype(np.int64)
+        gy0, gy1 = np.floor(y0 / cy).astype(np.int64), np.floor(y1 / cy).astype(np.int64)
+        if ((gx1 - gx0 + 1.0) * (gy1 - gy0 + 1.0)).sum() <= 64 * m:
+            break
+        cx, cy = 2 * cx, 2 * cy
     buckets: dict[tuple[int, int], list[int]] = {}
     for i in range(m):
         for gx in range(gx0[i], gx1[i] + 1):

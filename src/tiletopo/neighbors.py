@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .errors import LengthMismatch, OutOfRange, WrongRegime
+from .errors import CertificateFailure, LengthMismatch, OutOfRange, WrongRegime
 from .numsys import Address, DigitWord, TileParams
 
 IntVec = tuple[int, int]
@@ -114,7 +114,7 @@ def certified_series_bound(params: TileParams, max_block: int = 120) -> tuple[li
         rho = norm_mat(power)
         if rho < 1:
             return w_inv, partial / (1 - rho)
-    raise AssertionError("no contracting power found; matrix not expanding?")
+    raise CertificateFailure("no contracting power found; matrix not expanding?")
 
 
 def _candidate_ball(params: TileParams) -> set[IntVec]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .errors import BadDeterminant, DegenerateBasis, NotExpanding
+from .errors import BadDeterminant, CertificateFailure, DegenerateBasis, NotExpanding
 
 Digit = int
 DigitWord = tuple[int, ...]
@@ -123,7 +123,8 @@ def normalize(raw: RawInstance) -> tuple[TileParams, AffineNormalization]:
     m0v = linalg.mat_vec(raw.m0, raw.v)
     basis = ((raw.v[0], m0v[0]), (raw.v[1], m0v[1]))
     companion = linalg.mat_mul(linalg.mat_inv(basis), linalg.mat_mul(raw.m0, basis))
-    assert companion == ((0, -b), (1, -a)), "basis change must yield companion form"
+    if companion != ((0, -b), (1, -a)):
+        raise CertificateFailure("basis change must yield companion form")
 
     if a >= 0:
         params = TileParams(a, b, reflected=False)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .contact import OrderedContactGraph, approx_boundary, build_contact_graph, derive_order_extension
-from .errors import WrongRegime
+from .errors import CertificateFailure, WrongRegime
 from .geometry import polygon_is_simple_closed
 from .neighbors import neighbor_set_formula
 from .numsys import RationalPoint, TileParams, point_eval
@@ -85,7 +85,7 @@ def _boundary_polygon(params: TileParams, n: int, budget: int) -> tuple[Rational
     ordered = _ordered(params)
     approx = approx_boundary(ordered, n, budget)
     if not polygon_is_simple_closed(approx.vertices):
-        raise AssertionError(f"level-{n} polygon is not simple closed")
+        raise CertificateFailure(f"level-{n} polygon is not simple closed")
     return approx.vertices
 
 

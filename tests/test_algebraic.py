@@ -68,6 +68,27 @@ class TestRationalDegenerate:
         assert (f.beta() - f.rational(2)).sign() == 0
 
 
+class TestDominantRootFieldContract:
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            [-5, -1, -3, 2],  # not monic
+            [-5, 0, -1, -3, 1],  # degree 4
+            [-6, 11, -6, 1],  # (x-1)(x-2)(x-3): three sign changes
+            [1, 2, 1],  # no sign change
+        ],
+    )
+    def test_rejects(self, coeffs):
+        with pytest.raises(ValueError):
+            dominant_root_field(coeffs)
+
+    def test_quadratic_factor(self):
+        # x^3 - 9x - 10 = (x + 2)(x^2 - 2x - 5), the cubic of (A,B) = (1,10)
+        f = dominant_root_field([-10, -9, 0, 1])
+        assert f.minpoly == (-5, -2, 1)
+        assert abs(float(f.beta()) - (1 + 6**0.5)) < 1e-12
+
+
 class TestIntervalRefinement:
     def test_refinement_narrows(self, cubic):
         lo0, hi0 = cubic.interval()

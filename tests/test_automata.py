@@ -1,3 +1,5 @@
+import pytest
+
 from tiletopo import TileParams, parse_address
 from tiletopo.automata import (
     BRANCHING,
@@ -14,6 +16,7 @@ from tiletopo.automata import (
     nfa_union,
     product_intersection,
 )
+from tiletopo.errors import BudgetExceeded
 from tiletopo.neighbors import neighbor_set_formula
 
 
@@ -100,6 +103,17 @@ class TestProduct:
             nfa_full(5), nfa_full(5), members(params), params
         )
         assert res.kind == BRANCHING
+
+    def test_run_budget(self):
+        # two distinct points, so two runs: a budget of zero must raise
+        params = TileParams(4, 5)
+        shared = nfa_single_address(parse_address("3(1)"))
+        left = nfa_union([nfa_single_address(parse_address("120(04)")), shared])
+        right = nfa_union([nfa_single_address(parse_address("001(40)")), shared])
+        res = product_intersection(left, right, members(params), params)
+        assert len(res.runs) == 2
+        with pytest.raises(BudgetExceeded):
+            product_intersection(left, right, members(params), params, max_runs=0)
 
     def test_json_stable(self):
         params = TileParams(5, 5)

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from tiletopo.cli import main
 
 
@@ -70,6 +72,11 @@ class TestCommands:
         code, out, _ = run(capsys, "cutpoint", "--A", "6", "--B", "7")
         assert code == 0 and "z=0.(3)" in out
 
+    @pytest.mark.parametrize("a,b", [(1, 10), (1, 15)])
+    def test_param_quadratic_beta(self, capsys, a, b):
+        code, out, _ = run(capsys, "param", "--A", str(a), "--B", str(b), "--t", "1/3")
+        assert code == 0 and out.startswith("t=1/3")
+
     def test_param_walk(self, capsys):
         code, out, _ = run(capsys, "param", "--A", "4", "--B", "5", "--walk", "3;2,1,3;2")
         assert code == 0 and "0.440(04)" in out
@@ -128,3 +135,13 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "DiskLike"
+
+    def test_param_without_sympy(self):
+        # a None entry in sys.modules makes any import of sympy fail
+        code = (
+            "import sys; sys.modules['sympy'] = None; from tiletopo.cli import main; "
+            "sys.exit(main(['param', '--A', '1', '--B', '10', '--t', '1/3']))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("t=1/3")

@@ -120,6 +120,15 @@ class TestPerron:
             v = w / np.linalg.norm(w)
         assert abs(float(pd.beta) - lam) < 1e-9
 
+    def test_beta_is_spectral_radius_on_grid(self):
+        # beta comes from the boundary cubic, not from the incidence matrix;
+        # includes (1,10), (1,15) and (2,16), whose beta is quadratic
+        for b in range(2, 21):
+            for a in range(1, b + 1):
+                pd = perron_data(build_contact_graph(TileParams(a, b)))
+                eig = np.linalg.eigvals(np.array(pd.incidence, dtype=float))
+                assert abs(float(pd.beta) - abs(eig).max()) < 1e-9, (a, b)
+
 
 class TestOrdering:
     def test_table_decodings_4_5(self):

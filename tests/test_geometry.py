@@ -88,6 +88,32 @@ class TestSimpleClosed:
             pts.append((c + big, s - big))
         assert polygon_is_simple_closed(tuple(pts))
 
+    @staticmethod
+    def _zigzag(length: Fraction):
+        # 100 segments of the given length along the x axis, closed by two
+        # edges of length about 1 through an apex above the middle
+        pts = [(k * length, (k % 2) * length) for k in range(101)]
+        return pts + [(50 * length, Fraction(1))]
+
+    @staticmethod
+    def _all_pairs_simple(pts) -> bool:
+        m = len(pts)
+        return not any(
+            segments_intersect(pts[i], pts[(i + 1) % m], pts[j], pts[(j + 1) % m])
+            for i in range(m)
+            for j in range(i + 2, m)
+            if (j + 1) % m != i
+        )
+
+    def test_segment_lengths_far_apart(self):
+        # a grid sized by the median segment would need ~10^12 cells here
+        pts = self._zigzag(Fraction(1, 10**6))
+        assert polygon_is_simple_closed(tuple(pts)) is True
+        assert self._all_pairs_simple(pts) is True
+        pts[50], pts[52] = pts[52], pts[50]  # segments 49 and 52 now cross
+        assert polygon_is_simple_closed(tuple(pts)) is False
+        assert self._all_pairs_simple(pts) is False
+
 
 class TestHausdorff:
     def test_identical_is_zero(self):
