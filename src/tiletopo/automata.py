@@ -16,7 +16,7 @@ and evaluate through the rational point machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping
+from typing import Collection, Hashable, Iterable, Mapping
 
 from . import linalg
 from .errors import BudgetExceeded, CertificateFailure
@@ -136,21 +136,15 @@ def nfa_accepts_address(nfa: DigitNFA, addr: Address) -> bool:
                 nodes.add(node)
                 frontier.append(node)
         succ[(q, pos)] = outs
-    # trim to nodes with an infinite continuation
-    alive = set(nodes)
-    changed = True
-    while changed:
-        changed = False
-        for node in list(alive):
-            if not any(t in alive for t in succ[node]):
-                alive.discard(node)
-                changed = True
+    alive = live_nodes(succ)
     return any((q, 0) in alive for q in nfa.initials)
 
 
 def nfa_prefixes(nfa: DigitNFA, depth: int) -> set[tuple[int, ...]]:
     """All digit words of the given length extendable to an infinite run."""
-    live = live_states(nfa)
+    live = live_nodes(
+        {q: [t for targets in row.values() for t in targets] for q, row in nfa.trans.items()}
+    )
     out: set[tuple[int, ...]] = set()
 
     def rec(states: frozenset, word: tuple[int, ...]) -> None:
@@ -208,21 +202,24 @@ def nfa_determinize(nfa: DigitNFA) -> DigitNFA:
     return DigitNFA((start,), trans)
 
 
-def live_states(nfa: DigitNFA) -> set[State]:
-    """States admitting an infinite run."""
-    states = set(nfa.trans.keys()) | set(nfa.initials)
-    for row in nfa.trans.values():
-        for targets in row.values():
-            states.update(targets)
-    alive = set(states)
-    changed = True
-    while changed:
-        changed = False
-        for q in list(alive):
-            row = nfa.trans.get(q, {})
-            if not any(t in alive for targets in row.values() for t in targets):
-                alive.discard(q)
-                changed = True
+def live_nodes(succ: Mapping[State, Collection[State]]) -> set[State]:
+    """Nodes with an infinite path; nodes missing from ``succ`` have no
+    successors.  Dead nodes are removed from a worklist that counts each
+    node's remaining successor edges, so every edge is visited once."""
+    preds: dict[State, list[State]] = {}
+    count: dict[State, int] = {}
+    for node, targets in succ.items():
+        count[node] = len(targets)
+        for t in targets:
+            preds.setdefault(t, []).append(node)
+    alive = {node for node, n in count.items() if n}
+    dead = [node for node in preds.keys() | count.keys() if node not in alive]
+    while dead:
+        for p in preds.get(dead.pop(), ()):
+            count[p] -= 1
+            if not count[p]:
+                alive.discard(p)
+                dead.append(p)
     return alive
 
 
@@ -373,15 +370,7 @@ def product_intersection(
                             frontier.append(child)
         trans[node] = edges
 
-    # states with an infinite continuation
-    alive = set(seen)
-    changed = True
-    while changed:
-        changed = False
-        for node in list(alive):
-            if not any(t in alive for (_, _, t) in trans.get(node, [])):
-                alive.discard(node)
-                changed = True
+    alive = live_nodes({node: [t for (_, _, t) in edges] for node, edges in trans.items()})
     live_inits = [q for q in initials if q in alive]
     if not live_inits:
         return IntersectionAutomaton(params, initials, trans, set(), EMPTY)

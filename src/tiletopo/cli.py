@@ -28,15 +28,52 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _ints(count: int):
+    """argparse type: exactly ``count`` comma-separated integers."""
+
+    def parse(text: str) -> tuple[int, ...]:
+        try:
+            values = tuple(int(x) for x in text.split(","))
+        except ValueError:
+            values = ()
+        if len(values) != count:
+            raise argparse.ArgumentTypeError(
+                f"expected {count} comma-separated integers, got {text!r}"
+            )
+        return values
+
+    return parse
+
+
+def _fraction(text: str) -> Fraction:
+    """argparse type: a rational number such as 1/3."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+
+
+def _walk(text: str) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """argparse type: "start;o1,o2;p1,p2" with a periodic tail (default 1)
+    after the second ';'."""
+    parts = text.split(";")
+    try:
+        head, pre_txt, per_txt = parts + [""] * (3 - len(parts))
+        pre = tuple(int(x) for x in pre_txt.split(",") if x)
+        per = tuple(int(x) for x in per_txt.split(",") if x) or (1,)
+        return int(head), pre, per
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a walk 'start;o1,o2;p1,p2': {text!r}") from None
+
+
+def _normalized(args):
+    m, v = args.matrix, args.v
+    return normalize(RawInstance(((m[0], m[1]), (m[2], m[3])), v))
+
+
 def _params_from(args) -> TileParams:
     if args.matrix is not None:
-        m = [int(x) for x in args.matrix.split(",")]
-        v = [int(x) for x in (args.v or "1,0").split(",")]
-        if len(m) != 4 or len(v) != 2:
-            raise TileError("--matrix needs 4 integers, --v needs 2")
-        raw = RawInstance(((m[0], m[1]), (m[2], m[3])), (v[0], v[1]))
-        params, _ = normalize(raw)
-        return params
+        return _normalized(args)[0]
     if args.A is None or args.B is None:
         raise TileError("provide --A and --B (or --matrix/--v)")
     return TileParams(args.A, args.B)
@@ -60,10 +97,7 @@ def _write(args, name: str, content: str) -> Path | None:
 
 
 def _cmd_normalize(args) -> int:
-    m = [int(x) for x in args.matrix.split(",")]
-    v = [int(x) for x in (args.v or "1,0").split(",")]
-    raw = RawInstance(((m[0], m[1]), (m[2], m[3])), (v[0], v[1]))
-    params, record = normalize(raw)
+    params, record = _normalized(args)
     payload = {
         "schema": "tiletopo/normalization@1",
         "A": params.a,
@@ -162,14 +196,10 @@ def _cmd_param(args) -> int:
     ordered = derive_order_extension(graph)
     data = perron_data(graph)
     if args.walk is not None:
-        # "start;o1,o2;p1,p2" with a periodic tail after the second ';'
-        head, pre_txt, per_txt = (args.walk.split(";") + ["", ""])[:3]
-        pre = tuple(int(x) for x in pre_txt.split(",") if x)
-        per = tuple(int(x) for x in per_txt.split(",") if x) or (1,)
-        walk = Walk(int(head), pre, per)
+        walk = Walk(*args.walk)
         t = walk_to_param(walk, data, ordered)
     else:
-        t = Fraction(args.t)
+        t = args.t
         walk = param_to_walk(t, data, ordered)
     addr = psi(walk, ordered)
     value = point_eval(addr, params)
@@ -303,14 +333,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--A", type=int)
         p.add_argument("--B", type=int)
         if matrix:
-            p.add_argument("--matrix", help="m00,m01,m10,m11")
-            p.add_argument("--v", help="vx,vy")
+            p.add_argument("--matrix", type=_ints(4), help="m00,m01,m10,m11")
+            p.add_argument("--v", type=_ints(2), default="1,0", help="vx,vy")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", help="output directory")
 
     p = sub.add_parser("normalize", help="reduce a raw instance to (A, B)")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--v")
+    p.add_argument("--matrix", type=_ints(4), required=True)
+    p.add_argument("--v", type=_ints(2), default="1,0")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_normalize)
@@ -332,8 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("param", help="evaluate the boundary parametrization")
     common(p)
-    p.add_argument("--t", help="rational parameter p/q in [0,1]")
-    p.add_argument("--walk", help="walk 'start;o1,o2,...;p1,p2' (periodic tail)")
+    p.add_argument("--t", type=_fraction, help="rational parameter p/q in [0,1]")
+    p.add_argument("--walk", type=_walk, help="walk 'start;o1,o2,...;p1,p2' (periodic tail)")
     p.set_defaults(fn=_cmd_param)
 
     p = sub.add_parser("approx", help="boundary polygon vertices")

@@ -9,12 +9,14 @@ boundary; the interval [0, 1] is subdivided proportionally to the Perron
 eigenvector of the incidence matrix, giving a parametrization t -> C(t) whose
 vertices live in Q(beta).
 
-The edge ordering is derived, not guessed: every candidate assignment of
-first edges fixes the six traversal junctions V_i = psi(i; 1bar) as exact
-fixed points of the chosen contractions, each state's subpieces are then
-threaded between its two junctions by exact endpoint equality, and for the
-regime with tabulated endpoint data the result is calibrated against the
-known walk decodings.
+The edge ordering is derived, not guessed: each flip-equivariant choice of
+first edges (states 4..6 take the digit flips of the choices for 1..3)
+fixes the six traversal junctions V_i = psi(i; 1bar) as exact fixed points
+of the chosen contractions, and each state's subpieces are then threaded
+between its two junctions by exact endpoint equality.  Exactly one complete
+ordering must come out of the search; none, two, or a state that threads
+two ways raises.  For the regime with tabulated endpoint data the ordering
+is then checked against the known walk decodings.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .errors import (
     NonPeriodicWalk,
     OutOfRange,
 )
-from .numsys import Address, RationalPoint, TileParams, point_eval
+from .numsys import Address, RationalPoint, TileParams, periodic_tail_value, point_eval
 
 IntVec = tuple[int, int]
 Edge = tuple[int, int, int, int]  # (source 1..6, a, a', target 1..6)
@@ -143,8 +145,9 @@ class Walk:
             raise IndexError("finite walk exhausted")
         return self.period[(n - 1 - len(self.pre)) % len(self.period)]
 
-    def is_infinite(self) -> bool:
-        return bool(self.period)
+    def __post_init__(self) -> None:
+        if not 1 <= self.start <= 6:
+            raise OutOfRange(f"walk start {self.start} is not a state 1..6")
 
 
 def walk_compare(a: Walk, b: Walk) -> int:
@@ -186,11 +189,6 @@ class OrderedContactGraph:
     def vertex(self, i: int) -> RationalPoint:
         return self.vertices[(i - 1) % 6]
 
-    def order_key(self) -> tuple:
-        return tuple(
-            tuple((e[1], e[3]) for e in order) for order in self.orders
-        )
-
 
 def psi(walk: Walk, ordered: OrderedContactGraph) -> Address:
     """Digit address read along a walk; infinite walks must be eventually
@@ -220,11 +218,9 @@ def _apply_f(a: int, p: RationalPoint, minv: linalg.Mat2) -> RationalPoint:
     return linalg.mat_vec(minv, (p[0] + a, p[1]))
 
 
-FLIP_STATE = {1: 4, 2: 5, 3: 6, 4: 1, 5: 2, 6: 3}
-
-
 def _flip_edge(e: Edge, b: int) -> Edge:
-    return (FLIP_STATE[e[0]], b - 1 - e[1], b - 1 - e[2], FLIP_STATE[e[3]])
+    """Digit flip a -> B-1-a; it exchanges state i with state i+3 (mod 6)."""
+    return ((e[0] + 2) % 6 + 1, b - 1 - e[1], b - 1 - e[2], (e[3] + 2) % 6 + 1)
 
 
 def _vertices_of_first_edges(
@@ -235,8 +231,6 @@ def _vertices_of_first_edges(
     Each state feeds a functional graph on six nodes; cycle values come from
     the exact periodic solve, tree values by applying the contractions.
     """
-    from .numsys import periodic_tail_value
-
     values: dict[int, RationalPoint] = {}
     minv = params.matrix_inv
     for start in range(1, 7):
@@ -266,14 +260,11 @@ def _vertices_of_first_edges(
 
 
 def _thread_state(
-    graph: ContactGraph,
-    state: int,
-    vertices: tuple[RationalPoint, ...],
-    cap: int = 64,
-) -> list[tuple[Edge, ...]]:
-    """All orderings of the state's edges chaining endpoint-to-endpoint from
-    V_state to V_{state+1}: subpiece of edge e runs from f_a(V_target) to
-    f_a(V_{target+1})."""
+    graph: ContactGraph, state: int, vertices: tuple[RationalPoint, ...]
+) -> tuple[Edge, ...] | None:
+    """The ordering of the state's edges chaining endpoint-to-endpoint from
+    V_state to V_{state+1}, or None if there is none: the subpiece of edge e
+    runs from f_a(V_target) to f_a(V_{target+1})."""
     minv = graph.params.matrix_inv
     edges = graph.out_edges(state)
     seg = {
@@ -283,106 +274,69 @@ def _thread_state(
         )
         for e in edges
     }
-    start = vertices[state - 1]
     goal = vertices[state % 6]
     found: list[tuple[Edge, ...]] = []
 
     def rec(cur: RationalPoint, remaining: frozenset, acc: tuple[Edge, ...]) -> None:
-        if len(found) >= cap:
-            return
         if not remaining:
             if cur == goal:
+                if found:
+                    raise CertificateFailure(
+                        f"state {state} threads two ways for "
+                        f"(A,B)=({graph.params.a},{graph.params.b})"
+                    )
                 found.append(acc)
             return
-        for e in sorted(remaining):
+        for e in remaining:
             if seg[e][0] == cur:
                 rec(seg[e][1], remaining - {e}, acc + (e,))
 
-    rec(start, frozenset(edges), ())
-    return found
-
-
-def _first_edge_phases(graph: ContactGraph):
-    """Two rounds of candidate first-edge assignments: the flip-equivariant
-    maps (which always suffice in practice), then the full product."""
-    b = graph.params.b
-    outs = {i: sorted(graph.out_edges(i)) for i in range(1, 7)}
-
-    def flip_equivariant():
-        for e1, e2, e3 in iproduct(outs[1], outs[2], outs[3]):
-            yield {
-                1: e1,
-                2: e2,
-                3: e3,
-                4: _flip_edge(e1, b),
-                5: _flip_edge(e2, b),
-                6: _flip_edge(e3, b),
-            }
-
-    def everything():
-        for combo in iproduct(*(outs[i] for i in range(1, 7))):
-            yield {i: e for i, e in enumerate(combo, start=1)}
-
-    return (flip_equivariant(), everything())
+    rec(vertices[state - 1], frozenset(edges), ())
+    return found[0] if found else None
 
 
 def derive_order_extension(graph: ContactGraph) -> OrderedContactGraph:
-    """Search first-edge maps; each determines the six traversal junctions
-    V_i = psi(i; 1bar) exactly, and every state's subpieces must chain from
-    V_i to V_{i+1} by endpoint equality.  Candidates found this way already
-    satisfy the cyclic closure (the chain's last point is V_{i+1} and the
-    maximal-walk value is the unique fixed point through last edges)."""
+    """The unique continuous edge ordering.
+
+    Each flip-equivariant first-edge map determines the six traversal
+    junctions V_i = psi(i; 1bar) exactly, and every state's subpieces must
+    chain from V_i to V_{i+1} by endpoint equality.  Orderings found this way
+    already satisfy the cyclic closure (the chain's last point is V_{i+1} and
+    the maximal-walk value is the unique fixed point through last edges).
+    No ordering raises NoConsistentOrdering, more than one CertificateFailure.
+    """
     params = graph.params
-    complete: list[OrderedContactGraph] = []
-    seen_vertices: set[tuple[RationalPoint, ...]] = set()
-    seen_orders: set[tuple] = set()
-    for phase in _first_edge_phases(graph):
-        for phi in phase:
-            vertices = _vertices_of_first_edges(phi, params)
-            if vertices in seen_vertices:
-                continue
-            seen_vertices.add(vertices)
-            per_state: list[list[tuple[Edge, ...]]] = []
-            ok = True
-            for state in range(1, 7):
-                options = _thread_state(graph, state, vertices)
-                if not options:
-                    ok = False
-                    break
-                per_state.append(options)
-            if not ok:
-                continue
-            for combo in iproduct(*per_state):
-                cand = OrderedContactGraph(graph, tuple(combo), vertices)
-                key = cand.order_key()
-                if key not in seen_orders:
-                    seen_orders.add(key)
-                    complete.append(cand)
-                if len(complete) >= 4096:
-                    break
-        if complete:
-            break
+    where = f"(A,B)=({params.a},{params.b})"
+    outs = [sorted(graph.out_edges(i)) for i in (1, 2, 3)]
+    complete: dict[tuple[tuple[Edge, ...], ...], OrderedContactGraph] = {}
+    for firsts in iproduct(*outs):
+        flips = tuple(_flip_edge(e, params.b) for e in firsts)
+        vertices = _vertices_of_first_edges(dict(enumerate(firsts + flips, 1)), params)
+        orders = []
+        for state in range(1, 7):
+            order = _thread_state(graph, state, vertices)
+            if order is None:
+                break
+            orders.append(order)
+        else:
+            key = tuple(orders)
+            complete.setdefault(key, OrderedContactGraph(graph, key, vertices))
     if not complete:
-        raise NoConsistentOrdering(
-            f"no continuous edge ordering for (A,B)=({params.a},{params.b})"
-        )
+        raise NoConsistentOrdering(f"no continuous edge ordering for {where}")
+    if len(complete) > 1:
+        raise CertificateFailure(f"{len(complete)} continuous edge orderings for {where}")
+    (ordered,) = complete.values()
 
     if 2 * params.a - params.b == 3 and params.a != params.b:
         from .chains import alpha_calibration_rows
 
-        rows = alpha_calibration_rows(params)
-        calibrated = [
-            cand
-            for cand in complete
-            if all(psi(walk, cand) == addr for walk, addr in rows)
-        ]
-        if not calibrated:
-            raise NoConsistentOrdering(
-                "no ordering reproduces the tabulated walk decodings"
-            )
-        complete = calibrated
-    complete.sort(key=lambda cand: cand.order_key())
-    return complete[0]
+        for walk, addr in alpha_calibration_rows(params):
+            if psi(walk, ordered) != addr:
+                raise CertificateFailure(
+                    f"walk {walk} does not decode to the tabulated "
+                    f"0.{addr} for {where}"
+                )
+    return ordered
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
+from .automata import live_nodes
 from .errors import CertificateFailure, LengthMismatch, OutOfRange, WrongRegime
 from .numsys import Address, DigitWord, TileParams
 
@@ -143,29 +144,11 @@ def neighbor_set_search(params: TileParams) -> NeighborSet:
     b = params.b
     m = params.matrix
     ball = _candidate_ball(params)
-    succs: dict[IntVec, set[IntVec]] = {}
-    preds: dict[IntVec, set[IntVec]] = {s: set() for s in ball}
+    succ: dict[IntVec, list[IntVec]] = {}
     for s in ball:
-        ms = linalg.mat_vec(m, s)
-        out = set()
-        for d in range(-(b - 1), b):
-            t = (ms[0] + d, ms[1])
-            if t in ball:
-                out.add(t)
-                preds[t].add(s)
-        succs[s] = out
-    dead = [s for s, out in succs.items() if not out]
-    alive = set(ball)
-    while dead:
-        s = dead.pop()
-        if s not in alive:
-            continue
-        alive.discard(s)
-        for p in preds[s]:
-            if p in alive:
-                succs[p].discard(s)
-                if not succs[p]:
-                    dead.append(p)
+        x, y = linalg.mat_vec(m, s)
+        succ[s] = [(x + d, y) for d in range(-(b - 1), b) if (x + d, y) in ball]
+    alive = live_nodes(succ)
     alive.discard((0, 0))
     n = len(alive)
     j = (n - 2) // 4 if n >= 2 and (n - 2) % 4 == 0 else None

@@ -60,6 +60,56 @@ class TestExitCodes:
         assert code == 2
 
 
+class TestContract:
+    """Every subcommand, and malformed values, end in an exit code 0..3."""
+
+    MALFORMED = [
+        ["classify", "--matrix", "x,1,1,1"],
+        ["normalize", "--matrix", "1,2"],
+        ["param", "--A", "4", "--B", "5", "--t", "abc"],
+        ["param", "--A", "4", "--B", "5", "--t", "1/0"],
+        ["param", "--A", "4", "--B", "5", "--walk", "bad"],
+        ["param", "--A", "4", "--B", "5", "--walk", "1;a;1"],
+    ]
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["normalize"],
+            ["classify"],
+            ["neighbors"],
+            ["contact-graph"],
+            ["param", "--walk", "2;1;1"],
+            ["approx", "--n", "1"],
+            ["cutpoint"],
+            ["verify-chains"],
+            ["render", "--n", "1"],
+        ],
+        ids=lambda extra: extra[0],
+    )
+    def test_grid(self, capsys, extra):
+        for b in range(1, 11):
+            for a in range(1, b + 1):
+                if extra[0] == "normalize":
+                    argv = ["normalize", "--matrix", f"0,{-b},1,{-a}"]
+                else:
+                    argv = [extra[0], "--A", str(a), "--B", str(b), *extra[1:]]
+                assert main(argv) in (0, 1, 2, 3), argv
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", MALFORMED, ids=lambda argv: " ".join(argv[-2:]))
+    def test_malformed_value_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.splitlines()[-1].startswith(f"tiletopo {argv[0]}: error: argument")
+
+    @pytest.mark.parametrize("walk", ["0;;1", "9;1;1"])
+    def test_walk_start_outside_states(self, capsys, walk):
+        code, out, err = run(capsys, "param", "--A", "4", "--B", "5", "--walk", walk)
+        assert code == 2 and out == ""
+        assert "walk start" in err
+
+
 class TestCommands:
     def test_normalize(self, capsys):
         code, out, _ = run(

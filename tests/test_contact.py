@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from tiletopo import TileParams, parse_address, point_eval
 from tiletopo.contact import (
+    ContactGraph,
     Walk,
     approx_boundary,
     boundary_gifs_check,
@@ -20,7 +21,7 @@ from tiletopo.contact import (
     walk_compare,
     walk_to_param,
 )
-from tiletopo.errors import OutOfRange
+from tiletopo.errors import NoConsistentOrdering, OutOfRange
 
 
 def ordered(a, b):
@@ -156,13 +157,23 @@ class TestOrdering:
         assert full == prepend_digits((edge[1],), tail)
 
     def test_consecutive_endpoint_equalities(self):
-        for (a, b) in [(2, 2), (4, 5), (5, 5)]:
+        pairs = [(a, b) for b in range(2, 13) for a in range(1, b + 1)]
+        for (a, b) in pairs:
             o = ordered(a, b)
-            for n in range(0, 4):
+            # level 3 only on the first three pairs; on all 77 it costs ~5 s more
+            for n in range(0, 4 if (a, b) in [(2, 2), (4, 5), (5, 5)] else 3):
                 ap = approx_boundary(o, n)
                 m = len(ap.firsts)
                 for k in range(m):
                     assert ap.lasts[k] == ap.firsts[(k + 1) % m]
+
+    @pytest.mark.parametrize("dropped", [(2, 0, 1, 4), (3, 4, 1, 5)])
+    def test_missing_edge_has_no_ordering(self, dropped):
+        g = build_contact_graph(TileParams(4, 5))
+        assert dropped in g.edges
+        edges = tuple(e for e in g.edges if e != dropped)
+        with pytest.raises(NoConsistentOrdering, match=r"\(A,B\)=\(4,5\)"):
+            derive_order_extension(ContactGraph(g.params, g.states, edges))
 
     def test_vertex_count_matches_walks(self):
         o = ordered(4, 5)
