@@ -229,11 +229,6 @@ class FieldElement:
     def __float__(self) -> float:
         return self.field.to_float(self.coeffs)
 
-    def as_rational(self) -> Fraction | None:
-        if all(c == 0 for c in self.coeffs[1:]):
-            return self.coeffs[0]
-        return None
-
     def __repr__(self) -> str:
         terms = []
         for i, c in enumerate(self.coeffs):

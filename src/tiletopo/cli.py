@@ -89,10 +89,13 @@ def _emit(args, payload: dict, text: str) -> None:
 def _write(args, name: str, content: str) -> Path | None:
     if args.out is None:
         return None
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / name
-    path.write_text(content, encoding="utf-8")
+    path = Path(args.out) / name
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(content, encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        raise SystemExit(1) from None
     return path
 
 
@@ -398,13 +401,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
+    except SystemExit as exc:  # usage errors and unwritable --out paths
+        return int(exc.code or 0)
     except (ChainViolation, CertificateFailure, IdentityFailure) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 3

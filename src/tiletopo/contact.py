@@ -343,9 +343,6 @@ def derive_order_extension(graph: ContactGraph) -> OrderedContactGraph:
 # Perron data and the interval subdivision
 
 
-ParamValue = FieldElement
-
-
 @dataclass(frozen=True)
 class PerronData:
     """Incidence counts edges target-by-source, so the interval-length vector
@@ -527,129 +524,76 @@ def count_walks(graph: ContactGraph, n: int) -> int:
 
 @dataclass(frozen=True)
 class BoundaryApprox:
-    """Level-n polygonal boundary approximation.
+    """Level-n polygonal boundary approximation in integer coordinates.
 
-    ``vertices`` joins the first points of all length-n walks in
+    Every level-n vertex is an integer vector over ``scale`` = D*B^n, where D
+    is the LCM of the junction denominators, because B*M^{-1} is an integer
+    matrix.  ``points`` joins the first points of all length-n walks in
     lexicographic order (consecutive duplicates merged); ``firsts`` and
     ``lasts`` keep the unmerged per-walk endpoint pairs for continuity
-    checks.
+    checks.  ``vertices`` is ``points`` as exact rational pairs.
     """
 
     level: int
-    vertices: tuple[RationalPoint, ...]
-    firsts: tuple[RationalPoint, ...]
-    lasts: tuple[RationalPoint, ...]
+    scale: int
+    points: tuple[IntVec, ...]
+    firsts: tuple[IntVec, ...]
+    lasts: tuple[IntVec, ...]
+
+    @property
+    def vertices(self) -> tuple[RationalPoint, ...]:
+        s = self.scale
+        return tuple((Fraction(x, s), Fraction(y, s)) for (x, y) in self.points)
 
 
 def approx_boundary(
     ordered: OrderedContactGraph, n: int, budget: int = 10**6
 ) -> BoundaryApprox:
-    """Vertices psi(w & 1bar) of all length-n walks in lex order."""
+    """Vertices psi(w & 1bar) of all length-n walks in lex order.
+
+    A walk with digits a_1..a_n that ends in state s has the vertex
+    sum_k M^{-k} (a_k, 0) + M^{-n} V_s.  Times D*B^n this is
+    sum_k D*B^(n-k) N^k (a_k, 0) + N^n (D*V_s) with N = B*M^{-1}, all integer.
+    """
     graph = ordered.graph
     if n < 0:
         raise OutOfRange("level must be nonnegative")
     total = count_walks(graph, n)
     if total > budget:
         raise BudgetExceeded(f"{total} walks at level {n} exceed budget {budget}")
-    minv = graph.params.matrix_inv
-    firsts: list[RationalPoint] = []
-    lasts: list[RationalPoint] = []
+    a, b = graph.params.a, graph.params.b
+    d = math.lcm(*(c.denominator for v in ordered.vertices for c in v))
+    # steps[k]: the offset a digit 1 adds at depth k+1; ends[i]: N^n (D*V_{i+1})
+    power: linalg.Mat2 = linalg.IDENTITY
+    steps: list[IntVec] = []
+    for k in range(1, n + 1):
+        power = linalg.mat_mul(power, ((-a, b), (-1, 0)))
+        w = d * b ** (n - k)
+        steps.append((w * power[0][0], w * power[1][0]))
+    ends = [linalg.mat_vec(power, (int(x * d), int(y * d))) for (x, y) in ordered.vertices]
+    firsts: list[IntVec] = []
+    lasts: list[IntVec] = []
 
-    def rec(state: int, depth: int, mat: linalg.Mat2, off: RationalPoint) -> None:
+    def rec(state: int, depth: int, x: int, y: int) -> None:
         if depth == n:
-            v = ordered.vertex(state)
-            w = ordered.vertex(state + 1)
-            firsts.append(linalg.vec_add(linalg.mat_vec(mat, v), off))
-            lasts.append(linalg.vec_add(linalg.mat_vec(mat, w), off))
+            first, last = ends[state - 1], ends[state % 6]
+            firsts.append((x + first[0], y + first[1]))
+            lasts.append((x + last[0], y + last[1]))
             return
-        nmat = linalg.mat_mul(mat, minv)
+        sx, sy = steps[depth]
         for e in ordered.orders[state - 1]:
-            noff = linalg.vec_add(linalg.mat_vec(nmat, (e[1], 0)), off)
-            rec(e[3], depth + 1, nmat, noff)
+            rec(e[3], depth + 1, x + e[1] * sx, y + e[1] * sy)
 
     for state in range(1, 7):
-        rec(state, 0, linalg.IDENTITY, (Fraction(0), Fraction(0)))
+        rec(state, 0, 0, 0)
 
-    merged: list[RationalPoint] = []
+    merged: list[IntVec] = []
     for p in firsts:
         if not merged or merged[-1] != p:
             merged.append(p)
     if len(merged) > 1 and merged[0] == merged[-1]:
         merged.pop()
-    return BoundaryApprox(n, tuple(merged), tuple(firsts), tuple(lasts))
-
-
-def boundary_gifs_check(
-    graph: ContactGraph,
-    depth: int,
-    seed_box: tuple[float, float, float, float] = (0.0, 0.0, 1.0, 1.0),
-    grid: float = 1e-3,
-    cap: int = 4000,
-) -> dict:
-    """Iterate the boundary subdivision from box seeds; float diagnostic.
-
-    Returns per-iteration Hausdorff distances between successive iterates;
-    contraction makes them shrink geometrically.  Clouds are deduplicated on
-    a grid and subsampled to the cap before distance evaluation.
-    """
-    if depth < 1:
-        raise OutOfRange("depth must be >= 1")
-    import numpy as np
-
-    minv = np.array([[float(x) for x in row] for row in graph.params.matrix_inv])
-    x0, y0, x1, y1 = seed_box
-    seed = np.array(
-        [(x0, y0), (x0, y1), (x1, y0), (x1, y1), ((x0 + x1) / 2, (y0 + y1) / 2)]
-    )
-    clouds: dict[int, np.ndarray] = {i: seed.copy() for i in range(1, 7)}
-    out_edges = {i: graph.out_edges(i) for i in range(1, 7)}
-
-    def dedupe(pts: np.ndarray) -> np.ndarray:
-        keys = np.round(pts / grid).astype(np.int64)
-        _, idx = np.unique(keys, axis=0, return_index=True)
-        return pts[np.sort(idx)]
-
-    def sample(pts: np.ndarray) -> np.ndarray:
-        if len(pts) <= cap:
-            return pts
-        stride = (len(pts) + cap - 1) // cap
-        order = np.lexsort((pts[:, 1], pts[:, 0]))
-        return pts[order[::stride]]
-
-    def step(c: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-        new: dict[int, np.ndarray] = {}
-        for i in range(1, 7):
-            parts = [
-                (c[j] + np.array([a, 0.0])) @ minv.T for (_, a, _, j) in out_edges[i]
-            ]
-            new[i] = dedupe(np.concatenate(parts))
-        return new
-
-    def hausdorff(p: np.ndarray, q: np.ndarray) -> float:
-        if len(p) == 0 or len(q) == 0:
-            return float("inf")
-        pa, qa = sample(p), sample(q)
-        d = 0.0
-        for a_arr, b_arr in ((pa, qa), (qa, pa)):
-            for i in range(0, len(a_arr), 2048):
-                chunk = a_arr[i : i + 2048]
-                dist = (
-                    ((chunk[:, None, :] - b_arr[None, :, :]) ** 2).sum(-1).min(axis=1)
-                )
-                d = max(d, float(dist.max()))
-        return d**0.5
-
-    distances: list[float] = []
-    for _ in range(depth):
-        nxt = step(clouds)
-        distances.append(max(hausdorff(clouds[i], nxt[i]) for i in range(1, 7)))
-        clouds = nxt
-    return {
-        "distances": distances,
-        "sizes": {i: len(clouds[i]) for i in range(1, 7)},
-        "nonempty": all(len(clouds[i]) for i in range(1, 7)),
-        "final_clouds": {i: clouds[i] for i in range(1, 7)},
-    }
+    return BoundaryApprox(n, d * b**n, tuple(merged), tuple(firsts), tuple(lasts))
 
 
 # ---------------------------------------------------------------------------

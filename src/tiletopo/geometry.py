@@ -1,12 +1,15 @@
 """Exact polygon predicates and float distance diagnostics.
 
 The simple-closed test uses exact integer orientation tests behind a float
-grid prefilter.  The prefilter floats come from the rational vertices
-themselves, all scaled by one power of two so that no coordinate overflows;
-the integers obtained by scaling the vertices by their common denominator
-are used only for the exact orientation tests.  The subdivision pieces are
-extremely anisotropic slivers sharing one elongation axis, so the grid works
-in a rotated frame aligned with the longest segment and with per-axis cell
+grid prefilter.  Vertices may be ints or Fractions.  The integers come from
+scaling every vertex by the LCM of the coordinate denominators; ints have
+denominator 1, so an integer polygon, such as a level-n boundary of
+``contact.approx_boundary`` over its common scale, is used as it is.  The
+prefilter floats come from the exact vertices themselves, all scaled by one
+power of two so that no coordinate overflows; the integers are used only
+for the exact orientation tests.  The subdivision pieces are extremely
+anisotropic slivers sharing one elongation axis, so the grid works in a
+rotated frame aligned with the longest segment and with per-axis cell
 sizes; floats only ever discard pairs whose rotated boxes are disjoint,
 never decide an intersection.  Hausdorff distances between polygonal curves
 are float-only diagnostics.
@@ -15,19 +18,20 @@ are float-only diagnostics.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
 from .numsys import RationalPoint
 
+Point = tuple[int, int] | RationalPoint  # exact coordinates
 
-def orientation(p: RationalPoint, q: RationalPoint, r: RationalPoint) -> int:
+
+def orientation(p: Point, q: Point, r: Point) -> int:
     v = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
     return (v > 0) - (v < 0)
 
 
-def _on_segment(p: RationalPoint, q: RationalPoint, r: RationalPoint) -> bool:
+def _on_segment(p: Point, q: Point, r: Point) -> bool:
     """r collinear with pq assumed; is r within the closed box of pq?"""
     return (
         min(p[0], q[0]) <= r[0] <= max(p[0], q[0])
@@ -35,9 +39,7 @@ def _on_segment(p: RationalPoint, q: RationalPoint, r: RationalPoint) -> bool:
     )
 
 
-def segments_intersect(
-    p1: RationalPoint, p2: RationalPoint, q1: RationalPoint, q2: RationalPoint
-) -> bool:
+def segments_intersect(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
     """Closed-segment intersection, exact."""
     d1 = orientation(q1, q2, p1)
     d2 = orientation(q1, q2, p2)
@@ -58,21 +60,12 @@ def segments_intersect(
     return False
 
 
-def _to_integer_grid(vertices: tuple[RationalPoint, ...]) -> list[tuple[int, int]]:
-    """Scale all vertices by the common denominator: exact integer coords."""
-    scale = 1
-    for (x, y) in vertices:
-        scale = scale * Fraction(x).denominator // math.gcd(scale, Fraction(x).denominator)
-        scale = scale * Fraction(y).denominator // math.gcd(scale, Fraction(y).denominator)
-    return [(int(x * scale), int(y * scale)) for (x, y) in vertices]
-
-
-def _prefilter_floats(vertices: tuple[RationalPoint, ...]) -> np.ndarray:
+def _prefilter_floats(vertices: tuple[Point, ...]) -> np.ndarray:
     """The m+1 closed-polygon vertices as floats, every coordinate scaled by
     the same 2**-e so that the largest magnitude lies in (1/2, 2).  Each entry
     is a correctly rounded quotient of exact integers, so nothing overflows
-    however large the rationals are; the grid prefilter is invariant under a
-    common scale."""
+    however large the coordinates are; the grid prefilter is invariant under
+    a common scale."""
     nd = [(c.numerator, c.denominator) for v in vertices for c in v]
     e = max((n.bit_length() - d.bit_length() for n, d in nd if n), default=0)
     up, down = max(-e, 0), max(e, 0)
@@ -131,7 +124,7 @@ def _candidate_pairs(arr: np.ndarray) -> np.ndarray:
     return pi[~adjacent & overlap]
 
 
-def polygon_is_simple_closed(vertices: tuple[RationalPoint, ...]) -> bool:
+def polygon_is_simple_closed(vertices: tuple[Point, ...]) -> bool:
     """No repeated vertices, no spikes, and no contact between non-adjacent
     edges of the closed polygon."""
     m = len(vertices)
@@ -139,7 +132,11 @@ def polygon_is_simple_closed(vertices: tuple[RationalPoint, ...]) -> bool:
         return False
     if len(set(vertices)) != m:
         return False
-    ivs = _to_integer_grid(vertices)
+    # ints have denominator 1, so an integer polygon is used as it is
+    scale = math.lcm(*(c.denominator for v in vertices for c in v))
+    ivs = list(vertices)
+    if scale > 1:
+        ivs = [tuple(c.numerator * (scale // c.denominator) for c in v) for v in vertices]
     segs = [(ivs[i], ivs[(i + 1) % m]) for i in range(m)]
     # adjacent pairs may only share the common vertex; a spike folds back
     for i in range(m):

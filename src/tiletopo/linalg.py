@@ -75,13 +75,5 @@ def vec_add(u: Vec2, v: Vec2) -> Vec2:
     return (u[0] + v[0], u[1] + v[1])
 
 
-def vec_sub(u: Vec2, v: Vec2) -> Vec2:
-    return (u[0] - v[0], u[1] - v[1])
-
-
 def vec_neg(u: Vec2) -> Vec2:
     return (-u[0], -u[1])
-
-
-def vec_scale(c, u: Vec2) -> Vec2:
-    return (c * u[0], c * u[1])

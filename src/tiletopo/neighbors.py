@@ -22,7 +22,6 @@ from .errors import CertificateFailure, LengthMismatch, OutOfRange, WrongRegime
 from .numsys import Address, DigitWord, TileParams
 
 IntVec = tuple[int, int]
-NeighborVector = IntVec
 
 
 @dataclass(frozen=True)

@@ -189,9 +189,6 @@ class Address:
             return self.preperiod[i - 1]
         return self.period[(i - 1 - len(self.preperiod)) % len(self.period)]
 
-    def fractional_prefix(self, n: int) -> DigitWord:
-        return tuple(self.fractional_digit(i) for i in range(1, n + 1))
-
     def max_digit(self) -> int:
         return max(self.integer_part + self.preperiod + self.period)
 

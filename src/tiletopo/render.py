@@ -1,9 +1,11 @@
 """Deterministic SVG rendering of boundary approximations and markers.
 
-Output is byte-stable: geometry is exact until the final serialization, where
-rationals become decimals with 12 significant digits; ordering is fixed and
-nothing depends on hashes or time.  The y axis is flipped so figures follow
-the mathematical orientation.
+Output is byte-stable: geometry is exact until the final serialization.  A
+scene holds integer coordinates over one ``scale``, the common denominator
+of the level-n boundary; a coordinate p is written as the float p / scale,
+which CPython rounds correctly, with 12 significant digits.  Ordering is
+fixed and nothing depends on hashes or time.  The y axis is flipped so
+figures follow the mathematical orientation.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import colorsys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .contact import OrderedContactGraph, approx_boundary, build_contact_graph, derive_order_extension
+from .contact import BoundaryApprox, IntVec, approx_boundary, build_contact_graph, derive_order_extension
 from .errors import CertificateFailure, WrongRegime
 from .geometry import polygon_is_simple_closed
 from .neighbors import neighbor_set_formula
@@ -24,7 +26,10 @@ Style = dict[str, str]
 
 @dataclass
 class Scene:
-    polygons: list[tuple[tuple[RationalPoint, ...], Style]]
+    """Polygons and markers in exact coordinates times ``scale``."""
+
+    scale: int
+    polygons: list[tuple[tuple[IntVec, ...], Style]]
     markers: list[tuple[RationalPoint, str]] = field(default_factory=list)
 
     def viewbox(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -36,9 +41,10 @@ class Scene:
             raise ValueError("empty scene")
         x0, x1 = min(xs), max(xs)
         y0, y1 = min(ys), max(ys)
-        pad_x = (x1 - x0) / 20 or Fraction(1, 10)
-        pad_y = (y1 - y0) / 20 or Fraction(1, 10)
-        return (x0 - pad_x, y0 - pad_y, x1 + pad_x, y1 + pad_y)
+        pad_x = Fraction(x1 - x0) / 20 or Fraction(self.scale, 10)
+        pad_y = Fraction(y1 - y0) / 20 or Fraction(self.scale, 10)
+        box = (x0 - pad_x, y0 - pad_y, x1 + pad_x, y1 + pad_y)
+        return tuple(c / self.scale for c in box)
 
 
 def fmt(x) -> str:
@@ -63,13 +69,14 @@ def scene_to_svg(scene: Scene) -> str:
         f'viewBox="{fmt(x0)} {fmt(-y1)} {fmt(w)} {fmt(h)}" '
         f'width="640" height="{fmt(640*float(h)/float(w))}">',
     ]
+    s = scene.scale
     for poly, style in scene.polygons:
-        pts = " ".join(f"{fmt(p[0])},{fmt(-p[1])}" for p in poly)
+        pts = " ".join(f"{fmt(p[0] / s)},{fmt(-p[1] / s)}" for p in poly)
         attrs = " ".join(f'{k}="{v}"' for k, v in sorted(style.items()))
         lines.append(f'<polygon points="{pts}" stroke-width="{fmt(stroke)}" {attrs}/>')
     for point, label in scene.markers:
         lines.append(
-            f'<circle cx="{fmt(point[0])}" cy="{fmt(-point[1])}" '
+            f'<circle cx="{fmt(point[0] / s)}" cy="{fmt(-point[1] / s)}" '
             f'r="{fmt(4*stroke)}" fill="#c01010" stroke="none">'
             f"<title>{label}</title></circle>"
         )
@@ -77,52 +84,51 @@ def scene_to_svg(scene: Scene) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _ordered(params: TileParams) -> OrderedContactGraph:
-    return derive_order_extension(build_contact_graph(params))
-
-
-def _boundary_polygon(params: TileParams, n: int, budget: int) -> tuple[RationalPoint, ...]:
-    ordered = _ordered(params)
+def _boundary_polygon(params: TileParams, n: int, budget: int) -> BoundaryApprox:
+    ordered = derive_order_extension(build_contact_graph(params))
     approx = approx_boundary(ordered, n, budget)
-    if not polygon_is_simple_closed(approx.vertices):
+    if not polygon_is_simple_closed(approx.points):
         raise CertificateFailure(f"level-{n} polygon is not simple closed")
-    return approx.vertices
+    return approx
 
 
 def render_boundary(params: TileParams, n: int, budget: int = 10**6) -> str:
     """Closed polygonal approximation of the boundary at level n."""
-    verts = _boundary_polygon(params, n, budget)
+    approx = _boundary_polygon(params, n, budget)
     style = {"fill": "none", "stroke": "#202060"}
-    return scene_to_svg(Scene([(verts, style)]))
+    return scene_to_svg(Scene(approx.scale, [(approx.points, style)]))
 
 
 def render_patch(params: TileParams, n: int, budget: int = 10**6) -> str:
     """The level-n boundary and its translates by every neighbor."""
-    verts = _boundary_polygon(params, n, budget)
+    approx = _boundary_polygon(params, n, budget)
+    s = approx.scale
     shifts = [(0, 0)] + neighbor_set_formula(params).sorted_members()
     colors = palette(len(shifts))
     polys = []
     for color, (sx, sy) in zip(colors, shifts):
-        moved = tuple((p[0] + sx, p[1] + sy) for p in verts)
+        moved = tuple((x + sx * s, y + sy * s) for (x, y) in approx.points)
         polys.append((moved, {"fill": color, "fill-opacity": "0.55", "stroke": "#303030"}))
-    return scene_to_svg(Scene(polys))
+    return scene_to_svg(Scene(s, polys))
 
 
 def render_cutpoint(params: TileParams, n: int, budget: int = 10**6) -> str:
     """Boundary at level n with the cut point marked exactly."""
     if 2 * params.a - params.b < 5:
         raise WrongRegime("cut-point rendering requires 2A - B >= 5")
-    verts = _boundary_polygon(params, n, budget)
+    approx = _boundary_polygon(params, n, budget)
+    s = approx.scale
     z = point_eval(cut_point_address(params), params)
     style = {"fill": "none", "stroke": "#202060"}
-    return scene_to_svg(Scene([(verts, style)], [(z, "cut point")]))
+    marker = ((z[0] * s, z[1] * s), "cut point")
+    return scene_to_svg(Scene(s, [(approx.points, style)], [marker]))
 
 
 def polygon_to_json(params: TileParams, n: int, budget: int = 10**6) -> dict:
-    verts = _boundary_polygon(params, n, budget)
+    approx = _boundary_polygon(params, n, budget)
     return {
         "schema": "tiletopo/boundary-polygon@1",
         "params": {"A": params.a, "B": params.b},
         "level": n,
-        "vertices": [[str(p[0]), str(p[1])] for p in verts],
+        "vertices": [[str(p[0]), str(p[1])] for p in approx.vertices],
     }

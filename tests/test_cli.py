@@ -103,6 +103,17 @@ class TestContract:
         assert code == 1 and out == ""
         assert err.splitlines()[-1].startswith(f"tiletopo {argv[0]}: error: argument")
 
+    def test_out_is_an_existing_file(self, capsys, tmp_path):
+        taken = tmp_path / "taken.txt"
+        taken.write_text("keep\n")
+        code, out, err = run(
+            capsys, "render", "--A", "4", "--B", "5", "--n", "1", "--out", str(taken)
+        )
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: cannot write") and str(taken) in err
+        assert taken.read_text() == "keep\n"
+
     @pytest.mark.parametrize("walk", ["0;;1", "9;1;1"])
     def test_walk_start_outside_states(self, capsys, walk):
         code, out, err = run(capsys, "param", "--A", "4", "--B", "5", "--walk", walk)

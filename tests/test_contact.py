@@ -8,7 +8,6 @@ from tiletopo.contact import (
     ContactGraph,
     Walk,
     approx_boundary,
-    boundary_gifs_check,
     boundary_point,
     build_contact_graph,
     count_walks,
@@ -22,10 +21,42 @@ from tiletopo.contact import (
     walk_to_param,
 )
 from tiletopo.errors import NoConsistentOrdering, OutOfRange
+from tiletopo.geometry import polyline_hausdorff
 
 
 def ordered(a, b):
     return derive_order_extension(build_contact_graph(TileParams(a, b)))
+
+
+def float_points(points):
+    return np.array([[float(x), float(y)] for (x, y) in points])
+
+
+def cloud_hausdorff(p, q):
+    """Symmetric Hausdorff distance between two finite point clouds."""
+    d = 0.0
+    for a_arr, b_arr in ((p, q), (q, p)):
+        for k in range(0, len(a_arr), 2048):
+            chunk = a_arr[k : k + 2048]
+            dist = np.sqrt(((chunk[:, None, :] - b_arr[None, :, :]) ** 2).sum(-1)).min(axis=1)
+            d = max(d, float(dist.max()))
+    return d
+
+
+def walks_in_lex_order(o, n):
+    """All length-n walks (start, letters) in lexicographic order."""
+    out = []
+
+    def rec(start, state, letters):
+        if len(letters) == n:
+            out.append((start, letters))
+            return
+        for k in range(1, o.out_count(state) + 1):
+            rec(start, o.edge_at(state, k)[3], letters + (k,))
+
+    for start in range(1, 7):
+        rec(start, start, ())
+    return out
 
 
 class TestContactGraph:
@@ -66,30 +97,26 @@ class TestContactGraph:
         assert "digraph" in graph_to_dot(g)
 
 
-class TestGifsCheck:
-    def test_distances_shrink(self):
-        g = build_contact_graph(TileParams(2, 2))
-        rep = boundary_gifs_check(g, 8)
-        d = rep["distances"]
-        assert d[1] > d[5]
-        assert rep["nonempty"]
+class TestLevelConvergence:
+    """The level-n polygons converge to one boundary as n grows."""
 
-    def test_seed_independence(self):
-        g = build_contact_graph(TileParams(2, 2))
-        r1 = boundary_gifs_check(g, 8)
-        r2 = boundary_gifs_check(g, 8, seed_box=(-1.0, -1.0, 2.0, 0.5))
-        # the two final clouds approximate the same attractor
-        for i in range(1, 7):
-            p, q = r1["final_clouds"][i], r2["final_clouds"][i]
-            d = 0.0
-            for a_arr, b_arr in ((p, q), (q, p)):
-                for k in range(0, len(a_arr), 2048):
-                    chunk = a_arr[k : k + 2048]
-                    dist = np.sqrt(
-                        ((chunk[:, None, :] - b_arr[None, :, :]) ** 2).sum(-1)
-                    ).min(axis=1)
-                    d = max(d, float(dist.max()))
-            assert d < 0.15
+    def test_distances_shrink(self):
+        o = ordered(2, 2)
+        levels = [approx_boundary(o, n).vertices for n in range(7)]
+        d = [polyline_hausdorff(levels[n], levels[n + 1]) for n in range(6)]
+        assert d[1] > d[5]
+
+    def test_levels_agree_per_state(self):
+        # the walks from state i trace the piece K_i at every level
+        o = ordered(2, 2)
+        pieces = {}
+        for n in (6, 8):
+            ap = approx_boundary(o, n)
+            cloud = float_points(ap.firsts) / ap.scale
+            starts = np.array([start for start, _ in walks_in_lex_order(o, n)])
+            pieces[n] = [cloud[starts == i] for i in range(1, 7)]
+        for i in range(6):
+            assert cloud_hausdorff(pieces[6][i], pieces[8][i]) < 0.15
 
 
 class TestPerron:
@@ -279,12 +306,10 @@ class TestParametrization:
         assert w.start == 3
         assert boundary_point(Fraction(1, 2), pd, o) == o.vertex(4)
 
-    def test_boundary_points_near_gifs_clouds(self):
-        params = TileParams(4, 5)
+    def test_boundary_points_near_level_polygon(self):
         o = ordered(4, 5)
         pd = perron_data(o.graph)
-        rep = boundary_gifs_check(o.graph, 8)
-        cloud = np.concatenate([rep["final_clouds"][i] for i in range(1, 7)])
+        cloud = float_points(approx_boundary(o, 4).vertices)
         probes = [Fraction(0), Fraction(1, 2), Fraction(1)]
         probes.append(walk_to_param(Walk(5, (2,), (6,)), pd, o))
         probes.append(walk_to_param(Walk(2, (3, 1), (1,)), pd, o))
@@ -309,6 +334,18 @@ class TestApproxBoundary:
                 cur = approx_boundary(o, n).vertices
                 assert set(prev) <= set(cur)
                 prev = cur
+
+    @pytest.mark.parametrize("a,b", [(2, 2), (4, 5), (5, 5), (1, 12), (7, 11)])
+    def test_firsts_are_walk_values(self, a, b):
+        # firsts[k] is psi(w & 1bar) for the k-th length-n walk w in lex order
+        o = ordered(a, b)
+        for n in range(4):
+            ap = approx_boundary(o, n)
+            walks = walks_in_lex_order(o, n)
+            assert len(walks) == len(ap.firsts)
+            for (start, letters), (x, y) in zip(walks, ap.firsts):
+                value = point_eval(psi(Walk(start, letters, (1,)), o), o.graph.params)
+                assert value == (Fraction(x, ap.scale), Fraction(y, ap.scale))
 
     def test_budget(self):
         from tiletopo.errors import BudgetExceeded

@@ -32,23 +32,32 @@ class TestSegments:
         assert segments_intersect((F(0), F(0)), (F(2), F(0)), (F(1), F(0)), (F(3), F(0)))
 
 
+def int_and_fraction(*pts):
+    """One polygon with int and with Fraction coordinates; approx_boundary
+    passes ints."""
+    return [tuple(pts), poly(*pts)]
+
+
 class TestSimpleClosed:
     def test_square(self):
-        assert polygon_is_simple_closed(poly((0, 0), (1, 0), (1, 1), (0, 1)))
+        for p in int_and_fraction((0, 0), (1, 0), (1, 1), (0, 1)):
+            assert polygon_is_simple_closed(p)
 
     def test_bowtie(self):
-        assert not polygon_is_simple_closed(poly((0, 0), (2, 2), (2, 0), (0, 2)))
+        for p in int_and_fraction((0, 0), (2, 2), (2, 0), (0, 2)):
+            assert not polygon_is_simple_closed(p)
 
     def test_spike(self):
-        assert not polygon_is_simple_closed(poly((0, 0), (2, 0), (1, 0), (1, 1)))
+        for p in int_and_fraction((0, 0), (2, 0), (1, 0), (1, 1)):
+            assert not polygon_is_simple_closed(p)
 
     def test_vertex_on_edge(self):
-        assert not polygon_is_simple_closed(
-            poly((0, 0), (2, 0), (2, 2), (1, 0), (0, 2))
-        )
+        for p in int_and_fraction((0, 0), (2, 0), (2, 2), (1, 0), (0, 2)):
+            assert not polygon_is_simple_closed(p)
 
     def test_repeated_vertex(self):
-        assert not polygon_is_simple_closed(poly((0, 0), (1, 0), (0, 0), (0, 1)))
+        for p in int_and_fraction((0, 0), (1, 0), (0, 0), (0, 1)):
+            assert not polygon_is_simple_closed(p)
 
     @staticmethod
     def _star(seed: int, n: int):
