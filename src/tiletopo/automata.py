@@ -6,6 +6,11 @@ so intersections of digit-defined subsets of the tile reduce to emptiness
 and run-counting questions on a finite product automaton: pairs of language
 states plus a difference state confined to S u {0}.
 
+Run counting needs deterministic languages: distinct runs must mean distinct
+digit sequences, not distinct resolutions of nondeterminism.  So a language
+becomes a ``DigitDFA`` once, where it is built (``nfa_determinize`` runs the
+subset construction when it has to), and the product only checks the type.
+
 The classifier distinguishes EMPTY, UNIQUE_POINT, FINITE_POINTS (finitely
 many runs, deduplicated by exact value) and BRANCHING (some cycle state
 keeps a choice, so runs are infinite in number; point cardinality is left
@@ -43,22 +48,36 @@ class DigitNFA:
         return self.trans.get(state, {}).get(digit, ())
 
 
-def nfa_full(b: int) -> DigitNFA:
+@dataclass(frozen=True)
+class DigitDFA(DigitNFA):
+    """Deterministic automaton: one initial state and at most one target
+    per digit, checked once on construction."""
+
+    def __post_init__(self) -> None:
+        if len(self.initials) != 1:
+            raise ValueError(f"a DFA has one initial state, not {len(self.initials)}")
+        for q, row in self.trans.items():
+            for d, targets in row.items():
+                if len(targets) > 1:
+                    raise ValueError(f"state {q!r} has {len(targets)} targets on digit {d}")
+
+
+def nfa_full(b: int) -> DigitDFA:
     """All digit sequences."""
-    return DigitNFA(("*",), {"*": {d: ("*",) for d in range(b)}})
+    return DigitDFA(("*",), {"*": {d: ("*",) for d in range(b)}})
 
 
-def nfa_cylinder(word: tuple[int, ...], b: int) -> DigitNFA:
+def nfa_cylinder(word: tuple[int, ...], b: int) -> DigitDFA:
     """Sequences starting with the given word, anything afterwards."""
     trans: dict[State, dict[int, tuple[State, ...]]] = {}
     for i, d in enumerate(word):
         trans[("p", i)] = {d: (("p", i + 1) if i + 1 < len(word) else "*",)}
     trans["*"] = {d: ("*",) for d in range(b)}
     start: State = ("p", 0) if word else "*"
-    return DigitNFA((start,), trans)
+    return DigitDFA((start,), trans)
 
 
-def nfa_single_address(addr: Address) -> DigitNFA:
+def nfa_single_address(addr: Address) -> DigitDFA:
     """Exactly the one eventually periodic digit sequence of the address."""
     if addr.integer_part:
         raise ValueError("only fractional addresses describe digit sequences")
@@ -70,16 +89,16 @@ def nfa_single_address(addr: Address) -> DigitNFA:
     for i, d in enumerate(per):
         trans[("per", i)] = {d: (("per", (i + 1) % len(per)),)}
     start: State = ("pre", 0) if pre else ("per", 0)
-    return DigitNFA((start,), trans)
+    return DigitDFA((start,), trans)
 
 
 def nfa_flip(nfa: DigitNFA, b: int) -> DigitNFA:
-    """Image language under the digit exchange a <-> B-1-a."""
+    """Image language under the digit exchange a <-> B-1-a; a DFA stays one."""
     trans = {
         q: {b - 1 - d: targets for d, targets in row.items()}
         for q, row in nfa.trans.items()
     }
-    return DigitNFA(nfa.initials, trans)
+    return type(nfa)(nfa.initials, trans)
 
 
 def nfa_remap_first_digit(nfa: DigitNFA, mapping: Mapping[int, int]) -> DigitNFA:
@@ -165,22 +184,17 @@ def nfa_prefixes(nfa: DigitNFA, depth: int) -> set[tuple[int, ...]]:
     return out
 
 
-def nfa_is_deterministic(nfa: DigitNFA) -> bool:
-    if len(nfa.initials) != 1:
-        return False
-    return all(
-        len(targets) <= 1 for row in nfa.trans.values() for targets in row.values()
-    )
-
-
-def nfa_determinize(nfa: DigitNFA) -> DigitNFA:
-    """Subset construction; state sets are frozensets of original states.
-
-    Run-counting semantics require determinism: distinct runs must mean
-    distinct digit sequences, not distinct resolutions of nondeterminism.
-    """
-    if nfa_is_deterministic(nfa):
+def nfa_determinize(nfa: DigitNFA) -> DigitDFA:
+    """The language as a DFA.  A DFA comes back unchanged, and an NFA that is
+    already deterministic keeps its state names, which certificates print;
+    otherwise the subset construction runs, its states being the
+    repr-sorted tuples of original states."""
+    if isinstance(nfa, DigitDFA):
         return nfa
+    try:
+        return DigitDFA(nfa.initials, nfa.trans)
+    except ValueError:
+        pass
     # subset states as repr-sorted tuples: canonical and hash-seed independent
     start = tuple(sorted(set(nfa.initials), key=repr))
     trans: dict[State, dict[int, tuple[State, ...]]] = {}
@@ -199,7 +213,7 @@ def nfa_determinize(nfa: DigitNFA) -> DigitNFA:
                     seen.add(target)
                     frontier.append(target)
         trans[subset] = row
-    return DigitNFA((start,), trans)
+    return DigitDFA((start,), trans)
 
 
 def live_nodes(succ: Mapping[State, Collection[State]]) -> set[State]:
@@ -316,8 +330,8 @@ def _tarjan_sccs(nodes: list[State], succ: dict[State, list[State]]) -> list[lis
 
 
 def product_intersection(
-    left: DigitNFA,
-    right: DigitNFA,
+    left: DigitDFA,
+    right: DigitDFA,
     sset: frozenset[IntVec],
     params: TileParams,
     initial_diff: IntVec = (0, 0),
@@ -325,14 +339,14 @@ def product_intersection(
 ) -> IntersectionAutomaton:
     """Decide which points the two languages share, as sets of values.
 
-    ``initial_diff`` c generalizes to intersections of the form
-    {value(x) = value(y) + c}: the difference state starts at -c... precisely,
-    at the vector c itself viewed as partial difference at depth 0.
+    Both languages must be ``DigitDFA``s, so that each run is one pair of
+    digit sequences.  The difference state starts at ``initial_diff`` c, and
+    an accepted pair (x, y) satisfies value(x) = value(y) - c.
     """
+    if not (isinstance(left, DigitDFA) and isinstance(right, DigitDFA)):
+        raise TypeError("product_intersection takes DigitDFA languages")
     b = params.b
     m = params.matrix
-    left = nfa_determinize(left)
-    right = nfa_determinize(right)
     allowed = frozenset(sset) | {(0, 0)}
     if initial_diff not in allowed:
         return IntersectionAutomaton(params, (), {}, set(), EMPTY)

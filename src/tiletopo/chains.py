@@ -19,10 +19,13 @@ from .automata import (
     EMPTY,
     FINITE_POINTS,
     UNIQUE_POINT,
+    DigitDFA,
     DigitNFA,
     nfa_accepts_address,
+    nfa_determinize,
     nfa_flip,
     nfa_remap_first_digit,
+    nfa_single_address,
     nfa_union,
     product_intersection,
 )
@@ -157,76 +160,52 @@ def _tight_chain(walk: Walk, ordered: OrderedContactGraph) -> tuple[list[tuple[i
 
 def lex_interval_language(
     ordered: OrderedContactGraph, lo: Walk, hi: Walk
-) -> DigitNFA:
+) -> DigitDFA:
     """Digit language of all infinite walks w with lo <= w <= hi."""
     cmp = walk_compare(lo, hi)
     if cmp > 0:
         lo, hi = hi, lo
     if cmp == 0:
-        from .automata import nfa_single_address
-
         return nfa_single_address(psi(lo, ordered))
 
-    lo_nodes, lo_wrap = _tight_chain(lo, ordered)
-    hi_nodes, hi_wrap = _tight_chain(hi, ordered)
+    tight = {"lo": _tight_chain(lo, ordered), "hi": _tight_chain(hi, ordered)}
 
-    def lo_next(idx: int) -> int:
-        return idx + 1 if idx + 1 < len(lo_nodes) else lo_wrap
+    def advance(side: str, idx: int, steps: int) -> int:
+        nodes, wrap = tight[side]
+        for _ in range(steps):
+            idx = idx + 1 if idx + 1 < len(nodes) else wrap
+        return idx
 
-    def hi_next(idx: int) -> int:
-        return idx + 1 if idx + 1 < len(hi_nodes) else hi_wrap
+    trans: dict = {("free", i): {} for i in range(1, 7)}
 
-    trans: dict = {}
-    for i in range(1, 7):
-        trans[("free", i)] = {}
+    def add(key: tuple, digit: int, target: tuple) -> None:
+        trans[key][digit] = trans[key].get(digit, ()) + (target,)
+
     for e in ordered.graph.edges:
-        row = trans[("free", e[0])]
-        row.setdefault(e[1], ())
-        row[e[1]] = row[e[1]] + (("free", e[3]),)
+        add(("free", e[0]), e[1], ("free", e[3]))
 
-    def ensure_lo(idx: int) -> None:
-        key = ("lo", idx)
+    def ensure(side: str, idx: int) -> None:
+        """Tight state: the walk so far equals the bound, which it may leave
+        only by letters above it (lo) or below it (hi)."""
+        key = (side, idx)
         if key in trans:
             return
         trans[key] = {}
-        state, letter = lo_nodes[idx]
+        state, letter = tight[side][0][idx]
         for k, e in enumerate(ordered.orders[state - 1], start=1):
-            if k < letter:
-                continue
-            target: tuple = ()
-            if k == letter:
-                nxt = lo_next(idx)
-                ensure_lo(nxt)
-                target = (("lo", nxt),)
-            else:
-                target = (("free", e[3]),)
-            row = trans[key]
-            row.setdefault(e[1], ())
-            row[e[1]] = row[e[1]] + target
-
-    def ensure_hi(idx: int) -> None:
-        key = ("hi", idx)
-        if key in trans:
-            return
-        trans[key] = {}
-        state, letter = hi_nodes[idx]
-        for k, e in enumerate(ordered.orders[state - 1], start=1):
-            if k > letter:
+            if (k < letter) if side == "lo" else (k > letter):
                 continue
             if k == letter:
-                nxt = hi_next(idx)
-                ensure_hi(nxt)
-                target = (("hi", nxt),)
+                nxt = advance(side, idx, 1)
+                ensure(side, nxt)
+                add(key, e[1], (side, nxt))
             else:
-                target = (("free", e[3]),)
-            row = trans[key]
-            row.setdefault(e[1], ())
-            row[e[1]] = row[e[1]] + target
+                add(key, e[1], ("free", e[3]))
 
     initials: list = []
     if lo.start < hi.start:
-        ensure_lo(0)
-        ensure_hi(0)
+        ensure("lo", 0)
+        ensure("hi", 0)
         initials.append(("lo", 0))
         initials.extend(("free", s) for s in range(lo.start + 1, hi.start))
         initials.append(("hi", 0))
@@ -237,53 +216,24 @@ def lex_interval_language(
             n += 1
             if n >= 10000:
                 raise CertificateFailure("identical walks should have been caught")
-        state = lo.start
-        path: list[tuple[int, int]] = []
-        for m in range(n):
-            letter = lo.letter(m + 1)
-            path.append((state, letter))
-            state = ordered.edge_at(state, letter)[3]
         # both-tight prefix states, raw-indexed; n is the divergence step
+        state = lo.start
         for m in range(n):
-            trans[("both", m)] = {}
-        lo_div, hi_div = lo.letter(n + 1), hi.letter(n + 1)
-
-        def lo_index(steps: int) -> int:
-            idx = 0
-            for _ in range(steps):
-                idx = lo_next(idx)
-            return idx
-
-        def hi_index(steps: int) -> int:
-            idx = 0
-            for _ in range(steps):
-                idx = hi_next(idx)
-            return idx
-
-        for m in range(n):
-            st, letter = path[m]
-            nxt_key = ("both", m + 1) if m + 1 < n else ("div",)
-            e = ordered.edge_at(st, letter)
-            trans[("both", m)][e[1]] = (nxt_key,)
+            e = ordered.edge_at(state, lo.letter(m + 1))
+            trans[("both", m)] = {e[1]: (("both", m + 1) if m + 1 < n else ("div",),)}
+            state = e[3]
         trans[("div",)] = {}
+        lo_div, hi_div = lo.letter(n + 1), hi.letter(n + 1)
         for k, e in enumerate(ordered.orders[state - 1], start=1):
-            target = None
-            if k == lo_div:
-                idx = lo_index(n + 1)
-                ensure_lo(idx)
-                target = ("lo", idx)
-            elif k == hi_div:
-                idx = hi_index(n + 1)
-                ensure_hi(idx)
-                target = ("hi", idx)
+            if k in (lo_div, hi_div):
+                side = "lo" if k == lo_div else "hi"
+                idx = advance(side, 0, n + 1)
+                ensure(side, idx)
+                add(("div",), e[1], (side, idx))
             elif lo_div < k < hi_div:
-                target = ("free", e[3])
-            if target is not None:
-                row = trans[("div",)]
-                row.setdefault(e[1], ())
-                row[e[1]] = row[e[1]] + (target,)
+                add(("div",), e[1], ("free", e[3]))
         initials.append(("both", 0) if n > 0 else ("div",))
-    return DigitNFA(tuple(initials), trans)
+    return nfa_determinize(DigitNFA(tuple(initials), trans))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +248,7 @@ class AlphaCurve:
     label: str
     s_walk: Walk
     t_walk: Walk
-    language: DigitNFA
+    language: DigitDFA
     endpoint_addresses: tuple[Address, Address]
 
 
@@ -306,7 +256,7 @@ class AlphaCurve:
 class FlippedCurve:
     index: int
     label: str
-    language: DigitNFA
+    language: DigitDFA
     endpoint_addresses: tuple[Address, Address]
 
 
@@ -321,12 +271,17 @@ class GammaArc:
 
 @dataclass
 class ChainSetup:
-    """Shared context for the chain checks of one parameter pair."""
+    """Shared context for the chain checks of one parameter pair; the curves
+    alpha_1..alpha_B are built once, here."""
 
     params: TileParams
     graph: ContactGraph
     ordered: OrderedContactGraph
     sset: frozenset
+    curves: list[AlphaCurve] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.curves = alpha_curves(self)
 
     @classmethod
     def build(cls, params: TileParams) -> "ChainSetup":
@@ -458,12 +413,8 @@ class ChainReport:
         return "\n".join(lines) + "\n"
 
 
-def _intersect(setup: ChainSetup, lang1: DigitNFA, lang2: DigitNFA):
-    return product_intersection(lang1, lang2, setup.sset, setup.params)
-
-
 def _classify_cell(setup, lang1, lang2) -> dict:
-    res = _intersect(setup, lang1, lang2)
+    res = product_intersection(lang1, lang2, setup.sset, setup.params)
     cell: dict = {"kind": res.kind}
     if res.kind in (UNIQUE_POINT, FINITE_POINTS):
         cell["value"] = res.points[0]
@@ -475,7 +426,7 @@ def _classify_cell(setup, lang1, lang2) -> dict:
 
 
 def _chain_matrix(
-    setup: ChainSetup, labeled: list[tuple[str, DigitNFA]]
+    setup: ChainSetup, labeled: list[tuple[str, DigitDFA]]
 ) -> dict[tuple[str, str], dict]:
     matrix: dict[tuple[str, str], dict] = {}
     for i, (l1, g1) in enumerate(labeled):
@@ -533,7 +484,7 @@ def _check_cycle_pattern(
 
 
 def chain_report(setup: ChainSetup) -> ChainReport:
-    curves = alpha_curves(setup)
+    curves = setup.curves
     labeled = [(c.label, c.language) for c in curves]
     matrix = _chain_matrix(setup, labeled)
     junctions = {
@@ -554,7 +505,7 @@ def verify_chain(setup: ChainSetup) -> ChainReport:
 
 
 def circular_chain_report(setup: ChainSetup) -> ChainReport:
-    curves = alpha_curves(setup)
+    curves = setup.curves
     flipped = flipped_curves(setup, curves)
     labeled = [(c.label, c.language) for c in curves] + [
         (c.label, c.language) for c in flipped
@@ -586,7 +537,7 @@ def gamma_arcs(setup: ChainSetup) -> list[GammaArc]:
     """
     params = setup.params
     a, b = params.a, params.b
-    curves = alpha_curves(setup)
+    curves = setup.curves
     base = nfa_union([curves[b - 2].language, curves[b - 1].language])
     junction_values = {
         point_eval(addrs[0], params)

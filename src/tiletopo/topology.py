@@ -16,7 +16,7 @@ from enum import Enum
 from .automata import (
     EMPTY,
     UNIQUE_POINT,
-    DigitNFA,
+    DigitDFA,
     IntersectionAutomaton,
     nfa_cylinder,
     nfa_single_address,
@@ -71,7 +71,7 @@ class LexGifs:
     side: str
     threshold_even: int
     threshold_odd: int
-    nfa: DigitNFA
+    nfa: DigitDFA
 
 
 TIGHT_EVEN = "TightEven"
@@ -86,7 +86,7 @@ def build_d1_d2(params: TileParams) -> tuple[LexGifs, LexGifs]:
     even = a - 3  # compare digit at even positions (0-based)
     odd = b - a + 2  # flipped comparison at odd positions
 
-    def automaton(side: str) -> DigitNFA:
+    def automaton(side: str) -> DigitDFA:
         trans: dict = {TIGHT_EVEN: {}, TIGHT_ODD: {}, FREE: {}}
         for d in range(b):
             trans[FREE][d] = (FREE,)
@@ -98,7 +98,7 @@ def build_d1_d2(params: TileParams) -> tuple[LexGifs, LexGifs]:
                 trans[TIGHT_ODD][d] = (TIGHT_EVEN,)
             elif (d > odd) == (side == "<="):
                 trans[TIGHT_ODD][d] = (FREE,)
-        return DigitNFA((TIGHT_EVEN,), trans)
+        return DigitDFA((TIGHT_EVEN,), trans)
 
     d1 = LexGifs("<=", even, odd, automaton("<="))
     d2 = LexGifs(">=", even, odd, automaton(">="))
@@ -125,8 +125,8 @@ def union_is_universal(d1: LexGifs, d2: LexGifs, params: TileParams) -> bool:
 
 
 def intersect_languages(
-    l1: DigitNFA | LexGifs,
-    l2: DigitNFA | LexGifs,
+    l1: DigitDFA | LexGifs,
+    l2: DigitDFA | LexGifs,
     params: TileParams,
     initial_diff: tuple[int, int] = (0, 0),
 ) -> IntersectionAutomaton:

@@ -7,14 +7,23 @@ certified graph search, and so on.
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from tiletopo import TileParams
 from tiletopo.linalg import mat_vec
 from tiletopo.numsys import Address
+
+
+# subprocess tests import the package from this checkout's src, as the
+# in-process tests do through the pytest ``pythonpath`` setting
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")])
+)
 
 
 def series_value(addr: Address, params: TileParams, depth: int = 300):

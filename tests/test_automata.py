@@ -5,6 +5,7 @@ from tiletopo.automata import (
     BRANCHING,
     EMPTY,
     UNIQUE_POINT,
+    DigitDFA,
     DigitNFA,
     nfa_accepts_address,
     nfa_cylinder,
@@ -50,6 +51,21 @@ class TestConstructions:
         assert {w[0] for w in nfa_prefixes(u, 1)} == {0, 2}
 
 
+class TestDigitDFA:
+    def test_rejects_two_initial_states(self):
+        with pytest.raises(ValueError):
+            DigitDFA(("p", "q"), {"p": {0: ("p",)}, "q": {1: ("q",)}})
+
+    def test_rejects_two_targets_on_a_digit(self):
+        with pytest.raises(ValueError):
+            DigitDFA(("p",), {"p": {0: ("p", "q")}, "q": {1: ("q",)}})
+
+    def test_flip_keeps_determinism(self):
+        flipped = nfa_flip(nfa_cylinder((0, 4), 5), 5)
+        assert isinstance(flipped, DigitDFA)
+        assert nfa_prefixes(flipped, 2) == {(4, 0)}
+
+
 class TestDeterminize:
     def test_language_preserved(self):
         graph_langs = []
@@ -65,6 +81,13 @@ class TestDeterminize:
     def test_already_deterministic_untouched(self):
         nfa = nfa_cylinder((1, 2), 4)
         assert nfa_determinize(nfa) is nfa
+
+    def test_deterministic_nfa_keeps_its_states(self):
+        nfa = DigitNFA(("p",), {"p": {0: ("q",), 1: ("p",)}, "q": {1: ("p",)}})
+        det = nfa_determinize(nfa)
+        assert isinstance(det, DigitDFA)
+        assert det.initials == ("p",)
+        assert det.trans == nfa.trans
 
 
 class TestProduct:
@@ -108,12 +131,22 @@ class TestProduct:
         # two distinct points, so two runs: a budget of zero must raise
         params = TileParams(4, 5)
         shared = nfa_single_address(parse_address("3(1)"))
-        left = nfa_union([nfa_single_address(parse_address("120(04)")), shared])
-        right = nfa_union([nfa_single_address(parse_address("001(40)")), shared])
+        left = nfa_determinize(
+            nfa_union([nfa_single_address(parse_address("120(04)")), shared])
+        )
+        right = nfa_determinize(
+            nfa_union([nfa_single_address(parse_address("001(40)")), shared])
+        )
         res = product_intersection(left, right, members(params), params)
         assert len(res.runs) == 2
         with pytest.raises(BudgetExceeded):
             product_intersection(left, right, members(params), params, max_runs=0)
+
+    def test_rejects_nondeterministic_language(self):
+        params = TileParams(4, 5)
+        union = nfa_union([nfa_cylinder((0,), 5), nfa_cylinder((1,), 5)])
+        with pytest.raises(TypeError):
+            product_intersection(union, nfa_full(5), members(params), params)
 
     def test_json_stable(self):
         params = TileParams(5, 5)

@@ -215,6 +215,19 @@ class TestGamma:
         assert len(gamma_arcs(setup_for(5, 7))) == 5
 
 
+class TestTheoremGrid:
+    """The 2A - B = 3 construction over every pair (A, 2A-3), B = 5..23: the
+    circular chain, the gamma arcs and the symmetry identities all hold."""
+
+    @pytest.mark.parametrize("a", range(4, 14))
+    def test_circular_chain_gamma_and_symmetry(self, a):
+        b = 2 * a - 3
+        s = setup_for(a, b)
+        assert verify_circular_chain(s).ok
+        assert [g.index for g in gamma_arcs(s)] == list(range(1, b - 1))
+        assert len(symmetry_and_junctions(s.params)["contact_points"]) == b
+
+
 class TestSymmetry:
     def test_4_5_center(self):
         rep = symmetry_and_junctions(TileParams(4, 5))
