@@ -151,8 +151,11 @@ def _cmd_neighbors(args) -> int:
     if args.check:
         searched = neighbor_set_search(params)
         if searched.members != sset.members:
-            print("formula and search disagree", file=sys.stderr)
-            return 3
+            raise CertificateFailure(
+                f"neighbor formula and search disagree at (A, B) = ({params.a}, {params.b}): "
+                f"{len(sset.members - searched.members)} in the formula only, "
+                f"{len(searched.members - sset.members)} in the search only"
+            )
     if params.reflected:
         # mirror tile: neighbor vectors transform through the reflection
         sset = reflect_neighbor_set(sset)

@@ -2,11 +2,20 @@
 
 The closed form lists J pairs of P/Q vectors plus R.  The search
 characterizes neighbors as nonzero integer vectors s admitting an infinite
-path under s -> M s + (d, 0), |d| <= B-1, inside a certified ball: every
-difference series sum M^{-i} (d_i, 0) is bounded in an exact conjugated norm,
-so pruning states without successors leaves exactly the representable
-vectors.  No floating point enters any decision; floats only suggest the
-conjugation basis, whose induced bound is then certified with rationals.
+path under s -> M s + (d, 0), |d| <= B-1, inside a certified ball, so pruning
+states without successors leaves exactly the representable vectors.
+
+The ball is a parallelogram bounded coordinate by coordinate.  In a rational
+basis W close to the eigenbasis of M, split a difference series
+s = sum_{i>=1} M^{-i} (d_i, 0) after k terms: |W^{-1} s| <= partial_k +
+P_k |W^{-1} s'| entrywise, with partial_k the summed absolute value of the
+first k terms in the worst case, P_k = |W^{-1} M^{-k} W| and s' another
+difference series.  The entrywise supremum U over all series then satisfies
+(I - P_k) U <= partial_k, and once (I - P_k)^{-1} >= 0 this gives
+U <= (I - P_k)^{-1} partial_k.  The integer points of the ball are listed
+row by row as exact x-intervals.  No floating point enters any decision;
+floats only suggest the basis W, whose bound is then certified with
+rationals.
 """
 
 from __future__ import annotations
@@ -94,40 +103,55 @@ def _float_conjugation(a: int, b: int) -> linalg.Mat2:
 def certified_series_bound(params: TileParams, max_block: int = 120) -> tuple[linalg.Mat2, Fraction]:
     """Return (W_inv, c) such that every vector of the form
     sum_{i>=1} M^{-i} (d_i, 0) with |d_i| <= B-1 satisfies
-    ||W_inv @ s||_inf <= c.  Entirely exact given the rational W."""
+    ||W_inv @ s||_inf <= c.  Entirely exact given the rational W.
+
+    The bound is entrywise.  In the basis W, with T^{-1} = W^{-1} M^{-1} W
+    and e = W^{-1} (B-1, 0), split a series after k terms:
+    |W^{-1} s| <= partial_k + P_k |W^{-1} s'| entrywise, where
+    partial_k = sum_{i<=k} |T^{-i} e|, P_k = |T^{-k}| and s' is another
+    series of the same kind.  So the entrywise supremum U over all series
+    satisfies (I - P_k) U <= partial_k.  Once p_00 < 1 and det(I - P_k) > 0,
+    (I - P_k)^{-1} is entrywise nonnegative and U <= u = (I - P_k)^{-1}
+    partial_k.  Row j of W^{-1} is divided by u_j, so c = 1.
+    """
     w = _float_conjugation(params.a, params.b)
     w_inv = linalg.mat_inv(w)
     t_inv = linalg.mat_mul(w_inv, linalg.mat_mul(params.matrix_inv, w))
     e1 = linalg.mat_vec(w_inv, (Fraction(params.b - 1), Fraction(0)))
 
-    def norm_mat(m):
-        return max(abs(m[0][0]) + abs(m[0][1]), abs(m[1][0]) + abs(m[1][1]))
-
-    def norm_vec(v):
-        return max(abs(v[0]), abs(v[1]))
-
-    partial = Fraction(0)
+    partial = (Fraction(0), Fraction(0))
     power = linalg.IDENTITY
     for k in range(1, max_block + 1):
         power = linalg.mat_mul(power, t_inv)
-        partial += norm_vec(linalg.mat_vec(power, e1))
-        rho = norm_mat(power)
-        if rho < 1:
-            return w_inv, partial / (1 - rho)
+        term = linalg.mat_vec(power, e1)
+        partial = (partial[0] + abs(term[0]), partial[1] + abs(term[1]))
+        rest = linalg.mat_sub(linalg.IDENTITY, tuple(tuple(map(abs, row)) for row in power))
+        # for a 2x2 matrix, p_00 < 1 and det(I - P_k) > 0 make (I - P_k)^{-1} >= 0
+        if rest[0][0] > 0 and linalg.mat_det(rest) > 0:
+            u = linalg.solve2(rest, partial)
+            scaled = tuple(tuple(x / u_j for x in row) for row, u_j in zip(w_inv, u))
+            return scaled, Fraction(1)
     raise CertificateFailure("no contracting power found; matrix not expanding?")
 
 
 def _candidate_ball(params: TileParams) -> set[IntVec]:
+    """Integer points s with ||W_inv @ s||_inf <= c, enumerated row by row:
+    each row y is the exact integer x-interval cut out by the two slabs."""
     w_inv, bound = certified_series_bound(params)
     w = linalg.mat_inv(w_inv)
-    x_max = math.ceil(float(bound * (abs(w[0][0]) + abs(w[0][1]))))
-    y_max = math.ceil(float(bound * (abs(w[1][0]) + abs(w[1][1]))))
+    x_max = math.floor(bound * (abs(w[0][0]) + abs(w[0][1])))
+    y_max = math.floor(bound * (abs(w[1][0]) + abs(w[1][1])))
     ball: set[IntVec] = set()
-    for x in range(-x_max, x_max + 1):
-        for y in range(-y_max, y_max + 1):
-            t = linalg.mat_vec(w_inv, (x, y))
-            if max(abs(t[0]), abs(t[1])) <= bound:
-                ball.add((x, y))
+    for y in range(-y_max, y_max + 1):
+        lo, hi = -x_max, x_max
+        for cx, cy in w_inv:
+            if cx == 0:
+                if abs(cy * y) > bound:
+                    lo, hi = 1, 0  # the whole row lies outside this slab
+                continue
+            ends = sorted(((-bound - cy * y) / cx, (bound - cy * y) / cx))
+            lo, hi = max(lo, math.ceil(ends[0])), min(hi, math.floor(ends[1]))
+        ball.update((x, y) for x in range(lo, hi + 1))
     return ball
 
 

@@ -42,6 +42,23 @@ class TestNeighbors:
         code, _, _ = run(capsys, "neighbors", "--A", "4", "--B", "5", "--check")
         assert code == 0
 
+    def test_check_disagreement_is_a_verification_failure(self, capsys, monkeypatch):
+        from tiletopo import neighbors
+
+        search = neighbors.neighbor_set_search
+
+        def drop_one(params):
+            found = search(params)
+            return neighbors.NeighborSet(found.members - {(1, 0)}, found.j)
+
+        monkeypatch.setattr(neighbors, "neighbor_set_search", drop_one)
+        code, out, err = run(capsys, "neighbors", "--A", "4", "--B", "5", "--check")
+        assert code == 3 and out == ""
+        assert err == (
+            "verification failure: neighbor formula and search disagree at (A, B) = (4, 5): "
+            "1 in the formula only, 0 in the search only\n"
+        )
+
 
 class TestExitCodes:
     def test_usage_error(self, capsys):
@@ -78,6 +95,7 @@ class TestContract:
             ["normalize"],
             ["classify"],
             ["neighbors"],
+            pytest.param(["neighbors", "--check"], id="neighbors --check"),
             ["contact-graph"],
             ["param", "--walk", "2;1;1"],
             ["approx", "--n", "1"],

@@ -1,9 +1,13 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from tiletopo import Address, TileParams, WrongRegime, point_eval
 from tiletopo.errors import LengthMismatch
 from tiletopo.linalg import mat_vec
 from tiletopo.neighbors import (
+    _candidate_ball,
     adjacent_singleton_point,
     certified_series_bound,
     neighbor_set_formula,
@@ -66,10 +70,52 @@ class TestSearch:
                 t = mat_vec(w_inv, s)
                 assert max(abs(t[0]), abs(t[1])) <= bound
 
+    def test_certified_bound_dominates_sampled_series(self):
+        # finite difference series with extreme digits, including the two
+        # alternating ones that push along the eigenvalue near -1 when A ~ B
+        rng = random.Random(7)
+        for b in range(2, 21):
+            for a in range(0, b + 1):
+                p = TileParams(a, b)
+                w_inv, bound = certified_series_bound(p)
+                columns, col = [], (Fraction(1), Fraction(0))
+                for _ in range(12):
+                    col = mat_vec(p.matrix_inv, col)
+                    columns.append(col)
+                top = b - 1
+                digit_runs = [[(-1) ** i * top for i in range(12)], [(-1) ** (i + 1) * top for i in range(12)]]
+                digit_runs += [[rng.choice((-top, 0, top)) for _ in range(12)] for _ in range(20)]
+                sums = [
+                    (sum(d * c[0] for d, c in zip(run, columns)), sum(d * c[1] for d, c in zip(run, columns)))
+                    for run in digit_runs
+                ]
+                for s in sums + list(neighbor_set_formula(p).members):
+                    t = mat_vec(w_inv, s)
+                    assert max(abs(t[0]), abs(t[1])) <= bound, (a, b, s)
+
     def test_reflection(self):
         s = neighbor_set_formula(TileParams(4, 5))
         r = reflect_neighbor_set(s)
         assert r.members == {(x, -y) for (x, y) in s.members}
+
+
+class TestSearchGrid:
+    """The search without the whole ball: exact against the closed form for
+    every B <= 50, and a ball of a few hundred points at (50, 50)."""
+
+    def test_matches_formula_up_to_50(self):
+        for b in range(2, 51):
+            for a in range(1, b + 1):
+                p = TileParams(a, b)
+                assert neighbor_set_search(p).members == neighbor_set_formula(p).members, (a, b)
+
+    def test_a_zero_is_the_eight_unit_vectors(self):
+        units = {(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1)} - {(0, 0)}
+        for b in range(2, 51):
+            assert neighbor_set_search(TileParams(0, b)).members == units, b
+
+    def test_ball_is_small_at_50_50(self):
+        assert len(_candidate_ball(TileParams(50, 50))) < 1000
 
 
 class TestSubdivision:
