@@ -13,10 +13,14 @@ The edge ordering is derived, not guessed: each flip-equivariant choice of
 first edges (states 4..6 take the digit flips of the choices for 1..3)
 fixes the six traversal junctions V_i = psi(i; 1bar) as exact fixed points
 of the chosen contractions, and each state's subpieces are then threaded
-between its two junctions by exact endpoint equality.  Exactly one complete
-ordering must come out of the search; none, two, or a state that threads
-two ways raises.  For the regime with tabulated endpoint data the ordering
-is then checked against the known walk decodings.
+between its two junctions by exact endpoint equality.  Every such map is
+tried, in integers: B*M^{-1} = [[-A, B], [-1, 0]] is an integer matrix, so
+the junctions of one map are integer pairs over one scale S and every
+subpiece endpoint is an integer pair over B*S; Fractions are built only for
+the ordering that comes out.  Exactly one complete ordering must come out
+of the search; none, two, or a state that threads two ways raises.  For the
+regime with tabulated endpoint data the ordering is then checked against
+the known walk decodings.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .errors import (
     NonPeriodicWalk,
     OutOfRange,
 )
-from .numsys import Address, RationalPoint, TileParams, periodic_tail_value, point_eval
+from .numsys import Address, RationalPoint, TileParams, periodic_tail_scaled, point_eval
 
 IntVec = tuple[int, int]
 Edge = tuple[int, int, int, int]  # (source 1..6, a, a', target 1..6)
@@ -214,84 +218,87 @@ def psi(walk: Walk, ordered: OrderedContactGraph) -> Address:
     return Address((), tuple(pre_digits) + tuple(digits[:k]), tuple(digits[k:]))
 
 
-def _apply_f(a: int, p: RationalPoint, minv: linalg.Mat2) -> RationalPoint:
-    return linalg.mat_vec(minv, (p[0] + a, p[1]))
-
-
 def _flip_edge(e: Edge, b: int) -> Edge:
     """Digit flip a -> B-1-a; it exchanges state i with state i+3 (mod 6)."""
     return ((e[0] + 2) % 6 + 1, b - 1 - e[1], b - 1 - e[2], (e[3] + 2) % 6 + 1)
 
 
-def _vertices_of_first_edges(
-    phi: dict[int, Edge], params: TileParams
-) -> tuple[RationalPoint, ...]:
-    """Fixed points V_i = f_a(V_j) of a first-edge map: the values psi(i; 1bar).
+def _junctions(
+    phi: tuple[Edge, ...],
+    params: TileParams,
+    cycles: dict[tuple[int, ...], tuple[int, int, int]],
+) -> tuple[list[IntVec], int]:
+    """Fixed points V_i = f_a(V_j) of a first-edge map (phi[i-1] is the first
+    edge of state i), the values psi(i; 1bar), as integer pairs X_i over one
+    scale S: V_i = X_i / S.
 
-    Each state feeds a functional graph on six nodes; cycle values come from
-    the exact periodic solve, tree values by applying the contractions.
+    Each state feeds a functional graph on six nodes.  A cycle's value comes
+    from the integer periodic solve, cached in ``cycles`` by digit word; a
+    tree node's is X' = N(X + a*den*e1) over den*B, with N = B*M^{-1} =
+    [[-A, B], [-1, 0]].
     """
-    values: dict[int, RationalPoint] = {}
-    minv = params.matrix_inv
-    for start in range(1, 7):
-        if start in values:
-            continue
-        path = [start]
-        seen = {start: 0}
-        while True:
-            nxt = phi[path[-1]][3]
-            if nxt in values:
-                break
-            if nxt in seen:
-                cycle = path[seen[nxt]:]
-                digits = tuple(phi[s][1] for s in cycle)
-                val = periodic_tail_value(digits, params)
-                values[cycle[0]] = val
-                for s in cycle[1:][::-1]:
-                    val = _apply_f(phi[s][1], val, minv)
-                    values[s] = val
-                break
-            seen[nxt] = len(path)
-            path.append(nxt)
-        for s in path[::-1]:
-            if s not in values:
-                values[s] = _apply_f(phi[s][1], values[phi[s][3]], minv)
-    return tuple(values[i] for i in range(1, 7))
+    a_coef, b = params.a, params.b
+    values: list[tuple[int, int, int] | None] = [None] * 6  # (x, y, den)
+    for start in range(6):
+        path: list[int] = []
+        node = start
+        while values[node] is None and node not in path:
+            path.append(node)
+            node = phi[node][3] - 1
+        if values[node] is None:
+            word = tuple(phi[i][1] for i in path[path.index(node):])
+            if word not in cycles:
+                cycles[word] = periodic_tail_scaled(word, params)
+            values[node] = cycles[word]
+        for node in reversed(path):
+            if values[node] is None:
+                x, y, den = values[phi[node][3] - 1]
+                x += phi[node][1] * den
+                values[node] = (b * y - a_coef * x, -x, den * b)
+    scale = math.lcm(*(den for (_, _, den) in values))
+    return [(x * (scale // den), y * (scale // den)) for (x, y, den) in values], scale
 
 
 def _thread_state(
-    graph: ContactGraph, state: int, vertices: tuple[RationalPoint, ...]
+    state: int,
+    edges: tuple[Edge, ...],
+    nodes: list[IntVec],
+    images: list[IntVec],
+    shift: IntVec,
+    where: str,
 ) -> tuple[Edge, ...] | None:
     """The ordering of the state's edges chaining endpoint-to-endpoint from
     V_state to V_{state+1}, or None if there is none: the subpiece of edge e
-    runs from f_a(V_target) to f_a(V_{target+1})."""
-    minv = graph.params.matrix_inv
-    edges = graph.out_edges(state)
-    seg = {
-        e: (
-            _apply_f(e[1], vertices[e[3] - 1], minv),
-            _apply_f(e[1], vertices[e[3] % 6], minv),
-        )
-        for e in edges
-    }
-    goal = vertices[state % 6]
+    runs from f_a(V_target) to f_a(V_{target+1}).
+
+    All points are integer pairs over one denominator: V_j is nodes[j-1] and
+    f_a(V_j) is images[j-1] - a*shift.
+    """
+    sx, sy = shift
+    remaining = frozenset(edges)
+    starts: dict[IntVec, list[Edge]] = {}
+    ends: dict[Edge, IntVec] = {}
+    for e in remaining:
+        a, t = e[1], e[3]
+        x0, y0 = images[t - 1]
+        x1, y1 = images[t % 6]
+        starts.setdefault((x0 - a * sx, y0 - a * sy), []).append(e)
+        ends[e] = (x1 - a * sx, y1 - a * sy)
+    goal = nodes[state % 6]
     found: list[tuple[Edge, ...]] = []
 
-    def rec(cur: RationalPoint, remaining: frozenset, acc: tuple[Edge, ...]) -> None:
+    def rec(cur: IntVec, remaining: frozenset, acc: tuple[Edge, ...]) -> None:
         if not remaining:
             if cur == goal:
                 if found:
-                    raise CertificateFailure(
-                        f"state {state} threads two ways for "
-                        f"(A,B)=({graph.params.a},{graph.params.b})"
-                    )
+                    raise CertificateFailure(f"state {state} threads two ways for {where}")
                 found.append(acc)
             return
-        for e in remaining:
-            if seg[e][0] == cur:
-                rec(seg[e][1], remaining - {e}, acc + (e,))
+        for e in starts.get(cur, ()):
+            if e in remaining:
+                rec(ends[e], remaining - {e}, acc + (e,))
 
-    rec(vertices[state - 1], frozenset(edges), ())
+    rec(nodes[state - 1], remaining, ())
     return found[0] if found else None
 
 
@@ -304,30 +311,43 @@ def derive_order_extension(graph: ContactGraph) -> OrderedContactGraph:
     already satisfy the cyclic closure (the chain's last point is V_{i+1} and
     the maximal-walk value is the unique fixed point through last edges).
     No ordering raises NoConsistentOrdering, more than one CertificateFailure.
+
+    Every map is visited.  Its junctions X_i / S share one scale S, so over
+    the common denominator B*S each V_j is B*X_j and each subpiece endpoint
+    f_a(V_j) = (N X_j + a*S*(-A, -1)) / (B*S) is an integer pair, and two
+    points are equal exactly when their numerator pairs are.
     """
     params = graph.params
-    where = f"(A,B)=({params.a},{params.b})"
-    outs = [sorted(graph.out_edges(i)) for i in (1, 2, 3)]
+    a_coef, b = params.a, params.b
+    where = f"(A,B)=({a_coef},{b})"
+    outs = [graph.out_edges(i) for i in range(1, 7)]
+    cycles: dict[tuple[int, ...], tuple[int, int, int]] = {}
     complete: dict[tuple[tuple[Edge, ...], ...], OrderedContactGraph] = {}
-    for firsts in iproduct(*outs):
-        flips = tuple(_flip_edge(e, params.b) for e in firsts)
-        vertices = _vertices_of_first_edges(dict(enumerate(firsts + flips, 1)), params)
+    flipped = {e: _flip_edge(e, b) for e in graph.edges}
+    for firsts in iproduct(*(sorted(outs[i]) for i in range(3))):
+        phi = firsts + tuple(flipped[e] for e in firsts)
+        junctions, scale = _junctions(phi, params, cycles)
+        nodes = [(b * x, b * y) for (x, y) in junctions]
+        images = [(b * y - a_coef * x, -x) for (x, y) in junctions]
+        shift = (a_coef * scale, scale)
         orders = []
         for state in range(1, 7):
-            order = _thread_state(graph, state, vertices)
+            order = _thread_state(state, outs[state - 1], nodes, images, shift, where)
             if order is None:
                 break
             orders.append(order)
         else:
             key = tuple(orders)
-            complete.setdefault(key, OrderedContactGraph(graph, key, vertices))
+            if key not in complete:
+                vertices = tuple((Fraction(x, scale), Fraction(y, scale)) for (x, y) in junctions)
+                complete[key] = OrderedContactGraph(graph, key, vertices)
     if not complete:
         raise NoConsistentOrdering(f"no continuous edge ordering for {where}")
     if len(complete) > 1:
         raise CertificateFailure(f"{len(complete)} continuous edge orderings for {where}")
     (ordered,) = complete.values()
 
-    if 2 * params.a - params.b == 3 and params.a != params.b:
+    if 2 * a_coef - b == 3 and a_coef != b:
         from .chains import alpha_calibration_rows
 
         for walk, addr in alpha_calibration_rows(params):

@@ -15,6 +15,7 @@ the normalized pair.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -259,21 +260,30 @@ def parse_address(text: str) -> Address:
     return Address(integer, pre, per)
 
 
-def periodic_tail_value(period: DigitWord, params: TileParams) -> RationalPoint:
-    """Exact value of the purely periodic expansion 0.(period).
+def periodic_tail_scaled(period: DigitWord, params: TileParams) -> tuple[int, int, int]:
+    """The purely periodic expansion 0.(period) as (x, y, d): the point
+    (x/d, y/d) with integers x, y and d > 0 and gcd(x, y, d) = 1.
 
-    Solves (M^p - I) x = sum_i M^(p-i) (c_i, 0); the system is nonsingular
-    because every eigenvalue of M exceeds 1 in modulus.
+    Solves (M^p - I) x = sum_i M^(p-i) (c_i, 0) by the adjugate of the
+    integer matrix M^p - I.  Its determinant is the product of lambda^p - 1
+    over the eigenvalues of M, which are a conjugate pair or, as A >= 0, two
+    negative reals below -1; either way it is positive.
     """
     m = params.matrix
-    p = len(period)
-    rhs: linalg.Vec2 = (0, 0)
+    rx, ry = 0, 0
     for d in period:
-        rhs = linalg.mat_vec(m, rhs)
-        rhs = (rhs[0] + d, rhs[1])
-    lhs = linalg.mat_sub(linalg.mat_pow(m, p), linalg.IDENTITY)
-    x, y = linalg.solve2(lhs, rhs)
-    return (Fraction(x), Fraction(y))
+        rx, ry = m[0][0] * rx + m[0][1] * ry + d, m[1][0] * rx + m[1][1] * ry
+    (l00, l01), (l10, l11) = linalg.mat_sub(linalg.mat_pow(m, len(period)), linalg.IDENTITY)
+    det = l00 * l11 - l01 * l10
+    x, y = l11 * rx - l01 * ry, l00 * ry - l10 * rx
+    g = math.gcd(x, y, det)
+    return x // g, y // g, det // g
+
+
+def periodic_tail_value(period: DigitWord, params: TileParams) -> RationalPoint:
+    """Exact value of the purely periodic expansion 0.(period)."""
+    x, y, d = periodic_tail_scaled(period, params)
+    return (Fraction(x, d), Fraction(y, d))
 
 
 def point_eval(addr: Address, params: TileParams) -> RationalPoint:

@@ -1,15 +1,19 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
 from fractions import Fraction
 
-from tiletopo import TileParams, parse_address, point_eval
+from tiletopo import TileParams, contact, parse_address, point_eval
 from tiletopo.contact import (
     ContactGraph,
     Walk,
     approx_boundary,
     boundary_point,
     build_contact_graph,
+    contact_states,
     count_walks,
     derive_order_extension,
     graph_to_dot,
@@ -20,7 +24,7 @@ from tiletopo.contact import (
     walk_compare,
     walk_to_param,
 )
-from tiletopo.errors import NoConsistentOrdering, OutOfRange
+from tiletopo.errors import CertificateFailure, NoConsistentOrdering, OutOfRange
 from tiletopo.geometry import polyline_hausdorff
 
 
@@ -201,6 +205,61 @@ class TestOrdering:
         edges = tuple(e for e in g.edges if e != dropped)
         with pytest.raises(NoConsistentOrdering, match=r"\(A,B\)=\(4,5\)"):
             derive_order_extension(ContactGraph(g.params, g.states, edges))
+
+    def test_orderings_golden_digest(self):
+        # sha256 of repr(orders) + repr(vertices) over all 209 pairs
+        # 1 <= A <= B <= 20, recorded with the Fraction search the integer
+        # search replaced
+        h = hashlib.sha256()
+        for b in range(2, 21):
+            for a in range(1, b + 1):
+                o = ordered(a, b)
+                h.update((repr(o.orders) + repr(o.vertices)).encode())
+        assert h.hexdigest() == (
+            "7ea669d463a8af8a58187cb65e1e0e244e823ddfc0ea80415b35a25aebac6210"
+        )
+
+    def test_state_threading_two_ways_is_a_failure(self):
+        # first edges all of digit 0 put V_1 = V_2 = V_3 at 0.(0), so both
+        # edges of state 1 have the one-point subpiece f_0(0) = 0 and chain
+        # from V_1 to V_2 in either order
+        p = TileParams(4, 5)
+        edges = ((1, 0, 0, 1), (1, 0, 0, 2), (2, 0, 0, 2), (3, 0, 0, 3))
+        graph = ContactGraph(p, contact_states(p), edges)
+        two_ways = r"state 1 threads two ways for \(A,B\)=\(4,5\)"
+        with pytest.raises(CertificateFailure, match=two_ways):
+            derive_order_extension(graph)
+
+    def test_two_complete_orderings_are_a_failure(self, monkeypatch):
+        # a threading step that succeeds on every map, in sorted and reversed
+        # edge order on alternate maps, completes two distinct orderings
+        maps = []
+
+        def thread_alternately(state, edges, *rest):
+            if state == 1:
+                maps.append(None)
+            return tuple(sorted(edges, reverse=len(maps) % 2 == 0))
+
+        monkeypatch.setattr(contact, "_thread_state", thread_alternately)
+        two_orderings = r"^2 continuous edge orderings for \(A,B\)=\(4,5\)"
+        with pytest.raises(CertificateFailure, match=two_orderings):
+            ordered(4, 5)
+
+    @pytest.mark.parametrize("a,b", [(4, 5), (5, 5), (7, 11), (19, 38)])
+    def test_every_first_edge_map_is_visited(self, a, b, monkeypatch):
+        # "exactly one ordering" certifies only if no map is skipped
+        graph = build_contact_graph(TileParams(a, b))
+        junctions = contact._junctions
+        maps = []
+
+        def counting(*args):
+            maps.append(args[0])
+            return junctions(*args)
+
+        monkeypatch.setattr(contact, "_junctions", counting)
+        derive_order_extension(graph)
+        assert len(maps) == len(set(maps))
+        assert len(maps) == math.prod(len(graph.out_edges(i)) for i in (1, 2, 3))
 
     def test_vertex_count_matches_walks(self):
         o = ordered(4, 5)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from tiletopo import (
     point_eval,
 )
 from tiletopo.linalg import IDENTITY, mat_mul, mat_pow, mat_vec, solve2
-from tiletopo.numsys import periodic_tail_value, prepend_digits
+from tiletopo.numsys import periodic_tail_scaled, periodic_tail_value, prepend_digits
 
 from conftest import close, random_address, series_value
 
@@ -102,6 +103,20 @@ class TestPointEval:
         m = params.matrix
         lhs = ((m[0][0] - 1, m[0][1]), (m[1][0], m[1][1] - 1))
         assert periodic_tail_value((2,), params) == solve2(lhs, (2, 0))
+
+    def test_periodic_tail_is_a_fixed_point_of_the_first_digit(self, rng):
+        # 0.(w1 w2 ... wn) = f_{w1}(0.(w2 ... wn w1)), exactly, from the
+        # integer solve over a positive denominator in lowest terms
+        for _ in range(200):
+            b = rng.randint(2, 30)
+            params = TileParams(rng.randint(0, b), b)
+            word = tuple(rng.randrange(b) for _ in range(rng.randint(1, 6)))
+            x, y, d = periodic_tail_scaled(word, params)
+            assert d > 0 and gcd(x, y, d) == 1, (params, word)
+            value = periodic_tail_value(word, params)
+            assert value == (Fraction(x, d), Fraction(y, d))
+            shifted = periodic_tail_value(word[1:] + word[:1], params)
+            assert value == apply_contraction(word[0], shifted, params), (params, word)
 
     def test_integer_part(self):
         params = TileParams(4, 5)
