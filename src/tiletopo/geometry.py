@@ -5,18 +5,27 @@ grid prefilter.  Vertices may be ints or Fractions.  The integers come from
 scaling every vertex by the LCM of the coordinate denominators; ints have
 denominator 1, so an integer polygon, such as a level-n boundary of
 ``contact.approx_boundary`` over its common scale, is used as it is.  The
-prefilter floats come from the exact vertices themselves, all scaled by one
-power of two so that no coordinate overflows; the integers are used only
-for the exact orientation tests.  The subdivision pieces are extremely
-anisotropic slivers sharing one elongation axis, so the grid works in a
-rotated frame aligned with the longest segment and with per-axis cell
-sizes; floats only ever discard pairs whose rotated boxes are disjoint,
-never decide an intersection.  Hausdorff distances between polygonal curves
-are float-only diagnostics.
+spike test is one array expression on the integers.  When every integer is
+below 2**30, that array is int64 and serves both the floats and the exact
+tests: the orientation signs are array expressions on it (only pairs with a
+zero sign go on to the exact test in Python), and the prefilter floats are
+its entries times one power of two, which is exact.  Larger integers are
+held as Python ints and take the pairwise exact tests in Python; their
+prefilter floats are correctly rounded quotients of the exact coordinates,
+all scaled by one power of two so that no coordinate overflows.  The
+subdivision pieces are extremely anisotropic slivers sharing one elongation
+axis, so the grid works in a rotated frame aligned with the longest segment
+and with per-axis cell sizes.  Each segment is listed once per grid cell its
+box meets; one stable sort groups the entries by cell, and the pairs within
+each group are listed by array arithmetic, with no Python loop per cell.
+Floats only ever discard pairs whose rotated boxes are disjoint, never
+decide an intersection.  Hausdorff distances between polygonal curves are
+float-only diagnostics.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -60,6 +69,11 @@ def segments_intersect(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
     return False
 
 
+def _cross(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Row-wise (q - p) x (r - p) of integer point arrays."""
+    return (q[:, 0] - p[:, 0]) * (r[:, 1] - p[:, 1]) - (q[:, 1] - p[:, 1]) * (r[:, 0] - p[:, 0])
+
+
 def _prefilter_floats(vertices: tuple[Point, ...]) -> np.ndarray:
     """The m+1 closed-polygon vertices as floats, every coordinate scaled by
     the same 2**-e so that the largest magnitude lies in (1/2, 2).  Each entry
@@ -75,7 +89,8 @@ def _prefilter_floats(vertices: tuple[Point, ...]) -> np.ndarray:
 
 def _candidate_pairs(arr: np.ndarray) -> np.ndarray:
     """Indices (i, j), i < j, of non-adjacent segments whose rotated boxes
-    overlap.  ``arr`` holds the m+1 closed-polygon vertices as floats."""
+    overlap, in increasing order of i * m + j.  ``arr`` holds the m+1
+    closed-polygon vertices as floats."""
     m = len(arr) - 1
     a, b = arr[:-1], arr[1:]
     lengths2 = ((b - a) ** 2).sum(axis=1)
@@ -101,20 +116,26 @@ def _candidate_pairs(arr: np.ndarray) -> np.ndarray:
         if ((gx1 - gx0 + 1.0) * (gy1 - gy0 + 1.0)).sum() <= 64 * m:
             break
         cx, cy = 2 * cx, 2 * cy
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for i in range(m):
-        for gx in range(gx0[i], gx1[i] + 1):
-            for gy in range(gy0[i], gy1[i] + 1):
-                buckets.setdefault((gx, gy), []).append(i)
-    chunks = []
-    for members in buckets.values():
-        if len(members) > 1:
-            idx = np.array(members, dtype=np.int64)
-            ii, jj = np.triu_indices(len(idx), 1)
-            chunks.append(idx[ii] * m + idx[jj])
-    if not chunks:
-        return np.empty((0, 2), dtype=np.int64)
-    codes = np.unique(np.concatenate(chunks))
+    # one (cell, segment) entry per cell of each segment's range
+    ny = gy1 - gy0 + 1
+    count = (gx1 - gx0 + 1) * ny
+    seg = np.repeat(np.arange(m, dtype=np.int64), count)
+    off = np.arange(len(seg)) - np.repeat(np.cumsum(count) - count, count)
+    gx = np.repeat(gx0, count) + off // np.repeat(ny, count)
+    gy = np.repeat(gy0, count) + off % np.repeat(ny, count)
+    # group the entries by cell; lexsort is stable, so segments ascend
+    # within a cell, and a segment lies in a cell at most once
+    order = np.lexsort((gy, gx))
+    seg, gx, gy = seg[order], gx[order], gy[order]
+    new_cell = np.ones(len(seg) + 1, dtype=bool)
+    new_cell[1:-1] = (gx[1:] != gx[:-1]) | (gy[1:] != gy[:-1])
+    bounds = np.flatnonzero(new_cell)
+    # entry p pairs with the later entries p+1 .. end-1 of its cell
+    end = np.repeat(bounds[1:], np.diff(bounds))
+    later = end - np.arange(len(seg)) - 1
+    first = np.repeat(np.arange(len(seg)), later)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+    codes = np.unique(seg[first] * m + seg[second])
     pi = np.stack([codes // m, codes % m], axis=1)
     i_, j_ = pi[:, 0], pi[:, 1]
     adjacent = (j_ == (i_ + 1) % m) | (i_ == (j_ + 1) % m)
@@ -133,19 +154,21 @@ def polygon_is_simple_closed(vertices: tuple[Point, ...]) -> bool:
     if len(set(vertices)) != m:
         return False
     # ints have denominator 1, so an integer polygon is used as it is
-    scale = math.lcm(*(c.denominator for v in vertices for c in v))
+    scale = math.lcm(*{c.denominator for v in vertices for c in v})
     ivs = list(vertices)
     if scale > 1:
         ivs = [tuple(c.numerator * (scale // c.denominator) for c in v) for v in vertices]
-    segs = [(ivs[i], ivs[(i + 1) % m]) for i in range(m)]
+    segs = list(zip(ivs, ivs[1:] + ivs[:1]))
+    # below 2**30 every orientation product fits in int64; above, the same
+    # expressions run on Python ints
+    small = max(map(abs, itertools.chain.from_iterable(ivs))) < 2**30
+    iarr = np.array(ivs + [ivs[0]], dtype=np.int64 if small else object)
     # adjacent pairs may only share the common vertex; a spike folds back
-    for i in range(m):
-        p, q = segs[i]
-        _, r = segs[(i + 1) % m]
-        if orientation(p, q, r) == 0:
-            inward = (p[0] - q[0]) * (r[0] - q[0]) + (p[1] - q[1]) * (r[1] - q[1])
-            if inward > 0:
-                return False
+    p, q = iarr[:-1], iarr[1:]
+    r = np.roll(q, -1, axis=0)
+    inward = ((p - q) * (r - q)).sum(axis=1) > 0
+    if ((_cross(p, q, r) == 0) & inward).any():
+        return False
 
     if m <= 64:
         for i in range(m):
@@ -156,31 +179,23 @@ def polygon_is_simple_closed(vertices: tuple[Point, ...]) -> bool:
                     return False
         return True
 
-    pi = _candidate_pairs(_prefilter_floats(vertices))
-    if len(pi) == 0:
-        return True
-
-    bound = max(abs(c) for v in ivs for c in v)
-    if bound >= 2**30:
+    if not small:
         # products would overflow int64; run the exact tests in Python
-        for i, j in pi:
+        for i, j in _candidate_pairs(_prefilter_floats(vertices)):
             if segments_intersect(*segs[int(i)], *segs[int(j)]):
                 return False
         return True
 
-    iarr = np.array(ivs + [ivs[0]], dtype=np.int64)
+    # each integer below 2**30 is an exact float, and so is its power-of-two
+    # scaling; for an integer polygon these are _prefilter_floats' floats
+    e = int(np.abs(iarr).max()).bit_length() - 1
+    pi = _candidate_pairs(iarr * 2.0**-e)
     a1, a2 = iarr[pi[:, 0]], iarr[pi[:, 0] + 1]
     b1, b2 = iarr[pi[:, 1]], iarr[pi[:, 1] + 1]
-
-    def cross(p, q, r):
-        return (q[:, 0] - p[:, 0]) * (r[:, 1] - p[:, 1]) - (q[:, 1] - p[:, 1]) * (
-            r[:, 0] - p[:, 0]
-        )
-
-    d1 = np.sign(cross(b1, b2, a1))
-    d2 = np.sign(cross(b1, b2, a2))
-    d3 = np.sign(cross(a1, a2, b1))
-    d4 = np.sign(cross(a1, a2, b2))
+    d1 = np.sign(_cross(b1, b2, a1))
+    d2 = np.sign(_cross(b1, b2, a2))
+    d3 = np.sign(_cross(a1, a2, b1))
+    d4 = np.sign(_cross(a1, a2, b2))
     if ((d1 * d2 < 0) & (d3 * d4 < 0)).any():
         return False
     touchy = (d1 == 0) | (d2 == 0) | (d3 == 0) | (d4 == 0)

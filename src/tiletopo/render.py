@@ -11,6 +11,7 @@ figures follow the mathematical orientation.
 from __future__ import annotations
 
 import colorsys
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -71,7 +72,7 @@ def scene_to_svg(scene: Scene) -> str:
     ]
     s = scene.scale
     for poly, style in scene.polygons:
-        pts = " ".join(f"{fmt(p[0] / s)},{fmt(-p[1] / s)}" for p in poly)
+        pts = " ".join(["%.12g,%.12g" % (p[0] / s, -p[1] / s) for p in poly])
         attrs = " ".join(f'{k}="{v}"' for k, v in sorted(style.items()))
         lines.append(f'<polygon points="{pts}" stroke-width="{fmt(stroke)}" {attrs}/>')
     for point, label in scene.markers:
@@ -124,11 +125,18 @@ def render_cutpoint(params: TileParams, n: int, budget: int = 10**6) -> str:
     return scene_to_svg(Scene(s, [(approx.points, style)], [marker]))
 
 
+def _ratio(x: int, scale: int) -> str:
+    """``str(Fraction(x, scale))`` without building the Fraction."""
+    g = math.gcd(x, scale)
+    return str(x // g) if g == scale else f"{x // g}/{scale // g}"
+
+
 def polygon_to_json(params: TileParams, n: int, budget: int = 10**6) -> dict:
     approx = _boundary_polygon(params, n, budget)
+    s = approx.scale
     return {
         "schema": "tiletopo/boundary-polygon@1",
         "params": {"A": params.a, "B": params.b},
         "level": n,
-        "vertices": [[str(p[0]), str(p[1])] for p in approx.vertices],
+        "vertices": [[_ratio(x, s), _ratio(y, s)] for (x, y) in approx.points],
     }

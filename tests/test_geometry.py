@@ -1,11 +1,20 @@
+import hashlib
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
+import pytest
+
+from tiletopo.contact import approx_boundary, build_contact_graph, derive_order_extension
 from tiletopo.geometry import (
+    _candidate_pairs,
+    _prefilter_floats,
     polygon_is_simple_closed,
     polyline_hausdorff,
     segments_intersect,
 )
+from tiletopo.numsys import TileParams
 
 
 def F(x):
@@ -50,6 +59,14 @@ class TestSimpleClosed:
     def test_spike(self):
         for p in int_and_fraction((0, 0), (2, 0), (1, 0), (1, 1)):
             assert not polygon_is_simple_closed(p)
+
+    def test_flat_triangle(self):
+        # no edge pair is non-adjacent, so only the spike test rejects it;
+        # 2**40 takes the Python branch
+        for k in (1, 2**40):
+            pts = [(0, 0), (k, 0), (2 * k, 0)]
+            for p in int_and_fraction(*pts) + int_and_fraction(*pts[::-1]):
+                assert not polygon_is_simple_closed(p)
 
     def test_vertex_on_edge(self):
         for p in int_and_fraction((0, 0), (2, 0), (2, 2), (1, 0), (0, 2)):
@@ -122,6 +139,135 @@ class TestSimpleClosed:
         pts[50], pts[52] = pts[52], pts[50]  # segments 49 and 52 now cross
         assert polygon_is_simple_closed(tuple(pts)) is False
         assert self._all_pairs_simple(pts) is False
+
+
+def _star(rng: random.Random, m: int) -> list[tuple[int, int]]:
+    """m integer points in strictly increasing angle around the origin, with
+    every angular gap below pi, under a random integer shear that makes the
+    edges slivers: a simple polygon.  Coordinates are multiples of 4."""
+    while True:
+        angles = sorted(rng.uniform(0, 2 * math.pi) for _ in range(m))
+        pts = []
+        for t in angles:
+            r = rng.uniform(2000, 10000)
+            pts.append((4 * round(r * math.cos(t)), 4 * round(r * math.sin(t))))
+        exact = [math.atan2(y, x) % (2 * math.pi) for x, y in pts]
+        gaps = [(exact[(i + 1) % m] - exact[i]) % (2 * math.pi) for i in range(m)]
+        if all(exact[i] < exact[i + 1] for i in range(m - 1)) and max(gaps) < 3:
+            break
+    a, b = rng.choice([(1, 0), (40, 1), (300, 7)])
+    return [(a * x + b * y, y) for x, y in pts]
+
+
+def _quarter(p, q, k):
+    """The point k/4 of the way from p to q (exact: coordinates are
+    multiples of 4)."""
+    return tuple(pc + k * (qc - pc) // 4 for pc, qc in zip(p, q))
+
+
+def _sample_polygons():
+    """Seeded polygons with 65..400 vertices: (name, points, simple?)."""
+    rng = random.Random(20261018)
+    out = []
+    for m in (65, 130, 250, 400):
+        pts = _star(rng, m)
+        out.append(("simple", pts, True))
+        while True:  # swap two vertices until edges k-1 and k+2 cross
+            k = rng.randrange(1, m - 3)
+            crossed = list(pts)
+            crossed[k], crossed[k + 2] = crossed[k + 2], crossed[k]
+            if segments_intersect(*crossed[k - 1 : k + 1], *crossed[k + 2 : k + 4]):
+                break
+        out.append(("crossing", crossed, False))
+        # a vertex on the midpoint of edge j, inserted far from edge j
+        j = rng.randrange(m)
+        mid = _quarter(pts[j], pts[(j + 1) % m], 2)
+        k = (j + m // 2) % m
+        out.append(("vertex-on-edge", pts[: k + 1] + [mid] + pts[k + 1 :], False))
+        # an edge lying inside edge j: its quarter points, inserted far away
+        q1, q3 = (_quarter(pts[j], pts[(j + 1) % m], i) for i in (1, 3))
+        out.append(("collinear-overlap", pts[: k + 1] + [q1, q3] + pts[k + 1 :], False))
+    return out
+
+
+def _as_fractions(pts, d=12):
+    return tuple((Fraction(x, d), Fraction(y, d)) for x, y in pts)
+
+
+def _valid(pts) -> bool:
+    """Distinct vertices and no spike, the two checks the all-pairs
+    reference leaves out."""
+    m = len(pts)
+    if len(set(pts)) != m:
+        return False
+    for i in range(m):
+        p, q, r = pts[i], pts[(i + 1) % m], pts[(i + 2) % m]
+        cross = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+        inward = (p[0] - q[0]) * (r[0] - q[0]) + (p[1] - q[1]) * (r[1] - q[1])
+        if cross == 0 and inward > 0:
+            return False
+    return True
+
+
+class TestVectorizedPath:
+    """Polygons past 64 vertices go through the grid prefilter and the
+    int64 tests (ints) or the scaled integers (Fractions)."""
+
+    POLYGONS = _sample_polygons()
+
+    def test_agrees_with_all_pairs(self):
+        for name, pts, simple in self.POLYGONS:
+            assert _valid(pts), name
+            assert TestSimpleClosed._all_pairs_simple(pts) is simple, name
+            assert polygon_is_simple_closed(tuple(pts)) is simple, name
+            assert polygon_is_simple_closed(_as_fractions(pts)) is simple, name
+
+    def test_candidates_cover_every_meeting_box(self):
+        """Every non-adjacent pair whose exact boxes meet, in the frame of
+        the longest segment, is a candidate."""
+        for name, pts, _ in self.POLYGONS:
+            iarr = np.array(pts + pts[:1], dtype=np.int64)
+            m = len(pts)
+            seg = iarr[1:] - iarr[:-1]
+            lengths2 = sorted((int(dx) ** 2 + int(dy) ** 2, i) for i, (dx, dy) in enumerate(seg))
+            (second, _), (longest, k) = lengths2[-2:]
+            assert second < longest * (1 - 1e-9), name  # the frame is unambiguous
+            dx, dy = seg[k]
+            u = iarr[:, 0] * dx + iarr[:, 1] * dy
+            v = iarr[:, 1] * dx - iarr[:, 0] * dy
+            lo_u, hi_u = np.minimum(u[:-1], u[1:]), np.maximum(u[:-1], u[1:])
+            lo_v, hi_v = np.minimum(v[:-1], v[1:]), np.maximum(v[:-1], v[1:])
+            meet = (
+                (lo_u[:, None] <= hi_u[None, :])
+                & (lo_u[None, :] <= hi_u[:, None])
+                & (lo_v[:, None] <= hi_v[None, :])
+                & (lo_v[None, :] <= hi_v[:, None])
+            )
+            i, j = np.nonzero(np.triu(meet, 2))
+            keep = ~((i == 0) & (j == m - 1))
+            need = set(zip(i[keep].tolist(), j[keep].tolist()))
+            assert need, name
+            for vertices in (tuple(pts), _as_fractions(pts)):
+                got = set(map(tuple, _candidate_pairs(_prefilter_floats(vertices)).tolist()))
+                assert need <= got, name
+
+    @pytest.mark.parametrize(
+        "a,b,n,sha",
+        [
+            (12, 12, 3, "b6e6b2aeff624fba702295a7556d0ebc7b73735f165fd698d95e084cae2a0acf"),
+            (10, 12, 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+            (5, 5, 6, "c250330ea790a2ca777c62b9f2b7038f1981705d687734205bb2de7bc9c9648f"),
+        ],
+        ids=["12-12-n3", "10-12-n3", "5-5-n6"],
+    )
+    def test_boundary_candidate_digests(self, a, b, n, sha):
+        """Digests recorded with the per-cell bucket loop that the sorted
+        grouping replaced; the pair array must not change."""
+        ordered = derive_order_extension(build_contact_graph(TileParams(a, b)))
+        points = approx_boundary(ordered, n).points
+        pi = _candidate_pairs(_prefilter_floats(points))
+        assert pi.dtype == np.int64
+        assert hashlib.sha256(pi.tobytes()).hexdigest() == sha
 
 
 class TestHausdorff:

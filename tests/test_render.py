@@ -92,6 +92,13 @@ class TestGoldenBytes:
             "1bca55871a19e9e5782de2c48d8ace9a56ffeb004ae8d1a6a650881f6528d7be"
         )
 
+    def test_boundary_svg_with_candidate_pairs(self):
+        # 6,430 vertices below 2**30 with 3,058 candidate pairs: the grid
+        # prefilter and the int64 exact tests decide this one
+        assert self.digest(render_boundary(TileParams(12, 12), 3)) == (
+            "7d7bbad83697c4ba308c05d6dae0ca65b76bcf608283307a9f1228e52ce4401c"
+        )
+
     def test_patch_svg(self):
         assert self.digest(render_patch(TileParams(5, 5), 2)) == (
             "8c098b8d9912b2890ba9a7f45a60f13c8dba3f286a917a3f83740ea53c10aa1d"
