@@ -1,108 +1,103 @@
 """Exact arithmetic in a real algebraic number field Q(beta).
 
-The field is presented as Q[x] modulo the minimal polynomial of beta, with a
-rational isolating interval selecting the intended real root.  Elements are
-coefficient vectors; sign determination evaluates the representing polynomial
-over the isolating interval with interval arithmetic, bisecting the interval
-(a sign test of the minimal polynomial at the midpoint) until the sign is
-certain.  No floating point enters any comparison.
+The field is presented as Q[x] modulo the minimal polynomial of beta, which
+must be monic with integer coefficients, with a rational isolating interval
+selecting the intended real root.  An element is an integer coefficient
+vector over one positive denominator in lowest terms, so one value has one
+form: equal values are equal elements with equal hashes.  Sums
+cross-multiply the vectors, products are integer convolutions reduced by the
+monic minimal polynomial, and an inverse comes from the cofactors of the
+integer matrix of multiplication by the element (Cramer's rule).
+
+The isolating interval is kept as integer endpoints over one denominator.
+Sign determination evaluates the numerator vector over it by interval Horner
+in integers, bisecting the interval (an integer sign test of the minimal
+polynomial at the midpoint) until the sign is certain; a rational field has
+the interval of one point.  ``Fraction`` appears only where rationals enter
+or leave (``element``, ``rational``, ``interval``, ``repr``), and no floating
+point enters any comparison.
 
 ``dominant_root_field`` builds the field of a cubic's positive root in exact
-arithmetic too: Descartes' rule of signs and integer root tests.
+arithmetic too: Descartes' rule of signs, integer root tests and integer
+synthetic division.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import CertificateFailure
 
 
-def _poly_trim(c: list[Fraction]) -> tuple[Fraction, ...]:
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_divmod(
-    a: Sequence[Fraction], b: Sequence[Fraction]
-) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        k = len(a) - len(b)
-        f = a[-1] / b[-1]
-        q[k] = f
-        for i, y in enumerate(b):
-            a[k + i] -= f * y
-        a.pop()
-    return _poly_trim(q), _poly_trim(a)
-
-
-def _poly_eval(c: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def _poly_eval(c: Sequence[int], m: int, d: int = 1) -> int:
+    """d**(len(c) - 1) * p(m / d) for p = c (low degree first)."""
+    acc, scale = 0, 1
     for coef in reversed(c):
-        acc = acc * x + coef
+        acc = acc * m + coef * scale
+        scale *= d
     return acc
 
 
-def _poly_eval_interval(
-    c: Sequence[Fraction], lo: Fraction, hi: Fraction
-) -> tuple[Fraction, Fraction]:
-    """Interval Horner: encloses {p(x) : lo <= x <= hi}."""
-    alo, ahi = Fraction(0), Fraction(0)
-    for coef in reversed(c):
-        cands = (alo * lo, alo * hi, ahi * lo, ahi * hi)
-        alo, ahi = min(cands) + coef, max(cands) + coef
-    return alo, ahi
+def _cofactors(m: Sequence[Sequence[int]]) -> list[int]:
+    """Cofactors of the first row of a small square integer matrix."""
+    return [(-1) ** j * _det([r[:j] + r[j + 1 :] for r in m[1:]]) for j in range(len(m))]
+
+
+def _det(m: Sequence[Sequence[int]]) -> int:
+    return sum(x * c for x, c in zip(m[0], _cofactors(m))) if m else 1
 
 
 class NumberField:
     """Q(beta) for a fixed real algebraic beta with isolating interval."""
 
-    def __init__(self, minpoly: Sequence[Fraction], lo: Fraction, hi: Fraction):
-        mp = _poly_trim([Fraction(c) for c in minpoly])
+    def __init__(self, minpoly: Sequence, lo, hi):
+        mp = [Fraction(c) for c in minpoly]
+        while mp and mp[-1] == 0:
+            mp.pop()
         if len(mp) < 2:
             raise ValueError("minimal polynomial must have degree >= 1")
-        lead = mp[-1]
-        self.minpoly = tuple(c / lead for c in mp)
-        self.degree = len(self.minpoly) - 1
-        self._lo = Fraction(lo)
-        self._hi = Fraction(hi)
+        if mp[-1] != 1 or any(c.denominator != 1 for c in mp):
+            raise ValueError(f"minimal polynomial {list(map(str, mp))} is not monic over Z")
+        self.minpoly = tuple(mp)
+        self._mp = tuple(int(c) for c in mp)
+        self.degree = len(mp) - 1
         if self.degree == 1:
-            root = -self.minpoly[0]
-            self._lo = self._hi = root
+            lo = hi = -mp[0]
+        lo, hi = Fraction(lo), Fraction(hi)
+        # the interval is [_lo / _den, _hi / _den]
+        self._den = lcm(lo.denominator, hi.denominator)
+        self._lo = lo.numerator * (self._den // lo.denominator)
+        self._hi = hi.numerator * (self._den // hi.denominator)
 
     # -- element construction ------------------------------------------------
 
+    def _reduce(self, vec: list[int]) -> list[int]:
+        """Integer vector modulo the monic minimal polynomial, padded to
+        ``degree`` entries."""
+        d, mp = self.degree, self._mp
+        for k in range(len(vec) - 1, d - 1, -1):
+            c = vec[k]
+            if c:
+                for i in range(d):
+                    vec[k - d + i] -= c * mp[i]
+        del vec[d:]
+        vec += [0] * (d - len(vec))
+        return vec
+
     def element(self, coeffs: Sequence) -> "FieldElement":
         vec = [Fraction(c) for c in coeffs]
-        if len(vec) > self.degree:
-            rem = _poly_divmod(vec, list(self.minpoly))[1]
-            vec = list(rem)
-        vec += [Fraction(0)] * (self.degree - len(vec))
-        return FieldElement(self, tuple(vec))
+        den = lcm(*(c.denominator for c in vec))
+        num = [c.numerator * (den // c.denominator) for c in vec]
+        return _canonical(self, self._reduce(num), den)
 
     def rational(self, q) -> "FieldElement":
-        return self.element([Fraction(q)])
+        q = Fraction(q)
+        return FieldElement(self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator)
 
     def beta(self) -> "FieldElement":
-        if self.degree == 1:
-            return self.rational(-self.minpoly[0])
         return self.element([0, 1])
 
     def zero(self) -> "FieldElement":
@@ -117,108 +112,119 @@ class NumberField:
         """Halve the isolating interval once (exact bisection)."""
         if self._lo == self._hi:
             return
-        mid = (self._lo + self._hi) / 2
-        fmid = _poly_eval(self.minpoly, mid)
+        mid = self._lo + self._hi
+        self._lo, self._hi, self._den = 2 * self._lo, 2 * self._hi, 2 * self._den
+        fmid = _poly_eval(self._mp, mid, self._den)
         if fmid == 0:
             # cannot happen for an irreducible minpoly of degree >= 2
             self._lo = self._hi = mid
             return
-        flo = _poly_eval(self.minpoly, self._lo)
-        if (flo < 0) == (fmid < 0):
+        if (_poly_eval(self._mp, self._lo, self._den) < 0) == (fmid < 0):
             self._lo = mid
         else:
             self._hi = mid
 
     def interval(self) -> tuple[Fraction, Fraction]:
-        return self._lo, self._hi
+        return Fraction(self._lo, self._den), Fraction(self._hi, self._den)
 
-    def sign_of(self, coeffs: Sequence[Fraction]) -> int:
-        vec = _poly_trim(list(coeffs))
-        if not vec:
+    def sign_of(self, num: Sequence[int]) -> int:
+        """Sign of sum(num[i] * beta**i)."""
+        k = len(num)
+        while k and not num[k - 1]:
+            k -= 1
+        if not k:
             return 0
-        if self.degree == 1:
-            v = _poly_eval(vec, self._lo)
-            return (v > 0) - (v < 0)
         for _ in range(20000):
-            lo, hi = _poly_eval_interval(vec, self._lo, self._hi)
-            if lo > 0:
+            lo, hi, den = self._lo, self._hi, self._den
+            # interval Horner on the values times den**j
+            alo = ahi = num[k - 1]
+            scale = 1
+            for c in reversed(num[: k - 1]):
+                scale *= den
+                cands = (alo * lo, alo * hi, ahi * lo, ahi * hi)
+                alo, ahi = min(cands) + c * scale, max(cands) + c * scale
+            if alo > 0:
                 return 1
-            if hi < 0:
+            if ahi < 0:
                 return -1
             self.refine_interval()
-        raise CertificateFailure("sign determination did not converge")
+        raise CertificateFailure(
+            "sign determination did not converge for the root of the minimal "
+            f"polynomial {list(self._mp)} (low degree first)"
+        )
 
-    def to_float(self, coeffs: Sequence[Fraction], bits: int = 60) -> float:
-        if self.degree == 1:
-            return float(_poly_eval(list(coeffs), self._lo))
-        target = Fraction(1, 2**bits)
-        while self._hi - self._lo > target:
+    def to_float(self, num: Sequence[int], den: int, bits: int = 60) -> float:
+        """sum(num[i] * beta**i) / den, from the interval's midpoint once the
+        interval is at most 2**-bits wide."""
+        while (self._hi - self._lo) << bits > self._den:
             self.refine_interval()
-        mid = (self._lo + self._hi) / 2
-        return float(_poly_eval(list(coeffs), mid))
+        d = 2 * self._den
+        return _poly_eval(num, self._lo + self._hi, d) / (d ** (len(num) - 1) * den)
+
+
+def _canonical(field: NumberField, num: Sequence[int], den: int) -> "FieldElement":
+    """The element num / den with den > 0 and gcd(den, *num) = 1."""
+    g = gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g != 1:
+        num = [n // g for n in num]
+        den //= g
+    return FieldElement(field, tuple(num), den)
 
 
 @dataclass(frozen=True)
 class FieldElement:
-    """A value in Q(beta), reduced modulo the minimal polynomial."""
+    """sum(num[i] * beta**i) / den, with num reduced modulo the minimal
+    polynomial, den > 0 and gcd(den, *num) = 1."""
 
     field: NumberField
-    coeffs: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(
-            self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        a, b = self.den, other.den
+        return _canonical(self.field, [x * b + y * a for x, y in zip(self.num, other.num)], a * b)
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(
-            self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        a, b = self.den, other.den
+        return _canonical(self.field, [x * b - y * a for x, y in zip(self.num, other.num)], a * b)
 
     def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, tuple(-a for a in self.coeffs))
+        return FieldElement(self.field, tuple(-x for x in self.num), self.den)
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
-        prod = _poly_mul(self.coeffs, other.coeffs)
-        rem = _poly_divmod(list(prod), list(self.field.minpoly))[1]
-        vec = list(rem) + [Fraction(0)] * (self.field.degree - len(rem))
-        return FieldElement(self.field, tuple(vec))
+        b = other.num
+        prod = [0] * (2 * len(b) - 1)
+        for i, x in enumerate(self.num):
+            if x:
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
+        return _canonical(self.field, self.field._reduce(prod), self.den * other.den)
 
     def inverse(self) -> "FieldElement":
-        """Extended Euclid against the minimal polynomial."""
+        """Cramer's rule: the matrix N of multiplication by num has column j
+        equal to num * x**j, and the cofactors of its first row give the y
+        with num * y = det N."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        r0, r1 = list(self.field.minpoly), _poly_trim(list(self.coeffs))
-        s0: tuple[Fraction, ...] = ()
-        s1: tuple[Fraction, ...] = (Fraction(1),)
-        while r1:
-            q, r = _poly_divmod(r0, r1)
-            s = _poly_trim(
-                [
-                    (s0[i] if i < len(s0) else Fraction(0))
-                    - sum(
-                        q[j] * s1[i - j]
-                        for j in range(len(q))
-                        if 0 <= i - j < len(s1)
-                    )
-                    for i in range(max(len(s0), len(q) + len(s1) - 1))
-                ]
-            )
-            r0, r1 = list(r1), list(r)
-            s0, s1 = s1, s
-        # r0 is the gcd, a nonzero constant since minpoly is irreducible
-        c = r0[0]
-        inv = [x / c for x in s0]
-        return self.field.element(inv)
+        field = self.field
+        cols = [list(self.num)]
+        for _ in range(field.degree - 1):
+            cols.append(field._reduce([0] + cols[-1]))
+        rows = list(zip(*cols))
+        cof = _cofactors(rows)
+        det = sum(x * c for x, c in zip(rows[0], cof))
+        return _canonical(field, [self.den * c for c in cof], det)
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         return self * other.inverse()
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def sign(self) -> int:
-        return self.field.sign_of(self.coeffs)
+        return self.field.sign_of(self.num)
 
     def __lt__(self, other: "FieldElement") -> bool:
         return (self - other).sign() < 0
@@ -227,13 +233,14 @@ class FieldElement:
         return (self - other).sign() <= 0
 
     def __float__(self) -> float:
-        return self.field.to_float(self.coeffs)
+        return self.field.to_float(self.num, self.den)
 
     def __repr__(self) -> str:
         terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
+        for i, n in enumerate(self.num):
+            if n == 0:
                 continue
+            c = Fraction(n, self.den)
             if i == 0:
                 terms.append(str(c))
             elif i == 1:
@@ -249,16 +256,23 @@ def dominant_root_field(int_coeffs: Sequence[int]) -> NumberField:
     only positive root, so (0, 1 + max|c_i|] isolates it.  Rational roots are
     integers dividing the constant term; with the negative ones divided out,
     no rational root is left, so what is left is the minimal polynomial."""
-    poly = _poly_trim([Fraction(int(c)) for c in int_coeffs])
+    poly = [int(c) for c in int_coeffs]
+    while poly and poly[-1] == 0:
+        poly.pop()
     signs = [c > 0 for c in poly if c]
     changes = sum(s != t for s, t in zip(signs, signs[1:]))
     if not poly or poly[-1] != 1 or len(poly) > 4 or changes != 1:
         raise ValueError("need a monic integer polynomial of degree <= 3 with one sign change")
     hi = 1 + max(abs(c) for c in poly)
     poly = poly[next(i for i, c in enumerate(poly) if c):]  # divide out the roots at 0
-    for r in range(1, int(hi)):
-        if poly[0].numerator % r == 0 and _poly_eval(poly, Fraction(r)) == 0:
+    for r in range(1, hi):
+        if poly[0] % r == 0 and _poly_eval(poly, r) == 0:
             return NumberField([-r, 1], r, r)
-        while poly[0].numerator % r == 0 and _poly_eval(poly, Fraction(-r)) == 0:
-            poly = _poly_divmod(poly, (Fraction(r), Fraction(1)))[0]
-    return NumberField(poly, Fraction(0), hi)
+        while poly[0] % r == 0 and _poly_eval(poly, -r) == 0:
+            # synthetic division by x + r, high degree first
+            quot, carry = [], 0
+            for c in reversed(poly[1:]):
+                carry = c - r * carry
+                quot.append(carry)
+            poly = quot[::-1]
+    return NumberField(poly, 0, hi)

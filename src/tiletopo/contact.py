@@ -382,6 +382,7 @@ def perron_data(graph: ContactGraph) -> PerronData:
     # boundary cubic; by Perron-Frobenius the positive eigenvector below
     # certifies that its root is the Perron root
     a, b = graph.params.a, graph.params.b
+    where = f"(A,B)=({a},{b})"
     field = dominant_root_field([-b, a - b, 1 - a, 1])
     beta = field.beta()
 
@@ -411,7 +412,7 @@ def perron_data(graph: ContactGraph) -> PerronData:
         r += 1
     free = [c for c in range(6) if c not in pivots]
     if not free:
-        raise CertificateFailure("the boundary cubic's root is not an eigenvalue")
+        raise CertificateFailure(f"the boundary cubic's root is not an eigenvalue for {where}")
     if len(free) > 1:
         raise NotIrreducible("Perron eigenvalue is not simple")
     sol = [field.zero()] * 6
@@ -421,7 +422,7 @@ def perron_data(graph: ContactGraph) -> PerronData:
     inv_total = sum(sol[1:], sol[0]).inverse()
     u = tuple(v * inv_total for v in sol)
     if any(v.sign() <= 0 for v in u):
-        raise CertificateFailure("left eigenvector is not strictly positive")
+        raise CertificateFailure(f"left eigenvector is not strictly positive for {where}")
     return PerronData(incidence, field, beta, u)
 
 
@@ -501,9 +502,10 @@ def param_to_walk(
     start_state = state
     beta_inv = beta.inverse()
     letters: list[int] = []
-    seen: dict[tuple[int, tuple], int] = {}
+    # field elements are canonical, so equal remainders are equal keys
+    seen: dict[tuple[int, FieldElement], int] = {}
     for step in range(max_steps):
-        key = (state, tau.coeffs)
+        key = (state, tau)
         if key in seen:
             k = seen[key]
             return Walk(start_state, tuple(letters[:k]), tuple(letters[k:]))
@@ -521,7 +523,10 @@ def param_to_walk(
         letters.append(idx)
         tau = (tau - low) * beta
         state = e[3]
-    raise NonPeriodicWalk("greedy expansion did not become periodic")
+    where = f"(A,B)=({ordered.graph.params.a},{ordered.graph.params.b})"
+    raise NonPeriodicWalk(
+        f"greedy expansion did not become periodic within {max_steps} steps for {where}"
+    )
 
 
 def boundary_point(

@@ -47,6 +47,17 @@ def cloud_hausdorff(p, q):
     return d
 
 
+def maximal_walk(o, start):
+    """The walk from ``start`` that takes the last edge at every state."""
+    seen, letters, state = {}, [], start
+    while state not in seen:
+        seen[state] = len(letters)
+        letters.append(o.out_count(state))
+        state = o.edge_at(state, letters[-1])[3]
+    k = seen[state]
+    return Walk(start, tuple(letters[:k]), tuple(letters[k:]))
+
+
 def walks_in_lex_order(o, n):
     """All length-n walks (start, letters) in lexicographic order."""
     out = []
@@ -160,6 +171,25 @@ class TestPerron:
                 pd = perron_data(build_contact_graph(TileParams(a, b)))
                 eig = np.linalg.eigvals(np.array(pd.incidence, dtype=float))
                 assert abs(float(pd.beta) - abs(eig).max()) < 1e-9, (a, b)
+
+    def test_perron_golden_digest(self):
+        # sha256 of repr(minpoly) + repr(beta) + repr(u) and the parameters
+        # of each state's minimal and maximal walk over all 209 pairs
+        # 1 <= A <= B <= 20, recorded with the Fraction field arithmetic the
+        # integer form replaced
+        h = hashlib.sha256()
+        for b in range(2, 21):
+            for a in range(1, b + 1):
+                o = ordered(a, b)
+                pd = perron_data(o.graph)
+                text = repr(pd.field.minpoly) + repr(pd.beta) + repr(pd.u)
+                for s in range(1, 7):
+                    for w in (Walk(s, (), (1,)), maximal_walk(o, s)):
+                        text += str(walk_to_param(w, pd, o))
+                h.update(text.encode())
+        assert h.hexdigest() == (
+            "782035c4006c471192f4ea8a83ca883baf669c78fe657897002a1b9d1a8e452c"
+        )
 
 
 class TestOrdering:
@@ -355,6 +385,19 @@ class TestParametrization:
         pd = perron_data(o.graph)
         with pytest.raises(NonPeriodicWalk):
             param_to_walk(Fraction(1, 3), pd, o, max_steps=400)
+
+    def test_errors_name_their_inputs(self, monkeypatch):
+        from tiletopo.algebraic import NumberField
+        from tiletopo.errors import NonPeriodicWalk
+
+        o = ordered(4, 5)
+        pd = perron_data(o.graph)
+        with pytest.raises(NonPeriodicWalk, match=r"within 64 steps for \(A,B\)=\(4,5\)$"):
+            param_to_walk(Fraction(1, 3), pd, o, max_steps=64)
+        # 2 is no eigenvalue of the incidence matrix of (4,5)
+        monkeypatch.setattr(contact, "dominant_root_field", lambda c: NumberField([-2, 1], 2, 2))
+        with pytest.raises(CertificateFailure, match=r"not an eigenvalue for \(A,B\)=\(4,5\)$"):
+            perron_data(o.graph)
 
     def test_midpoint_is_an_interval_boundary(self):
         # the flip symmetry pairs the interval lengths, so 1/2 is exactly the
