@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -403,12 +404,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _silence_stdout() -> None:
+    """Point stdout's file descriptor at the null device, so that the flush
+    at interpreter exit does not fail on the closed pipe again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # no real descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
+        return code
     except SystemExit as exc:  # usage errors and unwritable --out paths
         return int(exc.code or 0)
+    except BrokenPipeError as exc:  # stdout closed early, e.g. piped into head
+        _silence_stdout()
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        return 1
     except (ChainViolation, CertificateFailure, IdentityFailure) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 3

@@ -14,13 +14,15 @@ first edges (states 4..6 take the digit flips of the choices for 1..3)
 fixes the six traversal junctions V_i = psi(i; 1bar) as exact fixed points
 of the chosen contractions, and each state's subpieces are then threaded
 between its two junctions by exact endpoint equality.  Every such map is
-tried, in integers: B*M^{-1} = [[-A, B], [-1, 0]] is an integer matrix, so
-the junctions of one map are integer pairs over one scale S and every
-subpiece endpoint is an integer pair over B*S; Fractions are built only for
-the ordering that comes out.  Exactly one complete ordering must come out
-of the search; none, two, or a state that threads two ways raises.  For the
-regime with tabulated endpoint data the ordering is then checked against
-the known walk decodings.
+decided, in integers: B*M^{-1} = [[-A, B], [-1, 0]] is an integer matrix, so
+each junction is an integer pair over its own denominator, solved only when
+a test reads it.  A state with one edge threads exactly when one equality
+between two junctions holds; any other state is threaded over all six
+junctions put on one scale S, where every subpiece endpoint is an integer
+pair over B*S.  Fractions are built only for an ordering that comes out.
+Exactly one complete ordering must come out of the search; none, two, or a
+state that threads two ways raises.  For the regime with tabulated endpoint
+data the ordering is then checked against the known walk decodings.
 """
 
 from __future__ import annotations
@@ -187,7 +189,10 @@ class OrderedContactGraph:
     def edge_at(self, state: int, letter: int) -> Edge:
         order = self.orders[state - 1]
         if not 1 <= letter <= len(order):
-            raise OutOfRange(f"state {state} has no edge #{letter}")
+            params = self.graph.params
+            raise OutOfRange(
+                f"state {state} has no edge #{letter} for (A,B)=({params.a},{params.b})"
+            )
         return order[letter - 1]
 
     def vertex(self, i: int) -> RationalPoint:
@@ -223,45 +228,74 @@ def _flip_edge(e: Edge, b: int) -> Edge:
     return ((e[0] + 2) % 6 + 1, b - 1 - e[1], b - 1 - e[2], (e[3] + 2) % 6 + 1)
 
 
-def _junctions(
+def _junction(
+    node: int,
     phi: tuple[Edge, ...],
     params: TileParams,
     cycles: dict[tuple[int, ...], tuple[int, int, int]],
-) -> tuple[list[IntVec], int]:
-    """Fixed points V_i = f_a(V_j) of a first-edge map (phi[i-1] is the first
-    edge of state i), the values psi(i; 1bar), as integer pairs X_i over one
-    scale S: V_i = X_i / S.
+    values: list[tuple[int, int, int] | None],
+) -> tuple[int, int, int]:
+    """The junction V_{node+1} = psi(node+1; 1bar) of a first-edge map
+    (phi[i-1] is the first edge of state i) as (x, y, den), the point
+    (x/den, y/den).
 
-    Each state feeds a functional graph on six nodes.  A cycle's value comes
-    from the integer periodic solve, cached in ``cycles`` by digit word; a
-    tree node's is X' = N(X + a*den*e1) over den*B, with N = B*M^{-1} =
-    [[-A, B], [-1, 0]].
+    Only the nodes on the orbit of ``node`` under phi are solved, and each
+    is stored in ``values`` (one list per map, None where unsolved).  A
+    cycle's value comes from the integer periodic solve, cached in
+    ``cycles`` by digit word; a tree node's is X' = N(X + a*den*e1) over
+    den*B, with N = B*M^{-1} = [[-A, B], [-1, 0]].
     """
     a_coef, b = params.a, params.b
-    values: list[tuple[int, int, int] | None] = [None] * 6  # (x, y, den)
-    for start in range(6):
-        path: list[int] = []
-        node = start
-        while values[node] is None and node not in path:
-            path.append(node)
-            node = phi[node][3] - 1
+    start = node
+    path: list[int] = []
+    while values[node] is None and node not in path:
+        path.append(node)
+        node = phi[node][3] - 1
+    if values[node] is None:
+        word = tuple(phi[i][1] for i in path[path.index(node):])
+        if word not in cycles:
+            cycles[word] = periodic_tail_scaled(word, params)
+        values[node] = cycles[word]
+    for node in reversed(path):
         if values[node] is None:
-            word = tuple(phi[i][1] for i in path[path.index(node):])
-            if word not in cycles:
-                cycles[word] = periodic_tail_scaled(word, params)
-            values[node] = cycles[word]
-        for node in reversed(path):
-            if values[node] is None:
-                x, y, den = values[phi[node][3] - 1]
-                x += phi[node][1] * den
-                values[node] = (b * y - a_coef * x, -x, den * b)
-    scale = math.lcm(*(den for (_, _, den) in values))
-    return [(x * (scale // den), y * (scale // den)) for (x, y, den) in values], scale
+            x, y, den = values[phi[node][3] - 1]
+            x += phi[node][1] * den
+            values[node] = (b * y - a_coef * x, -x, den * b)
+    return values[start]
+
+
+def _one_edge_threads(
+    state: int,
+    phi: tuple[Edge, ...],
+    params: TileParams,
+    cycles: dict[tuple[int, ...], tuple[int, int, int]],
+    values: list[tuple[int, int, int] | None],
+) -> bool:
+    """Whether a state whose only edge is its first edge phi[state-1] =
+    (state, a, ., t) threads from V_state to V_{state+1}.
+
+    Its one subpiece starts at f_a(V_t) = V_state, which is how phi fixes
+    V_state, and ends at f_a(V_{t+1}).  With phi[state] = (state+1, a', ., t')
+    the end is V_{state+1} = f_a'(V_t'), and as M^{-1} is injective that is
+    V_{t+1} + (a, 0) = V_t' + (a', 0): a = a' when t+1 = t' (mod 6), and
+    otherwise one cross-multiplied comparison of two junctions.
+    """
+    _, a, _, t = phi[state - 1]
+    _, a_next, _, t_next = phi[state % 6]
+    if t % 6 == t_next - 1:
+        return a == a_next
+    x, y, den = _junction(t % 6, phi, params, cycles, values)
+    x_next, y_next, den_next = _junction(t_next - 1, phi, params, cycles, values)
+    return (
+        y * den_next == y_next * den
+        and (x + a * den) * den_next == (x_next + a_next * den_next) * den
+    )
 
 
 def _thread_state(
     state: int,
     edges: tuple[Edge, ...],
+    steps: dict[tuple[int, int], list[Edge]],
     nodes: list[IntVec],
     images: list[IntVec],
     shift: IntVec,
@@ -271,35 +305,97 @@ def _thread_state(
     V_state to V_{state+1}, or None if there is none: the subpiece of edge e
     runs from f_a(V_target) to f_a(V_{target+1}).
 
-    All points are integer pairs over one denominator: V_j is nodes[j-1] and
-    f_a(V_j) is images[j-1] - a*shift.
+    ``steps`` holds the same edges by (digit, target).  All points are
+    integer pairs over one denominator: V_j is nodes[j-1] and f_a(V_j) is
+    images[j-1] - a*shift, so for each target at most one digit starts a
+    subpiece at a given point.
     """
     sx, sy = shift
-    remaining = frozenset(edges)
-    starts: dict[IntVec, list[Edge]] = {}
-    ends: dict[Edge, IntVec] = {}
-    for e in remaining:
-        a, t = e[1], e[3]
-        x0, y0 = images[t - 1]
-        x1, y1 = images[t % 6]
-        starts.setdefault((x0 - a * sx, y0 - a * sy), []).append(e)
-        ends[e] = (x1 - a * sx, y1 - a * sy)
     goal = nodes[state % 6]
+    chain: list[Edge] = []
+    used: set[Edge] = set()
     found: list[tuple[Edge, ...]] = []
 
-    def rec(cur: IntVec, remaining: frozenset, acc: tuple[Edge, ...]) -> None:
-        if not remaining:
-            if cur == goal:
+    def rec(x: int, y: int) -> None:
+        if len(used) == len(edges):
+            if (x, y) == goal:
                 if found:
                     raise CertificateFailure(f"state {state} threads two ways for {where}")
-                found.append(acc)
+                found.append(tuple(chain))
             return
-        for e in starts.get(cur, ()):
-            if e in remaining:
-                rec(ends[e], remaining - {e}, acc + (e,))
+        for t in range(1, 7):
+            x0, y0 = images[t - 1]
+            a, r = divmod(y0 - y, sy)
+            if r or x0 - a * sx != x:
+                continue
+            x1, y1 = images[t % 6]
+            for e in steps.get((a, t), ()):
+                if e not in used:
+                    used.add(e)
+                    chain.append(e)
+                    rec(x1 - a * sx, y1 - a * sy)
+                    chain.pop()
+                    used.remove(e)
 
-    rec(nodes[state - 1], remaining, ())
+    rec(*nodes[state - 1])
     return found[0] if found else None
+
+
+def _all_junctions(
+    phi: tuple[Edge, ...],
+    params: TileParams,
+    cycles: dict[tuple[int, ...], tuple[int, int, int]],
+    values: list[tuple[int, int, int] | None],
+) -> tuple[list[IntVec], int]:
+    """All six junctions of a first-edge map as integer pairs X_i over one
+    scale S, the LCM of their denominators: V_i = X_i / S."""
+    junctions = [_junction(i, phi, params, cycles, values) for i in range(6)]
+    scale = math.lcm(*(den for (_, _, den) in junctions))
+    return [(x * (scale // den), y * (scale // den)) for (x, y, den) in junctions], scale
+
+
+def _decide_map(
+    phi: tuple[Edge, ...],
+    outs: list[tuple[Edge, ...]],
+    steps: list[dict[tuple[int, int], list[Edge]]],
+    params: TileParams,
+    cycles: dict[tuple[int, ...], tuple[int, int, int]],
+    where: str,
+) -> tuple[tuple[tuple[Edge, ...], ...], tuple[RationalPoint, ...]] | None:
+    """The orders and the junctions V_1..V_6 of a first-edge map whose
+    states all thread, or None at the first state, in order 1..6, that does
+    not.
+
+    A state whose only out-edge is its first edge is decided by
+    ``_one_edge_threads``.  Any other state goes to ``_thread_state`` over
+    all six junctions, solved once per map: over the common denominator B*S
+    each V_j is B*X_j and each subpiece endpoint f_a(V_j) is
+    (N X_j + a*S*(-A, -1)) / (B*S).
+    """
+    a_coef, b = params.a, params.b
+    values: list[tuple[int, int, int] | None] = [None] * 6
+    orders: list[tuple[Edge, ...]] = []
+    junctions = None
+    for state in range(1, 7):
+        edges = outs[state - 1]
+        if len(edges) == 1 and edges[0] == phi[state - 1]:
+            if not _one_edge_threads(state, phi, params, cycles, values):
+                return None
+            orders.append(edges)
+            continue
+        if junctions is None:
+            junctions, scale = _all_junctions(phi, params, cycles, values)
+            nodes = [(b * x, b * y) for (x, y) in junctions]
+            images = [(b * y - a_coef * x, -x) for (x, y) in junctions]
+            shift = (a_coef * scale, scale)
+        order = _thread_state(state, edges, steps[state - 1], nodes, images, shift, where)
+        if order is None:
+            return None
+        orders.append(order)
+    if junctions is None:
+        junctions, scale = _all_junctions(phi, params, cycles, values)
+    vertices = tuple((Fraction(x, scale), Fraction(y, scale)) for (x, y) in junctions)
+    return tuple(orders), vertices
 
 
 def derive_order_extension(graph: ContactGraph) -> OrderedContactGraph:
@@ -312,42 +408,34 @@ def derive_order_extension(graph: ContactGraph) -> OrderedContactGraph:
     the maximal-walk value is the unique fixed point through last edges).
     No ordering raises NoConsistentOrdering, more than one CertificateFailure.
 
-    Every map is visited.  Its junctions X_i / S share one scale S, so over
-    the common denominator B*S each V_j is B*X_j and each subpiece endpoint
-    f_a(V_j) = (N X_j + a*S*(-A, -1)) / (B*S) is an integer pair, and two
-    points are equal exactly when their numerator pairs are.
+    Every map is decided by ``_decide_map``, states in order 1..6, and a
+    junction is solved only where a state's test reads it.  On all 819 pairs
+    1 <= A <= B <= 40 state 1 has the single edge (1, 0, B-1, 3), and its
+    equality f_0(V_4) = V_2 rejects 95% of the maps; on more than half of
+    all maps it reduces to comparing two digits, with no junction solved.
     """
     params = graph.params
-    a_coef, b = params.a, params.b
-    where = f"(A,B)=({a_coef},{b})"
+    where = f"(A,B)=({params.a},{params.b})"
     outs = [graph.out_edges(i) for i in range(1, 7)]
+    steps: list[dict[tuple[int, int], list[Edge]]] = [{} for _ in outs]
+    for edges, by_step in zip(outs, steps):
+        for e in edges:
+            by_step.setdefault((e[1], e[3]), []).append(e)
     cycles: dict[tuple[int, ...], tuple[int, int, int]] = {}
     complete: dict[tuple[tuple[Edge, ...], ...], OrderedContactGraph] = {}
-    flipped = {e: _flip_edge(e, b) for e in graph.edges}
+    flipped = {e: _flip_edge(e, params.b) for e in graph.edges}
     for firsts in iproduct(*(sorted(outs[i]) for i in range(3))):
         phi = firsts + tuple(flipped[e] for e in firsts)
-        junctions, scale = _junctions(phi, params, cycles)
-        nodes = [(b * x, b * y) for (x, y) in junctions]
-        images = [(b * y - a_coef * x, -x) for (x, y) in junctions]
-        shift = (a_coef * scale, scale)
-        orders = []
-        for state in range(1, 7):
-            order = _thread_state(state, outs[state - 1], nodes, images, shift, where)
-            if order is None:
-                break
-            orders.append(order)
-        else:
-            key = tuple(orders)
-            if key not in complete:
-                vertices = tuple((Fraction(x, scale), Fraction(y, scale)) for (x, y) in junctions)
-                complete[key] = OrderedContactGraph(graph, key, vertices)
+        found = _decide_map(phi, outs, steps, params, cycles, where)
+        if found is not None and found[0] not in complete:
+            complete[found[0]] = OrderedContactGraph(graph, *found)
     if not complete:
         raise NoConsistentOrdering(f"no continuous edge ordering for {where}")
     if len(complete) > 1:
         raise CertificateFailure(f"{len(complete)} continuous edge orderings for {where}")
     (ordered,) = complete.values()
 
-    if 2 * a_coef - b == 3 and a_coef != b:
+    if 2 * params.a - params.b == 3 and params.a != params.b:
         from .chains import alpha_calibration_rows
 
         for walk, addr in alpha_calibration_rows(params):

@@ -22,7 +22,7 @@ from .automata import (
     nfa_single_address,
     product_intersection,
 )
-from .errors import CertificateFailure, WrongRegime
+from .errors import CertificateFailure, OutOfRange, WrongRegime
 from .neighbors import neighbor_set_formula, subdivision_intersects
 from .numsys import Address, RationalPoint, TileParams, alt_flip, point_eval
 
@@ -177,9 +177,11 @@ def verify_cut_point(params: TileParams, depth: int = 12) -> CutPointCertificate
     three words matches the subdivision criterion (the two side words touch
     the middle one but not each other).
     """
-    if 2 * params.a - params.b < 5:
-        raise WrongRegime("cut point certificates require 2A - B >= 5")
     a, b = params.a, params.b
+    if depth < 0:
+        raise OutOfRange(f"shrinking depth must be >= 0, got {depth} for (A,B)=({a},{b})")
+    if 2 * a - b < 5:
+        raise WrongRegime("cut point certificates require 2A - B >= 5")
     d1, d2 = build_d1_d2(params)
     if not union_is_universal(d1, d2, params):
         raise CertificateFailure("the two halves do not cover the digit space")

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -71,6 +72,11 @@ class TestExitCodes:
         code, _, err = run(capsys, "cutpoint", "--A", "4", "--B", "5")
         assert code == 2
         assert "2A - B >= 5" in err
+
+    def test_negative_depth(self, capsys):
+        code, out, err = run(capsys, "cutpoint", "--A", "9", "--B", "10", "--depth", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: shrinking depth must be >= 0, got -1 for (A,B)=(9,10)\n"
 
     def test_invalid_matrix(self, capsys):
         code, _, _ = run(capsys, "normalize", "--matrix", "0,1,1,0")
@@ -214,6 +220,24 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "DiskLike"
+
+    def test_closed_stdout(self):
+        # the reader is gone before the first write, as with `| head -c1`
+        # once head has exited
+        read_end, write_end = os.pipe()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tiletopo.cli", "render"]
+            + ["--A", "5", "--B", "5", "--n", "4", "--kind", "patch"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        os.close(write_end)
+        os.close(read_end)
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 1
+        assert "Traceback" not in err
+        assert err.startswith("error: cannot write stdout: ") and err.count("\n") == 1
 
     def test_param_without_sympy(self):
         # a None entry in sys.modules makes any import of sympy fail

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -249,6 +250,51 @@ class TestOrdering:
             "7ea669d463a8af8a58187cb65e1e0e244e823ddfc0ea80415b35a25aebac6210"
         )
 
+    def test_orderings_golden_digest_large_b(self):
+        # the same digest over the 610 pairs 21 <= B <= 40, the rest of the
+        # param benchmark's grid, recorded with the search that solved all six
+        # junctions of every map
+        h = hashlib.sha256()
+        for b in range(21, 41):
+            for a in range(1, b + 1):
+                o = ordered(a, b)
+                h.update((repr(o.orders) + repr(o.vertices)).encode())
+        assert h.hexdigest() == (
+            "c7d93d77cf5c1ceb2eb67f7f673a28b1579af9b6f61ff25e49bd5daca9249e92"
+        )
+
+    def test_one_edge_equality_matches_threading(self):
+        # the theorem _decide_map relies on: a state whose only edge is its
+        # first edge threads exactly when V_{t+1} + (a, 0) = V_t' + (a', 0);
+        # checked against threading over all six junctions on every
+        # first-edge map of every pair B <= 12
+        verdicts = []
+        for b in range(2, 13):
+            for a in range(1, b + 1):
+                graph = build_contact_graph(TileParams(a, b))
+                outs = [graph.out_edges(i) for i in range(1, 7)]
+                cycles = {}
+                for firsts in product(*(sorted(outs[i]) for i in range(3))):
+                    phi = firsts + tuple(contact._flip_edge(e, b) for e in firsts)
+                    full, scale = contact._all_junctions(phi, graph.params, cycles, [None] * 6)
+                    nodes = [(b * x, b * y) for (x, y) in full]
+                    images = [(b * y - a * x, -x) for (x, y) in full]
+                    shift = (a * scale, scale)
+                    for state in range(1, 7):
+                        e = phi[state - 1]
+                        if outs[state - 1] != (e,):
+                            continue
+                        steps = {(e[1], e[3]): [e]}
+                        threaded = contact._thread_state(
+                            state, (e,), steps, nodes, images, shift, ""
+                        )
+                        # fresh values: the equality solves only what it reads
+                        fresh = [None] * 6
+                        equal = contact._one_edge_threads(state, phi, graph.params, cycles, fresh)
+                        assert equal == (threaded is not None), (a, b, phi, state)
+                        verdicts.append(equal)
+        assert verdicts.count(True) > 0 and verdicts.count(False) > 0
+
     def test_state_threading_two_ways_is_a_failure(self):
         # first edges all of digit 0 put V_1 = V_2 = V_3 at 0.(0), so both
         # edges of state 1 have the one-point subpiece f_0(0) = 0 and chain
@@ -261,16 +307,16 @@ class TestOrdering:
             derive_order_extension(graph)
 
     def test_two_complete_orderings_are_a_failure(self, monkeypatch):
-        # a threading step that succeeds on every map, in sorted and reversed
+        # a map decision that succeeds on every map, in sorted and reversed
         # edge order on alternate maps, completes two distinct orderings
         maps = []
 
-        def thread_alternately(state, edges, *rest):
-            if state == 1:
-                maps.append(None)
-            return tuple(sorted(edges, reverse=len(maps) % 2 == 0))
+        def decide_alternately(phi, outs, *rest):
+            maps.append(phi)
+            orders = tuple(tuple(sorted(edges, reverse=len(maps) % 2 == 0)) for edges in outs)
+            return orders, ((Fraction(0), Fraction(0)),) * 6
 
-        monkeypatch.setattr(contact, "_thread_state", thread_alternately)
+        monkeypatch.setattr(contact, "_decide_map", decide_alternately)
         two_orderings = r"^2 continuous edge orderings for \(A,B\)=\(4,5\)"
         with pytest.raises(CertificateFailure, match=two_orderings):
             ordered(4, 5)
@@ -279,14 +325,14 @@ class TestOrdering:
     def test_every_first_edge_map_is_visited(self, a, b, monkeypatch):
         # "exactly one ordering" certifies only if no map is skipped
         graph = build_contact_graph(TileParams(a, b))
-        junctions = contact._junctions
+        decide = contact._decide_map
         maps = []
 
         def counting(*args):
             maps.append(args[0])
-            return junctions(*args)
+            return decide(*args)
 
-        monkeypatch.setattr(contact, "_junctions", counting)
+        monkeypatch.setattr(contact, "_decide_map", counting)
         derive_order_extension(graph)
         assert len(maps) == len(set(maps))
         assert len(maps) == math.prod(len(graph.out_edges(i)) for i in (1, 2, 3))
@@ -391,6 +437,8 @@ class TestParametrization:
         from tiletopo.errors import NonPeriodicWalk
 
         o = ordered(4, 5)
+        with pytest.raises(OutOfRange, match=r"^state 1 has no edge #99 for \(A,B\)=\(4,5\)$"):
+            o.edge_at(1, 99)
         pd = perron_data(o.graph)
         with pytest.raises(NonPeriodicWalk, match=r"within 64 steps for \(A,B\)=\(4,5\)$"):
             param_to_walk(Fraction(1, 3), pd, o, max_steps=64)

@@ -1,6 +1,7 @@
 """Static guards over the package source."""
 
 import ast
+import sys
 from pathlib import Path
 
 import tiletopo
@@ -19,4 +20,26 @@ def test_no_assert_statements():
             for node in ast.walk(tree)
             if isinstance(node, ast.Assert)
         ]
+    assert found == []
+
+
+def test_imports_are_stdlib_numpy_or_the_package():
+    # numpy is the one declared dependency; anything else (sympy, say) would
+    # be an import the package does not declare
+    allowed = set(sys.stdlib_module_names) | {"numpy", "tiletopo"}
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] not in allowed
+            ]
     assert found == []
