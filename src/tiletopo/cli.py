@@ -17,6 +17,7 @@ from .errors import (
     CertificateFailure,
     ChainViolation,
     IdentityFailure,
+    OutOfRange,
     TileError,
 )
 from .numsys import RawInstance, TileParams, format_address, normalize, point_eval
@@ -81,7 +82,7 @@ def _params_from(args) -> TileParams:
 
 
 def _emit(args, payload: dict, text: str) -> None:
-    if getattr(args, "format", "text") == "json":
+    if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(text, end="" if text.endswith("\n") else "\n")
@@ -302,6 +303,8 @@ def _cmd_render(args) -> int:
 def _cmd_sweep(args) -> int:
     from .topology import Classification, classify, cut_point_address
 
+    if args.Bmax < 2:
+        raise OutOfRange(f"sweep needs Bmax >= 2, got {args.Bmax}")
     rows = []
     for b in range(2, args.Bmax + 1):
         for a in range(1, b + 1):
@@ -336,12 +339,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="tiletopo", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, matrix=True):
+    def common(p):
         p.add_argument("--A", type=int)
         p.add_argument("--B", type=int)
-        if matrix:
-            p.add_argument("--matrix", type=_ints(4), help="m00,m01,m10,m11")
-            p.add_argument("--v", type=_ints(2), default="1,0", help="vx,vy")
+        p.add_argument("--matrix", type=_ints(4), help="m00,m01,m10,m11")
+        p.add_argument("--v", type=_ints(2), default="1,0", help="vx,vy")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", help="output directory")
 

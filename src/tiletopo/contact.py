@@ -12,17 +12,19 @@ vertices live in Q(beta).
 The edge ordering is derived, not guessed: each flip-equivariant choice of
 first edges (states 4..6 take the digit flips of the choices for 1..3)
 fixes the six traversal junctions V_i = psi(i; 1bar) as exact fixed points
-of the chosen contractions, and each state's subpieces are then threaded
-between its two junctions by exact endpoint equality.  Every such map is
-decided, in integers: B*M^{-1} = [[-A, B], [-1, 0]] is an integer matrix, so
-each junction is an integer pair over its own denominator, solved only when
-a test reads it.  A state with one edge threads exactly when one equality
-between two junctions holds; any other state is threaded over all six
-junctions put on one scale S, where every subpiece endpoint is an integer
-pair over B*S.  Fractions are built only for an ordering that comes out.
-Exactly one complete ordering must come out of the search; none, two, or a
-state that threads two ways raises.  For the regime with tabulated endpoint
-data the ordering is then checked against the known walk decodings.
+of the chosen contractions f_a(p) = M^{-1}(p + (a, 0)), and each state's
+subpieces are then threaded between its two junctions by exact endpoint
+equality.  Every point the threading meets is f_a(V_j) for a digit a and a
+junction j, and is kept as the pair (a, j).  As M^{-1} is injective, two
+such points are equal exactly when V_j + (a, 0) = V_k + (b, 0): a digit
+comparison when j = k, else one cross-multiplied comparison of two
+junctions.  Every map is decided, in integers: B*M^{-1} = [[-A, B], [-1, 0]]
+is an integer matrix, so each junction is an integer pair over its own
+denominator, solved only when a comparison reads it.  Fractions are built
+only for an ordering that comes out.  Exactly one complete ordering must
+come out of the search; none, two, or a state that threads two ways raises.
+For the regime with tabulated endpoint data the ordering is then checked
+against the known walk decodings.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ def build_contact_graph(params: TileParams) -> ContactGraph:
     a' - a = A, infeasible within [0, B-1].
     """
     if params.a < 1:
-        raise OutOfRange("contact graph requires A >= 1")
+        raise OutOfRange(f"contact graph requires A >= 1 for (A,B)=({params.a},{params.b})")
     states = contact_states(params)
     m = params.matrix
     b = params.b
@@ -264,100 +266,83 @@ def _junction(
     return values[start]
 
 
-def _one_edge_threads(
-    state: int,
+def _digit_onto(
+    a: int,
+    j: int,
+    t: int,
     phi: tuple[Edge, ...],
     params: TileParams,
     cycles: dict[tuple[int, ...], tuple[int, int, int]],
     values: list[tuple[int, int, int] | None],
-) -> bool:
-    """Whether a state whose only edge is its first edge phi[state-1] =
-    (state, a, ., t) threads from V_state to V_{state+1}.
+) -> int | None:
+    """The digit b with f_b(V_t) = f_a(V_j), or None if no integer does it.
 
-    Its one subpiece starts at f_a(V_t) = V_state, which is how phi fixes
-    V_state, and ends at f_a(V_{t+1}).  With phi[state] = (state+1, a', ., t')
-    the end is V_{state+1} = f_a'(V_t'), and as M^{-1} is injective that is
-    V_{t+1} + (a, 0) = V_t' + (a', 0): a = a' when t+1 = t' (mod 6), and
-    otherwise one cross-multiplied comparison of two junctions.
+    M^{-1} is injective, so the equality is V_t + (b, 0) = V_j + (a, 0):
+    b = a when t = j, with no junction solved, and otherwise the y parts of
+    the two junctions must agree and their x parts differ by an integer.
     """
-    _, a, _, t = phi[state - 1]
-    _, a_next, _, t_next = phi[state % 6]
-    if t % 6 == t_next - 1:
-        return a == a_next
-    x, y, den = _junction(t % 6, phi, params, cycles, values)
-    x_next, y_next, den_next = _junction(t_next - 1, phi, params, cycles, values)
-    return (
-        y * den_next == y_next * den
-        and (x + a * den) * den_next == (x_next + a_next * den_next) * den
-    )
+    if t == j:
+        return a
+    xj, yj, dj = values[j - 1] or _junction(j - 1, phi, params, cycles, values)
+    xt, yt, dt = values[t - 1] or _junction(t - 1, phi, params, cycles, values)
+    if yj * dt != yt * dj:
+        return None
+    b, r = divmod(xj * dt - xt * dj, dj * dt)
+    return None if r else a + b
 
 
 def _thread_state(
     state: int,
     edges: tuple[Edge, ...],
-    steps: dict[tuple[int, int], list[Edge]],
-    nodes: list[IntVec],
-    images: list[IntVec],
-    shift: IntVec,
-    where: str,
-) -> tuple[Edge, ...] | None:
-    """The ordering of the state's edges chaining endpoint-to-endpoint from
-    V_state to V_{state+1}, or None if there is none: the subpiece of edge e
-    runs from f_a(V_target) to f_a(V_{target+1}).
-
-    ``steps`` holds the same edges by (digit, target).  All points are
-    integer pairs over one denominator: V_j is nodes[j-1] and f_a(V_j) is
-    images[j-1] - a*shift, so for each target at most one digit starts a
-    subpiece at a given point.
-    """
-    sx, sy = shift
-    goal = nodes[state % 6]
-    chain: list[Edge] = []
-    used: set[Edge] = set()
-    found: list[tuple[Edge, ...]] = []
-
-    def rec(x: int, y: int) -> None:
-        if len(used) == len(edges):
-            if (x, y) == goal:
-                if found:
-                    raise CertificateFailure(f"state {state} threads two ways for {where}")
-                found.append(tuple(chain))
-            return
-        for t in range(1, 7):
-            x0, y0 = images[t - 1]
-            a, r = divmod(y0 - y, sy)
-            if r or x0 - a * sx != x:
-                continue
-            x1, y1 = images[t % 6]
-            for e in steps.get((a, t), ()):
-                if e not in used:
-                    used.add(e)
-                    chain.append(e)
-                    rec(x1 - a * sx, y1 - a * sy)
-                    chain.pop()
-                    used.remove(e)
-
-    rec(*nodes[state - 1])
-    return found[0] if found else None
-
-
-def _all_junctions(
+    steps: dict[int, dict[int, list[Edge]]],
     phi: tuple[Edge, ...],
     params: TileParams,
     cycles: dict[tuple[int, ...], tuple[int, int, int]],
     values: list[tuple[int, int, int] | None],
-) -> tuple[list[IntVec], int]:
-    """All six junctions of a first-edge map as integer pairs X_i over one
-    scale S, the LCM of their denominators: V_i = X_i / S."""
-    junctions = [_junction(i, phi, params, cycles, values) for i in range(6)]
-    scale = math.lcm(*(den for (_, _, den) in junctions))
-    return [(x * (scale // den), y * (scale // den)) for (x, y, den) in junctions], scale
+    where: str,
+) -> tuple[Edge, ...] | None:
+    """The ordering of the state's edges chaining endpoint-to-endpoint from
+    V_state to V_{state+1}, or None if there is none.
+
+    Every point of a chain is a pair (a, j), the point f_a(V_j): the start
+    V_state is f_a(V_t) for phi's first edge (state, a, ., t), the subpiece
+    of an edge (state, b, ., t) runs from f_b(V_t) to f_b(V_{t+1}), and the
+    goal V_{state+1} is read off phi's next entry the same way.  From a
+    point, ``_digit_onto`` gives for each target t the one digit b whose
+    subpiece f_b(V_t) starts there, and ``steps`` holds the state's edges by
+    target, then digit.  The chain is searched depth first on an explicit
+    stack of untried edges.  A state whose one edge is phi's first edge
+    (state, a, ., t) starts at (a, t), so its first step is the digit a
+    itself and its test is the one comparison f_a(V_{t+1}) = V_{state+1}.
+    """
+    _, a, _, j = phi[state - 1]
+    _, a_goal, _, t_goal = phi[state % 6]
+    chain: list[Edge] = []
+    stack: list[tuple[int, Edge]] = []  # (chain length before the edge, edge)
+    found = None
+    while True:
+        depth = len(chain)
+        if depth < len(edges):
+            for t, by_digit in steps.items():
+                for e in by_digit.get(_digit_onto(a, j, t, phi, params, cycles, values), ()):
+                    if e not in chain:
+                        stack.append((depth, e))
+        elif _digit_onto(a, j, t_goal, phi, params, cycles, values) == a_goal:
+            if found is not None:
+                raise CertificateFailure(f"state {state} threads two ways for {where}")
+            found = tuple(chain)
+        if not stack:
+            return found
+        depth, e = stack.pop()
+        del chain[depth:]
+        chain.append(e)
+        a, j = e[1], e[3] % 6 + 1
 
 
 def _decide_map(
     phi: tuple[Edge, ...],
     outs: list[tuple[Edge, ...]],
-    steps: list[dict[tuple[int, int], list[Edge]]],
+    steps: list[dict[int, dict[int, list[Edge]]]],
     params: TileParams,
     cycles: dict[tuple[int, ...], tuple[int, int, int]],
     where: str,
@@ -366,35 +351,22 @@ def _decide_map(
     states all thread, or None at the first state, in order 1..6, that does
     not.
 
-    A state whose only out-edge is its first edge is decided by
-    ``_one_edge_threads``.  Any other state goes to ``_thread_state`` over
-    all six junctions, solved once per map: over the common denominator B*S
-    each V_j is B*X_j and each subpiece endpoint f_a(V_j) is
-    (N X_j + a*S*(-A, -1)) / (B*S).
+    Every state goes to ``_thread_state``, which solves a junction into
+    ``values`` (one list per map) only when a comparison reads it.  The
+    ``Fraction`` vertices are built from the junction triples, and only for
+    a map that completes.
     """
-    a_coef, b = params.a, params.b
     values: list[tuple[int, int, int] | None] = [None] * 6
     orders: list[tuple[Edge, ...]] = []
-    junctions = None
     for state in range(1, 7):
-        edges = outs[state - 1]
-        if len(edges) == 1 and edges[0] == phi[state - 1]:
-            if not _one_edge_threads(state, phi, params, cycles, values):
-                return None
-            orders.append(edges)
-            continue
-        if junctions is None:
-            junctions, scale = _all_junctions(phi, params, cycles, values)
-            nodes = [(b * x, b * y) for (x, y) in junctions]
-            images = [(b * y - a_coef * x, -x) for (x, y) in junctions]
-            shift = (a_coef * scale, scale)
-        order = _thread_state(state, edges, steps[state - 1], nodes, images, shift, where)
+        order = _thread_state(
+            state, outs[state - 1], steps[state - 1], phi, params, cycles, values, where
+        )
         if order is None:
             return None
         orders.append(order)
-    if junctions is None:
-        junctions, scale = _all_junctions(phi, params, cycles, values)
-    vertices = tuple((Fraction(x, scale), Fraction(y, scale)) for (x, y) in junctions)
+    junctions = [_junction(i, phi, params, cycles, values) for i in range(6)]
+    vertices = tuple((Fraction(x, den), Fraction(y, den)) for (x, y, den) in junctions)
     return tuple(orders), vertices
 
 
@@ -408,24 +380,25 @@ def derive_order_extension(graph: ContactGraph) -> OrderedContactGraph:
     the maximal-walk value is the unique fixed point through last edges).
     No ordering raises NoConsistentOrdering, more than one CertificateFailure.
 
-    Every map is decided by ``_decide_map``, states in order 1..6, and a
-    junction is solved only where a state's test reads it.  On all 819 pairs
-    1 <= A <= B <= 40 state 1 has the single edge (1, 0, B-1, 3), and its
-    equality f_0(V_4) = V_2 rejects 95% of the maps; on more than half of
-    all maps it reduces to comparing two digits, with no junction solved.
+    Every map is decided by ``_decide_map``, states in order 1..6, each by
+    the one threading routine ``_thread_state`` on points f_a(V_j) kept as
+    (digit, junction) pairs.  On all 819 pairs 1 <= A <= B <= 40 state 1 has
+    the single edge (1, 0, B-1, 3), and its test f_0(V_4) = V_2 rejects 95%
+    of the maps; on more than half of all maps it reduces to comparing two
+    digits, with no junction solved.
     """
     params = graph.params
     where = f"(A,B)=({params.a},{params.b})"
     outs = [graph.out_edges(i) for i in range(1, 7)]
-    steps: list[dict[tuple[int, int], list[Edge]]] = [{} for _ in outs]
-    for edges, by_step in zip(outs, steps):
+    steps: list[dict[int, dict[int, list[Edge]]]] = [{} for _ in outs]
+    for edges, by_target in zip(outs, steps):
         for e in edges:
-            by_step.setdefault((e[1], e[3]), []).append(e)
+            by_target.setdefault(e[3], {}).setdefault(e[1], []).append(e)
     cycles: dict[tuple[int, ...], tuple[int, int, int]] = {}
     complete: dict[tuple[tuple[Edge, ...], ...], OrderedContactGraph] = {}
-    flipped = {e: _flip_edge(e, params.b) for e in graph.edges}
-    for firsts in iproduct(*(sorted(outs[i]) for i in range(3))):
-        phi = firsts + tuple(flipped[e] for e in firsts)
+    with_flips = [[(e, _flip_edge(e, params.b)) for e in sorted(outs[i])] for i in range(3)]
+    for (e1, f1), (e2, f2), (e3, f3) in iproduct(*with_flips):
+        phi = (e1, e2, e3, f1, f2, f3)
         found = _decide_map(phi, outs, steps, params, cycles, where)
         if found is not None and found[0] not in complete:
             complete[found[0]] = OrderedContactGraph(graph, *found)
@@ -573,8 +546,9 @@ def param_to_walk(
     field = data.field
     if not isinstance(t, FieldElement):
         t = field.rational(t)
+    where = f"(A,B)=({ordered.graph.params.a},{ordered.graph.params.b})"
     if t.sign() < 0 or (t - field.one()).sign() > 0:
-        raise OutOfRange("parameter must lie in [0, 1]")
+        raise OutOfRange(f"parameter t={t} must lie in [0, 1] for {where}")
     beta = data.beta
 
     # choose the start state: first i with t <= L_{i+1}
@@ -611,7 +585,6 @@ def param_to_walk(
         letters.append(idx)
         tau = (tau - low) * beta
         state = e[3]
-    where = f"(A,B)=({ordered.graph.params.a},{ordered.graph.params.b})"
     raise NonPeriodicWalk(
         f"greedy expansion did not become periodic within {max_steps} steps for {where}"
     )
@@ -669,12 +642,14 @@ def approx_boundary(
     sum_k D*B^(n-k) N^k (a_k, 0) + N^n (D*V_s) with N = B*M^{-1}, all integer.
     """
     graph = ordered.graph
+    a, b = graph.params.a, graph.params.b
     if n < 0:
-        raise OutOfRange("level must be nonnegative")
+        raise OutOfRange(f"level must be nonnegative, got {n} for (A,B)=({a},{b})")
     total = count_walks(graph, n)
     if total > budget:
-        raise BudgetExceeded(f"{total} walks at level {n} exceed budget {budget}")
-    a, b = graph.params.a, graph.params.b
+        raise BudgetExceeded(
+            f"{total} walks at level {n} exceed budget {budget} for (A,B)=({a},{b})"
+        )
     d = math.lcm(*(c.denominator for v in ordered.vertices for c in v))
     # steps[k]: the offset a digit 1 adds at depth k+1; ends[i]: N^n (D*V_{i+1})
     power: linalg.Mat2 = linalg.IDENTITY

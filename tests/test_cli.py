@@ -78,6 +78,12 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == "error: shrinking depth must be >= 0, got -1 for (A,B)=(9,10)\n"
 
+    @pytest.mark.parametrize("bmax", ["1", "-3"])
+    def test_sweep_needs_bmax_at_least_2(self, capsys, bmax):
+        code, out, err = run(capsys, "sweep", "--Bmax", bmax)
+        assert code == 2 and out == ""
+        assert err == f"error: sweep needs Bmax >= 2, got {bmax}\n"
+
     def test_invalid_matrix(self, capsys):
         code, _, _ = run(capsys, "normalize", "--matrix", "0,1,1,0")
         assert code == 2

@@ -7,7 +7,7 @@ import pytest
 
 from fractions import Fraction
 
-from tiletopo import TileParams, contact, parse_address, point_eval
+from tiletopo import Address, TileParams, apply_contraction, contact, parse_address, point_eval
 from tiletopo.contact import (
     ContactGraph,
     Walk,
@@ -25,7 +25,7 @@ from tiletopo.contact import (
     walk_compare,
     walk_to_param,
 )
-from tiletopo.errors import CertificateFailure, NoConsistentOrdering, OutOfRange
+from tiletopo.errors import BudgetExceeded, CertificateFailure, NoConsistentOrdering, OutOfRange
 from tiletopo.geometry import polyline_hausdorff
 
 
@@ -57,6 +57,38 @@ def maximal_walk(o, start):
         state = o.edge_at(state, letters[-1])[3]
     k = seen[state]
     return Walk(start, tuple(letters[:k]), tuple(letters[k:]))
+
+
+def phi_junction(i, phi, params):
+    """V_i = psi(i; 1bar) of a first-edge map phi, by point_eval of the
+    digits read along phi from state i."""
+    seen, digits, state = {}, [], i
+    while state not in seen:
+        seen[state] = len(digits)
+        digits.append(phi[state - 1][1])
+        state = phi[state - 1][3]
+    k = seen[state]
+    return point_eval(Address((), tuple(digits[:k]), tuple(digits[k:])), params)
+
+
+def fraction_threadings(state, edges, junction, params):
+    """Orderings of the state's edges whose subpieces, from
+    f_a(V_target) to f_a(V_target+1), chain from V_state to V_state+1;
+    the search stops at the second one."""
+    found = []
+
+    def rec(point, chain):
+        if len(chain) == len(edges):
+            if point == junction[state % 6]:
+                found.append(tuple(chain))
+            return
+        for e in edges:
+            if len(found) < 2 and e not in chain:
+                if apply_contraction(e[1], junction[e[3] - 1], params) == point:
+                    rec(apply_contraction(e[1], junction[e[3] % 6], params), chain + [e])
+
+    rec(junction[state - 1], [])
+    return found
 
 
 def walks_in_lex_order(o, n):
@@ -263,37 +295,40 @@ class TestOrdering:
             "c7d93d77cf5c1ceb2eb67f7f673a28b1579af9b6f61ff25e49bd5daca9249e92"
         )
 
-    def test_one_edge_equality_matches_threading(self):
-        # the theorem _decide_map relies on: a state whose only edge is its
-        # first edge threads exactly when V_{t+1} + (a, 0) = V_t' + (a', 0);
-        # checked against threading over all six junctions on every
-        # first-edge map of every pair B <= 12
+    def test_thread_state_matches_fraction_threading(self):
+        # every state of every first-edge map of every pair B <= 7, decided
+        # by _thread_state and by a brute-force Fraction search whose
+        # junctions are point_eval of each state's phi-walk address
         verdicts = []
-        for b in range(2, 13):
+        for b in range(2, 8):
             for a in range(1, b + 1):
                 graph = build_contact_graph(TileParams(a, b))
                 outs = [graph.out_edges(i) for i in range(1, 7)]
                 cycles = {}
                 for firsts in product(*(sorted(outs[i]) for i in range(3))):
                     phi = firsts + tuple(contact._flip_edge(e, b) for e in firsts)
-                    full, scale = contact._all_junctions(phi, graph.params, cycles, [None] * 6)
-                    nodes = [(b * x, b * y) for (x, y) in full]
-                    images = [(b * y - a * x, -x) for (x, y) in full]
-                    shift = (a * scale, scale)
-                    for state in range(1, 7):
-                        e = phi[state - 1]
-                        if outs[state - 1] != (e,):
-                            continue
-                        steps = {(e[1], e[3]): [e]}
-                        threaded = contact._thread_state(
-                            state, (e,), steps, nodes, images, shift, ""
-                        )
-                        # fresh values: the equality solves only what it reads
-                        fresh = [None] * 6
-                        equal = contact._one_edge_threads(state, phi, graph.params, cycles, fresh)
-                        assert equal == (threaded is not None), (a, b, phi, state)
-                        verdicts.append(equal)
-        assert verdicts.count(True) > 0 and verdicts.count(False) > 0
+                    junction = [phi_junction(i, phi, graph.params) for i in range(1, 7)]
+                    values = [None] * 6
+                    for state, edges in enumerate(outs, start=1):
+                        steps = {}
+                        for e in edges:
+                            steps.setdefault(e[3], {}).setdefault(e[1], []).append(e)
+                        expected = fraction_threadings(state, edges, junction, graph.params)
+                        try:
+                            got = contact._thread_state(
+                                state, edges, steps, phi, graph.params, cycles, values, ""
+                            )
+                            got = [] if got is None else [got]
+                        except CertificateFailure:
+                            got = ["two ways"]
+                        want = expected if len(expected) < 2 else ["two ways"]
+                        assert got == want, (a, b, phi, state)
+                        verdicts.append(len(expected))
+                    for value, v in zip(values, junction):
+                        if value is not None:
+                            assert (Fraction(value[0], value[2]), Fraction(value[1], value[2])) == v
+        assert len(verdicts) == 6 * 531
+        assert verdicts.count(0) > 0 and verdicts.count(1) > 0
 
     def test_state_threading_two_ways_is_a_failure(self):
         # first edges all of digit 0 put V_1 = V_2 = V_3 at 0.(0), so both
@@ -446,6 +481,14 @@ class TestParametrization:
         monkeypatch.setattr(contact, "dominant_root_field", lambda c: NumberField([-2, 1], 2, 2))
         with pytest.raises(CertificateFailure, match=r"not an eigenvalue for \(A,B\)=\(4,5\)$"):
             perron_data(o.graph)
+        with pytest.raises(OutOfRange, match=r"^parameter t=3/2 must lie in \[0, 1\] for \(A,B\)=\(4,5\)$"):
+            param_to_walk(Fraction(3, 2), pd, o)
+        with pytest.raises(OutOfRange, match=r"^level must be nonnegative, got -1 for \(A,B\)=\(4,5\)$"):
+            approx_boundary(o, -1)
+        with pytest.raises(BudgetExceeded, match=r"at level 9 exceed budget 100 for \(A,B\)=\(4,5\)$"):
+            approx_boundary(o, 9, budget=100)
+        with pytest.raises(OutOfRange, match=r"^contact graph requires A >= 1 for \(A,B\)=\(0,5\)$"):
+            build_contact_graph(TileParams(0, 5))
 
     def test_midpoint_is_an_interval_boundary(self):
         # the flip symmetry pairs the interval lengths, so 1/2 is exactly the
