@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -229,11 +230,10 @@ def _cmd_param(args) -> int:
 
 
 def _cmd_approx(args) -> int:
-    from .render import polygon_to_json
+    from .render import polygon_json_text, polygon_to_json
 
     params = _params_from(args)
-    payload = polygon_to_json(params, args.n, args.budget)
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = polygon_json_text(polygon_to_json(params, args.n, args.budget))
     print(text)
     _write(args, f"boundary_A{params.a}_B{params.b}_n{args.n}.json", text + "\n")
     return 0
@@ -370,6 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", dest="format", action="store_const", const="dot")
 
     p = sub.add_parser("param", help="evaluate the boundary parametrization")
+    # "--t -1/3" is a value to range-check, not an option
+    p._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
     common(p)
     p.add_argument("--t", type=_fraction, help="rational parameter p/q in [0,1]")
     p.add_argument("--walk", type=_walk, help="walk 'start;o1,o2,...;p1,p2' (periodic tail)")
@@ -418,9 +420,15 @@ def _silence_stdout() -> None:
     os.close(devnull)
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
+    global _parser
     try:
-        args = build_parser().parse_args(argv)
+        if _parser is None:  # argparse keeps no state between parse_args calls
+            _parser = build_parser()
+        args = _parser.parse_args(argv)
         code = args.fn(args)
         sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
         return code

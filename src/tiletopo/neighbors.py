@@ -63,9 +63,9 @@ def neighbor_vectors(params: TileParams, n: int) -> tuple[IntVec, IntVec]:
 
 def neighbor_set_formula(params: TileParams) -> NeighborSet:
     """Closed-form neighbor set {±P_1..±P_J, ±Q_1..±Q_J, ±R} of size 2+4J."""
-    if params.a < 0:
-        raise OutOfRange("neighbor formula requires A >= 0")
     a, b = params.a, params.b
+    if a < 0:
+        raise OutOfRange(f"neighbor formula requires A >= 0 for (A,B)=({a},{b})")
     j = max(1, (b - 1) // (b - a + 1))
     members: set[IntVec] = set()
     for n in range(1, j + 1):
@@ -163,7 +163,7 @@ def neighbor_set_search(params: TileParams) -> NeighborSet:
     no remaining successor leaves exactly the representable vectors.
     """
     if params.a < 0:
-        raise OutOfRange("neighbor search requires A >= 0")
+        raise OutOfRange(f"neighbor search requires A >= 0 for (A,B)=({params.a},{params.b})")
     b = params.b
     m = params.matrix
     ball = _candidate_ball(params)
@@ -223,11 +223,11 @@ def adjacent_singleton_point(
 ) -> tuple[Address, Address] | None:
     """For 2A-B=3 and |u|=|v|=3 with difference pattern (1, A-2, -1), the two
     addresses of the single point shared by T_u and T_v."""
-    if 2 * params.a - params.b != 3:
-        raise WrongRegime("requires 2A - B = 3")
+    a, b = params.a, params.b
+    if 2 * a - b != 3:
+        raise WrongRegime(f"adjacent singleton points require 2A - B = 3 for (A,B)=({a},{b})")
     if len(u) != 3 or len(v) != 3:
         raise LengthMismatch("digit words must have length 3")
-    a, b = params.a, params.b
     diffs = tuple(x - y for x, y in zip(u, v))
     if diffs != (1, a - 2, -1):
         return None

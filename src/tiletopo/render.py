@@ -1,19 +1,28 @@
 """Deterministic SVG rendering of boundary approximations and markers.
 
 Output is byte-stable: geometry is exact until the final serialization.  A
-scene holds integer coordinates over one ``scale``, the common denominator
-of the level-n boundary; a coordinate p is written as the float p / scale,
-which CPython rounds correctly, with 12 significant digits.  Ordering is
-fixed and nothing depends on hashes or time.  The y axis is flipped so
-figures follow the mathematical orientation.
+scene holds one integer polygon over one ``scale``, the common denominator
+of the level-n boundary, and the integer lattice shifts it is drawn at.  A
+coordinate p is written as ``"%.12g" % (p / scale)``, Python's correctly
+rounded int/int division.  The shifted points are one integer array,
+int64 when every shifted coordinate fits and Python ints otherwise, and
+each distinct value in it is divided and formatted once: a patch repeats
+its coordinates many times.  The polygon JSON is written in its fixed
+layout, with each distinct coordinate turned into a ratio once.  Ordering
+is fixed and nothing depends on hashes or time.  The y axis is flipped, in
+integers, so figures follow the mathematical orientation.
 """
 
 from __future__ import annotations
 
 import colorsys
+import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
+
+import numpy as np
 
 from .contact import BoundaryApprox, IntVec, approx_boundary, build_contact_graph, derive_order_extension
 from .errors import CertificateFailure, WrongRegime
@@ -27,17 +36,26 @@ Style = dict[str, str]
 
 @dataclass
 class Scene:
-    """Polygons and markers in exact coordinates times ``scale``."""
+    """One integer polygon drawn at integer shifts, and markers, in exact
+    coordinates times ``scale``.
+
+    A translate ``((sx, sy), style)`` draws the polygon moved by
+    ``(sx, sy) * scale``, that is by the lattice vector (sx, sy)."""
 
     scale: int
-    polygons: list[tuple[tuple[IntVec, ...], Style]]
+    polygon: tuple[IntVec, ...]
+    translates: list[tuple[IntVec, Style]]
     markers: list[tuple[RationalPoint, str]] = field(default_factory=list)
 
     def viewbox(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        xs = [p[0] for poly, _ in self.polygons for p in poly]
-        ys = [p[1] for poly, _ in self.polygons for p in poly]
-        xs += [p[0] for p, _ in self.markers]
-        ys += [p[1] for p, _ in self.markers]
+        xs = [p[0] for p, _ in self.markers]
+        ys = [p[1] for p, _ in self.markers]
+        if self.polygon and self.translates:
+            s = self.scale
+            px, py = zip(*self.polygon)
+            dx, dy = zip(*(shift for shift, _ in self.translates))
+            xs += [min(px) + min(dx) * s, max(px) + max(dx) * s]
+            ys += [min(py) + min(dy) * s, max(py) + max(dy) * s]
         if not xs:
             raise ValueError("empty scene")
         x0, x1 = min(xs), max(xs)
@@ -60,6 +78,48 @@ def palette(n: int) -> list[str]:
     return colors
 
 
+_INT64_MAX = 2**63 - 1
+
+
+def _int_array(points: tuple[IntVec, ...]) -> np.ndarray:
+    """The points as an n x 2 array: int64 where every coordinate fits,
+    Python ints otherwise."""
+    try:
+        return np.array(points, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        return np.array(points, dtype=object).reshape(-1, 2)
+
+
+def _per_distinct(values: np.ndarray, texts) -> np.ndarray:
+    """The string of every entry of an integer array, where ``texts`` maps
+    the list of distinct values, as Python ints, to their strings."""
+    distinct, inverse = np.unique(values.ravel(), return_inverse=True)
+    strings = np.array(texts(distinct.tolist()), dtype=object)
+    return strings[inverse].reshape(values.shape)
+
+
+def _points_attributes(scene: Scene) -> list[str]:
+    """The ``points`` attribute of each translate, "x,y x,y ..." with x and y
+    as ``"%.12g" % (p / scale)`` and y negated.
+
+    The translates' points form one integer grid, shifted and y-negated in
+    integers; int64 holds it unless a shifted coordinate could overflow, and
+    then the same code runs on Python ints.  Each distinct integer is divided
+    by Python's exact int/int and formatted once."""
+    s = scene.scale
+    base = _int_array(scene.polygon)
+    shifts = [(sx * s, -sy * s) for (sx, sy), _ in scene.translates]
+    if not len(base) or not shifts:
+        return [""] * len(shifts)
+    reach = max(-int(base.min()), int(base.max())) + max(abs(c) for sh in shifts for c in sh)
+    dtype = np.int64 if base.dtype == np.int64 and reach <= _INT64_MAX else object
+    base = base.astype(dtype) * np.array([1, -1], dtype=dtype)
+    grid = base[None, :, :] + np.array(shifts, dtype=dtype)[:, None, :]
+    rows = _per_distinct(grid, lambda vs: ["%.12g" % (v / s) for v in vs])
+    template = " ".join(["%s,%s"] * len(base))
+    return [template % tuple(row.ravel()) for row in rows]
+
+
 def scene_to_svg(scene: Scene) -> str:
     x0, y0, x1, y1 = scene.viewbox()
     w, h = x1 - x0, y1 - y0
@@ -70,11 +130,10 @@ def scene_to_svg(scene: Scene) -> str:
         f'viewBox="{fmt(x0)} {fmt(-y1)} {fmt(w)} {fmt(h)}" '
         f'width="640" height="{fmt(640*float(h)/float(w))}">',
     ]
-    s = scene.scale
-    for poly, style in scene.polygons:
-        pts = " ".join(["%.12g,%.12g" % (p[0] / s, -p[1] / s) for p in poly])
+    for pts, (_, style) in zip(_points_attributes(scene), scene.translates):
         attrs = " ".join(f'{k}="{v}"' for k, v in sorted(style.items()))
         lines.append(f'<polygon points="{pts}" stroke-width="{fmt(stroke)}" {attrs}/>')
+    s = scene.scale
     for point, label in scene.markers:
         lines.append(
             f'<circle cx="{fmt(point[0] / s)}" cy="{fmt(-point[1] / s)}" '
@@ -97,32 +156,31 @@ def render_boundary(params: TileParams, n: int, budget: int = 10**6) -> str:
     """Closed polygonal approximation of the boundary at level n."""
     approx = _boundary_polygon(params, n, budget)
     style = {"fill": "none", "stroke": "#202060"}
-    return scene_to_svg(Scene(approx.scale, [(approx.points, style)]))
+    return scene_to_svg(Scene(approx.scale, approx.points, [((0, 0), style)]))
 
 
 def render_patch(params: TileParams, n: int, budget: int = 10**6) -> str:
     """The level-n boundary and its translates by every neighbor."""
     approx = _boundary_polygon(params, n, budget)
-    s = approx.scale
     shifts = [(0, 0)] + neighbor_set_formula(params).sorted_members()
-    colors = palette(len(shifts))
-    polys = []
-    for color, (sx, sy) in zip(colors, shifts):
-        moved = tuple((x + sx * s, y + sy * s) for (x, y) in approx.points)
-        polys.append((moved, {"fill": color, "fill-opacity": "0.55", "stroke": "#303030"}))
-    return scene_to_svg(Scene(s, polys))
+    translates = [
+        (shift, {"fill": color, "fill-opacity": "0.55", "stroke": "#303030"})
+        for shift, color in zip(shifts, palette(len(shifts)))
+    ]
+    return scene_to_svg(Scene(approx.scale, approx.points, translates))
 
 
 def render_cutpoint(params: TileParams, n: int, budget: int = 10**6) -> str:
     """Boundary at level n with the cut point marked exactly."""
-    if 2 * params.a - params.b < 5:
-        raise WrongRegime("cut-point rendering requires 2A - B >= 5")
+    a, b = params.a, params.b
+    if 2 * a - b < 5:
+        raise WrongRegime(f"cut-point rendering requires 2A - B >= 5 for (A,B)=({a},{b})")
     approx = _boundary_polygon(params, n, budget)
     s = approx.scale
     z = point_eval(cut_point_address(params), params)
     style = {"fill": "none", "stroke": "#202060"}
     marker = ((z[0] * s, z[1] * s), "cut point")
-    return scene_to_svg(Scene(s, [(approx.points, style)], [marker]))
+    return scene_to_svg(Scene(s, approx.points, [((0, 0), style)], [marker]))
 
 
 def _ratio(x: int, scale: int) -> str:
@@ -134,9 +192,27 @@ def _ratio(x: int, scale: int) -> str:
 def polygon_to_json(params: TileParams, n: int, budget: int = 10**6) -> dict:
     approx = _boundary_polygon(params, n, budget)
     s = approx.scale
+    vertices = _per_distinct(_int_array(approx.points), lambda vs: [_ratio(v, s) for v in vs])
     return {
         "schema": "tiletopo/boundary-polygon@1",
         "params": {"A": params.a, "B": params.b},
         "level": n,
-        "vertices": [[_ratio(x, s), _ratio(y, s)] for (x, y) in approx.points],
+        "vertices": vertices.tolist(),
     }
+
+
+def polygon_json_text(doc: dict) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)`` for a ``polygon_to_json``
+    document, written in its fixed layout: every vertex string is a digit
+    ratio with nothing to escape."""
+    vertices = doc["vertices"]
+    items = ('    [\n      "%s",\n      "%s"\n    ],\n' * len(vertices)) % tuple(
+        chain.from_iterable(vertices)
+    )
+    listing = f"[\n{items[:-2]}\n  ]" if vertices else "[]"
+    return (
+        f'{{\n  "level": {doc["level"]},\n'
+        f'  "params": {{\n    "A": {doc["params"]["A"]},\n    "B": {doc["params"]["B"]}\n  }},\n'
+        f'  "schema": {json.dumps(doc["schema"])},\n'
+        f'  "vertices": {listing}\n}}'
+    )

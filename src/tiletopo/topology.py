@@ -52,8 +52,9 @@ def classify(params: TileParams) -> Classification:
 
 def cut_point_address(params: TileParams) -> Address:
     """The certified cut point 0.(A-3)(B-A+2)(A-3)(B-A+2)..., canonical."""
-    if 2 * params.a - params.b < 5:
-        raise WrongRegime("cut point address requires 2A - B >= 5")
+    a, b = params.a, params.b
+    if 2 * a - b < 5:
+        raise WrongRegime(f"cut point address requires 2A - B >= 5 for (A,B)=({a},{b})")
     lo = params.a - 3
     hi = params.b - params.a + 2
     return Address((), (), (lo, hi))
@@ -80,9 +81,9 @@ FREE = "Free"
 
 
 def build_d1_d2(params: TileParams) -> tuple[LexGifs, LexGifs]:
-    if 2 * params.a - params.b < 5:
-        raise WrongRegime("halves are defined for 2A - B >= 5")
     a, b = params.a, params.b
+    if 2 * a - b < 5:
+        raise WrongRegime(f"halves require 2A - B >= 5 for (A,B)=({a},{b})")
     even = a - 3  # compare digit at even positions (0-based)
     odd = b - a + 2  # flipped comparison at odd positions
 
@@ -181,7 +182,7 @@ def verify_cut_point(params: TileParams, depth: int = 12) -> CutPointCertificate
     if depth < 0:
         raise OutOfRange(f"shrinking depth must be >= 0, got {depth} for (A,B)=({a},{b})")
     if 2 * a - b < 5:
-        raise WrongRegime("cut point certificates require 2A - B >= 5")
+        raise WrongRegime(f"cut point certificates require 2A - B >= 5 for (A,B)=({a},{b})")
     d1, d2 = build_d1_d2(params)
     if not union_is_universal(d1, d2, params):
         raise CertificateFailure("the two halves do not cover the digit space")

@@ -88,6 +88,12 @@ class TestExitCodes:
         code, _, _ = run(capsys, "normalize", "--matrix", "0,1,1,0")
         assert code == 2
 
+    @pytest.mark.parametrize("form", [["--t", "-1/3"], ["--t=-1/3"]], ids=["spaced", "joined"])
+    def test_negative_t_reaches_the_range_check(self, capsys, form):
+        code, out, err = run(capsys, "param", "--A", "4", "--B", "5", *form)
+        assert code == 2 and out == ""
+        assert err == "error: parameter t=-1/3 must lie in [0, 1] for (A,B)=(4,5)\n"
+
 
 class TestContract:
     """Every subcommand, and malformed values, end in an exit code 0..3."""
@@ -215,6 +221,49 @@ class TestSweep:
         run(capsys, "sweep", "--Bmax", "8", "--out", str(d2))
         assert (d1 / "sweep.json").read_bytes() == (d2 / "sweep.json").read_bytes()
         assert (d1 / "sweep.txt").read_bytes() == (d2 / "sweep.txt").read_bytes()
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process.  A reused parser gives
+    the exit code and stdout bytes of a fresh interpreter, defaults
+    included."""
+
+    OPS = [
+        ["normalize", "--matrix", "0,-5,1,4"],
+        ["classify", "--matrix", "0,-5,1,4"],  # --v defaults to 1,0
+        ["neighbors", "--A", "4", "--B", "5", "--check"],
+        ["contact-graph", "--A", "4", "--B", "5"],  # --format defaults to json
+        ["param", "--A", "4", "--B", "5", "--walk", "3;2,1,3;2", "--format", "json"],
+        ["approx", "--A", "2", "--B", "2"],  # --n defaults to 4
+        ["cutpoint", "--A", "6", "--B", "7"],
+        ["verify-chains", "--A", "4", "--B", "5"],
+        ["render", "--A", "4", "--B", "5", "--kind", "patch", "--n", "1"],
+        ["sweep", "--Bmax", "5"],
+        ["frobnicate"],
+    ]
+
+    # set options that the ops leave at their defaults
+    OTHERS = [
+        ["render", "--A", "5", "--B", "5", "--v", "1,1", "--n", "0", "--kind", "cutpoint",
+         "--budget", "7", "--format", "json"],
+        ["approx", "--A", "5", "--B", "5", "--v", "1,1", "--n", "0", "--budget", "7",
+         "--format", "json"],
+    ]
+
+    def test_reused_parser_matches_a_fresh_interpreter(self, capsys):
+        fresh = []
+        for argv in self.OPS:
+            proc = subprocess.run(
+                [sys.executable, "-m", "tiletopo.cli", *argv], capture_output=True
+            )
+            fresh.append((proc.returncode, proc.stdout))
+        assert fresh[-1][0] == 1
+        for i, argv in enumerate(self.OPS):
+            main(next(other for other in self.OTHERS if other[0] != argv[0]))
+            capsys.readouterr()
+            for _ in range(2):
+                code = main(list(argv))
+                assert (code, capsys.readouterr().out.encode()) == fresh[i], argv
 
 
 class TestEntryPoint:

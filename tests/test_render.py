@@ -1,16 +1,21 @@
 import hashlib
 import json
+import re
+from fractions import Fraction
 
 import pytest
 
 from tiletopo import TileParams, WrongRegime
 from tiletopo.render import (
+    Scene,
     fmt,
     palette,
+    polygon_json_text,
     polygon_to_json,
     render_boundary,
     render_cutpoint,
     render_patch,
+    scene_to_svg,
 )
 
 
@@ -65,12 +70,74 @@ class TestCutpoint:
             render_cutpoint(TileParams(4, 5), 1)
 
 
+class TestScene:
+    NARROW = (
+        (0, 0),
+        (1, 0),
+        (2**53, 0),
+        (-(2**53) - 1, 2**53 + 1),
+        (12345678901234567, -98765432109876543),
+    )
+    # int64 holds -2**63 but not its negation
+    EDGE = NARROW + ((5, -(2**63)),)
+    WIDE = EDGE + ((2**63 - 1, 0), (-(2**63), 5), (2**63, -(2**63)))
+
+    @pytest.mark.parametrize("kind", ["NARROW", "EDGE", "WIDE"])
+    @pytest.mark.parametrize(
+        "scale",
+        [1, 3, 2**53 - 1, 2**53, 2**53 + 1, 2**58 + 3, 2**61 + 1, 2**62 + 5, 2**63, 2**63 + 7,
+         10**30],
+    )
+    def test_points_match_per_point_division(self, scale, kind):
+        # int64 holds the narrow polygon's shifted grid up to scale 2**58 + 3,
+        # values above 2**53 included.  At 2**61 + 1 the narrow polygon fits
+        # in int64 but a shifted coordinate does not; from there on, and for
+        # the edge and wide polygons always, Python ints take over
+        polygon = getattr(self, kind) + ((-1, scale), (3 * scale + 1, -scale))
+        shifts = [(0, 0), (1, -1), (-2, 3), (0, 1)]
+        scene = Scene(scale, polygon, [(shift, {"fill": "none"}) for shift in shifts])
+        got = re.findall(r'points="([^"]*)"', scene_to_svg(scene))
+        expected = [
+            " ".join(
+                "%.12g,%.12g" % ((x + sx * scale) / scale, -(y + sy * scale) / scale)
+                for (x, y) in polygon
+            )
+            for (sx, sy) in shifts
+        ]
+        assert got == expected
+        assert "-0," not in " ".join(got) and not re.search(r",-0( |$)", " ".join(got))
+
+    def test_viewbox_covers_every_translate_and_marker(self):
+        scene = Scene(
+            4,
+            ((0, 0), (8, 2), (3, -6)),
+            [((0, 0), {}), ((2, -1), {}), ((-1, 3), {})],
+            [((40, 1), "far")],
+        )
+        xs = [0, 8, 3, 8, 16, 11, -4, 4, -1, 40]
+        ys = [0, 2, -6, -4, -2, -10, 12, 14, 6, 1]
+        pad_x, pad_y = Fraction(44, 20), Fraction(24, 20)
+        assert scene.viewbox() == (
+            (min(xs) - pad_x) / 4, (min(ys) - pad_y) / 4,
+            (max(xs) + pad_x) / 4, (max(ys) + pad_y) / 4,
+        )
+
+
 class TestJsonExport:
     def test_schema_and_exact_vertices(self):
         doc = polygon_to_json(TileParams(4, 5), 0)
         assert doc["schema"] == "tiletopo/boundary-polygon@1"
         assert doc["vertices"][0] == ["1/2", "1/10"]
         assert len(doc["vertices"]) == 6
+
+    def test_writer_matches_json_dumps(self):
+        for b in range(2, 13):
+            for a in range(1, b + 1):
+                for n in (0, 1, 2):
+                    doc = polygon_to_json(TileParams(a, b), n)
+                    assert polygon_json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+        empty = {**doc, "vertices": []}
+        assert polygon_json_text(empty) == json.dumps(empty, indent=2, sort_keys=True)
 
 
 class TestGoldenBytes:
@@ -102,6 +169,14 @@ class TestGoldenBytes:
     def test_patch_svg(self):
         assert self.digest(render_patch(TileParams(5, 5), 2)) == (
             "8c098b8d9912b2890ba9a7f45a60f13c8dba3f286a917a3f83740ea53c10aa1d"
+        )
+
+    def test_patch_svg_with_many_repeated_coordinates(self):
+        # 15 translates of 4,582 vertices: 137,460 coordinates, 27,532 of
+        # them distinct; recorded before the writer formatted each distinct
+        # value once
+        assert self.digest(render_patch(TileParams(10, 12), 3)) == (
+            "fad5d63506102d4aedfe7775f07ddea229ade4f8d9771d334b7b11760e78b947"
         )
 
     @pytest.mark.parametrize(
