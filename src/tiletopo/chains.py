@@ -137,27 +137,6 @@ def alpha_calibration_rows(params: TileParams) -> list[tuple[Walk, Address]]:
 # lexicographic walk-interval languages
 
 
-def _tight_chain(walk: Walk, ordered: OrderedContactGraph) -> tuple[list[tuple[int, int]], int]:
-    """Nodes (state, letter) along the walk with the wrap index of the cycle."""
-    state = walk.start
-    nodes: list[tuple[int, int]] = []
-    seen: dict[tuple[int, int], int] = {}
-    n = 0
-    while True:
-        phase = None
-        if n >= len(walk.pre):
-            phase = (n - len(walk.pre)) % len(walk.period)
-            key = (state, phase)
-            if key in seen:
-                return nodes, seen[key]
-        letter = walk.letter(n + 1)
-        if n >= len(walk.pre):
-            seen[(state, phase)] = len(nodes)
-        nodes.append((state, letter))
-        state = ordered.edge_at(state, letter)[3]
-        n += 1
-
-
 def lex_interval_language(
     ordered: OrderedContactGraph, lo: Walk, hi: Walk
 ) -> DigitDFA:
@@ -168,7 +147,8 @@ def lex_interval_language(
     if cmp == 0:
         return nfa_single_address(psi(lo, ordered))
 
-    tight = {"lo": _tight_chain(lo, ordered), "hi": _tight_chain(hi, ordered)}
+    # per side, the (letter, edge) steps of the bound and the cycle start
+    tight = {"lo": ordered.walk_steps(lo), "hi": ordered.walk_steps(hi)}
 
     def advance(side: str, idx: int, steps: int) -> int:
         nodes, wrap = tight[side]
@@ -191,8 +171,8 @@ def lex_interval_language(
         if key in trans:
             return
         trans[key] = {}
-        state, letter = tight[side][0][idx]
-        for k, e in enumerate(ordered.orders[state - 1], start=1):
+        letter, edge = tight[side][0][idx]
+        for k, e in enumerate(ordered.orders[edge[0] - 1], start=1):
             if (k < letter) if side == "lo" else (k > letter):
                 continue
             if k == letter:

@@ -76,6 +76,8 @@ def _normalized(args):
 
 def _params_from(args) -> TileParams:
     if args.matrix is not None:
+        if args.A is not None or args.B is not None:
+            raise TileError("give either --A and --B or --matrix, not both")
         return _normalized(args)[0]
     if args.A is None or args.B is None:
         raise TileError("provide --A and --B (or --matrix/--v)")

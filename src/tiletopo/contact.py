@@ -200,29 +200,36 @@ class OrderedContactGraph:
     def vertex(self, i: int) -> RationalPoint:
         return self.vertices[(i - 1) % 6]
 
+    def walk_steps(self, walk: Walk) -> tuple[list[tuple[int, Edge]], int]:
+        """The (letter, edge) steps of an eventually periodic walk: the
+        prefix, then the period until (state, phase) repeats; and the index
+        of the step where the cycle starts."""
+        steps: list[tuple[int, Edge]] = []
+        state = walk.start
+        for o in walk.pre:
+            edge = self.edge_at(state, o)
+            steps.append((o, edge))
+            state = edge[3]
+        if not walk.period:
+            raise ValueError("an infinite walk needs a periodic tail")
+        seen: dict[tuple[int, int], int] = {}
+        phase = 0
+        while (state, phase) not in seen:
+            seen[(state, phase)] = len(steps)
+            o = walk.period[phase]
+            edge = self.edge_at(state, o)
+            steps.append((o, edge))
+            state = edge[3]
+            phase = (phase + 1) % len(walk.period)
+        return steps, seen[(state, phase)]
+
 
 def psi(walk: Walk, ordered: OrderedContactGraph) -> Address:
     """Digit address read along a walk; infinite walks must be eventually
     periodic, which edge-order letters guarantee."""
-    state = walk.start
-    pre_digits: list[int] = []
-    for o in walk.pre:
-        edge = ordered.edge_at(state, o)
-        pre_digits.append(edge[1])
-        state = edge[3]
-    if not walk.period:
-        raise ValueError("psi needs an infinite walk")
-    seen: dict[tuple[int, int], int] = {}
-    digits: list[int] = []
-    phase = 0
-    while (state, phase) not in seen:
-        seen[(state, phase)] = len(digits)
-        edge = ordered.edge_at(state, walk.period[phase])
-        digits.append(edge[1])
-        state = edge[3]
-        phase = (phase + 1) % len(walk.period)
-    k = seen[(state, phase)]
-    return Address((), tuple(pre_digits) + tuple(digits[:k]), tuple(digits[k:]))
+    steps, k = ordered.walk_steps(walk)
+    digits = [edge[1] for _, edge in steps]
+    return Address((), tuple(digits[:k]), tuple(digits[k:]))
 
 
 def _flip_edge(e: Edge, b: int) -> Edge:
@@ -503,36 +510,18 @@ def walk_to_param(
     t = field.zero()
     for i in range(walk.start - 1):
         t = t + data.u[i]
-    state = walk.start
+    steps, k = ordered.walk_steps(walk)
     scale = beta_inv
-    for o in walk.pre:
-        t = t + below(state, o) * scale
-        state = ordered.edge_at(state, o)[3]
+    for letter, edge in steps[:k]:
+        t = t + below(edge[0], letter) * scale
         scale = scale * beta_inv
-    if walk.period:
-        seen: dict[tuple[int, int], int] = {}
-        contribs: list[FieldElement] = []
-        phase = 0
-        while (state, phase) not in seen:
-            seen[(state, phase)] = len(contribs)
-            contribs.append(below(state, walk.period[phase]))
-            state = ordered.edge_at(state, walk.period[phase])[3]
-            phase = (phase + 1) % len(walk.period)
-        k = seen[(state, phase)]
-        for c in contribs[:k]:
-            t = t + c * scale
-            scale = scale * beta_inv
-        block = field.zero()
-        power = field.one()
-        for c in contribs[k:]:
-            block = block + c * power
-            power = power * beta_inv
-        p = len(contribs) - k
-        beta_inv_p = field.one()
-        for _ in range(p):
-            beta_inv_p = beta_inv_p * beta_inv
-        t = t + scale * block * (field.one() - beta_inv_p).inverse()
-    return t
+    # the periodic block sums to block / (1 - beta^-p), p its length
+    block = field.zero()
+    power = field.one()
+    for letter, edge in steps[k:]:
+        block = block + below(edge[0], letter) * power
+        power = power * beta_inv
+    return t + scale * block * (field.one() - power).inverse()
 
 
 def param_to_walk(

@@ -1,26 +1,25 @@
 """Exact polygon predicates and float distance diagnostics.
 
-The simple-closed test uses exact integer orientation tests behind a float
-grid prefilter.  Vertices may be ints or Fractions.  The integers come from
-scaling every vertex by the LCM of the coordinate denominators; ints have
-denominator 1, so an integer polygon, such as a level-n boundary of
+The simple-closed test takes one path for every polygon: exact integer
+orientation tests on the candidate pairs of a float grid prefilter.
+Vertices may be ints or Fractions.  The integers come from scaling every
+vertex by the LCM of the coordinate denominators; ints have denominator 1,
+so an integer polygon, such as a level-n boundary of
 ``contact.approx_boundary`` over its common scale, is used as it is.  The
-spike test is one array expression on the integers.  When every integer is
-below 2**30, that array is int64 and serves both the floats and the exact
-tests: the orientation signs are array expressions on it (only pairs with a
-zero sign go on to the exact test in Python), and the prefilter floats are
-its entries times one power of two, which is exact.  Larger integers are
-held as Python ints and take the pairwise exact tests in Python; their
-prefilter floats are correctly rounded quotients of the exact coordinates,
-all scaled by one power of two so that no coordinate overflows.  The
-subdivision pieces are extremely anisotropic slivers sharing one elongation
-axis, so the grid works in a rotated frame aligned with the longest segment
-and with per-axis cell sizes.  Each segment is listed once per grid cell its
-box meets; one stable sort groups the entries by cell, and the pairs within
-each group are listed by array arithmetic, with no Python loop per cell.
-Floats only ever discard pairs whose rotated boxes are disjoint, never
-decide an intersection.  Hausdorff distances between polygonal curves are
-float-only diagnostics.
+integers form one array: int64 when every coordinate is below 2**30, so that
+every orientation product fits, and Python ints otherwise.  The spike test,
+the four orientation signs of each candidate pair and the proper-crossing
+test are array expressions on it, whatever its dtype; only pairs with a zero
+sign go on to the exact test in Python.  The prefilter floats are that array
+divided by one power of two, which is exact for int64 and correctly rounded
+for Python ints, and never overflows.  The subdivision pieces are extremely
+anisotropic slivers sharing one elongation axis, so the grid works in a
+rotated frame aligned with the longest segment and with per-axis cell sizes.
+Each segment is listed once per grid cell its box meets; one stable sort
+groups the entries by cell, and the pairs within each group are listed by
+array arithmetic, with no Python loop per cell.  Floats only ever discard
+pairs whose rotated boxes are disjoint, never decide an intersection.
+Hausdorff distances between polygonal curves are float-only diagnostics.
 """
 
 from __future__ import annotations
@@ -74,24 +73,17 @@ def _cross(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
     return (q[:, 0] - p[:, 0]) * (r[:, 1] - p[:, 1]) - (q[:, 1] - p[:, 1]) * (r[:, 0] - p[:, 0])
 
 
-def _prefilter_floats(vertices: tuple[Point, ...]) -> np.ndarray:
-    """The m+1 closed-polygon vertices as floats, every coordinate scaled by
-    the same 2**-e so that the largest magnitude lies in (1/2, 2).  Each entry
-    is a correctly rounded quotient of exact integers, so nothing overflows
-    however large the coordinates are; the grid prefilter is invariant under
-    a common scale."""
-    nd = [(c.numerator, c.denominator) for v in vertices for c in v]
-    e = max((n.bit_length() - d.bit_length() for n, d in nd if n), default=0)
-    up, down = max(-e, 0), max(e, 0)
-    arr = np.array([(n << up) / (d << down) for n, d in nd]).reshape(-1, 2)
-    return np.concatenate([arr, arr[:1]])
-
-
-def _candidate_pairs(arr: np.ndarray) -> np.ndarray:
+def _candidate_pairs(iarr: np.ndarray) -> np.ndarray:
     """Indices (i, j), i < j, of non-adjacent segments whose rotated boxes
-    overlap, in increasing order of i * m + j.  ``arr`` holds the m+1
-    closed-polygon vertices as floats."""
-    m = len(arr) - 1
+    overlap, in increasing order of i * m + j.  ``iarr`` holds the m+1
+    closed-polygon vertices as integers, int64 or Python ints."""
+    m = len(iarr) - 1
+    # every coordinate scaled by the same 2**-e, so the largest magnitude lies
+    # in [1, 2): exact for int64 entries below 2**30, a correctly rounded
+    # quotient for Python ints, and no overflow however large they are; the
+    # grid prefilter is invariant under a common scale
+    e = int(np.abs(iarr).max()).bit_length() - 1
+    arr = (iarr / 2**e).astype(np.float64)
     a, b = arr[:-1], arr[1:]
     lengths2 = ((b - a) ** 2).sum(axis=1)
     k = int(np.argmax(lengths2))
@@ -158,38 +150,17 @@ def polygon_is_simple_closed(vertices: tuple[Point, ...]) -> bool:
     ivs = list(vertices)
     if scale > 1:
         ivs = [tuple(c.numerator * (scale // c.denominator) for c in v) for v in vertices]
-    segs = list(zip(ivs, ivs[1:] + ivs[:1]))
     # below 2**30 every orientation product fits in int64; above, the same
     # expressions run on Python ints
     small = max(map(abs, itertools.chain.from_iterable(ivs))) < 2**30
-    iarr = np.array(ivs + [ivs[0]], dtype=np.int64 if small else object)
+    iarr = np.array(ivs + ivs[:1], dtype=np.int64 if small else object)
     # adjacent pairs may only share the common vertex; a spike folds back
     p, q = iarr[:-1], iarr[1:]
     r = np.roll(q, -1, axis=0)
     inward = ((p - q) * (r - q)).sum(axis=1) > 0
     if ((_cross(p, q, r) == 0) & inward).any():
         return False
-
-    if m <= 64:
-        for i in range(m):
-            for j in range(i + 1, m):
-                if j == (i + 1) % m or i == (j + 1) % m:
-                    continue
-                if segments_intersect(*segs[i], *segs[j]):
-                    return False
-        return True
-
-    if not small:
-        # products would overflow int64; run the exact tests in Python
-        for i, j in _candidate_pairs(_prefilter_floats(vertices)):
-            if segments_intersect(*segs[int(i)], *segs[int(j)]):
-                return False
-        return True
-
-    # each integer below 2**30 is an exact float, and so is its power-of-two
-    # scaling; for an integer polygon these are _prefilter_floats' floats
-    e = int(np.abs(iarr).max()).bit_length() - 1
-    pi = _candidate_pairs(iarr * 2.0**-e)
+    pi = _candidate_pairs(iarr)
     a1, a2 = iarr[pi[:, 0]], iarr[pi[:, 0] + 1]
     b1, b2 = iarr[pi[:, 1]], iarr[pi[:, 1] + 1]
     d1 = np.sign(_cross(b1, b2, a1))
@@ -198,10 +169,10 @@ def polygon_is_simple_closed(vertices: tuple[Point, ...]) -> bool:
     d4 = np.sign(_cross(a1, a2, b2))
     if ((d1 * d2 < 0) & (d3 * d4 < 0)).any():
         return False
+    # a zero sign leaves touching or collinear overlap to the exact test
     touchy = (d1 == 0) | (d2 == 0) | (d3 == 0) | (d4 == 0)
-    for k in np.nonzero(touchy)[0]:
-        i, j = int(pi[k, 0]), int(pi[k, 1])
-        if segments_intersect(*segs[i], *segs[j]):
+    for i, j in pi[touchy].tolist():
+        if segments_intersect(vertices[i], vertices[i + 1], vertices[j], vertices[(j + 1) % m]):
             return False
     return True
 

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 from . import linalg
 from .automata import live_nodes
-from .errors import CertificateFailure, LengthMismatch, OutOfRange, WrongRegime
+from .errors import CertificateFailure, LengthMismatch, WrongRegime
 from .numsys import Address, DigitWord, TileParams
 
 IntVec = tuple[int, int]
@@ -62,10 +62,12 @@ def neighbor_vectors(params: TileParams, n: int) -> tuple[IntVec, IntVec]:
 
 
 def neighbor_set_formula(params: TileParams) -> NeighborSet:
-    """Closed-form neighbor set {±P_1..±P_J, ±Q_1..±Q_J, ±R} of size 2+4J."""
+    """Closed-form neighbor set {±P_1..±P_J, ±Q_1..±Q_J, ±R} of size 2+4J;
+    at A = 0 it is the eight unit vectors, with no J."""
     a, b = params.a, params.b
-    if a < 0:
-        raise OutOfRange(f"neighbor formula requires A >= 0 for (A,B)=({a},{b})")
+    if a == 0:
+        units = {(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1)} - {(0, 0)}
+        return NeighborSet(frozenset(units), None)
     j = max(1, (b - 1) // (b - a + 1))
     members: set[IntVec] = set()
     for n in range(1, j + 1):
@@ -162,8 +164,6 @@ def neighbor_set_search(params: TileParams) -> NeighborSet:
     restricting transitions to the ball and repeatedly deleting states with
     no remaining successor leaves exactly the representable vectors.
     """
-    if params.a < 0:
-        raise OutOfRange(f"neighbor search requires A >= 0 for (A,B)=({params.a},{params.b})")
     b = params.b
     m = params.matrix
     ball = _candidate_ball(params)

@@ -43,6 +43,11 @@ class TestNeighbors:
         code, _, _ = run(capsys, "neighbors", "--A", "4", "--B", "5", "--check")
         assert code == 0
 
+    def test_a_zero_is_the_eight_unit_vectors(self, capsys):
+        code, out, _ = run(capsys, "neighbors", "--A", "0", "--B", "5", "--check", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["count"] == 8
+
     def test_check_disagreement_is_a_verification_failure(self, capsys, monkeypatch):
         from tiletopo import neighbors
 
@@ -67,6 +72,11 @@ class TestExitCodes:
 
     def test_missing_params(self, capsys):
         assert run(capsys, "classify")[0] == 2
+
+    def test_params_and_matrix_together(self, capsys):
+        code, out, err = run(capsys, "classify", "--A", "1", "--B", "2", "--matrix", "0,-5,1,4")
+        assert code == 2 and out == ""
+        assert err == "error: give either --A and --B or --matrix, not both\n"
 
     def test_regime_error(self, capsys):
         code, _, err = run(capsys, "cutpoint", "--A", "4", "--B", "5")

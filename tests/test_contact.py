@@ -1,7 +1,6 @@
 import hashlib
 import math
 from itertools import product
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -493,11 +492,7 @@ class TestParametrization:
 
     def test_regime_errors_name_their_inputs(self):
         from tiletopo.errors import WrongRegime
-        from tiletopo.neighbors import (
-            adjacent_singleton_point,
-            neighbor_set_formula,
-            neighbor_set_search,
-        )
+        from tiletopo.neighbors import adjacent_singleton_point
         from tiletopo.render import render_cutpoint
         from tiletopo.topology import build_d1_d2, cut_point_address, verify_cut_point
 
@@ -508,11 +503,6 @@ class TestParametrization:
                 fn(*args)
         with pytest.raises(WrongRegime, match=r"2A - B = 3 for \(A,B\)=\(5,5\)$"):
             adjacent_singleton_point((1, 2, 0), (0, 0, 1), TileParams(5, 5))
-        # TileParams refuses A < 0 itself, so a stand-in reaches these checks
-        negative = SimpleNamespace(a=-1, b=5)
-        for fn in (neighbor_set_formula, neighbor_set_search):
-            with pytest.raises(OutOfRange, match=r"requires A >= 0 for \(A,B\)=\(-1,5\)$"):
-                fn(negative)
 
     def test_midpoint_is_an_interval_boundary(self):
         # the flip symmetry pairs the interval lengths, so 1/2 is exactly the

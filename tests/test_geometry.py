@@ -9,7 +9,6 @@ import pytest
 from tiletopo.contact import approx_boundary, build_contact_graph, derive_order_extension
 from tiletopo.geometry import (
     _candidate_pairs,
-    _prefilter_floats,
     polygon_is_simple_closed,
     polyline_hausdorff,
     segments_intersect,
@@ -62,7 +61,7 @@ class TestSimpleClosed:
 
     def test_flat_triangle(self):
         # no edge pair is non-adjacent, so only the spike test rejects it;
-        # 2**40 takes the Python branch
+        # 2**40 makes the integer array one of Python ints
         for k in (1, 2**40):
             pts = [(0, 0), (k, 0), (2 * k, 0)]
             for p in int_and_fraction(*pts) + int_and_fraction(*pts[::-1]):
@@ -100,7 +99,7 @@ class TestSimpleClosed:
         assert not polygon_is_simple_closed(tuple(pts))
 
     def test_huge_coordinates_path(self):
-        # denominators past 2^30 force the python-exact branch
+        # denominators past 2^30 make the integer array one of Python ints
         big = Fraction(1, 2**40 + 1)
         shift = [(big * x, big * y) for (x, y) in [(0, 0), (1, 0), (1, 1), (0, 1)]]
         ring = tuple(shift)
@@ -166,10 +165,11 @@ def _quarter(p, q, k):
 
 
 def _sample_polygons():
-    """Seeded polygons with 65..400 vertices: (name, points, simple?)."""
+    """Seeded polygons with 5..400 vertices, and each of them scaled by
+    2**40: (name, points, simple?)."""
     rng = random.Random(20261018)
     out = []
-    for m in (65, 130, 250, 400):
+    for m in (65, 130, 250, 400, 5, 16, 64):
         pts = _star(rng, m)
         out.append(("simple", pts, True))
         while True:  # swap two vertices until edges k-1 and k+2 cross
@@ -187,7 +187,15 @@ def _sample_polygons():
         # an edge lying inside edge j: its quarter points, inserted far away
         q1, q3 = (_quarter(pts[j], pts[(j + 1) % m], i) for i in (1, 3))
         out.append(("collinear-overlap", pts[: k + 1] + [q1, q3] + pts[k + 1 :], False))
-    return out
+    big = [(f"{name} x 2**40", [(x << 40, y << 40) for x, y in pts], simple) for name, pts, simple in out]
+    return out + big
+
+
+def _closed(pts) -> np.ndarray:
+    """The closed integer array of an integer polygon, with the dtype the
+    simple-closed test gives it."""
+    small = max(abs(c) for v in pts for c in v) < 2**30
+    return np.array(list(pts) + [pts[0]], dtype=np.int64 if small else object)
 
 
 def _as_fractions(pts, d=12):
@@ -210,8 +218,8 @@ def _valid(pts) -> bool:
 
 
 class TestVectorizedPath:
-    """Polygons past 64 vertices go through the grid prefilter and the
-    int64 tests (ints) or the scaled integers (Fractions)."""
+    """Every polygon goes through the grid prefilter and the array tests on
+    its integers: int64 below 2**30, Python ints above."""
 
     POLYGONS = _sample_polygons()
 
@@ -226,7 +234,7 @@ class TestVectorizedPath:
         """Every non-adjacent pair whose exact boxes meet, in the frame of
         the longest segment, is a candidate."""
         for name, pts, _ in self.POLYGONS:
-            iarr = np.array(pts + pts[:1], dtype=np.int64)
+            iarr = np.array(pts + pts[:1], dtype=object)
             m = len(pts)
             seg = iarr[1:] - iarr[:-1]
             lengths2 = sorted((int(dx) ** 2 + int(dy) ** 2, i) for i, (dx, dy) in enumerate(seg))
@@ -246,10 +254,9 @@ class TestVectorizedPath:
             i, j = np.nonzero(np.triu(meet, 2))
             keep = ~((i == 0) & (j == m - 1))
             need = set(zip(i[keep].tolist(), j[keep].tolist()))
-            assert need, name
-            for vertices in (tuple(pts), _as_fractions(pts)):
-                got = set(map(tuple, _candidate_pairs(_prefilter_floats(vertices)).tolist()))
-                assert need <= got, name
+            assert need or m == 5, name  # the simple pentagon has no such pair
+            got = set(map(tuple, _candidate_pairs(_closed(pts)).tolist()))
+            assert need <= got, name
 
     @pytest.mark.parametrize(
         "a,b,n,sha",
@@ -265,7 +272,7 @@ class TestVectorizedPath:
         grouping replaced; the pair array must not change."""
         ordered = derive_order_extension(build_contact_graph(TileParams(a, b)))
         points = approx_boundary(ordered, n).points
-        pi = _candidate_pairs(_prefilter_floats(points))
+        pi = _candidate_pairs(_closed(points))
         assert pi.dtype == np.int64
         assert hashlib.sha256(pi.tobytes()).hexdigest() == sha
 

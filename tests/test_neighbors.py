@@ -42,14 +42,14 @@ class TestFormula:
                 assert len(s) == 2 + 4 * s.j
                 assert all((-x, -y) in s.members for (x, y) in s.members)
 
-    def test_a_zero_formula_diverges_from_truth(self):
-        # the closed form is only used for A >= 1; at A=0 the true set (from
-        # the certified search) has the four corner translations as well
-        p = TileParams(0, 2)
-        f = neighbor_set_formula(p)
-        s = neighbor_set_search(p)
-        assert len(f) == 6
-        assert s.members == f.members | {(1, 1), (-1, -1)}
+    def test_a_zero_formula_matches_search(self):
+        # at A = 0 the closed form is the eight unit vectors, the set the
+        # certified search finds
+        for b in range(2, 51):
+            p = TileParams(0, b)
+            f = neighbor_set_formula(p)
+            assert f.members == neighbor_set_search(p).members, b
+            assert f.j is None, b
 
 
 class TestSearch:
