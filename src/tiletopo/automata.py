@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Collection, Hashable, Iterable, Mapping
 
-from . import linalg
 from .errors import BudgetExceeded, CertificateFailure
 from .numsys import Address, RationalPoint, TileParams, point_eval
 
@@ -342,21 +341,27 @@ def product_intersection(
     Both languages must be ``DigitDFA``s, so that each run is one pair of
     digit sequences.  The difference state starts at ``initial_diff`` c, and
     an accepted pair (x, y) satisfies value(x) = value(y) - c.
+
+    A digit pair (a, a') moves the difference delta to M delta + (a - a', 0),
+    which must stay in S u {0}.  With (mx, my) = M delta, the moves from delta
+    are the s in S u {0} with s_y = my and |s_x - mx| <= B - 1, at digit
+    difference d = s_x - mx.  They are found by matching second coordinates,
+    once per call for each difference the product reaches.  A state pairs
+    each digit of its shorter row with each move: a on the left meets only
+    a - d on the right, and a' on the right only a' + d on the left.
     """
     if not (isinstance(left, DigitDFA) and isinstance(right, DigitDFA)):
         raise TypeError("product_intersection takes DigitDFA languages")
     b = params.b
-    m = params.matrix
+    (m00, m01), (m10, m11) = params.matrix
     allowed = frozenset(sset) | {(0, 0)}
     if initial_diff not in allowed:
         return IntersectionAutomaton(params, (), {}, set(), EMPTY)
 
-    step: dict[tuple[IntVec, int], IntVec | None] = {}
-    for delta in allowed:
-        md = linalg.mat_vec(m, delta)
-        for d in range(-(b - 1), b):
-            t = (md[0] + d, md[1])
-            step[(delta, d)] = t if t in allowed else None
+    by_y: dict[int, list[IntVec]] = {}
+    for s in allowed:
+        by_y.setdefault(s[1], []).append(s)
+    moves: dict[IntVec, list[tuple[int, IntVec]]] = {}
 
     initials = tuple(
         (p, q, initial_diff) for p in left.initials for q in right.initials
@@ -370,20 +375,39 @@ def product_intersection(
         edges: list[tuple[int, int, State]] = []
         lrow = left.trans.get(p, {})
         rrow = right.trans.get(q, {})
-        for a, ltargets in lrow.items():
-            for ap, rtargets in rrow.items():
-                nd = step.get((delta, a - ap))
-                if nd is None:
-                    continue
-                for pt in ltargets:
-                    for qt in rtargets:
-                        child = (pt, qt, nd)
-                        edges.append((a, ap, child))
-                        if child not in seen:
-                            seen.add(child)
-                            frontier.append(child)
+        steps = moves.get(delta)
+        if steps is None:
+            mx = m00 * delta[0] + m01 * delta[1]
+            my = m10 * delta[0] + m11 * delta[1]
+            steps = moves[delta] = [
+                (s[0] - mx, s) for s in by_y.get(my, ()) if abs(s[0] - mx) < b
+            ]
+        if len(lrow) <= len(rrow):
+            pairs = [(a, a - d, nd) for a in lrow for d, nd in steps if a - d in rrow]
+        else:
+            pairs = [(ap + d, ap, nd) for ap in rrow for d, nd in steps if ap + d in lrow]
+        for a, ap, nd in pairs:
+            for pt in lrow[a]:
+                for qt in rrow[ap]:
+                    child = (pt, qt, nd)
+                    edges.append((a, ap, child))
+                    if child not in seen:
+                        seen.add(child)
+                        frontier.append(child)
         trans[node] = edges
+    return _classify_product(params, initials, trans, initial_diff, max_runs)
 
+
+def _classify_product(
+    params: TileParams,
+    initials: tuple[State, ...],
+    trans: dict[State, list[tuple[int, int, State]]],
+    initial_diff: IntVec,
+    max_runs: int,
+) -> IntersectionAutomaton:
+    """Trim, classify and, when finite, enumerate the runs of a product
+    whose reachable states and raw edges are ``trans``.  Nothing here
+    depends on the order of a state's raw edges."""
     alive = live_nodes({node: [t for (_, _, t) in edges] for node, edges in trans.items()})
     live_inits = [q for q in initials if q in alive]
     if not live_inits:
@@ -453,10 +477,10 @@ def product_intersection(
         if lv != expected:
             raise CertificateFailure("difference tracking broken")
         runs.append(Run(la, ra, lv))
-
-    def explore(node: State, prefix_l: list[int], prefix_r: list[int]) -> None:
         if len(runs) > max_runs:
             raise BudgetExceeded(f"run enumeration exceeded {max_runs} runs")
+
+    def explore(node: State, prefix_l: list[int], prefix_r: list[int]) -> None:
         if node in cyclic:
             emit(prefix_l, prefix_r, node)
             return

@@ -71,9 +71,5 @@ def solve2(m: Mat2, rhs: Vec2) -> Vec2:
     return (x, y)
 
 
-def vec_add(u: Vec2, v: Vec2) -> Vec2:
-    return (u[0] + v[0], u[1] + v[1])
-
-
 def vec_neg(u: Vec2) -> Vec2:
     return (-u[0], -u[1])

@@ -287,19 +287,26 @@ def periodic_tail_value(period: DigitWord, params: TileParams) -> RationalPoint:
 
 
 def point_eval(addr: Address, params: TileParams) -> RationalPoint:
-    """Exact rational value of an eventually periodic address."""
+    """Exact rational value of an eventually periodic address.
+
+    Runs on integers: the periodic tail is (x/den, y/den) from
+    ``periodic_tail_scaled``, and each preperiod digit d, last to first,
+    applies M^-1 = adj(M)/B as (x, y) <- adj(M) (x + d den, y) and
+    den <- B den, with adj(M) = [[-A, B], [-1, 0]].  The integer part is a
+    lattice point; the two Fractions are built once, at the end.
+    """
     for d in addr.integer_part + addr.preperiod + addr.period:
         params.check_digit(d)
-    m = params.matrix
-    minv = params.matrix_inv
-    val: linalg.Vec2 = (Fraction(0), Fraction(0))
+    a, b = params.a, params.b
+    ix, iy = 0, 0
     for d in addr.integer_part:
-        val = linalg.mat_vec(m, val)
-        val = (val[0] + d, val[1])
-    frac = periodic_tail_value(addr.period, params)
+        ix, iy = -b * iy + d, ix - a * iy
+    x, y, den = periodic_tail_scaled(addr.period, params)
     for d in reversed(addr.preperiod):
-        frac = linalg.mat_vec(minv, (frac[0] + d, frac[1]))
-    return linalg.vec_add(val, frac)
+        x += d * den
+        x, y = b * y - a * x, -x
+        den *= b
+    return (Fraction(ix * den + x, den), Fraction(iy * den + y, den))
 
 
 def flip(addr: Address, params: TileParams) -> Address:

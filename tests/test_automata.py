@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 
 from tiletopo import TileParams, parse_address
@@ -6,6 +9,8 @@ from tiletopo.automata import (
     EMPTY,
     UNIQUE_POINT,
     DigitDFA,
+    IntersectionAutomaton,
+    _classify_product,
     DigitNFA,
     nfa_accepts_address,
     nfa_cylinder,
@@ -17,8 +22,13 @@ from tiletopo.automata import (
     nfa_union,
     product_intersection,
 )
+from tiletopo.chains import ChainSetup, flipped_curves
 from tiletopo.errors import BudgetExceeded
+from tiletopo.linalg import mat_vec
 from tiletopo.neighbors import neighbor_set_formula
+from tiletopo.topology import build_d1_d2
+
+from conftest import random_address
 
 
 def members(params):
@@ -142,6 +152,29 @@ class TestProduct:
         with pytest.raises(BudgetExceeded):
             product_intersection(left, right, members(params), params, max_runs=0)
 
+    def test_run_budget_counts_the_first_run(self):
+        params = TileParams(4, 5)
+        left = nfa_single_address(parse_address("120(04)"))
+        right = nfa_single_address(parse_address("001(40)"))
+        with pytest.raises(BudgetExceeded):
+            product_intersection(left, right, members(params), params, max_runs=0)
+        res = product_intersection(left, right, members(params), params, max_runs=1)
+        assert len(res.runs) == 1
+
+    def test_run_budget_counts_every_run(self):
+        params = TileParams(4, 5)
+        shared = nfa_single_address(parse_address("3(1)"))
+        left = nfa_determinize(
+            nfa_union([nfa_single_address(parse_address("120(04)")), shared])
+        )
+        right = nfa_determinize(
+            nfa_union([nfa_single_address(parse_address("001(40)")), shared])
+        )
+        with pytest.raises(BudgetExceeded):
+            product_intersection(left, right, members(params), params, max_runs=1)
+        res = product_intersection(left, right, members(params), params, max_runs=2)
+        assert len(res.runs) == 2
+
     def test_rejects_nondeterministic_language(self):
         params = TileParams(4, 5)
         union = nfa_union([nfa_cylinder((0,), 5), nfa_cylinder((1,), 5)])
@@ -156,3 +189,118 @@ class TestProduct:
         r1 = product_intersection(d1.nfa, d2.nfa, members(params), params)
         r2 = product_intersection(d1.nfa, d2.nfa, members(params), params)
         assert r1.to_json() == r2.to_json()
+
+
+def brute_product(left, right, sset, params, initial_diff=(0, 0)):
+    """The product as first written: a dense step table over every
+    difference in S u {0} and every digit difference |d| <= B - 1, and
+    every digit pair (a, a') of every state."""
+    b = params.b
+    allowed = frozenset(sset) | {(0, 0)}
+    if initial_diff not in allowed:
+        return IntersectionAutomaton(params, (), {}, set(), EMPTY)
+    step = {}
+    for delta in allowed:
+        md = mat_vec(params.matrix, delta)
+        for d in range(-(b - 1), b):
+            t = (md[0] + d, md[1])
+            step[(delta, d)] = t if t in allowed else None
+    initials = tuple((p, q, initial_diff) for p in left.initials for q in right.initials)
+    trans = {}
+    seen = set(initials)
+    frontier = list(initials)
+    while frontier:
+        node = frontier.pop()
+        p, q, delta = node
+        edges = []
+        for a, ltargets in left.trans.get(p, {}).items():
+            for ap, rtargets in right.trans.get(q, {}).items():
+                nd = step.get((delta, a - ap))
+                if nd is None:
+                    continue
+                for pt in ltargets:
+                    for qt in rtargets:
+                        child = (pt, qt, nd)
+                        edges.append((a, ap, child))
+                        if child not in seen:
+                            seen.add(child)
+                            frontier.append(child)
+        trans[node] = edges
+    return _classify_product(params, initials, trans, initial_diff, 20000)
+
+
+class TestProductReference:
+    """``product_intersection`` tries only the digit pairs whose difference
+    step stays in S u {0}; the brute-force product tries them all.  The two
+    must agree on every state's edges and on everything derived from them."""
+
+    @staticmethod
+    def _compare(left, right, sset, params, initial_diff=(0, 0)):
+        res = product_intersection(left, right, sset, params, initial_diff)
+        ref = brute_product(left, right, sset, params, initial_diff)
+        assert res.initials == ref.initials
+        assert res.transitions.keys() == ref.transitions.keys()
+        for q, edges in ref.transitions.items():
+            assert Counter(res.transitions[q]) == Counter(edges), (params, q)
+        assert res.live == ref.live
+        assert res.kind == ref.kind
+        assert res.runs == ref.runs
+        assert res.points == ref.points
+        assert res.branch_witness == ref.branch_witness
+        assert res.to_json() == ref.to_json()
+        return res.kind
+
+    def test_full_languages_at_every_initial_difference(self):
+        for b in range(2, 9):
+            for a in range(0, b + 1):
+                params = TileParams(a, b)
+                sset = members(params)
+                for c in sset | {(0, 0)}:
+                    self._compare(nfa_full(b), nfa_full(b), sset, params, c)
+
+    def test_wider_alphabet_keeps_the_digit_difference_bound(self):
+        # DigitDFA does not check its digits against {0..B-1}; over a wider
+        # alphabet the step table's bound |d| <= B - 1 is what cuts moves
+        for a, b in [(0, 3), (4, 5), (5, 7)]:
+            params = TileParams(a, b)
+            sset = members(params)
+            wide = DigitDFA(("*",), {"*": {d: ("*",) for d in range(-b, 2 * b)}})
+            for c in sset | {(0, 0)}:
+                self._compare(wide, wide, sset, params, c)
+
+    def test_cylinders_and_single_addresses(self):
+        rng = random.Random(20261018)
+        kinds = set()
+        for b in range(2, 9):
+            for a in range(0, b + 1):
+                params = TileParams(a, b)
+                sset = members(params)
+                for _ in range(4):
+                    addr = random_address(rng, b)
+                    single = nfa_single_address(addr)
+                    own = tuple(addr.fractional_digit(i) for i in range(1, rng.randint(1, 3) + 1))
+                    other = tuple(rng.randrange(b) for _ in range(rng.randint(1, 3)))
+                    for word in (own, other):
+                        cylinder = nfa_cylinder(word, b)
+                        kinds.add(self._compare(cylinder, single, sset, params))
+                        kinds.add(self._compare(single, cylinder, sset, params))
+        assert {EMPTY, UNIQUE_POINT} <= kinds
+
+    def test_halves(self):
+        for b in range(2, 13):
+            for a in range(1, b + 1):
+                if 2 * a - b >= 5:
+                    params = TileParams(a, b)
+                    d1, d2 = build_d1_d2(params)
+                    assert self._compare(d1.nfa, d2.nfa, members(params), params) == UNIQUE_POINT
+
+    @pytest.mark.parametrize("a,b", [(4, 5), (5, 7)])
+    def test_alpha_curve_cells(self, a, b):
+        setup = ChainSetup.build(TileParams(a, b))
+        langs = [c.language for c in setup.curves]
+        langs += [f.language for f in flipped_curves(setup, setup.curves)]
+        kinds = set()
+        for i, l1 in enumerate(langs):
+            for l2 in langs[i + 1 :]:
+                kinds.add(self._compare(l1, l2, setup.sset, setup.params))
+        assert {EMPTY, UNIQUE_POINT} <= kinds

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from tiletopo import TileParams, WrongRegime, parse_address, point_eval
@@ -167,6 +170,17 @@ class TestCircularChain:
 
     def test_5_7(self):
         assert verify_circular_chain(setup_for(5, 7)).ok
+
+    def test_report_golden_digest(self):
+        # sha256 of the JSON chain report of (A, 2A - 3) for odd B from 5 to
+        # 13, recorded with the product that tried every digit pair
+        h = hashlib.sha256()
+        for b in range(5, 14, 2):
+            report = circular_chain_report(setup_for((b + 3) // 2, b))
+            h.update(json.dumps(report.to_json(), indent=2, sort_keys=True).encode())
+        assert h.hexdigest() == (
+            "e3b885aa8a37b64d16ae59cb4bde94f4a40bcf0c7f3e0668ade9f8e47379c8ed"
+        )
 
     def test_junction_statement_variants_agree(self):
         # the two equivalent spellings of the a_B n a_1' junction

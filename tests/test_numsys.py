@@ -134,6 +134,58 @@ class TestPointEval:
                 assert close(point_eval(addr, params), series_value(addr, params))
 
 
+def fraction_point_eval(addr, params):
+    """The Fraction evaluation the integer one replaced: M^-1 as a Fraction
+    matrix, applied once per preperiod digit."""
+    m, minv = params.matrix, params.matrix_inv
+    val = (Fraction(0), Fraction(0))
+    for d in addr.integer_part:
+        val = mat_vec(m, val)
+        val = (val[0] + d, val[1])
+    frac = periodic_tail_value(addr.period, params)
+    for d in reversed(addr.preperiod):
+        frac = mat_vec(minv, (frac[0] + d, frac[1]))
+    return (val[0] + frac[0], val[1] + frac[1])
+
+
+class TestPointEvalReference:
+    @staticmethod
+    def _address(rng, b, pre_len):
+        integer = tuple(rng.randrange(b) for _ in range(rng.randint(0, 3)))
+        pre = tuple(rng.randrange(b) for _ in range(pre_len))
+        per = tuple(rng.randrange(b) for _ in range(rng.randint(1, 5)))
+        return Address(integer, pre, per)
+
+    def _check(self, addr, params):
+        value = point_eval(addr, params)
+        assert all(type(c) is Fraction for c in value)
+        assert value == fraction_point_eval(addr, params), (params, addr)
+
+    def test_every_pair_up_to_b_12(self, rng):
+        for b in range(2, 13):
+            for a in range(0, b + 1):
+                params = TileParams(a, b)
+                for _ in range(12):
+                    self._check(self._address(rng, b, rng.randint(0, 8)), params)
+
+    def test_large_pair_and_long_preperiod(self, rng):
+        for params in (TileParams(20, 40), TileParams(7, 9), TileParams(0, 3)):
+            for _ in range(20):
+                self._check(self._address(rng, params.b, 30), params)
+        self._check(self._address(rng, 40, 8), TileParams(20, 40))
+
+    @pytest.mark.parametrize(
+        "addr", [Address((5,), (), (0,)), Address((), (1, 5, 0), (2,)), Address((), (), (1, 5))]
+    )
+    def test_digit_out_of_range_raises_before_arithmetic(self, addr, monkeypatch):
+        def no_arithmetic(*args):
+            raise AssertionError("point_eval computed before checking its digits")
+
+        monkeypatch.setattr("tiletopo.numsys.periodic_tail_scaled", no_arithmetic)
+        with pytest.raises(ValueError, match="out of range for B=5"):
+            point_eval(addr, TileParams(4, 5))
+
+
 class TestFlip:
     def test_digitwise(self):
         params = TileParams(4, 5)

@@ -43,3 +43,41 @@ def test_imports_are_stdlib_numpy_or_the_package():
                 if name.split(".")[0] not in allowed
             ]
     assert found == []
+
+
+def _module_imports(tree: ast.Module) -> dict[str, int]:
+    """Names bound by the module-level imports, with their line numbers."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return set()
+
+
+def test_no_unused_module_imports():
+    # a name counts as used when it is read as a name (which covers the
+    # base of an attribute chain such as linalg.mat_vec) or listed in __all__
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= _exported(tree)
+        found += [
+            f"{path.name}:{line} {name}"
+            for name, line in _module_imports(tree).items()
+            if name not in used
+        ]
+    assert found == []

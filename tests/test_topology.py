@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from tiletopo import (
@@ -176,6 +179,19 @@ class TestCertificates:
     def test_wrong_regime(self):
         with pytest.raises(WrongRegime):
             verify_cut_point(TileParams(4, 5))
+
+    def test_certificate_golden_digest(self):
+        # sha256 of the JSON certificate of every pair 2A - B >= 5, B <= 20
+        # (72 pairs), recorded with the product that tried every digit pair
+        h = hashlib.sha256()
+        for b in range(2, 21):
+            for a in range(1, b + 1):
+                if 2 * a - b >= 5:
+                    cert = verify_cut_point(TileParams(a, b))
+                    h.update(json.dumps(cert.to_json(), indent=2, sort_keys=True).encode())
+        assert h.hexdigest() == (
+            "2a832ff70f98fe89d4d9b6e673ef0b7e41e4c7409230bd21aa7f81d8cd3e3e92"
+        )
 
 
 class TestPrefixAgreement:
