@@ -12,10 +12,13 @@ becomes a ``DigitDFA`` once, where it is built (``nfa_determinize`` runs the
 subset construction when it has to), and the product only checks the type.
 
 The classifier distinguishes EMPTY, UNIQUE_POINT, FINITE_POINTS (finitely
-many runs, deduplicated by exact value) and BRANCHING (some cycle state
-keeps a choice, so runs are infinite in number; point cardinality is left
-open).  Everything is exact; runs are eventually periodic by construction
-and evaluate through the rational point machinery.
+many runs, deduplicated by exact value) and BRANCHING (a state on or after a
+cycle keeps a choice, so runs are infinite in number; point cardinality is
+left open).  It needs one trimming routine, ``live_nodes``, run twice: every
+product state was reached from the initials, so the live states are already
+the reachable-and-live ones; and on the reversed live graph it keeps the
+states on or after a cycle.  Everything is exact; runs are eventually
+periodic by construction and evaluate through the rational point machinery.
 """
 
 from __future__ import annotations
@@ -142,7 +145,7 @@ def nfa_accepts_address(nfa: DigitNFA, addr: Address) -> bool:
         return pre[pos] if pos < len(pre) else per[pos - len(pre)]
 
     nodes = {(q, 0) for q in nfa.initials}
-    frontier = sorted(nodes, key=repr)
+    frontier = list(nodes)
     succ: dict[tuple[State, int], list[tuple[State, int]]] = {}
     while frontier:
         q, pos = frontier.pop()
@@ -265,67 +268,21 @@ class IntersectionAutomaton:
             return sorted(self.live, key=repr)
 
     def to_json(self) -> dict:
-        index = {q: i for i, q in enumerate(self.sorted_states())}
+        states = self.sorted_states()
+        index = {q: i for i, q in enumerate(states)}
         return {
             "schema": "tiletopo/intersection-automaton@1",
             "kind": self.kind,
-            "states": [repr(q) for q in self.sorted_states()],
+            "states": [repr(q) for q in states],
             "initials": sorted(index[q] for q in self.initials if q in index),
             "transitions": [
                 [index[q], a, ap, index[t]]
-                for q in self.sorted_states()
+                for q in states
                 for (a, ap, t) in sorted(self.transitions.get(q, []))
                 if t in index
             ],
             "points": [[str(x), str(y)] for (x, y) in self.points],
         }
-
-
-def _tarjan_sccs(nodes: list[State], succ: dict[State, list[State]]) -> list[list[State]]:
-    index: dict[State, int] = {}
-    low: dict[State, int] = {}
-    on_stack: set[State] = set()
-    stack: list[State] = []
-    sccs: list[list[State]] = []
-    counter = 0
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, iter(succ.get(root, [])))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for child in it:
-                if child not in index:
-                    index[child] = low[child] = counter
-                    counter += 1
-                    stack.append(child)
-                    on_stack.add(child)
-                    work.append((child, iter(succ.get(child, []))))
-                    advanced = True
-                    break
-                if child in on_stack:
-                    low[node] = min(low[node], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    q = stack.pop()
-                    on_stack.discard(q)
-                    comp.append(q)
-                    if q == node:
-                        break
-                sccs.append(comp)
-    return sccs
 
 
 def product_intersection(
@@ -407,70 +364,49 @@ def _classify_product(
 ) -> IntersectionAutomaton:
     """Trim, classify and, when finite, enumerate the runs of a product
     whose reachable states and raw edges are ``trans``.  Nothing here
-    depends on the order of a state's raw edges."""
+    depends on the order of a state's raw edges.
+
+    Every state of ``trans`` was reached from the initials, and each state
+    on a path to a live state is live, so the live states are already the
+    reachable-and-live ones.  The live states with an infinite backward
+    path are those on or after a cycle.  If one of them keeps two live
+    edges, runs are infinite in number: that state is on a cycle, or the
+    cycle before it has an exit.  Otherwise they form disjoint simple
+    cycles, one live edge per state."""
     alive = live_nodes({node: [t for (_, _, t) in edges] for node, edges in trans.items()})
     live_inits = [q for q in initials if q in alive]
     if not live_inits:
         return IntersectionAutomaton(params, initials, trans, set(), EMPTY)
 
-    # restrict to reachable-and-live; keep live edge lists per state
-    rl: set[State] = set(live_inits)
-    frontier = list(live_inits)
-    live_edges: dict[State, list[tuple[int, int, State]]] = {}
-    succ: dict[State, list[State]] = {}
-    while frontier:
-        node = frontier.pop()
-        edges = sorted(
-            {e for e in trans.get(node, []) if e[2] in alive},
-            key=lambda e: (e[0], e[1], repr(e[2])),
-        )
-        live_edges[node] = edges
-        outs = sorted({t for (_, _, t) in edges}, key=repr)
-        succ[node] = outs
-        for t in outs:
-            if t not in rl:
-                rl.add(t)
-                frontier.append(t)
+    # the (a, a') pairs of a state are distinct for DFA languages, so the
+    # sort never reaches the target
+    live_edges = {q: sorted(e for e in trans[q] if e[2] in alive) for q in alive}
+    preds: dict[State, list[State]] = {}
+    for q, edges in live_edges.items():
+        for (_, _, t) in edges:
+            preds.setdefault(t, []).append(q)
+    cyclic = live_nodes(preds)
 
-    cyclic: set[State] = set()
-    for comp in _tarjan_sccs(sorted(rl, key=repr), succ):
-        if len(comp) > 1:
-            cyclic.update(comp)
-        else:
-            q = comp[0]
-            if q in succ.get(q, []):
-                cyclic.add(q)
-
-    # a cycle state keeping any choice (even a parallel edge) yields
-    # infinitely many runs
-    branching = next(
-        (q for q in sorted(cyclic, key=repr) if len(live_edges[q]) > 1), None
-    )
-    if branching is not None:
+    branching = [q for q in cyclic if len(live_edges[q]) > 1]
+    if branching:
         return IntersectionAutomaton(
-            params, initials, trans, rl, BRANCHING, branch_witness=branching
+            params, initials, trans, alive, BRANCHING, branch_witness=min(branching, key=repr)
         )
 
     # finitely many runs: enumerate them
     runs: list[Run] = []
 
     def emit(prefix_l: list[int], prefix_r: list[int], node: State) -> None:
-        # forced part: walk until a state repeats, split prefix/cycle there
-        ldigits: list[int] = []
-        rdigits: list[int] = []
-        pos: dict[State, int] = {node: 0}
+        # node lies on a simple cycle, which is the period
+        lper: list[int] = []
+        rper: list[int] = []
         cur = node
-        while True:
-            a, ap, nxt = live_edges[cur][0]
-            ldigits.append(a)
-            rdigits.append(ap)
-            cur = nxt
-            if cur in pos:
-                break
-            pos[cur] = len(ldigits)
-        k = pos[cur]
-        la = Address((), tuple(prefix_l + ldigits[:k]), tuple(ldigits[k:]))
-        ra = Address((), tuple(prefix_r + rdigits[:k]), tuple(rdigits[k:]))
+        while not lper or cur != node:
+            a, ap, cur = live_edges[cur][0]
+            lper.append(a)
+            rper.append(ap)
+        la = Address((), tuple(prefix_l), tuple(lper))
+        ra = Address((), tuple(prefix_r), tuple(rper))
         lv = point_eval(la, params)
         rv = point_eval(ra, params)
         expected = (rv[0] - initial_diff[0], rv[1] - initial_diff[1])
@@ -487,7 +423,7 @@ def _classify_product(
         for (a, ap, t) in live_edges[node]:
             explore(t, prefix_l + [a], prefix_r + [ap])
 
-    for init in sorted(live_inits, key=repr):
+    for init in live_inits:
         explore(init, [], [])
 
     values = []
@@ -496,5 +432,5 @@ def _classify_product(
             values.append(run.value)
     kind = UNIQUE_POINT if len(values) == 1 else FINITE_POINTS
     return IntersectionAutomaton(
-        params, initials, trans, rl, kind, tuple(runs), tuple(values)
+        params, initials, trans, alive, kind, tuple(runs), tuple(values)
     )

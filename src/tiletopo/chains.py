@@ -35,6 +35,7 @@ from .contact import (
     Walk,
     build_contact_graph,
     derive_order_extension,
+    first_difference,
     psi,
     walk_compare,
 )
@@ -190,13 +191,9 @@ def lex_interval_language(
         initials.extend(("free", s) for s in range(lo.start + 1, hi.start))
         initials.append(("hi", 0))
     else:
-        # same start state: walk both tight chains until they diverge
-        n = 0
-        while lo.letter(n + 1) == hi.letter(n + 1):
-            n += 1
-            if n >= 10000:
-                raise CertificateFailure("identical walks should have been caught")
-        # both-tight prefix states, raw-indexed; n is the divergence step
+        # same start state: both chains stay tight for the n letters the
+        # bounds share, and walk_compare has found that they differ
+        n = first_difference(lo, hi) - 1
         state = lo.start
         for m in range(n):
             e = ordered.edge_at(state, lo.letter(m + 1))

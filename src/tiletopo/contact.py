@@ -158,21 +158,28 @@ class Walk:
             raise OutOfRange(f"walk start {self.start} is not a state 1..6")
 
 
-def walk_compare(a: Walk, b: Walk) -> int:
-    """Lexicographic comparison of infinite walks: start state first."""
-    if a.start != b.start:
-        return -1 if a.start < b.start else 1
+def first_difference(a: Walk, b: Walk) -> int | None:
+    """The first n at which the n-th letters of two infinite walks differ,
+    or None when the letter sequences are equal.  Eventually periodic
+    sequences that agree past both preperiods and a common period agree
+    forever, so a finite horizon decides."""
     horizon = (
         len(a.pre)
         + len(b.pre)
         + 2 * math.lcm(max(1, len(a.period)), max(1, len(b.period)))
         + 2
     )
-    for n in range(1, horizon + 1):
-        la, lb = a.letter(n), b.letter(n)
-        if la != lb:
-            return -1 if la < lb else 1
-    return 0
+    return next((n for n in range(1, horizon + 1) if a.letter(n) != b.letter(n)), None)
+
+
+def walk_compare(a: Walk, b: Walk) -> int:
+    """Lexicographic comparison of infinite walks: start state first."""
+    if a.start != b.start:
+        return -1 if a.start < b.start else 1
+    n = first_difference(a, b)
+    if n is None:
+        return 0
+    return -1 if a.letter(n) < b.letter(n) else 1
 
 
 # ---------------------------------------------------------------------------

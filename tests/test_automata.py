@@ -9,7 +9,9 @@ from tiletopo.automata import (
     EMPTY,
     UNIQUE_POINT,
     DigitDFA,
+    FINITE_POINTS,
     IntersectionAutomaton,
+    Run,
     _classify_product,
     DigitNFA,
     nfa_accepts_address,
@@ -26,6 +28,7 @@ from tiletopo.chains import ChainSetup, flipped_curves
 from tiletopo.errors import BudgetExceeded
 from tiletopo.linalg import mat_vec
 from tiletopo.neighbors import neighbor_set_formula
+from tiletopo.numsys import Address, point_eval
 from tiletopo.topology import build_d1_d2
 
 from conftest import random_address
@@ -229,10 +232,66 @@ def brute_product(left, right, sset, params, initial_diff=(0, 0)):
     return _classify_product(params, initials, trans, initial_diff, 20000)
 
 
+def reference_classification(res):
+    """Classify a product from its raw edges by the definitions alone: the
+    live states are left when states without a successor are removed until
+    none is, a live state is on a cycle when it reaches itself through live
+    edges, a cycle state with two live edges means BRANCHING, and otherwise
+    every run is a prefix plus the cycle it ends on.  Returns the kind, the
+    live states reachable from the initials, the runs, the distinct points
+    and the states reachable from a cycle state."""
+    live = set(res.transitions)
+    while True:
+        kept = {q for q in live if any(t in live for _, _, t in res.transitions[q])}
+        if kept == live:
+            break
+        live = kept
+    edges = {q: sorted(e for e in res.transitions[q] if e[2] in live) for q in live}
+
+    def reach(starts):
+        seen, stack = set(), list(starts)
+        while stack:
+            for _, _, t in edges[stack.pop()]:
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        return seen
+
+    inits = [q for q in res.initials if q in live]
+    if not inits:
+        return EMPTY, set(), (), (), set()
+    kept = set(inits) | reach(inits)
+    on_cycle = {q for q in kept if q in reach([q])}
+    after_cycle = reach(on_cycle)
+    if any(len(edges[q]) > 1 for q in on_cycle):
+        return BRANCHING, kept, (), (), after_cycle
+    runs = []
+
+    def walk(q, left, right):
+        if q not in on_cycle:
+            for a, ap, t in edges[q]:
+                walk(t, left + (a,), right + (ap,))
+            return
+        start, lper, rper = q, [], []
+        while not lper or q != start:
+            a, ap, q = edges[q][0]
+            lper.append(a)
+            rper.append(ap)
+        la = Address((), left, tuple(lper))
+        runs.append(Run(la, Address((), right, tuple(rper)), point_eval(la, res.params)))
+
+    for q in inits:
+        walk(q, (), ())
+    points = tuple(dict.fromkeys(r.value for r in runs))
+    kind = UNIQUE_POINT if len(points) == 1 else FINITE_POINTS
+    return kind, kept, tuple(runs), points, after_cycle
+
+
 class TestProductReference:
     """``product_intersection`` tries only the digit pairs whose difference
     step stays in S u {0}; the brute-force product tries them all.  The two
-    must agree on every state's edges and on everything derived from them."""
+    must agree on every state's edges and on everything derived from them,
+    and the classification must agree with ``reference_classification``."""
 
     @staticmethod
     def _compare(left, right, sset, params, initial_diff=(0, 0)):
@@ -248,6 +307,12 @@ class TestProductReference:
         assert res.points == ref.points
         assert res.branch_witness == ref.branch_witness
         assert res.to_json() == ref.to_json()
+        kind, live, runs, points, after_cycle = reference_classification(res)
+        assert (res.kind, res.live, res.runs, res.points) == (kind, live, runs, points)
+        if kind == BRANCHING:
+            witness = res.branch_witness
+            assert sum(t in live for _, _, t in res.transitions[witness]) >= 2
+            assert witness in after_cycle
         return res.kind
 
     def test_full_languages_at_every_initial_difference(self):

@@ -15,11 +15,12 @@ from tiletopo.chains import (
     expected_chain_junctions,
     flipped_curves,
     gamma_arcs,
+    lex_interval_language,
     symmetry_and_junctions,
     verify_chain,
     verify_circular_chain,
 )
-from tiletopo.contact import psi
+from tiletopo.contact import Walk, psi
 
 
 SETUPS: dict = {}
@@ -129,6 +130,40 @@ class TestAlphaLanguage:
         bprefixes = nfa_prefixes(boundary, 5)
         for c in alpha_curves(s):
             assert nfa_prefixes(c.language, 5) <= bprefixes
+
+
+class TestLexIntervalLanguage:
+    @staticmethod
+    def _walk_prefixes(ordered, lo, hi, depth):
+        """Digit words of the depth-letter walk prefixes p from lo's start
+        with lo[:depth] <= p <= hi[:depth]: exactly the prefixes of the
+        infinite walks between lo and hi, since every state has out-edges."""
+        lo_word = tuple(lo.letter(n) for n in range(1, depth + 1))
+        hi_word = tuple(hi.letter(n) for n in range(1, depth + 1))
+        out = set()
+
+        def rec(state, letters, digits):
+            if len(letters) == depth:
+                if lo_word <= letters <= hi_word:
+                    out.add(digits)
+                return
+            for k, e in enumerate(ordered.orders[state - 1], start=1):
+                rec(e[3], letters + (k,), digits + (e[1],))
+
+        rec(lo.start, (), ())
+        return out
+
+    def test_bounds_diverging_inside_the_period(self):
+        # both bounds read the preperiod (2) and the first period letter 2,
+        # and part at letter 3, the second letter of the period
+        ordered = setup_for(4, 5).ordered
+        lo, hi = Walk(5, (2,), (2, 2)), Walk(5, (2,), (2, 4))
+        lang = lex_interval_language(ordered, lo, hi)
+        assert lang.trans == lex_interval_language(ordered, hi, lo).trans
+        for depth in range(1, 7):
+            assert nfa_prefixes(lang, depth) == self._walk_prefixes(ordered, lo, hi, depth)
+        assert nfa_accepts_address(lang, psi(lo, ordered))
+        assert nfa_accepts_address(lang, psi(hi, ordered))
 
 
 class TestChain:

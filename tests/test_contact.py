@@ -17,6 +17,7 @@ from tiletopo.contact import (
     contact_states,
     count_walks,
     derive_order_extension,
+    first_difference,
     graph_to_dot,
     graph_to_json,
     param_to_walk,
@@ -570,3 +571,9 @@ class TestWalkCompare:
         assert walk_compare(b, a) == 1
         assert walk_compare(a, Walk(3, (1, 2), (2,))) == 0
         assert walk_compare(Walk(2, (9,), (9,)), Walk(3, (1,), (1,))) == -1
+
+    def test_first_difference(self):
+        assert first_difference(Walk(3, (1,), (2,)), Walk(3, (1, 2), (2,))) is None
+        assert first_difference(Walk(3, (1,), (2,)), Walk(3, (2,), (2,))) == 1
+        # same preperiod, parting inside the period
+        assert first_difference(Walk(5, (2,), (2, 2)), Walk(5, (2,), (2, 4))) == 3

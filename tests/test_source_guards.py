@@ -81,3 +81,28 @@ def test_no_unused_module_imports():
             if name not in used
         ]
     assert found == []
+
+
+def test_no_uncalled_private_functions():
+    # a module-level _name function or class must be read somewhere in the
+    # package outside its own body; reads inside it (recursion) do not count
+    defined, reads = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for top in tree.body:
+            names = {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(top)
+                if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+            }
+            owner = None
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name.startswith("_"):
+                owner = top.name
+                defined.append((f"{path.name}:{top.lineno} {owner}", owner))
+            reads.append((owner, names))
+    found = [
+        where
+        for where, name in defined
+        if not any(name in names for owner, names in reads if owner != name)
+    ]
+    assert found == []
