@@ -304,8 +304,8 @@ def product_intersection(
     are the s in S u {0} with s_y = my and |s_x - mx| <= B - 1, at digit
     difference d = s_x - mx.  They are found by matching second coordinates,
     once per call for each difference the product reaches.  A state pairs
-    each digit of its shorter row with each move: a on the left meets only
-    a - d on the right, and a' on the right only a' + d on the left.
+    each digit a of its left row with each move, and a meets only a - d on
+    the right.
     """
     if not (isinstance(left, DigitDFA) and isinstance(right, DigitDFA)):
         raise TypeError("product_intersection takes DigitDFA languages")
@@ -339,10 +339,7 @@ def product_intersection(
             steps = moves[delta] = [
                 (s[0] - mx, s) for s in by_y.get(my, ()) if abs(s[0] - mx) < b
             ]
-        if len(lrow) <= len(rrow):
-            pairs = [(a, a - d, nd) for a in lrow for d, nd in steps if a - d in rrow]
-        else:
-            pairs = [(ap + d, ap, nd) for ap in rrow for d, nd in steps if ap + d in lrow]
+        pairs = [(a, a - d, nd) for a in lrow for d, nd in steps if a - d in rrow]
         for a, ap, nd in pairs:
             for pt in lrow[a]:
                 for qt in rrow[ap]:

@@ -6,8 +6,10 @@ digit flips run along the top, and together they close into a circular chain:
 cyclically consecutive curves share exactly one point and all other pairs are
 disjoint.  Additional arcs gamma_i, obtained by substituting the leading
 digit, pass through the interior contact points.  Everything here is decided
-mechanically: curve languages are lexicographic walk intervals composed with
-the digit output, and intersections run through the exact product automaton.
+mechanically: each curve language is a lexicographic walk interval, read by
+one automaton whose states pair the contact state with how far the walk
+still follows each bound, and intersections run through the exact product
+automaton.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .automata import (
     nfa_determinize,
     nfa_flip,
     nfa_remap_first_digit,
-    nfa_single_address,
     nfa_union,
     product_intersection,
 )
@@ -35,7 +36,6 @@ from .contact import (
     Walk,
     build_contact_graph,
     derive_order_extension,
-    first_difference,
     psi,
     walk_compare,
 )
@@ -141,76 +141,44 @@ def alpha_calibration_rows(params: TileParams) -> list[tuple[Walk, Address]]:
 def lex_interval_language(
     ordered: OrderedContactGraph, lo: Walk, hi: Walk
 ) -> DigitDFA:
-    """Digit language of all infinite walks w with lo <= w <= hi."""
-    cmp = walk_compare(lo, hi)
-    if cmp > 0:
+    """Digit language of all infinite walks w with lo <= w <= hi.
+
+    A state (q, i, j) is the contact state q, with i the step of lo's
+    unrolled walk while w still equals lo (None once w has gone above it),
+    and j the same for hi.  While i is set no letter below lo's is allowed,
+    and while j is set none above hi's; an index moves on only when w takes
+    the bound's own letter, and wraps at the cycle start."""
+    if walk_compare(lo, hi) > 0:
         lo, hi = hi, lo
-    if cmp == 0:
-        return nfa_single_address(psi(lo, ordered))
+    (lo_steps, lo_wrap), (hi_steps, hi_wrap) = ordered.walk_steps(lo), ordered.walk_steps(hi)
 
-    # per side, the (letter, edge) steps of the bound and the cycle start
-    tight = {"lo": ordered.walk_steps(lo), "hi": ordered.walk_steps(hi)}
+    def follow(idx: int | None, letter: int, steps: list, wrap: int) -> int | None:
+        if idx is None or steps[idx][0] != letter:
+            return None
+        return idx + 1 if idx + 1 < len(steps) else wrap
 
-    def advance(side: str, idx: int, steps: int) -> int:
-        nodes, wrap = tight[side]
-        for _ in range(steps):
-            idx = idx + 1 if idx + 1 < len(nodes) else wrap
-        return idx
-
-    trans: dict = {("free", i): {} for i in range(1, 7)}
-
-    def add(key: tuple, digit: int, target: tuple) -> None:
-        trans[key][digit] = trans[key].get(digit, ()) + (target,)
-
-    for e in ordered.graph.edges:
-        add(("free", e[0]), e[1], ("free", e[3]))
-
-    def ensure(side: str, idx: int) -> None:
-        """Tight state: the walk so far equals the bound, which it may leave
-        only by letters above it (lo) or below it (hi)."""
-        key = (side, idx)
-        if key in trans:
-            return
-        trans[key] = {}
-        letter, edge = tight[side][0][idx]
-        for k, e in enumerate(ordered.orders[edge[0] - 1], start=1):
-            if (k < letter) if side == "lo" else (k > letter):
+    initials = tuple(
+        (s, 0 if s == lo.start else None, 0 if s == hi.start else None)
+        for s in range(lo.start, hi.start + 1)
+    )
+    trans: dict = {}
+    frontier = list(initials)
+    while frontier:
+        node = frontier.pop()
+        if node in trans:
+            continue
+        q, i, j = node
+        row: dict = {}
+        for k, e in enumerate(ordered.orders[q - 1], start=1):
+            if i is not None and k < lo_steps[i][0]:
                 continue
-            if k == letter:
-                nxt = advance(side, idx, 1)
-                ensure(side, nxt)
-                add(key, e[1], (side, nxt))
-            else:
-                add(key, e[1], ("free", e[3]))
-
-    initials: list = []
-    if lo.start < hi.start:
-        ensure("lo", 0)
-        ensure("hi", 0)
-        initials.append(("lo", 0))
-        initials.extend(("free", s) for s in range(lo.start + 1, hi.start))
-        initials.append(("hi", 0))
-    else:
-        # same start state: both chains stay tight for the n letters the
-        # bounds share, and walk_compare has found that they differ
-        n = first_difference(lo, hi) - 1
-        state = lo.start
-        for m in range(n):
-            e = ordered.edge_at(state, lo.letter(m + 1))
-            trans[("both", m)] = {e[1]: (("both", m + 1) if m + 1 < n else ("div",),)}
-            state = e[3]
-        trans[("div",)] = {}
-        lo_div, hi_div = lo.letter(n + 1), hi.letter(n + 1)
-        for k, e in enumerate(ordered.orders[state - 1], start=1):
-            if k in (lo_div, hi_div):
-                side = "lo" if k == lo_div else "hi"
-                idx = advance(side, 0, n + 1)
-                ensure(side, idx)
-                add(("div",), e[1], (side, idx))
-            elif lo_div < k < hi_div:
-                add(("div",), e[1], ("free", e[3]))
-        initials.append(("both", 0) if n > 0 else ("div",))
-    return nfa_determinize(DigitNFA(tuple(initials), trans))
+            if j is not None and k > hi_steps[j][0]:
+                continue
+            target = (e[3], follow(i, k, lo_steps, lo_wrap), follow(j, k, hi_steps, hi_wrap))
+            row[e[1]] = row.get(e[1], ()) + (target,)
+            frontier.append(target)
+        trans[node] = row
+    return nfa_determinize(DigitNFA(initials, trans))
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +363,6 @@ def _classify_cell(setup, lang1, lang2) -> dict:
     cell: dict = {"kind": res.kind}
     if res.kind in (UNIQUE_POINT, FINITE_POINTS):
         cell["value"] = res.points[0]
-        cell["values"] = res.points
         cell["addresses"] = [r.left for r in res.runs[:4]]
     if res.kind == BRANCHING:
         cell["witness"] = repr(res.branch_witness)

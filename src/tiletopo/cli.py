@@ -70,7 +70,8 @@ def _walk(text: str) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
 
 
 def _normalized(args):
-    m, v = args.matrix, args.v
+    m = args.matrix
+    v = (1, 0) if args.v is None else args.v
     return normalize(RawInstance(((m[0], m[1]), (m[2], m[3])), v))
 
 
@@ -79,6 +80,8 @@ def _params_from(args) -> TileParams:
         if args.A is not None or args.B is not None:
             raise TileError("give either --A and --B or --matrix, not both")
         return _normalized(args)[0]
+    if args.v is not None:
+        raise TileError("--v needs --matrix")
     if args.A is None or args.B is None:
         raise TileError("provide --A and --B (or --matrix/--v)")
     return TileParams(args.A, args.B)
@@ -345,13 +348,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--A", type=int)
         p.add_argument("--B", type=int)
         p.add_argument("--matrix", type=_ints(4), help="m00,m01,m10,m11")
-        p.add_argument("--v", type=_ints(2), default="1,0", help="vx,vy")
+        p.add_argument("--v", type=_ints(2), help="vx,vy (default 1,0; with --matrix only)")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", help="output directory")
 
     p = sub.add_parser("normalize", help="reduce a raw instance to (A, B)")
     p.add_argument("--matrix", type=_ints(4), required=True)
-    p.add_argument("--v", type=_ints(2), default="1,0")
+    p.add_argument("--v", type=_ints(2), help="vx,vy (default 1,0)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_normalize)

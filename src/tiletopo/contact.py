@@ -596,10 +596,16 @@ def boundary_point(
     return point_eval(psi(walk, ordered), ordered.graph.params)
 
 
-def count_walks(graph: ContactGraph, n: int) -> int:
+def count_walks(graph: ContactGraph, n: int, limit: int | None = None) -> int:
+    """The number of length-n walks.  With a limit, the count stops at the
+    first level whose count exceeds it and returns that count: every state
+    has an out-edge, so counts never fall from one level to the next, and
+    the level-n count exceeds the limit too."""
     adj = graph.adjacency()
     vec = [1] * 6
     for _ in range(n):
+        if limit is not None and sum(vec) > limit:
+            break
         vec = [sum(adj[i][j] * vec[j] for j in range(6)) for i in range(6)]
     return sum(vec)
 
@@ -641,10 +647,9 @@ def approx_boundary(
     a, b = graph.params.a, graph.params.b
     if n < 0:
         raise OutOfRange(f"level must be nonnegative, got {n} for (A,B)=({a},{b})")
-    total = count_walks(graph, n)
-    if total > budget:
+    if count_walks(graph, n, limit=budget) > budget:
         raise BudgetExceeded(
-            f"{total} walks at level {n} exceed budget {budget} for (A,B)=({a},{b})"
+            f"the walks at level {n} exceed budget {budget} for (A,B)=({a},{b})"
         )
     d = math.lcm(*(c.denominator for v in ordered.vertices for c in v))
     # steps[k]: the offset a digit 1 adds at depth k+1; ends[i]: N^n (D*V_{i+1})

@@ -3,25 +3,19 @@
 The trichotomy is decided by thresholds on 2A - B.  In the cut-point regime
 (2A - B >= 5) the tile splits into two halves D1, D2 cut out by an
 alternating lexicographic comparison of the digits against the constant
-(A-3); their intersection is decided by the product automaton and certified
-to be the single point 0.(A-3)(B-A+2)bar, whose expansion alternates the
-comparison digit with its flip.
+(A-3); their intersection is decided by the one D1 x D2 product automaton
+and certified to be the single point 0.(A-3)(B-A+2)bar, whose expansion
+alternates the comparison digit with its flip.  The middle cylinders around
+the point are the prefixes of that expansion, so the point's membership in
+them is read off its digits rather than decided by further products.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
-from .automata import (
-    EMPTY,
-    UNIQUE_POINT,
-    DigitDFA,
-    IntersectionAutomaton,
-    nfa_cylinder,
-    nfa_single_address,
-    product_intersection,
-)
+from .automata import UNIQUE_POINT, DigitDFA, IntersectionAutomaton, product_intersection
 from .errors import CertificateFailure, OutOfRange, WrongRegime
 from .neighbors import neighbor_set_formula, subdivision_intersects
 from .numsys import Address, RationalPoint, TileParams, alt_flip, point_eval
@@ -60,27 +54,16 @@ def cut_point_address(params: TileParams) -> Address:
     return Address((), (), (lo, hi))
 
 
-@dataclass(frozen=True)
-class LexGifs:
-    """Three-state automaton comparing digits alternately against A-3.
-
-    side "<=" accepts expansions lexicographically below the alternating
-    threshold word (the lower half D1), side ">=" the upper half D2.
-    All states accept; rejection is the absence of a transition.
-    """
-
-    side: str
-    threshold_even: int
-    threshold_odd: int
-    nfa: DigitDFA
-
-
 TIGHT_EVEN = "TightEven"
 TIGHT_ODD = "TightOdd"
 FREE = "Free"
 
 
-def build_d1_d2(params: TileParams) -> tuple[LexGifs, LexGifs]:
+def build_d1_d2(params: TileParams) -> tuple[DigitDFA, DigitDFA]:
+    """The halves as three-state automata comparing digits alternately
+    against A-3: D1 accepts the expansions lexicographically below the
+    alternating threshold word, D2 those above it.  All states accept;
+    rejection is the absence of a transition."""
     a, b = params.a, params.b
     if 2 * a - b < 5:
         raise WrongRegime(f"halves require 2A - B >= 5 for (A,B)=({a},{b})")
@@ -101,12 +84,10 @@ def build_d1_d2(params: TileParams) -> tuple[LexGifs, LexGifs]:
                 trans[TIGHT_ODD][d] = (FREE,)
         return DigitDFA((TIGHT_EVEN,), trans)
 
-    d1 = LexGifs("<=", even, odd, automaton("<="))
-    d2 = LexGifs(">=", even, odd, automaton(">="))
-    return d1, d2
+    return automaton("<="), automaton(">=")
 
 
-def union_is_universal(d1: LexGifs, d2: LexGifs, params: TileParams) -> bool:
+def union_is_universal(d1: DigitDFA, d2: DigitDFA, params: TileParams) -> bool:
     """Every digit sequence must fall in at least one half: the synchronized
     pair (state1, state2) never reaches (dead, dead)."""
     dead = "DEAD"
@@ -115,8 +96,8 @@ def union_is_universal(d1: LexGifs, d2: LexGifs, params: TileParams) -> bool:
     while frontier:
         q1, q2 = frontier.pop()
         for d in params.digits:
-            n1 = d1.nfa.successors(q1, d)[0] if q1 != dead and d1.nfa.successors(q1, d) else dead
-            n2 = d2.nfa.successors(q2, d)[0] if q2 != dead and d2.nfa.successors(q2, d) else dead
+            n1 = d1.successors(q1, d)[0] if q1 != dead and d1.successors(q1, d) else dead
+            n2 = d2.successors(q2, d)[0] if q2 != dead and d2.successors(q2, d) else dead
             if n1 == dead and n2 == dead:
                 return False
             if (n1, n2) not in seen:
@@ -126,25 +107,14 @@ def union_is_universal(d1: LexGifs, d2: LexGifs, params: TileParams) -> bool:
 
 
 def intersect_languages(
-    l1: DigitDFA | LexGifs,
-    l2: DigitDFA | LexGifs,
+    l1: DigitDFA,
+    l2: DigitDFA,
     params: TileParams,
     initial_diff: tuple[int, int] = (0, 0),
 ) -> IntersectionAutomaton:
     """Product with difference-state tracking over the neighbor set."""
-    nfa1 = l1.nfa if isinstance(l1, LexGifs) else l1
-    nfa2 = l2.nfa if isinstance(l2, LexGifs) else l2
     sset = neighbor_set_formula(params).members
-    return product_intersection(nfa1, nfa2, sset, params, initial_diff)
-
-
-def address_in_cylinder(addr: Address, word: tuple[int, ...], params: TileParams) -> bool:
-    """Exact membership of the point of ``addr`` in the subdivision piece
-    T_word: some expansion of the same value starts with the word."""
-    res = intersect_languages(
-        nfa_cylinder(word, params.b), nfa_single_address(addr), params
-    )
-    return res.kind != EMPTY
+    return product_intersection(l1, l2, sset, params, initial_diff)
 
 
 @dataclass
@@ -154,7 +124,6 @@ class CutPointCertificate:
     value: RationalPoint
     automaton: IntersectionAutomaton
     shrinking_depth: int
-    shrinking_words: list[tuple[tuple[int, ...], ...]] = field(default_factory=list)
 
     def to_json(self) -> dict:
         return {
@@ -174,9 +143,9 @@ def verify_cut_point(params: TileParams, depth: int = 12) -> CutPointCertificate
     of three shrinking cylinders: at every level n <= depth, every cylinder
     pair still reachable in the live product is drawn from the three words
     around the point, the point's own membership in the middle cylinder is
-    confirmed through the automaton, and the adjacency structure of the
-    three words matches the subdivision criterion (the two side words touch
-    the middle one but not each other).
+    read off its digits, and the adjacency structure of the three words
+    matches the subdivision criterion (the two side words touch the middle
+    one but not each other).  The D1 x D2 product is the only product built.
     """
     a, b = params.a, params.b
     if depth < 0:
@@ -194,7 +163,6 @@ def verify_cut_point(params: TileParams, depth: int = 12) -> CutPointCertificate
     if res.points[0] != value:
         raise CertificateFailure("intersection value differs from the formula")
 
-    words: list[tuple[tuple[int, ...], ...]] = []
     frontier: dict = {}
     for init in res.initials:
         if init in res.live:
@@ -216,7 +184,7 @@ def verify_cut_point(params: TileParams, depth: int = 12) -> CutPointCertificate
                 raise CertificateFailure(
                     f"live cylinder pair ({u}, {v}) escapes level {n}"
                 )
-        if not address_in_cylinder(addr, mid_word, params):
+        if mid_word != tuple(addr.fractional_digit(i) for i in range(1, n + 2)):
             raise CertificateFailure(
                 f"cut point escapes its middle cylinder at depth {n}"
             )
@@ -229,8 +197,7 @@ def verify_cut_point(params: TileParams, depth: int = 12) -> CutPointCertificate
             raise CertificateFailure(
                 "outer cylinders must not touch each other"
             )
-        words.append(level)
-    return CutPointCertificate(params, addr, value, res, depth, words)
+    return CutPointCertificate(params, addr, value, res, depth)
 
 
 def product_prefix_agreement(params: TileParams, depth: int = 4) -> bool:
@@ -271,12 +238,12 @@ def product_prefix_agreement(params: TileParams, depth: int = 4) -> bool:
                 brute.add((u, v))
             return
         for x in params.digits:
-            t1 = d1.nfa.successors(q1, x)
+            t1 = d1.successors(q1, x)
             if not t1:
                 continue
             md = linalg.mat_vec(m, diff)
             for y in params.digits:
-                t2 = d2.nfa.successors(q2, y)
+                t2 = d2.successors(q2, y)
                 if not t2:
                     continue
                 nd = (md[0] + x - y, md[1])

@@ -189,8 +189,8 @@ class TestProduct:
         from tiletopo.topology import build_d1_d2
 
         d1, d2 = build_d1_d2(params)
-        r1 = product_intersection(d1.nfa, d2.nfa, members(params), params)
-        r2 = product_intersection(d1.nfa, d2.nfa, members(params), params)
+        r1 = product_intersection(d1, d2, members(params), params)
+        r2 = product_intersection(d1, d2, members(params), params)
         assert r1.to_json() == r2.to_json()
 
 
@@ -357,7 +357,7 @@ class TestProductReference:
                 if 2 * a - b >= 5:
                     params = TileParams(a, b)
                     d1, d2 = build_d1_d2(params)
-                    assert self._compare(d1.nfa, d2.nfa, members(params), params) == UNIQUE_POINT
+                    assert self._compare(d1, d2, members(params), params) == UNIQUE_POINT
 
     @pytest.mark.parametrize("a,b", [(4, 5), (5, 7)])
     def test_alpha_curve_cells(self, a, b):

@@ -4,7 +4,14 @@ import json
 import pytest
 
 from tiletopo import TileParams, WrongRegime, parse_address, point_eval
-from tiletopo.automata import nfa_accepts_address, nfa_prefixes
+from tiletopo.automata import (
+    DigitNFA,
+    live_nodes,
+    nfa_accepts_address,
+    nfa_determinize,
+    nfa_prefixes,
+    nfa_single_address,
+)
 from tiletopo.chains import (
     ChainSetup,
     alpha_calibration_rows,
@@ -20,7 +27,14 @@ from tiletopo.chains import (
     verify_chain,
     verify_circular_chain,
 )
-from tiletopo.contact import Walk, psi
+from tiletopo.contact import (
+    Walk,
+    build_contact_graph,
+    derive_order_extension,
+    first_difference,
+    psi,
+    walk_compare,
+)
 
 
 SETUPS: dict = {}
@@ -132,6 +146,110 @@ class TestAlphaLanguage:
             assert nfa_prefixes(c.language, 5) <= bprefixes
 
 
+def reference_lex_interval_language(ordered, lo, hi):
+    """The walk-interval language as first written, in three cases: tight
+    chains built per side, a shared-prefix chain into a divergence state
+    when both bounds start in the same state, and the single address when
+    the bounds are equal."""
+    cmp = walk_compare(lo, hi)
+    if cmp > 0:
+        lo, hi = hi, lo
+    if cmp == 0:
+        return nfa_single_address(psi(lo, ordered))
+    tight = {"lo": ordered.walk_steps(lo), "hi": ordered.walk_steps(hi)}
+
+    def advance(side, idx, steps):
+        nodes, wrap = tight[side]
+        for _ in range(steps):
+            idx = idx + 1 if idx + 1 < len(nodes) else wrap
+        return idx
+
+    trans = {("free", i): {} for i in range(1, 7)}
+
+    def add(key, digit, target):
+        trans[key][digit] = trans[key].get(digit, ()) + (target,)
+
+    for e in ordered.graph.edges:
+        add(("free", e[0]), e[1], ("free", e[3]))
+
+    def ensure(side, idx):
+        key = (side, idx)
+        if key in trans:
+            return
+        trans[key] = {}
+        letter, edge = tight[side][0][idx]
+        for k, e in enumerate(ordered.orders[edge[0] - 1], start=1):
+            if (k < letter) if side == "lo" else (k > letter):
+                continue
+            if k == letter:
+                nxt = advance(side, idx, 1)
+                ensure(side, nxt)
+                add(key, e[1], (side, nxt))
+            else:
+                add(key, e[1], ("free", e[3]))
+
+    initials = []
+    if lo.start < hi.start:
+        ensure("lo", 0)
+        ensure("hi", 0)
+        initials.append(("lo", 0))
+        initials.extend(("free", s) for s in range(lo.start + 1, hi.start))
+        initials.append(("hi", 0))
+    else:
+        n = first_difference(lo, hi) - 1
+        state = lo.start
+        for m in range(n):
+            e = ordered.edge_at(state, lo.letter(m + 1))
+            trans[("both", m)] = {e[1]: (("both", m + 1) if m + 1 < n else ("div",),)}
+            state = e[3]
+        trans[("div",)] = {}
+        lo_div, hi_div = lo.letter(n + 1), hi.letter(n + 1)
+        for k, e in enumerate(ordered.orders[state - 1], start=1):
+            if k in (lo_div, hi_div):
+                side = "lo" if k == lo_div else "hi"
+                idx = advance(side, 0, n + 1)
+                ensure(side, idx)
+                add(("div",), e[1], (side, idx))
+            elif lo_div < k < hi_div:
+                add(("div",), e[1], ("free", e[3]))
+        initials.append(("both", 0) if n > 0 else ("div",))
+    return nfa_determinize(DigitNFA(tuple(initials), trans))
+
+
+def same_language(left, right):
+    """Do two DFAs, every state accepting, accept the same infinite words?
+    Both are trimmed to their live states and walked in step; at each
+    state pair the digits that lead to live states must agree."""
+
+    def live_rows(dfa):
+        alive = live_nodes(
+            {q: [t for ts in row.values() for t in ts] for q, row in dfa.trans.items()}
+        )
+
+        def row(q):
+            return {d: ts[0] for d, ts in dfa.trans.get(q, {}).items() if ts[0] in alive}
+
+        return alive, row
+
+    (alive_l, row_l), (alive_r, row_r) = live_rows(left), live_rows(right)
+    start = (left.initials[0], right.initials[0])
+    if (start[0] in alive_l) != (start[1] in alive_r):
+        return False
+    seen = {start} if start[0] in alive_l else set()
+    frontier = list(seen)
+    while frontier:
+        p, q = frontier.pop()
+        rl, rr = row_l(p), row_r(q)
+        if rl.keys() != rr.keys():
+            return False
+        for d in rl:
+            pair = (rl[d], rr[d])
+            if pair not in seen:
+                seen.add(pair)
+                frontier.append(pair)
+    return True
+
+
 class TestLexIntervalLanguage:
     @staticmethod
     def _walk_prefixes(ordered, lo, hi, depth):
@@ -164,6 +282,42 @@ class TestLexIntervalLanguage:
             assert nfa_prefixes(lang, depth) == self._walk_prefixes(ordered, lo, hi, depth)
         assert nfa_accepts_address(lang, psi(lo, ordered))
         assert nfa_accepts_address(lang, psi(hi, ordered))
+
+    def test_same_language_helper(self):
+        ordered = setup_for(4, 5).ordered
+        lo, hi = Walk(5, (2,), (2, 2)), Walk(5, (2,), (2, 4))
+        lang = lex_interval_language(ordered, lo, hi)
+        assert same_language(lang, lang)
+        assert not same_language(lang, lex_interval_language(ordered, lo, lo))
+        assert not same_language(lex_interval_language(ordered, hi, hi), lang)
+
+    @pytest.mark.parametrize("b", range(5, 24, 2))
+    def test_alpha_rows_match_reference(self, b):
+        params = TileParams((b + 3) // 2, b)
+        ordered = derive_order_extension(build_contact_graph(params))
+        for s, t in alpha_table(params):
+            for lo, hi in ((s, t), (t, s)):
+                assert same_language(
+                    lex_interval_language(ordered, lo, hi),
+                    reference_lex_interval_language(ordered, lo, hi),
+                )
+
+    def test_equal_and_same_start_bounds_match_reference(self):
+        ordered = setup_for(4, 5).ordered
+        pairs = [
+            # the same letters, unrolled with different preperiods
+            (Walk(5, (2,), (2, 2)), Walk(5, (2, 2), (2,))),
+            (Walk(6, (1, 6, 4), (2,)), Walk(6, (1, 6, 4), (2,))),
+            # same start, parting inside the period
+            (Walk(5, (2,), (2, 2)), Walk(5, (2,), (2, 4))),
+        ]
+        for lo, hi in pairs:
+            lang = lex_interval_language(ordered, lo, hi)
+            assert same_language(lang, reference_lex_interval_language(ordered, lo, hi))
+        lo, hi = pairs[0]
+        assert same_language(
+            lex_interval_language(ordered, lo, hi), nfa_single_address(psi(lo, ordered))
+        )
 
 
 class TestChain:

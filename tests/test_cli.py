@@ -78,6 +78,21 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == "error: give either --A and --B or --matrix, not both\n"
 
+    @pytest.mark.parametrize("command", ["classify", "approx", "render"])
+    def test_v_without_matrix(self, capsys, command):
+        code, out, err = run(capsys, command, "--A", "4", "--B", "5", "--v", "0,0")
+        assert code == 2 and out == ""
+        assert err == "error: --v needs --matrix\n"
+
+    @pytest.mark.parametrize("command", ["approx", "render"])
+    def test_level_far_over_budget(self, capsys, command):
+        # the level has a 4,588-digit number of walks; the count stops once
+        # it passes the budget, so neither the full count nor the digit
+        # limit of int-to-str is reached
+        code, out, err = run(capsys, command, "--A", "2", "--B", "2", "--n", "20000")
+        assert code == 2 and out == ""
+        assert err == "error: the walks at level 20000 exceed budget 1000000 for (A,B)=(2,2)\n"
+
     def test_regime_error(self, capsys):
         code, _, err = run(capsys, "cutpoint", "--A", "4", "--B", "5")
         assert code == 2

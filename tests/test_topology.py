@@ -19,10 +19,11 @@ from tiletopo.automata import (
     nfa_accepts_address,
     nfa_cylinder,
     nfa_full,
+    nfa_single_address,
 )
+from tiletopo import topology
 from tiletopo.topology import (
     Classification,
-    address_in_cylinder,
     build_d1_d2,
     classify,
     cut_point_address,
@@ -96,15 +97,15 @@ class TestHalves:
         params = TileParams(6, 6)
         d1, d2 = build_d1_d2(params)
         addr = cut_point_address(params)  # (A-3)(B-A+2) repeated
-        assert nfa_accepts_address(d1.nfa, addr)
-        assert nfa_accepts_address(d2.nfa, addr)
+        assert nfa_accepts_address(d1, addr)
+        assert nfa_accepts_address(d2, addr)
 
     def test_strictly_below_in_d1_only(self):
         params = TileParams(5, 5)
         d1, d2 = build_d1_d2(params)
         addr = Address((), (0,), (1,))  # 0 1 1 1 ...
-        assert nfa_accepts_address(d1.nfa, addr)
-        assert not nfa_accepts_address(d2.nfa, addr)
+        assert nfa_accepts_address(d1, addr)
+        assert not nfa_accepts_address(d2, addr)
 
     def test_union_universal_on_grid(self):
         for b in range(2, 13):
@@ -142,11 +143,17 @@ class TestIntersectLanguages:
         assert res.kind == EMPTY
 
     def test_membership_helper(self):
+        # the point of an address lies in the subdivision piece T_word
+        # exactly when the cylinder x single-address product is not empty
         params = TileParams(5, 5)
-        z = cut_point_address(params)
-        assert address_in_cylinder(z, (2,), params)
-        assert not address_in_cylinder(z, (1,), params)
-        assert address_in_cylinder(z, (2, 2), params)
+        z = nfa_single_address(cut_point_address(params))
+
+        def kind(word):
+            return intersect_languages(nfa_cylinder(word, 5), z, params).kind
+
+        assert kind((2,)) != EMPTY
+        assert kind((1,)) == EMPTY
+        assert kind((2, 2)) != EMPTY
 
 
 class TestCertificates:
@@ -179,6 +186,20 @@ class TestCertificates:
     def test_wrong_regime(self):
         with pytest.raises(WrongRegime):
             verify_cut_point(TileParams(4, 5))
+
+    def test_one_product_per_certificate(self, monkeypatch):
+        # the middle cylinders are read off the point's digits, so the
+        # D1 x D2 product is the only product a certificate builds
+        calls = []
+        real = topology.product_intersection
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(topology, "product_intersection", counted)
+        verify_cut_point(TileParams(5, 5))
+        assert len(calls) == 1
 
     def test_certificate_golden_digest(self):
         # sha256 of the JSON certificate of every pair 2A - B >= 5, B <= 20
