@@ -35,7 +35,7 @@ from .contact import (
     OrderedContactGraph,
     Walk,
     build_contact_graph,
-    derive_order_extension,
+    ordered_extension,
     psi,
     walk_compare,
 )
@@ -232,7 +232,7 @@ class ChainSetup:
     def build(cls, params: TileParams) -> "ChainSetup":
         _require_regime(params)
         graph = build_contact_graph(params)
-        ordered = derive_order_extension(graph)
+        ordered = ordered_extension(graph)
         return cls(params, graph, ordered, neighbor_set_formula(params).members)
 
 

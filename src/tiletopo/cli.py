@@ -196,7 +196,7 @@ def _cmd_param(args) -> int:
     from .contact import (
         Walk,
         build_contact_graph,
-        derive_order_extension,
+        ordered_extension,
         param_to_walk,
         perron_data,
         psi,
@@ -207,7 +207,7 @@ def _cmd_param(args) -> int:
         raise TileError("param needs --t or --walk")
     params = _params_from(args)
     graph = build_contact_graph(params)
-    ordered = derive_order_extension(graph)
+    ordered = ordered_extension(graph)
     data = perron_data(graph)
     if args.walk is not None:
         walk = Walk(*args.walk)

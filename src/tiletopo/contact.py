@@ -21,10 +21,17 @@ comparison when j = k, else one cross-multiplied comparison of two
 junctions.  Every map is decided, in integers: B*M^{-1} = [[-A, B], [-1, 0]]
 is an integer matrix, so each junction is an integer pair over its own
 denominator, solved only when a comparison reads it.  Fractions are built
-only for an ordering that comes out.  Exactly one complete ordering must
-come out of the search; none, two, or a state that threads two ways raises.
-For the regime with tabulated endpoint data the ordering is then checked
-against the known walk decodings.
+only for an ordering that comes out.  ``derive_order_extension`` decides
+every map and is the certificate that the ordering is unique: none, two, or
+a state that threads two ways raises; ``contact-graph`` runs it.
+``ordered_extension`` decides only the sorted first-edge map phi_0, the
+first map of that search, and runs the search only when phi_0 does not
+complete; ``param``, ``approx``, ``render`` and the chain setup of
+``verify-chains`` call it.  For the regime with tabulated endpoint data
+both check the ordering against the known walk decodings.
+
+The Perron vector of the incidence matrix is solved on the 3x3 system that
+the digit flip (state i <-> i+3) folds the 6x6 one into.
 """
 
 from __future__ import annotations
@@ -384,8 +391,37 @@ def _decide_map(
     return tuple(orders), vertices
 
 
+def _edge_tables(
+    graph: ContactGraph,
+) -> tuple[list[tuple[Edge, ...]], list[dict[int, dict[int, list[Edge]]]]]:
+    """Each state's out-edges, and the same edges by target, then digit."""
+    outs = [graph.out_edges(i) for i in range(1, 7)]
+    steps: list[dict[int, dict[int, list[Edge]]]] = [{} for _ in outs]
+    for edges, by_target in zip(outs, steps):
+        for e in edges:
+            by_target.setdefault(e[3], {}).setdefault(e[1], []).append(e)
+    return outs, steps
+
+
+def _calibrated(ordered: OrderedContactGraph, where: str) -> OrderedContactGraph:
+    """The ordering, once it decodes the tabulated walks of the 2A - B = 3
+    regime (A != B) to their tabulated addresses."""
+    params = ordered.graph.params
+    if 2 * params.a - params.b == 3 and params.a != params.b:
+        from .chains import alpha_calibration_rows
+
+        for walk, addr in alpha_calibration_rows(params):
+            if psi(walk, ordered) != addr:
+                raise CertificateFailure(
+                    f"walk {walk} does not decode to the tabulated "
+                    f"0.{addr} for {where}"
+                )
+    return ordered
+
+
 def derive_order_extension(graph: ContactGraph) -> OrderedContactGraph:
-    """The unique continuous edge ordering.
+    """The continuous edge ordering, certified unique by deciding every
+    flip-equivariant first-edge map.
 
     Each flip-equivariant first-edge map determines the six traversal
     junctions V_i = psi(i; 1bar) exactly, and every state's subpieces must
@@ -399,15 +435,12 @@ def derive_order_extension(graph: ContactGraph) -> OrderedContactGraph:
     (digit, junction) pairs.  On all 819 pairs 1 <= A <= B <= 40 state 1 has
     the single edge (1, 0, B-1, 3), and its test f_0(V_4) = V_2 rejects 95%
     of the maps; on more than half of all maps it reduces to comparing two
-    digits, with no junction solved.
+    digits, with no junction solved.  ``ordered_extension`` decides only the
+    first map of this search.
     """
     params = graph.params
     where = f"(A,B)=({params.a},{params.b})"
-    outs = [graph.out_edges(i) for i in range(1, 7)]
-    steps: list[dict[int, dict[int, list[Edge]]]] = [{} for _ in outs]
-    for edges, by_target in zip(outs, steps):
-        for e in edges:
-            by_target.setdefault(e[3], {}).setdefault(e[1], []).append(e)
+    outs, steps = _edge_tables(graph)
     cycles: dict[tuple[int, ...], tuple[int, int, int]] = {}
     complete: dict[tuple[tuple[Edge, ...], ...], OrderedContactGraph] = {}
     with_flips = [[(e, _flip_edge(e, params.b)) for e in sorted(outs[i])] for i in range(3)]
@@ -421,17 +454,33 @@ def derive_order_extension(graph: ContactGraph) -> OrderedContactGraph:
     if len(complete) > 1:
         raise CertificateFailure(f"{len(complete)} continuous edge orderings for {where}")
     (ordered,) = complete.values()
+    return _calibrated(ordered, where)
 
-    if 2 * params.a - params.b == 3 and params.a != params.b:
-        from .chains import alpha_calibration_rows
 
-        for walk, addr in alpha_calibration_rows(params):
-            if psi(walk, ordered) != addr:
-                raise CertificateFailure(
-                    f"walk {walk} does not decode to the tabulated "
-                    f"0.{addr} for {where}"
-                )
-    return ordered
+def ordered_extension(graph: ContactGraph) -> OrderedContactGraph:
+    """The continuous edge ordering of the sorted first-edge map phi_0.
+
+    phi_0 takes the smallest out-edge (tuple order) of each of states 1..3,
+    and their digit flips for states 4..6: the first map that
+    ``derive_order_extension`` visits.  It is decided by the same
+    ``_decide_map``, so a state of phi_0 that threads two ways raises as it
+    does there.  When phi_0 does not complete, the whole search runs.  When
+    it does, its orders and junctions are the ones the search returns,
+    unless the search would raise for a second ordering or a second map's
+    state that threads two ways; only the search certifies uniqueness.  That
+    phi_0 completes is an observation on every pair 1 <= A <= B <= 60, not a
+    theorem.
+    """
+    params = graph.params
+    where = f"(A,B)=({params.a},{params.b})"
+    outs, steps = _edge_tables(graph)
+    if all(outs[:3]):
+        firsts = tuple(min(edges) for edges in outs[:3])
+        phi = firsts + tuple(_flip_edge(e, params.b) for e in firsts)
+        found = _decide_map(phi, outs, steps, params, {}, where)
+        if found is not None:
+            return _calibrated(OrderedContactGraph(graph, *found), where)
+    return derive_order_extension(graph)
 
 
 # ---------------------------------------------------------------------------
@@ -450,50 +499,64 @@ class PerronData:
 
 
 def perron_data(graph: ContactGraph) -> PerronData:
+    """The Perron root beta of the boundary cubic and the interval-length
+    vector u, solved on the flip-folded 3x3 system.
+
+    The digit flip maps contact edges onto contact edges and state i onto
+    state i+3 (mod 6), so adj[i][j] = adj[i+3][j+3].  The eigenvector of the
+    simple Perron root is unique up to scale, and its flip is one too, so
+    u_i = u_{i+3}, and beta u = adj u reduces to the three rows i < 3 with
+    the coefficients adj[i][j] + adj[i][j+3], j < 3.  A positive solution
+    certifies that beta is the Perron root of the strongly connected graph
+    (Perron-Frobenius), so the fold loses no certificate.
+    """
     if not graph.is_strongly_connected():
         raise NotIrreducible("incidence matrix is reducible")
+    a, b = graph.params.a, graph.params.b
+    where = f"(A,B)=({a},{b})"
     adj = graph.adjacency()
+    if any(adj[i][j] != adj[(i + 3) % 6][(j + 3) % 6] for i in range(6) for j in range(6)):
+        raise CertificateFailure(f"contact graph is not symmetric under the digit flip for {where}")
     incidence = tuple(tuple(adj[j][i] for j in range(6)) for i in range(6))
     # boundary cubic; by Perron-Frobenius the positive eigenvector below
     # certifies that its root is the Perron root
-    a, b = graph.params.a, graph.params.b
-    where = f"(A,B)=({a},{b})"
     field = dominant_root_field([-b, a - b, 1 - a, 1])
     beta = field.beta()
 
-    # nullspace of (adj - beta I) acting on column vectors: beta u = adj u
+    # nullspace of the folded (adj - beta I) acting on (u_1, u_2, u_3)
     rows = [
         [
-            field.rational(adj[i][j]) - (beta if i == j else field.zero())
-            for j in range(6)
+            field.rational(adj[i][j] + adj[i][j + 3]) - (beta if i == j else field.zero())
+            for j in range(3)
         ]
-        for i in range(6)
+        for i in range(3)
     ]
     # Gaussian elimination to reduced row echelon form
     pivots: list[int] = []
     r = 0
-    for c in range(6):
-        pivot = next((i for i in range(r, 6) if not rows[i][c].is_zero()), None)
+    for c in range(3):
+        pivot = next((i for i in range(r, 3) if not rows[i][c].is_zero()), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = rows[r][c].inverse()
         rows[r] = [v * inv for v in rows[r]]
-        for i in range(6):
+        for i in range(3):
             if i != r and not rows[i][c].is_zero():
                 f = rows[i][c]
                 rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
-    free = [c for c in range(6) if c not in pivots]
+    free = [c for c in range(3) if c not in pivots]
     if not free:
         raise CertificateFailure(f"the boundary cubic's root is not an eigenvalue for {where}")
     if len(free) > 1:
         raise NotIrreducible("Perron eigenvalue is not simple")
-    sol = [field.zero()] * 6
+    sol = [field.zero()] * 3
     sol[free[0]] = field.one()
     for row, c in zip(rows, pivots):
         sol[c] = -row[free[0]]
+    sol = sol + sol  # u_{i+3} = u_i
     inv_total = sum(sol[1:], sol[0]).inverse()
     u = tuple(v * inv_total for v in sol)
     if any(v.sign() <= 0 for v in u):

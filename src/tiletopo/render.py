@@ -24,7 +24,7 @@ from itertools import chain
 
 import numpy as np
 
-from .contact import BoundaryApprox, IntVec, approx_boundary, build_contact_graph, derive_order_extension
+from .contact import BoundaryApprox, IntVec, approx_boundary, build_contact_graph, ordered_extension
 from .errors import CertificateFailure, WrongRegime
 from .geometry import polygon_is_simple_closed
 from .neighbors import neighbor_set_formula
@@ -145,7 +145,7 @@ def scene_to_svg(scene: Scene) -> str:
 
 
 def _boundary_polygon(params: TileParams, n: int, budget: int) -> BoundaryApprox:
-    ordered = derive_order_extension(build_contact_graph(params))
+    ordered = ordered_extension(build_contact_graph(params))
     approx = approx_boundary(ordered, n, budget)
     if not polygon_is_simple_closed(approx.points):
         raise CertificateFailure(f"level-{n} polygon is not simple closed")

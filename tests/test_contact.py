@@ -7,7 +7,7 @@ import pytest
 
 from fractions import Fraction
 
-from tiletopo import Address, TileParams, apply_contraction, contact, parse_address, point_eval
+from tiletopo import Address, TileParams, apply_contraction, chains, contact, parse_address, point_eval
 from tiletopo.contact import (
     ContactGraph,
     Walk,
@@ -20,6 +20,7 @@ from tiletopo.contact import (
     first_difference,
     graph_to_dot,
     graph_to_json,
+    ordered_extension,
     param_to_walk,
     perron_data,
     psi,
@@ -32,6 +33,15 @@ from tiletopo.geometry import polyline_hausdorff
 
 def ordered(a, b):
     return derive_order_extension(build_contact_graph(TileParams(a, b)))
+
+
+# the exhaustive search, which certifies that the ordering is unique, and the
+# decision of the sorted first-edge map alone.  Tests that predate the second
+# take it as a defaulted argument and have a *_first_map twin, so their ids
+# stay as they were.
+ORDERINGS = pytest.mark.parametrize(
+    "order_fn", [derive_order_extension, ordered_extension], ids=["search", "first_map"]
+)
 
 
 def float_points(points):
@@ -225,6 +235,30 @@ class TestPerron:
             "782035c4006c471192f4ea8a83ca883baf669c78fe657897002a1b9d1a8e452c"
         )
 
+    def test_perron_golden_digest_large_b(self):
+        # sha256 of repr(minpoly) + repr(beta) + repr(u) over the 610 pairs
+        # 21 <= B <= 40, recorded with the 6x6 elimination the flip-folded
+        # 3x3 system replaced
+        h = hashlib.sha256()
+        for b in range(21, 41):
+            for a in range(1, b + 1):
+                pd = perron_data(build_contact_graph(TileParams(a, b)))
+                h.update((repr(pd.field.minpoly) + repr(pd.beta) + repr(pd.u)).encode())
+        assert h.hexdigest() == (
+            "afd2e47cb195164bdfe7401f5de9cbb1c2bf031b429a30a8d81be953c9fc3187"
+        )
+
+    def test_flip_asymmetric_graph_is_a_failure(self):
+        # without one edge the (4,5) graph is still strongly connected, but
+        # the flip no longer maps its edges onto its edges, so u_i = u_{i+3}
+        # cannot be assumed
+        g = build_contact_graph(TileParams(4, 5))
+        assert (2, 0, 1, 4) in g.edges
+        graph = ContactGraph(g.params, g.states, tuple(e for e in g.edges if e != (2, 0, 1, 4)))
+        assert graph.is_strongly_connected()
+        with pytest.raises(CertificateFailure, match=r"digit flip for \(A,B\)=\(4,5\)$"):
+            perron_data(graph)
+
 
 class TestOrdering:
     def test_table_decodings_4_5(self):
@@ -263,38 +297,61 @@ class TestOrdering:
                     assert ap.lasts[k] == ap.firsts[(k + 1) % m]
 
     @pytest.mark.parametrize("dropped", [(2, 0, 1, 4), (3, 4, 1, 5)])
-    def test_missing_edge_has_no_ordering(self, dropped):
+    def test_missing_edge_has_no_ordering(self, dropped, order_fn=derive_order_extension):
+        # ordered_extension's first map does not complete, so it runs the
+        # search, which raises
         g = build_contact_graph(TileParams(4, 5))
         assert dropped in g.edges
         edges = tuple(e for e in g.edges if e != dropped)
         with pytest.raises(NoConsistentOrdering, match=r"\(A,B\)=\(4,5\)"):
-            derive_order_extension(ContactGraph(g.params, g.states, edges))
+            order_fn(ContactGraph(g.params, g.states, edges))
 
-    def test_orderings_golden_digest(self):
+    @pytest.mark.parametrize("dropped", [(2, 0, 1, 4), (3, 4, 1, 5)])
+    def test_missing_edge_has_no_ordering_first_map(self, dropped):
+        self.test_missing_edge_has_no_ordering(dropped, ordered_extension)
+
+    def test_orderings_golden_digest(self, order_fn=derive_order_extension):
         # sha256 of repr(orders) + repr(vertices) over all 209 pairs
         # 1 <= A <= B <= 20, recorded with the Fraction search the integer
         # search replaced
         h = hashlib.sha256()
         for b in range(2, 21):
             for a in range(1, b + 1):
-                o = ordered(a, b)
+                o = order_fn(build_contact_graph(TileParams(a, b)))
                 h.update((repr(o.orders) + repr(o.vertices)).encode())
         assert h.hexdigest() == (
             "7ea669d463a8af8a58187cb65e1e0e244e823ddfc0ea80415b35a25aebac6210"
         )
 
-    def test_orderings_golden_digest_large_b(self):
+    def test_orderings_golden_digest_first_map(self):
+        self.test_orderings_golden_digest(ordered_extension)
+
+    def test_orderings_golden_digest_large_b(self, monkeypatch, order_fn=derive_order_extension):
         # the same digest over the 610 pairs 21 <= B <= 40, the rest of the
         # param benchmark's grid, recorded with the search that solved all six
-        # junctions of every map
+        # junctions of every map; the first map completes on every pair, so
+        # ordered_extension never falls back to the search
+        searches = []
+        search = contact.derive_order_extension
+
+        def counting(graph):
+            searches.append(graph.params)
+            return search(graph)
+
+        monkeypatch.setattr(contact, "derive_order_extension", counting)
         h = hashlib.sha256()
         for b in range(21, 41):
             for a in range(1, b + 1):
-                o = ordered(a, b)
+                o = order_fn(build_contact_graph(TileParams(a, b)))
                 h.update((repr(o.orders) + repr(o.vertices)).encode())
         assert h.hexdigest() == (
             "c7d93d77cf5c1ceb2eb67f7f673a28b1579af9b6f61ff25e49bd5daca9249e92"
         )
+        if order_fn is ordered_extension:
+            assert searches == []
+
+    def test_orderings_golden_digest_large_b_first_map(self, monkeypatch):
+        self.test_orderings_golden_digest_large_b(monkeypatch, ordered_extension)
 
     def test_thread_state_matches_fraction_threading(self):
         # every state of every first-edge map of every pair B <= 7, decided
@@ -331,16 +388,40 @@ class TestOrdering:
         assert len(verdicts) == 6 * 531
         assert verdicts.count(0) > 0 and verdicts.count(1) > 0
 
-    def test_state_threading_two_ways_is_a_failure(self):
+    def test_state_threading_two_ways_is_a_failure(
+        self, monkeypatch, order_fn=derive_order_extension
+    ):
         # first edges all of digit 0 put V_1 = V_2 = V_3 at 0.(0), so both
         # edges of state 1 have the one-point subpiece f_0(0) = 0 and chain
-        # from V_1 to V_2 in either order
+        # from V_1 to V_2 in either order; the first map already raises, so
+        # ordered_extension never reaches the search
         p = TileParams(4, 5)
         edges = ((1, 0, 0, 1), (1, 0, 0, 2), (2, 0, 0, 2), (3, 0, 0, 3))
         graph = ContactGraph(p, contact_states(p), edges)
+        if order_fn is ordered_extension:
+
+            def no_search(graph):
+                raise AssertionError("the first map fell back to the search")
+
+            monkeypatch.setattr(contact, "derive_order_extension", no_search)
         two_ways = r"state 1 threads two ways for \(A,B\)=\(4,5\)"
         with pytest.raises(CertificateFailure, match=two_ways):
-            derive_order_extension(graph)
+            order_fn(graph)
+
+    def test_state_threading_two_ways_is_a_failure_first_map(self, monkeypatch):
+        self.test_state_threading_two_ways_is_a_failure(monkeypatch, ordered_extension)
+
+    @ORDERINGS
+    def test_calibration_failure(self, order_fn, monkeypatch):
+        # (4,5) is in the 2A - B = 3 regime, so the ordering must decode the
+        # tabulated walks; a wrong tabulated address is a failure
+        walk, _ = chains.alpha_calibration_rows(TileParams(4, 5))[0]
+        monkeypatch.setattr(
+            chains, "alpha_calibration_rows", lambda params: [(walk, Address((), (), (0,)))]
+        )
+        wrong = r"^walk .* does not decode to the tabulated 0\.\(0\) for \(A,B\)=\(4,5\)$"
+        with pytest.raises(CertificateFailure, match=wrong):
+            order_fn(build_contact_graph(TileParams(4, 5)))
 
     def test_two_complete_orderings_are_a_failure(self, monkeypatch):
         # a map decision that succeeds on every map, in sorted and reversed
