@@ -8,8 +8,10 @@ states plus a difference state confined to S u {0}.
 
 Run counting needs deterministic languages: distinct runs must mean distinct
 digit sequences, not distinct resolutions of nondeterminism.  So a language
-becomes a ``DigitDFA`` once, where it is built (``nfa_determinize`` runs the
-subset construction when it has to), and the product only checks the type.
+becomes a ``DigitDFA`` once, where it is built, and the product only checks
+the type.  ``nfa_determinize`` runs the subset construction on any language
+not built as a DFA, numbering the subsets as it finds them; no output prints
+those numbers.
 
 The classifier distinguishes EMPTY, UNIQUE_POINT, FINITE_POINTS (finitely
 many runs, deduplicated by exact value) and BRANCHING (a state on or after a
@@ -187,35 +189,32 @@ def nfa_prefixes(nfa: DigitNFA, depth: int) -> set[tuple[int, ...]]:
 
 
 def nfa_determinize(nfa: DigitNFA) -> DigitDFA:
-    """The language as a DFA.  A DFA comes back unchanged, and an NFA that is
-    already deterministic keeps its state names, which certificates print;
-    otherwise the subset construction runs, its states being the
-    repr-sorted tuples of original states."""
+    """The language as a DFA.  A DFA comes back unchanged; any other NFA goes
+    through the subset construction.  Its states are the ints 0, 1, 2, ...
+    in breadth-first discovery order, digits ascending, the initial subset
+    being 0, so the numbering does not depend on how the NFA names its
+    states.  A subset's row merges its members' digit rows, and each
+    frozenset is interned once."""
     if isinstance(nfa, DigitDFA):
         return nfa
-    try:
-        return DigitDFA(nfa.initials, nfa.trans)
-    except ValueError:
-        pass
-    # subset states as repr-sorted tuples: canonical and hash-seed independent
-    start = tuple(sorted(set(nfa.initials), key=repr))
+    subsets = [frozenset(nfa.initials)]
+    number = {subsets[0]: 0}
     trans: dict[State, dict[int, tuple[State, ...]]] = {}
-    frontier = [start]
-    seen = {start}
-    while frontier:
-        subset = frontier.pop()
+    for k, subset in enumerate(subsets):  # the list grows as subsets are found
+        merged: dict[int, set[State]] = {}
+        for q in subset:
+            for d, targets in nfa.trans.get(q, {}).items():
+                merged.setdefault(d, set()).update(targets)
         row: dict[int, tuple[State, ...]] = {}
-        digits = sorted({d for q in subset for d in nfa.trans.get(q, {})})
-        for d in digits:
-            members = {t for q in subset for t in nfa.successors(q, d)}
-            if members:
-                target = tuple(sorted(members, key=repr))
-                row[d] = (target,)
-                if target not in seen:
-                    seen.add(target)
-                    frontier.append(target)
-        trans[subset] = row
-    return DigitDFA((start,), trans)
+        for d in sorted(merged):
+            if merged[d]:
+                target = frozenset(merged[d])
+                if target not in number:
+                    number[target] = len(subsets)
+                    subsets.append(target)
+                row[d] = (number[target],)
+        trans[k] = row
+    return DigitDFA((0,), trans)
 
 
 def live_nodes(succ: Mapping[State, Collection[State]]) -> set[State]:

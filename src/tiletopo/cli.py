@@ -350,13 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--matrix", type=_ints(4), help="m00,m01,m10,m11")
         p.add_argument("--v", type=_ints(2), help="vx,vy (default 1,0; with --matrix only)")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--out", help="output directory")
 
     p = sub.add_parser("normalize", help="reduce a raw instance to (A, B)")
     p.add_argument("--matrix", type=_ints(4), required=True)
     p.add_argument("--v", type=_ints(2), help="vx,vy (default 1,0)")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_normalize)
 
     p = sub.add_parser("classify", help="topological classification")
@@ -370,6 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("contact-graph", help="contact graph and its ordering")
     common(p)
+    p.add_argument("--out", help="output directory")
     p.set_defaults(fn=_cmd_contact_graph)
     p.set_defaults(format="json")
     p.add_argument("--dot", dest="format", action="store_const", const="dot")
@@ -384,21 +383,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("approx", help="boundary polygon vertices")
     common(p)
+    p.add_argument("--out", help="output directory")
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--budget", type=int, default=10**6)
     p.set_defaults(fn=_cmd_approx)
 
     p = sub.add_parser("cutpoint", help="cut point certificate")
     common(p)
+    p.add_argument("--out", help="output directory")
     p.add_argument("--depth", type=int, default=12)
     p.set_defaults(fn=_cmd_cutpoint)
 
     p = sub.add_parser("verify-chains", help="chain and circular-chain checks")
     common(p)
+    p.add_argument("--out", help="output directory")
     p.set_defaults(fn=_cmd_verify_chains)
 
     p = sub.add_parser("render", help="SVG output")
     common(p)
+    p.add_argument("--out", help="output directory")
     p.add_argument("--kind", choices=("boundary", "patch", "cutpoint"), default="boundary")
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--budget", type=int, default=10**6)

@@ -500,15 +500,18 @@ class PerronData:
 
 def perron_data(graph: ContactGraph) -> PerronData:
     """The Perron root beta of the boundary cubic and the interval-length
-    vector u, solved on the flip-folded 3x3 system.
+    vector u, read off a row of cofactors of the flip-folded 3x3 system.
 
     The digit flip maps contact edges onto contact edges and state i onto
     state i+3 (mod 6), so adj[i][j] = adj[i+3][j+3].  The eigenvector of the
     simple Perron root is unique up to scale, and its flip is one too, so
-    u_i = u_{i+3}, and beta u = adj u reduces to the three rows i < 3 with
-    the coefficients adj[i][j] + adj[i][j+3], j < 3.  A positive solution
-    certifies that beta is the Perron root of the strongly connected graph
-    (Perron-Frobenius), so the fold loses no certificate.
+    u_i = u_{i+3}, and beta u = adj u reduces to C u = 0 for the folded
+    C[i][j] = adj[i][j] + adj[i][j+3] - beta [i = j], i, j < 3.  Since
+    C adj(C) = det(C) I, a nonzero row of cofactors of a singular C solves
+    it.  Its three entries must share one strict sign before it is
+    normalized to sum 1.  A positive solution certifies that beta is the
+    Perron root of the strongly connected graph (Perron-Frobenius), so the
+    fold loses no certificate.
     """
     if not graph.is_strongly_connected():
         raise NotIrreducible("incidence matrix is reducible")
@@ -523,7 +526,7 @@ def perron_data(graph: ContactGraph) -> PerronData:
     field = dominant_root_field([-b, a - b, 1 - a, 1])
     beta = field.beta()
 
-    # nullspace of the folded (adj - beta I) acting on (u_1, u_2, u_3)
+    # the folded C = adj - beta I acting on (u_1, u_2, u_3)
     rows = [
         [
             field.rational(adj[i][j] + adj[i][j + 3]) - (beta if i == j else field.zero())
@@ -531,36 +534,30 @@ def perron_data(graph: ContactGraph) -> PerronData:
         ]
         for i in range(3)
     ]
-    # Gaussian elimination to reduced row echelon form
-    pivots: list[int] = []
-    r = 0
-    for c in range(3):
-        pivot = next((i for i in range(r, 3) if not rows[i][c].is_zero()), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(3):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(3) if c not in pivots]
-    if not free:
+
+    def cofactors(k: int) -> list[FieldElement]:
+        r, s = rows[(k + 1) % 3], rows[(k + 2) % 3]
+        return [
+            r[(j + 1) % 3] * s[(j + 2) % 3] - r[(j + 2) % 3] * s[(j + 1) % 3] for j in range(3)
+        ]
+
+    # C adj(C) = det(C) I: row 0 times its cofactors is det(C), and once that
+    # is zero every row of cofactors solves C u = 0; all of them vanish
+    # exactly when C has rank 1 or less
+    first = cofactors(0)
+    if not sum((x * y for x, y in zip(rows[0], first)), field.zero()).is_zero():
         raise CertificateFailure(f"the boundary cubic's root is not an eigenvalue for {where}")
-    if len(free) > 1:
+    candidates = (first if k == 0 else cofactors(k) for k in range(3))
+    sol = next((row for row in candidates if not all(v.is_zero() for v in row)), None)
+    if sol is None:
         raise NotIrreducible("Perron eigenvalue is not simple")
-    sol = [field.zero()] * 3
-    sol[free[0]] = field.one()
-    for row, c in zip(rows, pivots):
-        sol[c] = -row[free[0]]
-    sol = sol + sol  # u_{i+3} = u_i
-    inv_total = sum(sol[1:], sol[0]).inverse()
-    u = tuple(v * inv_total for v in sol)
-    if any(v.sign() <= 0 for v in u):
+    # one strict sign before normalizing, so the sum is nonzero
+    signs = {v.sign() for v in sol}
+    if len(signs) > 1 or 0 in signs:
         raise CertificateFailure(f"left eigenvector is not strictly positive for {where}")
+    half = sum(sol[1:], sol[0])
+    inv_total = (half + half).inverse()
+    u = tuple(v * inv_total for v in sol) * 2  # u_{i+3} = u_i
     return PerronData(incidence, field, beta, u)
 
 

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from tiletopo import TileParams, parse_address
+from tiletopo import TileParams, chains, parse_address
 from tiletopo.automata import (
     BRANCHING,
     EMPTY,
@@ -25,6 +25,7 @@ from tiletopo.automata import (
     product_intersection,
 )
 from tiletopo.chains import ChainSetup, flipped_curves
+from tiletopo.contact import build_contact_graph
 from tiletopo.errors import BudgetExceeded
 from tiletopo.linalg import mat_vec
 from tiletopo.neighbors import neighbor_set_formula
@@ -95,12 +96,88 @@ class TestDeterminize:
         nfa = nfa_cylinder((1, 2), 4)
         assert nfa_determinize(nfa) is nfa
 
-    def test_deterministic_nfa_keeps_its_states(self):
+    def test_deterministic_nfa_is_renumbered(self):
+        # no output prints subset states, so a deterministic NFA goes
+        # through the one construction like any other
         nfa = DigitNFA(("p",), {"p": {0: ("q",), 1: ("p",)}, "q": {1: ("p",)}})
         det = nfa_determinize(nfa)
         assert isinstance(det, DigitDFA)
-        assert det.initials == ("p",)
-        assert det.trans == nfa.trans
+        assert det.initials == (0,)
+        assert det.trans == {0: {0: (1,), 1: (0,)}, 1: {1: (0,)}}
+
+    def test_matches_reference_construction(self, monkeypatch):
+        nfas = [
+            build_contact_graph(TileParams(a, b)).language(start)
+            for b in range(2, 9)
+            for a in range(1, b + 1)
+            for start in range(1, 7)
+        ]
+        captured = []
+
+        def capture(nfa):
+            captured.append(nfa)
+            return nfa_determinize(nfa)
+
+        monkeypatch.setattr(chains, "nfa_determinize", capture)
+        for b in range(5, 14, 2):
+            ChainSetup.build(TileParams((b + 3) // 2, b))
+        assert len(captured) == 5 + 7 + 9 + 11 + 13
+        for nfa in nfas + captured:
+            det = nfa_determinize(nfa)
+            assert det.initials == (0,)
+            assert list(det.trans) == list(range(len(det.trans)))
+            assert_isomorphic(det, reference_determinize(nfa))
+
+
+def reference_determinize(nfa: DigitNFA) -> DigitDFA:
+    """The subset construction as first written: states are repr-sorted
+    tuples of original states, and a deterministic NFA keeps its own."""
+    if isinstance(nfa, DigitDFA):
+        return nfa
+    try:
+        return DigitDFA(nfa.initials, nfa.trans)
+    except ValueError:
+        pass
+    # subset states as repr-sorted tuples: canonical and hash-seed independent
+    start = tuple(sorted(set(nfa.initials), key=repr))
+    trans: dict = {}
+    frontier = [start]
+    seen = {start}
+    while frontier:
+        subset = frontier.pop()
+        row: dict = {}
+        digits = sorted({d for q in subset for d in nfa.trans.get(q, {})})
+        for d in digits:
+            members = {t for q in subset for t in nfa.successors(q, d)}
+            if members:
+                target = tuple(sorted(members, key=repr))
+                row[d] = (target,)
+                if target not in seen:
+                    seen.add(target)
+                    frontier.append(target)
+        trans[subset] = row
+    return DigitDFA((start,), trans)
+
+
+def assert_isomorphic(left: DigitDFA, right: DigitDFA) -> None:
+    """Walk both DFAs in lockstep from their initial states, building a
+    bijection between their states; every pair must have the same digits."""
+    pairs = {left.initials[0]: right.initials[0]}
+    frontier = [left.initials[0]]
+    while frontier:
+        p = frontier.pop()
+        q = pairs[p]
+        lrow, rrow = left.trans.get(p, {}), right.trans.get(q, {})
+        assert lrow.keys() == rrow.keys(), (p, q)
+        for d, (pt,) in lrow.items():
+            (qt,) = rrow[d]
+            if pt in pairs:
+                assert pairs[pt] == qt, (p, d)
+            else:
+                pairs[pt] = qt
+                frontier.append(pt)
+    assert len(set(pairs.values())) == len(pairs)
+    assert len(pairs) == len(left.trans) == len(right.trans)
 
 
 class TestProduct:

@@ -119,6 +119,27 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == "error: parameter t=-1/3 must lie in [0, 1] for (A,B)=(4,5)\n"
 
+    # one valid command line per subcommand
+    COMMANDS = {
+        "normalize": ["--matrix", "0,-5,1,4"],
+        "classify": ["--A", "5", "--B", "5"],
+        "neighbors": ["--A", "4", "--B", "5"],
+        "contact-graph": ["--A", "4", "--B", "5"],
+        "param": ["--A", "4", "--B", "5", "--t", "1/2"],
+        "approx": ["--A", "2", "--B", "2", "--n", "1"],
+        "cutpoint": ["--A", "6", "--B", "7"],
+        "verify-chains": ["--A", "4", "--B", "5"],
+        "render": ["--A", "2", "--B", "2", "--n", "1"],
+        "sweep": ["--Bmax", "4"],
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_out_is_written_or_refused(self, capsys, tmp_path, command):
+        # an accepted --out that writes nothing would be silently ignored
+        out_dir = tmp_path / "out"
+        code, _, _ = run(capsys, command, *self.COMMANDS[command], "--out", str(out_dir))
+        assert code == 1 or (code == 0 and any(out_dir.iterdir()))
+
 
 class TestContract:
     """Every subcommand, and malformed values, end in an exit code 0..3."""

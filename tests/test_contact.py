@@ -27,7 +27,14 @@ from tiletopo.contact import (
     walk_compare,
     walk_to_param,
 )
-from tiletopo.errors import BudgetExceeded, CertificateFailure, NoConsistentOrdering, OutOfRange
+from tiletopo.algebraic import NumberField
+from tiletopo.errors import (
+    BudgetExceeded,
+    CertificateFailure,
+    NoConsistentOrdering,
+    NotIrreducible,
+    OutOfRange,
+)
 from tiletopo.geometry import polyline_hausdorff
 
 
@@ -258,6 +265,42 @@ class TestPerron:
         assert graph.is_strongly_connected()
         with pytest.raises(CertificateFailure, match=r"digit flip for \(A,B\)=\(4,5\)$"):
             perron_data(graph)
+
+    @staticmethod
+    def _folded_graph(rows):
+        # rows 4-6 are the flips of rows 1-3; k parallel edges i -> j carry
+        # the digits 0..k-1
+        adj = [*rows, *([r[(j + 3) % 6] for j in range(6)] for r in rows)]
+        edges = tuple(
+            (i + 1, k, k, j + 1) for i in range(6) for j in range(6) for k in range(adj[i][j])
+        )
+        graph = ContactGraph(TileParams(4, 5), (), edges)
+        assert graph.is_strongly_connected()
+        return graph
+
+    # folded matrix [[2,0,1],[0,2,1],[1,1,1]]: its column sums are all 3, so
+    # every eigenvector of its roots 2 and 0 sums to 0
+    MIXED_SIGNS = [[1, 0, 1, 1, 0, 0], [0, 2, 1, 0, 0, 0], [1, 1, 1, 0, 0, 0]]
+    # folded matrix all ones: its root 0 has a 2-dimensional eigenspace
+    ALL_ONES = [[0, 1, 1, 1, 0, 0], [1, 1, 1, 0, 0, 0], [1, 1, 1, 0, 0, 0]]
+
+    @pytest.mark.parametrize("root", [2, 0])
+    def test_mixed_signs_are_a_failure_not_a_division_by_zero(self, monkeypatch, root):
+        field = NumberField([-root, 1], root, root)
+        monkeypatch.setattr(contact, "dominant_root_field", lambda _: field)
+        with pytest.raises(CertificateFailure, match=r"not strictly positive for \(A,B\)=\(4,5\)$"):
+            perron_data(self._folded_graph(self.MIXED_SIGNS))
+
+    def test_multiple_eigenvalue_is_not_simple(self, monkeypatch):
+        monkeypatch.setattr(contact, "dominant_root_field", lambda _: NumberField([0, 1], 0, 0))
+        with pytest.raises(NotIrreducible, match="not simple"):
+            perron_data(self._folded_graph(self.ALL_ONES))
+
+    @pytest.mark.parametrize("rows", [MIXED_SIGNS, ALL_ONES], ids=["mixed", "ones"])
+    def test_perron_root_of_a_folded_graph(self, monkeypatch, rows):
+        monkeypatch.setattr(contact, "dominant_root_field", lambda _: NumberField([-3, 1], 3, 3))
+        pd = perron_data(self._folded_graph(rows))
+        assert all((x - pd.field.rational(Fraction(1, 6))).is_zero() for x in pd.u)
 
 
 class TestOrdering:

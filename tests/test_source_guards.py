@@ -106,3 +106,18 @@ def test_no_uncalled_private_functions():
         if not any(name in names for owner, names in reads if owner != name)
     ]
     assert found == []
+
+
+def test_no_silently_swallowed_exceptions():
+    # a handler whose whole body is `pass` hides the failure it caught; a
+    # handler acts on the exception, re-raises or returns a value instead
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ExceptHandler)
+            and all(isinstance(stmt, ast.Pass) for stmt in node.body)
+        ]
+    assert found == []
