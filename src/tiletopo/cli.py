@@ -56,6 +56,13 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
+def _out_dir(text: str) -> str:
+    """argparse type: an output directory, which may not be empty."""
+    if not text:
+        raise argparse.ArgumentTypeError("the output directory must not be empty")
+    return text
+
+
 def _walk(text: str) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """argparse type: "start;o1,o2;p1,p2" with a periodic tail (default 1)
     after the second ';'."""
@@ -94,9 +101,12 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text, end="" if text.endswith("\n") else "\n")
 
 
-def _write(args, name: str, content: str) -> Path | None:
+def _write(args, name: str, content: str | dict) -> Path | None:
+    """Write a file under --out, if given; a dict is written as indented JSON."""
     if args.out is None:
         return None
+    if isinstance(content, dict):
+        content = json.dumps(content, indent=2, sort_keys=True) + "\n"
     path = Path(args.out) / name
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -255,12 +265,7 @@ def _cmd_cutpoint(args) -> int:
         f"value=({cert.value[0]}, {cert.value[1]})"
     )
     _emit(args, payload, text)
-    if args.out:
-        _write(
-            args,
-            f"cutpoint_A{params.a}_B{params.b}.json",
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        )
+    _write(args, f"cutpoint_A{params.a}_B{params.b}.json", payload)
     return 0
 
 
@@ -274,12 +279,7 @@ def _cmd_verify_chains(args) -> int:
     symmetry_and_junctions(params)
     payload = report.to_json()
     _emit(args, payload, report.to_text())
-    if args.out:
-        _write(
-            args,
-            f"chains_A{params.a}_B{params.b}.json",
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        )
+    _write(args, f"chains_A{params.a}_B{params.b}.json", payload)
     if not report.ok:
         return 3
     return 0
@@ -334,9 +334,8 @@ def _cmd_sweep(args) -> int:
         )
     text = "\n".join(lines) + "\n"
     _emit(args, payload, text)
-    if args.out:
-        _write(args, "sweep.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        _write(args, "sweep.txt", text)
+    _write(args, "sweep.json", payload)
+    _write(args, "sweep.txt", text)
     return 0
 
 
@@ -368,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("contact-graph", help="contact graph and its ordering")
     common(p)
-    p.add_argument("--out", help="output directory")
+    p.add_argument("--out", type=_out_dir, help="output directory")
     p.set_defaults(fn=_cmd_contact_graph)
     p.set_defaults(format="json")
     p.add_argument("--dot", dest="format", action="store_const", const="dot")
@@ -383,25 +382,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("approx", help="boundary polygon vertices")
     common(p)
-    p.add_argument("--out", help="output directory")
+    p.add_argument("--out", type=_out_dir, help="output directory")
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--budget", type=int, default=10**6)
     p.set_defaults(fn=_cmd_approx)
 
     p = sub.add_parser("cutpoint", help="cut point certificate")
     common(p)
-    p.add_argument("--out", help="output directory")
+    p.add_argument("--out", type=_out_dir, help="output directory")
     p.add_argument("--depth", type=int, default=12)
     p.set_defaults(fn=_cmd_cutpoint)
 
     p = sub.add_parser("verify-chains", help="chain and circular-chain checks")
     common(p)
-    p.add_argument("--out", help="output directory")
+    p.add_argument("--out", type=_out_dir, help="output directory")
     p.set_defaults(fn=_cmd_verify_chains)
 
     p = sub.add_parser("render", help="SVG output")
     common(p)
-    p.add_argument("--out", help="output directory")
+    p.add_argument("--out", type=_out_dir, help="output directory")
     p.add_argument("--kind", choices=("boundary", "patch", "cutpoint"), default="boundary")
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--budget", type=int, default=10**6)
@@ -410,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="classification grid")
     p.add_argument("--Bmax", type=int, default=12)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out")
+    p.add_argument("--out", type=_out_dir, help="output directory")
     p.set_defaults(fn=_cmd_sweep)
 
     return parser

@@ -32,14 +32,24 @@ both check the ordering against the known walk decodings.
 
 The Perron vector of the incidence matrix is solved on the 3x3 system that
 the digit flip (state i <-> i+3) folds the 6x6 one into.
+
+The level-n boundary polygon, ``BoundaryApprox``, holds (m, 2) integer
+arrays over one common scale: int64 when the walk expansion's largest
+partial sum fits, Python ints otherwise.  The simple-closed test and the
+SVG and JSON writers read those arrays; the tuple and ``Fraction`` views
+are built only on request, for the library and the tests.  numpy is
+imported by ``approx_boundary`` alone, so the commands that never build a
+polygon start without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product as iproduct
+from typing import TYPE_CHECKING
 
 from . import linalg
 from .algebraic import FieldElement, NumberField, dominant_root_field
@@ -53,6 +63,9 @@ from .errors import (
     OutOfRange,
 )
 from .numsys import Address, RationalPoint, TileParams, periodic_tail_scaled, point_eval
+
+if TYPE_CHECKING:
+    import numpy as np
 
 IntVec = tuple[int, int]
 Edge = tuple[int, int, int, int]  # (source 1..6, a, a', target 1..6)
@@ -670,28 +683,46 @@ def count_walks(graph: ContactGraph, n: int, limit: int | None = None) -> int:
     return sum(vec)
 
 
-@dataclass(frozen=True)
+_INT64_MAX = 2**63 - 1
+
+
+@dataclass(frozen=True, eq=False)
 class BoundaryApprox:
     """Level-n polygonal boundary approximation in integer coordinates.
 
     Every level-n vertex is an integer vector over ``scale`` = D*B^n, where D
     is the LCM of the junction denominators, because B*M^{-1} is an integer
-    matrix.  ``points`` joins the first points of all length-n walks in
-    lexicographic order (consecutive duplicates merged); ``firsts`` and
-    ``lasts`` keep the unmerged per-walk endpoint pairs for continuity
-    checks.  ``vertices`` is ``points`` as exact rational pairs.
+    matrix.  ``point_array`` joins the first points of all length-n walks in
+    lexicographic order (consecutive duplicates merged); ``first_array`` and
+    ``last_array`` keep the unmerged per-walk endpoint pairs for continuity
+    checks.  Each is one (m, 2) integer array, int64 or Python ints.
+    ``points``, ``firsts`` and ``lasts`` view them as tuples of int pairs,
+    and ``vertices`` views ``points`` as exact rational pairs; each view is
+    built once, on first use.
     """
 
     level: int
     scale: int
-    points: tuple[IntVec, ...]
-    firsts: tuple[IntVec, ...]
-    lasts: tuple[IntVec, ...]
+    point_array: np.ndarray
+    first_array: np.ndarray
+    last_array: np.ndarray
 
-    @property
+    @cached_property
+    def points(self) -> tuple[IntVec, ...]:
+        return tuple(map(tuple, self.point_array.tolist()))
+
+    @cached_property
+    def firsts(self) -> tuple[IntVec, ...]:
+        return tuple(map(tuple, self.first_array.tolist()))
+
+    @cached_property
+    def lasts(self) -> tuple[IntVec, ...]:
+        return tuple(map(tuple, self.last_array.tolist()))
+
+    @cached_property
     def vertices(self) -> tuple[RationalPoint, ...]:
         s = self.scale
-        return tuple((Fraction(x, s), Fraction(y, s)) for (x, y) in self.points)
+        return tuple((Fraction(x, s), Fraction(y, s)) for (x, y) in self.point_array.tolist())
 
 
 def approx_boundary(
@@ -702,7 +733,15 @@ def approx_boundary(
     A walk with digits a_1..a_n that ends in state s has the vertex
     sum_k M^{-k} (a_k, 0) + M^{-n} V_s.  Times D*B^n this is
     sum_k D*B^(n-k) N^k (a_k, 0) + N^n (D*V_s) with N = B*M^{-1}, all integer.
+
+    The walks are expanded level by level: each walk is repeated once per
+    out-edge of its state, and the edge's offset and target are read from
+    one flat table of the ordered edges.  A state's children are contiguous
+    and in order, so the walks stay in lex order.  Coordinates are int64
+    when the largest partial sum fits, and Python ints otherwise.
     """
+    import numpy as np
+
     graph = ordered.graph
     a, b = graph.params.a, graph.params.b
     if n < 0:
@@ -720,29 +759,32 @@ def approx_boundary(
         w = d * b ** (n - k)
         steps.append((w * power[0][0], w * power[1][0]))
     ends = [linalg.mat_vec(power, (int(x * d), int(y * d))) for (x, y) in ordered.vertices]
-    firsts: list[IntVec] = []
-    lasts: list[IntVec] = []
-
-    def rec(state: int, depth: int, x: int, y: int) -> None:
-        if depth == n:
-            first, last = ends[state - 1], ends[state % 6]
-            firsts.append((x + first[0], y + first[1]))
-            lasts.append((x + last[0], y + last[1]))
-            return
-        sx, sy = steps[depth]
-        for e in ordered.orders[state - 1]:
-            rec(e[3], depth + 1, x + e[1] * sx, y + e[1] * sy)
-
-    for state in range(1, 7):
-        rec(state, 0, 0, 0)
-
-    merged: list[IntVec] = []
-    for p in firsts:
-        if not merged or merged[-1] != p:
-            merged.append(p)
-    if len(merged) > 1 and merged[0] == merged[-1]:
-        merged.pop()
-    return BoundaryApprox(n, d * b**n, tuple(merged), tuple(firsts), tuple(lasts))
+    # every coordinate met is a partial sum of digit * step plus an end
+    reach = (b - 1) * sum(max(map(abs, s)) for s in steps) + max(abs(c) for e in ends for c in e)
+    dtype = np.int64 if reach <= _INT64_MAX else object
+    edges = [e for order in ordered.orders for e in order]
+    digits = [e[1] for e in edges]
+    targets = np.array([e[3] - 1 for e in edges], dtype=np.int64)
+    degree = np.array([len(order) for order in ordered.orders], dtype=np.int64)
+    offset = np.cumsum(degree) - degree  # of each state's first edge
+    state = np.arange(6, dtype=np.int64)  # of each walk, 0-based
+    xy = np.zeros((6, 2), dtype=dtype)
+    for sx, sy in steps:
+        count = degree[state]
+        start = np.cumsum(count) - count  # of each walk's children
+        edge = np.arange(int(count.sum())) + np.repeat(offset[state] - start, count)
+        moves = np.array([(c * sx, c * sy) for c in digits], dtype=dtype)
+        xy = np.repeat(xy, count, axis=0) + moves[edge]
+        state = targets[edge]
+    end = np.array(ends, dtype=dtype)
+    firsts = xy + end[state]
+    lasts = xy + end[(state + 1) % 6]
+    keep = np.ones(len(firsts), dtype=bool)
+    keep[1:] = (firsts[1:] != firsts[:-1]).any(axis=1)
+    points = firsts[keep]
+    if len(points) > 1 and (points[0] == points[-1]).all():
+        points = points[:-1]
+    return BoundaryApprox(n, d * b**n, points, firsts, lasts)
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,19 @@
 
 Output is byte-stable: geometry is exact until the final serialization.  A
 scene holds one integer polygon over one ``scale``, the common denominator
-of the level-n boundary, and the integer lattice shifts it is drawn at.  A
-coordinate p is written as ``"%.12g" % (p / scale)``, Python's correctly
-rounded int/int division.  The shifted points are one integer array,
-int64 when every shifted coordinate fits and Python ints otherwise, and
-each distinct value in it is divided and formatted once: a patch repeats
-its coordinates many times.  The polygon JSON is written in its fixed
-layout, with each distinct coordinate turned into a ratio once.  Ordering
-is fixed and nothing depends on hashes or time.  The y axis is flipped, in
-integers, so figures follow the mathematical orientation.
+of the level-n boundary, and the integer lattice shifts it is drawn at.  The
+polygon is the (m, 2) integer array of ``contact.approx_boundary``, read as
+it is.  A coordinate p is written as ``"%.12g" % (p / scale)``, Python's
+correctly rounded int/int division.  The shifted points are int64 when
+every shifted coordinate fits and Python ints otherwise, and each distinct
+value among them is divided and formatted once: a patch repeats its
+coordinates many times.  The distinct values are found without building
+the shifted grid: per axis, the polygon's sorted distinct values plus each
+shift are sorted runs, and one stable sort merges them.  The polygon JSON is
+written in its fixed layout, with each distinct coordinate turned into a
+ratio once.  Ordering is fixed and nothing depends on hashes or time.  The y
+axis is flipped, in integers, so figures follow the mathematical
+orientation.
 """
 
 from __future__ import annotations
@@ -39,23 +43,29 @@ class Scene:
     """One integer polygon drawn at integer shifts, and markers, in exact
     coordinates times ``scale``.
 
-    A translate ``((sx, sy), style)`` draws the polygon moved by
-    ``(sx, sy) * scale``, that is by the lattice vector (sx, sy)."""
+    ``polygon`` is an (m, 2) integer array, int64 or Python ints; a tuple of
+    int pairs becomes one of Python ints.  A translate ``((sx, sy), style)``
+    draws the polygon moved by ``(sx, sy) * scale``, that is by the lattice
+    vector (sx, sy)."""
 
     scale: int
-    polygon: tuple[IntVec, ...]
+    polygon: np.ndarray
     translates: list[tuple[IntVec, Style]]
     markers: list[tuple[RationalPoint, str]] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.polygon, np.ndarray):
+            self.polygon = np.array(self.polygon, dtype=object).reshape(-1, 2)
 
     def viewbox(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         xs = [p[0] for p, _ in self.markers]
         ys = [p[1] for p, _ in self.markers]
-        if self.polygon and self.translates:
+        if len(self.polygon) and self.translates:
             s = self.scale
-            px, py = zip(*self.polygon)
+            lo, hi = self.polygon.min(axis=0).tolist(), self.polygon.max(axis=0).tolist()
             dx, dy = zip(*(shift for shift, _ in self.translates))
-            xs += [min(px) + min(dx) * s, max(px) + max(dx) * s]
-            ys += [min(py) + min(dy) * s, max(py) + max(dy) * s]
+            xs += [lo[0] + min(dx) * s, hi[0] + max(dx) * s]
+            ys += [lo[1] + min(dy) * s, hi[1] + max(dy) * s]
         if not xs:
             raise ValueError("empty scene")
         x0, x1 = min(xs), max(xs)
@@ -81,41 +91,40 @@ def palette(n: int) -> list[str]:
 _INT64_MAX = 2**63 - 1
 
 
-def _int_array(points: tuple[IntVec, ...]) -> np.ndarray:
-    """The points as an n x 2 array: int64 where every coordinate fits,
-    Python ints otherwise."""
-    try:
-        return np.array(points, dtype=np.int64).reshape(-1, 2)
-    except OverflowError:
-        return np.array(points, dtype=object).reshape(-1, 2)
-
-
-def _per_distinct(values: np.ndarray, texts) -> np.ndarray:
-    """The string of every entry of an integer array, where ``texts`` maps
-    the list of distinct values, as Python ints, to their strings."""
-    distinct, inverse = np.unique(values.ravel(), return_inverse=True)
-    strings = np.array(texts(distinct.tolist()), dtype=object)
-    return strings[inverse].reshape(values.shape)
-
-
 def _points_attributes(scene: Scene) -> list[str]:
     """The ``points`` attribute of each translate, "x,y x,y ..." with x and y
     as ``"%.12g" % (p / scale)`` and y negated.
 
     The translates' points form one integer grid, shifted and y-negated in
     integers; int64 holds it unless a shifted coordinate could overflow, and
-    then the same code runs on Python ints.  Each distinct integer is divided
-    by Python's exact int/int and formatted once."""
+    then the same code runs on Python ints.  The grid is never built: on
+    each axis its values are the runs "distinct base values + shift", one
+    sorted run per translate, and one stable sort merges them.  Each
+    distinct value is divided by Python's exact int/int and formatted
+    once."""
     s = scene.scale
-    base = _int_array(scene.polygon)
+    base = scene.polygon
     shifts = [(sx * s, -sy * s) for (sx, sy), _ in scene.translates]
     if not len(base) or not shifts:
         return [""] * len(shifts)
     reach = max(-int(base.min()), int(base.max())) + max(abs(c) for sh in shifts for c in sh)
-    dtype = np.int64 if base.dtype == np.int64 and reach <= _INT64_MAX else object
+    dtype = np.int64 if reach <= _INT64_MAX else object
     base = base.astype(dtype) * np.array([1, -1], dtype=dtype)
-    grid = base[None, :, :] + np.array(shifts, dtype=dtype)[:, None, :]
-    rows = _per_distinct(grid, lambda vs: ["%.12g" % (v / s) for v in vs])
+    shift = np.array(shifts, dtype=dtype)
+    # per axis, the sorted distinct base values and each vertex's place in them
+    (ux, ix), (uy, iy) = (np.unique(base[:, c], return_inverse=True) for c in (0, 1))
+    runs = np.concatenate([(ux + shift[:, :1]).ravel(), (uy + shift[:, 1:]).ravel()])
+    order = np.argsort(runs, kind="stable")
+    merged = runs[order]
+    new = np.ones(len(merged), dtype=bool)
+    new[1:] = merged[1:] != merged[:-1]
+    rank = np.empty(len(runs), dtype=np.int64)
+    rank[order] = np.cumsum(new) - 1
+    strings = np.array(["%.12g" % (v / s) for v in merged[new].tolist()], dtype=object)
+    # rank holds the x runs, then the y runs, one row per translate each
+    cut = len(shifts) * len(ux)
+    rx, ry = rank[:cut].reshape(len(shifts), -1), rank[cut:].reshape(len(shifts), -1)
+    rows = strings[np.stack([rx[:, ix], ry[:, iy]], axis=2)]
     template = " ".join(["%s,%s"] * len(base))
     return [template % tuple(row.ravel()) for row in rows]
 
@@ -147,7 +156,7 @@ def scene_to_svg(scene: Scene) -> str:
 def _boundary_polygon(params: TileParams, n: int, budget: int) -> BoundaryApprox:
     ordered = ordered_extension(build_contact_graph(params))
     approx = approx_boundary(ordered, n, budget)
-    if not polygon_is_simple_closed(approx.points):
+    if not polygon_is_simple_closed(approx.point_array):
         raise CertificateFailure(f"level-{n} polygon is not simple closed")
     return approx
 
@@ -156,7 +165,7 @@ def render_boundary(params: TileParams, n: int, budget: int = 10**6) -> str:
     """Closed polygonal approximation of the boundary at level n."""
     approx = _boundary_polygon(params, n, budget)
     style = {"fill": "none", "stroke": "#202060"}
-    return scene_to_svg(Scene(approx.scale, approx.points, [((0, 0), style)]))
+    return scene_to_svg(Scene(approx.scale, approx.point_array, [((0, 0), style)]))
 
 
 def render_patch(params: TileParams, n: int, budget: int = 10**6) -> str:
@@ -167,7 +176,7 @@ def render_patch(params: TileParams, n: int, budget: int = 10**6) -> str:
         (shift, {"fill": color, "fill-opacity": "0.55", "stroke": "#303030"})
         for shift, color in zip(shifts, palette(len(shifts)))
     ]
-    return scene_to_svg(Scene(approx.scale, approx.points, translates))
+    return scene_to_svg(Scene(approx.scale, approx.point_array, translates))
 
 
 def render_cutpoint(params: TileParams, n: int, budget: int = 10**6) -> str:
@@ -180,7 +189,7 @@ def render_cutpoint(params: TileParams, n: int, budget: int = 10**6) -> str:
     z = point_eval(cut_point_address(params), params)
     style = {"fill": "none", "stroke": "#202060"}
     marker = ((z[0] * s, z[1] * s), "cut point")
-    return scene_to_svg(Scene(s, approx.points, [((0, 0), style)], [marker]))
+    return scene_to_svg(Scene(s, approx.point_array, [((0, 0), style)], [marker]))
 
 
 def _ratio(x: int, scale: int) -> str:
@@ -192,12 +201,14 @@ def _ratio(x: int, scale: int) -> str:
 def polygon_to_json(params: TileParams, n: int, budget: int = 10**6) -> dict:
     approx = _boundary_polygon(params, n, budget)
     s = approx.scale
-    vertices = _per_distinct(_int_array(approx.points), lambda vs: [_ratio(v, s) for v in vs])
+    # each distinct coordinate is turned into a ratio once
+    distinct, inverse = np.unique(approx.point_array.ravel(), return_inverse=True)
+    vertices = np.array([_ratio(v, s) for v in distinct.tolist()], dtype=object)[inverse]
     return {
         "schema": "tiletopo/boundary-polygon@1",
         "params": {"A": params.a, "B": params.b},
         "level": n,
-        "vertices": vertices.tolist(),
+        "vertices": vertices.reshape(-1, 2).tolist(),
     }
 
 

@@ -140,6 +140,19 @@ class TestExitCodes:
         code, _, _ = run(capsys, command, *self.COMMANDS[command], "--out", str(out_dir))
         assert code == 1 or (code == 0 and any(out_dir.iterdir()))
 
+    @pytest.mark.parametrize(
+        "command", ["contact-graph", "approx", "cutpoint", "verify-chains", "render", "sweep"]
+    )
+    def test_empty_out_is_a_usage_error(self, capsys, tmp_path, monkeypatch, command):
+        # an empty directory would mean the working directory to one writer
+        # and no output to another; it is refused before anything runs
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, command, *self.COMMANDS[command], "--out", "")
+        assert code == 1 and out == ""
+        assert err.startswith("usage: ")
+        assert err.splitlines()[-1].endswith("the output directory must not be empty")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestContract:
     """Every subcommand, and malformed values, end in an exit code 0..3."""
@@ -339,6 +352,18 @@ class TestEntryPoint:
         assert proc.returncode == 1
         assert "Traceback" not in err
         assert err.startswith("error: cannot write stdout: ") and err.count("\n") == 1
+
+    def test_startup_does_not_import_numpy(self):
+        # numpy costs a cold start about 0.2 s; only the boundary polygon
+        # and its writers need it, and they import it when they run
+        code = (
+            "import sys; import tiletopo.cli, tiletopo.contact, tiletopo.chains, "
+            "tiletopo.topology, tiletopo.neighbors, tiletopo.automata, tiletopo.algebraic; "
+            "print('numpy' in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_param_without_sympy(self):
         # a None entry in sys.modules makes any import of sympy fail

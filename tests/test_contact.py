@@ -686,6 +686,30 @@ class TestApproxBoundary:
         with pytest.raises(BudgetExceeded):
             approx_boundary(o, 10, budget=1000)
 
+    @pytest.mark.parametrize(
+        "a,b,n", [(2, 2, 6), (4, 5, 4), (1, 12, 3), (7, 11, 3), (5, 5, 8)]
+    )
+    def test_python_int_expansion_matches_int64(self, monkeypatch, a, b, n):
+        # no level within the default budget reaches the int64 bound, so
+        # the Python-int expansion is forced by lowering the bound
+        o = ordered(a, b)
+        narrow = approx_boundary(o, n)
+        monkeypatch.setattr(contact, "_INT64_MAX", -1)
+        wide = approx_boundary(o, n)
+        assert narrow.first_array.dtype == np.int64 and wide.first_array.dtype == object
+        assert narrow.scale == wide.scale
+        for name in ("point_array", "first_array", "last_array"):
+            assert np.array_equal(getattr(narrow, name), getattr(wide, name)), name
+
+    def test_views_are_built_once(self):
+        ap = approx_boundary(ordered(4, 5), 3)
+        for name in ("points", "firsts", "lasts", "vertices"):
+            assert getattr(ap, name) is getattr(ap, name), name
+        assert ap.firsts == tuple(map(tuple, ap.first_array.tolist()))
+        assert ap.vertices == tuple(
+            (Fraction(x, ap.scale), Fraction(y, ap.scale)) for (x, y) in ap.points
+        )
+
 
 class TestWalkCompare:
     def test_orderings(self):

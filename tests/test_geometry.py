@@ -6,7 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tiletopo.contact import approx_boundary, build_contact_graph, derive_order_extension
+from tiletopo.contact import (
+    approx_boundary,
+    build_contact_graph,
+    count_walks,
+    derive_order_extension,
+)
 from tiletopo.geometry import (
     _candidate_pairs,
     polygon_is_simple_closed,
@@ -39,6 +44,12 @@ class TestSegments:
     def test_collinear_overlap(self):
         assert segments_intersect((F(0), F(0)), (F(2), F(0)), (F(1), F(0)), (F(3), F(0)))
 
+    def test_touch_at_the_extreme_x_or_y(self):
+        # the touching point lies on the first segment's box edge: its one x
+        # for a vertical segment, its one y for a horizontal one
+        assert segments_intersect((0, 0), (0, 2), (-1, 1), (0, 1))
+        assert segments_intersect((0, 0), (2, 0), (1, -1), (1, 0))
+
 
 def int_and_fraction(*pts):
     """One polygon with int and with Fraction coordinates; approx_boundary
@@ -50,6 +61,11 @@ class TestSimpleClosed:
     def test_square(self):
         for p in int_and_fraction((0, 0), (1, 0), (1, 1), (0, 1)):
             assert polygon_is_simple_closed(p)
+
+    def test_triangle(self):
+        pts = ((0, 0), (3, 0), (0, 2))
+        for p in int_and_fraction(*pts) + [np.array(pts, dtype=np.int64)]:
+            assert polygon_is_simple_closed(p) is True
 
     def test_bowtie(self):
         for p in int_and_fraction((0, 0), (2, 2), (2, 0), (0, 2)):
@@ -217,6 +233,17 @@ def _valid(pts) -> bool:
     return True
 
 
+def _boundary_polygons():
+    """The level-n boundary arrays of the pairs 1 <= A <= B <= 12 but (1, 2),
+    each at its first level with 1,000 walks or more, where that is at most 4."""
+    for b in range(2, 13):
+        for a in range(1, b + 1):
+            ordered = derive_order_extension(build_contact_graph(TileParams(a, b)))
+            n = next(n for n in range(30) if count_walks(ordered.graph, n) >= 1000)
+            if (a, b) != (1, 2) and n <= 4:
+                yield (a, b, n), approx_boundary(ordered, n).point_array
+
+
 class TestVectorizedPath:
     """Every polygon goes through the grid prefilter and the array tests on
     its integers: int64 below 2**30, Python ints above."""
@@ -275,6 +302,18 @@ class TestVectorizedPath:
         pi = _candidate_pairs(_closed(points))
         assert pi.dtype == np.int64
         assert hashlib.sha256(pi.tobytes()).hexdigest() == sha
+
+    def test_boundary_polygons_on_every_integer_path(self):
+        # the array as int64, as Python ints and as tuples gives one answer;
+        # scaled by 2**31, the same polygon runs on Python ints throughout
+        cases = 0
+        for case, arr in _boundary_polygons():
+            assert arr.dtype == np.int64, case
+            wide = arr.astype(object)
+            inputs = [arr, wide, tuple(map(tuple, arr.tolist())), wide * 2**31]
+            assert [polygon_is_simple_closed(p) for p in inputs] == [True] * 4, case
+            cases += 1
+        assert cases == 58
 
 
 class TestHausdorff:
