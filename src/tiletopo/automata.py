@@ -66,36 +66,6 @@ class DigitDFA(DigitNFA):
                     raise ValueError(f"state {q!r} has {len(targets)} targets on digit {d}")
 
 
-def nfa_full(b: int) -> DigitDFA:
-    """All digit sequences."""
-    return DigitDFA(("*",), {"*": {d: ("*",) for d in range(b)}})
-
-
-def nfa_cylinder(word: tuple[int, ...], b: int) -> DigitDFA:
-    """Sequences starting with the given word, anything afterwards."""
-    trans: dict[State, dict[int, tuple[State, ...]]] = {}
-    for i, d in enumerate(word):
-        trans[("p", i)] = {d: (("p", i + 1) if i + 1 < len(word) else "*",)}
-    trans["*"] = {d: ("*",) for d in range(b)}
-    start: State = ("p", 0) if word else "*"
-    return DigitDFA((start,), trans)
-
-
-def nfa_single_address(addr: Address) -> DigitDFA:
-    """Exactly the one eventually periodic digit sequence of the address."""
-    if addr.integer_part:
-        raise ValueError("only fractional addresses describe digit sequences")
-    pre, per = addr.preperiod, addr.period
-    trans: dict[State, dict[int, tuple[State, ...]]] = {}
-    for i, d in enumerate(pre):
-        nxt: State = ("pre", i + 1) if i + 1 < len(pre) else ("per", 0)
-        trans[("pre", i)] = {d: (nxt,)}
-    for i, d in enumerate(per):
-        trans[("per", i)] = {d: (("per", (i + 1) % len(per)),)}
-    start: State = ("pre", 0) if pre else ("per", 0)
-    return DigitDFA((start,), trans)
-
-
 def nfa_flip(nfa: DigitNFA, b: int) -> DigitNFA:
     """Image language under the digit exchange a <-> B-1-a; a DFA stays one."""
     trans = {
@@ -161,31 +131,6 @@ def nfa_accepts_address(nfa: DigitNFA, addr: Address) -> bool:
         succ[(q, pos)] = outs
     alive = live_nodes(succ)
     return any((q, 0) in alive for q in nfa.initials)
-
-
-def nfa_prefixes(nfa: DigitNFA, depth: int) -> set[tuple[int, ...]]:
-    """All digit words of the given length extendable to an infinite run."""
-    live = live_nodes(
-        {q: [t for targets in row.values() for t in targets] for q, row in nfa.trans.items()}
-    )
-    out: set[tuple[int, ...]] = set()
-
-    def rec(states: frozenset, word: tuple[int, ...]) -> None:
-        if len(word) == depth:
-            out.add(word)
-            return
-        digits = sorted({d for q in states for d in nfa.trans.get(q, {})})
-        for d in digits:
-            nxt = frozenset(
-                t for q in states for t in nfa.successors(q, d) if t in live
-            )
-            if nxt:
-                rec(nxt, word + (d,))
-
-    start = frozenset(q for q in nfa.initials if q in live)
-    if start:
-        rec(start, ())
-    return out
 
 
 def nfa_determinize(nfa: DigitNFA) -> DigitDFA:

@@ -9,7 +9,9 @@ digit, pass through the interior contact points.  Everything here is decided
 mechanically: each curve language is a lexicographic walk interval, read by
 one automaton whose states pair the contact state with how far the walk
 still follows each bound, and intersections run through the exact product
-automaton.
+automaton.  The circular chain's report is the one chain report: the open
+chain alpha_1..alpha_B is read off it, since its expected pattern is the
+circular one restricted to the unprimed curves.
 """
 
 from __future__ import annotations
@@ -384,15 +386,13 @@ def _check_cycle_pattern(
     labels: list[str],
     matrix: dict[tuple[str, str], dict],
     junctions: dict[tuple[str, str], list[Address]],
-    circular: bool,
 ) -> ChainReport:
     report = ChainReport(setup.params, labels, matrix)
     n = len(labels)
 
     def expected_adjacent(l1: str, l2: str) -> bool:
-        i, j = labels.index(l1), labels.index(l2)
-        d = abs(i - j)
-        return d == 1 or (circular and d == n - 1)
+        d = abs(labels.index(l1) - labels.index(l2))
+        return d == 1 or d == n - 1
 
     for (l1, l2), cell in matrix.items():
         if expected_adjacent(l1, l2):
@@ -427,27 +427,6 @@ def _check_cycle_pattern(
     return report
 
 
-def chain_report(setup: ChainSetup) -> ChainReport:
-    curves = setup.curves
-    labeled = [(c.label, c.language) for c in curves]
-    matrix = _chain_matrix(setup, labeled)
-    junctions = {
-        k: v
-        for k, v in expected_chain_junctions(setup.params).items()
-        if not (k[0].endswith("'") or k[1].endswith("'"))
-    }
-    return _check_cycle_pattern(
-        setup, [c.label for c in curves], matrix, junctions, circular=False
-    )
-
-
-def verify_chain(setup: ChainSetup) -> ChainReport:
-    report = chain_report(setup)
-    if not report.ok:
-        raise ChainViolation("; ".join(report.violations))
-    return report
-
-
 def circular_chain_report(setup: ChainSetup) -> ChainReport:
     curves = setup.curves
     flipped = flipped_curves(setup, curves)
@@ -457,14 +436,7 @@ def circular_chain_report(setup: ChainSetup) -> ChainReport:
     matrix = _chain_matrix(setup, labeled)
     junctions = expected_chain_junctions(setup.params)
     labels = [l for l, _ in labeled]
-    return _check_cycle_pattern(setup, labels, matrix, junctions, circular=True)
-
-
-def verify_circular_chain(setup: ChainSetup) -> ChainReport:
-    report = circular_chain_report(setup)
-    if not report.ok:
-        raise ChainViolation("; ".join(report.violations))
-    return report
+    return _check_cycle_pattern(setup, labels, matrix, junctions)
 
 
 # ---------------------------------------------------------------------------

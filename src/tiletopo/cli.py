@@ -190,7 +190,7 @@ def _cmd_contact_graph(args) -> int:
     params = _params_from(args)
     graph = build_contact_graph(params)
     ordered = derive_order_extension(graph)
-    if args.format == "dot":
+    if args.dot:
         text = graph_to_dot(graph, ordered)
         print(text, end="")
         _write(args, f"contact_A{params.a}_B{params.b}.dot", text)
@@ -348,34 +348,38 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--B", type=int)
         p.add_argument("--matrix", type=_ints(4), help="m00,m01,m10,m11")
         p.add_argument("--v", type=_ints(2), help="vx,vy (default 1,0; with --matrix only)")
+
+    def formatted(p):  # only for the commands that print through _emit
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("normalize", help="reduce a raw instance to (A, B)")
     p.add_argument("--matrix", type=_ints(4), required=True)
     p.add_argument("--v", type=_ints(2), help="vx,vy (default 1,0)")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    formatted(p)
     p.set_defaults(fn=_cmd_normalize)
 
     p = sub.add_parser("classify", help="topological classification")
     common(p)
+    formatted(p)
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("neighbors", help="neighbor set")
     common(p)
+    formatted(p)
     p.add_argument("--check", action="store_true", help="cross-validate with the search")
     p.set_defaults(fn=_cmd_neighbors)
 
     p = sub.add_parser("contact-graph", help="contact graph and its ordering")
     common(p)
     p.add_argument("--out", type=_out_dir, help="output directory")
+    p.add_argument("--dot", action="store_true", help="Graphviz DOT instead of JSON")
     p.set_defaults(fn=_cmd_contact_graph)
-    p.set_defaults(format="json")
-    p.add_argument("--dot", dest="format", action="store_const", const="dot")
 
     p = sub.add_parser("param", help="evaluate the boundary parametrization")
     # "--t -1/3" is a value to range-check, not an option
     p._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
     common(p)
+    formatted(p)
     p.add_argument("--t", type=_fraction, help="rational parameter p/q in [0,1]")
     p.add_argument("--walk", type=_walk, help="walk 'start;o1,o2,...;p1,p2' (periodic tail)")
     p.set_defaults(fn=_cmd_param)
@@ -389,12 +393,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cutpoint", help="cut point certificate")
     common(p)
+    formatted(p)
     p.add_argument("--out", type=_out_dir, help="output directory")
     p.add_argument("--depth", type=int, default=12)
     p.set_defaults(fn=_cmd_cutpoint)
 
     p = sub.add_parser("verify-chains", help="chain and circular-chain checks")
     common(p)
+    formatted(p)
     p.add_argument("--out", type=_out_dir, help="output directory")
     p.set_defaults(fn=_cmd_verify_chains)
 
@@ -408,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="classification grid")
     p.add_argument("--Bmax", type=int, default=12)
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    formatted(p)
     p.add_argument("--out", type=_out_dir, help="output directory")
     p.set_defaults(fn=_cmd_sweep)
 

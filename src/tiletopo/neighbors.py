@@ -27,10 +27,13 @@ from functools import lru_cache
 
 from . import linalg
 from .automata import live_nodes
-from .errors import CertificateFailure, LengthMismatch, WrongRegime
-from .numsys import Address, DigitWord, TileParams
+from .errors import CertificateFailure, LengthMismatch
+from .numsys import DigitWord, TileParams
 
 IntVec = tuple[int, int]
+
+# the largest split point k that certified_series_bound tries
+_MAX_BLOCK = 120
 
 
 @dataclass(frozen=True)
@@ -102,7 +105,7 @@ def _float_conjugation(a: int, b: int) -> linalg.Mat2:
     return w
 
 
-def certified_series_bound(params: TileParams, max_block: int = 120) -> tuple[linalg.Mat2, Fraction]:
+def certified_series_bound(params: TileParams) -> tuple[linalg.Mat2, Fraction]:
     """Return (W_inv, c) such that every vector of the form
     sum_{i>=1} M^{-i} (d_i, 0) with |d_i| <= B-1 satisfies
     ||W_inv @ s||_inf <= c.  Entirely exact given the rational W.
@@ -123,7 +126,7 @@ def certified_series_bound(params: TileParams, max_block: int = 120) -> tuple[li
 
     partial = (Fraction(0), Fraction(0))
     power = linalg.IDENTITY
-    for k in range(1, max_block + 1):
+    for k in range(1, _MAX_BLOCK + 1):
         power = linalg.mat_mul(power, t_inv)
         term = linalg.mat_vec(power, e1)
         partial = (partial[0] + abs(term[0]), partial[1] + abs(term[1]))
@@ -162,7 +165,8 @@ def neighbor_set_search(params: TileParams) -> NeighborSet:
 
     States outside the certified ball cannot be difference-representable, so
     restricting transitions to the ball and repeatedly deleting states with
-    no remaining successor leaves exactly the representable vectors.
+    no remaining successor leaves exactly the representable vectors.  The
+    search gives no J; commands print the closed form's.
     """
     b = params.b
     m = params.matrix
@@ -173,9 +177,7 @@ def neighbor_set_search(params: TileParams) -> NeighborSet:
         succ[s] = [(x + d, y) for d in range(-(b - 1), b) if (x + d, y) in ball]
     alive = live_nodes(succ)
     alive.discard((0, 0))
-    n = len(alive)
-    j = (n - 2) // 4 if n >= 2 and (n - 2) % 4 == 0 else None
-    return NeighborSet(frozenset(alive), j)
+    return NeighborSet(frozenset(alive), None)
 
 
 def reflect_neighbor_set(sset: NeighborSet) -> NeighborSet:
@@ -187,12 +189,6 @@ def reflect_neighbor_set(sset: NeighborSet) -> NeighborSet:
 def neighbor_members(params: TileParams) -> frozenset[IntVec]:
     """Cached membership set of the closed-form neighbor set."""
     return neighbor_set_formula(params).members
-
-
-@lru_cache(maxsize=64)
-def candidate_ball(params: TileParams) -> frozenset[IntVec]:
-    """Cached certified ball of difference-representable integer vectors."""
-    return frozenset(_candidate_ball(params))
 
 
 def subdivision_diff(u: DigitWord, v: DigitWord, params: TileParams) -> IntVec:
@@ -216,21 +212,3 @@ def subdivision_intersects(u: DigitWord, v: DigitWord, params: TileParams) -> bo
     if s == (0, 0):
         return True
     return s in neighbor_members(params)
-
-
-def adjacent_singleton_point(
-    u: DigitWord, v: DigitWord, params: TileParams
-) -> tuple[Address, Address] | None:
-    """For 2A-B=3 and |u|=|v|=3 with difference pattern (1, A-2, -1), the two
-    addresses of the single point shared by T_u and T_v."""
-    a, b = params.a, params.b
-    if 2 * a - b != 3:
-        raise WrongRegime(f"adjacent singleton points require 2A - B = 3 for (A,B)=({a},{b})")
-    if len(u) != 3 or len(v) != 3:
-        raise LengthMismatch("digit words must have length 3")
-    diffs = tuple(x - y for x, y in zip(u, v))
-    if diffs != (1, a - 2, -1):
-        return None
-    left = Address((), u, (0, b - 1))
-    right = Address((), v, (b - 1, 0))
-    return (left, right)

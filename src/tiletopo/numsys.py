@@ -280,12 +280,6 @@ def periodic_tail_scaled(period: DigitWord, params: TileParams) -> tuple[int, in
     return x // g, y // g, det // g
 
 
-def periodic_tail_value(period: DigitWord, params: TileParams) -> RationalPoint:
-    """Exact value of the purely periodic expansion 0.(period)."""
-    x, y, d = periodic_tail_scaled(period, params)
-    return (Fraction(x, d), Fraction(y, d))
-
-
 def point_eval(addr: Address, params: TileParams) -> RationalPoint:
     """Exact rational value of an eventually periodic address.
 
@@ -329,13 +323,3 @@ def apply_contraction(a: int, p: RationalPoint, params: TileParams) -> RationalP
     """f_a(p) = M^{-1}(p + (a, 0)), exactly."""
     params.check_digit(a)
     return linalg.mat_vec(params.matrix_inv, (p[0] + a, p[1]))
-
-
-def prepend_digits(word: DigitWord, addr: Address) -> Address:
-    """Address of 0.w a1 a2 ... given the address of 0.a1 a2 ...
-
-    Only valid for purely fractional addresses.
-    """
-    if addr.integer_part:
-        raise ValueError("cannot prepend to an address with an integer part")
-    return Address((), word + addr.preperiod, addr.period)

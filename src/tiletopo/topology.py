@@ -106,17 +106,6 @@ def union_is_universal(d1: DigitDFA, d2: DigitDFA, params: TileParams) -> bool:
     return True
 
 
-def intersect_languages(
-    l1: DigitDFA,
-    l2: DigitDFA,
-    params: TileParams,
-    initial_diff: tuple[int, int] = (0, 0),
-) -> IntersectionAutomaton:
-    """Product with difference-state tracking over the neighbor set."""
-    sset = neighbor_set_formula(params).members
-    return product_intersection(l1, l2, sset, params, initial_diff)
-
-
 @dataclass
 class CutPointCertificate:
     params: TileParams
@@ -155,7 +144,7 @@ def verify_cut_point(params: TileParams, depth: int = 12) -> CutPointCertificate
     d1, d2 = build_d1_d2(params)
     if not union_is_universal(d1, d2, params):
         raise CertificateFailure("the two halves do not cover the digit space")
-    res = intersect_languages(d1, d2, params)
+    res = product_intersection(d1, d2, neighbor_set_formula(params).members, params)
     if res.kind != UNIQUE_POINT:
         raise CertificateFailure(f"halves intersect with kind {res.kind}")
     addr = cut_point_address(params)
@@ -198,57 +187,3 @@ def verify_cut_point(params: TileParams, depth: int = 12) -> CutPointCertificate
                 "outer cylinders must not touch each other"
             )
     return CutPointCertificate(params, addr, value, res, depth)
-
-
-def product_prefix_agreement(params: TileParams, depth: int = 4) -> bool:
-    """Cross-check: reachable prefix pairs of the D1 x D2 product coincide
-    with the pairs surviving the subdivision-difference pruning.
-
-    Reachability, not liveness: a pair of intersecting cylinders need not
-    contain a point of D1 n D2, but it must correspond to a difference path
-    inside the neighbor ball, and conversely.
-    """
-    d1, d2 = build_d1_d2(params)
-    res = intersect_languages(d1, d2, params)
-    from_product: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-
-    def walk(node, u, v):
-        if len(u) == depth:
-            from_product.add((u, v))
-            return
-        for (x, y, t) in res.transitions.get(node, []):
-            walk(t, u + (x,), v + (y,))
-
-    for init in res.initials:
-        walk(init, (), ())
-
-    # independent enumeration: prefix pairs of the two halves whose running
-    # difference stays inside the certified ball (anything escaping the ball
-    # is unrepresentable and, by depth monotonicity, never comes back)
-    from .neighbors import candidate_ball
-    from . import linalg
-
-    ball = candidate_ball(params)
-    m = params.matrix
-    brute: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-
-    def crawl(q1, q2, diff, u, v):
-        if len(u) == depth:
-            if subdivision_intersects(u, v, params):
-                brute.add((u, v))
-            return
-        for x in params.digits:
-            t1 = d1.successors(q1, x)
-            if not t1:
-                continue
-            md = linalg.mat_vec(m, diff)
-            for y in params.digits:
-                t2 = d2.successors(q2, y)
-                if not t2:
-                    continue
-                nd = (md[0] + x - y, md[1])
-                if nd in ball:
-                    crawl(t1[0], t2[0], nd, u + (x,), v + (y,))
-
-    crawl(TIGHT_EVEN, TIGHT_EVEN, (0, 0), (), ())
-    return brute == from_product

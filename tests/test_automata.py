@@ -15,12 +15,8 @@ from tiletopo.automata import (
     _classify_product,
     DigitNFA,
     nfa_accepts_address,
-    nfa_cylinder,
     nfa_determinize,
     nfa_flip,
-    nfa_full,
-    nfa_prefixes,
-    nfa_single_address,
     nfa_union,
     product_intersection,
 )
@@ -33,6 +29,7 @@ from tiletopo.numsys import Address, point_eval
 from tiletopo.topology import build_d1_d2
 
 from conftest import random_address
+from reference import nfa_cylinder, nfa_full, nfa_prefixes, nfa_single_address
 
 
 def members(params):

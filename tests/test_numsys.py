@@ -21,9 +21,10 @@ from tiletopo import (
     point_eval,
 )
 from tiletopo.linalg import IDENTITY, mat_mul, mat_pow, mat_vec, solve2
-from tiletopo.numsys import periodic_tail_scaled, periodic_tail_value, prepend_digits
+from tiletopo.numsys import periodic_tail_scaled
 
 from conftest import close, random_address, series_value
+from reference import periodic_tail_value, prepend_digits
 
 
 class TestNormalize:

@@ -2,11 +2,13 @@
 
 import ast
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import tiletopo
 
 SRC = Path(tiletopo.__file__).parent
+README = SRC.parent.parent / "README.md"
 
 
 def test_no_assert_statements():
@@ -106,6 +108,57 @@ def test_no_uncalled_private_functions():
         if not any(name in names for owner, names in reads if owner != name)
     ]
     assert found == []
+
+
+def _sketch_source() -> str:
+    """The code block under the README's "Library sketch" heading."""
+    section = README.read_text(encoding="utf-8").split("## Library sketch", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_no_unreached_public_functions():
+    # a module-level public function or class must be read somewhere in the
+    # package outside its own body, be exported in __all__, or be named in
+    # the README's library sketch; code that only the tests use lives in
+    # tests/reference.py
+    sketch = {
+        node.id if isinstance(node, ast.Name) else node.name
+        for node in ast.walk(ast.parse(_sketch_source()))
+        if isinstance(node, (ast.Name, ast.alias))
+    }
+    defined, reads, exported = [], [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        exported |= _exported(tree)
+        for top in tree.body:
+            names = {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(top)
+                if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+            }
+            owner = None
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_"):
+                owner = top.name
+                defined.append((f"{path.name}:{top.lineno} {owner}", owner))
+            reads.append((owner, names))
+    found = [
+        where
+        for where, name in defined
+        if name not in exported | sketch
+        and not any(name in names for owner, names in reads if owner != name)
+    ]
+    assert found == []
+
+
+def test_library_sketch_runs():
+    # the sketch is the library surface that the guard above trusts, so it
+    # must run and give the values it shows
+    scope: dict = {}
+    exec(compile(_sketch_source(), "README.md", "exec"), scope)
+    assert scope["cert"].value == (Fraction(-12, 11), Fraction(-2, 11))
+    boundary_point, data, ordered = scope["boundary_point"], scope["data"], scope["ordered"]
+    assert boundary_point(Fraction(0), data, ordered) == boundary_point(Fraction(1), data, ordered)
+    assert abs(scope["polyline_hausdorff"](*scope["levels"]) - 0.9615758416) < 1e-9
 
 
 def test_no_silently_swallowed_exceptions():

@@ -17,9 +17,6 @@ from tiletopo.automata import (
     EMPTY,
     UNIQUE_POINT,
     nfa_accepts_address,
-    nfa_cylinder,
-    nfa_full,
-    nfa_single_address,
 )
 from tiletopo import topology
 from tiletopo.topology import (
@@ -27,13 +24,18 @@ from tiletopo.topology import (
     build_d1_d2,
     classify,
     cut_point_address,
-    intersect_languages,
-    product_prefix_agreement,
     union_is_universal,
     verify_cut_point,
 )
 
 from conftest import close, series_value
+from reference import (
+    intersect_languages,
+    nfa_cylinder,
+    nfa_full,
+    nfa_single_address,
+    product_prefix_agreement,
+)
 
 
 class TestClassify:
