@@ -6,8 +6,11 @@ selecting the intended real root.  An element is an integer coefficient
 vector over one positive denominator in lowest terms, so one value has one
 form: equal values are equal elements with equal hashes.  Sums
 cross-multiply the vectors, products are integer convolutions reduced by the
-monic minimal polynomial, and an inverse comes from the cofactors of the
-integer matrix of multiplication by the element (Cramer's rule).
+monic minimal polynomial, and a quotient comes from the cofactors of the
+integer matrix of multiplication by the divisor (Cramer's rule).  Callers
+that sum many terms keep them as bare integer vectors over one denominator
+(``reduce`` and ``times_beta`` act on those) and build one element at the
+end with ``quotients``.
 
 The isolating interval is kept as integer endpoints over one denominator.
 Sign determination evaluates the numerator vector over it by interval Horner
@@ -43,11 +46,15 @@ def _poly_eval(c: Sequence[int], m: int, d: int = 1) -> int:
 
 def _cofactors(m: Sequence[Sequence[int]]) -> list[int]:
     """Cofactors of the first row of a small square integer matrix."""
+    if len(m) == 1:
+        return [1]
     return [(-1) ** j * _det([r[:j] + r[j + 1 :] for r in m[1:]]) for j in range(len(m))]
 
 
 def _det(m: Sequence[Sequence[int]]) -> int:
-    return sum(x * c for x, c in zip(m[0], _cofactors(m))) if m else 1
+    if len(m) == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    return sum(x * c for x, c in zip(m[0], _cofactors(m)))
 
 
 class NumberField:
@@ -74,7 +81,7 @@ class NumberField:
 
     # -- element construction ------------------------------------------------
 
-    def _reduce(self, vec: list[int]) -> list[int]:
+    def reduce(self, vec: list[int]) -> list[int]:
         """Integer vector modulo the monic minimal polynomial, padded to
         ``degree`` entries."""
         d, mp = self.degree, self._mp
@@ -87,11 +94,37 @@ class NumberField:
         vec += [0] * (d - len(vec))
         return vec
 
+    def times_beta(self, vec: Sequence[int]) -> list[int]:
+        """beta times an integer vector of ``degree`` entries: a shift, then
+        the reduction of its one new top entry."""
+        return self.reduce([0, *vec])
+
+    def quotients(
+        self, nums: Sequence[Sequence[int]], den: Sequence[int]
+    ) -> list["FieldElement"]:
+        """num / den for each integer vector of ``nums``, over one nonzero
+        integer vector ``den``.
+
+        Cramer's rule: the matrix of multiplication by den has column j equal
+        to den * x**j, and the cofactors y of its first row give den * y = det.
+        So num / den = num * y / det: one product and one canonical form per
+        numerator, and one cofactor expansion in all.
+        """
+        cols = [self.reduce(list(den))]
+        if not any(cols[0]):
+            raise ZeroDivisionError("division by the zero element of Q(beta)")
+        for _ in range(self.degree - 1):
+            cols.append(self.times_beta(cols[-1]))
+        rows = list(zip(*cols))
+        cof = _cofactors(rows)
+        det = sum(x * c for x, c in zip(rows[0], cof))
+        return [_canonical(self, self.reduce(_convolve(num, cof)), det) for num in nums]
+
     def element(self, coeffs: Sequence) -> "FieldElement":
         vec = [Fraction(c) for c in coeffs]
         den = lcm(*(c.denominator for c in vec))
         num = [c.numerator * (den // c.denominator) for c in vec]
-        return _canonical(self, self._reduce(num), den)
+        return _canonical(self, self.reduce(num), den)
 
     def rational(self, q) -> "FieldElement":
         q = Fraction(q)
@@ -162,6 +195,16 @@ class NumberField:
         return _poly_eval(num, self._lo + self._hi, d) / (d ** (len(num) - 1) * den)
 
 
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The coefficients of the product of two integer polynomials."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    return prod
+
+
 def _canonical(field: NumberField, num: Sequence[int], den: int) -> "FieldElement":
     """The element num / den with den > 0 and gcd(den, *num) = 1."""
     g = gcd(den, *num)
@@ -194,28 +237,13 @@ class FieldElement:
         return FieldElement(self.field, tuple(-x for x in self.num), self.den)
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
-        b = other.num
-        prod = [0] * (2 * len(b) - 1)
-        for i, x in enumerate(self.num):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] += x * y
-        return _canonical(self.field, self.field._reduce(prod), self.den * other.den)
+        prod = self.field.reduce(_convolve(self.num, other.num))
+        return _canonical(self.field, prod, self.den * other.den)
 
     def inverse(self) -> "FieldElement":
-        """Cramer's rule: the matrix N of multiplication by num has column j
-        equal to num * x**j, and the cofactors of its first row give the y
-        with num * y = det N."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero field element")
-        field = self.field
-        cols = [list(self.num)]
-        for _ in range(field.degree - 1):
-            cols.append(field._reduce([0] + cols[-1]))
-        rows = list(zip(*cols))
-        cof = _cofactors(rows)
-        det = sum(x * c for x, c in zip(rows[0], cof))
-        return _canonical(field, [self.den * c for c in cof], det)
+        """den / num, by ``NumberField.quotients``."""
+        (inv,) = self.field.quotients([(self.den,)], self.num)
+        return inv
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         return self * other.inverse()

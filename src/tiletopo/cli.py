@@ -213,8 +213,6 @@ def _cmd_param(args) -> int:
         walk_to_param,
     )
 
-    if args.t is None and args.walk is None:
-        raise TileError("param needs --t or --walk")
     params = _params_from(args)
     graph = build_contact_graph(params)
     ordered = ordered_extension(graph)
@@ -380,8 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
     p._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
     common(p)
     formatted(p)
-    p.add_argument("--t", type=_fraction, help="rational parameter p/q in [0,1]")
-    p.add_argument("--walk", type=_walk, help="walk 'start;o1,o2,...;p1,p2' (periodic tail)")
+    # exactly one of the two: both, or neither, is a usage error
+    point = p.add_mutually_exclusive_group(required=True)
+    point.add_argument("--t", type=_fraction, help="rational parameter p/q in [0,1]")
+    point.add_argument("--walk", type=_walk, help="walk 'start;o1,o2,...;p1,p2' (periodic tail)")
     p.set_defaults(fn=_cmd_param)
 
     p = sub.add_parser("approx", help="boundary polygon vertices")

@@ -27,11 +27,18 @@ a state that threads two ways raises; ``contact-graph`` runs it.
 ``ordered_extension`` decides only the sorted first-edge map phi_0, the
 first map of that search, and runs the search only when phi_0 does not
 complete; ``param``, ``approx``, ``render`` and the chain setup of
-``verify-chains`` call it.  For the regime with tabulated endpoint data
-both check the ordering against the known walk decodings.
+``verify-chains`` call it.  It solves phi_0's six junctions once, at one
+common scale S, so that each point f_b(V_t) is the integer key
+(S*V_t + (b*S, 0)), and threads each state through a table of its edges'
+start points: where those are distinct, the depth-first threading has one
+candidate at each point, and the table's chain is the only one it can
+find.  For the regime with tabulated endpoint data both check the ordering
+against the known walk decodings.
 
 The Perron vector of the incidence matrix is solved on the 3x3 system that
-the digit flip (state i <-> i+3) folds the 6x6 one into.
+the digit flip (state i <-> i+3) folds the 6x6 one into, whose cofactors are
+integer polynomials in beta.  A walk's parameter is two integer Horner
+passes in Q(beta), over the prefix and over the period, and one division.
 
 The level-n boundary polygon, ``BoundaryApprox``, holds (m, 2) integer
 arrays over one common scale: int64 when the walk expansion's largest
@@ -83,17 +90,26 @@ class ContactGraph:
     states: tuple[IntVec, ...]
     edges: tuple[Edge, ...]
 
+    def __post_init__(self) -> None:
+        # each state's out-edges and the edge counts source-by-target, read
+        # off the edges once per graph; not fields, so equality, hashing and
+        # repr read only the three above
+        outs: list[list[Edge]] = [[] for _ in range(6)]
+        n = [[0] * 6 for _ in range(6)]
+        for e in self.edges:
+            outs[e[0] - 1].append(e)
+            n[e[0] - 1][e[3] - 1] += 1
+        object.__setattr__(self, "_outs", tuple(map(tuple, outs)))
+        object.__setattr__(self, "_adjacency", tuple(map(tuple, n)))
+
     def out_edges(self, i: int) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if e[0] == i)
+        return self._outs[i - 1]
 
     def has_edge(self, src: int, digit: int, dst: int) -> bool:
         return any(e[0] == src and e[1] == digit and e[3] == dst for e in self.edges)
 
-    def adjacency(self) -> list[list[int]]:
-        n = [[0] * 6 for _ in range(6)]
-        for (i, _, _, j) in self.edges:
-            n[i - 1][j - 1] += 1
-        return n
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        return self._adjacency
 
     def is_strongly_connected(self) -> bool:
         adj = self.adjacency()
@@ -404,16 +420,77 @@ def _decide_map(
     return tuple(orders), vertices
 
 
+def _by_target(edges: tuple[Edge, ...]) -> dict[int, dict[int, list[Edge]]]:
+    """A state's out-edges by target, then digit, as ``_thread_state`` reads
+    them."""
+    steps: dict[int, dict[int, list[Edge]]] = {}
+    for e in edges:
+        steps.setdefault(e[3], {}).setdefault(e[1], []).append(e)
+    return steps
+
+
+def _start_point_map(
+    phi: tuple[Edge, ...],
+    outs: list[tuple[Edge, ...]],
+    params: TileParams,
+    where: str,
+) -> tuple[tuple[tuple[Edge, ...], ...], tuple[RationalPoint, ...]] | None:
+    """``_decide_map`` of a first-edge map by a table of start points, or
+    None where that threading would find no chain.
+
+    The six junctions are solved once, as integer pairs (X_t, Y_t) = S*V_t
+    over their common denominator S.  The subpiece of an edge (s, b, ., t)
+    starts at f_b(V_t), and as M^{-1} is injective two such points are equal
+    exactly when their integer keys (X_t + b*S, Y_t) are.  When the edges of
+    a state start at distinct points, the depth-first threading has at most
+    one untried edge at each point, so following the table from V_s is the
+    only chain it can find, in one lookup per edge; the chain must then end
+    at V_{s+1}.  A state whose edges share a start point goes to
+    ``_thread_state`` unchanged, so a state that threads two ways raises as
+    it does there.
+    """
+    cycles: dict[tuple[int, ...], tuple[int, int, int]] = {}
+    values: list[tuple[int, int, int] | None] = [None] * 6
+    junctions = [_junction(i, phi, params, cycles, values) for i in range(6)]
+    scale = math.lcm(*(den for _, _, den in junctions))
+    # S*V_1..S*V_6; the point f_b(V_t) has the key (xs[t-1] + b*S, ys[t-1])
+    xs = [x * (scale // den) for (x, _, den) in junctions]
+    ys = [y * (scale // den) for (_, y, den) in junctions]
+    orders: list[tuple[Edge, ...]] = []
+    for state, edges in enumerate(outs, start=1):
+        starts = {(xs[e[3] - 1] + e[1] * scale, ys[e[3] - 1]): e for e in edges}
+        if len(starts) < len(edges):
+            order = _thread_state(
+                state, edges, _by_target(edges), phi, params, cycles, values, where
+            )
+            if order is None:
+                return None
+        else:
+            _, a, _, t = phi[state - 1]
+            point = (xs[t - 1] + a * scale, ys[t - 1])
+            chain = []
+            for _ in edges:
+                e = starts.pop(point, None)  # popped, so no edge is taken twice
+                if e is None:
+                    return None
+                chain.append(e)
+                end = e[3] % 6  # the subpiece ends at f_b(V_{t+1}), 0-based
+                point = (xs[end] + e[1] * scale, ys[end])
+            _, a, _, t = phi[state % 6]
+            if point != (xs[t - 1] + a * scale, ys[t - 1]):
+                return None
+            order = tuple(chain)
+        orders.append(order)
+    vertices = tuple((Fraction(x, den), Fraction(y, den)) for (x, y, den) in junctions)
+    return tuple(orders), vertices
+
+
 def _edge_tables(
     graph: ContactGraph,
 ) -> tuple[list[tuple[Edge, ...]], list[dict[int, dict[int, list[Edge]]]]]:
     """Each state's out-edges, and the same edges by target, then digit."""
     outs = [graph.out_edges(i) for i in range(1, 7)]
-    steps: list[dict[int, dict[int, list[Edge]]]] = [{} for _ in outs]
-    for edges, by_target in zip(outs, steps):
-        for e in edges:
-            by_target.setdefault(e[3], {}).setdefault(e[1], []).append(e)
-    return outs, steps
+    return outs, [_by_target(edges) for edges in outs]
 
 
 def _calibrated(ordered: OrderedContactGraph, where: str) -> OrderedContactGraph:
@@ -475,22 +552,27 @@ def ordered_extension(graph: ContactGraph) -> OrderedContactGraph:
 
     phi_0 takes the smallest out-edge (tuple order) of each of states 1..3,
     and their digit flips for states 4..6: the first map that
-    ``derive_order_extension`` visits.  It is decided by the same
-    ``_decide_map``, so a state of phi_0 that threads two ways raises as it
-    does there.  When phi_0 does not complete, the whole search runs.  When
-    it does, its orders and junctions are the ones the search returns,
-    unless the search would raise for a second ordering or a second map's
-    state that threads two ways; only the search certifies uniqueness.  That
-    phi_0 completes is an observation on every pair 1 <= A <= B <= 60, not a
-    theorem.
+    ``derive_order_extension`` visits.  It is decided by the start-point
+    table of ``_start_point_map``, which finds the chains that
+    ``_decide_map`` finds and sends a state whose edges share a start point
+    to the same ``_thread_state``, so such a state that threads two ways
+    raises as it does there.  Should a table chain fail, phi_0 is decided
+    again by ``_decide_map``, and when phi_0 does not complete the whole
+    search runs.  When it does, its orders and junctions are the ones the
+    search returns, unless the search would raise for a second ordering or a
+    second map's state that threads two ways; only the search certifies
+    uniqueness.  That phi_0 completes is an observation on every pair
+    1 <= A <= B <= 60, not a theorem.
     """
     params = graph.params
     where = f"(A,B)=({params.a},{params.b})"
-    outs, steps = _edge_tables(graph)
+    outs = [graph.out_edges(i) for i in range(1, 7)]
     if all(outs[:3]):
         firsts = tuple(min(edges) for edges in outs[:3])
         phi = firsts + tuple(_flip_edge(e, params.b) for e in firsts)
-        found = _decide_map(phi, outs, steps, params, {}, where)
+        found = _start_point_map(phi, outs, params, where) or _decide_map(
+            phi, outs, [_by_target(edges) for edges in outs], params, {}, where
+        )
         if found is not None:
             return _calibrated(OrderedContactGraph(graph, *found), where)
     return derive_order_extension(graph)
@@ -525,83 +607,115 @@ def perron_data(graph: ContactGraph) -> PerronData:
     normalized to sum 1.  A positive solution certifies that beta is the
     Perron root of the strongly connected graph (Perron-Frobenius), so the
     fold loses no certificate.
+
+    The entries of C are integer polynomials c0 + c1*beta, so its cofactors
+    are integer polynomials of degree at most 2 and det(C) one of degree 3;
+    each is reduced by the minimal polynomial, and the cofactors need that
+    only when it has degree below 3.  The solution is normalized by one
+    division in Q(beta).
     """
     if not graph.is_strongly_connected():
         raise NotIrreducible("incidence matrix is reducible")
     a, b = graph.params.a, graph.params.b
     where = f"(A,B)=({a},{b})"
     adj = graph.adjacency()
-    if any(adj[i][j] != adj[(i + 3) % 6][(j + 3) % 6] for i in range(6) for j in range(6)):
+    # adj[i][j] = adj[i+3][j+3] for all i, j: row i+3 is row i rotated by 3
+    if any(adj[i + 3] != adj[i][3:] + adj[i][:3] for i in range(3)):
         raise CertificateFailure(f"contact graph is not symmetric under the digit flip for {where}")
-    incidence = tuple(tuple(adj[j][i] for j in range(6)) for i in range(6))
+    incidence = tuple(zip(*adj))
     # boundary cubic; by Perron-Frobenius the positive eigenvector below
     # certifies that its root is the Perron root
     field = dominant_root_field([-b, a - b, 1 - a, 1])
-    beta = field.beta()
 
-    # the folded C = adj - beta I acting on (u_1, u_2, u_3)
-    rows = [
-        [
-            field.rational(adj[i][j] + adj[i][j + 3]) - (beta if i == j else field.zero())
-            for j in range(3)
-        ]
-        for i in range(3)
-    ]
+    # the folded C = adj - beta I acting on (u_1, u_2, u_3), as (c0, c1)
+    rows = [[(adj[i][j] + adj[i][j + 3], -(i == j)) for j in range(3)] for i in range(3)]
 
-    def cofactors(k: int) -> list[FieldElement]:
+    def cofactors(k: int) -> list[list[int]]:
         r, s = rows[(k + 1) % 3], rows[(k + 2) % 3]
         return [
-            r[(j + 1) % 3] * s[(j + 2) % 3] - r[(j + 2) % 3] * s[(j + 1) % 3] for j in range(3)
+            field.reduce(_cross(r[(j + 1) % 3], s[(j + 2) % 3], r[(j + 2) % 3], s[(j + 1) % 3]))
+            for j in range(3)
         ]
 
     # C adj(C) = det(C) I: row 0 times its cofactors is det(C), and once that
     # is zero every row of cofactors solves C u = 0; all of them vanish
     # exactly when C has rank 1 or less
     first = cofactors(0)
-    if not sum((x * y for x, y in zip(rows[0], first)), field.zero()).is_zero():
+    det = [0] * 4
+    for (c0, c1), q in zip(rows[0], first):
+        for i, x in enumerate(q):
+            det[i] += c0 * x
+            det[i + 1] += c1 * x
+    if any(field.reduce(det)):
         raise CertificateFailure(f"the boundary cubic's root is not an eigenvalue for {where}")
     candidates = (first if k == 0 else cofactors(k) for k in range(3))
-    sol = next((row for row in candidates if not all(v.is_zero() for v in row)), None)
+    sol = next((row for row in candidates if any(map(any, row))), None)
     if sol is None:
         raise NotIrreducible("Perron eigenvalue is not simple")
     # one strict sign before normalizing, so the sum is nonzero
-    signs = {v.sign() for v in sol}
+    signs = {field.sign_of(v) for v in sol}
     if len(signs) > 1 or 0 in signs:
         raise CertificateFailure(f"left eigenvector is not strictly positive for {where}")
-    half = sum(sol[1:], sol[0])
-    inv_total = (half + half).inverse()
-    u = tuple(v * inv_total for v in sol) * 2  # u_{i+3} = u_i
-    return PerronData(incidence, field, beta, u)
+    total = [2 * sum(col) for col in zip(*sol)]
+    u = tuple(field.quotients(sol, total)) * 2  # u_{i+3} = u_i
+    return PerronData(incidence, field, field.beta(), u)
+
+
+def _cross(
+    p: tuple[int, int], q: tuple[int, int], r: tuple[int, int], s: tuple[int, int]
+) -> list[int]:
+    """p*q - r*s for polynomials c0 + c1*x, low degree first."""
+    return [
+        p[0] * q[0] - r[0] * s[0],
+        p[0] * q[1] + p[1] * q[0] - r[0] * s[1] - r[1] * s[0],
+        p[1] * q[1] - r[1] * s[1],
+    ]
 
 
 def walk_to_param(
     walk: Walk, data: PerronData, ordered: OrderedContactGraph
 ) -> FieldElement:
-    """Exact parameter of an eventually periodic walk."""
+    """Exact parameter of an eventually periodic walk.
+
+    A walk of K prefix steps and then a period of p steps has the parameter
+    t = sum_{i < start} u_i + sum_k c_k beta^-(k+1) + beta^-K x, where c_k is
+    the length below the k-th step's letter and the periodic part
+    x = sum_k c'_k beta^-(k+1) + beta^-p x.  With u over one denominator D as
+    integer vectors, so that every D*c is one entry of a state's prefix
+    sums, y = D (sum_{i < start} u_i beta^K + sum_k c_k beta^(K-1-k)) and
+    z = D sum_k c'_k beta^(p-1-k) are Horner passes, and
+    t = (y (beta^p - 1) + z) / (D beta^K (beta^p - 1)).  Multiplying by beta
+    is a shift reduced by the monic minimal polynomial; the one division and
+    the one canonical form come at the end.
+    """
     field = data.field
-    beta_inv = data.beta.inverse()
-
-    def below(state: int, letter: int) -> FieldElement:
-        total = field.zero()
-        for e in ordered.orders[state - 1][: letter - 1]:
-            total = total + data.u[e[3] - 1]
-        return total
-
-    t = field.zero()
-    for i in range(walk.start - 1):
-        t = t + data.u[i]
+    d = math.lcm(*(x.den for x in data.u))
+    u = [[c * (d // x.den) for c in x.num] for x in data.u]
     steps, k = ordered.walk_steps(walk)
-    scale = beta_inv
+    top: dict[int, int] = {}  # state -> the largest letter the walk takes there
+    for letter, edge in steps:
+        top[edge[0]] = max(letter, top.get(edge[0], 0))
+    below: dict[int, list[list[int]]] = {}  # state -> prefix sums of u by letter
+    for state, letter in top.items():
+        sums = [[0] * field.degree]
+        for e in ordered.orders[state - 1][: letter - 1]:
+            sums.append([x + y for x, y in zip(sums[-1], u[e[3] - 1])])
+        below[state] = sums
+    y = [0] * field.degree
+    for v in u[: walk.start - 1]:
+        y = [a + b for a, b in zip(y, v)]
+    power = [1] + [0] * (field.degree - 1)  # beta^K
     for letter, edge in steps[:k]:
-        t = t + below(edge[0], letter) * scale
-        scale = scale * beta_inv
-    # the periodic block sums to block / (1 - beta^-p), p its length
-    block = field.zero()
-    power = field.one()
+        y = [a + b for a, b in zip(field.times_beta(y), below[edge[0]][letter - 1])]
+        power = field.times_beta(power)
+    z = [0] * field.degree
+    y_p, power_p = y, power  # times beta^p
     for letter, edge in steps[k:]:
-        block = block + below(edge[0], letter) * power
-        power = power * beta_inv
-    return t + scale * block * (field.one() - power).inverse()
+        z = [a + b for a, b in zip(field.times_beta(z), below[edge[0]][letter - 1])]
+        y_p, power_p = field.times_beta(y_p), field.times_beta(power_p)
+    num = [a - b + c for a, b, c in zip(y_p, y, z)]
+    (t,) = field.quotients([num], [d * (a - b) for a, b in zip(power_p, power)])
+    return t
 
 
 def param_to_walk(

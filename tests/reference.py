@@ -2,8 +2,10 @@
 
 The package keeps what a command or the documented library reaches; the
 helpers here build test languages, evaluate addresses another way, and
-cross-check the certificates.  pytest does not collect this module (its name
-has no ``test_`` prefix); the tests import it as ``reference``.
+cross-check the certificates.  ``perron_data`` and ``walk_to_param`` here are
+the sums of ``FieldElement`` values that the package's integer forms
+replaced, kept as their oracle.  pytest does not collect this module (its
+name has no ``test_`` prefix); the tests import it as ``reference``.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from tiletopo import linalg
+from tiletopo.algebraic import FieldElement, dominant_root_field
 from tiletopo.automata import (
     DigitDFA,
     DigitNFA,
@@ -21,7 +24,14 @@ from tiletopo.automata import (
     product_intersection,
 )
 from tiletopo.chains import ChainReport, ChainSetup, circular_chain_report
-from tiletopo.errors import ChainViolation, LengthMismatch, WrongRegime
+from tiletopo.contact import ContactGraph, OrderedContactGraph, PerronData, Walk
+from tiletopo.errors import (
+    CertificateFailure,
+    ChainViolation,
+    LengthMismatch,
+    NotIrreducible,
+    WrongRegime,
+)
 from tiletopo.neighbors import (
     IntVec,
     _candidate_ball,
@@ -115,6 +125,103 @@ def prepend_digits(word: DigitWord, addr: Address) -> Address:
     if addr.integer_part:
         raise ValueError("cannot prepend to an address with an integer part")
     return Address((), word + addr.preperiod, addr.period)
+
+
+# ---------------------------------------------------------------------------
+# Perron data and walk parameters as sums of field elements
+
+
+def perron_data(graph: ContactGraph) -> PerronData:
+    """The Perron root beta of the boundary cubic and the interval-length
+    vector u, read off a row of cofactors of the flip-folded 3x3 system.
+
+    The digit flip maps contact edges onto contact edges and state i onto
+    state i+3 (mod 6), so adj[i][j] = adj[i+3][j+3].  The eigenvector of the
+    simple Perron root is unique up to scale, and its flip is one too, so
+    u_i = u_{i+3}, and beta u = adj u reduces to C u = 0 for the folded
+    C[i][j] = adj[i][j] + adj[i][j+3] - beta [i = j], i, j < 3.  Since
+    C adj(C) = det(C) I, a nonzero row of cofactors of a singular C solves
+    it.  Its three entries must share one strict sign before it is
+    normalized to sum 1.  A positive solution certifies that beta is the
+    Perron root of the strongly connected graph (Perron-Frobenius), so the
+    fold loses no certificate.
+    """
+    if not graph.is_strongly_connected():
+        raise NotIrreducible("incidence matrix is reducible")
+    a, b = graph.params.a, graph.params.b
+    where = f"(A,B)=({a},{b})"
+    adj = graph.adjacency()
+    if any(adj[i][j] != adj[(i + 3) % 6][(j + 3) % 6] for i in range(6) for j in range(6)):
+        raise CertificateFailure(f"contact graph is not symmetric under the digit flip for {where}")
+    incidence = tuple(tuple(adj[j][i] for j in range(6)) for i in range(6))
+    # boundary cubic; by Perron-Frobenius the positive eigenvector below
+    # certifies that its root is the Perron root
+    field = dominant_root_field([-b, a - b, 1 - a, 1])
+    beta = field.beta()
+
+    # the folded C = adj - beta I acting on (u_1, u_2, u_3)
+    rows = [
+        [
+            field.rational(adj[i][j] + adj[i][j + 3]) - (beta if i == j else field.zero())
+            for j in range(3)
+        ]
+        for i in range(3)
+    ]
+
+    def cofactors(k: int) -> list[FieldElement]:
+        r, s = rows[(k + 1) % 3], rows[(k + 2) % 3]
+        return [
+            r[(j + 1) % 3] * s[(j + 2) % 3] - r[(j + 2) % 3] * s[(j + 1) % 3] for j in range(3)
+        ]
+
+    # C adj(C) = det(C) I: row 0 times its cofactors is det(C), and once that
+    # is zero every row of cofactors solves C u = 0; all of them vanish
+    # exactly when C has rank 1 or less
+    first = cofactors(0)
+    if not sum((x * y for x, y in zip(rows[0], first)), field.zero()).is_zero():
+        raise CertificateFailure(f"the boundary cubic's root is not an eigenvalue for {where}")
+    candidates = (first if k == 0 else cofactors(k) for k in range(3))
+    sol = next((row for row in candidates if not all(v.is_zero() for v in row)), None)
+    if sol is None:
+        raise NotIrreducible("Perron eigenvalue is not simple")
+    # one strict sign before normalizing, so the sum is nonzero
+    signs = {v.sign() for v in sol}
+    if len(signs) > 1 or 0 in signs:
+        raise CertificateFailure(f"left eigenvector is not strictly positive for {where}")
+    half = sum(sol[1:], sol[0])
+    inv_total = (half + half).inverse()
+    u = tuple(v * inv_total for v in sol) * 2  # u_{i+3} = u_i
+    return PerronData(incidence, field, beta, u)
+
+
+def walk_to_param(
+    walk: Walk, data: PerronData, ordered: OrderedContactGraph
+) -> FieldElement:
+    """Exact parameter of an eventually periodic walk."""
+    field = data.field
+    beta_inv = data.beta.inverse()
+
+    def below(state: int, letter: int) -> FieldElement:
+        total = field.zero()
+        for e in ordered.orders[state - 1][: letter - 1]:
+            total = total + data.u[e[3] - 1]
+        return total
+
+    t = field.zero()
+    for i in range(walk.start - 1):
+        t = t + data.u[i]
+    steps, k = ordered.walk_steps(walk)
+    scale = beta_inv
+    for letter, edge in steps[:k]:
+        t = t + below(edge[0], letter) * scale
+        scale = scale * beta_inv
+    # the periodic block sums to block / (1 - beta^-p), p its length
+    block = field.zero()
+    power = field.one()
+    for letter, edge in steps[k:]:
+        block = block + below(edge[0], letter) * power
+        power = power * beta_inv
+    return t + scale * block * (field.one() - power).inverse()
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,21 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == "error: parameter t=-1/3 must lie in [0, 1] for (A,B)=(4,5)\n"
 
+    @pytest.mark.parametrize(
+        "form,message",
+        [
+            (["--t", "1/2", "--walk", "3;2,1,3;2"], "argument --walk: not allowed with argument --t"),
+            ([], "one of the arguments --t --walk is required"),
+        ],
+        ids=["both", "neither"],
+    )
+    def test_param_takes_exactly_one_of_t_and_walk(self, capsys, form, message):
+        # with both, one of them would be silently ignored
+        code, out, err = run(capsys, "param", "--A", "4", "--B", "5", *form)
+        assert code == 1 and out == ""
+        assert err.startswith("usage: ")
+        assert err.splitlines()[-1] == f"tiletopo param: error: {message}"
+
     # one valid command line per subcommand
     COMMANDS = {
         "normalize": ["--matrix", "0,-5,1,4"],

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 from itertools import product
 
 import numpy as np
@@ -75,6 +76,42 @@ def maximal_walk(o, start):
         state = o.edge_at(state, letters[-1])[3]
     k = seen[state]
     return Walk(start, tuple(letters[:k]), tuple(letters[k:]))
+
+
+def seeded_walk(o, start, rng):
+    """A walk from ``start`` with a random prefix of 0..6 letters and a
+    random period of 1..3 letters, redrawn until every letter names an edge;
+    the period (1) always does."""
+    for _ in range(10):
+        state, letters = start, []
+        for _ in range(rng.randint(0, 6) + rng.randint(1, 3)):
+            letters.append(rng.randint(1, o.out_count(state)))
+            state = o.edge_at(state, letters[-1])[3]
+        cut = rng.randint(0, len(letters) - 1)
+        walk = Walk(start, tuple(letters[:cut]), tuple(letters[cut:]))
+        try:
+            o.walk_steps(walk)
+        except OutOfRange:
+            continue
+        return walk
+    return Walk(start, (), (1,))
+
+
+def matches_field_sums(a, b):
+    """Perron data and the parameters of each state's minimal, maximal and
+    seeded walk equal the FieldElement sums of ``reference``."""
+    import reference
+
+    o = ordered_extension(build_contact_graph(TileParams(a, b)))
+    pd, ref = perron_data(o.graph), reference.perron_data(o.graph)
+    same = pd.field.minpoly == ref.field.minpoly and repr(pd.beta) == repr(ref.beta)
+    same = same and [(x.num, x.den) for x in pd.u] == [(x.num, x.den) for x in ref.u]
+    for s in range(1, 7):
+        rng = random.Random(f"{a},{b},{s}")
+        for w in (Walk(s, (), (1,)), maximal_walk(o, s), seeded_walk(o, s, rng)):
+            t, want = walk_to_param(w, pd, o), reference.walk_to_param(w, ref, o)
+            same = same and (t.num, t.den) == (want.num, want.den)
+    return same
 
 
 def phi_junction(i, phi, params):
@@ -302,6 +339,36 @@ class TestPerron:
         pd = perron_data(self._folded_graph(rows))
         assert all((x - pd.field.rational(Fraction(1, 6))).is_zero() for x in pd.u)
 
+    # folded matrix [[0,1,1],[1,0,1],[1,0,1]]: at its root 0 rows 1 and 2 of
+    # C are equal, so every cofactor of row 0 vanishes, while row 1's,
+    # (-1, -1, 1), do not
+    EQUAL_ROWS = [[0, 1, 0, 0, 0, 1], [1, 0, 1, 0, 0, 0], [0, 0, 1, 1, 0, 0]]
+
+    def test_vanishing_first_cofactors_read_the_next_row(self, monkeypatch):
+        # the eigenspace of 0 has dimension 1, so the solution comes from row
+        # 1's cofactors and fails the sign check; it is not "not simple"
+        monkeypatch.setattr(contact, "dominant_root_field", lambda _: NumberField([0, 1], 0, 0))
+        with pytest.raises(CertificateFailure, match=r"not strictly positive for \(A,B\)=\(4,5\)$"):
+            perron_data(self._folded_graph(self.EQUAL_ROWS))
+
+    def test_integer_forms_match_field_sums_large_b(self):
+        # u, beta and each state's minimal, maximal and seeded walk parameter
+        # over the 610 pairs 21 <= B <= 40, which the walk parameters of the
+        # golden digest do not reach; includes quadratic and rational fields
+        mismatched = [
+            (a, b) for b in range(21, 41) for a in range(1, b + 1) if not matches_field_sums(a, b)
+        ]
+        assert mismatched == []
+
+    @pytest.mark.parametrize(
+        "a,b,degree", [(1, 10, 2), (1, 15, 2), (2, 16, 2), (2, 6, 1), (3, 15, 1)]
+    )
+    def test_integer_forms_match_field_sums_small_fields(self, a, b, degree):
+        # beta is quadratic for (1,10), (1,15), (2,16) and an integer for
+        # (2,6), (3,15), where times beta is a multiplication
+        assert perron_data(build_contact_graph(TileParams(a, b))).field.degree == degree
+        assert matches_field_sums(a, b)
+
 
 class TestOrdering:
     def test_table_decodings_4_5(self):
@@ -395,6 +462,52 @@ class TestOrdering:
 
     def test_orderings_golden_digest_large_b_first_map(self, monkeypatch):
         self.test_orderings_golden_digest_large_b(monkeypatch, ordered_extension)
+
+    def test_start_point_table_matches_decide_map(self, monkeypatch):
+        # on every pair B <= 40 the start-point table gives _decide_map's
+        # orders and vertices for phi_0, and ordered_extension never falls
+        # back: the table's chains never fail, and no search runs
+        decide = contact._decide_map
+        fallbacks = []
+
+        def counting(*args):
+            fallbacks.append(args[0])
+            return decide(*args)
+
+        monkeypatch.setattr(contact, "_decide_map", counting)
+        for b in range(2, 41):
+            for a in range(1, b + 1):
+                graph = build_contact_graph(TileParams(a, b))
+                outs, steps = contact._edge_tables(graph)
+                firsts = tuple(min(edges) for edges in outs[:3])
+                phi = firsts + tuple(contact._flip_edge(e, b) for e in firsts)
+                table = contact._start_point_map(phi, outs, graph.params, "")
+                assert table is not None, (a, b)
+                assert table == decide(phi, outs, steps, graph.params, {}, ""), (a, b)
+                o = ordered_extension(graph)
+                assert (o.orders, o.vertices) == table, (a, b)
+        assert fallbacks == []
+
+    @pytest.mark.parametrize("loop", [True, False], ids=["back-to-start", "stuck-at-goal"])
+    def test_start_point_table_threads_every_edge_once(self, monkeypatch, loop):
+        # junctions set by hand: state 1's edge (1,0,0,2) runs from P = V_2 to
+        # Q = V_3, and phi's entries after the first all put their junction
+        # at f_0(V_3) = Q, so Q is state 1's goal; (1,1,1,4) runs from Q back
+        # to P, and (1,2,2,6) starts apart from both.  No chain threads all of
+        # state 1's edges: the table must not take (1,0,0,2) a second time
+        # after the loop, nor stop at Q with an edge left over.  State 6's one
+        # edge closes Q back to P.
+        junctions = [(3, 3, 1), (0, 0, 1), (0, 1, 1), (-1, 1, 1), (-1, 0, 1), (5, 7, 1)]
+        monkeypatch.setattr(contact, "_junction", lambda node, *rest: junctions[node])
+        p = TileParams(4, 5)
+        state1 = ((1, 0, 0, 2), (1, 1, 1, 4), (1, 2, 2, 6))
+        if not loop:
+            state1 = (state1[0], state1[2])
+        outs = [state1, (), (), (), (), ((6, 1, 1, 4),)]
+        phi = ((1, 0, 0, 2),) + tuple((s, 0, 0, 3) for s in range(2, 7))
+        assert contact._start_point_map(phi, outs, p, "") is None
+        steps = [contact._by_target(edges) for edges in outs]
+        assert contact._decide_map(phi, outs, steps, p, {}, "") is None
 
     def test_thread_state_matches_fraction_threading(self):
         # every state of every first-edge map of every pair B <= 7, decided
