@@ -90,17 +90,22 @@ class ContactGraph:
     states: tuple[IntVec, ...]
     edges: tuple[Edge, ...]
 
-    def __post_init__(self) -> None:
-        # each state's out-edges and the edge counts source-by-target, read
-        # off the edges once per graph; not fields, so equality, hashing and
-        # repr read only the three above
+    # each state's out-edges and the edge counts source-by-target, read off
+    # the edges at most once per graph; not fields, so equality, hashing and
+    # repr read only the three above
+    @cached_property
+    def _outs(self) -> tuple[tuple[Edge, ...], ...]:
         outs: list[list[Edge]] = [[] for _ in range(6)]
-        n = [[0] * 6 for _ in range(6)]
         for e in self.edges:
             outs[e[0] - 1].append(e)
+        return tuple(map(tuple, outs))
+
+    @cached_property
+    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
+        n = [[0] * 6 for _ in range(6)]
+        for e in self.edges:
             n[e[0] - 1][e[3] - 1] += 1
-        object.__setattr__(self, "_outs", tuple(map(tuple, outs)))
-        object.__setattr__(self, "_adjacency", tuple(map(tuple, n)))
+        return tuple(map(tuple, n))
 
     def out_edges(self, i: int) -> tuple[Edge, ...]:
         return self._outs[i - 1]
@@ -556,11 +561,11 @@ def ordered_extension(graph: ContactGraph) -> OrderedContactGraph:
     table of ``_start_point_map``, which finds the chains that
     ``_decide_map`` finds and sends a state whose edges share a start point
     to the same ``_thread_state``, so such a state that threads two ways
-    raises as it does there.  Should a table chain fail, phi_0 is decided
-    again by ``_decide_map``, and when phi_0 does not complete the whole
-    search runs.  When it does, its orders and junctions are the ones the
-    search returns, unless the search would raise for a second ordering or a
-    second map's state that threads two ways; only the search certifies
+    raises as it does there.  A table chain fails only where the threading
+    finds no chain either; phi_0 then does not complete, and the whole
+    search runs.  When it completes, its orders and junctions are the ones
+    the search returns, unless the search would raise for a second ordering
+    or a second map's state that threads two ways; only the search certifies
     uniqueness.  That phi_0 completes is an observation on every pair
     1 <= A <= B <= 60, not a theorem.
     """
@@ -570,9 +575,7 @@ def ordered_extension(graph: ContactGraph) -> OrderedContactGraph:
     if all(outs[:3]):
         firsts = tuple(min(edges) for edges in outs[:3])
         phi = firsts + tuple(_flip_edge(e, params.b) for e in firsts)
-        found = _start_point_map(phi, outs, params, where) or _decide_map(
-            phi, outs, [_by_target(edges) for edges in outs], params, {}, where
-        )
+        found = _start_point_map(phi, outs, params, where)
         if found is not None:
             return _calibrated(OrderedContactGraph(graph, *found), where)
     return derive_order_extension(graph)
@@ -692,7 +695,10 @@ def walk_to_param(
     d = math.lcm(*(x.den for x in data.u))
     u = [[c * (d // x.den) for c in x.num] for x in data.u]
     steps, k = ordered.walk_steps(walk)
-    top: dict[int, int] = {}  # state -> the largest letter the walk takes there
+    # a state's prefix sums stop at the largest letter the walk reads there:
+    # a state has up to B out-edges, and the full sums made this function
+    # 1.4x slower over the param benchmark's 2,457 walks
+    top: dict[int, int] = {}
     for letter, edge in steps:
         top[edge[0]] = max(letter, top.get(edge[0], 0))
     below: dict[int, list[list[int]]] = {}  # state -> prefix sums of u by letter
