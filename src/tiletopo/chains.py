@@ -285,10 +285,7 @@ def expected_chain_junctions(params: TileParams) -> dict[tuple[str, str], list[A
         ]
     out[(f"a{b-1}", f"a{b}")] = [_addr((b - 1,), (a - 2,))]
     for (l1, l2), addrs in list(out.items()):
-        out[(l1 + "'", l2 + "'")] = [
-            Address((), tuple(b - 1 - d for d in ad.preperiod), tuple(b - 1 - d for d in ad.period))
-            for ad in addrs
-        ]
+        out[(l1 + "'", l2 + "'")] = [flip(ad, params) for ad in addrs]
     out[(f"a{b}", "a1'")] = [
         _addr((b - 1, b - 1, 0), (0, b - 1)),
         _addr((b - 2, a - 2, 1), (b - 1, 0)),

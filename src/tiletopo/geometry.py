@@ -1,27 +1,30 @@
 """Exact polygon predicates and float distance diagnostics.
 
 The simple-closed test takes one path for every polygon: exact integer
-orientation tests on the candidate pairs of a float grid prefilter.  Its
-input is an (m, 2) integer array, such as a level-n boundary of
+orientation signs on the candidate pairs of one float sweep.  Its input is
+an (m, 2) integer array, such as a level-n boundary of
 ``contact.approx_boundary`` over its common scale, which is used as it is.  A
 tuple of int or Fraction pairs is turned into one at the entry, scaled by
 the LCM of the coordinate denominators (ints have denominator 1).  The
 integers are int64 when every coordinate is below 2**30, so that every
 orientation product fits, and Python ints otherwise.  Repeated vertices are
 found by sorting one integer key per vertex, x * 2**(b+1) + y for
-coordinates below 2**b.  The spike test, the four orientation signs of each
-candidate pair and the proper-crossing test are array expressions on it,
-whatever its dtype; only pairs with a zero sign go on to the exact test in
-Python.  The prefilter floats are that array divided by one power of two,
-which is exact for int64 and correctly rounded for Python ints, and never
-overflows.  The subdivision pieces are extremely anisotropic slivers sharing
-one elongation axis, so the grid works in a rotated frame aligned with the
-longest segment and with per-axis cell sizes.  Each segment is listed once
-per grid cell its box meets; one stable sort groups the entries by cell, and
-the pairs within each group are listed by array arithmetic, with no Python
-loop per cell.  Floats only ever discard pairs whose rotated boxes are
-disjoint, never decide an intersection.  Hausdorff distances between
-polygonal curves are float-only diagnostics.
+coordinates below 2**b, and comparing neighbours.  The spike test, the four
+orientation signs of each candidate pair, and the crossings and touches read
+off those signs are array expressions on it, whatever its dtype; no pair is
+looked at one by one.  The sweep's floats are that array divided by one
+power of two, which is exact for int64 and correctly rounded for Python
+ints, and never overflows.  The subdivision pieces are extremely anisotropic
+slivers sharing one elongation axis, so the sweep works on padded segment
+boxes in a rotated frame aligned with the longest segment.  It sorts the
+boxes by their lower end on one axis; one searchsorted counts, for each box,
+the later boxes that overlap it there, array arithmetic lists those pairs,
+and the pairs that also overlap on the other axis are the candidates.  Of
+the two axes it sweeps the one with the smaller total count, which costs
+one argsort and one searchsorted per axis: the thin axis for slivers, the
+other for a comb of long parallel teeth.  Floats only ever discard pairs
+whose rotated boxes are disjoint, never decide an intersection.  Hausdorff
+distances between polygonal curves are float-only diagnostics.
 """
 
 from __future__ import annotations
@@ -35,52 +38,19 @@ from .numsys import RationalPoint
 Point = tuple[int, int] | RationalPoint  # exact coordinates
 
 
-def orientation(p: Point, q: Point, r: Point) -> int:
-    v = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-    return (v > 0) - (v < 0)
-
-
-def _on_segment(p: Point, q: Point, r: Point) -> bool:
-    """r collinear with pq assumed; is r within the closed box of pq?"""
-    return (
-        min(p[0], q[0]) <= r[0] <= max(p[0], q[0])
-        and min(p[1], q[1]) <= r[1] <= max(p[1], q[1])
-    )
-
-
-def segments_intersect(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
-    """Closed-segment intersection, exact."""
-    d1 = orientation(q1, q2, p1)
-    d2 = orientation(q1, q2, p2)
-    d3 = orientation(p1, p2, q1)
-    d4 = orientation(p1, p2, q2)
-    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
-        (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
-    ):
-        return True
-    if d1 == 0 and _on_segment(q1, q2, p1):
-        return True
-    if d2 == 0 and _on_segment(q1, q2, p2):
-        return True
-    if d3 == 0 and _on_segment(p1, p2, q1):
-        return True
-    if d4 == 0 and _on_segment(p1, p2, q2):
-        return True
-    return False
-
-
 def _cross(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Row-wise (q - p) x (r - p) of integer point arrays."""
     return (q[:, 0] - p[:, 0]) * (r[:, 1] - p[:, 1]) - (q[:, 1] - p[:, 1]) * (r[:, 0] - p[:, 0])
 
 
-def _sorted_distinct(values: np.ndarray) -> np.ndarray:
-    """``np.unique(values)`` by one sort: numpy's hash-based unique took 7
-    to 40 times as long on 1,000 to 300,000 of these integer keys."""
-    values = np.sort(values)
-    first = np.ones(len(values), dtype=bool)
-    first[1:] = values[1:] != values[:-1]
-    return values[first]
+def _within(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Row-wise: is r within the closed box of pq?"""
+    return (
+        (np.minimum(p[:, 0], q[:, 0]) <= r[:, 0])
+        & (r[:, 0] <= np.maximum(p[:, 0], q[:, 0]))
+        & (np.minimum(p[:, 1], q[:, 1]) <= r[:, 1])
+        & (r[:, 1] <= np.maximum(p[:, 1], q[:, 1]))
+    )
 
 
 def _candidate_pairs(iarr: np.ndarray) -> np.ndarray:
@@ -90,8 +60,8 @@ def _candidate_pairs(iarr: np.ndarray) -> np.ndarray:
     m = len(iarr) - 1
     # every coordinate scaled by the same 2**-e, so the largest magnitude lies
     # in [1, 2): exact for int64 entries below 2**30, a correctly rounded
-    # quotient for Python ints, and no overflow however large they are; the
-    # grid prefilter is invariant under a common scale
+    # quotient for Python ints, and no overflow however large they are; box
+    # overlap is invariant under a common scale
     e = int(np.abs(iarr).max()).bit_length() - 1
     arr = (iarr / 2**e).astype(np.float64)
     a, b = arr[:-1], arr[1:]
@@ -101,50 +71,31 @@ def _candidate_pairs(iarr: np.ndarray) -> np.ndarray:
     norm = math.hypot(d[0], d[1]) or 1.0
     rot = np.array([[d[0], d[1]], [-d[1], d[0]]]) / norm
     ra, rb = a @ rot.T, b @ rot.T
-    # pad boxes beyond float rounding so the prefilter stays conservative:
+    # pad boxes beyond float rounding so the sweep stays conservative:
     # each float is its (scaled) rational rounded correctly, so off by at
     # most 2**-53 relative (at most 2**-1075 absolute if subnormal), and the
     # rotation adds a few ulps of max|coord|; the pad exceeds that 2**10-fold
     eps = float(np.abs(arr).max()) * 2.0**-40 + 1e-12
     x0, x1 = np.minimum(ra[:, 0], rb[:, 0]) - eps, np.maximum(ra[:, 0], rb[:, 0]) + eps
     y0, y1 = np.minimum(ra[:, 1], rb[:, 1]) - eps, np.maximum(ra[:, 1], rb[:, 1]) + eps
-    cx = max(float(np.median(x1 - x0)), 1e-12)
-    cy = max(float(np.median(y1 - y0)), 1e-12)
-    # a pair is a candidate iff its boxes overlap, whatever the cell size;
-    # coarsen the cells until they number at most 64 per segment
-    while True:
-        gx0, gx1 = np.floor(x0 / cx).astype(np.int64), np.floor(x1 / cx).astype(np.int64)
-        gy0, gy1 = np.floor(y0 / cy).astype(np.int64), np.floor(y1 / cy).astype(np.int64)
-        if ((gx1 - gx0 + 1.0) * (gy1 - gy0 + 1.0)).sum() <= 64 * m:
-            break
-        cx, cy = 2 * cx, 2 * cy
-    # one (cell, segment) entry per cell of each segment's range
-    ny = gy1 - gy0 + 1
-    count = (gx1 - gx0 + 1) * ny
-    seg = np.repeat(np.arange(m, dtype=np.int64), count)
-    off = np.arange(len(seg)) - np.repeat(np.cumsum(count) - count, count)
-    gx = np.repeat(gx0, count) + off // np.repeat(ny, count)
-    gy = np.repeat(gy0, count) + off % np.repeat(ny, count)
-    # group the entries by cell; lexsort is stable, so segments ascend
-    # within a cell, and a segment lies in a cell at most once
-    order = np.lexsort((gy, gx))
-    seg, gx, gy = seg[order], gx[order], gy[order]
-    new_cell = np.ones(len(seg) + 1, dtype=bool)
-    new_cell[1:-1] = (gx[1:] != gx[:-1]) | (gy[1:] != gy[:-1])
-    bounds = np.flatnonzero(new_cell)
-    # entry p pairs with the later entries p+1 .. end-1 of its cell
-    end = np.repeat(bounds[1:], np.diff(bounds))
-    later = end - np.arange(len(seg)) - 1
-    first = np.repeat(np.arange(len(seg)), later)
+    # sort the boxes by their lower end on one axis: the box at sorted
+    # position p overlaps there exactly the later boxes whose lower end is at
+    # most its upper end; sweep the axis with fewer such pairs
+    sweeps = []
+    for lo, hi in ((x0, x1), (y0, y1)):
+        order = np.argsort(lo)
+        later = np.searchsorted(lo[order], hi[order], side="right") - np.arange(m) - 1
+        sweeps.append((int(later.sum()), order, later))
+    _, order, later = min(sweeps, key=lambda sweep: sweep[0])
+    # position p pairs with the later positions p+1 .. p+later[p]
+    first = np.repeat(np.arange(m), later)
     second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
-    codes = _sorted_distinct(seg[first] * m + seg[second])
-    pi = np.stack([codes // m, codes % m], axis=1)
-    i_, j_ = pi[:, 0], pi[:, 1]
-    adjacent = (j_ == (i_ + 1) % m) | (i_ == (j_ + 1) % m)
-    overlap = (
-        (x0[i_] <= x1[j_]) & (x0[j_] <= x1[i_]) & (y0[i_] <= y1[j_]) & (y0[j_] <= y1[i_])
-    )
-    return pi[~adjacent & overlap]
+    i, j = order[first], order[second]
+    i, j = np.minimum(i, j), np.maximum(i, j)
+    adjacent = (j == i + 1) | ((i == 0) & (j == m - 1))
+    overlap = (x0[i] <= x1[j]) & (x0[j] <= x1[i]) & (y0[i] <= y1[j]) & (y0[j] <= y1[i])
+    codes = np.sort((i * m + j)[overlap & ~adjacent])
+    return np.stack([codes // m, codes % m], axis=1)
 
 
 def polygon_is_simple_closed(vertices: np.ndarray | tuple[Point, ...]) -> bool:
@@ -166,7 +117,8 @@ def polygon_is_simple_closed(vertices: np.ndarray | tuple[Point, ...]) -> bool:
     iarr = np.concatenate([vertices, vertices[:1]])
     iarr = iarr.astype(np.int64 if bits <= 30 else object, copy=False)
     # x * 2**(bits+1) + y tells apart points whose coordinates lie below 2**bits
-    if len(_sorted_distinct(iarr[:-1, 0] * 2 ** (bits + 1) + iarr[:-1, 1])) != m:
+    keys = np.sort(iarr[:-1, 0] * 2 ** (bits + 1) + iarr[:-1, 1])
+    if (keys[1:] == keys[:-1]).any():
         return False
     # adjacent pairs may only share the common vertex; a spike folds back
     p, q = iarr[:-1], iarr[1:]
@@ -181,14 +133,16 @@ def polygon_is_simple_closed(vertices: np.ndarray | tuple[Point, ...]) -> bool:
     d2 = np.sign(_cross(b1, b2, a2))
     d3 = np.sign(_cross(a1, a2, b1))
     d4 = np.sign(_cross(a1, a2, b2))
-    if ((d1 * d2 < 0) & (d3 * d4 < 0)).any():
-        return False
-    # a zero sign leaves touching or collinear overlap to the exact test
-    touchy = (d1 == 0) | (d2 == 0) | (d3 == 0) | (d4 == 0)
-    for i, j in pi[touchy].tolist():
-        if segments_intersect(*iarr[[i, i + 1, j, j + 1]].tolist()):
-            return False
-    return True
+    crossing = (d1 * d2 < 0) & (d3 * d4 < 0)
+    # a zero sign is a touch (or a collinear overlap) when the point lies in
+    # the closed box of the other segment
+    touch = (
+        ((d1 == 0) & _within(b1, b2, a1))
+        | ((d2 == 0) & _within(b1, b2, a2))
+        | ((d3 == 0) & _within(a1, a2, b1))
+        | ((d4 == 0) & _within(a1, a2, b2))
+    )
+    return not (crossing | touch).any()
 
 
 def _point_segment_dist(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

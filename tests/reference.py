@@ -4,8 +4,11 @@ The package keeps what a command or the documented library reaches; the
 helpers here build test languages, evaluate addresses another way, and
 cross-check the certificates.  ``perron_data`` and ``walk_to_param`` here are
 the sums of ``FieldElement`` values that the package's integer forms
-replaced, kept as their oracle.  pytest does not collect this module (its
-name has no ``test_`` prefix); the tests import it as ``reference``.
+replaced, kept as their oracle; ``segments_intersect`` is the scalar
+closed-segment test that the array signs of the simple-closed test replaced,
+kept as the oracle of its all-pairs checks.  pytest does not collect this
+module (its name has no ``test_`` prefix); the tests import it as
+``reference``.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from tiletopo.errors import (
     NotIrreducible,
     WrongRegime,
 )
+from tiletopo.geometry import Point
 from tiletopo.neighbors import (
     IntVec,
     _candidate_ball,
@@ -351,3 +355,41 @@ def verify_circular_chain(setup: ChainSetup) -> ChainReport:
     if not report.ok:
         raise ChainViolation("; ".join(report.violations))
     return report
+
+
+# ---------------------------------------------------------------------------
+# segments
+
+
+def orientation(p: Point, q: Point, r: Point) -> int:
+    v = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+    return (v > 0) - (v < 0)
+
+
+def _on_segment(p: Point, q: Point, r: Point) -> bool:
+    """r collinear with pq assumed; is r within the closed box of pq?"""
+    return (
+        min(p[0], q[0]) <= r[0] <= max(p[0], q[0])
+        and min(p[1], q[1]) <= r[1] <= max(p[1], q[1])
+    )
+
+
+def segments_intersect(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
+    """Closed-segment intersection, exact."""
+    d1 = orientation(q1, q2, p1)
+    d2 = orientation(q1, q2, p2)
+    d3 = orientation(p1, p2, q1)
+    d4 = orientation(p1, p2, q2)
+    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
+        (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
+    ):
+        return True
+    if d1 == 0 and _on_segment(q1, q2, p1):
+        return True
+    if d2 == 0 and _on_segment(q1, q2, p2):
+        return True
+    if d3 == 0 and _on_segment(p1, p2, q1):
+        return True
+    if d4 == 0 and _on_segment(p1, p2, q2):
+        return True
+    return False

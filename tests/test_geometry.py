@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,13 +13,10 @@ from tiletopo.contact import (
     count_walks,
     derive_order_extension,
 )
-from tiletopo.geometry import (
-    _candidate_pairs,
-    polygon_is_simple_closed,
-    polyline_hausdorff,
-    segments_intersect,
-)
+from tiletopo.geometry import _candidate_pairs, polygon_is_simple_closed, polyline_hausdorff
 from tiletopo.numsys import TileParams
+
+from reference import segments_intersect
 
 
 def F(x):
@@ -84,8 +82,15 @@ class TestSimpleClosed:
                 assert not polygon_is_simple_closed(p)
 
     def test_vertex_on_edge(self):
-        for p in int_and_fraction((0, 0), (2, 0), (2, 2), (1, 0), (0, 2)):
-            assert not polygon_is_simple_closed(p)
+        # a vertex on a horizontal edge, and transposed on a vertical one, at
+        # every cyclic position and in both orientations: the touch is read
+        # off different sign terms and box comparisons (see the README ledger)
+        pts = [(0, 0), (2, 0), (2, 2), (1, 0), (0, 2)]
+        for shape in (pts, [(y, x) for x, y in pts]):
+            for shift in range(len(shape)):
+                ring = shape[shift:] + shape[:shift]
+                for p in int_and_fraction(*ring) + int_and_fraction(*ring[::-1]):
+                    assert not polygon_is_simple_closed(p)
 
     def test_repeated_vertex(self):
         for p in int_and_fraction((0, 0), (1, 0), (0, 0), (0, 1)):
@@ -245,8 +250,8 @@ def _boundary_polygons():
 
 
 class TestVectorizedPath:
-    """Every polygon goes through the grid prefilter and the array tests on
-    its integers: int64 below 2**30, Python ints above."""
+    """Every polygon goes through the sweep and the array tests on its
+    integers: int64 below 2**30, Python ints above."""
 
     POLYGONS = _sample_polygons()
 
@@ -303,6 +308,19 @@ class TestVectorizedPath:
         assert pi.dtype == np.int64
         assert hashlib.sha256(pi.tobytes()).hexdigest() == sha
 
+    def test_boundary_candidate_digest_all_cases(self):
+        """One digest over the pair arrays of all 58 boundary polygons,
+        recorded with the grid prefilter that the sweep replaced."""
+        digest = hashlib.sha256()
+        cases = 0
+        for _, arr in _boundary_polygons():
+            digest.update(_candidate_pairs(np.concatenate([arr, arr[:1]])).tobytes())
+            cases += 1
+        assert cases == 58
+        assert digest.hexdigest() == (
+            "773bace478b047665d9f1f5a0b13b65c2897bd285d5b3625bb55d29218de0e46"
+        )
+
     def test_boundary_polygons_on_every_integer_path(self):
         # the array as int64, as Python ints and as tuples gives one answer;
         # scaled by 2**31, the same polygon runs on Python ints throughout
@@ -314,6 +332,47 @@ class TestVectorizedPath:
             assert [polygon_is_simple_closed(p) for p in inputs] == [True] * 4, case
             cases += 1
         assert cases == 58
+
+
+def _comb(teeth: int, bent: int | None = None) -> list[tuple[int, int]]:
+    """A base of length 4*teeth + 1 along y = -1 under ``teeth`` teeth of
+    height 1,000 and width 2, 4*teeth + 4 segments.  Tooth ``bent`` leans
+    3 to the left, so that its falling edge crosses its left neighbour."""
+    top = 4 * teeth + 1
+    pts = [(0, -1), (top, -1), (top, 0)]
+    for t in reversed(range(teeth)):
+        lean = 3 if t == bent else 0
+        left, right = 4 * t + 1, 4 * t + 3
+        pts += [(right, 0), (right - lean, 1000), (left - lean, 1000), (left, 0)]
+    return pts + [(0, 0)]
+
+
+class TestSweepAxis:
+    """The sweep lists the pairs that overlap on one axis of the rotated
+    frame.  A comb's teeth overlap each other on the axis across them, so
+    the sweep must take the axis along them."""
+
+    TEETH = 500
+
+    def test_comb_is_simple(self):
+        pts = _comb(self.TEETH)
+        assert len(pts) == 2004
+        assert polygon_is_simple_closed(np.array(pts, dtype=np.int64)) is True
+
+    def test_bent_tooth_crosses(self):
+        pts = _comb(self.TEETH, bent=self.TEETH // 2)
+        assert polygon_is_simple_closed(np.array(pts, dtype=np.int64)) is False
+
+    def test_comb_peak_allocation(self):
+        closed = _closed(_comb(self.TEETH))
+        tracemalloc.start()
+        try:
+            pairs = _candidate_pairs(closed)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(pairs) == 0  # the teeth lie 2 apart: no boxes meet
+        assert peak < 32 * 2**20
 
 
 class TestHausdorff:
