@@ -20,8 +20,9 @@ such points are equal exactly when V_j + (a, 0) = V_k + (b, 0): a digit
 comparison when j = k, else one cross-multiplied comparison of two
 junctions.  Every map is decided, in integers: B*M^{-1} = [[-A, B], [-1, 0]]
 is an integer matrix, so each junction is an integer pair over its own
-denominator, solved only when a comparison reads it.  Fractions are built
-only for an ordering that comes out.  ``derive_order_extension`` decides
+denominator, solved only when a comparison reads it.  An ordering that comes
+out keeps its junctions as reduced triples (x, y, den); Fractions are built
+only when its ``vertices`` are read.  ``derive_order_extension`` decides
 every map and is the certificate that the ordering is unique: none, two, or
 a state that threads two ways raises; ``contact-graph`` runs it.
 ``ordered_extension`` decides only the sorted first-edge map phi_0, the
@@ -58,7 +59,6 @@ from fractions import Fraction
 from itertools import product as iproduct
 from typing import TYPE_CHECKING
 
-from . import linalg
 from .algebraic import FieldElement, NumberField, dominant_root_field
 from .automata import DigitNFA
 from .errors import (
@@ -69,7 +69,16 @@ from .errors import (
     NonPeriodicWalk,
     OutOfRange,
 )
-from .numsys import Address, RationalPoint, TileParams, periodic_tail_scaled, point_eval
+from .numsys import (
+    Address,
+    RationalPoint,
+    TileParams,
+    Triple,
+    _contract,
+    _reduced,
+    periodic_tail_scaled,
+    point_eval,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -154,11 +163,10 @@ def build_contact_graph(params: TileParams) -> ContactGraph:
     if params.a < 1:
         raise OutOfRange(f"contact graph requires A >= 1 for (A,B)=({params.a},{params.b})")
     states = contact_states(params)
-    m = params.matrix
-    b = params.b
+    a_coef, b = params.a, params.b
     edges: list[Edge] = []
     for i, s in enumerate(states, start=1):
-        ms = linalg.mat_vec(m, s)
+        ms = (-b * s[1], s[0] - a_coef * s[1])  # M s
         for j, t in enumerate(states, start=1):
             if t[1] != ms[1]:
                 continue
@@ -231,7 +239,14 @@ def walk_compare(a: Walk, b: Walk) -> int:
 class OrderedContactGraph:
     graph: ContactGraph
     orders: tuple[tuple[Edge, ...], ...]  # per state 1..6, edges in order
-    vertices: tuple[RationalPoint, ...]  # V_1..V_6, junction of K_{i-1} and K_i
+    # V_1..V_6, junction of K_{i-1} and K_i, as reduced triples (x, y, den):
+    # gcd(x, y, den) = 1 and den > 0
+    junctions: tuple[Triple, ...]
+
+    @cached_property
+    def vertices(self) -> tuple[RationalPoint, ...]:
+        """V_1..V_6 as exact rational pairs, built once, on first use."""
+        return tuple((Fraction(x, den), Fraction(y, den)) for (x, y, den) in self.junctions)
 
     def out_count(self, state: int) -> int:
         return len(self.orders[state - 1])
@@ -289,9 +304,9 @@ def _junction(
     node: int,
     phi: tuple[Edge, ...],
     params: TileParams,
-    cycles: dict[tuple[int, ...], tuple[int, int, int]],
-    values: list[tuple[int, int, int] | None],
-) -> tuple[int, int, int]:
+    cycles: dict[tuple[int, ...], Triple],
+    values: list[Triple | None],
+) -> Triple:
     """The junction V_{node+1} = psi(node+1; 1bar) of a first-edge map
     (phi[i-1] is the first edge of state i) as (x, y, den), the point
     (x/den, y/den).
@@ -299,10 +314,9 @@ def _junction(
     Only the nodes on the orbit of ``node`` under phi are solved, and each
     is stored in ``values`` (one list per map, None where unsolved).  A
     cycle's value comes from the integer periodic solve, cached in
-    ``cycles`` by digit word; a tree node's is X' = N(X + a*den*e1) over
-    den*B, with N = B*M^{-1} = [[-A, B], [-1, 0]].
+    ``cycles`` by digit word; a tree node's is f_a of its successor's, where
+    a is its first edge's digit.  Neither is reduced.
     """
-    a_coef, b = params.a, params.b
     start = node
     path: list[int] = []
     while values[node] is None and node not in path:
@@ -315,9 +329,7 @@ def _junction(
         values[node] = cycles[word]
     for node in reversed(path):
         if values[node] is None:
-            x, y, den = values[phi[node][3] - 1]
-            x += phi[node][1] * den
-            values[node] = (b * y - a_coef * x, -x, den * b)
+            values[node] = _contract(phi[node][1], values[phi[node][3] - 1], params)
     return values[start]
 
 
@@ -327,8 +339,8 @@ def _digit_onto(
     t: int,
     phi: tuple[Edge, ...],
     params: TileParams,
-    cycles: dict[tuple[int, ...], tuple[int, int, int]],
-    values: list[tuple[int, int, int] | None],
+    cycles: dict[tuple[int, ...], Triple],
+    values: list[Triple | None],
 ) -> int | None:
     """The digit b with f_b(V_t) = f_a(V_j), or None if no integer does it.
 
@@ -352,8 +364,8 @@ def _thread_state(
     steps: dict[int, dict[int, list[Edge]]],
     phi: tuple[Edge, ...],
     params: TileParams,
-    cycles: dict[tuple[int, ...], tuple[int, int, int]],
-    values: list[tuple[int, int, int] | None],
+    cycles: dict[tuple[int, ...], Triple],
+    values: list[Triple | None],
     where: str,
 ) -> tuple[Edge, ...] | None:
     """The ordering of the state's edges chaining endpoint-to-endpoint from
@@ -399,19 +411,18 @@ def _decide_map(
     outs: list[tuple[Edge, ...]],
     steps: list[dict[int, dict[int, list[Edge]]]],
     params: TileParams,
-    cycles: dict[tuple[int, ...], tuple[int, int, int]],
+    cycles: dict[tuple[int, ...], Triple],
     where: str,
-) -> tuple[tuple[tuple[Edge, ...], ...], tuple[RationalPoint, ...]] | None:
-    """The orders and the junctions V_1..V_6 of a first-edge map whose
-    states all thread, or None at the first state, in order 1..6, that does
-    not.
+) -> tuple[tuple[tuple[Edge, ...], ...], tuple[Triple, ...]] | None:
+    """The orders and the junctions V_1..V_6, as reduced triples, of a
+    first-edge map whose states all thread, or None at the first state, in
+    order 1..6, that does not.
 
     Every state goes to ``_thread_state``, which solves a junction into
     ``values`` (one list per map) only when a comparison reads it.  The
-    ``Fraction`` vertices are built from the junction triples, and only for
-    a map that completes.
+    junctions are reduced only for a map that completes.
     """
-    values: list[tuple[int, int, int] | None] = [None] * 6
+    values: list[Triple | None] = [None] * 6
     orders: list[tuple[Edge, ...]] = []
     for state in range(1, 7):
         order = _thread_state(
@@ -420,9 +431,8 @@ def _decide_map(
         if order is None:
             return None
         orders.append(order)
-    junctions = [_junction(i, phi, params, cycles, values) for i in range(6)]
-    vertices = tuple((Fraction(x, den), Fraction(y, den)) for (x, y, den) in junctions)
-    return tuple(orders), vertices
+    junctions = tuple(_reduced(_junction(i, phi, params, cycles, values)) for i in range(6))
+    return tuple(orders), junctions
 
 
 def _by_target(edges: tuple[Edge, ...]) -> dict[int, dict[int, list[Edge]]]:
@@ -439,24 +449,24 @@ def _start_point_map(
     outs: list[tuple[Edge, ...]],
     params: TileParams,
     where: str,
-) -> tuple[tuple[tuple[Edge, ...], ...], tuple[RationalPoint, ...]] | None:
+) -> tuple[tuple[tuple[Edge, ...], ...], tuple[Triple, ...]] | None:
     """``_decide_map`` of a first-edge map by a table of start points, or
     None where that threading would find no chain.
 
-    The six junctions are solved once, as integer pairs (X_t, Y_t) = S*V_t
-    over their common denominator S.  The subpiece of an edge (s, b, ., t)
-    starts at f_b(V_t), and as M^{-1} is injective two such points are equal
-    exactly when their integer keys (X_t + b*S, Y_t) are.  When the edges of
-    a state start at distinct points, the depth-first threading has at most
-    one untried edge at each point, so following the table from V_s is the
-    only chain it can find, in one lookup per edge; the chain must then end
-    at V_{s+1}.  A state whose edges share a start point goes to
-    ``_thread_state`` unchanged, so a state that threads two ways raises as
-    it does there.
+    The six junctions are solved and reduced once, and read as integer
+    pairs (X_t, Y_t) = S*V_t over their common denominator S.  The subpiece
+    of an edge (s, b, ., t) starts at f_b(V_t), and as M^{-1} is injective
+    two such points are equal exactly when their integer keys
+    (X_t + b*S, Y_t) are.  When the edges of a state start at distinct
+    points, the depth-first threading has at most one untried edge at each
+    point, so following the table from V_s is the only chain it can find,
+    in one lookup per edge; the chain must then end at V_{s+1}.  A state
+    whose edges share a start point goes to ``_thread_state`` unchanged, so
+    a state that threads two ways raises as it does there.
     """
-    cycles: dict[tuple[int, ...], tuple[int, int, int]] = {}
-    values: list[tuple[int, int, int] | None] = [None] * 6
-    junctions = [_junction(i, phi, params, cycles, values) for i in range(6)]
+    cycles: dict[tuple[int, ...], Triple] = {}
+    values: list[Triple | None] = [None] * 6
+    junctions = tuple(_reduced(_junction(i, phi, params, cycles, values)) for i in range(6))
     scale = math.lcm(*(den for _, _, den in junctions))
     # S*V_1..S*V_6; the point f_b(V_t) has the key (xs[t-1] + b*S, ys[t-1])
     xs = [x * (scale // den) for (x, _, den) in junctions]
@@ -486,8 +496,7 @@ def _start_point_map(
                 return None
             order = tuple(chain)
         orders.append(order)
-    vertices = tuple((Fraction(x, den), Fraction(y, den)) for (x, y, den) in junctions)
-    return tuple(orders), vertices
+    return tuple(orders), junctions
 
 
 def _edge_tables(
@@ -536,7 +545,7 @@ def derive_order_extension(graph: ContactGraph) -> OrderedContactGraph:
     params = graph.params
     where = f"(A,B)=({params.a},{params.b})"
     outs, steps = _edge_tables(graph)
-    cycles: dict[tuple[int, ...], tuple[int, int, int]] = {}
+    cycles: dict[tuple[int, ...], Triple] = {}
     complete: dict[tuple[tuple[Edge, ...], ...], OrderedContactGraph] = {}
     with_flips = [[(e, _flip_edge(e, params.b)) for e in sorted(outs[i])] for i in range(3)]
     for (e1, f1), (e2, f2), (e3, f3) in iproduct(*with_flips):
@@ -870,15 +879,20 @@ def approx_boundary(
         raise BudgetExceeded(
             f"the walks at level {n} exceed budget {budget} for (A,B)=({a},{b})"
         )
-    d = math.lcm(*(c.denominator for v in ordered.vertices for c in v))
+    # the junctions are reduced, so D is the LCM of their coordinates'
+    # denominators
+    d = math.lcm(*(den for _, _, den in ordered.junctions))
     # steps[k]: the offset a digit 1 adds at depth k+1; ends[i]: N^n (D*V_{i+1})
-    power: linalg.Mat2 = linalg.IDENTITY
+    (p00, p01), (p10, p11) = (1, 0), (0, 1)  # N^k, N = B*M^{-1} = [[-A, B], [-1, 0]]
     steps: list[IntVec] = []
     for k in range(1, n + 1):
-        power = linalg.mat_mul(power, ((-a, b), (-1, 0)))
+        (p00, p01), (p10, p11) = (b * p10 - a * p00, b * p11 - a * p01), (-p00, -p01)
         w = d * b ** (n - k)
-        steps.append((w * power[0][0], w * power[1][0]))
-    ends = [linalg.mat_vec(power, (int(x * d), int(y * d))) for (x, y) in ordered.vertices]
+        steps.append((w * p00, w * p10))
+    ends = []
+    for x, y, den in ordered.junctions:
+        x, y = x * (d // den), y * (d // den)
+        ends.append((p00 * x + p01 * y, p10 * x + p11 * y))
     # every coordinate met is a partial sum of digit * step plus an end
     reach = (b - 1) * sum(max(map(abs, s)) for s in steps) + max(abs(c) for e in ends for c in e)
     dtype = np.int64 if reach <= _INT64_MAX else object

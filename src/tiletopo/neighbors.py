@@ -5,17 +5,19 @@ characterizes neighbors as nonzero integer vectors s admitting an infinite
 path under s -> M s + (d, 0), |d| <= B-1, inside a certified ball, so pruning
 states without successors leaves exactly the representable vectors.
 
-The ball is a parallelogram bounded coordinate by coordinate.  In a rational
-basis W close to the eigenbasis of M, split a difference series
+The ball is a parallelogram bounded coordinate by coordinate.  In an integer
+basis W close to a multiple of the eigenbasis of M, split a difference series
 s = sum_{i>=1} M^{-i} (d_i, 0) after k terms: |W^{-1} s| <= partial_k +
 P_k |W^{-1} s'| entrywise, with partial_k the summed absolute value of the
 first k terms in the worst case, P_k = |W^{-1} M^{-k} W| and s' another
 difference series.  The entrywise supremum U over all series then satisfies
 (I - P_k) U <= partial_k, and once (I - P_k)^{-1} >= 0 this gives
-U <= (I - P_k)^{-1} partial_k.  The integer points of the ball are listed
-row by row as exact x-intervals.  No floating point enters any decision;
-floats only suggest the basis W, whose bound is then certified with
-rationals.
+U <= (I - P_k)^{-1} partial_k.  As N = B M^{-1} is an integer matrix,
+W^{-1} M^{-k} W = adj(W) N^k W / (det W B^k), and every quantity of the
+bound is an integer over a known denominator.  The integer points of the
+ball are listed row by row as x-intervals cut by floor division.  No
+floating point enters any decision; floats only suggest the basis W, whose
+bound is then certified in integers.
 """
 
 from __future__ import annotations
@@ -25,10 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import linalg
 from .automata import live_nodes
 from .errors import CertificateFailure, LengthMismatch
-from .numsys import DigitWord, TileParams
+from .numsys import DigitWord, Mat2, TileParams
 
 IntVec = tuple[int, int]
 
@@ -72,19 +73,14 @@ def neighbor_set_formula(params: TileParams) -> NeighborSet:
         units = {(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1)} - {(0, 0)}
         return NeighborSet(frozenset(units), None)
     j = max(1, (b - 1) // (b - a + 1))
-    members: set[IntVec] = set()
-    for n in range(1, j + 1):
-        p, q = neighbor_vectors(params, n)
-        members.update({p, linalg.vec_neg(p), q, linalg.vec_neg(q)})
-    r = (-a, -1)
-    members.update({r, linalg.vec_neg(r)})
-    return NeighborSet(frozenset(members), j)
+    halves = [(-a, -1)] + [v for n in range(1, j + 1) for v in neighbor_vectors(params, n)]
+    return NeighborSet(frozenset(halves + [(-x, -y) for (x, y) in halves]), j)
 
 
-def _float_conjugation(a: int, b: int) -> linalg.Mat2:
-    """A rational basis, close to the eigenbasis of M, in which M^{-1} is
-    nearly optimally contracting.  Any invertible choice keeps the bound
-    exact; a good choice keeps it small."""
+def _float_conjugation(a: int, b: int) -> Mat2:
+    """An integer basis W, close to a multiple of the eigenbasis of M, in
+    which M^{-1} is nearly optimally contracting.  Any invertible choice
+    keeps the bound exact; a good choice keeps it small."""
     disc = a * a - 4 * b
     if disc > 0:
         root = math.sqrt(disc)
@@ -98,17 +94,19 @@ def _float_conjugation(a: int, b: int) -> linalg.Mat2:
         # double eigenvalue -A/2; generalized eigenvector (1, 0)
         col1 = (a / 2.0, 1.0)
         col2 = (1.0, 0.0)
-    approx = lambda x: Fraction(x).limit_denominator(10**4)
-    w = ((approx(col1[0]), approx(col2[0])), (approx(col1[1]), approx(col2[1])))
-    if linalg.mat_det(w) == 0:
-        w = linalg.IDENTITY
-    return w
+    # each entry rounded to a fraction, then all over their common denominator
+    approx = [Fraction(x).limit_denominator(10**4) for x in (col1[0], col2[0], col1[1], col2[1])]
+    den = math.lcm(*(q.denominator for q in approx))
+    w00, w01, w10, w11 = (int(q * den) for q in approx)
+    if w00 * w11 - w01 * w10 == 0:
+        return ((1, 0), (0, 1))
+    return ((w00, w01), (w10, w11))
 
 
-def certified_series_bound(params: TileParams) -> tuple[linalg.Mat2, Fraction]:
-    """Return (W_inv, c) such that every vector of the form
-    sum_{i>=1} M^{-i} (d_i, 0) with |d_i| <= B-1 satisfies
-    ||W_inv @ s||_inf <= c.  Entirely exact given the rational W.
+def certified_series_bound(params: TileParams) -> tuple[Mat2, int]:
+    """Return an integer matrix R and an integer c > 0 such that every
+    vector of the form s = sum_{i>=1} M^{-i} (d_i, 0) with |d_i| <= B-1
+    satisfies ||R @ s||_inf <= c.  Entirely exact given the integer W.
 
     The bound is entrywise.  In the basis W, with T^{-1} = W^{-1} M^{-1} W
     and e = W^{-1} (B-1, 0), split a series after k terms:
@@ -117,45 +115,69 @@ def certified_series_bound(params: TileParams) -> tuple[linalg.Mat2, Fraction]:
     series of the same kind.  So the entrywise supremum U over all series
     satisfies (I - P_k) U <= partial_k.  Once p_00 < 1 and det(I - P_k) > 0,
     (I - P_k)^{-1} is entrywise nonnegative and U <= u = (I - P_k)^{-1}
-    partial_k.  Row j of W^{-1} is divided by u_j, so c = 1.
-    """
-    w = _float_conjugation(params.a, params.b)
-    w_inv = linalg.mat_inv(w)
-    t_inv = linalg.mat_mul(w_inv, linalg.mat_mul(params.matrix_inv, w))
-    e1 = linalg.mat_vec(w_inv, (Fraction(params.b - 1), Fraction(0)))
+    partial_k, so |row_j(W^{-1}) s| <= u_j.
 
-    partial = (Fraction(0), Fraction(0))
-    power = linalg.IDENTITY
-    for k in range(1, _MAX_BLOCK + 1):
-        power = linalg.mat_mul(power, t_inv)
-        term = linalg.mat_vec(power, e1)
-        partial = (partial[0] + abs(term[0]), partial[1] + abs(term[1]))
-        rest = linalg.mat_sub(linalg.IDENTITY, tuple(tuple(map(abs, row)) for row in power))
-        # for a 2x2 matrix, p_00 < 1 and det(I - P_k) > 0 make (I - P_k)^{-1} >= 0
-        if rest[0][0] > 0 and linalg.mat_det(rest) > 0:
-            u = linalg.solve2(rest, partial)
-            scaled = tuple(tuple(x / u_j for x in row) for row, u_j in zip(w_inv, u))
-            return scaled, Fraction(1)
+    All of it is integer.  With N = B M^{-1} = [[-A, B], [-1, 0]] and
+    F = adj(W), T^{-k} = F N^k W / (det W B^k) and T^{-k} e =
+    (B-1) F N^k (1, 0) / (det W B^k).  Over the denominator |det W| B^k,
+    I - P_k is Q = |det W| B^k I - |F N^k W| and partial_k is (B-1) S_k with
+    S_k = sum_{i<=k} B^(k-i) |F N^i (1, 0)|, so u = (B-1) adj(Q) S_k / det Q.
+    Row j's bound |F_j s| det Q <= |det W| (B-1) v_j, v = adj(Q) S_k, is
+    brought to one c by multiplying through by the other row's v.
+    """
+    a, b = params.a, params.b
+    w = _float_conjugation(a, b)
+    (w00, w01), (w10, w11) = w
+    det_w = w00 * w11 - w01 * w10
+    f = ((w11, -w01), (-w10, w00))  # adj(W)
+    (g00, g01), (g10, g11) = w  # N^k W
+    nx, ny = 1, 0  # N^k (1, 0)
+    s0 = s1 = 0
+    scale = abs(det_w)  # |det W| B^k
+    for _ in range(_MAX_BLOCK):
+        (g00, g01), (g10, g11) = (b * g10 - a * g00, b * g11 - a * g01), (-g00, -g01)
+        nx, ny = b * ny - a * nx, -nx
+        scale *= b
+        s0 = b * s0 + abs(f[0][0] * nx + f[0][1] * ny)
+        s1 = b * s1 + abs(f[1][0] * nx + f[1][1] * ny)
+        q00 = scale - abs(f[0][0] * g00 + f[0][1] * g10)
+        q01 = -abs(f[0][0] * g01 + f[0][1] * g11)
+        q10 = -abs(f[1][0] * g00 + f[1][1] * g10)
+        q11 = scale - abs(f[1][0] * g01 + f[1][1] * g11)
+        det_q = q00 * q11 - q01 * q10
+        # for a 2x2 matrix, q_00 > 0 and det Q > 0 make Q^{-1} >= 0
+        if q00 > 0 and det_q > 0:
+            v0, v1 = q11 * s0 - q01 * s1, q00 * s1 - q10 * s0
+            rows = (
+                tuple(x * det_q * v1 for x in f[0]),
+                tuple(x * det_q * v0 for x in f[1]),
+            )
+            c = abs(det_w) * (b - 1) * v0 * v1
+            g = math.gcd(c, *rows[0], *rows[1])
+            return tuple(tuple(x // g for x in row) for row in rows), c // g
     raise CertificateFailure("no contracting power found; matrix not expanding?")
 
 
 def _candidate_ball(params: TileParams) -> set[IntVec]:
-    """Integer points s with ||W_inv @ s||_inf <= c, enumerated row by row:
-    each row y is the exact integer x-interval cut out by the two slabs."""
-    w_inv, bound = certified_series_bound(params)
-    w = linalg.mat_inv(w_inv)
-    x_max = math.floor(bound * (abs(w[0][0]) + abs(w[0][1])))
-    y_max = math.floor(bound * (abs(w[1][0]) + abs(w[1][1])))
+    """Integer points s with ||R @ s||_inf <= c, enumerated row by row:
+    each row y is the integer x-interval cut out by the two slabs, by floor
+    division.  |s| <= c |R^{-1}| entrywise bounds the rows and columns."""
+    r, c = certified_series_bound(params)
+    (r00, r01), (r10, r11) = r
+    det_r = abs(r00 * r11 - r01 * r10)
+    x_max = c * (abs(r11) + abs(r01)) // det_r
+    y_max = c * (abs(r10) + abs(r00)) // det_r
+    # each slab |cx x + cy y| <= c with cx >= 0
+    slabs = [(cx, cy) if cx >= 0 else (-cx, -cy) for cx, cy in r]
     ball: set[IntVec] = set()
     for y in range(-y_max, y_max + 1):
         lo, hi = -x_max, x_max
-        for cx, cy in w_inv:
+        for cx, cy in slabs:
             if cx == 0:
-                if abs(cy * y) > bound:
+                if abs(cy * y) > c:
                     lo, hi = 1, 0  # the whole row lies outside this slab
                 continue
-            ends = sorted(((-bound - cy * y) / cx, (bound - cy * y) / cx))
-            lo, hi = max(lo, math.ceil(ends[0])), min(hi, math.floor(ends[1]))
+            lo, hi = max(lo, -((c + cy * y) // cx)), min(hi, (c - cy * y) // cx)
         ball.update((x, y) for x in range(lo, hi + 1))
     return ball
 
@@ -168,12 +190,11 @@ def neighbor_set_search(params: TileParams) -> NeighborSet:
     no remaining successor leaves exactly the representable vectors.  The
     search gives no J; commands print the closed form's.
     """
-    b = params.b
-    m = params.matrix
+    a, b = params.a, params.b
     ball = _candidate_ball(params)
     succ: dict[IntVec, list[IntVec]] = {}
     for s in ball:
-        x, y = linalg.mat_vec(m, s)
+        x, y = -b * s[1], s[0] - a * s[1]  # M s
         succ[s] = [(x + d, y) for d in range(-(b - 1), b) if (x + d, y) in ball]
     alive = live_nodes(succ)
     alive.discard((0, 0))
@@ -196,14 +217,13 @@ def subdivision_diff(u: DigitWord, v: DigitWord, params: TileParams) -> IntVec:
     depth-m cylinders."""
     if len(u) != len(v):
         raise LengthMismatch(f"|u|={len(u)} != |v|={len(v)}")
-    m = params.matrix
-    s: linalg.Vec2 = (0, 0)
+    a, b = params.a, params.b
+    x, y = 0, 0
     for du, dv in zip(u, v):
         params.check_digit(du)
         params.check_digit(dv)
-        s = linalg.mat_vec(m, s)
-        s = (s[0] + du - dv, s[1])
-    return s
+        x, y = -b * y + du - dv, x - a * y
+    return (x, y)
 
 
 def subdivision_intersects(u: DigitWord, v: DigitWord, params: TileParams) -> bool:

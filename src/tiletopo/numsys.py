@@ -7,6 +7,12 @@ sum_i M^{-i} (a_i, 0).  Eventually periodic expansions evaluate to exact
 rational points: the periodic tail is the unique solution of a linear system
 against M^p - I, which is invertible because M is expanding.
 
+Inside the package an exact point is an integer triple (x, y, den), the point
+(x/den, y/den) with den > 0: B*M^{-1} = adj(M) is an integer matrix, so the
+contractions f_a(p) = M^{-1}(p + (a, 0)) keep a point integer over a
+denominator.  Fractions are built only for the public results that hold
+them: ``point_eval``, ``apply_contraction`` and the ``normalize`` record.
+
 Arbitrary integer instances (M0, v) are reduced to this companion form by a
 recorded change of basis, and negative trace parameters by an additional
 reflection and translation, so that all topological questions are answered on
@@ -20,12 +26,13 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
 from .errors import BadDeterminant, CertificateFailure, DegenerateBasis, NotExpanding
 
 Digit = int
 DigitWord = tuple[int, ...]
 RationalPoint = tuple[Fraction, Fraction]
+Mat2 = tuple[tuple[int, int], tuple[int, int]]
+Triple = tuple[int, int, int]  # the point (x/den, y/den), den > 0
 
 
 @dataclass(frozen=True)
@@ -47,13 +54,8 @@ class TileParams:
             raise NotExpanding(f"need 0 <= A <= B, got A={self.a}, B={self.b}")
 
     @property
-    def matrix(self) -> linalg.Mat2:
+    def matrix(self) -> Mat2:
         return ((0, -self.b), (1, -self.a))
-
-    @property
-    def matrix_inv(self) -> linalg.Mat2:
-        b = Fraction(self.b)
-        return ((Fraction(-self.a) / b, 1), (Fraction(-1) / b, 0))
 
     @property
     def digits(self) -> range:
@@ -68,7 +70,7 @@ class TileParams:
 class RawInstance:
     """An arbitrary integer matrix M0 with char poly x^2+Ax+B and digit spread v."""
 
-    m0: linalg.Mat2
+    m0: Mat2
     v: tuple[int, int]
 
     @property
@@ -77,7 +79,8 @@ class RawInstance:
 
     @property
     def det(self) -> int:
-        return linalg.mat_det(self.m0)
+        (p, q), (r, s) = self.m0
+        return p * s - q * r
 
     def char_pair(self) -> tuple[int, int]:
         """Return (A, B) with char poly x^2 + A x + B."""
@@ -89,7 +92,7 @@ class RawInstance:
             raise BadDeterminant(f"det(M0) = {b} < 2 is unsupported")
         if abs(a) > b:
             raise NotExpanding(f"|A| = {abs(a)} > B = {b}: matrix is not expanding")
-        m0v = linalg.mat_vec(self.m0, self.v)
+        m0v = _mat_vec(self.m0, self.v)
         if self.v[0] * m0v[1] - self.v[1] * m0v[0] == 0:
             raise DegenerateBasis("v and M0*v are linearly dependent")
 
@@ -102,42 +105,48 @@ class AffineNormalization:
     reflection is the identity unless the input trace had the opposite sign.
     """
 
-    basis_change: linalg.Mat2
-    reflection: linalg.Mat2
+    basis_change: Mat2
+    reflection: Mat2
     translation: RationalPoint
 
 
-REFLECTION_P: linalg.Mat2 = ((1, 0), (0, -1))
+REFLECTION_P: Mat2 = ((1, 0), (0, -1))
+
+
+def _mat_vec(m: Mat2, v: tuple[int, int]) -> tuple[int, int]:
+    return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
 
 
 def normalize(raw: RawInstance) -> tuple[TileParams, AffineNormalization]:
     """Reduce an arbitrary instance to normalized (A, B) with the affinity record.
 
-    The change of basis C = [v | M0 v] always conjugates M0 to companion form.
-    When the instance has A < 0, the parameters are mapped to (-A, B) and the
-    recorded reflection/translation relate the two companion tiles; the
-    translation solves (M2^2 - I) y = M2 (B-1, 0)^T where M2 is the companion
-    matrix of the un-reflected input.
+    The change of basis C = [v | M0 v] always conjugates M0 to companion form;
+    this is checked in integers as M0 C = C [[0, -B], [1, -A]], with no
+    inverse.  When the instance has A < 0, the parameters are mapped to
+    (-A, B) and the recorded reflection/translation relate the two companion
+    tiles; the translation solves (M2^2 - I) y = M2 (B-1, 0)^T where M2 is
+    the companion matrix of the un-reflected input.
     """
     raw.validate()
     a, b = raw.char_pair()
-    m0v = linalg.mat_vec(raw.m0, raw.v)
-    basis = ((raw.v[0], m0v[0]), (raw.v[1], m0v[1]))
-    companion = linalg.mat_mul(linalg.mat_inv(basis), linalg.mat_mul(raw.m0, basis))
-    if companion != ((0, -b), (1, -a)):
+    v = raw.v
+    m0v = _mat_vec(raw.m0, v)
+    basis = ((v[0], m0v[0]), (v[1], m0v[1]))
+    # the first columns of M0 C and C companion are both M0 v
+    if _mat_vec(raw.m0, m0v) != (-b * v[0] - a * m0v[0], -b * v[1] - a * m0v[1]):
         raise CertificateFailure("basis change must yield companion form")
 
     if a >= 0:
         params = TileParams(a, b, reflected=False)
-        record = AffineNormalization(basis, linalg.IDENTITY, (Fraction(0), Fraction(0)))
+        record = AffineNormalization(basis, ((1, 0), (0, 1)), (Fraction(0), Fraction(0)))
         return params, record
 
     # a < 0: reflect.  M2 = [[0,-B],[1,-a]] is the companion matrix of the
-    # input; the normalized tile uses M1 = [[0,-B],[1,a... ]] with parameter -a.
-    m2: linalg.Mat2 = ((0, -b), (1, -a))
-    lhs = linalg.mat_sub(linalg.mat_mul(m2, m2), linalg.IDENTITY)
-    rhs = linalg.mat_vec(m2, (b - 1, 0))
-    translation = linalg.solve2(lhs, rhs)
+    # input, so M2^2 - I = [[-B-1, aB], [-a, a^2-B-1]] and M2 (B-1, 0) =
+    # (0, B-1); Cramer's rule solves it over the determinant
+    (l00, l01), (l10, l11) = (-b - 1, a * b), (-a, a * a - b - 1)
+    det = l00 * l11 - l01 * l10
+    translation = (Fraction(-l01 * (b - 1), det), Fraction(l00 * (b - 1), det))
     params = TileParams(-a, b, reflected=True)
     record = AffineNormalization(basis, REFLECTION_P, translation)
     return params, record
@@ -260,7 +269,22 @@ def parse_address(text: str) -> Address:
     return Address(integer, pre, per)
 
 
-def periodic_tail_scaled(period: DigitWord, params: TileParams) -> tuple[int, int, int]:
+def _reduced(p: Triple) -> Triple:
+    """The triple in lowest terms, gcd(x, y, den) = 1; den > 0 stays so."""
+    g = math.gcd(*p)
+    return (p[0] // g, p[1] // g, p[2] // g)
+
+
+def _contract(digit: int, p: Triple, params: TileParams) -> Triple:
+    """f_digit(p) = M^-1 (p + (digit, 0)) on a triple: adj(M) (x + digit den, y)
+    over B den, with adj(M) = B M^-1 = [[-A, B], [-1, 0]].  The result is not
+    reduced."""
+    x, y, den = p
+    x += digit * den
+    return (params.b * y - params.a * x, -x, params.b * den)
+
+
+def periodic_tail_scaled(period: DigitWord, params: TileParams) -> Triple:
     """The purely periodic expansion 0.(period) as (x, y, d): the point
     (x/d, y/d) with integers x, y and d > 0 and gcd(x, y, d) = 1.
 
@@ -269,25 +293,25 @@ def periodic_tail_scaled(period: DigitWord, params: TileParams) -> tuple[int, in
     over the eigenvalues of M, which are a conjugate pair or, as A >= 0, two
     negative reals below -1; either way it is positive.
     """
-    m = params.matrix
+    a, b = params.a, params.b
     rx, ry = 0, 0
+    cx, cy = 1, 0  # M^k (1, 0)
     for d in period:
-        rx, ry = m[0][0] * rx + m[0][1] * ry + d, m[1][0] * rx + m[1][1] * ry
-    (l00, l01), (l10, l11) = linalg.mat_sub(linalg.mat_pow(m, len(period)), linalg.IDENTITY)
+        rx, ry = -b * ry + d, rx - a * ry
+        cx, cy = -b * cy, cx - a * cy
+    # M^p (0, 1) = M^(p+1) (1, 0), as M (1, 0) = (0, 1)
+    (l00, l01), (l10, l11) = (cx - 1, -b * cy), (cy, cx - a * cy - 1)
     det = l00 * l11 - l01 * l10
-    x, y = l11 * rx - l01 * ry, l00 * ry - l10 * rx
-    g = math.gcd(x, y, det)
-    return x // g, y // g, det // g
+    return _reduced((l11 * rx - l01 * ry, l00 * ry - l10 * rx, det))
 
 
 def point_eval(addr: Address, params: TileParams) -> RationalPoint:
     """Exact rational value of an eventually periodic address.
 
-    Runs on integers: the periodic tail is (x/den, y/den) from
+    Runs on integers: the periodic tail is the triple (x, y, den) from
     ``periodic_tail_scaled``, and each preperiod digit d, last to first,
-    applies M^-1 = adj(M)/B as (x, y) <- adj(M) (x + d den, y) and
-    den <- B den, with adj(M) = [[-A, B], [-1, 0]].  The integer part is a
-    lattice point; the two Fractions are built once, at the end.
+    applies f_d to it.  The integer part is a lattice point; the two
+    Fractions are built once, at the end.
     """
     for d in addr.integer_part + addr.preperiod + addr.period:
         params.check_digit(d)
@@ -295,11 +319,10 @@ def point_eval(addr: Address, params: TileParams) -> RationalPoint:
     ix, iy = 0, 0
     for d in addr.integer_part:
         ix, iy = -b * iy + d, ix - a * iy
-    x, y, den = periodic_tail_scaled(addr.period, params)
+    point = periodic_tail_scaled(addr.period, params)
     for d in reversed(addr.preperiod):
-        x += d * den
-        x, y = b * y - a * x, -x
-        den *= b
+        point = _contract(d, point, params)
+    x, y, den = point
     return (Fraction(ix * den + x, den), Fraction(iy * den + y, den))
 
 
@@ -322,4 +345,6 @@ def alt_flip(n: int, a: int, params: TileParams) -> int:
 def apply_contraction(a: int, p: RationalPoint, params: TileParams) -> RationalPoint:
     """f_a(p) = M^{-1}(p + (a, 0)), exactly."""
     params.check_digit(a)
-    return linalg.mat_vec(params.matrix_inv, (p[0] + a, p[1]))
+    den = math.lcm(p[0].denominator, p[1].denominator)
+    x, y, den = _contract(a, (int(p[0] * den), int(p[1] * den), den), params)
+    return (Fraction(x, den), Fraction(y, den))

@@ -6,7 +6,10 @@ cross-check the certificates.  ``perron_data`` and ``walk_to_param`` here are
 the sums of ``FieldElement`` values that the package's integer forms
 replaced, kept as their oracle; ``segments_intersect`` is the scalar
 closed-segment test that the array signs of the simple-closed test replaced,
-kept as the oracle of its all-pairs checks.  pytest does not collect this
+kept as the oracle of its all-pairs checks.  The 2x2 ``Fraction`` matrix
+helpers are the linear algebra the package's integer forms replaced; the
+tests use them to build M^{-1}, its powers and linear solves independently.
+pytest does not collect this
 module (its name has no ``test_`` prefix); the tests import it as
 ``reference``.
 """
@@ -16,7 +19,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from tiletopo import linalg
 from tiletopo.algebraic import FieldElement, dominant_root_field
 from tiletopo.automata import (
     DigitDFA,
@@ -50,6 +52,50 @@ from tiletopo.numsys import (
     periodic_tail_scaled,
 )
 from tiletopo.topology import TIGHT_EVEN, build_d1_d2
+
+
+# ---------------------------------------------------------------------------
+# exact 2x2 linear algebra: matrices are tuples of row tuples, vectors
+# 2-tuples, entries ints or Fractions
+
+Mat2 = tuple[tuple, tuple]
+
+IDENTITY: Mat2 = ((1, 0), (0, 1))
+
+
+def mat_mul(m: Mat2, n: Mat2) -> Mat2:
+    return (
+        (m[0][0] * n[0][0] + m[0][1] * n[1][0], m[0][0] * n[0][1] + m[0][1] * n[1][1]),
+        (m[1][0] * n[0][0] + m[1][1] * n[1][0], m[1][0] * n[0][1] + m[1][1] * n[1][1]),
+    )
+
+
+def mat_vec(m: Mat2, v: tuple) -> tuple:
+    return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
+
+
+def mat_inv(m: Mat2) -> Mat2:
+    d = Fraction(m[0][0] * m[1][1] - m[0][1] * m[1][0])
+    if d == 0:
+        raise ZeroDivisionError("singular 2x2 matrix")
+    return ((m[1][1] / d, -m[0][1] / d), (-m[1][0] / d, m[0][0] / d))
+
+
+def mat_pow(m: Mat2, k: int) -> Mat2:
+    if k < 0:
+        return mat_pow(mat_inv(m), -k)
+    out, base = IDENTITY, m
+    while k:
+        if k & 1:
+            out = mat_mul(out, base)
+        base = mat_mul(base, base)
+        k >>= 1
+    return out
+
+
+def solve2(m: Mat2, rhs: tuple) -> tuple:
+    """Solve m @ x = rhs exactly."""
+    return mat_vec(mat_inv(m), rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +355,7 @@ def product_prefix_agreement(params: TileParams, depth: int = 4) -> bool:
             t1 = d1.successors(q1, x)
             if not t1:
                 continue
-            md = linalg.mat_vec(m, diff)
+            md = mat_vec(m, diff)
             for y in params.digits:
                 t2 = d2.successors(q2, y)
                 if not t2:

@@ -8,11 +8,10 @@ import time
 from contextlib import contextmanager
 
 from tiletopo import TileParams, point_eval
-from tiletopo.linalg import solve2
 from tiletopo.numsys import Address, apply_contraction, flip
 
 from conftest import random_address, series_value
-from reference import prepend_digits
+from reference import prepend_digits, solve2
 
 
 @contextmanager

@@ -23,13 +23,12 @@ from tiletopo.automata import (
 from tiletopo.chains import ChainSetup, flipped_curves
 from tiletopo.contact import build_contact_graph
 from tiletopo.errors import BudgetExceeded
-from tiletopo.linalg import mat_vec
 from tiletopo.neighbors import neighbor_set_formula
 from tiletopo.numsys import Address, point_eval
 from tiletopo.topology import build_d1_d2
 
 from conftest import random_address
-from reference import nfa_cylinder, nfa_full, nfa_prefixes, nfa_single_address
+from reference import mat_vec, nfa_cylinder, nfa_full, nfa_prefixes, nfa_single_address
 
 
 def members(params):

@@ -485,7 +485,7 @@ class TestOrdering:
                 assert table is not None, (a, b)
                 assert table == decide(phi, outs, steps, graph.params, {}, ""), (a, b)
                 o = ordered_extension(graph)
-                assert (o.orders, o.vertices) == table, (a, b)
+                assert (o.orders, o.junctions) == table, (a, b)
         assert fallbacks == []
 
     @pytest.mark.parametrize("loop", [True, False], ids=["back-to-start", "stuck-at-goal"])
@@ -813,6 +813,20 @@ class TestApproxBoundary:
         assert narrow.scale == wide.scale
         for name in ("point_array", "first_array", "last_array"):
             assert np.array_equal(getattr(narrow, name), getattr(wide, name)), name
+
+    def test_stored_junctions_are_reduced(self):
+        # on every pair 1 <= A <= B <= 40 the ordering keeps its junctions in
+        # lowest terms, so the LCM of their denominators is D, the LCM of the
+        # vertices' coordinate denominators, and level 1 has the scale D*B
+        for b in range(2, 41):
+            for a in range(1, b + 1):
+                o = ordered_extension(build_contact_graph(TileParams(a, b)))
+                for x, y, den in o.junctions:
+                    assert den > 0 and math.gcd(x, y, den) == 1, (a, b, o.junctions)
+                assert o.vertices is o.vertices  # a view, built once
+                d = math.lcm(*(den for _, _, den in o.junctions))
+                assert d == math.lcm(*(c.denominator for v in o.vertices for c in v)), (a, b)
+                assert approx_boundary(o, 1).scale == d * b, (a, b)
 
     def test_views_are_built_once(self):
         ap = approx_boundary(ordered(4, 5), 3)

@@ -1,11 +1,13 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiletopo import Address, TileParams, WrongRegime, point_eval
 from tiletopo.errors import LengthMismatch
-from tiletopo.linalg import mat_vec
 from tiletopo.neighbors import (
     _candidate_ball,
     certified_series_bound,
@@ -16,7 +18,8 @@ from tiletopo.neighbors import (
     subdivision_intersects,
 )
 
-from reference import adjacent_singleton_point
+from conftest import pairs
+from reference import adjacent_singleton_point, mat_inv, mat_vec
 
 
 class TestFormula:
@@ -81,7 +84,7 @@ class TestSearch:
                 w_inv, bound = certified_series_bound(p)
                 columns, col = [], (Fraction(1), Fraction(0))
                 for _ in range(12):
-                    col = mat_vec(p.matrix_inv, col)
+                    col = mat_vec(mat_inv(p.matrix), col)
                     columns.append(col)
                 top = b - 1
                 digit_runs = [[(-1) ** i * top for i in range(12)], [(-1) ** (i + 1) * top for i in range(12)]]
@@ -117,6 +120,50 @@ class TestSearchGrid:
 
     def test_ball_is_small_at_50_50(self):
         assert len(_candidate_ball(TileParams(50, 50))) < 1000
+
+    def test_ball_golden_digest(self):
+        # sha256 of the sorted certified ball over all 1,323 pairs
+        # 0 <= A <= B <= 50, recorded with the Fraction bound and slab cuts
+        # that the integer ones replaced
+        h = hashlib.sha256()
+        for b in range(2, 51):
+            for a in range(0, b + 1):
+                h.update(repr(sorted(_candidate_ball(TileParams(a, b)))).encode())
+        assert h.hexdigest() == (
+            "a133147982320990ed010011b12169dfec5876cd00e62b451ed9c8e39cd23058"
+        )
+
+
+class TestDrawnPairs:
+    """The certified bound and the search on drawn pairs up to B = 200,
+    past the fixed grids' B = 20 and B = 50."""
+
+    @given(pairs(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_certified_bound_dominates_sampled_series(self, p, data):
+        r, c = certified_series_bound(p)
+        assert all(type(x) is int for x in (c, *r[0], *r[1])) and c > 0
+        # 12-term series with extreme digits: the two alternating ones, which
+        # push along the eigenvalue near -1 when A ~ B, and drawn ones
+        top = p.b - 1
+        extreme = st.sampled_from((-top, 0, top))
+        runs = [[(-1) ** i * top for i in range(12)], [(-1) ** (i + 1) * top for i in range(12)]]
+        runs += data.draw(st.lists(st.lists(extreme, min_size=12, max_size=12), max_size=8))
+        minv = mat_inv(p.matrix)
+        columns, col = [], (Fraction(1), Fraction(0))
+        for _ in range(12):
+            col = mat_vec(minv, col)
+            columns.append(col)
+        for run in runs:
+            s = (sum(d * x for d, (x, _) in zip(run, columns)),
+                 sum(d * y for d, (_, y) in zip(run, columns)))
+            t = mat_vec(r, s)
+            assert max(abs(t[0]), abs(t[1])) <= c, (p, run)
+
+    @given(pairs(min_b=51))
+    @settings(max_examples=40, deadline=None)
+    def test_search_matches_formula(self, p):
+        assert neighbor_set_search(p).members == neighbor_set_formula(p).members
 
 
 class TestSubdivision:

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tiletopo import (
@@ -20,11 +20,19 @@ from tiletopo import (
     parse_address,
     point_eval,
 )
-from tiletopo.linalg import IDENTITY, mat_mul, mat_pow, mat_vec, solve2
 from tiletopo.numsys import periodic_tail_scaled
 
-from conftest import close, random_address, series_value
-from reference import periodic_tail_value, prepend_digits
+from conftest import close, pairs, random_address, series_value
+from reference import (
+    IDENTITY,
+    mat_inv,
+    mat_mul,
+    mat_pow,
+    mat_vec,
+    periodic_tail_value,
+    prepend_digits,
+    solve2,
+)
 
 
 class TestNormalize:
@@ -55,8 +63,6 @@ class TestNormalize:
         assert (params.a, params.b) == (2, 2)
         assert record.basis_change == ((0, -2), (1, -2))
         c = record.basis_change
-        from tiletopo.linalg import mat_inv
-
         assert mat_mul(mat_inv(c), mat_mul(raw.m0, c)) == ((0, -2), (1, -2))
 
     def test_digit_images(self):
@@ -138,7 +144,7 @@ class TestPointEval:
 def fraction_point_eval(addr, params):
     """The Fraction evaluation the integer one replaced: M^-1 as a Fraction
     matrix, applied once per preperiod digit."""
-    m, minv = params.matrix, params.matrix_inv
+    m, minv = params.matrix, mat_inv(params.matrix)
     val = (Fraction(0), Fraction(0))
     for d in addr.integer_part:
         val = mat_vec(m, val)
@@ -185,6 +191,68 @@ class TestPointEvalReference:
         monkeypatch.setattr("tiletopo.numsys.periodic_tail_scaled", no_arithmetic)
         with pytest.raises(ValueError, match="out of range for B=5"):
             point_eval(addr, TileParams(4, 5))
+
+
+@st.composite
+def pairs_and_addresses(draw):
+    params = draw(pairs())
+    digits = st.integers(0, params.b - 1)
+    addr = Address(
+        tuple(draw(st.lists(digits, max_size=3))),
+        tuple(draw(st.lists(digits, max_size=8))),
+        tuple(draw(st.lists(digits, min_size=1, max_size=5))),
+    )
+    return params, addr
+
+
+class TestDrawnOracles:
+    """The integer cores against their Fraction oracles, on drawn pairs up to
+    B = 200 and drawn eventually periodic addresses."""
+
+    @given(pairs_and_addresses())
+    @settings(max_examples=100, deadline=None)
+    def test_point_eval(self, case):
+        params, addr = case
+        value = point_eval(addr, params)
+        assert all(type(c) is Fraction for c in value)
+        assert value == fraction_point_eval(addr, params)
+
+    @given(pairs_and_addresses(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_apply_contraction(self, case, data):
+        params, addr = case
+        digit = data.draw(st.integers(0, params.b - 1))
+        p = point_eval(addr, params)
+        got = apply_contraction(digit, p, params)
+        assert all(type(c) is Fraction for c in got)
+        assert got == mat_vec(mat_inv(params.matrix), (p[0] + digit, p[1]))
+
+    @given(
+        m0=st.tuples(*[st.integers(-12, 12)] * 4).map(lambda e: ((e[0], e[1]), (e[2], e[3]))),
+        v=st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_normalize(self, m0, v):
+        raw = RawInstance(m0, v)
+        try:
+            raw.validate()
+        except (BadDeterminant, NotExpanding, DegenerateBasis):
+            assume(False)
+        params, record = normalize(raw)
+        a, b = raw.char_pair()
+        assert (params.a, params.b, params.reflected) == (abs(a), b, a < 0)
+        c = record.basis_change
+        assert c == ((v[0], mat_vec(m0, v)[0]), (v[1], mat_vec(m0, v)[1]))
+        assert mat_mul(mat_inv(c), mat_mul(m0, c)) == ((0, -b), (1, -a))
+        if a >= 0:
+            assert record.reflection == IDENTITY
+            assert record.translation == (0, 0)
+        else:
+            m2 = ((0, -b), (1, -a))
+            sq = mat_mul(m2, m2)
+            lhs = ((sq[0][0] - 1, sq[0][1]), (sq[1][0], sq[1][1] - 1))
+            assert record.translation == solve2(lhs, mat_vec(m2, (b - 1, 0)))
+            assert all(type(c) is Fraction for c in record.translation)
 
 
 class TestFlip:

@@ -71,7 +71,7 @@ def _exported(tree: ast.Module) -> set[str]:
 
 def test_no_unused_module_imports():
     # a name counts as used when it is read as a name (which covers the
-    # base of an attribute chain such as linalg.mat_vec) or listed in __all__
+    # base of an attribute chain such as math.lcm) or listed in __all__
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
