@@ -9,9 +9,14 @@ states plus a difference state confined to S u {0}.
 Run counting needs deterministic languages: distinct runs must mean distinct
 digit sequences, not distinct resolutions of nondeterminism.  So a language
 becomes a ``DigitDFA`` once, where it is built, and the product only checks
-the type.  ``nfa_determinize`` runs the subset construction on any language
-not built as a DFA, numbering the subsets as it finds them; no output prints
-those numbers.
+the type.  ``determinize_starts`` is the one subset construction: it reads
+one transition table from several start sets, merges each subset's row once
+and numbers each DFA's subsets as it finds them; no output prints those
+numbers.
+
+A ``ProductMoves`` table holds the difference moves over S u {0}.  A product
+builds one per call unless it is handed one: the cells of a chain matrix
+share one, and a cell whose initial state has no move builds no product.
 
 The classifier distinguishes EMPTY, UNIQUE_POINT, FINITE_POINTS (finitely
 many runs, deduplicated by exact value) and BRANCHING (a state on or after a
@@ -133,33 +138,43 @@ def nfa_accepts_address(nfa: DigitNFA, addr: Address) -> bool:
     return any((q, 0) in alive for q in nfa.initials)
 
 
-def nfa_determinize(nfa: DigitNFA) -> DigitDFA:
-    """The language as a DFA.  A DFA comes back unchanged; any other NFA goes
-    through the subset construction.  Its states are the ints 0, 1, 2, ...
-    in breadth-first discovery order, digits ascending, the initial subset
-    being 0, so the numbering does not depend on how the NFA names its
-    states.  A subset's row merges its members' digit rows, and each
+def determinize_starts(
+    trans: Mapping[State, Mapping[int, tuple[State, ...]]],
+    starts: Iterable[Iterable[State]],
+) -> list[DigitDFA]:
+    """The subset construction over one transition table, one DFA for each
+    set of initial states.  Each DFA's states are the ints 0, 1, 2, ... in
+    breadth-first discovery order, digits ascending, the initial subset being
+    0, so the numbering depends neither on how the NFA names its states nor
+    on the other start sets.  A subset's row merges its members' digit rows
+    once per call: every start set that reaches the subset reuses it.  Each
     frozenset is interned once."""
-    if isinstance(nfa, DigitDFA):
-        return nfa
-    subsets = [frozenset(nfa.initials)]
-    number = {subsets[0]: 0}
-    trans: dict[State, dict[int, tuple[State, ...]]] = {}
-    for k, subset in enumerate(subsets):  # the list grows as subsets are found
-        merged: dict[int, set[State]] = {}
-        for q in subset:
-            for d, targets in nfa.trans.get(q, {}).items():
-                merged.setdefault(d, set()).update(targets)
-        row: dict[int, tuple[State, ...]] = {}
-        for d in sorted(merged):
-            if merged[d]:
-                target = frozenset(merged[d])
-                if target not in number:
-                    number[target] = len(subsets)
+    merged_rows: dict[frozenset, list[tuple[int, frozenset]]] = {}
+    dfas = []
+    for initials in starts:
+        subsets = [frozenset(initials)]
+        number = {subsets[0]: (0,)}  # a subset's target tuple, shared by its rows
+        dfa: dict[State, dict[int, tuple[State, ...]]] = {}
+        for k, subset in enumerate(subsets):  # the list grows as subsets are found
+            merged_row = merged_rows.get(subset)
+            if merged_row is None:
+                merged: dict[int, set[State]] = {}
+                for q in subset:
+                    for d, targets in trans.get(q, {}).items():
+                        merged.setdefault(d, set()).update(targets)
+                merged_row = merged_rows[subset] = [
+                    (d, frozenset(merged[d])) for d in sorted(merged) if merged[d]
+                ]
+            row: dict[int, tuple[State, ...]] = {}
+            for d, target in merged_row:
+                ref = number.get(target)
+                if ref is None:
+                    ref = number[target] = (len(subsets),)
                     subsets.append(target)
-                row[d] = (number[target],)
-        trans[k] = row
-    return DigitDFA((0,), trans)
+                row[d] = ref
+            dfa[k] = row
+        dfas.append(DigitDFA((0,), dfa))
+    return dfas
 
 
 def live_nodes(succ: Mapping[State, Collection[State]]) -> set[State]:
@@ -229,6 +244,58 @@ class IntersectionAutomaton:
         }
 
 
+class ProductMoves:
+    """The moves of a product's difference state over S u {0}, for one
+    neighbor set and parameter pair.
+
+    A digit pair (a, a') moves the difference delta to M delta + (a - a', 0),
+    which must stay in S u {0}.  With (mx, my) = M delta, the moves from delta
+    are the s in S u {0} with s_y = my and |s_x - mx| <= B - 1, at digit
+    difference d = s_x - mx.  They are found by matching second coordinates
+    and kept for each difference reached, so the products that share a table
+    (the cells of one chain matrix) find each difference's moves once."""
+
+    def __init__(self, sset: Collection[IntVec], params: TileParams) -> None:
+        self.params = params
+        self.allowed = frozenset(sset) | {(0, 0)}
+        self._by_y: dict[int, list[IntVec]] = {}
+        for s in self.allowed:
+            self._by_y.setdefault(s[1], []).append(s)
+        self._steps: dict[IntVec, list[tuple[int, IntVec]]] = {}
+
+    def steps(self, delta: IntVec) -> list[tuple[int, IntVec]]:
+        """The pairs (d, s): digit difference d moves delta to s."""
+        steps = self._steps.get(delta)
+        if steps is None:
+            (m00, m01), (m10, m11) = self.params.matrix
+            mx = m00 * delta[0] + m01 * delta[1]
+            my = m10 * delta[0] + m11 * delta[1]
+            steps = self._steps[delta] = [
+                (s[0] - mx, s) for s in self._by_y.get(my, ()) if abs(s[0] - mx) < self.params.b
+            ]
+        return steps
+
+    @staticmethod
+    def first_digits(lang: DigitDFA) -> frozenset[int]:
+        """The digits on which the language's initial state has a target."""
+        _require_dfa(lang)
+        return frozenset(d for d, targets in lang.trans.get(lang.initials[0], {}).items() if targets)
+
+    def partners(self, left_digits: frozenset[int]) -> frozenset[int]:
+        """The first digits of the right languages that a left language
+        starting with ``left_digits`` can pair with from difference 0.  A
+        product whose right language starts with none of them has no edge out
+        of its initial state, which is the test its first expansion makes,
+        and is EMPTY."""
+        return frozenset(a - d for a in left_digits for d, _ in self.steps((0, 0)))
+
+
+def _require_dfa(*langs: DigitNFA) -> None:
+    for lang in langs:
+        if not isinstance(lang, DigitDFA):
+            raise TypeError("product_intersection takes DigitDFA languages")
+
+
 def product_intersection(
     left: DigitDFA,
     right: DigitDFA,
@@ -236,6 +303,7 @@ def product_intersection(
     params: TileParams,
     initial_diff: IntVec = (0, 0),
     max_runs: int = 20000,
+    moves: ProductMoves | None = None,
 ) -> IntersectionAutomaton:
     """Decide which points the two languages share, as sets of values.
 
@@ -243,30 +311,21 @@ def product_intersection(
     digit sequences.  The difference state starts at ``initial_diff`` c, and
     an accepted pair (x, y) satisfies value(x) = value(y) - c.
 
-    A digit pair (a, a') moves the difference delta to M delta + (a - a', 0),
-    which must stay in S u {0}.  With (mx, my) = M delta, the moves from delta
-    are the s in S u {0} with s_y = my and |s_x - mx| <= B - 1, at digit
-    difference d = s_x - mx.  They are found by matching second coordinates,
-    once per call for each difference the product reaches.  A state pairs
-    each digit a of its left row with each move, and a meets only a - d on
-    the right.
+    The difference moves come from ``moves``, a ``ProductMoves`` table of the
+    same ``sset`` and ``params`` shared with other products, or from a table
+    built for this call.  A state pairs each digit a of its left row with
+    each move from its difference, and a meets only a - d on the right.
     """
-    if not (isinstance(left, DigitDFA) and isinstance(right, DigitDFA)):
-        raise TypeError("product_intersection takes DigitDFA languages")
-    b = params.b
-    (m00, m01), (m10, m11) = params.matrix
-    allowed = frozenset(sset) | {(0, 0)}
-    if initial_diff not in allowed:
+    _require_dfa(left, right)
+    if moves is None:
+        moves = ProductMoves(sset, params)
+    if initial_diff not in moves.allowed:
         return IntersectionAutomaton(params, (), {}, set(), EMPTY)
-
-    by_y: dict[int, list[IntVec]] = {}
-    for s in allowed:
-        by_y.setdefault(s[1], []).append(s)
-    moves: dict[IntVec, list[tuple[int, IntVec]]] = {}
 
     initials = tuple(
         (p, q, initial_diff) for p in left.initials for q in right.initials
     )
+    known = moves._steps  # looked up once per state; misses go through moves.steps
     trans: dict[State, list[tuple[int, int, State]]] = {}
     seen: set[State] = set(initials)
     frontier: list[State] = list(initials)
@@ -276,13 +335,9 @@ def product_intersection(
         edges: list[tuple[int, int, State]] = []
         lrow = left.trans.get(p, {})
         rrow = right.trans.get(q, {})
-        steps = moves.get(delta)
+        steps = known.get(delta)
         if steps is None:
-            mx = m00 * delta[0] + m01 * delta[1]
-            my = m10 * delta[0] + m11 * delta[1]
-            steps = moves[delta] = [
-                (s[0] - mx, s) for s in by_y.get(my, ()) if abs(s[0] - mx) < b
-            ]
+            steps = moves.steps(delta)
         pairs = [(a, a - d, nd) for a in lrow for d, nd in steps if a - d in rrow]
         for a, ap, nd in pairs:
             for pt in lrow[a]:

@@ -8,8 +8,11 @@ disjoint.  Additional arcs gamma_i, obtained by substituting the leading
 digit, pass through the interior contact points.  Everything here is decided
 mechanically: each curve language is a lexicographic walk interval, read by
 one automaton whose states pair the contact state with how far the walk
-still follows each bound, and intersections run through the exact product
-automaton.  The circular chain's report is the one chain report: the open
+still follows each bound, and the B languages of a setup come out of one
+subset construction.  Intersections run through the exact product
+automaton; the cells of a chain matrix share one move table, and a cell
+whose product has no move out of its initial state is EMPTY without being
+built.  The circular chain's report is the one chain report: the open
 chain alpha_1..alpha_B is read off it, since its expected pattern is the
 circular one restricted to the unprimed curves.
 """
@@ -25,8 +28,10 @@ from .automata import (
     UNIQUE_POINT,
     DigitDFA,
     DigitNFA,
+    IntersectionAutomaton,
+    ProductMoves,
+    determinize_starts,
     nfa_accepts_address,
-    nfa_determinize,
     nfa_flip,
     nfa_remap_first_digit,
     nfa_union,
@@ -140,47 +145,60 @@ def alpha_calibration_rows(params: TileParams) -> list[tuple[Walk, Address]]:
 # lexicographic walk-interval languages
 
 
-def lex_interval_language(
-    ordered: OrderedContactGraph, lo: Walk, hi: Walk
-) -> DigitDFA:
-    """Digit language of all infinite walks w with lo <= w <= hi.
+def _follow(idx: int | None, letter: int, steps: list, wrap: int) -> int | None:
+    if idx is None or steps[idx][0] != letter:
+        return None
+    return idx + 1 if idx + 1 < len(steps) else wrap
 
-    A state (q, i, j) is the contact state q, with i the step of lo's
+
+def lex_interval_languages(
+    ordered: OrderedContactGraph, bounds: list[tuple[Walk, Walk]]
+) -> list[DigitDFA]:
+    """Digit language of all infinite walks w with lo <= w <= hi, for each
+    interval (lo, hi) of ``bounds``, by one subset construction.
+
+    A state (q, i, j, n) is the contact state q, with i the step of lo's
     unrolled walk while w still equals lo (None once w has gone above it),
     and j the same for hi.  While i is set no letter below lo's is allowed,
     and while j is set none above hi's; an index moves on only when w takes
-    the bound's own letter, and wraps at the cycle start."""
-    if walk_compare(lo, hi) > 0:
-        lo, hi = hi, lo
-    (lo_steps, lo_wrap), (hi_steps, hi_wrap) = ordered.walk_steps(lo), ordered.walk_steps(hi)
-
-    def follow(idx: int | None, letter: int, steps: list, wrap: int) -> int | None:
-        if idx is None or steps[idx][0] != letter:
-            return None
-        return idx + 1 if idx + 1 < len(steps) else wrap
-
-    initials = tuple(
-        (s, 0 if s == lo.start else None, 0 if s == hi.start else None)
-        for s in range(lo.start, hi.start + 1)
-    )
+    the bound's own letter, and wraps at the cycle start.  A state tracking
+    a bound belongs to the n-th interval.  The free states (q, None, None,
+    None) follow every out-edge of q in every interval, so their rows, and
+    the rows of the subsets made of them, are built once for all intervals."""
     trans: dict = {}
-    frontier = list(initials)
-    while frontier:
-        node = frontier.pop()
-        if node in trans:
-            continue
-        q, i, j = node
-        row: dict = {}
-        for k, e in enumerate(ordered.orders[q - 1], start=1):
-            if i is not None and k < lo_steps[i][0]:
+    starts = []
+    for n, (lo, hi) in enumerate(bounds):
+        if walk_compare(lo, hi) > 0:
+            lo, hi = hi, lo
+        (lo_steps, lo_wrap), (hi_steps, hi_wrap) = ordered.walk_steps(lo), ordered.walk_steps(hi)
+
+        def state(q: int, i: int | None, j: int | None) -> tuple:
+            return (q, i, j, None if i is None and j is None else n)
+
+        initials = tuple(
+            state(s, 0 if s == lo.start else None, 0 if s == hi.start else None)
+            for s in range(lo.start, hi.start + 1)
+        )
+        frontier = list(initials)
+        while frontier:
+            node = frontier.pop()
+            if node in trans:
                 continue
-            if j is not None and k > hi_steps[j][0]:
-                continue
-            target = (e[3], follow(i, k, lo_steps, lo_wrap), follow(j, k, hi_steps, hi_wrap))
-            row[e[1]] = row.get(e[1], ()) + (target,)
-            frontier.append(target)
-        trans[node] = row
-    return nfa_determinize(DigitNFA(initials, trans))
+            q, i, j, _ = node
+            row: dict = {}
+            for k, e in enumerate(ordered.orders[q - 1], start=1):
+                if i is not None and k < lo_steps[i][0]:
+                    continue
+                if j is not None and k > hi_steps[j][0]:
+                    continue
+                target = state(
+                    e[3], _follow(i, k, lo_steps, lo_wrap), _follow(j, k, hi_steps, hi_wrap)
+                )
+                row[e[1]] = row.get(e[1], ()) + (target,)
+                frontier.append(target)
+            trans[node] = row
+        starts.append(initials)
+    return determinize_starts(trans, starts)
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +257,10 @@ class ChainSetup:
 
 
 def alpha_curves(setup: ChainSetup) -> list[AlphaCurve]:
+    table = alpha_table(setup.params)
+    langs = lex_interval_languages(setup.ordered, table)
     out = []
-    for i, (s, t) in enumerate(alpha_table(setup.params), start=1):
-        lang = lex_interval_language(setup.ordered, s, t)
+    for i, ((s, t), lang) in enumerate(zip(table, langs), start=1):
         out.append(
             AlphaCurve(
                 i,
@@ -357,8 +376,7 @@ class ChainReport:
         return "\n".join(lines) + "\n"
 
 
-def _classify_cell(setup, lang1, lang2) -> dict:
-    res = product_intersection(lang1, lang2, setup.sset, setup.params)
+def _classify_cell(res: IntersectionAutomaton) -> dict:
     cell: dict = {"kind": res.kind}
     if res.kind in (UNIQUE_POINT, FINITE_POINTS):
         cell["value"] = res.points[0]
@@ -371,10 +389,21 @@ def _classify_cell(setup, lang1, lang2) -> dict:
 def _chain_matrix(
     setup: ChainSetup, labeled: list[tuple[str, DigitDFA]]
 ) -> dict[tuple[str, str], dict]:
+    """The cell of every pair of labeled languages, in pair order.  All
+    products share one move table; a pair whose product has no move out of
+    its initial state is EMPTY without being built."""
+    moves = ProductMoves(setup.sset, setup.params)
+    firsts = [moves.first_digits(lang) for _, lang in labeled]
     matrix: dict[tuple[str, str], dict] = {}
     for i, (l1, g1) in enumerate(labeled):
-        for l2, g2 in labeled[i + 1 :]:
-            matrix[(l1, l2)] = _classify_cell(setup, g1, g2)
+        partners = moves.partners(firsts[i])
+        for j in range(i + 1, len(labeled)):
+            l2, g2 = labeled[j]
+            if partners.isdisjoint(firsts[j]):
+                matrix[(l1, l2)] = {"kind": EMPTY}
+            else:
+                res = product_intersection(g1, g2, setup.sset, setup.params, moves=moves)
+                matrix[(l1, l2)] = _classify_cell(res)
     return matrix
 
 
@@ -386,9 +415,10 @@ def _check_cycle_pattern(
 ) -> ChainReport:
     report = ChainReport(setup.params, labels, matrix)
     n = len(labels)
+    position = {label: k for k, label in enumerate(labels)}
 
     def expected_adjacent(l1: str, l2: str) -> bool:
-        d = abs(labels.index(l1) - labels.index(l2))
+        d = abs(position[l1] - position[l2])
         return d == 1 or d == n - 1
 
     for (l1, l2), cell in matrix.items():
@@ -457,6 +487,10 @@ def gamma_arcs(setup: ChainSetup) -> list[GammaArc]:
         for addrs in expected_chain_junctions(params).values()
     }
     graph = setup.graph
+    endpoint_addresses = (
+        ("t", psi(curves[b - 2].t_walk, setup.ordered)),
+        ("s", psi(curves[b - 1].s_walk, setup.ordered)),
+    )
     arcs: list[GammaArc] = []
     for i in range(1, b - 1):
         lang = nfa_remap_first_digit(base, {b - 1: i})
@@ -466,8 +500,7 @@ def gamma_arcs(setup: ChainSetup) -> list[GammaArc]:
         through = point_eval(through_addr, params)
         if not nfa_accepts_address(lang, through_addr):
             raise ChainViolation(f"gamma_{i} misses its interior contact point")
-        for name, walk in (("t", curves[b - 2].t_walk), ("s", curves[b - 1].s_walk)):
-            addr = psi(walk, setup.ordered)
+        for name, addr in endpoint_addresses:
             mapped = Address(
                 (), (i,) + addr.preperiod[1:], addr.period
             ) if addr.preperiod else None

@@ -6,7 +6,12 @@ cross-check the certificates.  ``perron_data`` and ``walk_to_param`` here are
 the sums of ``FieldElement`` values that the package's integer forms
 replaced, kept as their oracle; ``segments_intersect`` is the scalar
 closed-segment test that the array signs of the simple-closed test replaced,
-kept as the oracle of its all-pairs checks.  The 2x2 ``Fraction`` matrix
+kept as the oracle of its all-pairs checks.  ``reference_chain_matrix`` is
+the chain matrix's per-pair loop, one product with a move table of its own
+for every cell, kept as the oracle of the shared-table matrix.
+``nfa_determinize`` and ``lex_interval_language`` are the one-language cases
+of the package's subset construction and walk-interval languages, which the
+package itself only runs for whole setups.  The 2x2 ``Fraction`` matrix
 helpers are the linear algebra the package's integer forms replaced; the
 tests use them to build M^{-1}, its powers and linear solves independently.
 pytest does not collect this
@@ -21,14 +26,23 @@ from functools import lru_cache
 
 from tiletopo.algebraic import FieldElement, dominant_root_field
 from tiletopo.automata import (
+    BRANCHING,
+    FINITE_POINTS,
+    UNIQUE_POINT,
     DigitDFA,
     DigitNFA,
     IntersectionAutomaton,
     State,
+    determinize_starts,
     live_nodes,
     product_intersection,
 )
-from tiletopo.chains import ChainReport, ChainSetup, circular_chain_report
+from tiletopo.chains import (
+    ChainReport,
+    ChainSetup,
+    circular_chain_report,
+    lex_interval_languages,
+)
 from tiletopo.contact import ContactGraph, OrderedContactGraph, PerronData, Walk
 from tiletopo.errors import (
     CertificateFailure,
@@ -369,7 +383,43 @@ def product_prefix_agreement(params: TileParams, depth: int = 4) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# one-language cases of the package's constructions
+
+
+def nfa_determinize(nfa: DigitNFA) -> DigitDFA:
+    """The language as a DFA: a DFA comes back unchanged, any other NFA is
+    the one-start case of the subset construction."""
+    if isinstance(nfa, DigitDFA):
+        return nfa
+    return determinize_starts(nfa.trans, [nfa.initials])[0]
+
+
+def lex_interval_language(ordered: OrderedContactGraph, lo: Walk, hi: Walk) -> DigitDFA:
+    """The walk-interval language of one interval."""
+    return lex_interval_languages(ordered, [(lo, hi)])[0]
+
+
+# ---------------------------------------------------------------------------
 # chain reports
+
+
+def reference_chain_matrix(
+    setup: ChainSetup, labeled: list[tuple[str, DigitDFA]]
+) -> dict[tuple[str, str], dict]:
+    """The chain matrix as first written: one ``product_intersection`` call,
+    with a move table of its own, for every pair of labeled languages."""
+    matrix: dict[tuple[str, str], dict] = {}
+    for i, (l1, g1) in enumerate(labeled):
+        for l2, g2 in labeled[i + 1 :]:
+            res = product_intersection(g1, g2, setup.sset, setup.params)
+            cell: dict = {"kind": res.kind}
+            if res.kind in (UNIQUE_POINT, FINITE_POINTS):
+                cell["value"] = res.points[0]
+                cell["addresses"] = [r.left for r in res.runs[:4]]
+            if res.kind == BRANCHING:
+                cell["witness"] = repr(res.branch_witness)
+            matrix[(l1, l2)] = cell
+    return matrix
 
 
 def chain_report(setup: ChainSetup) -> ChainReport:

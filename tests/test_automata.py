@@ -15,7 +15,6 @@ from tiletopo.automata import (
     _classify_product,
     DigitNFA,
     nfa_accepts_address,
-    nfa_determinize,
     nfa_flip,
     nfa_union,
     product_intersection,
@@ -28,7 +27,14 @@ from tiletopo.numsys import Address, point_eval
 from tiletopo.topology import build_d1_d2
 
 from conftest import random_address
-from reference import mat_vec, nfa_cylinder, nfa_full, nfa_prefixes, nfa_single_address
+from reference import (
+    mat_vec,
+    nfa_cylinder,
+    nfa_determinize,
+    nfa_full,
+    nfa_prefixes,
+    nfa_single_address,
+)
 
 
 def members(params):
@@ -109,12 +115,26 @@ class TestDeterminize:
             for start in range(1, 7)
         ]
         captured = []
+        real = chains.determinize_starts
 
-        def capture(nfa):
-            captured.append(nfa)
-            return nfa_determinize(nfa)
+        def capture(trans, starts):
+            # one NFA per curve: its start set and the states it reaches in
+            # the table that all curves of the setup share
+            starts = list(starts)
+            dfas = real(trans, starts)
+            for initials, dfa in zip(starts, dfas):
+                seen, frontier = set(initials), list(initials)
+                while frontier:
+                    for targets in trans.get(frontier.pop(), {}).values():
+                        new = set(targets) - seen
+                        seen |= new
+                        frontier.extend(new)
+                nfa = DigitNFA(tuple(initials), {q: trans[q] for q in seen if q in trans})
+                assert dfa.trans == nfa_determinize(nfa).trans
+                captured.append(nfa)
+            return dfas
 
-        monkeypatch.setattr(chains, "nfa_determinize", capture)
+        monkeypatch.setattr(chains, "determinize_starts", capture)
         for b in range(5, 14, 2):
             ChainSetup.build(TileParams((b + 3) // 2, b))
         assert len(captured) == 5 + 7 + 9 + 11 + 13

@@ -5,13 +5,17 @@ import pytest
 
 from tiletopo import TileParams, WrongRegime, parse_address, point_eval
 from tiletopo.automata import (
+    BRANCHING,
+    EMPTY,
     DigitNFA,
+    ProductMoves,
     live_nodes,
     nfa_accepts_address,
-    nfa_determinize,
+    nfa_flip,
 )
 from tiletopo.chains import (
     ChainSetup,
+    _chain_matrix,
     alpha_calibration_rows,
     alpha_curves,
     alpha_table,
@@ -19,7 +23,6 @@ from tiletopo.chains import (
     expected_chain_junctions,
     flipped_curves,
     gamma_arcs,
-    lex_interval_language,
     symmetry_and_junctions,
 )
 from tiletopo.contact import (
@@ -33,8 +36,11 @@ from tiletopo.contact import (
 
 from reference import (
     chain_report,
+    lex_interval_language,
+    nfa_determinize,
     nfa_prefixes,
     nfa_single_address,
+    reference_chain_matrix,
     verify_chain,
     verify_circular_chain,
 )
@@ -343,6 +349,59 @@ class TestChain:
 
     def test_5_7_chain(self):
         assert verify_chain(setup_for(5, 7)).ok
+
+
+class TestCurveLanguages:
+    def test_curve_dfa_golden_digest(self):
+        # sha256 of every alpha-curve and flipped-curve DFA (label, initial
+        # state, rows by state) of (A, 2A - 3) for odd B from 5 to 39,
+        # recorded when each curve ran a subset construction of its own
+        h = hashlib.sha256()
+        for b in range(5, 40, 2):
+            s = setup_for((b + 3) // 2, b)
+            for c in s.curves + flipped_curves(s, s.curves):
+                lang = c.language
+                h.update(repr((c.label, lang.initials, sorted(lang.trans.items()))).encode())
+        assert h.hexdigest() == (
+            "87d250bf525b3f93941759bdaf7c6442fc2bbb3927bc5865327c5a209c340bfa"
+        )
+
+
+class TestChainMatrix:
+    """The matrix with one move table and no product for a dead start is
+    the per-pair loop of ``reference_chain_matrix``: the same kinds, values,
+    addresses and witnesses, in the same key order."""
+
+    @pytest.mark.parametrize("b", range(5, 24, 2))
+    def test_chain_cells_match_reference(self, b):
+        s = setup_for((b + 3) // 2, b)
+        labeled = [(c.label, c.language) for c in s.curves + flipped_curves(s, s.curves)]
+        matrix = _chain_matrix(s, labeled)
+        assert list(matrix.items()) == list(reference_chain_matrix(s, labeled).items())
+
+    def test_several_first_digits_match_reference(self):
+        # every chain curve starts with one digit; the boundary pieces
+        # K_1..K_6 of (4,5) and their flips start with one to four, so some
+        # cells die at the start, some after a first step, some branch
+        s = setup_for(4, 5)
+        labeled = [(f"K{q}", nfa_determinize(s.graph.language(q))) for q in range(1, 7)]
+        labeled += [(f"{label}'", nfa_flip(lang, 5)) for label, lang in labeled]
+        matrix = _chain_matrix(s, labeled)
+        assert list(matrix.items()) == list(reference_chain_matrix(s, labeled).items())
+        moves = ProductMoves(s.sset, s.params)
+        firsts = {label: moves.first_digits(lang) for label, lang in labeled}
+        dead = [(l1, l2) for l1, l2 in matrix if moves.partners(firsts[l1]).isdisjoint(firsts[l2])]
+        assert dead and all(matrix[pair] == {"kind": EMPTY} for pair in dead)
+        assert any(cell["kind"] == EMPTY for pair, cell in matrix.items() if pair not in dead)
+        assert any(cell["kind"] == BRANCHING for cell in matrix.values())
+        assert max(len(f) for f in firsts.values()) > 1
+
+    def test_non_dfa_language_raises_even_when_every_cell_dies(self):
+        s = setup_for(4, 5)
+        nfa = DigitNFA((0, 1), {0: {0: (0,)}, 1: {0: (1,)}})
+        dfa = nfa_determinize(DigitNFA((0,), {0: {4: (0,)}}))
+        with pytest.raises(TypeError):
+            _chain_matrix(s, [("n", nfa), ("d", dfa)])
 
 
 class TestCircularChain:
