@@ -14,12 +14,17 @@ automaton; the cells of a chain matrix share one move table, and a cell
 whose product has no move out of its initial state is EMPTY without being
 built.  The circular chain's report is the one chain report: the open
 chain alpha_1..alpha_B is read off it, since its expected pattern is the
-circular one restricted to the unprimed curves.
+circular one restricted to the unprimed curves.  The expected junctions and
+the value of each junction address are computed once per setup, for the
+report and the gamma arcs alike.  The report's JSON is written directly in
+the fixed layout that ``json.dumps(..., indent=2, sort_keys=True)`` gives
+it, and its text grid reads each cell once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from .automata import (
     BRANCHING,
@@ -237,16 +242,24 @@ class GammaArc:
 @dataclass
 class ChainSetup:
     """Shared context for the chain checks of one parameter pair; the curves
-    alpha_1..alpha_B are built once, here."""
+    alpha_1..alpha_B, the expected junctions of the circular chain and the
+    value of each junction address are built once, here."""
 
     params: TileParams
     graph: ContactGraph
     ordered: OrderedContactGraph
     sset: frozenset
     curves: list[AlphaCurve] = field(init=False)
+    junctions: dict[tuple[str, str], list[Address]] = field(init=False)
+    junction_values: dict[tuple[str, str], list[RationalPoint]] = field(init=False)
 
     def __post_init__(self) -> None:
         self.curves = alpha_curves(self)
+        self.junctions = expected_chain_junctions(self.params)
+        self.junction_values = {
+            pair: [point_eval(ad, self.params) for ad in addrs]
+            for pair, addrs in self.junctions.items()
+        }
 
     @classmethod
     def build(cls, params: TileParams) -> "ChainSetup":
@@ -320,6 +333,19 @@ def expected_chain_junctions(params: TileParams) -> dict[tuple[str, str], list[A
 # ---------------------------------------------------------------------------
 # chain reports
 
+# a cell's mark in the text grid; any other kind is "?"
+_MARKS = {EMPTY: ".", UNIQUE_POINT: "1"}
+
+
+def _json_strings(items: list[str], indent: int) -> str:
+    """A list of strings as ``json.dumps(..., indent=2)`` writes it at
+    ``indent`` spaces."""
+    if not items:
+        return "[]"
+    inner = "\n" + " " * (indent + 2)
+    listing = ("," + inner).join(map(encode_basestring_ascii, items))
+    return f"[{inner}{listing}\n{' ' * indent}]"
+
 
 @dataclass
 class ChainReport:
@@ -335,39 +361,50 @@ class ChainReport:
     def entry(self, l1: str, l2: str) -> dict:
         return self.matrix.get((l1, l2)) or self.matrix[(l2, l1)]
 
-    def to_json(self) -> dict:
+    def json_text(self) -> str:
+        """The report document of ``verify-chains`` in the fixed layout of
+        ``json.dumps(doc, indent=2, sort_keys=True)``.  Every string goes
+        through the escaper that ``json.dumps`` uses, so a violation's text
+        is escaped byte for byte as there."""
         cells = []
         for (l1, l2), cell in sorted(self.matrix.items()):
-            row = {"pair": [l1, l2], "kind": cell["kind"]}
-            if "value" in cell:
-                row["value"] = [str(cell["value"][0]), str(cell["value"][1])]
+            fields = []
             if "addresses" in cell:
-                row["addresses"] = [str(ad) for ad in cell["addresses"]]
-            cells.append(row)
-        return {
-            "schema": "tiletopo/chain-report@1",
-            "params": {"A": self.params.a, "B": self.params.b},
-            "labels": self.labels,
-            "cells": cells,
-            "ok": self.ok,
-            "violations": self.violations,
-        }
+                fields.append(
+                    '"addresses": ' + _json_strings([str(ad) for ad in cell["addresses"]], 6)
+                )
+            fields.append('"kind": ' + encode_basestring_ascii(cell["kind"]))
+            fields.append('"pair": ' + _json_strings([l1, l2], 6))
+            if "value" in cell:
+                value = cell["value"]
+                fields.append('"value": ' + _json_strings([str(value[0]), str(value[1])], 6))
+            cells.append("    {\n      " + ",\n      ".join(fields) + "\n    }")
+        listing = "[\n" + ",\n".join(cells) + "\n  ]" if cells else "[]"
+        return (
+            f'{{\n  "cells": {listing},\n'
+            f'  "labels": {_json_strings(self.labels, 2)},\n'
+            f'  "ok": {"true" if self.ok else "false"},\n'
+            f'  "params": {{\n    "A": {self.params.a},\n    "B": {self.params.b}\n  }},\n'
+            f'  "schema": {encode_basestring_ascii("tiletopo/chain-report@1")},\n'
+            f'  "violations": {_json_strings(self.violations, 2)}\n}}'
+        )
 
     def to_text(self) -> str:
+        labels = self.labels
+        width = max(len(l) for l in labels) + 1
+        pad = {mark: f"{mark:>{width}}" for mark in "-.1?"}
+        position = {label: k for k, label in enumerate(labels)}
+        # one mark per cell, written at both of its places in the grid
+        grid = [[None] * len(labels) for _ in labels]
+        for k in range(len(labels)):
+            grid[k][k] = pad["-"]
+        for (l1, l2), cell in self.matrix.items():
+            i, j = position[l1], position[l2]
+            grid[i][j] = grid[j][i] = pad[_MARKS.get(cell["kind"], "?")]
         lines = [f"chain report (A={self.params.a}, B={self.params.b})"]
-        width = max(len(l) for l in self.labels) + 1
-        header = " " * width + " ".join(f"{l:>{width}}" for l in self.labels)
-        lines.append(header)
-        for l1 in self.labels:
-            row = [f"{l1:>{width}}"]
-            for l2 in self.labels:
-                if l1 == l2:
-                    row.append(f"{'-':>{width}}")
-                    continue
-                cell = self.entry(l1, l2)
-                mark = {"EMPTY": ".", "UNIQUE_POINT": "1"}.get(cell["kind"], "?")
-                row.append(f"{mark:>{width}}")
-            lines.append(" ".join(row))
+        lines.append(" " * width + " ".join(f"{l:>{width}}" for l in labels))
+        for label, row in zip(labels, grid):
+            lines.append(" ".join([f"{label:>{width}}", *row]))
         if self.violations:
             lines.append("violations:")
             lines.extend(f"  {v}" for v in self.violations)
@@ -408,10 +445,7 @@ def _chain_matrix(
 
 
 def _check_cycle_pattern(
-    setup: ChainSetup,
-    labels: list[str],
-    matrix: dict[tuple[str, str], dict],
-    junctions: dict[tuple[str, str], list[Address]],
+    setup: ChainSetup, labels: list[str], matrix: dict[tuple[str, str], dict]
 ) -> ChainReport:
     report = ChainReport(setup.params, labels, matrix)
     n = len(labels)
@@ -423,8 +457,8 @@ def _check_cycle_pattern(
 
     for (l1, l2), cell in matrix.items():
         if expected_adjacent(l1, l2):
-            key = (l1, l2) if (l1, l2) in junctions else (l2, l1)
-            expect = junctions.get(key)
+            key = (l1, l2) if (l1, l2) in setup.junctions else (l2, l1)
+            expect = setup.junctions.get(key)
             if cell["kind"] != UNIQUE_POINT:
                 report.violations.append(
                     f"{l1} & {l2}: expected UNIQUE_POINT, got {cell['kind']}"
@@ -433,17 +467,17 @@ def _check_cycle_pattern(
             if expect is None:
                 report.violations.append(f"{l1} & {l2}: no expected junction value")
                 continue
-            values = {point_eval(ad, setup.params) for ad in expect}
-            if len(values) != 1:
+            values = setup.junction_values[key]
+            if len(set(values)) != 1:
                 report.violations.append(
                     f"{l1} & {l2}: dual junction addresses disagree"
                 )
                 continue
             cell["addresses"] = expect
-            if cell["value"] != next(iter(values)):
+            if cell["value"] != values[0]:
                 report.violations.append(
                     f"{l1} & {l2}: junction value mismatch "
-                    f"(got {cell['value']}, want {next(iter(values))})"
+                    f"(got {cell['value']}, want {values[0]})"
                 )
         else:
             if cell["kind"] != EMPTY:
@@ -461,9 +495,8 @@ def circular_chain_report(setup: ChainSetup) -> ChainReport:
         (c.label, c.language) for c in flipped
     ]
     matrix = _chain_matrix(setup, labeled)
-    junctions = expected_chain_junctions(setup.params)
     labels = [l for l, _ in labeled]
-    return _check_cycle_pattern(setup, labels, matrix, junctions)
+    return _check_cycle_pattern(setup, labels, matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -482,14 +515,11 @@ def gamma_arcs(setup: ChainSetup) -> list[GammaArc]:
     a, b = params.a, params.b
     curves = setup.curves
     base = nfa_union([curves[b - 2].language, curves[b - 1].language])
-    junction_values = {
-        point_eval(addrs[0], params)
-        for addrs in expected_chain_junctions(params).values()
-    }
+    junction_values = {values[0] for values in setup.junction_values.values()}
     graph = setup.graph
     endpoint_addresses = (
-        ("t", psi(curves[b - 2].t_walk, setup.ordered)),
-        ("s", psi(curves[b - 1].s_walk, setup.ordered)),
+        ("t", curves[b - 2].endpoint_addresses[1]),
+        ("s", curves[b - 1].endpoint_addresses[0]),
     )
     arcs: list[GammaArc] = []
     for i in range(1, b - 1):

@@ -11,6 +11,7 @@ import json
 import os
 import re
 import sys
+from collections.abc import Callable
 from fractions import Fraction
 from pathlib import Path
 
@@ -94,19 +95,30 @@ def _params_from(args) -> TileParams:
     return TileParams(args.A, args.B)
 
 
-def _emit(args, payload: dict, text: str) -> None:
+def _dumps(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _emit(args, doc: dict | str | None, text: str) -> None:
+    """Print ``text``, or under --format json the document: a dict, which
+    is serialized here, or its JSON text (unread, and may be None, under
+    --format text)."""
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(doc if isinstance(doc, str) else _dumps(doc))
     else:
         print(text, end="" if text.endswith("\n") else "\n")
 
 
-def _write(args, name: str, content: str | dict) -> Path | None:
-    """Write a file under --out, if given; a dict is written as indented JSON."""
+def _document(args, make: Callable[[], str]) -> str | None:
+    """The JSON text ``make()`` if the command prints it or writes it under
+    --out, built once; otherwise None."""
+    return make() if args.format == "json" or args.out is not None else None
+
+
+def _write(args, name: str, content: str) -> Path | None:
+    """Write a file under --out, if given."""
     if args.out is None:
         return None
-    if isinstance(content, dict):
-        content = json.dumps(content, indent=2, sort_keys=True) + "\n"
     path = Path(args.out) / name
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -177,10 +189,10 @@ def _cmd_neighbors(args) -> int:
     if params.reflected:
         # mirror tile: neighbor vectors transform through the reflection
         sset = reflect_neighbor_set(sset)
-    payload = sset.to_json()
-    payload["reflected"] = params.reflected
-    text = "\n".join(f"({x}, {y})" for (x, y) in sset.sorted_members())
-    _emit(args, payload, text)
+    if args.format == "json":
+        print(sset.json_text(params.reflected))
+    else:
+        print("\n".join(f"({x}, {y})" for (x, y) in sset.sorted_members()))
     return 0
 
 
@@ -195,8 +207,7 @@ def _cmd_contact_graph(args) -> int:
         print(text, end="")
         _write(args, f"contact_A{params.a}_B{params.b}.dot", text)
     else:
-        payload = graph_to_json(graph, ordered)
-        text = json.dumps(payload, indent=2, sort_keys=True)
+        text = _dumps(graph_to_json(graph, ordered))
         print(text)
         _write(args, f"contact_A{params.a}_B{params.b}.json", text + "\n")
     return 0
@@ -257,13 +268,14 @@ def _cmd_cutpoint(args) -> int:
 
     params = _params_from(args)
     cert = verify_cut_point(params, depth=args.depth)
-    payload = cert.to_json()
+    doc = _document(args, lambda: _dumps(cert.to_json()))
     text = (
         f"cut point certified: z=0.{format_address(cert.address)} "
         f"value=({cert.value[0]}, {cert.value[1]})"
     )
-    _emit(args, payload, text)
-    _write(args, f"cutpoint_A{params.a}_B{params.b}.json", payload)
+    _emit(args, doc, text)
+    if doc is not None:
+        _write(args, f"cutpoint_A{params.a}_B{params.b}.json", doc + "\n")
     return 0
 
 
@@ -275,9 +287,13 @@ def _cmd_verify_chains(args) -> int:
     report = circular_chain_report(setup)
     gamma_arcs(setup)
     symmetry_and_junctions(params)
-    payload = report.to_json()
-    _emit(args, payload, report.to_text())
-    _write(args, f"chains_A{params.a}_B{params.b}.json", payload)
+    doc = _document(args, report.json_text)
+    if args.format == "json":
+        print(doc)
+    else:
+        print(report.to_text(), end="")
+    if doc is not None:
+        _write(args, f"chains_A{params.a}_B{params.b}.json", doc + "\n")
     if not report.ok:
         return 3
     return 0
@@ -331,8 +347,10 @@ def _cmd_sweep(args) -> int:
             f"{row['classification']}{z}"
         )
     text = "\n".join(lines) + "\n"
-    _emit(args, payload, text)
-    _write(args, "sweep.json", payload)
+    doc = _document(args, lambda: _dumps(payload))
+    _emit(args, doc, text)
+    if doc is not None:
+        _write(args, "sweep.json", doc + "\n")
     _write(args, "sweep.txt", text)
     return 0
 
@@ -347,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--matrix", type=_ints(4), help="m00,m01,m10,m11")
         p.add_argument("--v", type=_ints(2), help="vx,vy (default 1,0; with --matrix only)")
 
-    def formatted(p):  # only for the commands that print through _emit
+    def formatted(p):  # only for the commands that print text or JSON
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("normalize", help="reduce a raw instance to (A, B)")

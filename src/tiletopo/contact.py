@@ -120,7 +120,7 @@ class ContactGraph:
         return self._outs[i - 1]
 
     def has_edge(self, src: int, digit: int, dst: int) -> bool:
-        return any(e[0] == src and e[1] == digit and e[3] == dst for e in self.edges)
+        return any(e[1] == digit and e[3] == dst for e in self.out_edges(src))
 
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         return self._adjacency

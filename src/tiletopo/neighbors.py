@@ -15,9 +15,12 @@ difference series.  The entrywise supremum U over all series then satisfies
 U <= (I - P_k)^{-1} partial_k.  As N = B M^{-1} is an integer matrix,
 W^{-1} M^{-k} W = adj(W) N^k W / (det W B^k), and every quantity of the
 bound is an integer over a known denominator.  The integer points of the
-ball are listed row by row as x-intervals cut by floor division.  No
-floating point enters any decision; floats only suggest the basis W, whose
-bound is then certified in integers.
+ball are listed row by row as x-intervals cut by floor division, so the
+successors of a state in the ball are one range of one row.  No floating
+point enters any decision; floats only suggest the basis W, whose bound is
+then certified in integers.  The neighbor-set document is written directly
+in the fixed layout that ``json.dumps(..., indent=2, sort_keys=True)``
+gives it.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from .automata import live_nodes
 from .errors import CertificateFailure, LengthMismatch
@@ -50,13 +55,23 @@ class NeighborSet:
     def sorted_members(self) -> list[IntVec]:
         return sorted(self.members, key=lambda s: (s[1], s[0]))
 
-    def to_json(self) -> dict:
-        return {
-            "schema": "tiletopo/neighbor-set@1",
-            "count": len(self.members),
-            "j": self.j,
-            "members": [list(s) for s in self.sorted_members()],
-        }
+    def json_text(self, reflected: bool) -> str:
+        """The neighbor-set document of ``neighbors --format json``, which
+        notes whether the input was reflected, in the fixed layout of
+        ``json.dumps(doc, indent=2, sort_keys=True)``: every entry is an
+        int, and the schema is the one string."""
+        members = self.sorted_members()
+        items = ("    [\n      %d,\n      %d\n    ],\n" * len(members)) % tuple(
+            chain.from_iterable(members)
+        )
+        listing = f"[\n{items[:-2]}\n  ]" if members else "[]"
+        return (
+            f'{{\n  "count": {len(members)},\n'
+            f'  "j": {"null" if self.j is None else self.j},\n'
+            f'  "members": {listing},\n'
+            f'  "reflected": {"true" if reflected else "false"},\n'
+            f'  "schema": {encode_basestring_ascii("tiletopo/neighbor-set@1")}\n}}'
+        )
 
 
 def neighbor_vectors(params: TileParams, n: int) -> tuple[IntVec, IntVec]:
@@ -188,14 +203,27 @@ def neighbor_set_search(params: TileParams) -> NeighborSet:
     States outside the certified ball cannot be difference-representable, so
     restricting transitions to the ball and repeatedly deleting states with
     no remaining successor leaves exactly the representable vectors.  The
-    search gives no J; commands print the closed form's.
+    ball is read row by row: each of its rows is one x-interval (see
+    ``_candidate_ball``), so the successors (Ms)_x + d, |d| <= B-1, that lie
+    in the ball are one range of the row (Ms)_y.  The search gives no J;
+    commands print the closed form's.
     """
     a, b = params.a, params.b
-    ball = _candidate_ball(params)
+    xs: dict[int, list[int]] = {}
+    for x, y in _candidate_ball(params):
+        xs.setdefault(y, []).append(x)
+    rows = {y: (min(row), max(row)) for y, row in xs.items()}
     succ: dict[IntVec, list[IntVec]] = {}
-    for s in ball:
-        x, y = -b * s[1], s[0] - a * s[1]  # M s
-        succ[s] = [(x + d, y) for d in range(-(b - 1), b) if (x + d, y) in ball]
+    for y, (lo, hi) in rows.items():
+        mx = -b * y  # (Ms)_x along the whole row
+        for x in range(lo, hi + 1):
+            my = x - a * y
+            target = rows.get(my)
+            if target is None:
+                succ[(x, y)] = []
+                continue
+            first, last = max(target[0], mx - b + 1), min(target[1], mx + b - 1)
+            succ[(x, y)] = [(t, my) for t in range(first, last + 1)]
     alive = live_nodes(succ)
     alive.discard((0, 0))
     return NeighborSet(frozenset(alive), None)

@@ -11,7 +11,11 @@ the chain matrix's per-pair loop, one product with a move table of its own
 for every cell, kept as the oracle of the shared-table matrix.
 ``nfa_determinize`` and ``lex_interval_language`` are the one-language cases
 of the package's subset construction and walk-interval languages, which the
-package itself only runs for whole setups.  The 2x2 ``Fraction`` matrix
+package itself only runs for whole setups.  ``neighbor_set_to_json`` and
+``chain_report_to_json`` are the documents as dicts, which the package now
+writes in their fixed JSON layout; ``json.dumps`` of them is the writers'
+oracle.  ``chain_report_text`` is the text report with a lookup per ordered
+pair of labels, the oracle of the grid that reads each cell once.  The 2x2 ``Fraction`` matrix
 helpers are the linear algebra the package's integer forms replaced; the
 tests use them to build M^{-1}, its powers and linear solves independently.
 pytest does not collect this
@@ -54,6 +58,7 @@ from tiletopo.errors import (
 from tiletopo.geometry import Point
 from tiletopo.neighbors import (
     IntVec,
+    NeighborSet,
     _candidate_ball,
     neighbor_set_formula,
     subdivision_intersects,
@@ -298,6 +303,18 @@ def candidate_ball(params: TileParams) -> frozenset[IntVec]:
     return frozenset(_candidate_ball(params))
 
 
+def neighbor_set_to_json(sset: NeighborSet, reflected: bool) -> dict:
+    """The ``neighbors --format json`` document as a dict, for
+    ``json.dumps(..., indent=2, sort_keys=True)``."""
+    return {
+        "schema": "tiletopo/neighbor-set@1",
+        "count": len(sset.members),
+        "j": sset.j,
+        "members": [list(s) for s in sset.sorted_members()],
+        "reflected": reflected,
+    }
+
+
 def adjacent_singleton_point(
     u: DigitWord, v: DigitWord, params: TileParams
 ) -> tuple[Address, Address] | None:
@@ -420,6 +437,50 @@ def reference_chain_matrix(
                 cell["witness"] = repr(res.branch_witness)
             matrix[(l1, l2)] = cell
     return matrix
+
+
+def chain_report_to_json(report: ChainReport) -> dict:
+    """The chain report document as a dict, for ``json.dumps(...,
+    indent=2, sort_keys=True)``."""
+    cells = []
+    for (l1, l2), cell in sorted(report.matrix.items()):
+        row = {"pair": [l1, l2], "kind": cell["kind"]}
+        if "value" in cell:
+            row["value"] = [str(cell["value"][0]), str(cell["value"][1])]
+        if "addresses" in cell:
+            row["addresses"] = [str(ad) for ad in cell["addresses"]]
+        cells.append(row)
+    return {
+        "schema": "tiletopo/chain-report@1",
+        "params": {"A": report.params.a, "B": report.params.b},
+        "labels": report.labels,
+        "cells": cells,
+        "ok": report.ok,
+        "violations": report.violations,
+    }
+
+
+def chain_report_text(report: ChainReport) -> str:
+    """The text report as first written, one ``entry`` lookup for each
+    ordered pair of labels."""
+    lines = [f"chain report (A={report.params.a}, B={report.params.b})"]
+    width = max(len(l) for l in report.labels) + 1
+    lines.append(" " * width + " ".join(f"{l:>{width}}" for l in report.labels))
+    for l1 in report.labels:
+        row = [f"{l1:>{width}}"]
+        for l2 in report.labels:
+            if l1 == l2:
+                row.append(f"{'-':>{width}}")
+                continue
+            mark = {"EMPTY": ".", "UNIQUE_POINT": "1"}.get(report.entry(l1, l2)["kind"], "?")
+            row.append(f"{mark:>{width}}")
+        lines.append(" ".join(row))
+    if report.violations:
+        lines.append("violations:")
+        lines.extend(f"  {v}" for v in report.violations)
+    else:
+        lines.append("all pairs match the expected pattern")
+    return "\n".join(lines) + "\n"
 
 
 def chain_report(setup: ChainSetup) -> ChainReport:

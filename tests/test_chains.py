@@ -1,12 +1,17 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tiletopo import TileParams, WrongRegime, parse_address, point_eval
+from tiletopo import Address, TileParams, WrongRegime, chains, parse_address, point_eval
 from tiletopo.automata import (
     BRANCHING,
     EMPTY,
+    FINITE_POINTS,
+    UNIQUE_POINT,
     DigitNFA,
     ProductMoves,
     live_nodes,
@@ -14,6 +19,7 @@ from tiletopo.automata import (
     nfa_flip,
 )
 from tiletopo.chains import (
+    ChainReport,
     ChainSetup,
     _chain_matrix,
     alpha_calibration_rows,
@@ -36,6 +42,8 @@ from tiletopo.contact import (
 
 from reference import (
     chain_report,
+    chain_report_text,
+    chain_report_to_json,
     lex_interval_language,
     nfa_determinize,
     nfa_prefixes,
@@ -428,7 +436,7 @@ class TestCircularChain:
         h = hashlib.sha256()
         for b in range(5, 14, 2):
             report = circular_chain_report(setup_for((b + 3) // 2, b))
-            h.update(json.dumps(report.to_json(), indent=2, sort_keys=True).encode())
+            h.update(report.json_text().encode())
         assert h.hexdigest() == (
             "e3b885aa8a37b64d16ae59cb4bde94f4a40bcf0c7f3e0668ade9f8e47379c8ed"
         )
@@ -440,10 +448,21 @@ class TestCircularChain:
         h = hashlib.sha256()
         for b in range(5, 14, 2):
             report = chain_report(setup_for((b + 3) // 2, b))
-            h.update(json.dumps(report.to_json(), indent=2, sort_keys=True).encode())
+            h.update(report.json_text().encode())
         assert h.hexdigest() == (
             "a3b264b0eb402f55917ba53246c139b735dc3e1d96b59cbfc33c00b0f52a6e8d"
         )
+
+    def test_report_and_arcs_read_junction_values_off_the_setup(self, monkeypatch):
+        # the setup evaluates every junction address once; the report then
+        # evaluates none, and each arc only its two ends and interior point
+        s = setup_for(5, 7)
+        calls = []
+        monkeypatch.setattr(chains, "point_eval", lambda ad, p: calls.append(ad) or point_eval(ad, p))
+        assert circular_chain_report(s).ok
+        assert calls == []
+        gamma_arcs(s)
+        assert len(calls) == 3 * (7 - 2)
 
     def test_junction_statement_variants_agree(self):
         # the two equivalent spellings of the a_B n a_1' junction
@@ -482,6 +501,28 @@ class TestGamma:
             point_eval(parse_address("240(04)"), s.params),
         )
 
+    @pytest.mark.parametrize("a", [4, 5, 8])
+    def test_endpoint_walks_checked(self, monkeypatch, a):
+        # gamma_i holds 0.i(A-2)bar, then the end t of alpha_{B-1} and the
+        # start s of alpha_B with their leading digit replaced by i
+        b = 2 * a - 3
+        s = setup_for(a, b)
+        seen = []
+
+        def record(lang, addr):
+            seen.append(addr)
+            return nfa_accepts_address(lang, addr)
+
+        monkeypatch.setattr(chains, "nfa_accepts_address", record)
+        gamma_arcs(s)
+        table = alpha_table(s.params)
+        ends = [psi(table[b - 2][1], s.ordered), psi(table[b - 1][0], s.ordered)]
+        expected = []
+        for i in range(1, b - 1):
+            expected.append(Address((), (i,), (a - 2,)))
+            expected += [Address((), (i,) + e.preperiod[1:], e.period) for e in ends]
+        assert seen == expected
+
     def test_containment_fact_4_5(self):
         # i=2 > B-A=1, so 0.2[K2] sits inside K5, realized by the edge 5 -2-> 2
         s = setup_for(4, 5)
@@ -490,6 +531,47 @@ class TestGamma:
 
     def test_5_7(self):
         assert len(gamma_arcs(setup_for(5, 7))) == 5
+
+
+class TestReportWriters:
+    """The chain report's fixed-layout JSON against ``json.dumps`` of the
+    reference dict, and its text grid against the per-pair lookup."""
+
+    @staticmethod
+    def dumps(report):
+        return json.dumps(chain_report_to_json(report), indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("a", range(4, 14))
+    def test_circular_and_open_reports(self, a):
+        s = setup_for(a, 2 * a - 3)
+        for report in (circular_chain_report(s), chain_report(s)):
+            assert report.json_text() == self.dumps(report)
+            assert report.to_text() == chain_report_text(report)
+
+    def test_every_cell_shape(self):
+        cells = {
+            ("x", "y"): {"kind": BRANCHING, "witness": "w"},
+            ("x", "z"): {"kind": FINITE_POINTS, "value": (Fraction(1, 2), Fraction(-3)),
+                         "addresses": []},
+            ("y", "z"): {"kind": UNIQUE_POINT, "value": (Fraction(0), Fraction(5, 7)),
+                         "addresses": [parse_address("1(2)")]},
+        }
+        report = ChainReport(TileParams(4, 5), ["x", "y", "z"], cells, ["bad"])
+        assert report.json_text() == self.dumps(report)
+        assert report.to_text() == chain_report_text(report)
+        empty = ChainReport(TileParams(4, 5), [], {}, [])
+        assert empty.json_text() == self.dumps(empty)
+
+    # quotes, backslashes, control characters and non-ASCII, among drawn text
+    ESCAPED = '"\\/\b\f\n\r\t\x00\x1f\x7f\u2028é€😀'
+
+    @given(st.lists(st.text(st.sampled_from(ESCAPED) | st.characters()), max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_violation_text_escaped_as_json_dumps(self, violations):
+        base = circular_chain_report(setup_for(4, 5))
+        report = ChainReport(base.params, base.labels, base.matrix, violations)
+        assert report.json_text() == self.dumps(report)
+        assert report.to_text() == chain_report_text(report)
 
 
 class TestTheoremGrid:

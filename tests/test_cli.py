@@ -5,7 +5,10 @@ import sys
 
 import pytest
 
+from tiletopo import TileParams, chains, cli, neighbors
 from tiletopo.cli import main
+
+from reference import neighbor_set_to_json
 
 
 def run(capsys, *argv):
@@ -48,9 +51,19 @@ class TestNeighbors:
         assert code == 0
         assert json.loads(out)["count"] == 8
 
-    def test_check_disagreement_is_a_verification_failure(self, capsys, monkeypatch):
-        from tiletopo import neighbors
+    def test_reflected_json_is_the_reference_document(self, capsys):
+        # --matrix 0,-5,1,4 normalizes to (4, 5) with a reflection
+        code, out, _ = run(capsys, "neighbors", "--matrix", "0,-5,1,4", "--check", "--format", "json")
+        mirror = neighbors.reflect_neighbor_set(neighbors.neighbor_set_formula(TileParams(4, 5)))
+        assert code == 0
+        assert out == json.dumps(neighbor_set_to_json(mirror, True), indent=2, sort_keys=True) + "\n"
 
+    def test_text_builds_no_json(self, capsys, monkeypatch):
+        monkeypatch.setattr(neighbors.NeighborSet, "json_text", None)
+        code, out, _ = run(capsys, "neighbors", "--A", "0", "--B", "5")
+        assert code == 0 and out.splitlines()[0] == "(-1, -1)"
+
+    def test_check_disagreement_is_a_verification_failure(self, capsys, monkeypatch):
         search = neighbors.neighbor_set_search
 
         def drop_one(params):
@@ -176,6 +189,38 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.startswith("usage: ")
         assert err.splitlines()[-1].endswith("unrecognized arguments: --format json")
+
+
+class TestDocumentBuiltOnce:
+    """A command serializes its JSON document only when it prints or writes
+    it, and once when it does both."""
+
+    COMMANDS = [
+        (["cutpoint", "--A", "6", "--B", "7"], "cutpoint_A6_B7.json"),
+        (["sweep", "--Bmax", "4"], "sweep.json"),
+        (["verify-chains", "--A", "4", "--B", "5"], "chains_A4_B5.json"),
+    ]
+
+    @pytest.fixture
+    def serializations(self, monkeypatch):
+        calls = []
+        dumps, json_text = cli._dumps, chains.ChainReport.json_text
+        monkeypatch.setattr(cli, "_dumps", lambda doc: calls.append(doc) or dumps(doc))
+        monkeypatch.setattr(
+            chains.ChainReport, "json_text", lambda self: calls.append(self) or json_text(self)
+        )
+        return calls
+
+    @pytest.mark.parametrize("argv,name", COMMANDS, ids=["cutpoint", "sweep", "verify-chains"])
+    def test_printed_and_written(self, capsys, tmp_path, serializations, argv, name):
+        code, out, _ = run(capsys, *argv, "--format", "json", "--out", str(tmp_path))
+        assert code == 0 and len(serializations) == 1
+        assert (tmp_path / name).read_text(encoding="utf-8") == out
+
+    @pytest.mark.parametrize("argv,name", COMMANDS, ids=["cutpoint", "sweep", "verify-chains"])
+    def test_neither_printed_nor_written(self, capsys, serializations, argv, name):
+        code, _, _ = run(capsys, *argv)
+        assert code == 0 and serializations == []
 
 
 class TestContract:

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from tiletopo import Address, TileParams, WrongRegime, point_eval
 from tiletopo.errors import LengthMismatch
 from tiletopo.neighbors import (
+    NeighborSet,
     _candidate_ball,
     certified_series_bound,
     neighbor_set_formula,
@@ -19,7 +21,7 @@ from tiletopo.neighbors import (
 )
 
 from conftest import pairs
-from reference import adjacent_singleton_point, mat_inv, mat_vec
+from reference import adjacent_singleton_point, mat_inv, mat_vec, neighbor_set_to_json
 
 
 class TestFormula:
@@ -118,6 +120,16 @@ class TestSearchGrid:
         for b in range(2, 51):
             assert neighbor_set_search(TileParams(0, b)).members == units, b
 
+    def test_every_row_of_the_ball_is_one_interval(self):
+        # the search takes each state's successors as one range of a row
+        for b in range(2, 51):
+            for a in range(0, b + 1):
+                rows: dict = {}
+                for x, y in _candidate_ball(TileParams(a, b)):
+                    rows.setdefault(y, []).append(x)
+                for y, xs in rows.items():
+                    assert max(xs) - min(xs) + 1 == len(xs), (a, b, y)
+
     def test_ball_is_small_at_50_50(self):
         assert len(_candidate_ball(TileParams(50, 50))) < 1000
 
@@ -132,6 +144,32 @@ class TestSearchGrid:
         assert h.hexdigest() == (
             "a133147982320990ed010011b12169dfec5876cd00e62b451ed9c8e39cd23058"
         )
+
+
+class TestJsonText:
+    """The neighbor-set document in its fixed layout against ``json.dumps``
+    of the reference dict."""
+
+    @staticmethod
+    def dumps(sset, reflected):
+        return json.dumps(neighbor_set_to_json(sset, reflected), indent=2, sort_keys=True)
+
+    def test_every_pair_up_to_50_plain_and_reflected(self):
+        for b in range(2, 51):
+            for a in range(0, b + 1):
+                sset = neighbor_set_formula(TileParams(a, b))
+                mirror = reflect_neighbor_set(sset)
+                assert sset.json_text(False) == self.dumps(sset, False), (a, b)
+                assert mirror.json_text(True) == self.dumps(mirror, True), (a, b)
+
+    def test_a_zero_has_null_j(self):
+        sset = neighbor_set_formula(TileParams(0, 7))
+        assert '\n  "j": null,\n' in sset.json_text(False)
+        assert sset.json_text(False) == self.dumps(sset, False)
+
+    def test_empty_set(self):
+        empty = NeighborSet(frozenset(), 1)
+        assert empty.json_text(True) == self.dumps(empty, True)
 
 
 class TestDrawnPairs:
