@@ -9,8 +9,10 @@ cross-multiply the vectors, products are integer convolutions reduced by the
 monic minimal polynomial, and a quotient comes from the cofactors of the
 integer matrix of multiplication by the divisor (Cramer's rule).  Callers
 that sum many terms keep them as bare integer vectors over one denominator
-(``reduce`` and ``times_beta`` act on those) and build one element at the
-end with ``quotients``.
+(``reduce``, ``times_beta`` and ``sign_of`` act on those) and build one
+element at the end with ``quotients``.  The package computes Q(beta) that
+way throughout: it only builds and prints ``FieldElement`` values, and their
+arithmetic operators serve the library's callers and the tests' oracles.
 
 The isolating interval is kept as integer endpoints over one denominator.
 Sign determination evaluates the numerator vector over it by interval Horner

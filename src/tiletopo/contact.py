@@ -40,6 +40,11 @@ The Perron vector of the incidence matrix is solved on the 3x3 system that
 the digit flip (state i <-> i+3) folds the 6x6 one into, whose cofactors are
 integer polynomials in beta.  A walk's parameter is two integer Horner
 passes in Q(beta), over the prefix and over the period, and one division.
+The greedy walk of a parameter keeps its remainder as an integer vector
+over the one denominator of t and u: each step multiplies it by beta and
+subtracts the lengths before the chosen edge, so equal remainders are equal
+vectors and a dictionary lookup finds the cycle.  FieldElement values are
+built only at the ends: beta and u, a walk's parameter, and a rational t.
 
 The level-n boundary polygon, ``BoundaryApprox``, holds (m, 2) integer
 arrays over one common scale: int64 when the walk expansion's largest
@@ -684,6 +689,12 @@ def _cross(
     ]
 
 
+def _scaled_lengths(data: PerronData, den: int = 1) -> tuple[int, list[list[int]]]:
+    """D = lcm(den, the denominators of u) and the integer vectors D*u."""
+    d = math.lcm(den, *(x.den for x in data.u))
+    return d, [[c * (d // x.den) for c in x.num] for x in data.u]
+
+
 def walk_to_param(
     walk: Walk, data: PerronData, ordered: OrderedContactGraph
 ) -> FieldElement:
@@ -701,8 +712,7 @@ def walk_to_param(
     the one canonical form come at the end.
     """
     field = data.field
-    d = math.lcm(*(x.den for x in data.u))
-    u = [[c * (d // x.den) for c in x.num] for x in data.u]
+    d, u = _scaled_lengths(data)
     steps, k = ordered.walk_steps(walk)
     # a state's prefix sums stop at the largest letter the walk reads there:
     # a state has up to B out-edges, and the full sums made this function
@@ -740,48 +750,51 @@ def param_to_walk(
     max_steps: int = 2048,
 ) -> Walk:
     """Greedy subdivision walk of a parameter in [0, 1]; boundary parameters
-    resolve to the left interval's maximal walk."""
+    resolve to the left interval's maximal walk.
+
+    The remainder tau is kept as the integer vector D*tau over the one
+    denominator D of t and u.  The start state is the first whose running
+    sum of lengths reaches t.  Each step then reads beta*tau, whose
+    subintervals are the lengths u of the state's edges in order: the
+    chosen edge is the first whose running sum reaches beta*tau, or the
+    state's last edge, and the new tau is beta*tau less the lengths before
+    it.  As D is fixed, equal remainders are equal vectors, so the pair
+    (state, vector) detects the cycle.
+    """
     field = data.field
     if not isinstance(t, FieldElement):
         t = field.rational(t)
     where = f"(A,B)=({ordered.graph.params.a},{ordered.graph.params.b})"
-    if t.sign() < 0 or (t - field.one()).sign() > 0:
+    d, u = _scaled_lengths(data, t.den)
+    tau = [c * (d // t.den) for c in t.num]
+    if field.sign_of(tau) < 0 or field.sign_of([tau[0] - d, *tau[1:]]) > 0:
         raise OutOfRange(f"parameter t={t} must lie in [0, 1] for {where}")
-    beta = data.beta
 
-    # choose the start state: first i with t <= L_{i+1}
-    cum = field.zero()
+    # the start state: the first i with t <= u_1 + ... + u_i
     for state in range(1, 7):
-        nxt = cum + data.u[state - 1]
-        if (t - nxt).sign() <= 0:
+        rest = [x - y for x, y in zip(tau, u[state - 1])]
+        if field.sign_of(rest) <= 0:
             break
-        cum = nxt
+        tau = rest
     else:
         raise CertificateFailure("interval lengths do not add up to 1")
-    tau = t - cum
     start_state = state
-    beta_inv = beta.inverse()
     letters: list[int] = []
-    # field elements are canonical, so equal remainders are equal keys
-    seen: dict[tuple[int, FieldElement], int] = {}
+    seen: dict[tuple[int, tuple[int, ...]], int] = {}
     for step in range(max_steps):
-        key = (state, tau)
+        key = (state, tuple(tau))
         if key in seen:
             k = seen[key]
             return Walk(start_state, tuple(letters[:k]), tuple(letters[k:]))
         seen[key] = step
         order = ordered.orders[state - 1]
-        run = field.zero()
-        chosen = None
+        tau = field.times_beta(tau)
         for idx, e in enumerate(order, start=1):
-            nxt = run + data.u[e[3] - 1] * beta_inv
-            if (tau - nxt).sign() <= 0 or idx == len(order):
-                chosen = (idx, e, run)
+            rest = [x - y for x, y in zip(tau, u[e[3] - 1])]
+            if idx == len(order) or field.sign_of(rest) <= 0:
                 break
-            run = nxt
-        idx, e, low = chosen
+            tau = rest
         letters.append(idx)
-        tau = (tau - low) * beta
         state = e[3]
     raise NonPeriodicWalk(
         f"greedy expansion did not become periodic within {max_steps} steps for {where}"

@@ -39,8 +39,9 @@ class NoConsistentOrdering(TileError):
 
 
 class NonPeriodicWalk(TileError):
-    """Parameter whose greedy walk never becomes periodic; outside the exact
-    domain supported here."""
+    """Parameter whose greedy walk has not become periodic within the step
+    limit (``max_steps``); such a walk may never become periodic, and lies
+    outside the exact domain supported here."""
 
 
 class CertificateFailure(TileError):

@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
@@ -234,12 +233,6 @@ def reflect_neighbor_set(sset: NeighborSet) -> NeighborSet:
     return NeighborSet(frozenset((x, -y) for (x, y) in sset.members), sset.j)
 
 
-@lru_cache(maxsize=256)
-def neighbor_members(params: TileParams) -> frozenset[IntVec]:
-    """Cached membership set of the closed-form neighbor set."""
-    return neighbor_set_formula(params).members
-
-
 def subdivision_diff(u: DigitWord, v: DigitWord, params: TileParams) -> IntVec:
     """The integer vector sum_i M^(m-i) (u_i - v_i, 0) separating two
     depth-m cylinders."""
@@ -252,11 +245,3 @@ def subdivision_diff(u: DigitWord, v: DigitWord, params: TileParams) -> IntVec:
         params.check_digit(dv)
         x, y = -b * y + du - dv, x - a * y
     return (x, y)
-
-
-def subdivision_intersects(u: DigitWord, v: DigitWord, params: TileParams) -> bool:
-    """Decide T_u meets T_v: the separating vector must be 0 or a neighbor."""
-    s = subdivision_diff(u, v, params)
-    if s == (0, 0):
-        return True
-    return s in neighbor_members(params)

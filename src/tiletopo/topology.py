@@ -17,7 +17,7 @@ from enum import Enum
 
 from .automata import UNIQUE_POINT, DigitDFA, IntersectionAutomaton, product_intersection
 from .errors import CertificateFailure, OutOfRange, WrongRegime
-from .neighbors import neighbor_set_formula, subdivision_intersects
+from .neighbors import neighbor_set_formula, subdivision_diff
 from .numsys import Address, RationalPoint, TileParams, alt_flip, point_eval
 
 
@@ -144,7 +144,8 @@ def verify_cut_point(params: TileParams, depth: int = 12) -> CutPointCertificate
     d1, d2 = build_d1_d2(params)
     if not union_is_universal(d1, d2, params):
         raise CertificateFailure("the two halves do not cover the digit space")
-    res = product_intersection(d1, d2, neighbor_set_formula(params).members, params)
+    members = neighbor_set_formula(params).members
+    res = product_intersection(d1, d2, members, params)
     if res.kind != UNIQUE_POINT:
         raise CertificateFailure(f"halves intersect with kind {res.kind}")
     addr = cut_point_address(params)
@@ -152,6 +153,9 @@ def verify_cut_point(params: TileParams, depth: int = 12) -> CutPointCertificate
     if res.points[0] != value:
         raise CertificateFailure("intersection value differs from the formula")
 
+    # two cylinders meet exactly when their separating vector is 0 or a
+    # neighbor
+    touching = members | {(0, 0)}
     frontier: dict = {}
     for init in res.initials:
         if init in res.live:
@@ -178,11 +182,11 @@ def verify_cut_point(params: TileParams, depth: int = 12) -> CutPointCertificate
                 f"cut point escapes its middle cylinder at depth {n}"
             )
         for side in (lo_word, hi_word):
-            if not subdivision_intersects(side, mid_word, params):
+            if subdivision_diff(side, mid_word, params) not in touching:
                 raise CertificateFailure(
                     f"side cylinder {side} loses contact with the middle one"
                 )
-        if subdivision_intersects(lo_word, hi_word, params):
+        if subdivision_diff(lo_word, hi_word, params) in touching:
             raise CertificateFailure(
                 "outer cylinders must not touch each other"
             )

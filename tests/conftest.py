@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 import random
 from fractions import Fraction
+from itertools import count
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from tiletopo import TileParams
+from tiletopo.contact import Walk
 from tiletopo.numsys import Address
 
 from reference import mat_inv, mat_vec
@@ -82,3 +84,23 @@ def pairs(draw, min_b=2, max_b=200):
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240817)
+
+
+def cyclic_walk(ordered, start: int, period: tuple[int, ...], pre: tuple[int, ...] = ()) -> Walk:
+    """The walk from ``start`` that reads ``pre`` once and then ``period``
+    over and over, a letter x taking edge 1 + (x - 1) mod the out-degree of
+    its state, cut where a (state, position in the period) pair repeats: an
+    eventually periodic walk on every ordered graph."""
+    letters, state, seen = [], start, {}
+    for n in count():
+        if n < len(pre):
+            x = pre[n]
+        else:
+            key = (state, (n - len(pre)) % len(period))
+            if key in seen:
+                k = seen[key]
+                return Walk(start, tuple(letters[:k]), tuple(letters[k:]))
+            seen[key] = n
+            x = period[key[1]]
+        letters.append(1 + (x - 1) % ordered.out_count(state))
+        state = ordered.edge_at(state, letters[-1])[3]

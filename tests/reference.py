@@ -2,9 +2,12 @@
 
 The package keeps what a command or the documented library reaches; the
 helpers here build test languages, evaluate addresses another way, and
-cross-check the certificates.  ``perron_data`` and ``walk_to_param`` here are
-the sums of ``FieldElement`` values that the package's integer forms
-replaced, kept as their oracle; ``segments_intersect`` is the scalar
+cross-check the certificates.  ``perron_data``, ``walk_to_param`` and the
+greedy ``param_to_walk`` here are the ``FieldElement`` arithmetic that the
+package's integer forms replaced, kept as their oracles.
+``subdivision_intersects`` is the cylinder-pair criterion that
+``verify_cut_point`` reads off the neighbor set it already holds; here it
+builds the closed form itself.  ``segments_intersect`` is the scalar
 closed-segment test that the array signs of the simple-closed test replaced,
 kept as the oracle of its all-pairs checks.  ``reference_chain_matrix`` is
 the chain matrix's per-pair loop, one product with a move table of its own
@@ -52,7 +55,9 @@ from tiletopo.errors import (
     CertificateFailure,
     ChainViolation,
     LengthMismatch,
+    NonPeriodicWalk,
     NotIrreducible,
+    OutOfRange,
     WrongRegime,
 )
 from tiletopo.geometry import Point
@@ -61,7 +66,7 @@ from tiletopo.neighbors import (
     NeighborSet,
     _candidate_ball,
     neighbor_set_formula,
-    subdivision_intersects,
+    subdivision_diff,
 )
 from tiletopo.numsys import (
     Address,
@@ -293,6 +298,61 @@ def walk_to_param(
     return t + scale * block * (field.one() - power).inverse()
 
 
+def param_to_walk(
+    t: FieldElement | Fraction | int,
+    data: PerronData,
+    ordered: OrderedContactGraph,
+    max_steps: int = 2048,
+) -> Walk:
+    """Greedy subdivision walk of a parameter in [0, 1]; boundary parameters
+    resolve to the left interval's maximal walk."""
+    field = data.field
+    if not isinstance(t, FieldElement):
+        t = field.rational(t)
+    where = f"(A,B)=({ordered.graph.params.a},{ordered.graph.params.b})"
+    if t.sign() < 0 or (t - field.one()).sign() > 0:
+        raise OutOfRange(f"parameter t={t} must lie in [0, 1] for {where}")
+    beta = data.beta
+
+    # choose the start state: first i with t <= L_{i+1}
+    cum = field.zero()
+    for state in range(1, 7):
+        nxt = cum + data.u[state - 1]
+        if (t - nxt).sign() <= 0:
+            break
+        cum = nxt
+    else:
+        raise CertificateFailure("interval lengths do not add up to 1")
+    tau = t - cum
+    start_state = state
+    beta_inv = beta.inverse()
+    letters: list[int] = []
+    # field elements are canonical, so equal remainders are equal keys
+    seen: dict[tuple[int, FieldElement], int] = {}
+    for step in range(max_steps):
+        key = (state, tau)
+        if key in seen:
+            k = seen[key]
+            return Walk(start_state, tuple(letters[:k]), tuple(letters[k:]))
+        seen[key] = step
+        order = ordered.orders[state - 1]
+        run = field.zero()
+        chosen = None
+        for idx, e in enumerate(order, start=1):
+            nxt = run + data.u[e[3] - 1] * beta_inv
+            if (tau - nxt).sign() <= 0 or idx == len(order):
+                chosen = (idx, e, run)
+                break
+            run = nxt
+        idx, e, low = chosen
+        letters.append(idx)
+        tau = (tau - low) * beta
+        state = e[3]
+    raise NonPeriodicWalk(
+        f"greedy expansion did not become periodic within {max_steps} steps for {where}"
+    )
+
+
 # ---------------------------------------------------------------------------
 # neighbors
 
@@ -301,6 +361,12 @@ def walk_to_param(
 def candidate_ball(params: TileParams) -> frozenset[IntVec]:
     """Cached certified ball of difference-representable integer vectors."""
     return frozenset(_candidate_ball(params))
+
+
+def subdivision_intersects(u: DigitWord, v: DigitWord, params: TileParams) -> bool:
+    """Decide T_u meets T_v: the separating vector must be 0 or a neighbor."""
+    s = subdivision_diff(u, v, params)
+    return s == (0, 0) or s in neighbor_set_formula(params).members
 
 
 def neighbor_set_to_json(sset: NeighborSet, reflected: bool) -> dict:

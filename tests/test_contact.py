@@ -5,6 +5,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractions import Fraction
 
@@ -35,8 +37,12 @@ from tiletopo.errors import (
     NoConsistentOrdering,
     NotIrreducible,
     OutOfRange,
+    TileError,
 )
 from tiletopo.geometry import polyline_hausdorff
+
+import reference
+from conftest import cyclic_walk
 
 
 def ordered(a, b):
@@ -100,8 +106,6 @@ def seeded_walk(o, start, rng):
 def matches_field_sums(a, b):
     """Perron data and the parameters of each state's minimal, maximal and
     seeded walk equal the FieldElement sums of ``reference``."""
-    import reference
-
     o = ordered_extension(build_contact_graph(TileParams(a, b)))
     pd, ref = perron_data(o.graph), reference.perron_data(o.graph)
     same = pd.field.minpoly == ref.field.minpoly and repr(pd.beta) == repr(ref.beta)
@@ -112,6 +116,15 @@ def matches_field_sums(a, b):
             t, want = walk_to_param(w, pd, o), reference.walk_to_param(w, ref, o)
             same = same and (t.num, t.den) == (want.num, want.den)
     return same
+
+
+def outcome(fn, *args, **kwargs):
+    """A call's result, or the type and message of the library error it
+    raised."""
+    try:
+        return fn(*args, **kwargs)
+    except TileError as exc:
+        return type(exc), str(exc)
 
 
 def phi_junction(i, phi, params):
@@ -750,6 +763,44 @@ class TestParametrization:
         w = param_to_walk(Fraction(1, 2), pd, o)
         assert w.start == 3
         assert boundary_point(Fraction(1, 2), pd, o) == o.vertex(4)
+
+    def test_greedy_walk_matches_field_oracle(self):
+        # the greedy walk on integer vectors against the FieldElement one it
+        # replaced: the same walk, or the same error and message, over the
+        # 77 pairs 1 <= A <= B <= 12
+        for b in range(2, 13):
+            for a in range(1, b + 1):
+                o = ordered(a, b)
+                pd = perron_data(o.graph)
+                probes = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2)]
+                for period, start in (((2,), 2), ((1, 3), 5), ((3, 1, 2), 1)):
+                    probes.append(walk_to_param(cyclic_walk(o, start, period), pd, o))
+                for t in probes:
+                    got = outcome(param_to_walk, t, pd, o)
+                    assert got == outcome(reference.param_to_walk, t, pd, o), (a, b, t)
+                for t in (Fraction(1, 3), Fraction(2, 7)):
+                    got = outcome(param_to_walk, t, pd, o, max_steps=40)
+                    want = outcome(reference.param_to_walk, t, pd, o, max_steps=40)
+                    assert got == want, (a, b, t)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_round_trip_matches_field_oracle(self, data):
+        # a walk's parameter comes back from its greedy walk, which is the
+        # FieldElement oracle's walk too
+        b = data.draw(st.integers(2, 60), label="B")
+        a = data.draw(st.integers(1, b), label="A")
+        letters = st.integers(1, 64)
+        start = data.draw(st.integers(1, 6), label="start")
+        pre = data.draw(st.lists(letters, max_size=4), label="pre")
+        period = data.draw(st.lists(letters, min_size=1, max_size=3), label="period")
+        o = ordered_extension(build_contact_graph(TileParams(a, b)))
+        pd = perron_data(o.graph)
+        t = walk_to_param(cyclic_walk(o, start, tuple(period), tuple(pre)), pd, o)
+        back = param_to_walk(t, pd, o)
+        assert back == reference.param_to_walk(t, pd, o)
+        got = walk_to_param(back, pd, o)
+        assert (got.num, got.den) == (t.num, t.den)
 
     def test_boundary_points_near_level_polygon(self):
         o = ordered(4, 5)

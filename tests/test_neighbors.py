@@ -17,11 +17,16 @@ from tiletopo.neighbors import (
     neighbor_set_search,
     reflect_neighbor_set,
     subdivision_diff,
-    subdivision_intersects,
 )
 
 from conftest import pairs
-from reference import adjacent_singleton_point, mat_inv, mat_vec, neighbor_set_to_json
+from reference import (
+    adjacent_singleton_point,
+    mat_inv,
+    mat_vec,
+    neighbor_set_to_json,
+    subdivision_intersects,
+)
 
 
 class TestFormula:

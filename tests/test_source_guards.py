@@ -47,6 +47,32 @@ def test_imports_are_stdlib_numpy_or_the_package():
     assert found == []
 
 
+def test_no_module_level_memos():
+    # the CLI runs one op per process, so a memo kept across calls can only
+    # pay inside one call, where a local value does the same; the benchmark
+    # would also have to reset each one between its in-process ops.
+    # Per-object cached_property views are allowed
+    memos = {"lru_cache", "cache"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found += [
+                    f"{path.name}:{node.lineno} {alias.name}"
+                    for alias in node.names
+                    if alias.name in memos
+                ]
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr in memos
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "functools"
+            ):
+                found.append(f"{path.name}:{node.lineno} functools.{node.attr}")
+    assert found == []
+
+
 def _module_imports(tree: ast.Module) -> dict[str, int]:
     """Names bound by the module-level imports, with their line numbers."""
     bound = {}
