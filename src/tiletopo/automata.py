@@ -80,23 +80,6 @@ def nfa_flip(nfa: DigitNFA, b: int) -> DigitNFA:
     return type(nfa)(nfa.initials, trans)
 
 
-def nfa_remap_first_digit(nfa: DigitNFA, mapping: Mapping[int, int]) -> DigitNFA:
-    """Substitute the leading digit through ``mapping`` (other first digits
-    are dropped); the tail language is unchanged."""
-    trans: dict[State, dict[int, tuple[State, ...]]] = dict(nfa.trans)
-    inits = []
-    for k, q in enumerate(nfa.initials):
-        wrapped: State = ("first", k)
-        row: dict[int, tuple[State, ...]] = {}
-        for d, targets in nfa.trans.get(q, {}).items():
-            if d in mapping:
-                row.setdefault(mapping[d], ())
-                row[mapping[d]] = row[mapping[d]] + targets
-        trans[wrapped] = row
-        inits.append(wrapped)
-    return DigitNFA(tuple(inits), trans)
-
-
 def nfa_union(nfas: Iterable[DigitNFA]) -> DigitNFA:
     """Disjoint union; the language is the union of languages."""
     trans: dict[State, dict[int, tuple[State, ...]]] = {}

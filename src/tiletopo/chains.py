@@ -4,8 +4,12 @@ The boundary parametrization cuts B curves alpha_1..alpha_B out of the
 bottom of the boundary (walk intervals listed in the endpoint table), their
 digit flips run along the top, and together they close into a circular chain:
 cyclically consecutive curves share exactly one point and all other pairs are
-disjoint.  Additional arcs gamma_i, obtained by substituting the leading
-digit, pass through the interior contact points.  Everything here is decided
+disjoint.  Additional arcs gamma_i = f_i f_{B-1}^{-1}(alpha_{B-1} u alpha_B),
+i = 1..B-2, pass through the interior contact points.  gamma_i is the union
+with its leading digit B-1 replaced by i, so 0.i w lies on gamma_i exactly
+when 0.(B-1) w lies on the union: the membership questions that every arc
+would repeat are asked once, of the union, and no arc has an automaton of
+its own.  Everything here is decided
 mechanically: each curve language is a lexicographic walk interval, read by
 one automaton whose states pair the contact state with how far the walk
 still follows each bound, and the B languages of a setup come out of one
@@ -32,13 +36,11 @@ from .automata import (
     FINITE_POINTS,
     UNIQUE_POINT,
     DigitDFA,
-    DigitNFA,
     IntersectionAutomaton,
     ProductMoves,
     determinize_starts,
     nfa_accepts_address,
     nfa_flip,
-    nfa_remap_first_digit,
     nfa_union,
     product_intersection,
 )
@@ -234,7 +236,6 @@ class FlippedCurve:
 class GammaArc:
     index: int
     label: str
-    language: DigitNFA
     endpoints: tuple[RationalPoint, RationalPoint]
     through: RationalPoint
 
@@ -504,38 +505,37 @@ def circular_chain_report(setup: ChainSetup) -> ChainReport:
 
 
 def gamma_arcs(setup: ChainSetup) -> list[GammaArc]:
-    """Arcs f_i f_{B-1}^{-1}(alpha_{B-1} u alpha_B) for i = 1..B-2.
+    """Arcs gamma_i = f_i f_{B-1}^{-1}(alpha_{B-1} u alpha_B) for i = 1..B-2.
 
-    Verified per arc: the two endpoint values, membership of the interior
-    contact point 0.i(A-2)bar, endpoint values on the circular-chain junction
-    set, and the boundary containment facts as edge lookups in the contact
-    graph.
+    gamma_i is alpha_{B-1} u alpha_B with its leading digit B-1 replaced by
+    i, so the word 0.i w lies on gamma_i exactly when 0.(B-1) w lies on the
+    union.  Each arc must hold its interior contact point 0.i(A-2)bar and
+    the end t of alpha_{B-1} and the start s of alpha_B led by i; the union
+    is asked these three questions once, each led by B-1, the first being
+    P_{B-1} = 0.(B-1)(A-2)bar.  Verified per arc: the endpoint values lie
+    on the circular-chain junction set, and the boundary containment facts
+    hold as edge lookups in the contact graph.
     """
     params = setup.params
     a, b = params.a, params.b
     curves = setup.curves
     base = nfa_union([curves[b - 2].language, curves[b - 1].language])
+    for name, addr in (
+        ("interior contact point", _addr((b - 1,), (a - 2,))),
+        ("endpoint walk t", curves[b - 2].endpoint_addresses[1]),
+        ("endpoint walk s", curves[b - 1].endpoint_addresses[0]),
+    ):
+        if not addr.preperiod or not nfa_accepts_address(
+            base, Address((), (b - 1,) + addr.preperiod[1:], addr.period)
+        ):
+            raise ChainViolation(f"the gamma arcs' {name} is not on alpha_{b - 1} u alpha_{b}")
     junction_values = {values[0] for values in setup.junction_values.values()}
     graph = setup.graph
-    endpoint_addresses = (
-        ("t", curves[b - 2].endpoint_addresses[1]),
-        ("s", curves[b - 1].endpoint_addresses[0]),
-    )
     arcs: list[GammaArc] = []
     for i in range(1, b - 1):
-        lang = nfa_remap_first_digit(base, {b - 1: i})
         end1 = point_eval(_addr((i, a - 2, b - 2), (0, b - 1)), params)
         end2 = point_eval(_addr((i, b - 1, 0), (0, b - 1)), params)
-        through_addr = _addr((i,), (a - 2,))
-        through = point_eval(through_addr, params)
-        if not nfa_accepts_address(lang, through_addr):
-            raise ChainViolation(f"gamma_{i} misses its interior contact point")
-        for name, addr in endpoint_addresses:
-            mapped = Address(
-                (), (i,) + addr.preperiod[1:], addr.period
-            ) if addr.preperiod else None
-            if mapped is None or not nfa_accepts_address(lang, mapped):
-                raise ChainViolation(f"gamma_{i} endpoint walk {name} not in language")
+        through = point_eval(_addr((i,), (a - 2,)), params)
         if end1 not in junction_values or end2 not in junction_values:
             raise ChainViolation(f"gamma_{i} endpoints leave the junction set")
         # containment facts: 0.i[K_s] inside K_t iff the edge t -i-> s exists
@@ -548,7 +548,7 @@ def gamma_arcs(setup: ChainSetup) -> list[GammaArc]:
         want_t = 2 if i <= a - 2 else 3
         if not graph.has_edge(want_t, i, 5):
             raise ChainViolation(f"0.{i}[K5] not inside K{want_t}")
-        arcs.append(GammaArc(i, f"g{i}", lang, (end1, end2), through))
+        arcs.append(GammaArc(i, f"g{i}", (end1, end2), through))
     return arcs
 
 

@@ -33,7 +33,8 @@ common scale S, so that each point f_b(V_t) is the integer key
 (S*V_t + (b*S, 0)), and threads each state through a table of its edges'
 start points: where those are distinct, the depth-first threading has one
 candidate at each point, and the table's chain is the only one it can
-find.  For the regime with tabulated endpoint data both check the ordering
+find.  A state whose edges share a start point leaves phi_0 to the search.
+For the regime with tabulated endpoint data both check the ordering
 against the known walk decodings.
 
 The Perron vector of the incidence matrix is solved on the 3x3 system that
@@ -453,10 +454,9 @@ def _start_point_map(
     phi: tuple[Edge, ...],
     outs: list[tuple[Edge, ...]],
     params: TileParams,
-    where: str,
 ) -> tuple[tuple[tuple[Edge, ...], ...], tuple[Triple, ...]] | None:
     """``_decide_map`` of a first-edge map by a table of start points, or
-    None where that threading would find no chain.
+    None where the table does not decide it.
 
     The six junctions are solved and reduced once, and read as integer
     pairs (X_t, Y_t) = S*V_t over their common denominator S.  The subpiece
@@ -466,8 +466,8 @@ def _start_point_map(
     points, the depth-first threading has at most one untried edge at each
     point, so following the table from V_s is the only chain it can find,
     in one lookup per edge; the chain must then end at V_{s+1}.  A state
-    whose edges share a start point goes to ``_thread_state`` unchanged, so
-    a state that threads two ways raises as it does there.
+    whose edges share a start point is not decided here: the map gives
+    None, as it does where a chain fails.
     """
     cycles: dict[tuple[int, ...], Triple] = {}
     values: list[Triple | None] = [None] * 6
@@ -480,27 +480,21 @@ def _start_point_map(
     for state, edges in enumerate(outs, start=1):
         starts = {(xs[e[3] - 1] + e[1] * scale, ys[e[3] - 1]): e for e in edges}
         if len(starts) < len(edges):
-            order = _thread_state(
-                state, edges, _by_target(edges), phi, params, cycles, values, where
-            )
-            if order is None:
+            return None
+        _, a, _, t = phi[state - 1]
+        point = (xs[t - 1] + a * scale, ys[t - 1])
+        chain = []
+        for _ in edges:
+            e = starts.pop(point, None)  # popped, so no edge is taken twice
+            if e is None:
                 return None
-        else:
-            _, a, _, t = phi[state - 1]
-            point = (xs[t - 1] + a * scale, ys[t - 1])
-            chain = []
-            for _ in edges:
-                e = starts.pop(point, None)  # popped, so no edge is taken twice
-                if e is None:
-                    return None
-                chain.append(e)
-                end = e[3] % 6  # the subpiece ends at f_b(V_{t+1}), 0-based
-                point = (xs[end] + e[1] * scale, ys[end])
-            _, a, _, t = phi[state % 6]
-            if point != (xs[t - 1] + a * scale, ys[t - 1]):
-                return None
-            order = tuple(chain)
-        orders.append(order)
+            chain.append(e)
+            end = e[3] % 6  # the subpiece ends at f_b(V_{t+1}), 0-based
+            point = (xs[end] + e[1] * scale, ys[end])
+        _, a, _, t = phi[state % 6]
+        if point != (xs[t - 1] + a * scale, ys[t - 1]):
+            return None
+        orders.append(tuple(chain))
     return tuple(orders), junctions
 
 
@@ -572,16 +566,16 @@ def ordered_extension(graph: ContactGraph) -> OrderedContactGraph:
     phi_0 takes the smallest out-edge (tuple order) of each of states 1..3,
     and their digit flips for states 4..6: the first map that
     ``derive_order_extension`` visits.  It is decided by the start-point
-    table of ``_start_point_map``, which finds the chains that
-    ``_decide_map`` finds and sends a state whose edges share a start point
-    to the same ``_thread_state``, so such a state that threads two ways
-    raises as it does there.  A table chain fails only where the threading
-    finds no chain either; phi_0 then does not complete, and the whole
-    search runs.  When it completes, its orders and junctions are the ones
-    the search returns, unless the search would raise for a second ordering
-    or a second map's state that threads two ways; only the search certifies
-    uniqueness.  That phi_0 completes is an observation on every pair
-    1 <= A <= B <= 60, not a theorem.
+    table of ``_start_point_map`` alone, which finds the chains that
+    ``_decide_map`` finds wherever each state's edges start at distinct
+    points.  Where they do not, or where a table chain fails (the threading
+    then finds no chain either), phi_0 is left to the whole search, which
+    visits it first: a state of phi_0 that threads two ways raises there.
+    When phi_0 completes, its orders and junctions are the ones the search
+    returns, unless the search would raise for a second ordering or a
+    second map's state that threads two ways; only the search certifies
+    uniqueness.  That phi_0 completes through its table is an observation
+    on every pair 1 <= A <= B <= 60, not a theorem.
     """
     params = graph.params
     where = f"(A,B)=({params.a},{params.b})"
@@ -589,7 +583,7 @@ def ordered_extension(graph: ContactGraph) -> OrderedContactGraph:
     if all(outs[:3]):
         firsts = tuple(min(edges) for edges in outs[:3])
         phi = firsts + tuple(_flip_edge(e, params.b) for e in firsts)
-        found = _start_point_map(phi, outs, params, where)
+        found = _start_point_map(phi, outs, params)
         if found is not None:
             return _calibrated(OrderedContactGraph(graph, *found), where)
     return derive_order_extension(graph)

@@ -50,8 +50,11 @@ class CertificateFailure(TileError):
 
 
 class ChainViolation(TileError):
-    """A chain/circular-chain intersection pattern does not match the expected
-    one; carries the offending pair and a witness."""
+    """A fact about the gamma arcs of the 2A - B = 3 construction does not
+    hold: a point missing from alpha_{B-1} u alpha_B, an arc end off the
+    junction set, or a missing containment edge.  It carries a message only.
+    A chain report whose intersection pattern does not match lists the
+    mismatches as its violations instead of raising."""
 
 
 class IdentityFailure(TileError):

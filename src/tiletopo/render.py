@@ -99,9 +99,9 @@ def _points_attributes(scene: Scene) -> list[str]:
     integers; int64 holds it unless a shifted coordinate could overflow, and
     then the same code runs on Python ints.  The grid is never built: on
     each axis its values are the runs "distinct base values + shift", one
-    sorted run per translate, and one stable sort merges them.  Each
-    distinct value is divided by Python's exact int/int and formatted
-    once."""
+    sorted run per translate, and one ``np.unique`` gives their distinct
+    values and each run value's rank.  Each distinct value is divided by
+    Python's exact int/int and formatted once."""
     s = scene.scale
     base = scene.polygon
     shifts = [(sx * s, -sy * s) for (sx, sy), _ in scene.translates]
@@ -114,13 +114,8 @@ def _points_attributes(scene: Scene) -> list[str]:
     # per axis, the sorted distinct base values and each vertex's place in them
     (ux, ix), (uy, iy) = (np.unique(base[:, c], return_inverse=True) for c in (0, 1))
     runs = np.concatenate([(ux + shift[:, :1]).ravel(), (uy + shift[:, 1:]).ravel()])
-    order = np.argsort(runs, kind="stable")
-    merged = runs[order]
-    new = np.ones(len(merged), dtype=bool)
-    new[1:] = merged[1:] != merged[:-1]
-    rank = np.empty(len(runs), dtype=np.int64)
-    rank[order] = np.cumsum(new) - 1
-    strings = np.array(["%.12g" % (v / s) for v in merged[new].tolist()], dtype=object)
+    distinct, rank = np.unique(runs, return_inverse=True)
+    strings = np.array(["%.12g" % (v / s) for v in distinct.tolist()], dtype=object)
     # rank holds the x runs, then the y runs, one row per translate each
     cut = len(shifts) * len(ux)
     rx, ry = rank[:cut].reshape(len(shifts), -1), rank[cut:].reshape(len(shifts), -1)

@@ -14,7 +14,9 @@ the chain matrix's per-pair loop, one product with a move table of its own
 for every cell, kept as the oracle of the shared-table matrix.
 ``nfa_determinize`` and ``lex_interval_language`` are the one-language cases
 of the package's subset construction and walk-interval languages, which the
-package itself only runs for whole setups.  ``neighbor_set_to_json`` and
+package itself only runs for whole setups.  ``nfa_remap_first_digit`` builds
+the arc gamma_i as its own automaton, the definition that the package's
+gamma arcs, decided once on alpha_{B-1} u alpha_B, are tested against.  ``neighbor_set_to_json`` and
 ``chain_report_to_json`` are the documents as dicts, which the package now
 writes in their fixed JSON layout; ``json.dumps`` of them is the writers'
 oracle.  ``chain_report_text`` is the text report with a lookup per ordered
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from typing import Mapping
 
 from tiletopo.algebraic import FieldElement, dominant_root_field
 from tiletopo.automata import (
@@ -179,6 +182,23 @@ def nfa_prefixes(nfa: DigitNFA, depth: int) -> set[tuple[int, ...]]:
     if start:
         rec(start, ())
     return out
+
+
+def nfa_remap_first_digit(nfa: DigitNFA, mapping: Mapping[int, int]) -> DigitNFA:
+    """Substitute the leading digit through ``mapping`` (other first digits
+    are dropped); the tail language is unchanged."""
+    trans: dict[State, dict[int, tuple[State, ...]]] = dict(nfa.trans)
+    inits = []
+    for k, q in enumerate(nfa.initials):
+        wrapped: State = ("first", k)
+        row: dict[int, tuple[State, ...]] = {}
+        for d, targets in nfa.trans.get(q, {}).items():
+            if d in mapping:
+                row.setdefault(mapping[d], ())
+                row[mapping[d]] = row[mapping[d]] + targets
+        trans[wrapped] = row
+        inits.append(wrapped)
+    return DigitNFA(tuple(inits), trans)
 
 
 # ---------------------------------------------------------------------------

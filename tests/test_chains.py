@@ -1,6 +1,7 @@
 import hashlib
 import json
 from fractions import Fraction
+from itertools import count
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from tiletopo.automata import (
     live_nodes,
     nfa_accepts_address,
     nfa_flip,
+    nfa_union,
 )
 from tiletopo.chains import (
     ChainReport,
@@ -47,6 +49,7 @@ from reference import (
     lex_interval_language,
     nfa_determinize,
     nfa_prefixes,
+    nfa_remap_first_digit,
     nfa_single_address,
     reference_chain_matrix,
     verify_chain,
@@ -503,8 +506,10 @@ class TestGamma:
 
     @pytest.mark.parametrize("a", [4, 5, 8])
     def test_endpoint_walks_checked(self, monkeypatch, a):
-        # gamma_i holds 0.i(A-2)bar, then the end t of alpha_{B-1} and the
-        # start s of alpha_B with their leading digit replaced by i
+        # 0.i w is on gamma_i exactly when 0.(B-1) w is on alpha_{B-1} u
+        # alpha_B, so the union is asked once for P_{B-1} = 0.(B-1)(A-2)bar,
+        # then the end t of alpha_{B-1} and the start s of alpha_B, each
+        # with its leading digit set to B-1
         b = 2 * a - 3
         s = setup_for(a, b)
         seen = []
@@ -517,11 +522,9 @@ class TestGamma:
         gamma_arcs(s)
         table = alpha_table(s.params)
         ends = [psi(table[b - 2][1], s.ordered), psi(table[b - 1][0], s.ordered)]
-        expected = []
-        for i in range(1, b - 1):
-            expected.append(Address((), (i,), (a - 2,)))
-            expected += [Address((), (i,) + e.preperiod[1:], e.period) for e in ends]
-        assert seen == expected
+        assert seen == [Address((), (b - 1,), (a - 2,))] + [
+            Address((), (b - 1,) + e.preperiod[1:], e.period) for e in ends
+        ]
 
     def test_containment_fact_4_5(self):
         # i=2 > B-A=1, so 0.2[K2] sits inside K5, realized by the edge 5 -2-> 2
@@ -531,6 +534,89 @@ class TestGamma:
 
     def test_5_7(self):
         assert len(gamma_arcs(setup_for(5, 7))) == 5
+
+    @staticmethod
+    def union_and_arc(s, i):
+        """alpha_{B-1} u alpha_B, and gamma_i built from it as its own
+        automaton, by the definition f_i f_{B-1}^{-1}."""
+        b = s.params.b
+        union = nfa_union([s.curves[b - 2].language, s.curves[b - 1].language])
+        return union, nfa_remap_first_digit(union, {b - 1: i})
+
+    @pytest.mark.parametrize("a", range(4, 14))
+    def test_union_decides_every_arc(self, a):
+        # each arc's own automaton answers the three membership questions
+        # of every arc, led by i, as the union answers them led by B-1
+        b = 2 * a - 3
+        s = setup_for(a, b)
+        ends = (s.curves[b - 2].endpoint_addresses[1], s.curves[b - 1].endpoint_addresses[0])
+        for i in range(1, b - 1):
+            union, gamma = self.union_and_arc(s, i)
+            for lead, lang in ((i, gamma), (b - 1, union)):
+                answers = [nfa_accepts_address(lang, Address((), (lead,), (a - 2,)))] + [
+                    nfa_accepts_address(lang, Address((), (lead,) + e.preperiod[1:], e.period))
+                    for e in ends
+                ]
+                assert answers == [True, True, True], (i, lead)
+
+    @staticmethod
+    def accepted_address(dfa, pre, per):
+        """A word the DFA accepts: the n-th step takes the (c mod k)-th of
+        the k moves into live states, c being pre[n], then the period per
+        over and over, cut where a (state, phase) pair repeats."""
+        live = live_nodes(
+            {q: [t for targets in row.values() for t in targets] for q, row in dfa.trans.items()}
+        )
+        digits, seen, q = [], {}, dfa.initials[0]
+        for n in count():
+            if n < len(pre):
+                c = pre[n]
+            else:
+                key = (q, (n - len(pre)) % len(per))
+                if key in seen:
+                    k = seen[key]
+                    return Address((), tuple(digits[:k]), tuple(digits[k:]))
+                seen[key] = n
+                c = per[key[1]]
+            moves = sorted((d, t) for d, targets in dfa.trans[q].items() for t in targets if t in live)
+            d, q = moves[c % len(moves)]
+            digits.append(d)
+
+    @given(st.sampled_from(range(4, 8)), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_substitution_on_drawn_tails(self, a, data):
+        # 0.i w is on gamma_i exactly when 0.(B-1) w is on alpha_{B-1} u
+        # alpha_B, for tails w drawn at random or read off accepted words
+        b = 2 * a - 3
+        s = setup_for(a, b)
+        i = data.draw(st.integers(1, b - 2), label="i")
+        union, gamma = self.union_and_arc(s, i)
+        digits = st.lists(st.integers(0, b - 1), max_size=6)
+        pre = tuple(data.draw(digits, label="pre"))
+        per = tuple(data.draw(digits.filter(bool), label="per"))
+        curve = data.draw(st.sampled_from([None, b - 2, b - 1]), label="accepted by")
+        if curve is not None:
+            word = self.accepted_address(s.curves[curve].language, pre, per)
+            if word.preperiod:
+                head, pre, per = word.preperiod[0], word.preperiod[1:], word.period
+            else:
+                head, pre, per = word.period[0], (), word.period[1:] + word.period[:1]
+        on_union = nfa_accepts_address(union, Address((), (b - 1,) + pre, per))
+        assert nfa_accepts_address(gamma, Address((), (i,) + pre, per)) == on_union
+        if curve is not None and head == b - 1:
+            assert on_union
+
+    def test_three_questions_per_setup(self, monkeypatch):
+        # one union and three membership questions at (13,23), not 21 arc
+        # automata and 63 questions
+        s = setup_for(13, 23)
+        unions, questions = [], []
+        monkeypatch.setattr(chains, "nfa_union", lambda langs: unions.append(langs) or nfa_union(langs))
+        monkeypatch.setattr(
+            chains, "nfa_accepts_address", lambda lang, addr: questions.append(addr) or True
+        )
+        assert len(gamma_arcs(s)) == 21
+        assert (len(unions), len(questions)) == (1, 3)
 
 
 class TestReportWriters:

@@ -1,10 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiletopo import TileParams, chains, cli, neighbors
 from tiletopo.algebraic import FieldElement
@@ -287,6 +291,97 @@ class TestContract:
         code, out, err = run(capsys, "param", "--A", "4", "--B", "5", "--walk", walk)
         assert code == 2 and out == ""
         assert "walk start" in err
+
+
+class TestDrawnArgv:
+    """The exit-code contract under drawn command lines: the real commands
+    and options of the cheap commands, with malformed values among them.
+    Sizes that make a command slow, not wrong (a large B for the commands
+    whose work grows with it, a large sweep or level), are not drawn."""
+
+    HUGE = [str(10**30), str(-(10**30)), str(2**63), str(-(2**63) - 1)]
+    JUNK = st.sampled_from(["", " ", "x", "1.5", "--", "-", "1,2", "1e3", "0x10", "١"])
+
+    @classmethod
+    def ints(cls, lo, hi, huge=True):
+        """Integers as text: lo..hi, and the huge ones if ``huge``."""
+        small = st.integers(lo, hi).map(str)
+        return small | st.sampled_from(cls.HUGE) if huge else small
+
+    @classmethod
+    def joined(cls, count):
+        """``count`` comma-separated integers, or a wrong count of them."""
+        exact = st.lists(cls.ints(-6, 6), min_size=count, max_size=count)
+        return st.one_of(exact, exact, exact, st.lists(cls.ints(-6, 6), max_size=count + 1)).map(
+            ",".join
+        )
+
+    @classmethod
+    def options(cls, command):
+        """The options of ``command``: each one's share of draws that give
+        it, out of 8, and its drawn values (None for a flag).  The test puts
+        junk in place of a value now and then."""
+        a, b = cls.ints(-3, 12), cls.ints(-3, 12)
+        if command not in ("classify", "neighbors"):
+            a = b = cls.ints(-3, 9, huge=False)  # the work grows with B
+        if command == "neighbors":
+            a = cls.ints(-3, 12, huge=False)  # the neighbor set of A = B has 4A members
+        opts = {
+            "--A": (7, a),
+            "--B": (7, b),
+            "--matrix": (1, cls.joined(4)),
+            "--v": (1, cls.joined(2)),
+            "--format": (2, st.sampled_from(["text", "json", "json", "xml", ""])),
+        }
+        if command == "normalize":
+            del opts["--A"], opts["--B"]
+            opts["--matrix"] = (7, cls.joined(4))
+        if command == "neighbors":
+            opts["--check"] = (2, st.none())
+        if command == "param":
+            t = st.fractions(0, 1).map(str) | st.sampled_from(
+                ["1/0", "-1/3", "2", cls.HUGE[0], "1/" + cls.HUGE[0]]
+            )
+            opts["--t"] = (4, t)
+            opts["--walk"] = (4, st.lists(cls.joined(3), min_size=1, max_size=4).map(";".join))
+        if command == "cutpoint":
+            opts["--depth"] = (2, st.sampled_from(["-1", "0", "1", "12", cls.HUGE[1]]))
+        if command == "contact-graph":
+            opts["--dot"] = (2, st.none())
+        if command == "approx":
+            opts["--n"] = (4, st.sampled_from(["-1", "0", "1", "2", cls.HUGE[0]]))
+            opts["--budget"] = (2, st.sampled_from(["-1", "0", "10", "1000000"]))
+        if command in ("contact-graph", "approx"):
+            opts["--format"] = (0, opts["--format"][1])
+        if command == "sweep":
+            bmax = st.sampled_from([cls.HUGE[1], "-1", "0", "1", "2", "3", "4"])
+            opts = {"--Bmax": (7, bmax), "--format": opts["--format"]}
+        if command in ("cutpoint", "contact-graph", "approx", "sweep"):
+            opts["--out"] = (1, st.just(""))  # refused before anything is written
+        return opts
+
+    COMMANDS = ["classify", "normalize", "neighbors", "param", "cutpoint", "contact-graph", "sweep", "approx"]
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_exit_code_contract(self, data):
+        command = data.draw(st.sampled_from(self.COMMANDS), label="command")
+        argv = [command]
+        for option, (share, values) in self.options(command).items():
+            if data.draw(st.integers(0, 7), label=option) < share:
+                if data.draw(st.integers(0, 9), label="junk") == 0:
+                    values = self.JUNK
+                value = data.draw(values, label=option)
+                argv += [option] if value is None else [option, value]
+        if data.draw(st.integers(0, 7), label="extra") == 0:
+            argv.append(data.draw(self.JUNK | st.sampled_from(["--frob", "-h0", "--A"]), label="extra"))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2, 3), argv
+        assert sum("error:" in line for line in err.splitlines()) <= 1, (argv, err)
+        assert "Traceback" not in out + err, argv
 
 
 class TestCommands:

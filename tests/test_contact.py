@@ -494,7 +494,7 @@ class TestOrdering:
                 outs, steps = contact._edge_tables(graph)
                 firsts = tuple(min(edges) for edges in outs[:3])
                 phi = firsts + tuple(contact._flip_edge(e, b) for e in firsts)
-                table = contact._start_point_map(phi, outs, graph.params, "")
+                table = contact._start_point_map(phi, outs, graph.params)
                 assert table is not None, (a, b)
                 assert table == decide(phi, outs, steps, graph.params, {}, ""), (a, b)
                 o = ordered_extension(graph)
@@ -518,9 +518,28 @@ class TestOrdering:
             state1 = (state1[0], state1[2])
         outs = [state1, (), (), (), (), ((6, 1, 1, 4),)]
         phi = ((1, 0, 0, 2),) + tuple((s, 0, 0, 3) for s in range(2, 7))
-        assert contact._start_point_map(phi, outs, p, "") is None
+        assert contact._start_point_map(phi, outs, p) is None
         steps = [contact._by_target(edges) for edges in outs]
         assert contact._decide_map(phi, outs, steps, p, {}, "") is None
+
+    def test_shared_start_point_is_left_to_the_search(self, monkeypatch):
+        # junctions set by hand: state 1's edges (1,0,0,1) and (1,0,1,3) both
+        # start at V_1 = V_3 = P, so the table does not decide phi_0.  The one
+        # chain runs P -> V_2 by (1,0,0,1), back to P by (1,0,2,2), and on to
+        # V_4 = f_3(V_2), the start of state 2's edge, by (1,0,1,3); states
+        # 2 and 3 close the cycle and states 4..6 have no edges
+        junctions = [(0, 1, 1), (-6, 1, 1), (0, 1, 1), (-3, 1, 1), (0, 1, 1), (0, 1, 1)]
+        monkeypatch.setattr(contact, "_junction", lambda node, *rest: junctions[node])
+        p = TileParams(2, 4)
+        state1 = ((1, 0, 0, 1), (1, 0, 1, 3), (1, 0, 2, 2))
+        graph = ContactGraph(p, contact_states(p), state1 + ((2, 3, 0, 2), (3, 3, 0, 3)))
+        outs = [graph.out_edges(i) for i in range(1, 7)]
+        phi = ((1, 0, 0, 1), (2, 3, 0, 2), (3, 3, 0, 3))
+        phi += tuple(contact._flip_edge(e, 4) for e in phi)
+        assert contact._start_point_map(phi, outs, p) is None
+        ordered_graph = ordered_extension(graph)
+        assert ordered_graph == derive_order_extension(graph)
+        assert ordered_graph.orders[0] == (state1[0], state1[2], state1[1])
 
     def test_thread_state_matches_fraction_threading(self):
         # every state of every first-edge map of every pair B <= 7, decided
@@ -562,20 +581,19 @@ class TestOrdering:
     ):
         # first edges all of digit 0 put V_1 = V_2 = V_3 at 0.(0), so both
         # edges of state 1 have the one-point subpiece f_0(0) = 0 and chain
-        # from V_1 to V_2 in either order; the first map already raises, so
-        # ordered_extension never reaches the search
+        # from V_1 to V_2 in either order.  They share their start point, so
+        # ordered_extension leaves phi_0 to the search, which visits phi_0
+        # first and raises there
         p = TileParams(4, 5)
         edges = ((1, 0, 0, 1), (1, 0, 0, 2), (2, 0, 0, 2), (3, 0, 0, 3))
         graph = ContactGraph(p, contact_states(p), edges)
-        if order_fn is ordered_extension:
-
-            def no_search(graph):
-                raise AssertionError("the first map fell back to the search")
-
-            monkeypatch.setattr(contact, "derive_order_extension", no_search)
+        decide, maps = contact._decide_map, []
+        monkeypatch.setattr(contact, "_decide_map", lambda *args: maps.append(args[0]) or decide(*args))
         two_ways = r"state 1 threads two ways for \(A,B\)=\(4,5\)"
         with pytest.raises(CertificateFailure, match=two_ways):
             order_fn(graph)
+        firsts = ((1, 0, 0, 1), (2, 0, 0, 2), (3, 0, 0, 3))
+        assert maps == [firsts + tuple(contact._flip_edge(e, 5) for e in firsts)]
 
     def test_state_threading_two_ways_is_a_failure_first_map(self, monkeypatch):
         self.test_state_threading_two_ways_is_a_failure(monkeypatch, ordered_extension)

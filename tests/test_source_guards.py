@@ -9,6 +9,7 @@ import tiletopo
 
 SRC = Path(tiletopo.__file__).parent
 README = SRC.parent.parent / "README.md"
+TESTS = Path(__file__).parent
 
 
 def test_no_assert_statements():
@@ -172,6 +173,42 @@ def test_no_unreached_public_functions():
         for where, name in defined
         if name not in exported | sketch
         and not any(name in names for owner, names in reads if owner != name)
+    ]
+    assert found == []
+
+
+def _names_read(tree: ast.AST) -> set[str]:
+    """Names read as names or attributes, and names imported from
+    ``reference``."""
+    names = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "reference":
+            names |= {alias.name for alias in node.names}
+    return names
+
+
+def test_every_reference_definition_is_read():
+    # tests/reference.py holds the oracles that left the package; each
+    # top-level function or class there must be read by a test module, by
+    # conftest.py or by another part of reference.py (its own body does not
+    # count), so that an oracle no test reads any more does not stay behind
+    reads = set()
+    for path in sorted(TESTS.glob("*.py")):
+        if path.name != "reference.py":
+            reads |= _names_read(ast.parse(path.read_text(encoding="utf-8")))
+    reference = ast.parse((TESTS / "reference.py").read_text(encoding="utf-8"))
+    defined = [
+        top for top in reference.body if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+    ]
+    found = [
+        f"reference.py:{top.lineno} {top.name}"
+        for top in defined
+        if top.name not in reads
+        and not any(top.name in _names_read(other) for other in reference.body if other is not top)
     ]
     assert found == []
 
