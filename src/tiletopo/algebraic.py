@@ -4,15 +4,15 @@ The field is presented as Q[x] modulo the minimal polynomial of beta, which
 must be monic with integer coefficients, with a rational isolating interval
 selecting the intended real root.  An element is an integer coefficient
 vector over one positive denominator in lowest terms, so one value has one
-form: equal values are equal elements with equal hashes.  Sums
-cross-multiply the vectors, products are integer convolutions reduced by the
-monic minimal polynomial, and a quotient comes from the cofactors of the
-integer matrix of multiplication by the divisor (Cramer's rule).  Callers
-that sum many terms keep them as bare integer vectors over one denominator
-(``reduce``, ``times_beta`` and ``sign_of`` act on those) and build one
-element at the end with ``quotients``.  The package computes Q(beta) that
-way throughout: it only builds and prints ``FieldElement`` values, and their
-arithmetic operators serve the library's callers and the tests' oracles.
+form: equal values are equal elements with equal hashes.  Q(beta) has one
+arithmetic, on bare integer vectors over one denominator: ``reduce`` takes a
+product (an integer convolution) modulo the monic minimal polynomial,
+``times_beta`` shifts, ``sign_of`` decides a sign, and ``quotients`` divides
+by the cofactors of the integer matrix of multiplication by the divisor
+(Cramer's rule), building one element per quotient.  A ``FieldElement`` is
+only built, signed (``sign``), converted to a float and printed; it has no
+arithmetic operators.  The element-by-element sums, products and inverses
+that the tests' oracles compute with live in ``tests/reference.py``.
 
 The isolating interval is kept as integer endpoints over one denominator.
 Sign determination evaluates the numerator vector over it by interval Horner
@@ -70,8 +70,7 @@ class NumberField:
             raise ValueError("minimal polynomial must have degree >= 1")
         if mp[-1] != 1 or any(c.denominator != 1 for c in mp):
             raise ValueError(f"minimal polynomial {list(map(str, mp))} is not monic over Z")
-        self.minpoly = tuple(mp)
-        self._mp = tuple(int(c) for c in mp)
+        self.minpoly = tuple(int(c) for c in mp)
         self.degree = len(mp) - 1
         if self.degree == 1:
             lo = hi = -mp[0]
@@ -86,7 +85,7 @@ class NumberField:
     def reduce(self, vec: list[int]) -> list[int]:
         """Integer vector modulo the monic minimal polynomial, padded to
         ``degree`` entries."""
-        d, mp = self.degree, self._mp
+        d, mp = self.degree, self.minpoly
         for k in range(len(vec) - 1, d - 1, -1):
             c = vec[k]
             if c:
@@ -135,12 +134,6 @@ class NumberField:
     def beta(self) -> "FieldElement":
         return self.element([0, 1])
 
-    def zero(self) -> "FieldElement":
-        return self.rational(0)
-
-    def one(self) -> "FieldElement":
-        return self.rational(1)
-
     # -- root interval -------------------------------------------------------
 
     def refine_interval(self) -> None:
@@ -149,12 +142,12 @@ class NumberField:
             return
         mid = self._lo + self._hi
         self._lo, self._hi, self._den = 2 * self._lo, 2 * self._hi, 2 * self._den
-        fmid = _poly_eval(self._mp, mid, self._den)
+        fmid = _poly_eval(self.minpoly, mid, self._den)
         if fmid == 0:
             # cannot happen for an irreducible minpoly of degree >= 2
             self._lo = self._hi = mid
             return
-        if (_poly_eval(self._mp, self._lo, self._den) < 0) == (fmid < 0):
+        if (_poly_eval(self.minpoly, self._lo, self._den) < 0) == (fmid < 0):
             self._lo = mid
         else:
             self._hi = mid
@@ -185,7 +178,7 @@ class NumberField:
             self.refine_interval()
         raise CertificateFailure(
             "sign determination did not converge for the root of the minimal "
-            f"polynomial {list(self._mp)} (low degree first)"
+            f"polynomial {list(self.minpoly)} (low degree first)"
         )
 
     def to_float(self, num: Sequence[int], den: int, bits: int = 60) -> float:
@@ -227,40 +220,8 @@ class FieldElement:
     num: tuple[int, ...]
     den: int
 
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        a, b = self.den, other.den
-        return _canonical(self.field, [x * b + y * a for x, y in zip(self.num, other.num)], a * b)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        a, b = self.den, other.den
-        return _canonical(self.field, [x * b - y * a for x, y in zip(self.num, other.num)], a * b)
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, tuple(-x for x in self.num), self.den)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        prod = self.field.reduce(_convolve(self.num, other.num))
-        return _canonical(self.field, prod, self.den * other.den)
-
-    def inverse(self) -> "FieldElement":
-        """den / num, by ``NumberField.quotients``."""
-        (inv,) = self.field.quotients([(self.den,)], self.num)
-        return inv
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        return self * other.inverse()
-
-    def is_zero(self) -> bool:
-        return not any(self.num)
-
     def sign(self) -> int:
         return self.field.sign_of(self.num)
-
-    def __lt__(self, other: "FieldElement") -> bool:
-        return (self - other).sign() < 0
-
-    def __le__(self, other: "FieldElement") -> bool:
-        return (self - other).sign() <= 0
 
     def __float__(self) -> float:
         return self.field.to_float(self.num, self.den)

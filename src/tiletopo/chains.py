@@ -214,18 +214,10 @@ def lex_interval_languages(
 
 @dataclass(frozen=True)
 class AlphaCurve:
-    """One curve of the bottom chain: a walk interval with its digit language."""
+    """One curve of the chain, alpha_i (label "ai") or its digit flip (label
+    "ai'"): the digit language of a walk interval and its two endpoint
+    addresses."""
 
-    index: int
-    label: str
-    s_walk: Walk
-    t_walk: Walk
-    language: DigitDFA
-    endpoint_addresses: tuple[Address, Address]
-
-
-@dataclass(frozen=True)
-class FlippedCurve:
     index: int
     label: str
     language: DigitDFA
@@ -276,24 +268,17 @@ def alpha_curves(setup: ChainSetup) -> list[AlphaCurve]:
     out = []
     for i, ((s, t), lang) in enumerate(zip(table, langs), start=1):
         out.append(
-            AlphaCurve(
-                i,
-                f"a{i}",
-                s,
-                t,
-                lang,
-                (psi(s, setup.ordered), psi(t, setup.ordered)),
-            )
+            AlphaCurve(i, f"a{i}", lang, (psi(s, setup.ordered), psi(t, setup.ordered)))
         )
     return out
 
 
-def flipped_curves(setup: ChainSetup, curves: list[AlphaCurve]) -> list[FlippedCurve]:
+def flipped_curves(setup: ChainSetup, curves: list[AlphaCurve]) -> list[AlphaCurve]:
     b = setup.params.b
     out = []
     for c in curves:
         out.append(
-            FlippedCurve(
+            AlphaCurve(
                 c.index,
                 f"a{c.index}'",
                 nfa_flip(c.language, b),

@@ -50,8 +50,9 @@ built only at the ends: beta and u, a walk's parameter, and a rational t.
 The level-n boundary polygon, ``BoundaryApprox``, holds (m, 2) integer
 arrays over one common scale: int64 when the walk expansion's largest
 partial sum fits, Python ints otherwise.  The simple-closed test and the
-SVG and JSON writers read those arrays; the tuple and ``Fraction`` views
-are built only on request, for the library and the tests.  numpy is
+SVG and JSON writers read those arrays.  Its two views, the ``Fraction``
+vertices of the library sketch and the int pairs of ``firsts``, are built
+only on request.  numpy is
 imported by ``approx_boundary`` alone, so the commands that never build a
 polygon start without it.
 """
@@ -595,10 +596,11 @@ def ordered_extension(graph: ContactGraph) -> OrderedContactGraph:
 
 @dataclass(frozen=True)
 class PerronData:
-    """Incidence counts edges target-by-source, so the interval-length vector
-    u is a left eigenvector: u @ D = beta u, sum u = 1, u > 0."""
+    """The Perron root beta and the interval-length vector u: with the
+    incidence D counting edges target-by-source (the transpose of
+    ``ContactGraph.adjacency``), u is a left eigenvector, u @ D = beta u,
+    sum u = 1, u > 0."""
 
-    incidence: tuple[tuple[int, ...], ...]
     field: NumberField
     beta: FieldElement
     u: tuple[FieldElement, ...]
@@ -633,7 +635,6 @@ def perron_data(graph: ContactGraph) -> PerronData:
     # adj[i][j] = adj[i+3][j+3] for all i, j: row i+3 is row i rotated by 3
     if any(adj[i + 3] != adj[i][3:] + adj[i][:3] for i in range(3)):
         raise CertificateFailure(f"contact graph is not symmetric under the digit flip for {where}")
-    incidence = tuple(zip(*adj))
     # boundary cubic; by Perron-Frobenius the positive eigenvector below
     # certifies that its root is the Perron root
     field = dominant_root_field([-b, a - b, 1 - a, 1])
@@ -669,7 +670,7 @@ def perron_data(graph: ContactGraph) -> PerronData:
         raise CertificateFailure(f"left eigenvector is not strictly positive for {where}")
     total = [2 * sum(col) for col in zip(*sol)]
     u = tuple(field.quotients(sol, total)) * 2  # u_{i+3} = u_i
-    return PerronData(incidence, field, field.beta(), u)
+    return PerronData(field, field.beta(), u)
 
 
 def _cross(
@@ -832,28 +833,19 @@ class BoundaryApprox:
     lexicographic order (consecutive duplicates merged); ``first_array`` and
     ``last_array`` keep the unmerged per-walk endpoint pairs for continuity
     checks.  Each is one (m, 2) integer array, int64 or Python ints.
-    ``points``, ``firsts`` and ``lasts`` view them as tuples of int pairs,
-    and ``vertices`` views ``points`` as exact rational pairs; each view is
-    built once, on first use.
+    ``vertices`` views ``point_array`` as exact rational pairs and
+    ``firsts`` views ``first_array`` as int pairs; each view is built once,
+    on first use.
     """
 
-    level: int
     scale: int
     point_array: np.ndarray
     first_array: np.ndarray
     last_array: np.ndarray
 
     @cached_property
-    def points(self) -> tuple[IntVec, ...]:
-        return tuple(map(tuple, self.point_array.tolist()))
-
-    @cached_property
     def firsts(self) -> tuple[IntVec, ...]:
         return tuple(map(tuple, self.first_array.tolist()))
-
-    @cached_property
-    def lasts(self) -> tuple[IntVec, ...]:
-        return tuple(map(tuple, self.last_array.tolist()))
 
     @cached_property
     def vertices(self) -> tuple[RationalPoint, ...]:
@@ -925,7 +917,7 @@ def approx_boundary(
     points = firsts[keep]
     if len(points) > 1 and (points[0] == points[-1]).all():
         points = points[:-1]
-    return BoundaryApprox(n, d * b**n, points, firsts, lasts)
+    return BoundaryApprox(d * b**n, points, firsts, lasts)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 The package keeps what a command or the documented library reaches; the
 helpers here build test languages, evaluate addresses another way, and
-cross-check the certificates.  ``perron_data``, ``walk_to_param`` and the
-greedy ``param_to_walk`` here are the ``FieldElement`` arithmetic that the
-package's integer forms replaced, kept as their oracles.
+cross-check the certificates.  ``Element`` is a ``FieldElement`` with the
+sums, products, inverse and comparisons that left the package, which
+computes Q(beta) on integer vectors only; ``zero`` and ``one`` build its
+constants.  ``perron_data``, ``walk_to_param`` and the greedy
+``param_to_walk`` here are that element arithmetic, which the package's
+integer forms replaced, kept as their oracles.
 ``subdivision_intersects`` is the cylinder-pair criterion that
 ``verify_cut_point`` reads off the neighbor set it already holds; here it
 builds the closed form itself.  ``segments_intersect`` is the scalar
@@ -34,7 +37,13 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from tiletopo.algebraic import FieldElement, dominant_root_field
+from tiletopo.algebraic import (
+    FieldElement,
+    NumberField,
+    _canonical,
+    _convolve,
+    dominant_root_field,
+)
 from tiletopo.automata import (
     BRANCHING,
     FINITE_POINTS,
@@ -222,6 +231,68 @@ def prepend_digits(word: DigitWord, addr: Address) -> Address:
 
 
 # ---------------------------------------------------------------------------
+# Q(beta) element by element: the package computes on integer vectors and
+# its FieldElement has no operators; the oracles below add, multiply, invert
+# and compare elements one at a time
+
+
+class Element(FieldElement):
+    """A ``FieldElement`` with field arithmetic.  Every result is a canonical
+    ``Element``.  Dataclass ``==`` is False between an ``Element`` and a
+    package ``FieldElement`` of the same value, so compare ``(num, den)``
+    across the two, or ``lift`` the package's value first."""
+
+    def __add__(self, other: FieldElement) -> Element:
+        a, b = self.den, other.den
+        return canonical(self.field, [x * b + y * a for x, y in zip(self.num, other.num)], a * b)
+
+    def __sub__(self, other: FieldElement) -> Element:
+        a, b = self.den, other.den
+        return canonical(self.field, [x * b - y * a for x, y in zip(self.num, other.num)], a * b)
+
+    def __neg__(self) -> Element:
+        return Element(self.field, tuple(-x for x in self.num), self.den)
+
+    def __mul__(self, other: FieldElement) -> Element:
+        prod = self.field.reduce(_convolve(self.num, other.num))
+        return canonical(self.field, prod, self.den * other.den)
+
+    def inverse(self) -> Element:
+        """den / num, by ``NumberField.quotients``."""
+        (inv,) = self.field.quotients([(self.den,)], self.num)
+        return lift(inv)
+
+    def __truediv__(self, other: FieldElement) -> Element:
+        return self * lift(other).inverse()
+
+    def is_zero(self) -> bool:
+        return not any(self.num)
+
+    def __lt__(self, other: FieldElement) -> bool:
+        return (self - other).sign() < 0
+
+    def __le__(self, other: FieldElement) -> bool:
+        return (self - other).sign() <= 0
+
+
+def lift(x: FieldElement) -> Element:
+    """A package ``FieldElement`` as an ``Element`` of the same value."""
+    return Element(x.field, x.num, x.den)
+
+
+def canonical(field: NumberField, num: list[int], den: int) -> Element:
+    return lift(_canonical(field, num, den))
+
+
+def zero(field: NumberField) -> Element:
+    return lift(field.rational(0))
+
+
+def one(field: NumberField) -> Element:
+    return lift(field.rational(1))
+
+
+# ---------------------------------------------------------------------------
 # Perron data and walk parameters as sums of field elements
 
 
@@ -247,22 +318,21 @@ def perron_data(graph: ContactGraph) -> PerronData:
     adj = graph.adjacency()
     if any(adj[i][j] != adj[(i + 3) % 6][(j + 3) % 6] for i in range(6) for j in range(6)):
         raise CertificateFailure(f"contact graph is not symmetric under the digit flip for {where}")
-    incidence = tuple(tuple(adj[j][i] for j in range(6)) for i in range(6))
     # boundary cubic; by Perron-Frobenius the positive eigenvector below
     # certifies that its root is the Perron root
     field = dominant_root_field([-b, a - b, 1 - a, 1])
-    beta = field.beta()
+    beta = lift(field.beta())
 
     # the folded C = adj - beta I acting on (u_1, u_2, u_3)
     rows = [
         [
-            field.rational(adj[i][j] + adj[i][j + 3]) - (beta if i == j else field.zero())
+            lift(field.rational(adj[i][j] + adj[i][j + 3])) - (beta if i == j else zero(field))
             for j in range(3)
         ]
         for i in range(3)
     ]
 
-    def cofactors(k: int) -> list[FieldElement]:
+    def cofactors(k: int) -> list[Element]:
         r, s = rows[(k + 1) % 3], rows[(k + 2) % 3]
         return [
             r[(j + 1) % 3] * s[(j + 2) % 3] - r[(j + 2) % 3] * s[(j + 1) % 3] for j in range(3)
@@ -272,7 +342,7 @@ def perron_data(graph: ContactGraph) -> PerronData:
     # is zero every row of cofactors solves C u = 0; all of them vanish
     # exactly when C has rank 1 or less
     first = cofactors(0)
-    if not sum((x * y for x, y in zip(rows[0], first)), field.zero()).is_zero():
+    if not sum((x * y for x, y in zip(rows[0], first)), zero(field)).is_zero():
         raise CertificateFailure(f"the boundary cubic's root is not an eigenvalue for {where}")
     candidates = (first if k == 0 else cofactors(k) for k in range(3))
     sol = next((row for row in candidates if not all(v.is_zero() for v in row)), None)
@@ -285,23 +355,21 @@ def perron_data(graph: ContactGraph) -> PerronData:
     half = sum(sol[1:], sol[0])
     inv_total = (half + half).inverse()
     u = tuple(v * inv_total for v in sol) * 2  # u_{i+3} = u_i
-    return PerronData(incidence, field, beta, u)
+    return PerronData(field, beta, u)
 
 
-def walk_to_param(
-    walk: Walk, data: PerronData, ordered: OrderedContactGraph
-) -> FieldElement:
+def walk_to_param(walk: Walk, data: PerronData, ordered: OrderedContactGraph) -> Element:
     """Exact parameter of an eventually periodic walk."""
     field = data.field
-    beta_inv = data.beta.inverse()
+    beta_inv = lift(data.beta).inverse()
 
-    def below(state: int, letter: int) -> FieldElement:
-        total = field.zero()
+    def below(state: int, letter: int) -> Element:
+        total = zero(field)
         for e in ordered.orders[state - 1][: letter - 1]:
             total = total + data.u[e[3] - 1]
         return total
 
-    t = field.zero()
+    t = zero(field)
     for i in range(walk.start - 1):
         t = t + data.u[i]
     steps, k = ordered.walk_steps(walk)
@@ -310,12 +378,12 @@ def walk_to_param(
         t = t + below(edge[0], letter) * scale
         scale = scale * beta_inv
     # the periodic block sums to block / (1 - beta^-p), p its length
-    block = field.zero()
-    power = field.one()
+    block = zero(field)
+    power = one(field)
     for letter, edge in steps[k:]:
         block = block + below(edge[0], letter) * power
         power = power * beta_inv
-    return t + scale * block * (field.one() - power).inverse()
+    return t + scale * block * (one(field) - power).inverse()
 
 
 def param_to_walk(
@@ -327,15 +395,14 @@ def param_to_walk(
     """Greedy subdivision walk of a parameter in [0, 1]; boundary parameters
     resolve to the left interval's maximal walk."""
     field = data.field
-    if not isinstance(t, FieldElement):
-        t = field.rational(t)
+    t = lift(t if isinstance(t, FieldElement) else field.rational(t))
     where = f"(A,B)=({ordered.graph.params.a},{ordered.graph.params.b})"
-    if t.sign() < 0 or (t - field.one()).sign() > 0:
+    if t.sign() < 0 or (t - one(field)).sign() > 0:
         raise OutOfRange(f"parameter t={t} must lie in [0, 1] for {where}")
     beta = data.beta
 
     # choose the start state: first i with t <= L_{i+1}
-    cum = field.zero()
+    cum = zero(field)
     for state in range(1, 7):
         nxt = cum + data.u[state - 1]
         if (t - nxt).sign() <= 0:
@@ -345,10 +412,10 @@ def param_to_walk(
         raise CertificateFailure("interval lengths do not add up to 1")
     tau = t - cum
     start_state = state
-    beta_inv = beta.inverse()
+    beta_inv = lift(beta).inverse()
     letters: list[int] = []
     # field elements are canonical, so equal remainders are equal keys
-    seen: dict[tuple[int, FieldElement], int] = {}
+    seen: dict[tuple[int, Element], int] = {}
     for step in range(max_steps):
         key = (state, tau)
         if key in seen:
@@ -356,10 +423,10 @@ def param_to_walk(
             return Walk(start_state, tuple(letters[:k]), tuple(letters[k:]))
         seen[key] = step
         order = ordered.orders[state - 1]
-        run = field.zero()
+        run = zero(field)
         chosen = None
         for idx, e in enumerate(order, start=1):
-            nxt = run + data.u[e[3] - 1] * beta_inv
+            nxt = run + beta_inv * data.u[e[3] - 1]
             if (tau - nxt).sign() <= 0 or idx == len(order):
                 chosen = (idx, e, run)
                 break

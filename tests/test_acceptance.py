@@ -208,9 +208,10 @@ def test_criterion_6_parametrization_integrity():
                 ap = approxes[n]
                 assert polygon_is_simple_closed(ap.vertices), (a, b, n)
                 assert set(ap.vertices) <= set(approxes[n + 1].vertices), (a, b, n)
-                m = len(ap.firsts)
+                firsts, lasts = ap.first_array.tolist(), ap.last_array.tolist()
+                m = len(firsts)
                 for k in range(m):
-                    assert ap.lasts[k] == ap.firsts[(k + 1) % m], (a, b, n, k)
+                    assert lasts[k] == firsts[(k + 1) % m], (a, b, n, k)
 
 
 def test_criterion_6_hausdorff_strict_decrease():

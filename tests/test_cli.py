@@ -472,7 +472,9 @@ class TestParamDigest:
 
 class TestNoFieldArithmetic:
     """Every command computes Q(beta) on integer vectors: FieldElement
-    values are only built and printed."""
+    values are only built, signed and printed.  The class has no arithmetic
+    operators (the tests' oracles add them on ``reference.Element``), so no
+    command can run any, and every command still runs."""
 
     OPS = [
         (["normalize", "--matrix", "0,-5,1,4"], 0),
@@ -492,13 +494,11 @@ class TestNoFieldArithmetic:
     ]
 
     @pytest.mark.parametrize("argv,code", OPS, ids=[" ".join(op) for op, _ in OPS])
-    def test_no_operator_runs(self, capsys, monkeypatch, tmp_path, argv, code):
-        def refuse(*args):
-            raise RuntimeError("FieldElement arithmetic ran")
-
+    def test_no_operator_runs(self, capsys, tmp_path, argv, code):
         operators = ("__add__", "__sub__", "__mul__", "__truediv__", "__neg__", "__lt__", "__le__")
-        for name in operators + ("inverse",):
-            monkeypatch.setattr(FieldElement, name, refuse)
+        for name in operators + ("inverse", "is_zero"):
+            # object's own comparison slots return NotImplemented
+            assert getattr(FieldElement, name, None) is getattr(object, name, None), name
         if argv[0] == "render":
             argv = argv + ["--out", str(tmp_path)]
         assert run(capsys, *argv)[0] == code

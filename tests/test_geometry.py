@@ -303,7 +303,7 @@ class TestVectorizedPath:
         """Digests recorded with the per-cell bucket loop that the sorted
         grouping replaced; the pair array must not change."""
         ordered = derive_order_extension(build_contact_graph(TileParams(a, b)))
-        points = approx_boundary(ordered, n).points
+        points = approx_boundary(ordered, n).point_array.tolist()
         pi = _candidate_pairs(_closed(points))
         assert pi.dtype == np.int64
         assert hashlib.sha256(pi.tobytes()).hexdigest() == sha

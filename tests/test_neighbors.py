@@ -81,6 +81,24 @@ class TestSearch:
                 t = mat_vec(w_inv, s)
                 assert max(abs(t[0]), abs(t[1])) <= bound
 
+    @pytest.mark.parametrize("a,b", [(2, 2), (10**6, 10**6), (1, 10**6), (0, 10**6)])
+    def test_bound_found_without_a_cap(self, a, b):
+        # the split point k is searched with no upper limit: (2,2) is the one
+        # pair 0 <= A <= B <= 400 that needs k = 2, and the large pairs need
+        # k = 1.  R is invertible, so the bound confines both coordinates, and
+        # the two alternating 12-term series with extreme digits stay inside it
+        p = TileParams(a, b)
+        r, c = certified_series_bound(p)
+        assert r[0][0] * r[1][1] != r[0][1] * r[1][0] and c > 0
+        minv, col = mat_inv(p.matrix), (Fraction(b - 1), Fraction(0))
+        for sign in (1, -1):
+            s, term = (0, 0), col
+            for i in range(12):
+                term = mat_vec(minv, term)
+                s = (s[0] + sign * (-1) ** i * term[0], s[1] + sign * (-1) ** i * term[1])
+            t = mat_vec(r, s)
+            assert max(abs(t[0]), abs(t[1])) <= c, (p, sign)
+
     def test_certified_bound_dominates_sampled_series(self):
         # finite difference series with extreme digits, including the two
         # alternating ones that push along the eigenvalue near -1 when A ~ B

@@ -1,6 +1,7 @@
 """Static guards over the package source."""
 
 import ast
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -175,6 +176,86 @@ def test_no_unreached_public_functions():
         and not any(name in names for owner, names in reads if owner != name)
     ]
     assert found == []
+
+
+def _kept_members() -> set[str]:
+    """The ``Class.member`` names that open the bullets of the README's
+    "Kept on purpose" entry, before each bullet's reason."""
+    entry = README.read_text(encoding="utf-8").split("**Kept on purpose.**", 1)[1]
+    entry = entry.split("\n\n**", 1)[0]
+    return {
+        name
+        for line in entry.splitlines()
+        if line.startswith("- ")
+        for name in re.findall(r"`(\w+\.\w+)`", line.split(":", 1)[0])
+    }
+
+
+def _class_members(cls: ast.ClassDef):
+    """(name, node) of each public method, property, cached property and
+    annotated field of a class, and of each public ``self.x`` that its
+    ``__init__`` sets."""
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef) and node.name == "__init__":
+            for sub in ast.walk(node):
+                if (
+                    isinstance(sub, ast.Attribute)
+                    and isinstance(sub.ctx, ast.Store)
+                    and isinstance(sub.value, ast.Name)
+                    and sub.value.id == "self"
+                    and not sub.attr.startswith("_")
+                ):
+                    yield sub.attr, sub
+        elif isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node
+        elif (
+            isinstance(node, ast.AnnAssign)
+            and isinstance(node.target, ast.Name)
+            and not node.target.id.startswith("_")
+        ):
+            yield node.target.id, node
+
+
+def test_every_class_member_is_read():
+    # a public method, property, field or __init__ attribute of a class in
+    # src/tiletopo must be read as an attribute somewhere in the package
+    # outside its own body, be named in the README's library sketch, or be
+    # on the README's "Kept on purpose" list with its reason.  The match is
+    # by name: a member hidden by a same-named attribute of another class
+    # (or of numpy) passes unseen
+    sketch = {
+        node.attr if isinstance(node, ast.Attribute) else node.id
+        for node in ast.walk(ast.parse(_sketch_source()))
+        if isinstance(node, (ast.Attribute, ast.Name))
+    }
+    kept = _kept_members()
+    members, reads = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        reads += [
+            (node.attr, path.name, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        ]
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                members += [
+                    (f"{cls.name}.{name}", name, path.name, node)
+                    for name, node in _class_members(cls)
+                ]
+    found = [
+        f"{where}:{node.lineno} {qualified}"
+        for qualified, name, where, node in members
+        if name not in sketch
+        and qualified not in kept
+        and not any(
+            attr == name and (path != where or not node.lineno <= line <= node.end_lineno)
+            for attr, path, line in reads
+        )
+    ]
+    assert found == []
+    # and the list cannot outlive what it keeps
+    assert kept - {qualified for qualified, *_ in members} == set()
 
 
 def _names_read(tree: ast.AST) -> set[str]:
