@@ -553,12 +553,6 @@ def symmetry_and_junctions(params: TileParams) -> dict:
         if p_i != apply_contraction(i, s_val, params):
             raise IdentityFailure(f"P_{i} != f_{i}(S)")
         contact_points[i] = p_i
-    endpoint = point_eval(_addr((b - 1,), (a - 2,)), params)
-    flip_endpoint = point_eval(_addr((0,), (b - 1 - (a - 2),)), params)
-    if endpoint != contact_points[b - 1]:
-        raise IdentityFailure("P_{B-1} is not the curve endpoint")
-    if flip_endpoint != contact_points[0]:
-        raise IdentityFailure("P_0 is not the flipped endpoint")
     return {
         "center": s_val,
         "contact_points": contact_points,

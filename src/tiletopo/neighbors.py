@@ -16,9 +16,10 @@ U <= (I - P_k)^{-1} partial_k.  As N = B M^{-1} is an integer matrix,
 W^{-1} M^{-k} W = adj(W) N^k W / (det W B^k), and every quantity of the
 bound is an integer over a known denominator.  The integer points of the
 ball are listed row by row as x-intervals cut by floor division, so the
-successors of a state in the ball are one range of one row.  No floating
-point enters any decision; floats only suggest the basis W, whose bound is
-then certified in integers.  The neighbor-set document is written directly
+successors of a state in the ball are one range of one row.  No float
+enters: W itself is integer, its one irrational entry 2^30 sqrt|A^2 - 4B|
+rounded down by ``math.isqrt``, and it is invertible for every pair (see
+``certified_series_bound``).  The neighbor-set document is written directly
 in the fixed layout that ``json.dumps(..., indent=2, sort_keys=True)``
 gives it.
 """
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, count
 from json.encoder import encode_basestring_ascii
 
@@ -88,30 +88,20 @@ def neighbor_set_formula(params: TileParams) -> NeighborSet:
     return NeighborSet(frozenset(halves + [(-x, -y) for (x, y) in halves]), j)
 
 
-def _float_conjugation(a: int, b: int) -> Mat2:
-    """An integer basis W, close to a multiple of the eigenbasis of M, in
-    which M^{-1} is nearly optimally contracting.  Any invertible choice
-    keeps the bound exact; a good choice keeps it small."""
+def _eigenbasis(a: int, b: int) -> Mat2:
+    """M's real Jordan basis at the scale 2^30, as an integer matrix W.
+    With D = A^2 - 4B, the columns are 2^31 times ((A + sqrt D)/2, 1) and
+    ((A - sqrt D)/2, 1) for D > 0, 2^31 times (A/2, 1) and (sqrt(-D)/2, 0)
+    for D < 0, and twice (A/2, 1) and (1, 0) for D = 0, where 2^30 sqrt|D|
+    is rounded down to r = isqrt(|D| 2^60).  Any invertible W keeps the
+    bound exact; one close to the eigenbasis keeps it small."""
     disc = a * a - 4 * b
+    r = math.isqrt(abs(disc) << 60)
     if disc > 0:
-        root = math.sqrt(disc)
-        col1 = ((a + root) / 2.0, 1.0)
-        col2 = ((a - root) / 2.0, 1.0)
-    elif disc < 0:
-        root = math.sqrt(-disc)
-        col1 = (a / 2.0, 1.0)
-        col2 = (root / 2.0, 0.0)
-    else:
-        # double eigenvalue -A/2; generalized eigenvector (1, 0)
-        col1 = (a / 2.0, 1.0)
-        col2 = (1.0, 0.0)
-    # each entry rounded to a fraction, then all over their common denominator
-    approx = [Fraction(x).limit_denominator(10**4) for x in (col1[0], col2[0], col1[1], col2[1])]
-    den = math.lcm(*(q.denominator for q in approx))
-    w00, w01, w10, w11 = (int(q * den) for q in approx)
-    if w00 * w11 - w01 * w10 == 0:
-        return ((1, 0), (0, 1))
-    return ((w00, w01), (w10, w11))
+        return ((a << 30) + r, (a << 30) - r), (1 << 31, 1 << 31)
+    if disc < 0:
+        return (a << 30, r), (1 << 31, 0)
+    return (a, 2), (2, 0)
 
 
 def certified_series_bound(params: TileParams) -> tuple[Mat2, int]:
@@ -137,8 +127,10 @@ def certified_series_bound(params: TileParams) -> tuple[Mat2, int]:
     brought to one c by multiplying through by the other row's v.
 
     The loop over k = 1, 2, ... ends for every ``TileParams``.  W is
-    invertible by construction (``_float_conjugation`` falls back to I).  M
-    is expanding: its characteristic polynomial is p(x) = x^2 + A x + B.
+    invertible: with D = A^2 - 4B and r = isqrt(|D| 2^60) >= 2^30 when
+    D != 0, det W is 2^32 r for D > 0, -2^31 r for D < 0 and -4 for D = 0
+    (see ``_eigenbasis``), none of them zero.  M is expanding: its
+    characteristic polynomial is p(x) = x^2 + A x + B.
     With complex or equal roots, |lambda|^2 = B >= 2.  With distinct real
     roots, both are negative (their sum is -A <= 0 and their product B > 0),
     and p(-1) = 1 - A + B > 0 puts both on the same side of -1; their
@@ -148,7 +140,7 @@ def certified_series_bound(params: TileParams) -> tuple[Mat2, int]:
     0 <= A <= B <= 400 that k is 1, except (2, 2), which needs k = 2.
     """
     a, b = params.a, params.b
-    w = _float_conjugation(a, b)
+    w = _eigenbasis(a, b)
     (w00, w01), (w10, w11) = w
     det_w = w00 * w11 - w01 * w10
     f = ((w11, -w01), (-w10, w00))  # adj(W)

@@ -193,12 +193,6 @@ class Address:
         object.__setattr__(self, "preperiod", pre)
         object.__setattr__(self, "period", per)
 
-    def fractional_digit(self, i: int) -> int:
-        """Digit a_i of the fractional part, 1-based."""
-        if i <= len(self.preperiod):
-            return self.preperiod[i - 1]
-        return self.period[(i - 1 - len(self.preperiod)) % len(self.period)]
-
     def max_digit(self) -> int:
         return max(self.integer_part + self.preperiod + self.period)
 

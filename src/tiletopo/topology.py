@@ -131,10 +131,11 @@ def verify_cut_point(params: TileParams, depth: int = 12) -> CutPointCertificate
     Also replays the inductive containment of the intersection in the union
     of three shrinking cylinders: at every level n <= depth, every cylinder
     pair still reachable in the live product is drawn from the three words
-    around the point, the point's own membership in the middle cylinder is
-    read off its digits, and the adjacency structure of the three words
+    around the point, and the adjacency structure of the three words
     matches the subdivision criterion (the two side words touch the middle
-    one but not each other).  The D1 x D2 product is the only product built.
+    one but not each other).  The middle word is the point's own expansion
+    cut to n + 1 digits, so the point lies in the middle cylinder without a
+    check.  The D1 x D2 product is the only product built.
     """
     a, b = params.a, params.b
     if depth < 0:
@@ -177,10 +178,6 @@ def verify_cut_point(params: TileParams, depth: int = 12) -> CutPointCertificate
                 raise CertificateFailure(
                     f"live cylinder pair ({u}, {v}) escapes level {n}"
                 )
-        if mid_word != tuple(addr.fractional_digit(i) for i in range(1, n + 2)):
-            raise CertificateFailure(
-                f"cut point escapes its middle cylinder at depth {n}"
-            )
         for side in (lo_word, hi_word):
             if subdivision_diff(side, mid_word, params) not in touching:
                 raise CertificateFailure(

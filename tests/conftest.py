@@ -38,6 +38,14 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 )
 
 
+def fractional_digit(addr, i: int) -> int:
+    """Digit a_i of the fractional part of an address, 1-based; ``addr`` may
+    be any object with ``preperiod`` and ``period``, canonical or not."""
+    if i <= len(addr.preperiod):
+        return addr.preperiod[i - 1]
+    return addr.period[(i - 1 - len(addr.preperiod)) % len(addr.period)]
+
+
 def series_value(addr: Address, params: TileParams, depth: int = 300):
     """Floating-point partial sums of sum_i M^{-i}(a_i, 0).
 
@@ -53,7 +61,7 @@ def series_value(addr: Address, params: TileParams, depth: int = 300):
             minv[0][0] * col[0] + minv[0][1] * col[1],
             minv[1][0] * col[0] + minv[1][1] * col[1],
         ]
-        d = addr.fractional_digit(i)
+        d = fractional_digit(addr, i)
         acc = [acc[0] + col[0] * d, acc[1] + col[1] * d]
     # the integer part is a finite sum, no truncation involved
     m = params.matrix

@@ -26,7 +26,7 @@ from tiletopo.neighbors import neighbor_set_formula
 from tiletopo.numsys import Address, point_eval
 from tiletopo.topology import build_d1_d2
 
-from conftest import random_address
+from conftest import fractional_digit, random_address
 from reference import (
     mat_vec,
     nfa_cylinder,
@@ -436,7 +436,7 @@ class TestProductReference:
                 for _ in range(4):
                     addr = random_address(rng, b)
                     single = nfa_single_address(addr)
-                    own = tuple(addr.fractional_digit(i) for i in range(1, rng.randint(1, 3) + 1))
+                    own = tuple(fractional_digit(addr, i) for i in range(1, rng.randint(1, 3) + 1))
                     other = tuple(rng.randrange(b) for _ in range(rng.randint(1, 3)))
                     for word in (own, other):
                         cylinder = nfa_cylinder(word, b)

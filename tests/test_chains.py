@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiletopo import Address, TileParams, WrongRegime, chains, parse_address, point_eval
+from tiletopo import Address, TileParams, WrongRegime, chains, cli, parse_address, point_eval
 from tiletopo.automata import (
     BRANCHING,
     EMPTY,
@@ -20,6 +20,7 @@ from tiletopo.automata import (
     nfa_flip,
     nfa_union,
 )
+from tiletopo.errors import IdentityFailure
 from tiletopo.chains import (
     ChainReport,
     ChainSetup,
@@ -33,6 +34,7 @@ from tiletopo.chains import (
     gamma_arcs,
     symmetry_and_junctions,
 )
+from tiletopo.numsys import flip
 from tiletopo.contact import (
     Walk,
     build_contact_graph,
@@ -693,3 +695,60 @@ class TestSymmetry:
         assert rep["center"] == point_eval(parse_address("(3)"), p57)
         half = point_eval(parse_address("(6)"), p57)
         assert (rep["center"][0] * 2, rep["center"][1] * 2) == half
+
+    def test_flipped_curve_endpoint_is_p0(self):
+        # alpha_{B-1} starts at 0.(B-1)(A-2)bar = P_{B-1}, and the digit flip
+        # takes it to 0.0(B+1-A)bar, which is P_0 = 0.0(A-2)bar exactly when
+        # 2A - B = 3
+        for a in range(4, 9):
+            b = 2 * a - 3
+            s = setup_for(a, b)
+            start = alpha_curves(s)[-2].endpoint_addresses[0]
+            assert start == Address((), (b - 1,), (a - 2,))
+            assert flip(start, s.params) == Address((), (0,), (a - 2,))
+            rep = symmetry_and_junctions(s.params)
+            assert point_eval(flip(start, s.params), s.params) == rep["contact_points"][0]
+
+
+class TestIdentityFailures:
+    """The two identity checks of ``symmetry_and_junctions`` seen to fail,
+    each on one corrupted value, directly and through ``verify-chains``."""
+
+    @staticmethod
+    def shift_top(monkeypatch):
+        # 0.(B-1)bar evaluated one unit off at (4, 5)
+        real = chains.point_eval
+
+        def shifted(addr, params):
+            x, y = real(addr, params)
+            return (x + 1, y) if addr == Address((), (), (4,)) else (x, y)
+
+        monkeypatch.setattr(chains, "point_eval", shifted)
+
+    @staticmethod
+    def shift_f1(monkeypatch):
+        # f_1(S) one unit off at (4, 5)
+        real = chains.apply_contraction
+
+        def shifted(i, p, params):
+            x, y = real(i, p, params)
+            return (x, y + 1) if i == 1 else (x, y)
+
+        monkeypatch.setattr(chains, "apply_contraction", shifted)
+
+    @pytest.mark.parametrize(
+        "corrupt,message",
+        [
+            ("shift_top", "symmetry center is not half the top point"),
+            ("shift_f1", "P_1 != f_1(S)"),
+        ],
+    )
+    def test_raised_and_reported(self, monkeypatch, capsys, corrupt, message):
+        getattr(self, corrupt)(monkeypatch)
+        with pytest.raises(IdentityFailure) as info:
+            symmetry_and_junctions(TileParams(4, 5))
+        assert str(info.value) == message
+        code = cli.main(["verify-chains", "--A", "4", "--B", "5"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == f"verification failure: {message}\n"

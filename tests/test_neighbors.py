@@ -81,12 +81,18 @@ class TestSearch:
                 t = mat_vec(w_inv, s)
                 assert max(abs(t[0]), abs(t[1])) <= bound
 
-    @pytest.mark.parametrize("a,b", [(2, 2), (10**6, 10**6), (1, 10**6), (0, 10**6)])
+    @pytest.mark.parametrize(
+        "a,b",
+        [(2, 2), (10**6, 10**6), (10**6 - 1, 10**6), (1, 10**6), (0, 10**6), (2000, 10**6)],
+    )
     def test_bound_found_without_a_cap(self, a, b):
         # the split point k is searched with no upper limit: (2,2) is the one
         # pair 0 <= A <= B <= 400 that needs k = 2, and the large pairs need
         # k = 1.  R is invertible, so the bound confines both coordinates, and
-        # the two alternating 12-term series with extreme digits stay inside it
+        # the two alternating 12-term series with extreme digits stay inside
+        # it.  R = adj(W) up to row factors, so this also checks W in each
+        # branch of A^2 - 4B: above 0 at (10^6 - 1, 10^6) and (10^6, 10^6),
+        # below 0 at (2,2), (1, 10^6) and (0, 10^6), and 0 at (2000, 10^6)
         p = TileParams(a, b)
         r, c = certified_series_bound(p)
         assert r[0][0] * r[1][1] != r[0][1] * r[1][0] and c > 0

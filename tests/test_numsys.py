@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -338,15 +339,8 @@ class TestAddressCanonical:
         params = TileParams(4, 5)
         canonical = Address((), tuple(pre), tuple(per))
         # evaluate the raw (non-canonical) expansion by brute truncation
-        class Raw:
-            integer_part = ()
-
-            def fractional_digit(self, i):
-                if i <= len(pre):
-                    return pre[i - 1]
-                return per[(i - 1 - len(pre)) % len(per)]
-
-        assert close(point_eval(canonical, params), series_value(Raw(), params))
+        raw = SimpleNamespace(integer_part=(), preperiod=tuple(pre), period=tuple(per))
+        assert close(point_eval(canonical, params), series_value(raw, params))
 
     @given(
         pre=st.lists(st.integers(0, 4), max_size=5),

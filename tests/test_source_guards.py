@@ -75,6 +75,39 @@ def test_no_module_level_memos():
     assert found == []
 
 
+def test_no_float_in_certifying_modules():
+    # the modules that decide and certify compute in integers and Fractions
+    # only; floats stay where they prefilter or print (geometry's sweep,
+    # NumberField.to_float, render and cli)
+    certifying = ("numsys", "neighbors", "automata", "topology", "chains", "contact")
+    roots = {"sqrt", "hypot"}
+    found = []
+    for name in certifying:
+        path = SRC / f"{name}.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                what = "/"
+            elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                what = repr(node.value)
+            elif isinstance(node, ast.Name) and node.id == "float":
+                what = "float"
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr in roots
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "math"
+            ):
+                what = f"math.{node.attr}"
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                what = ", ".join(a.name for a in node.names if a.name in roots)
+            else:
+                continue
+            if what:
+                found.append(f"{path.name}:{node.lineno} {what}")
+    assert found == []
+
+
 def _module_imports(tree: ast.Module) -> dict[str, int]:
     """Names bound by the module-level imports, with their line numbers."""
     bound = {}

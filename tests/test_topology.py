@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -16,9 +17,13 @@ from tiletopo.automata import (
     BRANCHING,
     EMPTY,
     UNIQUE_POINT,
+    DigitDFA,
     nfa_accepts_address,
 )
-from tiletopo import topology
+from tiletopo import cli, topology
+from tiletopo.errors import CertificateFailure
+from tiletopo.neighbors import NeighborSet
+from tiletopo.numsys import alt_flip
 from tiletopo.topology import (
     Classification,
     build_d1_d2,
@@ -28,7 +33,7 @@ from tiletopo.topology import (
     verify_cut_point,
 )
 
-from conftest import close, series_value
+from conftest import close, fractional_digit, series_value
 from reference import (
     intersect_languages,
     nfa_cylinder,
@@ -92,6 +97,17 @@ class TestCutPointAddress:
     def test_wrong_regime(self):
         with pytest.raises(WrongRegime):
             cut_point_address(TileParams(4, 5))
+
+    def test_middle_word_is_the_address_prefix(self):
+        # verify_cut_point's middle cylinder word alternates A-3 with its
+        # flip, which is the cut point's own expansion digit by digit
+        for b in range(2, 31):
+            for a in range(1, b + 1):
+                if 2 * a - b >= 5:
+                    p = TileParams(a, b)
+                    addr = cut_point_address(p)
+                    for i in range(12):
+                        assert alt_flip(i, a - 3, p) == fractional_digit(addr, i + 1), (a, b, i)
 
 
 class TestHalves:
@@ -215,6 +231,98 @@ class TestCertificates:
         assert h.hexdigest() == (
             "2a832ff70f98fe89d4d9b6e673ef0b7e41e4c7409230bd21aa7f81d8cd3e3e92"
         )
+
+
+class TestCertificateFailures:
+    """Each ``CertificateFailure`` of ``verify_cut_point`` seen to fire at
+    (6, 7), on one corrupted upstream result."""
+
+    P = TileParams(6, 7)
+
+    @staticmethod
+    def halves_missing_digit(monkeypatch):
+        # D1 loses digit 0 once free, so a word led by 0 is in neither half
+        real = topology.build_d1_d2
+
+        def halves(params):
+            d1, d2 = real(params)
+            trans = {q: dict(row) for q, row in d1.trans.items()}
+            del trans[topology.FREE][0]
+            return DigitDFA(d1.initials, trans), d2
+
+        monkeypatch.setattr(topology, "build_d1_d2", halves)
+
+    @staticmethod
+    def patch_product(monkeypatch, change):
+        real = topology.product_intersection
+        monkeypatch.setattr(
+            topology, "product_intersection", lambda *args: change(real(*args))
+        )
+
+    @classmethod
+    def branching(cls, monkeypatch):
+        cls.patch_product(monkeypatch, lambda res: dataclasses.replace(res, kind=BRANCHING))
+
+    @classmethod
+    def shifted_point(cls, monkeypatch):
+        def shift(res):
+            (x, y), = res.points
+            return dataclasses.replace(res, points=((x + 1, y),))
+
+        cls.patch_product(monkeypatch, shift)
+
+    @classmethod
+    def live_pair_off_the_words(cls, monkeypatch):
+        # one more live edge reads the digit pair (0, 0), which no word of
+        # level 0 (2, 3 or 4 at (6, 7)) starts with
+        def detour(res):
+            init = res.initials[0]
+            trans = dict(res.transitions)
+            trans[init] = trans[init] + [(0, 0, init)]
+            return dataclasses.replace(res, transitions=trans)
+
+        cls.patch_product(monkeypatch, detour)
+
+    @staticmethod
+    def neighbor_missing(monkeypatch):
+        # (-1, 0) separates the left side word from the middle one at level 0
+        real = topology.neighbor_set_formula
+
+        def formula(params):
+            found = real(params)
+            return NeighborSet(found.members - {(-1, 0)}, found.j)
+
+        monkeypatch.setattr(topology, "neighbor_set_formula", formula)
+
+    @staticmethod
+    def outer_words_touch(monkeypatch):
+        # every subdivision difference read as 0: the side words still touch
+        # the middle one, and now also each other
+        monkeypatch.setattr(topology, "subdivision_diff", lambda u, v, params: (0, 0))
+
+    @pytest.mark.parametrize(
+        "corrupt,message",
+        [
+            ("halves_missing_digit", "the two halves do not cover the digit space"),
+            ("branching", "halves intersect with kind BRANCHING"),
+            ("shifted_point", "intersection value differs from the formula"),
+            ("live_pair_off_the_words", "live cylinder pair ((0,), (0,)) escapes level 0"),
+            ("neighbor_missing", "side cylinder (2,) loses contact with the middle one"),
+            ("outer_words_touch", "outer cylinders must not touch each other"),
+        ],
+    )
+    def test_raised(self, monkeypatch, corrupt, message):
+        getattr(self, corrupt)(monkeypatch)
+        with pytest.raises(CertificateFailure) as info:
+            verify_cut_point(self.P)
+        assert str(info.value) == message
+
+    def test_reported_by_the_cli(self, monkeypatch, capsys):
+        self.shifted_point(monkeypatch)
+        code = cli.main(["cutpoint", "--A", "6", "--B", "7"])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err == "verification failure: intersection value differs from the formula\n"
 
 
 class TestPrefixAgreement:
