@@ -7,16 +7,18 @@ and run-counting questions on a finite product automaton: pairs of language
 states plus a difference state confined to S u {0}.
 
 Run counting needs deterministic languages: distinct runs must mean distinct
-digit sequences, not distinct resolutions of nondeterminism.  So a language
-becomes a ``DigitDFA`` once, where it is built, and the product only checks
-the type.  ``determinize_starts`` is the one subset construction: it reads
-one transition table from several start sets, merges each subset's row once
-and numbers each DFA's subsets as it finds them; no output prints those
-numbers.
+digit sequences, not distinct resolutions of nondeterminism.  So
+``DigitDFA`` is the one automaton type: a language becomes one where it is
+built, and the product only checks the type.  ``determinize_starts`` is the
+one subset construction: it reads one transition table from several start
+sets, merges each subset's row once and numbers each DFA's subsets as it
+finds them; no output prints those numbers.  An eventually periodic address
+is read by the DFA's one run, ``accepts_address``, which stops when its
+(state, position) pair repeats.
 
-A ``ProductMoves`` table holds the difference moves over S u {0}.  A product
-builds one per call unless it is handed one: the cells of a chain matrix
-share one, and a cell whose initial state has no move builds no product.
+A ``ProductMoves`` table holds the difference moves over S u {0}, and every
+product is handed one: the cells of a chain matrix share one, and a cell
+whose initial state has no move builds no product.
 
 The classifier distinguishes EMPTY, UNIQUE_POINT, FINITE_POINTS (finitely
 many runs, deduplicated by exact value) and BRANCHING (a state on or after a
@@ -46,21 +48,13 @@ BRANCHING = "BRANCHING"
 
 
 @dataclass(frozen=True)
-class DigitNFA:
-    """Nondeterministic automaton over digits; all states accepting, the
-    language being the infinite words that never die."""
+class DigitDFA:
+    """Deterministic automaton over digits: one initial state and at most
+    one target per digit, checked once on construction.  All states accept;
+    the language is the infinite words whose one run never dies."""
 
     initials: tuple[State, ...]
     trans: Mapping[State, Mapping[int, tuple[State, ...]]]
-
-    def successors(self, state: State, digit: int) -> tuple[State, ...]:
-        return self.trans.get(state, {}).get(digit, ())
-
-
-@dataclass(frozen=True)
-class DigitDFA(DigitNFA):
-    """Deterministic automaton: one initial state and at most one target
-    per digit, checked once on construction."""
 
     def __post_init__(self) -> None:
         if len(self.initials) != 1:
@@ -70,55 +64,35 @@ class DigitDFA(DigitNFA):
                 if len(targets) > 1:
                     raise ValueError(f"state {q!r} has {len(targets)} targets on digit {d}")
 
+    def successors(self, state: State, digit: int) -> tuple[State, ...]:
+        return self.trans.get(state, {}).get(digit, ())
 
-def nfa_flip(nfa: DigitNFA, b: int) -> DigitNFA:
-    """Image language under the digit exchange a <-> B-1-a; a DFA stays one."""
+
+def nfa_flip(dfa: DigitDFA, b: int) -> DigitDFA:
+    """Image language under the digit exchange a <-> B-1-a."""
     trans = {
         q: {b - 1 - d: targets for d, targets in row.items()}
-        for q, row in nfa.trans.items()
+        for q, row in dfa.trans.items()
     }
-    return type(nfa)(nfa.initials, trans)
+    return DigitDFA(dfa.initials, trans)
 
 
-def nfa_union(nfas: Iterable[DigitNFA]) -> DigitNFA:
-    """Disjoint union; the language is the union of languages."""
-    trans: dict[State, dict[int, tuple[State, ...]]] = {}
-    inits: list[State] = []
-    for tag, nfa in enumerate(nfas):
-        for q, row in nfa.trans.items():
-            trans[(tag, q)] = {
-                d: tuple((tag, t) for t in targets) for d, targets in row.items()
-            }
-        inits.extend((tag, q) for q in nfa.initials)
-    return DigitNFA(tuple(inits), trans)
-
-
-def nfa_accepts_address(nfa: DigitNFA, addr: Address) -> bool:
-    """Does the automaton admit an infinite run over the address digits?"""
-    pre, per = addr.preperiod, addr.period
-    total = len(pre) + len(per)
-
-    def advance(pos: int) -> int:
-        return pos + 1 if pos + 1 < total else len(pre)
-
-    def digit(pos: int) -> int:
-        return pre[pos] if pos < len(pre) else per[pos - len(pre)]
-
-    nodes = {(q, 0) for q in nfa.initials}
-    frontier = list(nodes)
-    succ: dict[tuple[State, int], list[tuple[State, int]]] = {}
-    while frontier:
-        q, pos = frontier.pop()
-        outs = []
-        for t in nfa.successors(q, digit(pos)):
-            node = (t, advance(pos))
-            outs.append(node)
-            if node not in nodes:
-                nodes.add(node)
-                frontier.append(node)
-        succ[(q, pos)] = outs
-    alive = live_nodes(succ)
-    return any((q, 0) in alive for q in nfa.initials)
+def accepts_address(dfa: DigitDFA, addr: Address) -> bool:
+    """Does the automaton read the address digits forever?  Its one run
+    reads the preperiod, then the period until its (state, position) pair
+    repeats; from there it repeats too."""
+    digits = addr.preperiod + addr.period
+    (state,) = dfa.initials
+    pos = 0
+    seen = set()
+    while (state, pos) not in seen:
+        seen.add((state, pos))
+        targets = dfa.successors(state, digits[pos])
+        if not targets:
+            return False
+        (state,) = targets
+        pos = pos + 1 if pos + 1 < len(digits) else len(addr.preperiod)
+    return True
 
 
 def determinize_starts(
@@ -273,7 +247,7 @@ class ProductMoves:
         return frozenset(a - d for a in left_digits for d, _ in self.steps((0, 0)))
 
 
-def _require_dfa(*langs: DigitNFA) -> None:
+def _require_dfa(*langs: DigitDFA) -> None:
     for lang in langs:
         if not isinstance(lang, DigitDFA):
             raise TypeError("product_intersection takes DigitDFA languages")
@@ -282,11 +256,9 @@ def _require_dfa(*langs: DigitNFA) -> None:
 def product_intersection(
     left: DigitDFA,
     right: DigitDFA,
-    sset: frozenset[IntVec],
-    params: TileParams,
+    moves: ProductMoves,
     initial_diff: IntVec = (0, 0),
     max_runs: int = 20000,
-    moves: ProductMoves | None = None,
 ) -> IntersectionAutomaton:
     """Decide which points the two languages share, as sets of values.
 
@@ -294,14 +266,13 @@ def product_intersection(
     digit sequences.  The difference state starts at ``initial_diff`` c, and
     an accepted pair (x, y) satisfies value(x) = value(y) - c.
 
-    The difference moves come from ``moves``, a ``ProductMoves`` table of the
-    same ``sset`` and ``params`` shared with other products, or from a table
-    built for this call.  A state pairs each digit a of its left row with
-    each move from its difference, and a meets only a - d on the right.
+    The difference moves come from ``moves``, the ``ProductMoves`` table of
+    one neighbor set and parameter pair, which other products may share.  A
+    state pairs each digit a of its left row with each move from its
+    difference, and a meets only a - d on the right.
     """
     _require_dfa(left, right)
-    if moves is None:
-        moves = ProductMoves(sset, params)
+    params = moves.params
     if initial_diff not in moves.allowed:
         return IntersectionAutomaton(params, (), {}, set(), EMPTY)
 

@@ -7,16 +7,17 @@ cyclically consecutive curves share exactly one point and all other pairs are
 disjoint.  Additional arcs gamma_i = f_i f_{B-1}^{-1}(alpha_{B-1} u alpha_B),
 i = 1..B-2, pass through the interior contact points.  gamma_i is the union
 with its leading digit B-1 replaced by i, so 0.i w lies on gamma_i exactly
-when 0.(B-1) w lies on the union: the membership questions that every arc
-would repeat are asked once, of the union, and no arc has an automaton of
-its own.  Everything here is decided
-mechanically: each curve language is a lexicographic walk interval, read by
-one automaton whose states pair the contact state with how far the walk
-still follows each bound, and the B languages of a setup come out of one
-subset construction.  Intersections run through the exact product
-automaton; the cells of a chain matrix share one move table, and a cell
-whose product has no move out of its initial state is EMPTY without being
-built.  The circular chain's report is the one chain report: the open
+when 0.(B-1) w lies on alpha_{B-1} or on alpha_B: the membership questions
+that every arc would repeat are asked once, of those two curves, and
+neither an arc nor the union has an automaton of its own.  Everything here
+is decided mechanically: each curve language is a lexicographic walk
+interval, read by one automaton whose states pair the contact state with
+how far the walk still follows each bound.  The bounds are unrolled once,
+by ``walk_steps``, and ordered on those steps.  The B languages of a setup
+come out of one subset construction.  Intersections run through the exact
+product automaton; the cells of a chain matrix share one move table, and a
+cell whose product has no move out of its initial state is EMPTY without
+being built.  The circular chain's report is the one chain report: the open
 chain alpha_1..alpha_B is read off it, since its expected pattern is the
 circular one restricted to the unprimed curves.  The expected junctions and
 the value of each junction address are computed once per setup, for the
@@ -38,10 +39,9 @@ from .automata import (
     DigitDFA,
     IntersectionAutomaton,
     ProductMoves,
+    accepts_address,
     determinize_starts,
-    nfa_accepts_address,
     nfa_flip,
-    nfa_union,
     product_intersection,
 )
 from .contact import (
@@ -51,9 +51,8 @@ from .contact import (
     build_contact_graph,
     ordered_extension,
     psi,
-    walk_compare,
 )
-from .errors import CertificateFailure, ChainViolation, IdentityFailure, WrongRegime
+from .errors import ChainViolation, IdentityFailure, WrongRegime
 from .neighbors import neighbor_set_formula
 from .numsys import (
     Address,
@@ -113,8 +112,6 @@ def alpha_table(params: TileParams) -> list[tuple[Walk, Walk]]:
             Walk(3, (2 * (b - a) + 1,), (2 * a - 2,)),
         )
     )
-    if len(rows) != b:
-        raise CertificateFailure(f"alpha table has {len(rows)} rows, expected {b}")
     return rows
 
 
@@ -158,11 +155,32 @@ def _follow(idx: int | None, letter: int, steps: list, wrap: int) -> int | None:
     return idx + 1 if idx + 1 < len(steps) else wrap
 
 
+def _walk_order(x: Walk, x_unrolled: tuple, y: Walk, y_unrolled: tuple) -> int:
+    """-1, 0 or 1 as the infinite walk x is below, equal to or above y in
+    lexicographic order, read on their ``walk_steps``: start state first,
+    then letters, until a letter differs or the pair of step indices
+    repeats, after which both walks repeat together."""
+    if x.start != y.start:
+        return -1 if x.start < y.start else 1
+    (x_steps, x_wrap), (y_steps, y_wrap) = x_unrolled, y_unrolled
+    i, j = 0, 0
+    seen = set()
+    while (i, j) not in seen:
+        seen.add((i, j))
+        x_letter, y_letter = x_steps[i][0], y_steps[j][0]
+        if x_letter != y_letter:
+            return -1 if x_letter < y_letter else 1
+        i, j = _follow(i, x_letter, x_steps, x_wrap), _follow(j, y_letter, y_steps, y_wrap)
+    return 0
+
+
 def lex_interval_languages(
     ordered: OrderedContactGraph, bounds: list[tuple[Walk, Walk]]
 ) -> list[DigitDFA]:
     """Digit language of all infinite walks w with lo <= w <= hi, for each
-    interval (lo, hi) of ``bounds``, by one subset construction.
+    interval (lo, hi) of ``bounds``, by one subset construction.  A pair
+    given high bound first is swapped, by ``_walk_order`` on the two
+    unrolled walks.
 
     A state (q, i, j, n) is the contact state q, with i the step of lo's
     unrolled walk while w still equals lo (None once w has gone above it),
@@ -175,9 +193,10 @@ def lex_interval_languages(
     trans: dict = {}
     starts = []
     for n, (lo, hi) in enumerate(bounds):
-        if walk_compare(lo, hi) > 0:
-            lo, hi = hi, lo
-        (lo_steps, lo_wrap), (hi_steps, hi_wrap) = ordered.walk_steps(lo), ordered.walk_steps(hi)
+        lo_unrolled, hi_unrolled = ordered.walk_steps(lo), ordered.walk_steps(hi)
+        if _walk_order(lo, lo_unrolled, hi, hi_unrolled) > 0:
+            lo, hi, lo_unrolled, hi_unrolled = hi, lo, hi_unrolled, lo_unrolled
+        (lo_steps, lo_wrap), (hi_steps, hi_wrap) = lo_unrolled, hi_unrolled
 
         def state(q: int, i: int | None, j: int | None) -> tuple:
             return (q, i, j, None if i is None and j is None else n)
@@ -425,7 +444,7 @@ def _chain_matrix(
             if partners.isdisjoint(firsts[j]):
                 matrix[(l1, l2)] = {"kind": EMPTY}
             else:
-                res = product_intersection(g1, g2, setup.sset, setup.params, moves=moves)
+                res = product_intersection(g1, g2, moves)
                 matrix[(l1, l2)] = _classify_cell(res)
     return matrix
 
@@ -494,26 +513,30 @@ def gamma_arcs(setup: ChainSetup) -> list[GammaArc]:
 
     gamma_i is alpha_{B-1} u alpha_B with its leading digit B-1 replaced by
     i, so the word 0.i w lies on gamma_i exactly when 0.(B-1) w lies on the
-    union.  Each arc must hold its interior contact point 0.i(A-2)bar and
-    the end t of alpha_{B-1} and the start s of alpha_B led by i; the union
-    is asked these three questions once, each led by B-1, the first being
+    union, that is on alpha_{B-1} or on alpha_B.  Each arc must hold its
+    interior contact point 0.i(A-2)bar and the end t of alpha_{B-1} and the
+    start s of alpha_B led by i; these three questions are asked once, each
+    led by B-1, of alpha_{B-1} and then alpha_B, the first being
     P_{B-1} = 0.(B-1)(A-2)bar.  Verified per arc: the endpoint values lie
     on the circular-chain junction set, and the boundary containment facts
     hold as edge lookups in the contact graph.
     """
     params = setup.params
     a, b = params.a, params.b
+    where = f"(A,B)=({a},{b})"
     curves = setup.curves
-    base = nfa_union([curves[b - 2].language, curves[b - 1].language])
     for name, addr in (
         ("interior contact point", _addr((b - 1,), (a - 2,))),
         ("endpoint walk t", curves[b - 2].endpoint_addresses[1]),
         ("endpoint walk s", curves[b - 1].endpoint_addresses[0]),
     ):
-        if not addr.preperiod or not nfa_accepts_address(
-            base, Address((), (b - 1,) + addr.preperiod[1:], addr.period)
+        led = Address((), (b - 1,) + addr.preperiod[1:], addr.period)
+        if not addr.preperiod or not any(
+            accepts_address(c.language, led) for c in curves[b - 2 :]
         ):
-            raise ChainViolation(f"the gamma arcs' {name} is not on alpha_{b - 1} u alpha_{b}")
+            raise ChainViolation(
+                f"the gamma arcs' {name} is not on alpha_{b - 1} u alpha_{b} for {where}"
+            )
     junction_values = {values[0] for values in setup.junction_values.values()}
     graph = setup.graph
     arcs: list[GammaArc] = []
@@ -522,17 +545,17 @@ def gamma_arcs(setup: ChainSetup) -> list[GammaArc]:
         end2 = point_eval(_addr((i, b - 1, 0), (0, b - 1)), params)
         through = point_eval(_addr((i,), (a - 2,)), params)
         if end1 not in junction_values or end2 not in junction_values:
-            raise ChainViolation(f"gamma_{i} endpoints leave the junction set")
+            raise ChainViolation(f"gamma_{i} endpoints leave the junction set for {where}")
         # containment facts: 0.i[K_s] inside K_t iff the edge t -i-> s exists
         want_t = 6 if i <= b - a else 5
         if not graph.has_edge(want_t, i, 2):
-            raise ChainViolation(f"0.{i}[K2] not inside K{want_t}")
+            raise ChainViolation(f"0.{i}[K2] not inside K{want_t} for {where}")
         want_t = 2 if i <= a - 1 else 3
         if not graph.has_edge(want_t, i, 4):
-            raise ChainViolation(f"0.{i}[K4] not inside K{want_t}")
+            raise ChainViolation(f"0.{i}[K4] not inside K{want_t} for {where}")
         want_t = 2 if i <= a - 2 else 3
         if not graph.has_edge(want_t, i, 5):
-            raise ChainViolation(f"0.{i}[K5] not inside K{want_t}")
+            raise ChainViolation(f"0.{i}[K5] not inside K{want_t} for {where}")
         arcs.append(GammaArc(i, f"g{i}", (end1, end2), through))
     return arcs
 
@@ -543,15 +566,16 @@ def symmetry_and_junctions(params: TileParams) -> dict:
     P_i = f_i(S) = 0.i(A-2)bar."""
     _require_regime(params)
     a, b = params.a, params.b
+    where = f"(A,B)=({a},{b})"
     s_val = point_eval(_addr((), (a - 2,)), params)
     top = point_eval(_addr((), (b - 1,)), params)
     if (s_val[0] * 2, s_val[1] * 2) != top:
-        raise IdentityFailure("symmetry center is not half the top point")
+        raise IdentityFailure(f"symmetry center is not half the top point for {where}")
     contact_points = {}
     for i in range(b):
         p_i = point_eval(_addr((i,), (a - 2,)), params)
         if p_i != apply_contraction(i, s_val, params):
-            raise IdentityFailure(f"P_{i} != f_{i}(S)")
+            raise IdentityFailure(f"P_{i} != f_{i}(S) for {where}")
         contact_points[i] = p_i
     return {
         "center": s_val,

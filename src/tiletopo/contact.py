@@ -67,7 +67,6 @@ from itertools import product as iproduct
 from typing import TYPE_CHECKING
 
 from .algebraic import FieldElement, NumberField, dominant_root_field
-from .automata import DigitNFA
 from .errors import (
     BudgetExceeded,
     CertificateFailure,
@@ -149,17 +148,6 @@ class ContactGraph:
 
         return len(reach(False)) == 6 and len(reach(True)) == 6
 
-    def language(self, start: int) -> DigitNFA:
-        """Runs of the graph from a state, read as digit sequences."""
-        trans: dict[int, dict[int, tuple[int, ...]]] = {}
-        for i in range(1, 7):
-            row: dict[int, list[int]] = {}
-            for (src, a, _, dst) in self.edges:
-                if src == i:
-                    row.setdefault(a, []).append(dst)
-            trans[i] = {a: tuple(sorted(t)) for a, t in sorted(row.items())}
-        return DigitNFA((start,), trans)
-
 
 def build_contact_graph(params: TileParams) -> ContactGraph:
     """All edges s -a|a'-> s' with M s + (a', 0) = s' + (a, 0), digits in range.
@@ -201,41 +189,9 @@ class Walk:
     pre: tuple[int, ...] = ()
     period: tuple[int, ...] = ()
 
-    def letter(self, n: int) -> int:
-        """The n-th letter, 1-based; infinite walks only."""
-        if n <= len(self.pre):
-            return self.pre[n - 1]
-        if not self.period:
-            raise IndexError("finite walk exhausted")
-        return self.period[(n - 1 - len(self.pre)) % len(self.period)]
-
     def __post_init__(self) -> None:
         if not 1 <= self.start <= 6:
             raise OutOfRange(f"walk start {self.start} is not a state 1..6")
-
-
-def first_difference(a: Walk, b: Walk) -> int | None:
-    """The first n at which the n-th letters of two infinite walks differ,
-    or None when the letter sequences are equal.  Eventually periodic
-    sequences that agree past both preperiods and a common period agree
-    forever, so a finite horizon decides."""
-    horizon = (
-        len(a.pre)
-        + len(b.pre)
-        + 2 * math.lcm(max(1, len(a.period)), max(1, len(b.period)))
-        + 2
-    )
-    return next((n for n in range(1, horizon + 1) if a.letter(n) != b.letter(n)), None)
-
-
-def walk_compare(a: Walk, b: Walk) -> int:
-    """Lexicographic comparison of infinite walks: start state first."""
-    if a.start != b.start:
-        return -1 if a.start < b.start else 1
-    n = first_difference(a, b)
-    if n is None:
-        return 0
-    return -1 if a.letter(n) < b.letter(n) else 1
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadDeterminant, CertificateFailure, DegenerateBasis, NotExpanding
+from .errors import BadDeterminant, DegenerateBasis, NotExpanding
 
 Digit = int
 DigitWord = tuple[int, ...]
@@ -120,11 +120,13 @@ def _mat_vec(m: Mat2, v: tuple[int, int]) -> tuple[int, int]:
 def normalize(raw: RawInstance) -> tuple[TileParams, AffineNormalization]:
     """Reduce an arbitrary instance to normalized (A, B) with the affinity record.
 
-    The change of basis C = [v | M0 v] always conjugates M0 to companion form;
-    this is checked in integers as M0 C = C [[0, -B], [1, -A]], with no
-    inverse.  When the instance has A < 0, the parameters are mapped to
-    (-A, B) and the recorded reflection/translation relate the two companion
-    tiles; the translation solves (M2^2 - I) y = M2 (B-1, 0)^T where M2 is
+    The change of basis C = [v | M0 v] conjugates M0 to companion form,
+    M0 C = C [[0, -B], [1, -A]], with no check: the first columns of both
+    sides are M0 v, and the second columns are M0 (M0 v) and -B v - A M0 v,
+    equal for every integer M0 by Cayley-Hamilton, since (A, B) =
+    (-tr M0, det M0).  When the instance has A < 0, the parameters are
+    mapped to (-A, B) and the recorded reflection/translation relate the two
+    companion tiles; the translation solves (M2^2 - I) y = M2 (B-1, 0)^T where M2 is
     the companion matrix of the un-reflected input.
     """
     raw.validate()
@@ -132,9 +134,6 @@ def normalize(raw: RawInstance) -> tuple[TileParams, AffineNormalization]:
     v = raw.v
     m0v = _mat_vec(raw.m0, v)
     basis = ((v[0], m0v[0]), (v[1], m0v[1]))
-    # the first columns of M0 C and C companion are both M0 v
-    if _mat_vec(raw.m0, m0v) != (-b * v[0] - a * m0v[0], -b * v[1] - a * m0v[1]):
-        raise CertificateFailure("basis change must yield companion form")
 
     if a >= 0:
         params = TileParams(a, b, reflected=False)

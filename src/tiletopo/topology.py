@@ -15,7 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .automata import UNIQUE_POINT, DigitDFA, IntersectionAutomaton, product_intersection
+from .automata import (
+    UNIQUE_POINT,
+    DigitDFA,
+    IntersectionAutomaton,
+    ProductMoves,
+    product_intersection,
+)
 from .errors import CertificateFailure, OutOfRange, WrongRegime
 from .neighbors import neighbor_set_formula, subdivision_diff
 from .numsys import Address, RationalPoint, TileParams, alt_flip, point_eval
@@ -138,21 +144,22 @@ def verify_cut_point(params: TileParams, depth: int = 12) -> CutPointCertificate
     check.  The D1 x D2 product is the only product built.
     """
     a, b = params.a, params.b
+    where = f"(A,B)=({a},{b})"
     if depth < 0:
-        raise OutOfRange(f"shrinking depth must be >= 0, got {depth} for (A,B)=({a},{b})")
+        raise OutOfRange(f"shrinking depth must be >= 0, got {depth} for {where}")
     if 2 * a - b < 5:
-        raise WrongRegime(f"cut point certificates require 2A - B >= 5 for (A,B)=({a},{b})")
+        raise WrongRegime(f"cut point certificates require 2A - B >= 5 for {where}")
     d1, d2 = build_d1_d2(params)
     if not union_is_universal(d1, d2, params):
-        raise CertificateFailure("the two halves do not cover the digit space")
+        raise CertificateFailure(f"the two halves do not cover the digit space for {where}")
     members = neighbor_set_formula(params).members
-    res = product_intersection(d1, d2, members, params)
+    res = product_intersection(d1, d2, ProductMoves(members, params))
     if res.kind != UNIQUE_POINT:
-        raise CertificateFailure(f"halves intersect with kind {res.kind}")
+        raise CertificateFailure(f"halves intersect with kind {res.kind} for {where}")
     addr = cut_point_address(params)
     value = point_eval(addr, params)
     if res.points[0] != value:
-        raise CertificateFailure("intersection value differs from the formula")
+        raise CertificateFailure(f"intersection value differs from the formula for {where}")
 
     # two cylinders meet exactly when their separating vector is 0 or a
     # neighbor
@@ -176,15 +183,13 @@ def verify_cut_point(params: TileParams, depth: int = 12) -> CutPointCertificate
         for (_, u, v) in frontier:
             if u not in level or v not in level:
                 raise CertificateFailure(
-                    f"live cylinder pair ({u}, {v}) escapes level {n}"
+                    f"live cylinder pair ({u}, {v}) escapes level {n} for {where}"
                 )
         for side in (lo_word, hi_word):
             if subdivision_diff(side, mid_word, params) not in touching:
                 raise CertificateFailure(
-                    f"side cylinder {side} loses contact with the middle one"
+                    f"side cylinder {side} loses contact with the middle one for {where}"
                 )
         if subdivision_diff(lo_word, hi_word, params) in touching:
-            raise CertificateFailure(
-                "outer cylinders must not touch each other"
-            )
+            raise CertificateFailure(f"outer cylinders must not touch each other for {where}")
     return CutPointCertificate(params, addr, value, res, depth)

@@ -17,9 +17,17 @@ the chain matrix's per-pair loop, one product with a move table of its own
 for every cell, kept as the oracle of the shared-table matrix.
 ``nfa_determinize`` and ``lex_interval_language`` are the one-language cases
 of the package's subset construction and walk-interval languages, which the
-package itself only runs for whole setups.  ``nfa_remap_first_digit`` builds
-the arc gamma_i as its own automaton, the definition that the package's
-gamma arcs, decided once on alpha_{B-1} u alpha_B, are tested against.  ``neighbor_set_to_json`` and
+package itself only runs for whole setups.  ``DigitNFA``, ``nfa_union``,
+``nfa_accepts_address`` (an NFA x position graph trimmed by ``live_nodes``)
+and ``graph_language``, the contact graph's language of one start state,
+are the nondeterministic automata that left the package, whose one
+automaton type is ``DigitDFA``; the tests build NFAs with them, and
+``nfa_accepts_address`` is the oracle of the DFA run ``accepts_address``.
+``walk_letter``, ``first_difference`` and ``walk_compare`` read walks
+letter by letter, the oracle of the bound order that ``chains`` reads off
+``walk_steps``.  ``nfa_remap_first_digit`` builds the arc gamma_i as its
+own automaton, the definition that the package's gamma arcs, decided once
+on alpha_{B-1} and alpha_B, are tested against.  ``neighbor_set_to_json`` and
 ``chain_report_to_json`` are the documents as dicts, which the package now
 writes in their fixed JSON layout; ``json.dumps`` of them is the writers'
 oracle.  ``chain_report_text`` is the text report with a lookup per ordered
@@ -33,9 +41,11 @@ module (its name has no ``test_`` prefix); the tests import it as
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from tiletopo.algebraic import (
     FieldElement,
@@ -49,8 +59,8 @@ from tiletopo.automata import (
     FINITE_POINTS,
     UNIQUE_POINT,
     DigitDFA,
-    DigitNFA,
     IntersectionAutomaton,
+    ProductMoves,
     State,
     determinize_starts,
     live_nodes,
@@ -138,6 +148,71 @@ def solve2(m: Mat2, rhs: tuple) -> tuple:
 # digit languages
 
 
+@dataclass(frozen=True)
+class DigitNFA:
+    """Nondeterministic automaton over digits; all states accepting, the
+    language being the infinite words that never die."""
+
+    initials: tuple[State, ...]
+    trans: Mapping[State, Mapping[int, tuple[State, ...]]]
+
+    def successors(self, state: State, digit: int) -> tuple[State, ...]:
+        return self.trans.get(state, {}).get(digit, ())
+
+
+def nfa_union(nfas: Iterable[DigitNFA | DigitDFA]) -> DigitNFA:
+    """Disjoint union; the language is the union of languages."""
+    trans: dict[State, dict[int, tuple[State, ...]]] = {}
+    inits: list[State] = []
+    for tag, nfa in enumerate(nfas):
+        for q, row in nfa.trans.items():
+            trans[(tag, q)] = {
+                d: tuple((tag, t) for t in targets) for d, targets in row.items()
+            }
+        inits.extend((tag, q) for q in nfa.initials)
+    return DigitNFA(tuple(inits), trans)
+
+
+def nfa_accepts_address(nfa: DigitNFA | DigitDFA, addr: Address) -> bool:
+    """Does the automaton admit an infinite run over the address digits?"""
+    pre, per = addr.preperiod, addr.period
+    total = len(pre) + len(per)
+
+    def advance(pos: int) -> int:
+        return pos + 1 if pos + 1 < total else len(pre)
+
+    def digit(pos: int) -> int:
+        return pre[pos] if pos < len(pre) else per[pos - len(pre)]
+
+    nodes = {(q, 0) for q in nfa.initials}
+    frontier = list(nodes)
+    succ: dict[tuple[State, int], list[tuple[State, int]]] = {}
+    while frontier:
+        q, pos = frontier.pop()
+        outs = []
+        for t in nfa.successors(q, digit(pos)):
+            node = (t, advance(pos))
+            outs.append(node)
+            if node not in nodes:
+                nodes.add(node)
+                frontier.append(node)
+        succ[(q, pos)] = outs
+    alive = live_nodes(succ)
+    return any((q, 0) in alive for q in nfa.initials)
+
+
+def graph_language(graph: ContactGraph, start: int) -> DigitNFA:
+    """Runs of the contact graph from a state, read as digit sequences."""
+    trans: dict[int, dict[int, tuple[int, ...]]] = {}
+    for i in range(1, 7):
+        row: dict[int, list[int]] = {}
+        for (src, a, _, dst) in graph.edges:
+            if src == i:
+                row.setdefault(a, []).append(dst)
+        trans[i] = {a: tuple(sorted(t)) for a, t in sorted(row.items())}
+    return DigitNFA((start,), trans)
+
+
 def nfa_full(b: int) -> DigitDFA:
     """All digit sequences."""
     return DigitDFA(("*",), {"*": {d: ("*",) for d in range(b)}})
@@ -208,6 +283,45 @@ def nfa_remap_first_digit(nfa: DigitNFA, mapping: Mapping[int, int]) -> DigitNFA
         trans[wrapped] = row
         inits.append(wrapped)
     return DigitNFA(tuple(inits), trans)
+
+
+# ---------------------------------------------------------------------------
+# walks read letter by letter
+
+
+def walk_letter(walk: Walk, n: int) -> int:
+    """The n-th letter, 1-based; infinite walks only."""
+    if n <= len(walk.pre):
+        return walk.pre[n - 1]
+    if not walk.period:
+        raise IndexError("finite walk exhausted")
+    return walk.period[(n - 1 - len(walk.pre)) % len(walk.period)]
+
+
+def first_difference(a: Walk, b: Walk) -> int | None:
+    """The first n at which the n-th letters of two infinite walks differ,
+    or None when the letter sequences are equal.  Eventually periodic
+    sequences that agree past both preperiods and a common period agree
+    forever, so a finite horizon decides."""
+    horizon = (
+        len(a.pre)
+        + len(b.pre)
+        + 2 * math.lcm(max(1, len(a.period)), max(1, len(b.period)))
+        + 2
+    )
+    return next(
+        (n for n in range(1, horizon + 1) if walk_letter(a, n) != walk_letter(b, n)), None
+    )
+
+
+def walk_compare(a: Walk, b: Walk) -> int:
+    """Lexicographic comparison of infinite walks: start state first."""
+    if a.start != b.start:
+        return -1 if a.start < b.start else 1
+    n = first_difference(a, b)
+    if n is None:
+        return 0
+    return -1 if walk_letter(a, n) < walk_letter(b, n) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +612,7 @@ def intersect_languages(
 ) -> IntersectionAutomaton:
     """Product with difference-state tracking over the neighbor set."""
     sset = neighbor_set_formula(params).members
-    return product_intersection(l1, l2, sset, params, initial_diff)
+    return product_intersection(l1, l2, ProductMoves(sset, params), initial_diff)
 
 
 def product_prefix_agreement(params: TileParams, depth: int = 4) -> bool:
@@ -581,7 +695,7 @@ def reference_chain_matrix(
     matrix: dict[tuple[str, str], dict] = {}
     for i, (l1, g1) in enumerate(labeled):
         for l2, g2 in labeled[i + 1 :]:
-            res = product_intersection(g1, g2, setup.sset, setup.params)
+            res = product_intersection(g1, g2, ProductMoves(setup.sset, setup.params))
             cell: dict = {"kind": res.kind}
             if res.kind in (UNIQUE_POINT, FINITE_POINTS):
                 cell["value"] = res.points[0]

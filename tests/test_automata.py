@@ -11,12 +11,11 @@ from tiletopo.automata import (
     DigitDFA,
     FINITE_POINTS,
     IntersectionAutomaton,
+    ProductMoves,
     Run,
     _classify_product,
-    DigitNFA,
-    nfa_accepts_address,
+    accepts_address,
     nfa_flip,
-    nfa_union,
     product_intersection,
 )
 from tiletopo.chains import ChainSetup, flipped_curves
@@ -28,17 +27,24 @@ from tiletopo.topology import build_d1_d2
 
 from conftest import fractional_digit, random_address
 from reference import (
+    DigitNFA,
+    graph_language,
     mat_vec,
     nfa_cylinder,
     nfa_determinize,
     nfa_full,
     nfa_prefixes,
     nfa_single_address,
+    nfa_union,
 )
 
 
 def members(params):
     return neighbor_set_formula(params).members
+
+
+def moves(params):
+    return ProductMoves(members(params), params)
 
 
 class TestConstructions:
@@ -53,10 +59,10 @@ class TestConstructions:
     def test_single_address(self):
         nfa = nfa_single_address(parse_address("10(21)"))
         assert nfa_prefixes(nfa, 5) == {(1, 0, 2, 1, 2)}
-        assert nfa_accepts_address(nfa, parse_address("10(21)"))
-        assert not nfa_accepts_address(nfa, parse_address("10(12)"))
+        assert accepts_address(nfa, parse_address("10(21)"))
+        assert not accepts_address(nfa, parse_address("10(12)"))
         # same point, different spelling of the tail start
-        assert nfa_accepts_address(nfa, parse_address("102(12)"))
+        assert accepts_address(nfa, parse_address("102(12)"))
 
     def test_flip(self):
         nfa = nfa_flip(nfa_cylinder((0, 4), 5), 5)
@@ -89,7 +95,7 @@ class TestDeterminize:
 
         g = build_contact_graph(TileParams(4, 5))
         for start in (1, 3, 6):
-            nfa = g.language(start)
+            nfa = graph_language(g, start)
             det = nfa_determinize(nfa)
             for depth in (1, 3, 5):
                 assert nfa_prefixes(nfa, depth) == nfa_prefixes(det, depth)
@@ -109,7 +115,7 @@ class TestDeterminize:
 
     def test_matches_reference_construction(self, monkeypatch):
         nfas = [
-            build_contact_graph(TileParams(a, b)).language(start)
+            graph_language(build_contact_graph(TileParams(a, b)), start)
             for b in range(2, 9)
             for a in range(1, b + 1)
             for start in range(1, 7)
@@ -200,7 +206,7 @@ class TestProduct:
     def test_initial_diff_outside_neighbors(self):
         params = TileParams(4, 5)
         res = product_intersection(
-            nfa_full(5), nfa_full(5), members(params), params, initial_diff=(2, 0)
+            nfa_full(5), nfa_full(5), moves(params), initial_diff=(2, 0)
         )
         assert res.kind == EMPTY
 
@@ -211,8 +217,7 @@ class TestProduct:
         res = product_intersection(
             nfa_single_address(parse_address("120(04)")),
             nfa_single_address(parse_address("001(40)")),
-            members(params),
-            params,
+            moves(params),
         )
         assert res.kind == UNIQUE_POINT
 
@@ -221,15 +226,14 @@ class TestProduct:
         res = product_intersection(
             nfa_single_address(parse_address("120(04)")),
             nfa_single_address(parse_address("100(40)")),
-            members(params),
-            params,
+            moves(params),
         )
         assert res.kind == EMPTY
 
     def test_full_tile_self_overlap_is_branching(self):
         params = TileParams(4, 5)
         res = product_intersection(
-            nfa_full(5), nfa_full(5), members(params), params
+            nfa_full(5), nfa_full(5), moves(params)
         )
         assert res.kind == BRANCHING
 
@@ -243,18 +247,18 @@ class TestProduct:
         right = nfa_determinize(
             nfa_union([nfa_single_address(parse_address("001(40)")), shared])
         )
-        res = product_intersection(left, right, members(params), params)
+        res = product_intersection(left, right, moves(params))
         assert len(res.runs) == 2
         with pytest.raises(BudgetExceeded):
-            product_intersection(left, right, members(params), params, max_runs=0)
+            product_intersection(left, right, moves(params), max_runs=0)
 
     def test_run_budget_counts_the_first_run(self):
         params = TileParams(4, 5)
         left = nfa_single_address(parse_address("120(04)"))
         right = nfa_single_address(parse_address("001(40)"))
         with pytest.raises(BudgetExceeded):
-            product_intersection(left, right, members(params), params, max_runs=0)
-        res = product_intersection(left, right, members(params), params, max_runs=1)
+            product_intersection(left, right, moves(params), max_runs=0)
+        res = product_intersection(left, right, moves(params), max_runs=1)
         assert len(res.runs) == 1
 
     def test_run_budget_counts_every_run(self):
@@ -267,23 +271,23 @@ class TestProduct:
             nfa_union([nfa_single_address(parse_address("001(40)")), shared])
         )
         with pytest.raises(BudgetExceeded):
-            product_intersection(left, right, members(params), params, max_runs=1)
-        res = product_intersection(left, right, members(params), params, max_runs=2)
+            product_intersection(left, right, moves(params), max_runs=1)
+        res = product_intersection(left, right, moves(params), max_runs=2)
         assert len(res.runs) == 2
 
     def test_rejects_nondeterministic_language(self):
         params = TileParams(4, 5)
         union = nfa_union([nfa_cylinder((0,), 5), nfa_cylinder((1,), 5)])
         with pytest.raises(TypeError):
-            product_intersection(union, nfa_full(5), members(params), params)
+            product_intersection(union, nfa_full(5), moves(params))
 
     def test_json_stable(self):
         params = TileParams(5, 5)
         from tiletopo.topology import build_d1_d2
 
         d1, d2 = build_d1_d2(params)
-        r1 = product_intersection(d1, d2, members(params), params)
-        r2 = product_intersection(d1, d2, members(params), params)
+        r1 = product_intersection(d1, d2, moves(params))
+        r2 = product_intersection(d1, d2, moves(params))
         assert r1.to_json() == r2.to_json()
 
 
@@ -388,7 +392,7 @@ class TestProductReference:
 
     @staticmethod
     def _compare(left, right, sset, params, initial_diff=(0, 0)):
-        res = product_intersection(left, right, sset, params, initial_diff)
+        res = product_intersection(left, right, ProductMoves(sset, params), initial_diff)
         ref = brute_product(left, right, sset, params, initial_diff)
         assert res.initials == ref.initials
         assert res.transitions.keys() == ref.transitions.keys()

@@ -1,10 +1,12 @@
+import copy
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
 from itertools import count
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tiletopo import Address, TileParams, WrongRegime, chains, cli, parse_address, point_eval
@@ -13,18 +15,18 @@ from tiletopo.automata import (
     EMPTY,
     FINITE_POINTS,
     UNIQUE_POINT,
-    DigitNFA,
     ProductMoves,
+    accepts_address,
     live_nodes,
-    nfa_accepts_address,
     nfa_flip,
-    nfa_union,
 )
-from tiletopo.errors import IdentityFailure
+from tiletopo.errors import ChainViolation, IdentityFailure, OutOfRange
 from tiletopo.chains import (
     ChainReport,
     ChainSetup,
     _chain_matrix,
+    _check_cycle_pattern,
+    _walk_order,
     alpha_calibration_rows,
     alpha_curves,
     alpha_table,
@@ -35,27 +37,33 @@ from tiletopo.chains import (
     symmetry_and_junctions,
 )
 from tiletopo.numsys import flip
+from tiletopo.topology import build_d1_d2
 from tiletopo.contact import (
     Walk,
     build_contact_graph,
     derive_order_extension,
-    first_difference,
     psi,
-    walk_compare,
 )
 
 from reference import (
+    DigitNFA,
     chain_report,
     chain_report_text,
     chain_report_to_json,
+    first_difference,
+    graph_language,
     lex_interval_language,
+    nfa_accepts_address,
     nfa_determinize,
     nfa_prefixes,
     nfa_remap_first_digit,
     nfa_single_address,
+    nfa_union,
     reference_chain_matrix,
     verify_chain,
     verify_circular_chain,
+    walk_compare,
+    walk_letter,
 )
 
 
@@ -105,7 +113,7 @@ class TestAlphaTable:
 
 
 def _k_prefixes(setup, state, depth):
-    return nfa_prefixes(setup.graph.language(state), depth)
+    return nfa_prefixes(graph_language(setup.graph, state), depth)
 
 
 def _family(setup, head, states, depth=4):
@@ -126,7 +134,7 @@ class TestAlphaLanguage:
     def test_contains_lower_junction(self):
         s = setup_for(4, 5)
         lang = alpha_curves(s)[0].language
-        assert nfa_accepts_address(lang, parse_address("104(40)"))
+        assert accepts_address(lang, parse_address("104(40)"))
 
     def test_depth4_matches_explicit_decomposition(self):
         # alpha_1 for (4,5): expand the explicit union of cylinder families
@@ -160,9 +168,7 @@ class TestAlphaLanguage:
 
     def test_language_inside_boundary_language(self):
         s = setup_for(4, 5)
-        from tiletopo.automata import nfa_union
-
-        boundary = nfa_union([s.graph.language(i) for i in range(1, 7)])
+        boundary = nfa_union([graph_language(s.graph, i) for i in range(1, 7)])
         bprefixes = nfa_prefixes(boundary, 5)
         for c in alpha_curves(s):
             assert nfa_prefixes(c.language, 5) <= bprefixes
@@ -221,11 +227,11 @@ def reference_lex_interval_language(ordered, lo, hi):
         n = first_difference(lo, hi) - 1
         state = lo.start
         for m in range(n):
-            e = ordered.edge_at(state, lo.letter(m + 1))
+            e = ordered.edge_at(state, walk_letter(lo, m + 1))
             trans[("both", m)] = {e[1]: (("both", m + 1) if m + 1 < n else ("div",),)}
             state = e[3]
         trans[("div",)] = {}
-        lo_div, hi_div = lo.letter(n + 1), hi.letter(n + 1)
+        lo_div, hi_div = walk_letter(lo, n + 1), walk_letter(hi, n + 1)
         for k, e in enumerate(ordered.orders[state - 1], start=1):
             if k in (lo_div, hi_div):
                 side = "lo" if k == lo_div else "hi"
@@ -278,8 +284,8 @@ class TestLexIntervalLanguage:
         """Digit words of the depth-letter walk prefixes p from lo's start
         with lo[:depth] <= p <= hi[:depth]: exactly the prefixes of the
         infinite walks between lo and hi, since every state has out-edges."""
-        lo_word = tuple(lo.letter(n) for n in range(1, depth + 1))
-        hi_word = tuple(hi.letter(n) for n in range(1, depth + 1))
+        lo_word = tuple(walk_letter(lo, n) for n in range(1, depth + 1))
+        hi_word = tuple(walk_letter(hi, n) for n in range(1, depth + 1))
         out = set()
 
         def rec(state, letters, digits):
@@ -302,8 +308,8 @@ class TestLexIntervalLanguage:
         assert lang.trans == lex_interval_language(ordered, hi, lo).trans
         for depth in range(1, 7):
             assert nfa_prefixes(lang, depth) == self._walk_prefixes(ordered, lo, hi, depth)
-        assert nfa_accepts_address(lang, psi(lo, ordered))
-        assert nfa_accepts_address(lang, psi(hi, ordered))
+        assert accepts_address(lang, psi(lo, ordered))
+        assert accepts_address(lang, psi(hi, ordered))
 
     def test_same_language_helper(self):
         ordered = setup_for(4, 5).ordered
@@ -340,6 +346,75 @@ class TestLexIntervalLanguage:
         assert same_language(
             lex_interval_language(ordered, lo, hi), nfa_single_address(psi(lo, ordered))
         )
+
+
+def drawn_walk(data, ordered, start, head=()):
+    """A walk from ``start`` that reads the letters ``head`` and then drawn
+    letters, each taken among the out-edges of the state it leaves.  The
+    period's letters are chosen on its first pass, so a period that does not
+    fit a state it meets later is rejected."""
+    state = start
+    for letter in head:
+        state = ordered.edge_at(state, letter)[3]
+    letters = []
+    for c in data.draw(st.lists(st.integers(0, 10), max_size=4), label="pre choices"):
+        letters.append(c % ordered.out_count(state) + 1)
+        state = ordered.edge_at(state, letters[-1])[3]
+    pre = tuple(head) + tuple(letters)
+    per = []
+    for c in data.draw(st.lists(st.integers(0, 10), min_size=1, max_size=3), label="period"):
+        per.append(c % ordered.out_count(state) + 1)
+        state = ordered.edge_at(state, per[-1])[3]
+    walk = Walk(start, pre, tuple(per))
+    try:
+        ordered.walk_steps(walk)
+    except OutOfRange:
+        assume(False)
+    return walk
+
+
+class TestWalkOrder:
+    """``lex_interval_languages`` orders its bounds on their ``walk_steps``;
+    ``reference.walk_compare`` reads the letters by index."""
+
+    @staticmethod
+    def order(ordered, x, y):
+        return _walk_order(x, ordered.walk_steps(x), y, ordered.walk_steps(y))
+
+    def test_one_sequence_spelled_two_ways(self):
+        ordered = setup_for(4, 5).ordered
+        pairs = [
+            (Walk(3, (1,), (2,)), Walk(3, (1, 2), (2,))),
+            (Walk(5, (2,), (2, 2)), Walk(5, (2, 2), (2,))),
+            (Walk(5, (2,), (2, 2)), Walk(5, (2,), (2, 4))),
+            (Walk(2, (1,), (1,)), Walk(3, (1,), (1,))),
+        ]
+        for x, y in pairs:
+            for u, v in ((x, y), (y, x)):
+                assert self.order(ordered, u, v) == walk_compare(u, v)
+        assert [self.order(ordered, x, y) for x, y in pairs] == [0, 0, -1, -1]
+
+    @given(st.sampled_from([(4, 5), (5, 7)]), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_walk_compare(self, ab, data):
+        ordered = setup_for(*ab).ordered
+        x = drawn_walk(data, ordered, data.draw(st.integers(1, 6), label="start"))
+        kind = data.draw(st.sampled_from(["respelled", "branch", "any"]), label="kind")
+        if kind == "respelled":
+            # the same letters: part of the period moved into the
+            # preperiod, and the period repeated
+            k = data.draw(st.integers(0, len(x.period)), label="k")
+            r = data.draw(st.integers(1, 2), label="r")
+            y = Walk(x.start, x.pre + x.period[:k], (x.period[k:] + x.period[:k]) * r)
+        elif kind == "branch":
+            m = data.draw(st.integers(0, 6), label="shared letters")
+            y = drawn_walk(data, ordered, x.start, [walk_letter(x, n) for n in range(1, m + 1)])
+        else:
+            y = drawn_walk(data, ordered, data.draw(st.integers(1, 6), label="other start"))
+        assert self.order(ordered, x, y) == walk_compare(x, y)
+        assert self.order(ordered, y, x) == walk_compare(y, x)
+        if kind == "respelled":
+            assert walk_compare(x, y) == 0
 
 
 class TestChain:
@@ -397,7 +472,7 @@ class TestChainMatrix:
         # K_1..K_6 of (4,5) and their flips start with one to four, so some
         # cells die at the start, some after a first step, some branch
         s = setup_for(4, 5)
-        labeled = [(f"K{q}", nfa_determinize(s.graph.language(q))) for q in range(1, 7)]
+        labeled = [(f"K{q}", nfa_determinize(graph_language(s.graph, q))) for q in range(1, 7)]
         labeled += [(f"{label}'", nfa_flip(lang, 5)) for label, lang in labeled]
         matrix = _chain_matrix(s, labeled)
         assert list(matrix.items()) == list(reference_chain_matrix(s, labeled).items())
@@ -508,25 +583,33 @@ class TestGamma:
 
     @pytest.mark.parametrize("a", [4, 5, 8])
     def test_endpoint_walks_checked(self, monkeypatch, a):
-        # 0.i w is on gamma_i exactly when 0.(B-1) w is on alpha_{B-1} u
-        # alpha_B, so the union is asked once for P_{B-1} = 0.(B-1)(A-2)bar,
-        # then the end t of alpha_{B-1} and the start s of alpha_B, each
-        # with its leading digit set to B-1
+        # 0.i w is on gamma_i exactly when 0.(B-1) w is on alpha_{B-1} or
+        # alpha_B, so those two curves are asked, in that order, for
+        # P_{B-1} = 0.(B-1)(A-2)bar, then the end t of alpha_{B-1} and the
+        # start s of alpha_B, each with its leading digit set to B-1
         b = 2 * a - 3
         s = setup_for(a, b)
+        lower, upper = s.curves[b - 2].language, s.curves[b - 1].language
         seen = []
 
         def record(lang, addr):
-            seen.append(addr)
-            return nfa_accepts_address(lang, addr)
+            seen.append((lang, addr))
+            return accepts_address(lang, addr)
 
-        monkeypatch.setattr(chains, "nfa_accepts_address", record)
+        monkeypatch.setattr(chains, "accepts_address", record)
         gamma_arcs(s)
         table = alpha_table(s.params)
         ends = [psi(table[b - 2][1], s.ordered), psi(table[b - 1][0], s.ordered)]
-        assert seen == [Address((), (b - 1,), (a - 2,))] + [
-            Address((), (b - 1,) + e.preperiod[1:], e.period) for e in ends
-        ]
+        assert list(dict.fromkeys(addr for _, addr in seen)) == [
+            Address((), (b - 1,), (a - 2,))
+        ] + [Address((), (b - 1,) + e.preperiod[1:], e.period) for e in ends]
+        # each address goes to alpha_{B-1} first, and to alpha_B only when
+        # alpha_{B-1} does not hold it; no other language is asked
+        asked: dict = {}
+        for lang, addr in seen:
+            asked.setdefault(addr, []).append(lang)
+        for addr, langs in asked.items():
+            assert langs == ([lower] if accepts_address(lower, addr) else [lower, upper])
 
     def test_containment_fact_4_5(self):
         # i=2 > B-A=1, so 0.2[K2] sits inside K5, realized by the edge 5 -2-> 2
@@ -603,22 +686,68 @@ class TestGamma:
                 head, pre, per = word.preperiod[0], word.preperiod[1:], word.period
             else:
                 head, pre, per = word.period[0], (), word.period[1:] + word.period[:1]
-        on_union = nfa_accepts_address(union, Address((), (b - 1,) + pre, per))
+        led = Address((), (b - 1,) + pre, per)
+        on_union = nfa_accepts_address(union, led)
         assert nfa_accepts_address(gamma, Address((), (i,) + pre, per)) == on_union
+        # on the union exactly when on one of the two curves, as the
+        # package asks it
+        assert on_union == any(accepts_address(c.language, led) for c in s.curves[b - 2 :])
         if curve is not None and head == b - 1:
             assert on_union
 
     def test_three_questions_per_setup(self, monkeypatch):
-        # one union and three membership questions at (13,23), not 21 arc
-        # automata and 63 questions
+        # three membership questions at (13,23), each of the curves
+        # alpha_{B-1} and alpha_B and of no union, not 21 arc automata and
+        # 63 questions
         s = setup_for(13, 23)
-        unions, questions = [], []
-        monkeypatch.setattr(chains, "nfa_union", lambda langs: unions.append(langs) or nfa_union(langs))
+        asked = []
         monkeypatch.setattr(
-            chains, "nfa_accepts_address", lambda lang, addr: questions.append(addr) or True
+            chains, "accepts_address", lambda lang, addr: asked.append((lang, addr)) or True
         )
         assert len(gamma_arcs(s)) == 21
-        assert (len(unions), len(questions)) == (1, 3)
+        assert len({addr for _, addr in asked}) == len(asked) == 3
+        # each answered True by alpha_{B-1}, so alpha_B is never asked
+        assert all(lang is s.curves[21].language for lang, _ in asked)
+
+
+class TestAcceptsAddress:
+    """The DFA run ``accepts_address`` against the NFA x position graph of
+    ``reference.nfa_accepts_address``, over the alpha DFAs, their flips and
+    the halves D1, D2."""
+
+    LANGUAGES: list = []
+
+    @classmethod
+    def languages(cls):
+        if not cls.LANGUAGES:
+            for a, b in ((4, 5), (5, 7)):
+                s = setup_for(a, b)
+                cls.LANGUAGES += [(b, c.language) for c in s.curves + flipped_curves(s, s.curves)]
+            for a, b in ((5, 5), (6, 7), (8, 11)):
+                cls.LANGUAGES += [(b, half) for half in build_d1_d2(TileParams(a, b))]
+        return cls.LANGUAGES
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_nfa_test(self, data):
+        b, dfa = data.draw(st.sampled_from(self.languages()), label="language")
+        digits = st.lists(st.integers(0, b - 1), max_size=6)
+        pre = tuple(data.draw(digits, label="pre"))
+        per = tuple(data.draw(digits.filter(bool), label="per"))
+        how = data.draw(st.sampled_from(["drawn", "accepted", "one digit off"]), label="how")
+        addr = Address((), pre, per)
+        if how != "drawn":
+            addr = TestGamma.accepted_address(dfa, pre, per)
+        if how == "one digit off":
+            word = list(addr.preperiod + addr.period)
+            k = data.draw(st.integers(0, len(word) - 1), label="position")
+            word[k] = (word[k] + data.draw(st.integers(1, b - 1), label="shift")) % b
+            cut = len(addr.preperiod)
+            addr = Address((), tuple(word[:cut]), tuple(word[cut:]))
+        answer = accepts_address(dfa, addr)
+        assert answer == nfa_accepts_address(dfa, addr)
+        if how == "accepted":
+            assert answer
 
 
 class TestReportWriters:
@@ -747,8 +876,140 @@ class TestIdentityFailures:
         getattr(self, corrupt)(monkeypatch)
         with pytest.raises(IdentityFailure) as info:
             symmetry_and_junctions(TileParams(4, 5))
-        assert str(info.value) == message
+        assert str(info.value) == f"{message} for (A,B)=(4,5)"
         code = cli.main(["verify-chains", "--A", "4", "--B", "5"])
         err = capsys.readouterr().err
         assert code == 3
-        assert err == f"verification failure: {message}\n"
+        assert err == f"verification failure: {message} for (A,B)=(4,5)\n"
+
+
+class TestGammaFailures:
+    """Each ``ChainViolation`` of ``gamma_arcs`` seen to fire at (4, 5), on
+    one corrupted upstream result: a question answered False, junction
+    values moved off the arc ends, and each containment edge missing."""
+
+    WHERE = " for (A,B)=(4,5)"
+
+    @staticmethod
+    def without_edges(src, digit, dst):
+        # a copy of the (4, 5) setup whose contact graph lacks the edges
+        # src -digit-> dst
+        s = copy.copy(setup_for(4, 5))
+        edges = tuple(e for e in s.graph.edges if (e[0], e[1], e[3]) != (src, digit, dst))
+        s.graph = dataclasses.replace(s.graph, edges=edges)
+        return s
+
+    def test_question_answered_false(self, monkeypatch):
+        monkeypatch.setattr(chains, "accepts_address", lambda lang, addr: False)
+        with pytest.raises(ChainViolation) as info:
+            gamma_arcs(setup_for(4, 5))
+        assert str(info.value) == (
+            "the gamma arcs' interior contact point is not on alpha_4 u alpha_5" + self.WHERE
+        )
+
+    def test_arc_end_off_the_junction_set(self):
+        s = copy.copy(setup_for(4, 5))
+        s.junction_values = {
+            pair: [(x + 1, y) for x, y in values] for pair, values in s.junction_values.items()
+        }
+        with pytest.raises(ChainViolation) as info:
+            gamma_arcs(s)
+        assert str(info.value) == "gamma_1 endpoints leave the junction set" + self.WHERE
+
+    @pytest.mark.parametrize(
+        "edge,message",
+        [
+            # i = 1 <= B - A, so 0.1[K2] sits inside K6
+            ((6, 1, 2), "0.1[K2] not inside K6"),
+            ((2, 1, 4), "0.1[K4] not inside K2"),
+            ((2, 1, 5), "0.1[K5] not inside K2"),
+        ],
+    )
+    def test_containment_edge_missing(self, edge, message):
+        with pytest.raises(ChainViolation) as info:
+            gamma_arcs(self.without_edges(*edge))
+        assert str(info.value) == message + self.WHERE
+
+    def test_reported_by_the_cli(self, monkeypatch, capsys):
+        monkeypatch.setattr(chains, "accepts_address", lambda lang, addr: False)
+        code = cli.main(["verify-chains", "--A", "4", "--B", "5"])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err == (
+            "verification failure: the gamma arcs' interior contact point is not on"
+            " alpha_4 u alpha_5" + self.WHERE + "\n"
+        )
+
+
+class TestCyclePatternFailures:
+    """Each violation line of ``_check_cycle_pattern`` seen to fire at
+    (4, 5), on one corrupted cell of the chain matrix or one corrupted
+    junction table."""
+
+    @staticmethod
+    def matrix(s):
+        labeled = [(c.label, c.language) for c in s.curves + flipped_curves(s, s.curves)]
+        return [label for label, _ in labeled], _chain_matrix(s, labeled)
+
+    def violations(self, s, change=lambda matrix: None):
+        labels, matrix = self.matrix(setup_for(4, 5))
+        change(matrix)
+        return _check_cycle_pattern(s, labels, matrix).violations
+
+    def test_uncorrupted(self):
+        assert self.violations(setup_for(4, 5)) == []
+
+    def test_adjacent_pair_not_a_point(self):
+        def change(matrix):
+            matrix[("a1", "a2")] = {"kind": EMPTY}
+
+        assert self.violations(setup_for(4, 5), change) == [
+            "a1 & a2: expected UNIQUE_POINT, got EMPTY"
+        ]
+
+    def test_junction_pair_dropped(self):
+        s = copy.copy(setup_for(4, 5))
+        s.junctions = {pair: ads for pair, ads in s.junctions.items() if pair != ("a1", "a2")}
+        assert self.violations(s) == ["a1 & a2: no expected junction value"]
+
+    def test_dual_addresses_disagree(self):
+        s = copy.copy(setup_for(4, 5))
+        (x, y), _ = s.junction_values[("a1", "a2")]
+        s.junction_values = {**s.junction_values, ("a1", "a2"): [(x, y), (x + 1, y)]}
+        assert self.violations(s) == ["a1 & a2: dual junction addresses disagree"]
+
+    def test_junction_value_mismatch(self):
+        want = setup_for(4, 5).junction_values[("a1", "a2")][0]
+        got = (want[0] + 1, want[1])
+
+        def change(matrix):
+            matrix[("a1", "a2")]["value"] = got
+
+        assert self.violations(setup_for(4, 5), change) == [
+            f"a1 & a2: junction value mismatch (got {got}, want {want})"
+        ]
+
+    def test_far_pair_not_empty(self):
+        def change(matrix):
+            matrix[("a1", "a3")] = {"kind": BRANCHING, "witness": "w"}
+
+        assert self.violations(setup_for(4, 5), change) == [
+            "a1 & a3: expected EMPTY, got BRANCHING (w)"
+        ]
+
+    def test_reported_by_the_cli(self, monkeypatch, capsys):
+        # a junction table without the pair (a3, a4), whose value no gamma
+        # arc end needs: the report names it, the gamma arcs and identities
+        # still pass, and the command exits 3
+        real = chains.expected_chain_junctions
+
+        def dropped(params):
+            table = real(params)
+            del table[("a3", "a4")]
+            return table
+
+        monkeypatch.setattr(chains, "expected_chain_junctions", dropped)
+        code = cli.main(["verify-chains", "--A", "4", "--B", "5"])
+        out, err = capsys.readouterr()
+        assert code == 3 and err == ""
+        assert out.endswith("violations:\n  a3 & a4: no expected junction value\n")

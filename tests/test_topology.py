@@ -18,7 +18,7 @@ from tiletopo.automata import (
     EMPTY,
     UNIQUE_POINT,
     DigitDFA,
-    nfa_accepts_address,
+    accepts_address,
 )
 from tiletopo import cli, topology
 from tiletopo.errors import CertificateFailure
@@ -115,15 +115,15 @@ class TestHalves:
         params = TileParams(6, 6)
         d1, d2 = build_d1_d2(params)
         addr = cut_point_address(params)  # (A-3)(B-A+2) repeated
-        assert nfa_accepts_address(d1, addr)
-        assert nfa_accepts_address(d2, addr)
+        assert accepts_address(d1, addr)
+        assert accepts_address(d2, addr)
 
     def test_strictly_below_in_d1_only(self):
         params = TileParams(5, 5)
         d1, d2 = build_d1_d2(params)
         addr = Address((), (0,), (1,))  # 0 1 1 1 ...
-        assert nfa_accepts_address(d1, addr)
-        assert not nfa_accepts_address(d2, addr)
+        assert accepts_address(d1, addr)
+        assert not accepts_address(d2, addr)
 
     def test_union_universal_on_grid(self):
         for b in range(2, 13):
@@ -315,14 +315,17 @@ class TestCertificateFailures:
         getattr(self, corrupt)(monkeypatch)
         with pytest.raises(CertificateFailure) as info:
             verify_cut_point(self.P)
-        assert str(info.value) == message
+        assert str(info.value) == f"{message} for (A,B)=(6,7)"
 
     def test_reported_by_the_cli(self, monkeypatch, capsys):
         self.shifted_point(monkeypatch)
         code = cli.main(["cutpoint", "--A", "6", "--B", "7"])
         out, err = capsys.readouterr()
         assert code == 3 and out == ""
-        assert err == "verification failure: intersection value differs from the formula\n"
+        assert err == (
+            "verification failure: intersection value differs from the formula"
+            " for (A,B)=(6,7)\n"
+        )
 
 
 class TestPrefixAgreement:
