@@ -361,10 +361,14 @@ def _classify_product(
         rv = point_eval(ra, params)
         expected = (rv[0] - initial_diff[0], rv[1] - initial_diff[1])
         if lv != expected:
-            raise CertificateFailure("difference tracking broken")
+            raise CertificateFailure(
+                f"difference tracking broken for (A,B)=({params.a},{params.b})"
+            )
         runs.append(Run(la, ra, lv))
         if len(runs) > max_runs:
-            raise BudgetExceeded(f"run enumeration exceeded {max_runs} runs")
+            raise BudgetExceeded(
+                f"run enumeration exceeded {max_runs} runs for (A,B)=({params.a},{params.b})"
+            )
 
     def explore(node: State, prefix_l: list[int], prefix_r: list[int]) -> None:
         if node in cyclic:

@@ -451,8 +451,12 @@ def _chain_matrix(
 
 def _check_cycle_pattern(
     setup: ChainSetup, labels: list[str], matrix: dict[tuple[str, str], dict]
-) -> ChainReport:
-    report = ChainReport(setup.params, labels, matrix)
+) -> tuple[list[str], dict[tuple[str, str], list[Address]]]:
+    """The violations of the circular pattern in a chain matrix, and the
+    expected junction addresses of each adjacent pair whose cell is a point
+    and whose dual addresses agree.  The matrix is only read."""
+    violations: list[str] = []
+    addresses: dict[tuple[str, str], list[Address]] = {}
     n = len(labels)
     position = {label: k for k, label in enumerate(labels)}
 
@@ -465,32 +469,32 @@ def _check_cycle_pattern(
             key = (l1, l2) if (l1, l2) in setup.junctions else (l2, l1)
             expect = setup.junctions.get(key)
             if cell["kind"] != UNIQUE_POINT:
-                report.violations.append(
+                violations.append(
                     f"{l1} & {l2}: expected UNIQUE_POINT, got {cell['kind']}"
                 )
                 continue
             if expect is None:
-                report.violations.append(f"{l1} & {l2}: no expected junction value")
+                violations.append(f"{l1} & {l2}: no expected junction value")
                 continue
             values = setup.junction_values[key]
             if len(set(values)) != 1:
-                report.violations.append(
+                violations.append(
                     f"{l1} & {l2}: dual junction addresses disagree"
                 )
                 continue
-            cell["addresses"] = expect
+            addresses[(l1, l2)] = expect
             if cell["value"] != values[0]:
-                report.violations.append(
+                violations.append(
                     f"{l1} & {l2}: junction value mismatch "
                     f"(got {cell['value']}, want {values[0]})"
                 )
         else:
             if cell["kind"] != EMPTY:
                 witness = cell.get("value") or cell.get("witness")
-                report.violations.append(
+                violations.append(
                     f"{l1} & {l2}: expected EMPTY, got {cell['kind']} ({witness})"
                 )
-    return report
+    return violations, addresses
 
 
 def circular_chain_report(setup: ChainSetup) -> ChainReport:
@@ -501,7 +505,12 @@ def circular_chain_report(setup: ChainSetup) -> ChainReport:
     ]
     matrix = _chain_matrix(setup, labeled)
     labels = [l for l, _ in labeled]
-    return _check_cycle_pattern(setup, labels, matrix)
+    violations, addresses = _check_cycle_pattern(setup, labels, matrix)
+    # the report names an adjacent pair's point by its expected junction
+    # addresses
+    for pair, expect in addresses.items():
+        matrix[pair]["addresses"] = expect
+    return ChainReport(setup.params, labels, matrix, violations)
 
 
 # ---------------------------------------------------------------------------

@@ -25,22 +25,23 @@ out keeps its junctions as reduced triples (x, y, den); Fractions are built
 only when its ``vertices`` are read.  ``derive_order_extension`` decides
 every map and is the certificate that the ordering is unique: none, two, or
 a state that threads two ways raises; ``contact-graph`` runs it.
-``ordered_extension`` decides only the sorted first-edge map phi_0, the
-first map of that search, and runs the search only when phi_0 does not
-complete; ``param``, ``approx``, ``render`` and the chain setup of
-``verify-chains`` call it.  It solves phi_0's six junctions once, at one
-common scale S, so that each point f_b(V_t) is the integer key
-(S*V_t + (b*S, 0)), and threads each state through a table of its edges'
-start points: where those are distinct, the depth-first threading has one
-candidate at each point, and the table's chain is the only one it can
-find.  A state whose edges share a start point leaves phi_0 to the search.
-For the regime with tabulated endpoint data both check the ordering
-against the known walk decodings.
+``ordered_extension`` is the ordering in closed form, the one ``param``,
+``approx``, ``render`` and the chain setup of ``verify-chains`` call: states
+1..3 take their out-edges sorted, states 4..6 the digit flips of those
+orders (their own out-edges in reverse order), and the first edges form the
+first map of that search, phi_0.  Its
+six junctions are solved once, at one common scale S, so that each point
+f_b(V_t) is the integer key (S*V_t + (b*S, 0)); the orders are then checked
+edge to edge, each edge's end key against the next edge's start key.  A
+graph that fails the check is left to the search; no pair B <= 60 does.
+For the regime with tabulated endpoint data both check the ordering against
+the known walk decodings.
 
-The Perron vector of the incidence matrix is solved on the 3x3 system that
-the digit flip (state i <-> i+3) folds the 6x6 one into, whose cofactors are
-integer polynomials in beta.  A walk's parameter is two integer Horner
-passes in Q(beta), over the prefix and over the period, and one division.
+The Perron vector of the incidence matrix is read off the edge families of
+the contact graph, v = (beta - A + 1, A, beta (beta - A + 1)) on K1..K3 and
+again on K4..K6, as integer polynomials in beta, and checked on the graph.
+A walk's parameter is two integer Horner passes in Q(beta), over the prefix
+and over the period, and one division.
 The greedy walk of a parameter keeps its remainder as an integer vector
 over the one denominator of t and u: each step multiplies it by beta and
 subtracts the lengths before the chosen edge, so equal remainders are equal
@@ -71,7 +72,6 @@ from .errors import (
     BudgetExceeded,
     CertificateFailure,
     NoConsistentOrdering,
-    NotIrreducible,
     NonPeriodicWalk,
     OutOfRange,
 )
@@ -131,29 +131,19 @@ class ContactGraph:
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         return self._adjacency
 
-    def is_strongly_connected(self) -> bool:
-        adj = self.adjacency()
-
-        def reach(flip: bool) -> set[int]:
-            seen = {0}
-            frontier = [0]
-            while frontier:
-                i = frontier.pop()
-                for j in range(6):
-                    linked = adj[j][i] if flip else adj[i][j]
-                    if linked and j not in seen:
-                        seen.add(j)
-                        frontier.append(j)
-            return seen
-
-        return len(reach(False)) == 6 and len(reach(True)) == 6
-
 
 def build_contact_graph(params: TileParams) -> ContactGraph:
     """All edges s -a|a'-> s' with M s + (a', 0) = s' + (a, 0), digits in range.
 
-    For A = B the two P1/-R links drop out on their own: they would need
-    a' - a = A, infeasible within [0, B-1].
+    The graph is strongly connected, as its edge families show.  For each
+    target t of a state s the rule fixes a' - a, so the edges s -> t number
+    B - |a' - a| where that is positive: 1->3: 1, 2->4: A, 2->5: A-1,
+    3->4: B-A, 3->5: B-A+1, 4->6: 1, 5->1: A, 5->2: A-1, 6->1: B-A,
+    6->2: B-A+1, and no others.  With 1 <= A <= B, 1->3->5->1 and
+    2->4->6->2 are cycles; 3->4 and 6->1 link them both ways when A < B,
+    and 2->5 and 5->2 when A = B >= 2.  For A = B the two P1/-R links drop
+    out on their own: they would need a' - a = A, infeasible within
+    [0, B-1].
     """
     if params.a < 1:
         raise OutOfRange(f"contact graph requires A >= 1 for (A,B)=({params.a},{params.b})")
@@ -170,10 +160,7 @@ def build_contact_graph(params: TileParams) -> ContactGraph:
                 ap = a + delta
                 if 0 <= ap < b:
                     edges.append((i, a, ap, j))
-    graph = ContactGraph(params, states, tuple(edges))
-    if not graph.is_strongly_connected():
-        raise CertificateFailure("contact graph must be strongly connected")
-    return graph
+    return ContactGraph(params, states, tuple(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -407,54 +394,6 @@ def _by_target(edges: tuple[Edge, ...]) -> dict[int, dict[int, list[Edge]]]:
     return steps
 
 
-def _start_point_map(
-    phi: tuple[Edge, ...],
-    outs: list[tuple[Edge, ...]],
-    params: TileParams,
-) -> tuple[tuple[tuple[Edge, ...], ...], tuple[Triple, ...]] | None:
-    """``_decide_map`` of a first-edge map by a table of start points, or
-    None where the table does not decide it.
-
-    The six junctions are solved and reduced once, and read as integer
-    pairs (X_t, Y_t) = S*V_t over their common denominator S.  The subpiece
-    of an edge (s, b, ., t) starts at f_b(V_t), and as M^{-1} is injective
-    two such points are equal exactly when their integer keys
-    (X_t + b*S, Y_t) are.  When the edges of a state start at distinct
-    points, the depth-first threading has at most one untried edge at each
-    point, so following the table from V_s is the only chain it can find,
-    in one lookup per edge; the chain must then end at V_{s+1}.  A state
-    whose edges share a start point is not decided here: the map gives
-    None, as it does where a chain fails.
-    """
-    cycles: dict[tuple[int, ...], Triple] = {}
-    values: list[Triple | None] = [None] * 6
-    junctions = tuple(_reduced(_junction(i, phi, params, cycles, values)) for i in range(6))
-    scale = math.lcm(*(den for _, _, den in junctions))
-    # S*V_1..S*V_6; the point f_b(V_t) has the key (xs[t-1] + b*S, ys[t-1])
-    xs = [x * (scale // den) for (x, _, den) in junctions]
-    ys = [y * (scale // den) for (_, y, den) in junctions]
-    orders: list[tuple[Edge, ...]] = []
-    for state, edges in enumerate(outs, start=1):
-        starts = {(xs[e[3] - 1] + e[1] * scale, ys[e[3] - 1]): e for e in edges}
-        if len(starts) < len(edges):
-            return None
-        _, a, _, t = phi[state - 1]
-        point = (xs[t - 1] + a * scale, ys[t - 1])
-        chain = []
-        for _ in edges:
-            e = starts.pop(point, None)  # popped, so no edge is taken twice
-            if e is None:
-                return None
-            chain.append(e)
-            end = e[3] % 6  # the subpiece ends at f_b(V_{t+1}), 0-based
-            point = (xs[end] + e[1] * scale, ys[end])
-        _, a, _, t = phi[state % 6]
-        if point != (xs[t - 1] + a * scale, ys[t - 1]):
-            return None
-        orders.append(tuple(chain))
-    return tuple(orders), junctions
-
-
 def _edge_tables(
     graph: ContactGraph,
 ) -> tuple[list[tuple[Edge, ...]], list[dict[int, dict[int, list[Edge]]]]]:
@@ -518,31 +457,49 @@ def derive_order_extension(graph: ContactGraph) -> OrderedContactGraph:
 
 
 def ordered_extension(graph: ContactGraph) -> OrderedContactGraph:
-    """The continuous edge ordering of the sorted first-edge map phi_0.
+    """The continuous edge ordering in closed form: states 1..3 take their
+    out-edges sorted (tuple order), states 4..6 theirs in reverse order.
 
-    phi_0 takes the smallest out-edge (tuple order) of each of states 1..3,
-    and their digit flips for states 4..6: the first map that
-    ``derive_order_extension`` visits.  It is decided by the start-point
-    table of ``_start_point_map`` alone, which finds the chains that
-    ``_decide_map`` finds wherever each state's edges start at distinct
-    points.  Where they do not, or where a table chain fails (the threading
-    then finds no chain either), phi_0 is left to the whole search, which
-    visits it first: a state of phi_0 that threads two ways raises there.
-    When phi_0 completes, its orders and junctions are the ones the search
-    returns, unless the search would raise for a second ordering or a
-    second map's state that threads two ways; only the search certifies
-    uniqueness.  That phi_0 completes through its table is an observation
-    on every pair 1 <= A <= B <= 60, not a theorem.
+    On a contact graph the reverse orders are the digit flips of the sorted
+    ones: the flip maps state s's edges onto state s+3's and reverses their
+    digits, and an edge's digits (a, a') fix its target.  The first edges
+    must form phi_0, the first map that ``derive_order_extension`` visits,
+    whose entries for 4..6 are the flips of those for 1..3.  Its six
+    junctions are solved and reduced once, and read as integer pairs
+    (X_t, Y_t) = S*V_t over their common denominator S.  The subpiece of an
+    edge (s, b, ., t) runs from f_b(V_t) to f_b(V_{t+1}), and as M^{-1} is
+    injective two such points are equal exactly when their integer keys
+    (X_t + b*S, Y_t) are.  The check: read in order, states 1..6 one after
+    the other, each edge's end key is the next edge's start key, and the
+    last edge's end is the start of the first, V_1.  The first edge of
+    state s starts at V_s by the junctions' definition, so each state's
+    chain runs through all its edges from V_s to V_{s+1}: the orders
+    complete phi_0, as ``_decide_map`` would find them.  Its orders and
+    junctions are then the ones the search returns, unless the search would
+    raise for a state that threads two ways or a second ordering; only the
+    search certifies uniqueness.  Where the first edges are not phi_0, or
+    the check fails, the graph is left to the search.  That the check
+    passes is an observation on every pair 1 <= A <= B <= 60, not a theorem.
     """
     params = graph.params
-    where = f"(A,B)=({params.a},{params.b})"
+    b = params.b
     outs = [graph.out_edges(i) for i in range(1, 7)]
-    if all(outs[:3]):
-        firsts = tuple(min(edges) for edges in outs[:3])
-        phi = firsts + tuple(_flip_edge(e, params.b) for e in firsts)
-        found = _start_point_map(phi, outs, params)
-        if found is not None:
-            return _calibrated(OrderedContactGraph(graph, *found), where)
+    orders = [tuple(sorted(edges)) for edges in outs[:3]]
+    orders += [tuple(sorted(edges, reverse=True)) for edges in outs[3:]]
+    if all(orders) and all(orders[i + 3][0] == _flip_edge(orders[i][0], b) for i in range(3)):
+        phi = tuple(order[0] for order in orders)
+        cycles: dict[tuple[int, ...], Triple] = {}
+        values: list[Triple | None] = [None] * 6
+        junctions = tuple(_reduced(_junction(i, phi, params, cycles, values)) for i in range(6))
+        scale = math.lcm(*(den for _, _, den in junctions))
+        xs = [x * (scale // den) for (x, _, den) in junctions]
+        ys = [y * (scale // den) for (_, y, den) in junctions]
+        edges = [e for order in orders for e in order]
+        starts = [(xs[t - 1] + a * scale, ys[t - 1]) for _, a, _, t in edges]
+        ends = [(xs[t % 6] + a * scale, ys[t % 6]) for _, a, _, t in edges]
+        if ends == starts[1:] + starts[:1]:
+            where = f"(A,B)=({params.a},{b})"
+            return _calibrated(OrderedContactGraph(graph, tuple(orders), junctions), where)
     return derive_order_extension(graph)
 
 
@@ -564,80 +521,39 @@ class PerronData:
 
 def perron_data(graph: ContactGraph) -> PerronData:
     """The Perron root beta of the boundary cubic and the interval-length
-    vector u, read off a row of cofactors of the flip-folded 3x3 system.
+    vector u, in closed form.
 
-    The digit flip maps contact edges onto contact edges and state i onto
-    state i+3 (mod 6), so adj[i][j] = adj[i+3][j+3].  The eigenvector of the
-    simple Perron root is unique up to scale, and its flip is one too, so
-    u_i = u_{i+3}, and beta u = adj u reduces to C u = 0 for the folded
-    C[i][j] = adj[i][j] + adj[i][j+3] - beta [i = j], i, j < 3.  Since
-    C adj(C) = det(C) I, a nonzero row of cofactors of a singular C solves
-    it.  Its three entries must share one strict sign before it is
-    normalized to sum 1.  A positive solution certifies that beta is the
-    Perron root of the strongly connected graph (Perron-Frobenius), so the
-    fold loses no certificate.
-
-    The entries of C are integer polynomials c0 + c1*beta, so its cofactors
-    are integer polynomials of degree at most 2 and det(C) one of degree 3;
-    each is reduced by the minimal polynomial, and the cofactors need that
-    only when it has degree below 3.  The solution is normalized by one
-    division in Q(beta).
+    On the edge families of ``build_contact_graph``, beta v = adj v with
+    v_i = v_{i+3} reads v_3 = beta v_1, beta v_2 = A v_1 + (A-1) v_2 and
+    beta v_3 = (B-A) v_1 + (B-A+1) v_2.  Its solution
+    v = (beta - A + 1, A, beta (beta - A + 1)) turns the last row into the
+    boundary cubic.  v is kept as integer polynomials in beta, repeated for
+    K4..K6, and certified on the graph it is given by two checks:
+    (adj v)_i - beta v_i reduces to 0 modulo the minimal polynomial for each
+    of the six rows, so beta is an eigenvalue with eigenvector v; and
+    A >= 1 and beta - A + 1 > 0, so v_1 > 0, v_2 = A > 0, and
+    v_3 = beta v_1 > 0 as beta > A - 1 >= 0.  A positive eigenvector of a
+    nonnegative matrix belongs to its spectral radius, so beta is the Perron
+    root.  v is normalized to sum 1 by one division in Q(beta).
     """
-    if not graph.is_strongly_connected():
-        raise NotIrreducible("incidence matrix is reducible")
     a, b = graph.params.a, graph.params.b
     where = f"(A,B)=({a},{b})"
-    adj = graph.adjacency()
-    # adj[i][j] = adj[i+3][j+3] for all i, j: row i+3 is row i rotated by 3
-    if any(adj[i + 3] != adj[i][3:] + adj[i][:3] for i in range(3)):
-        raise CertificateFailure(f"contact graph is not symmetric under the digit flip for {where}")
-    # boundary cubic; by Perron-Frobenius the positive eigenvector below
-    # certifies that its root is the Perron root
+    # boundary cubic; the positive eigenvector below certifies that its root
+    # is the Perron root
     field = dominant_root_field([-b, a - b, 1 - a, 1])
-
-    # the folded C = adj - beta I acting on (u_1, u_2, u_3), as (c0, c1)
-    rows = [[(adj[i][j] + adj[i][j + 3], -(i == j)) for j in range(3)] for i in range(3)]
-
-    def cofactors(k: int) -> list[list[int]]:
-        r, s = rows[(k + 1) % 3], rows[(k + 2) % 3]
-        return [
-            field.reduce(_cross(r[(j + 1) % 3], s[(j + 2) % 3], r[(j + 2) % 3], s[(j + 1) % 3]))
-            for j in range(3)
-        ]
-
-    # C adj(C) = det(C) I: row 0 times its cofactors is det(C), and once that
-    # is zero every row of cofactors solves C u = 0; all of them vanish
-    # exactly when C has rank 1 or less
-    first = cofactors(0)
-    det = [0] * 4
-    for (c0, c1), q in zip(rows[0], first):
-        for i, x in enumerate(q):
-            det[i] += c0 * x
-            det[i + 1] += c1 * x
-    if any(field.reduce(det)):
-        raise CertificateFailure(f"the boundary cubic's root is not an eigenvalue for {where}")
-    candidates = (first if k == 0 else cofactors(k) for k in range(3))
-    sol = next((row for row in candidates if any(map(any, row))), None)
-    if sol is None:
-        raise NotIrreducible("Perron eigenvalue is not simple")
-    # one strict sign before normalizing, so the sum is nonzero
-    signs = {field.sign_of(v) for v in sol}
-    if len(signs) > 1 or 0 in signs:
+    v = [(1 - a, 1, 0), (a, 0, 0), (0, 1 - a, 1)]  # low degree first; v_{i+3} = v_i
+    for i, row in enumerate(graph.adjacency()):
+        # (adj v)_i = c0 v_1 + c1 v_2 + c2 v_3 with c_j = adj[i][j] + adj[i][j+3]
+        c0, c1, c2 = row[0] + row[3], row[1] + row[4], row[2] + row[5]
+        adj_v = (c0 * (1 - a) + c1 * a, c0 + c2 * (1 - a), c2, 0)
+        if any(field.reduce([x - y for x, y in zip(adj_v, (0, *v[i % 3]))])):
+            raise CertificateFailure(f"the boundary cubic's root is not an eigenvalue for {where}")
+    if a < 1 or field.sign_of([1 - a, 1]) <= 0:
         raise CertificateFailure(f"left eigenvector is not strictly positive for {where}")
+    sol = [field.reduce(list(vi)) for vi in v]
     total = [2 * sum(col) for col in zip(*sol)]
     u = tuple(field.quotients(sol, total)) * 2  # u_{i+3} = u_i
     return PerronData(field, field.beta(), u)
-
-
-def _cross(
-    p: tuple[int, int], q: tuple[int, int], r: tuple[int, int], s: tuple[int, int]
-) -> list[int]:
-    """p*q - r*s for polynomials c0 + c1*x, low degree first."""
-    return [
-        p[0] * q[0] - r[0] * s[0],
-        p[0] * q[1] + p[1] * q[0] - r[0] * s[1] - r[1] * s[0],
-        p[1] * q[1] - r[1] * s[1],
-    ]
 
 
 def _scaled_lengths(data: PerronData, den: int = 1) -> tuple[int, list[list[int]]]:
@@ -728,7 +644,7 @@ def param_to_walk(
             break
         tau = rest
     else:
-        raise CertificateFailure("interval lengths do not add up to 1")
+        raise CertificateFailure(f"interval lengths do not add up to 1 for {where}")
     start_state = state
     letters: list[int] = []
     seen: dict[tuple[int, tuple[int, ...]], int] = {}

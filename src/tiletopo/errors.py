@@ -30,7 +30,9 @@ class WrongRegime(TileError):
 
 
 class NotIrreducible(TileError):
-    """Contact graph is not strongly connected."""
+    """Contact graph is not strongly connected.  The package no longer
+    raises it: every graph of ``build_contact_graph`` is strongly connected
+    by the lemma in its docstring.  It stays a public name."""
 
 
 class NoConsistentOrdering(TileError):

@@ -152,7 +152,9 @@ def _boundary_polygon(params: TileParams, n: int, budget: int) -> BoundaryApprox
     ordered = ordered_extension(build_contact_graph(params))
     approx = approx_boundary(ordered, n, budget)
     if not polygon_is_simple_closed(approx.point_array):
-        raise CertificateFailure(f"level-{n} polygon is not simple closed")
+        raise CertificateFailure(
+            f"level-{n} polygon is not simple closed for (A,B)=({params.a},{params.b})"
+        )
     return approx
 
 

@@ -7,7 +7,10 @@ sums, products, inverse and comparisons that left the package, which
 computes Q(beta) on integer vectors only; ``zero`` and ``one`` build its
 constants.  ``perron_data``, ``walk_to_param`` and the greedy
 ``param_to_walk`` here are that element arithmetic, which the package's
-integer forms replaced, kept as their oracles.
+integer forms replaced, kept as their oracles; ``perron_data`` is the
+cofactor solve of the flip-folded system that the package's closed form
+replaced, and ``is_strongly_connected``, the reachability test it runs, left
+the package with it.
 ``subdivision_intersects`` is the cylinder-pair criterion that
 ``verify_cut_point`` reads off the neighbor set it already holds; here it
 builds the closed form itself.  ``segments_intersect`` is the scalar
@@ -410,6 +413,24 @@ def one(field: NumberField) -> Element:
 # Perron data and walk parameters as sums of field elements
 
 
+def is_strongly_connected(graph: ContactGraph) -> bool:
+    adj = graph.adjacency()
+
+    def reach(flip: bool) -> set[int]:
+        seen = {0}
+        frontier = [0]
+        while frontier:
+            i = frontier.pop()
+            for j in range(6):
+                linked = adj[j][i] if flip else adj[i][j]
+                if linked and j not in seen:
+                    seen.add(j)
+                    frontier.append(j)
+        return seen
+
+    return len(reach(False)) == 6 and len(reach(True)) == 6
+
+
 def perron_data(graph: ContactGraph) -> PerronData:
     """The Perron root beta of the boundary cubic and the interval-length
     vector u, read off a row of cofactors of the flip-folded 3x3 system.
@@ -425,7 +446,7 @@ def perron_data(graph: ContactGraph) -> PerronData:
     Perron root of the strongly connected graph (Perron-Frobenius), so the
     fold loses no certificate.
     """
-    if not graph.is_strongly_connected():
+    if not is_strongly_connected(graph):
         raise NotIrreducible("incidence matrix is reducible")
     a, b = graph.params.a, graph.params.b
     where = f"(A,B)=({a},{b})"
@@ -523,7 +544,7 @@ def param_to_walk(
             break
         cum = nxt
     else:
-        raise CertificateFailure("interval lengths do not add up to 1")
+        raise CertificateFailure(f"interval lengths do not add up to 1 for {where}")
     tau = t - cum
     start_state = state
     beta_inv = lift(beta).inverse()

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from tiletopo import TileParams, chains, parse_address
+from tiletopo import TileParams, automata, chains, parse_address
 from tiletopo.automata import (
     BRANCHING,
     EMPTY,
@@ -20,7 +20,7 @@ from tiletopo.automata import (
 )
 from tiletopo.chains import ChainSetup, flipped_curves
 from tiletopo.contact import build_contact_graph
-from tiletopo.errors import BudgetExceeded
+from tiletopo.errors import BudgetExceeded, CertificateFailure
 from tiletopo.neighbors import neighbor_set_formula
 from tiletopo.numsys import Address, point_eval
 from tiletopo.topology import build_d1_d2
@@ -256,10 +256,26 @@ class TestProduct:
         params = TileParams(4, 5)
         left = nfa_single_address(parse_address("120(04)"))
         right = nfa_single_address(parse_address("001(40)"))
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded, match=r"^run enumeration exceeded 0 runs for \(A,B\)=\(4,5\)$"):
             product_intersection(left, right, moves(params), max_runs=0)
         res = product_intersection(left, right, moves(params), max_runs=1)
         assert len(res.runs) == 1
+
+    def test_difference_tracking_failure(self, monkeypatch):
+        # the left run's value one unit off: the run's two addresses no
+        # longer differ by the tracked difference
+        params = TileParams(4, 5)
+        left = parse_address("120(04)")
+        real = automata.point_eval
+
+        def shifted(addr, p):
+            x, y = real(addr, p)
+            return (x + (addr == left), y)
+
+        monkeypatch.setattr(automata, "point_eval", shifted)
+        right = nfa_single_address(parse_address("001(40)"))
+        with pytest.raises(CertificateFailure, match=r"^difference tracking broken for \(A,B\)=\(4,5\)$"):
+            product_intersection(nfa_single_address(left), right, moves(params))
 
     def test_run_budget_counts_every_run(self):
         params = TileParams(4, 5)

@@ -944,56 +944,64 @@ class TestGammaFailures:
 class TestCyclePatternFailures:
     """Each violation line of ``_check_cycle_pattern`` seen to fire at
     (4, 5), on one corrupted cell of the chain matrix or one corrupted
-    junction table."""
+    junction table.  The check only reads the matrix, so every test shares
+    one, and a corrupted cell replaces its cell in a copy."""
 
-    @staticmethod
-    def matrix(s):
+    @pytest.fixture(scope="class")
+    def shared(self):
+        s = setup_for(4, 5)
         labeled = [(c.label, c.language) for c in s.curves + flipped_curves(s, s.curves)]
         return [label for label, _ in labeled], _chain_matrix(s, labeled)
 
-    def violations(self, s, change=lambda matrix: None):
-        labels, matrix = self.matrix(setup_for(4, 5))
-        change(matrix)
-        return _check_cycle_pattern(s, labels, matrix).violations
+    @staticmethod
+    def violations(shared, s, cells={}):
+        labels, matrix = shared
+        return _check_cycle_pattern(s, labels, {**matrix, **cells})[0]
 
-    def test_uncorrupted(self):
-        assert self.violations(setup_for(4, 5)) == []
+    def test_uncorrupted(self, shared):
+        assert self.violations(shared, setup_for(4, 5)) == []
 
-    def test_adjacent_pair_not_a_point(self):
-        def change(matrix):
-            matrix[("a1", "a2")] = {"kind": EMPTY}
+    def test_check_only_reads_the_matrix(self, shared):
+        # a corrupted junction table leaves some adjacent cells without
+        # expected addresses; checking twice gives the same verdict, and the
+        # matrix is as it was
+        labels, matrix = shared
+        s = copy.copy(setup_for(4, 5))
+        s.junctions = {pair: ads for pair, ads in s.junctions.items() if pair != ("a1", "a2")}
+        before = copy.deepcopy(matrix)
+        first = _check_cycle_pattern(s, labels, matrix)
+        assert first == _check_cycle_pattern(s, labels, matrix)
+        assert first[0] == ["a1 & a2: no expected junction value"]
+        assert matrix == before
 
-        assert self.violations(setup_for(4, 5), change) == [
+    def test_adjacent_pair_not_a_point(self, shared):
+        cells = {("a1", "a2"): {"kind": EMPTY}}
+        assert self.violations(shared, setup_for(4, 5), cells) == [
             "a1 & a2: expected UNIQUE_POINT, got EMPTY"
         ]
 
-    def test_junction_pair_dropped(self):
+    def test_junction_pair_dropped(self, shared):
         s = copy.copy(setup_for(4, 5))
         s.junctions = {pair: ads for pair, ads in s.junctions.items() if pair != ("a1", "a2")}
-        assert self.violations(s) == ["a1 & a2: no expected junction value"]
+        assert self.violations(shared, s) == ["a1 & a2: no expected junction value"]
 
-    def test_dual_addresses_disagree(self):
+    def test_dual_addresses_disagree(self, shared):
         s = copy.copy(setup_for(4, 5))
         (x, y), _ = s.junction_values[("a1", "a2")]
         s.junction_values = {**s.junction_values, ("a1", "a2"): [(x, y), (x + 1, y)]}
-        assert self.violations(s) == ["a1 & a2: dual junction addresses disagree"]
+        assert self.violations(shared, s) == ["a1 & a2: dual junction addresses disagree"]
 
-    def test_junction_value_mismatch(self):
+    def test_junction_value_mismatch(self, shared):
         want = setup_for(4, 5).junction_values[("a1", "a2")][0]
         got = (want[0] + 1, want[1])
-
-        def change(matrix):
-            matrix[("a1", "a2")]["value"] = got
-
-        assert self.violations(setup_for(4, 5), change) == [
+        cells = {("a1", "a2"): {**shared[1][("a1", "a2")], "value": got}}
+        assert self.violations(shared, setup_for(4, 5), cells) == [
             f"a1 & a2: junction value mismatch (got {got}, want {want})"
         ]
 
-    def test_far_pair_not_empty(self):
-        def change(matrix):
-            matrix[("a1", "a3")] = {"kind": BRANCHING, "witness": "w"}
-
-        assert self.violations(setup_for(4, 5), change) == [
+    def test_far_pair_not_empty(self, shared):
+        cells = {("a1", "a3"): {"kind": BRANCHING, "witness": "w"}}
+        assert self.violations(shared, setup_for(4, 5), cells) == [
             "a1 & a3: expected EMPTY, got BRANCHING (w)"
         ]
 

@@ -1,10 +1,13 @@
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -617,3 +620,52 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("t=1/3")
+
+
+class TestRecordedOps:
+    """Every op of the benchmark's record, replayed byte for byte."""
+
+    @staticmethod
+    def load_ops(monkeypatch):
+        """The benchmark's op module, loaded from its file for this test:
+        its digest and its judge are the benchmark's correctness gate."""
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "ops.py"
+        spec = importlib.util.spec_from_file_location("perfbench_ops", path)
+        ops = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, ops)  # its dataclass looks it up
+        spec.loader.exec_module(ops)
+        return ops
+
+    def test_every_recorded_op_is_byte_identical(self, tmp_path, monkeypatch):
+        # all 2,976 ops of perfbench/expected.json through cli.main in this
+        # process, judged as the benchmark judges them: the exit status and
+        # the digest of stdout and the files written under --out, and for a
+        # param op recorded as raising, the library check of its output.
+        # The ops name their --out directory relative to the working
+        # directory, which is tmp_path here, so the paths they print are the
+        # recorded ones
+        ops = self.load_ops(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / ops.OUT_DIR
+        count = 0
+        for items in ops.load_expected()["workloads"].values():
+            for item in items:
+                argv = item["argv"]
+                shutil.rmtree(out, ignore_errors=True)
+                out.mkdir(parents=True)
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                    try:
+                        outcome = f"rc={main(argv)}"
+                    except Exception as exc:
+                        outcome = f"raise:{type(exc).__name__}"
+                files = sorted(
+                    (p.relative_to(out).as_posix(), p.read_bytes())
+                    for p in out.rglob("*")
+                    if p.is_file()
+                )
+                data = stdout.getvalue().encode("utf-8")
+                result = ops.OpResult(argv, 0.0, outcome, ops._digest(data, files), data, 0)
+                assert ops.judge(result, item) == (False, False), " ".join(argv)
+                count += 1
+        assert count == 2976

@@ -13,6 +13,7 @@ from fractions import Fraction
 from tiletopo import Address, TileParams, apply_contraction, chains, contact, parse_address, point_eval
 from tiletopo.contact import (
     ContactGraph,
+    PerronData,
     Walk,
     approx_boundary,
     boundary_point,
@@ -193,7 +194,36 @@ class TestContactGraph:
 
     @pytest.mark.parametrize("a,b", [(1, 2), (2, 2), (4, 5), (5, 5), (6, 9), (12, 12)])
     def test_strongly_connected(self, a, b):
-        assert build_contact_graph(TileParams(a, b)).is_strongly_connected()
+        assert reference.is_strongly_connected(build_contact_graph(TileParams(a, b)))
+
+    @staticmethod
+    def edge_families(a, b):
+        """The adjacency matrix of the ten edge families of the lemma in
+        ``build_contact_graph``'s docstring."""
+        adj = [[0] * 6 for _ in range(6)]
+        for (s, t), n in {
+            (1, 3): 1, (2, 4): a, (2, 5): a - 1, (3, 4): b - a, (3, 5): b - a + 1,
+            (4, 6): 1, (5, 1): a, (5, 2): a - 1, (6, 1): b - a, (6, 2): b - a + 1,
+        }.items():
+            adj[s - 1][t - 1] = n
+        return tuple(map(tuple, adj))
+
+    def test_edge_families_on_grid(self, monkeypatch):
+        # on every pair 1 <= A <= B <= 60 the graph has exactly the ten edge
+        # families, and its sorted orders pass ordered_extension's check: the
+        # search never runs
+        searches = []
+        search = contact.derive_order_extension
+        monkeypatch.setattr(contact, "derive_order_extension", lambda g: searches.append(g) or search(g))
+        for b in range(2, 61):
+            for a in range(1, b + 1):
+                graph = build_contact_graph(TileParams(a, b))
+                assert graph.adjacency() == self.edge_families(a, b), (a, b)
+                o = ordered_extension(graph)
+                sorted_orders = [tuple(sorted(graph.out_edges(i))) for i in (1, 2, 3)]
+                flips = [tuple(contact._flip_edge(e, b) for e in order) for order in sorted_orders]
+                assert o.orders == tuple(sorted_orders + flips), (a, b)
+        assert searches == []
 
     @pytest.mark.parametrize("a,b", [(2, 2), (4, 5), (5, 5), (6, 9)])
     def test_flip_symmetry(self, a, b):
@@ -309,13 +339,32 @@ class TestPerron:
 
     def test_flip_asymmetric_graph_is_a_failure(self):
         # without one edge the (4,5) graph is still strongly connected, but
-        # the flip no longer maps its edges onto its edges, so u_i = u_{i+3}
-        # cannot be assumed
+        # row 2 of its adjacency no longer has the edge family 2->4 of A
+        # edges, so the closed-form vector is no eigenvector
         g = build_contact_graph(TileParams(4, 5))
         assert (2, 0, 1, 4) in g.edges
         graph = ContactGraph(g.params, g.states, tuple(e for e in g.edges if e != (2, 0, 1, 4)))
-        assert graph.is_strongly_connected()
-        with pytest.raises(CertificateFailure, match=r"digit flip for \(A,B\)=\(4,5\)$"):
+        assert reference.is_strongly_connected(graph)
+        with pytest.raises(CertificateFailure, match=r"not an eigenvalue for \(A,B\)=\(4,5\)$"):
+            perron_data(graph)
+
+    def test_negative_root_is_not_positive(self, monkeypatch):
+        # x^3 - 10x - 11, the boundary cubic of (1,11), is irreducible and has
+        # two negative roots; the closed form is an eigenvector for each of
+        # its roots, but beta - A + 1 = beta < 0 there
+        field = NumberField([-11, -10, 0, 1], -3, -2)
+        monkeypatch.setattr(contact, "dominant_root_field", lambda _: field)
+        with pytest.raises(CertificateFailure, match=r"not strictly positive for \(A,B\)=\(1,11\)$"):
+            perron_data(build_contact_graph(TileParams(1, 11)))
+
+    def test_zero_entry_is_not_positive(self):
+        # for A = 0 the closed form v = (beta + 1, 0, beta (beta + 1)) solves
+        # beta v = adj v on a hand-built graph with beta = sqrt(2): state 2
+        # leads only to state 5, whose entry is 0 too
+        p = TileParams(0, 2)
+        edges = ((1, 0, 0, 3), (2, 0, 0, 5), (3, 0, 0, 1), (3, 1, 1, 1))
+        graph = ContactGraph(p, contact_states(p), edges + tuple(contact._flip_edge(e, 2) for e in edges))
+        with pytest.raises(CertificateFailure, match=r"not strictly positive for \(A,B\)=\(0,2\)$"):
             perron_data(graph)
 
     @staticmethod
@@ -327,9 +376,10 @@ class TestPerron:
             (i + 1, k, k, j + 1) for i in range(6) for j in range(6) for k in range(adj[i][j])
         )
         graph = ContactGraph(TileParams(4, 5), (), edges)
-        assert graph.is_strongly_connected()
+        assert reference.is_strongly_connected(graph)
         return graph
 
+    # the cofactor branches of the oracle, which the closed form replaced;
     # folded matrix [[2,0,1],[0,2,1],[1,1,1]]: its column sums are all 3, so
     # every eigenvector of its roots 2 and 0 sums to 0
     MIXED_SIGNS = [[1, 0, 1, 1, 0, 0], [0, 2, 1, 0, 0, 0], [1, 1, 1, 0, 0, 0]]
@@ -339,19 +389,19 @@ class TestPerron:
     @pytest.mark.parametrize("root", [2, 0])
     def test_mixed_signs_are_a_failure_not_a_division_by_zero(self, monkeypatch, root):
         field = NumberField([-root, 1], root, root)
-        monkeypatch.setattr(contact, "dominant_root_field", lambda _: field)
+        monkeypatch.setattr(reference, "dominant_root_field", lambda _: field)
         with pytest.raises(CertificateFailure, match=r"not strictly positive for \(A,B\)=\(4,5\)$"):
-            perron_data(self._folded_graph(self.MIXED_SIGNS))
+            reference.perron_data(self._folded_graph(self.MIXED_SIGNS))
 
     def test_multiple_eigenvalue_is_not_simple(self, monkeypatch):
-        monkeypatch.setattr(contact, "dominant_root_field", lambda _: NumberField([0, 1], 0, 0))
+        monkeypatch.setattr(reference, "dominant_root_field", lambda _: NumberField([0, 1], 0, 0))
         with pytest.raises(NotIrreducible, match="not simple"):
-            perron_data(self._folded_graph(self.ALL_ONES))
+            reference.perron_data(self._folded_graph(self.ALL_ONES))
 
     @pytest.mark.parametrize("rows", [MIXED_SIGNS, ALL_ONES], ids=["mixed", "ones"])
     def test_perron_root_of_a_folded_graph(self, monkeypatch, rows):
-        monkeypatch.setattr(contact, "dominant_root_field", lambda _: NumberField([-3, 1], 3, 3))
-        pd = perron_data(self._folded_graph(rows))
+        monkeypatch.setattr(reference, "dominant_root_field", lambda _: NumberField([-3, 1], 3, 3))
+        pd = reference.perron_data(self._folded_graph(rows))
         assert all((reference.lift(x) - pd.field.rational(Fraction(1, 6))).is_zero() for x in pd.u)
 
     # folded matrix [[0,1,1],[1,0,1],[1,0,1]]: at its root 0 rows 1 and 2 of
@@ -362,9 +412,9 @@ class TestPerron:
     def test_vanishing_first_cofactors_read_the_next_row(self, monkeypatch):
         # the eigenspace of 0 has dimension 1, so the solution comes from row
         # 1's cofactors and fails the sign check; it is not "not simple"
-        monkeypatch.setattr(contact, "dominant_root_field", lambda _: NumberField([0, 1], 0, 0))
+        monkeypatch.setattr(reference, "dominant_root_field", lambda _: NumberField([0, 1], 0, 0))
         with pytest.raises(CertificateFailure, match=r"not strictly positive for \(A,B\)=\(4,5\)$"):
-            perron_data(self._folded_graph(self.EQUAL_ROWS))
+            reference.perron_data(self._folded_graph(self.EQUAL_ROWS))
 
     def test_integer_forms_match_field_sums_large_b(self):
         # u, beta and each state's minimal, maximal and seeded walk parameter
@@ -486,69 +536,56 @@ class TestOrdering:
         self.test_orderings_golden_digest_large_b(monkeypatch, ordered_extension)
 
     def test_start_point_table_matches_decide_map(self, monkeypatch):
-        # on every pair B <= 40 the start-point table gives _decide_map's
-        # orders and vertices for phi_0, and ordered_extension never falls
-        # back: the table's chains never fail, and no search runs
-        decide = contact._decide_map
-        fallbacks = []
-
-        def counting(*args):
-            fallbacks.append(args[0])
-            return decide(*args)
-
-        monkeypatch.setattr(contact, "_decide_map", counting)
+        # on every pair B <= 40 the closed-form orders and junctions are
+        # _decide_map's for phi_0, and ordered_extension never falls back to
+        # the search
+        searches = []
+        search = contact.derive_order_extension
+        monkeypatch.setattr(contact, "derive_order_extension", lambda g: searches.append(g) or search(g))
         for b in range(2, 41):
             for a in range(1, b + 1):
                 graph = build_contact_graph(TileParams(a, b))
                 outs, steps = contact._edge_tables(graph)
                 firsts = tuple(min(edges) for edges in outs[:3])
                 phi = firsts + tuple(contact._flip_edge(e, b) for e in firsts)
-                table = contact._start_point_map(phi, outs, graph.params)
-                assert table is not None, (a, b)
-                assert table == decide(phi, outs, steps, graph.params, {}, ""), (a, b)
                 o = ordered_extension(graph)
-                assert (o.orders, o.junctions) == table, (a, b)
-        assert fallbacks == []
+                decided = contact._decide_map(phi, outs, steps, graph.params, {}, "")
+                assert (o.orders, o.junctions) == decided, (a, b)
+        assert searches == []
 
-    @pytest.mark.parametrize("loop", [True, False], ids=["back-to-start", "stuck-at-goal"])
-    def test_start_point_table_threads_every_edge_once(self, monkeypatch, loop):
-        # junctions set by hand: state 1's edge (1,0,0,2) runs from P = V_2 to
-        # Q = V_3, and phi's entries after the first all put their junction
-        # at f_0(V_3) = Q, so Q is state 1's goal; (1,1,1,4) runs from Q back
-        # to P, and (1,2,2,6) starts apart from both.  No chain threads all of
-        # state 1's edges: the table must not take (1,0,0,2) a second time
-        # after the loop, nor stop at Q with an edge left over.  State 6's one
-        # edge closes Q back to P.
-        junctions = [(3, 3, 1), (0, 0, 1), (0, 1, 1), (-1, 1, 1), (-1, 0, 1), (5, 7, 1)]
-        monkeypatch.setattr(contact, "_junction", lambda node, *rest: junctions[node])
-        p = TileParams(4, 5)
-        state1 = ((1, 0, 0, 2), (1, 1, 1, 4), (1, 2, 2, 6))
-        if not loop:
-            state1 = (state1[0], state1[2])
-        outs = [state1, (), (), (), (), ((6, 1, 1, 4),)]
-        phi = ((1, 0, 0, 2),) + tuple((s, 0, 0, 3) for s in range(2, 7))
-        assert contact._start_point_map(phi, outs, p) is None
-        steps = [contact._by_target(edges) for edges in outs]
-        assert contact._decide_map(phi, outs, steps, p, {}, "") is None
+    @given(st.integers(61, 300).flatmap(lambda b: st.tuples(st.integers(1, b), st.just(b))))
+    @settings(max_examples=6, deadline=None)
+    def test_closed_form_matches_search_drawn(self, pair):
+        # past the grid of B <= 60 the closed form is the ordering that the
+        # search certifies unique
+        graph = build_contact_graph(TileParams(*pair))
+        assert ordered_extension(graph) == derive_order_extension(graph)
 
     def test_shared_start_point_is_left_to_the_search(self, monkeypatch):
         # junctions set by hand: state 1's edges (1,0,0,1) and (1,0,1,3) both
-        # start at V_1 = V_3 = P, so the table does not decide phi_0.  The one
-        # chain runs P -> V_2 by (1,0,0,1), back to P by (1,0,2,2), and on to
-        # V_4 = f_3(V_2), the start of state 2's edge, by (1,0,1,3); states
-        # 2 and 3 close the cycle and states 4..6 have no edges
+        # start at V_1 = V_3 = P.  The one chain runs P -> V_2 by (1,0,0,1),
+        # back to P by (1,0,2,2), and on to V_4 = f_3(V_2), the start of
+        # state 2's edge, by (1,0,1,3), which is not the sorted order; states
+        # 2 and 3 close the cycle and states 4..6 have no edges, so
+        # ordered_extension leaves the graph to the search
         junctions = [(0, 1, 1), (-6, 1, 1), (0, 1, 1), (-3, 1, 1), (0, 1, 1), (0, 1, 1)]
         monkeypatch.setattr(contact, "_junction", lambda node, *rest: junctions[node])
         p = TileParams(2, 4)
         state1 = ((1, 0, 0, 1), (1, 0, 1, 3), (1, 0, 2, 2))
         graph = ContactGraph(p, contact_states(p), state1 + ((2, 3, 0, 2), (3, 3, 0, 3)))
-        outs = [graph.out_edges(i) for i in range(1, 7)]
-        phi = ((1, 0, 0, 1), (2, 3, 0, 2), (3, 3, 0, 3))
-        phi += tuple(contact._flip_edge(e, 4) for e in phi)
-        assert contact._start_point_map(phi, outs, p) is None
         ordered_graph = ordered_extension(graph)
         assert ordered_graph == derive_order_extension(graph)
         assert ordered_graph.orders[0] == (state1[0], state1[2], state1[1])
+
+    def test_first_edges_that_are_not_flips_are_left_to_the_search(self):
+        # every edge has digit 0, so every junction is 0 and the sorted
+        # orders chain end to start; but state 4's first edge is not the flip
+        # of state 1's, so phi is no map the search visits, and the search
+        # finds no ordering
+        p = TileParams(4, 5)
+        edges = ((1, 0, 0, 2), (2, 0, 0, 3), (3, 0, 0, 1), (4, 0, 0, 5), (5, 0, 0, 6), (6, 0, 0, 4))
+        with pytest.raises(NoConsistentOrdering, match=r"\(A,B\)=\(4,5\)$"):
+            ordered_extension(ContactGraph(p, contact_states(p), edges))
 
     def test_thread_state_matches_fraction_threading(self):
         # every state of every first-edge map of every pair B <= 7, decided
@@ -766,6 +803,15 @@ class TestParametrization:
         with pytest.raises(OutOfRange, match=r"^contact graph requires A >= 1 for \(A,B\)=\(0,5\)$"):
             build_contact_graph(TileParams(0, 5))
 
+    def test_lengths_that_do_not_add_up_are_a_failure(self):
+        # u_6 set to 0, so the lengths add up to 1 - u_6 and t = 1 lies in
+        # no state's interval
+        o = ordered(4, 5)
+        pd = perron_data(o.graph)
+        short = PerronData(pd.field, pd.beta, pd.u[:5] + (pd.field.rational(0),))
+        with pytest.raises(CertificateFailure, match=r"^interval lengths do not add up to 1 for \(A,B\)=\(4,5\)$"):
+            param_to_walk(Fraction(1), short, o)
+
     def test_regime_errors_name_their_inputs(self):
         from tiletopo.errors import WrongRegime
         from reference import adjacent_singleton_point
@@ -826,6 +872,25 @@ class TestParametrization:
         assert back == reference.param_to_walk(t, pd, o)
         got = walk_to_param(back, pd, o)
         assert (got.num, got.den) == (t.num, t.den)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_half_turn_adds_one_half(self, data):
+        # the digit flip is the half turn: it maps K_s onto K_{s+3}, and the
+        # lengths u_1 + u_2 + u_3 = 1/2 precede K_4, so a walk from s + 3
+        # has the parameter of the same letters from s, plus 1/2 exactly
+        b = data.draw(st.integers(2, 40), label="B")
+        a = data.draw(st.integers(1, b), label="A")
+        letters = st.integers(1, 64)
+        start = data.draw(st.integers(1, 3), label="start")
+        pre = data.draw(st.lists(letters, max_size=4), label="pre")
+        period = data.draw(st.lists(letters, min_size=1, max_size=3), label="period")
+        o = ordered_extension(build_contact_graph(TileParams(a, b)))
+        pd = perron_data(o.graph)
+        w = cyclic_walk(o, start, tuple(period), tuple(pre))
+        got = walk_to_param(Walk(start + 3, w.pre, w.period), pd, o)
+        want = reference.lift(walk_to_param(w, pd, o)) + pd.field.rational(Fraction(1, 2))
+        assert (got.num, got.den) == (want.num, want.den)
 
     def test_boundary_points_near_level_polygon(self):
         o = ordered(4, 5)

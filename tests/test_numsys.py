@@ -379,3 +379,40 @@ class TestAddressText:
         text = format_address(addr)
         assert text.startswith("[")
         assert parse_address(text) == addr
+
+    def test_integer_part_is_formatted(self):
+        addr = Address((1, 2), (3,), (4, 5))
+        assert format_address(addr) == "12.3(45)"
+        # the bracket form writes an empty preperiod as [] too, and reads it
+        large = Address((11,), (), (0,))
+        assert format_address(large) == "[11].[]([0])"
+        assert parse_address("[11].[]([0])") == large
+
+    def test_missing_period_terminates(self):
+        assert parse_address("12") == Address((), (1, 2), (0,))
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("[1,a](0)", "malformed digit word '[1,a]'"),
+            ("1x(0)", "malformed digit word '1x'"),
+            ("12(3", "unterminated period group"),
+            ("12()", "empty period group"),
+        ],
+    )
+    def test_malformed_text_is_rejected(self, text, message):
+        with pytest.raises(ValueError) as info:
+            parse_address(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "parts,message",
+        [
+            (((), (1,), ()), "period must be nonempty"),
+            (((), (-1,), (0,)), "digits must be nonnegative"),
+        ],
+    )
+    def test_invalid_address_is_rejected(self, parts, message):
+        with pytest.raises(ValueError) as info:
+            Address(*parts)
+        assert str(info.value) == message

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from tiletopo import TileParams, WrongRegime
+from tiletopo import TileParams, WrongRegime, render
+from tiletopo.errors import CertificateFailure
 from tiletopo.render import (
     Scene,
     fmt,
@@ -30,6 +31,12 @@ class TestBoundary:
             a = render_boundary(TileParams(4, 5), n)
             b = render_boundary(TileParams(4, 5), n)
             assert a == b
+
+    def test_not_simple_closed_is_a_failure(self, monkeypatch):
+        monkeypatch.setattr(render, "polygon_is_simple_closed", lambda points: False)
+        not_simple = r"^level-1 polygon is not simple closed for \(A,B\)=\(4,5\)$"
+        with pytest.raises(CertificateFailure, match=not_simple):
+            render_boundary(TileParams(4, 5), 1)
 
     def test_svg_shape(self):
         svg = render_boundary(TileParams(4, 5), 1)
