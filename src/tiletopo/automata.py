@@ -9,10 +9,12 @@ states plus a difference state confined to S u {0}.
 Run counting needs deterministic languages: distinct runs must mean distinct
 digit sequences, not distinct resolutions of nondeterminism.  So
 ``DigitDFA`` is the one automaton type: a language becomes one where it is
-built, and the product only checks the type.  ``determinize_starts`` is the
-one subset construction: it reads one transition table from several start
-sets, merges each subset's row once and numbers each DFA's subsets as it
-finds them; no output prints those numbers.  An eventually periodic address
+built, and the product only checks the type.  A DFA holds one initial state
+and one bare target state per digit, so the type itself is deterministic
+and nothing is validated.  ``determinize_starts`` is the one subset
+construction: it reads one transition table with tuple targets from several
+start sets, merges each subset's row once and numbers each DFA's subsets as
+it finds them; no output prints those numbers.  An eventually periodic address
 is read by the DFA's one run, ``accepts_address``, which stops when its
 (state, position) pair repeats.
 
@@ -24,7 +26,7 @@ The classifier distinguishes EMPTY, UNIQUE_POINT, FINITE_POINTS (finitely
 many runs, deduplicated by exact value) and BRANCHING (a state on or after a
 cycle keeps a choice, so runs are infinite in number; point cardinality is
 left open).  It needs one trimming routine, ``live_nodes``, run twice: every
-product state was reached from the initials, so the live states are already
+product state was reached from the initial state, so the live states are already
 the reachable-and-live ones; and on the reversed live graph it keeps the
 states on or after a cycle.  Everything is exact; runs are eventually
 periodic by construction and evaluate through the rational point machinery.
@@ -49,32 +51,18 @@ BRANCHING = "BRANCHING"
 
 @dataclass(frozen=True)
 class DigitDFA:
-    """Deterministic automaton over digits: one initial state and at most
-    one target per digit, checked once on construction.  All states accept;
-    the language is the infinite words whose one run never dies."""
+    """Deterministic automaton over digits: one initial state, and in each
+    row one target state per digit.  All states accept; the language is the
+    infinite words whose one run never dies."""
 
-    initials: tuple[State, ...]
-    trans: Mapping[State, Mapping[int, tuple[State, ...]]]
-
-    def __post_init__(self) -> None:
-        if len(self.initials) != 1:
-            raise ValueError(f"a DFA has one initial state, not {len(self.initials)}")
-        for q, row in self.trans.items():
-            for d, targets in row.items():
-                if len(targets) > 1:
-                    raise ValueError(f"state {q!r} has {len(targets)} targets on digit {d}")
-
-    def successors(self, state: State, digit: int) -> tuple[State, ...]:
-        return self.trans.get(state, {}).get(digit, ())
+    initial: State
+    trans: Mapping[State, Mapping[int, State]]
 
 
 def nfa_flip(dfa: DigitDFA, b: int) -> DigitDFA:
     """Image language under the digit exchange a <-> B-1-a."""
-    trans = {
-        q: {b - 1 - d: targets for d, targets in row.items()}
-        for q, row in dfa.trans.items()
-    }
-    return DigitDFA(dfa.initials, trans)
+    trans = {q: {b - 1 - d: t for d, t in row.items()} for q, row in dfa.trans.items()}
+    return DigitDFA(dfa.initial, trans)
 
 
 def accepts_address(dfa: DigitDFA, addr: Address) -> bool:
@@ -82,15 +70,14 @@ def accepts_address(dfa: DigitDFA, addr: Address) -> bool:
     reads the preperiod, then the period until its (state, position) pair
     repeats; from there it repeats too."""
     digits = addr.preperiod + addr.period
-    (state,) = dfa.initials
+    state = dfa.initial
     pos = 0
     seen = set()
     while (state, pos) not in seen:
         seen.add((state, pos))
-        targets = dfa.successors(state, digits[pos])
-        if not targets:
+        state = dfa.trans.get(state, {}).get(digits[pos])
+        if state is None:
             return False
-        (state,) = targets
         pos = pos + 1 if pos + 1 < len(digits) else len(addr.preperiod)
     return True
 
@@ -110,8 +97,8 @@ def determinize_starts(
     dfas = []
     for initials in starts:
         subsets = [frozenset(initials)]
-        number = {subsets[0]: (0,)}  # a subset's target tuple, shared by its rows
-        dfa: dict[State, dict[int, tuple[State, ...]]] = {}
+        number = {subsets[0]: 0}
+        dfa: dict[State, dict[int, State]] = {}
         for k, subset in enumerate(subsets):  # the list grows as subsets are found
             merged_row = merged_rows.get(subset)
             if merged_row is None:
@@ -122,15 +109,15 @@ def determinize_starts(
                 merged_row = merged_rows[subset] = [
                     (d, frozenset(merged[d])) for d in sorted(merged) if merged[d]
                 ]
-            row: dict[int, tuple[State, ...]] = {}
+            row: dict[int, State] = {}
             for d, target in merged_row:
                 ref = number.get(target)
                 if ref is None:
-                    ref = number[target] = (len(subsets),)
+                    ref = number[target] = len(subsets)
                     subsets.append(target)
                 row[d] = ref
             dfa[k] = row
-        dfas.append(DigitDFA((0,), dfa))
+        dfas.append(DigitDFA(0, dfa))
     return dfas
 
 
@@ -169,7 +156,7 @@ class IntersectionAutomaton:
     """Product of two digit automata with difference-state tracking."""
 
     params: TileParams
-    initials: tuple[State, ...]
+    initial: State
     transitions: dict[State, list[tuple[int, int, State]]]
     live: set[State]
     kind: str
@@ -177,20 +164,14 @@ class IntersectionAutomaton:
     points: tuple[RationalPoint, ...] = ()
     branch_witness: State | None = None
 
-    def sorted_states(self) -> list[State]:
-        try:
-            return sorted(self.live)
-        except TypeError:
-            return sorted(self.live, key=repr)
-
     def to_json(self) -> dict:
-        states = self.sorted_states()
+        states = sorted(self.live)
         index = {q: i for i, q in enumerate(states)}
         return {
             "schema": "tiletopo/intersection-automaton@1",
             "kind": self.kind,
             "states": [repr(q) for q in states],
-            "initials": sorted(index[q] for q in self.initials if q in index),
+            "initials": [index[self.initial]] if self.initial in index else [],
             "transitions": [
                 [index[q], a, ap, index[t]]
                 for q in states
@@ -236,7 +217,7 @@ class ProductMoves:
     def first_digits(lang: DigitDFA) -> frozenset[int]:
         """The digits on which the language's initial state has a target."""
         _require_dfa(lang)
-        return frozenset(d for d, targets in lang.trans.get(lang.initials[0], {}).items() if targets)
+        return frozenset(lang.trans.get(lang.initial, {}))
 
     def partners(self, left_digits: frozenset[int]) -> frozenset[int]:
         """The first digits of the right languages that a left language
@@ -273,16 +254,14 @@ def product_intersection(
     """
     _require_dfa(left, right)
     params = moves.params
+    initial = (left.initial, right.initial, initial_diff)
     if initial_diff not in moves.allowed:
-        return IntersectionAutomaton(params, (), {}, set(), EMPTY)
+        return IntersectionAutomaton(params, initial, {}, set(), EMPTY)
 
-    initials = tuple(
-        (p, q, initial_diff) for p in left.initials for q in right.initials
-    )
     known = moves._steps  # looked up once per state; misses go through moves.steps
     trans: dict[State, list[tuple[int, int, State]]] = {}
-    seen: set[State] = set(initials)
-    frontier: list[State] = list(initials)
+    seen: set[State] = {initial}
+    frontier: list[State] = [initial]
     while frontier:
         node = frontier.pop()
         p, q, delta = node
@@ -294,20 +273,18 @@ def product_intersection(
             steps = moves.steps(delta)
         pairs = [(a, a - d, nd) for a in lrow for d, nd in steps if a - d in rrow]
         for a, ap, nd in pairs:
-            for pt in lrow[a]:
-                for qt in rrow[ap]:
-                    child = (pt, qt, nd)
-                    edges.append((a, ap, child))
-                    if child not in seen:
-                        seen.add(child)
-                        frontier.append(child)
+            child = (lrow[a], rrow[ap], nd)
+            edges.append((a, ap, child))
+            if child not in seen:
+                seen.add(child)
+                frontier.append(child)
         trans[node] = edges
-    return _classify_product(params, initials, trans, initial_diff, max_runs)
+    return _classify_product(params, initial, trans, initial_diff, max_runs)
 
 
 def _classify_product(
     params: TileParams,
-    initials: tuple[State, ...],
+    initial: State,
     trans: dict[State, list[tuple[int, int, State]]],
     initial_diff: IntVec,
     max_runs: int,
@@ -316,7 +293,7 @@ def _classify_product(
     whose reachable states and raw edges are ``trans``.  Nothing here
     depends on the order of a state's raw edges.
 
-    Every state of ``trans`` was reached from the initials, and each state
+    Every state of ``trans`` was reached from the initial state, and each state
     on a path to a live state is live, so the live states are already the
     reachable-and-live ones.  The live states with an infinite backward
     path are those on or after a cycle.  If one of them keeps two live
@@ -324,9 +301,8 @@ def _classify_product(
     cycle before it has an exit.  Otherwise they form disjoint simple
     cycles, one live edge per state."""
     alive = live_nodes({node: [t for (_, _, t) in edges] for node, edges in trans.items()})
-    live_inits = [q for q in initials if q in alive]
-    if not live_inits:
-        return IntersectionAutomaton(params, initials, trans, set(), EMPTY)
+    if initial not in alive:
+        return IntersectionAutomaton(params, initial, trans, set(), EMPTY)
 
     # the (a, a') pairs of a state are distinct for DFA languages, so the
     # sort never reaches the target
@@ -340,7 +316,7 @@ def _classify_product(
     branching = [q for q in cyclic if len(live_edges[q]) > 1]
     if branching:
         return IntersectionAutomaton(
-            params, initials, trans, alive, BRANCHING, branch_witness=min(branching, key=repr)
+            params, initial, trans, alive, BRANCHING, branch_witness=min(branching, key=repr)
         )
 
     # finitely many runs: enumerate them
@@ -377,8 +353,7 @@ def _classify_product(
         for (a, ap, t) in live_edges[node]:
             explore(t, prefix_l + [a], prefix_r + [ap])
 
-    for init in live_inits:
-        explore(init, [], [])
+    explore(initial, [], [])
 
     values = []
     for run in runs:
@@ -386,5 +361,5 @@ def _classify_product(
             values.append(run.value)
     kind = UNIQUE_POINT if len(values) == 1 else FINITE_POINTS
     return IntersectionAutomaton(
-        params, initials, trans, alive, kind, tuple(runs), tuple(values)
+        params, initial, trans, alive, kind, tuple(runs), tuple(values)
     )

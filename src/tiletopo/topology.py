@@ -79,32 +79,31 @@ def build_d1_d2(params: TileParams) -> tuple[DigitDFA, DigitDFA]:
     def automaton(side: str) -> DigitDFA:
         trans: dict = {TIGHT_EVEN: {}, TIGHT_ODD: {}, FREE: {}}
         for d in range(b):
-            trans[FREE][d] = (FREE,)
+            trans[FREE][d] = FREE
             if d == even:
-                trans[TIGHT_EVEN][d] = (TIGHT_ODD,)
+                trans[TIGHT_EVEN][d] = TIGHT_ODD
             elif (d < even) == (side == "<="):
-                trans[TIGHT_EVEN][d] = (FREE,)
+                trans[TIGHT_EVEN][d] = FREE
             if d == odd:
-                trans[TIGHT_ODD][d] = (TIGHT_EVEN,)
+                trans[TIGHT_ODD][d] = TIGHT_EVEN
             elif (d > odd) == (side == "<="):
-                trans[TIGHT_ODD][d] = (FREE,)
-        return DigitDFA((TIGHT_EVEN,), trans)
+                trans[TIGHT_ODD][d] = FREE
+        return DigitDFA(TIGHT_EVEN, trans)
 
     return automaton("<="), automaton(">=")
 
 
 def union_is_universal(d1: DigitDFA, d2: DigitDFA, params: TileParams) -> bool:
     """Every digit sequence must fall in at least one half: the synchronized
-    pair (state1, state2) never reaches (dead, dead)."""
-    dead = "DEAD"
-    seen = {(TIGHT_EVEN, TIGHT_EVEN)}
-    frontier = [(TIGHT_EVEN, TIGHT_EVEN)]
+    pair (state1, state2) never reaches (dead, dead), a dead half being None."""
+    seen = {(d1.initial, d2.initial)}
+    frontier = [(d1.initial, d2.initial)]
     while frontier:
         q1, q2 = frontier.pop()
+        row1, row2 = d1.trans.get(q1, {}), d2.trans.get(q2, {})
         for d in params.digits:
-            n1 = d1.successors(q1, d)[0] if q1 != dead and d1.successors(q1, d) else dead
-            n2 = d2.successors(q2, d)[0] if q2 != dead and d2.successors(q2, d) else dead
-            if n1 == dead and n2 == dead:
+            n1, n2 = row1.get(d), row2.get(d)
+            if n1 is None and n2 is None:
                 return False
             if (n1, n2) not in seen:
                 seen.add((n1, n2))
@@ -164,10 +163,8 @@ def verify_cut_point(params: TileParams, depth: int = 12) -> CutPointCertificate
     # two cylinders meet exactly when their separating vector is 0 or a
     # neighbor
     touching = members | {(0, 0)}
-    frontier: dict = {}
-    for init in res.initials:
-        if init in res.live:
-            frontier[(init, (), ())] = None
+    # the point is UNIQUE_POINT's one run, so the initial state is live
+    frontier: dict = {(res.initial, (), ()): None}
     for n in range(depth + 1):
         prefix = tuple(alt_flip(i, a - 3, params) for i in range(n))
         lo_word = prefix + (alt_flip(n, a - 4, params),)

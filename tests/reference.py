@@ -26,6 +26,12 @@ and ``graph_language``, the contact graph's language of one start state,
 are the nondeterministic automata that left the package, whose one
 automaton type is ``DigitDFA``; the tests build NFAs with them, and
 ``nfa_accepts_address`` is the oracle of the DFA run ``accepts_address``.
+``as_nfa`` reads a DFA's bare targets as 1-tuples, so the NFA oracles
+(``nfa_accepts_address``, ``nfa_union``, ``nfa_prefixes``,
+``nfa_remap_first_digit`` and ``product_prefix_agreement``) take either
+type.  The test languages ``nfa_full``, ``nfa_cylinder`` and
+``nfa_single_address`` are DFAs whose states are ints, so the states of a
+product built from them sort.
 ``walk_letter``, ``first_difference`` and ``walk_compare`` read walks
 letter by letter, the oracle of the bound order that ``chains`` reads off
 ``walk_steps``.  ``nfa_remap_first_digit`` builds the arc gamma_i as its
@@ -163,11 +169,19 @@ class DigitNFA:
         return self.trans.get(state, {}).get(digit, ())
 
 
+def as_nfa(lang: DigitNFA | DigitDFA) -> DigitNFA:
+    """The language as an NFA: a DFA's bare targets become 1-tuples."""
+    if isinstance(lang, DigitNFA):
+        return lang
+    trans = {q: {d: (t,) for d, t in row.items()} for q, row in lang.trans.items()}
+    return DigitNFA((lang.initial,), trans)
+
+
 def nfa_union(nfas: Iterable[DigitNFA | DigitDFA]) -> DigitNFA:
     """Disjoint union; the language is the union of languages."""
     trans: dict[State, dict[int, tuple[State, ...]]] = {}
     inits: list[State] = []
-    for tag, nfa in enumerate(nfas):
+    for tag, nfa in enumerate(map(as_nfa, nfas)):
         for q, row in nfa.trans.items():
             trans[(tag, q)] = {
                 d: tuple((tag, t) for t in targets) for d, targets in row.items()
@@ -178,6 +192,7 @@ def nfa_union(nfas: Iterable[DigitNFA | DigitDFA]) -> DigitNFA:
 
 def nfa_accepts_address(nfa: DigitNFA | DigitDFA, addr: Address) -> bool:
     """Does the automaton admit an infinite run over the address digits?"""
+    nfa = as_nfa(nfa)
     pre, per = addr.preperiod, addr.period
     total = len(pre) + len(per)
 
@@ -218,36 +233,32 @@ def graph_language(graph: ContactGraph, start: int) -> DigitNFA:
 
 def nfa_full(b: int) -> DigitDFA:
     """All digit sequences."""
-    return DigitDFA(("*",), {"*": {d: ("*",) for d in range(b)}})
+    return DigitDFA(0, {0: {d: 0 for d in range(b)}})
 
 
 def nfa_cylinder(word: tuple[int, ...], b: int) -> DigitDFA:
-    """Sequences starting with the given word, anything afterwards."""
-    trans: dict[State, dict[int, tuple[State, ...]]] = {}
-    for i, d in enumerate(word):
-        trans[("p", i)] = {d: (("p", i + 1) if i + 1 < len(word) else "*",)}
-    trans["*"] = {d: ("*",) for d in range(b)}
-    start: State = ("p", 0) if word else "*"
-    return DigitDFA((start,), trans)
+    """Sequences starting with the given word, anything afterwards: state i
+    has read i digits of the word, state len(word) is free."""
+    trans: dict[int, dict[int, int]] = {i: {d: i + 1} for i, d in enumerate(word)}
+    trans[len(word)] = {d: len(word) for d in range(b)}
+    return DigitDFA(0, trans)
 
 
 def nfa_single_address(addr: Address) -> DigitDFA:
-    """Exactly the one eventually periodic digit sequence of the address."""
+    """Exactly the one eventually periodic digit sequence of the address:
+    state i reads its i-th digit, and the last state returns to the first
+    state of the period."""
     if addr.integer_part:
         raise ValueError("only fractional addresses describe digit sequences")
-    pre, per = addr.preperiod, addr.period
-    trans: dict[State, dict[int, tuple[State, ...]]] = {}
-    for i, d in enumerate(pre):
-        nxt: State = ("pre", i + 1) if i + 1 < len(pre) else ("per", 0)
-        trans[("pre", i)] = {d: (nxt,)}
-    for i, d in enumerate(per):
-        trans[("per", i)] = {d: (("per", (i + 1) % len(per)),)}
-    start: State = ("pre", 0) if pre else ("per", 0)
-    return DigitDFA((start,), trans)
+    digits = addr.preperiod + addr.period
+    trans = {i: {d: i + 1} for i, d in enumerate(digits)}
+    trans[len(digits) - 1] = {digits[-1]: len(addr.preperiod)}
+    return DigitDFA(0, trans)
 
 
-def nfa_prefixes(nfa: DigitNFA, depth: int) -> set[tuple[int, ...]]:
+def nfa_prefixes(nfa: DigitNFA | DigitDFA, depth: int) -> set[tuple[int, ...]]:
     """All digit words of the given length extendable to an infinite run."""
+    nfa = as_nfa(nfa)
     live = live_nodes(
         {q: [t for targets in row.values() for t in targets] for q, row in nfa.trans.items()}
     )
@@ -271,9 +282,10 @@ def nfa_prefixes(nfa: DigitNFA, depth: int) -> set[tuple[int, ...]]:
     return out
 
 
-def nfa_remap_first_digit(nfa: DigitNFA, mapping: Mapping[int, int]) -> DigitNFA:
+def nfa_remap_first_digit(nfa: DigitNFA | DigitDFA, mapping: Mapping[int, int]) -> DigitNFA:
     """Substitute the leading digit through ``mapping`` (other first digits
     are dropped); the tail language is unchanged."""
+    nfa = as_nfa(nfa)
     trans: dict[State, dict[int, tuple[State, ...]]] = dict(nfa.trans)
     inits = []
     for k, q in enumerate(nfa.initials):
@@ -655,12 +667,12 @@ def product_prefix_agreement(params: TileParams, depth: int = 4) -> bool:
         for (x, y, t) in res.transitions.get(node, []):
             walk(t, u + (x,), v + (y,))
 
-    for init in res.initials:
-        walk(init, (), ())
+    walk(res.initial, (), ())
 
     # independent enumeration: prefix pairs of the two halves whose running
     # difference stays inside the certified ball (anything escaping the ball
     # is unrepresentable and, by depth monotonicity, never comes back)
+    n1, n2 = as_nfa(d1), as_nfa(d2)
     ball = candidate_ball(params)
     m = params.matrix
     brute: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
@@ -671,12 +683,12 @@ def product_prefix_agreement(params: TileParams, depth: int = 4) -> bool:
                 brute.add((u, v))
             return
         for x in params.digits:
-            t1 = d1.successors(q1, x)
+            t1 = n1.successors(q1, x)
             if not t1:
                 continue
             md = mat_vec(m, diff)
             for y in params.digits:
-                t2 = d2.successors(q2, y)
+                t2 = n2.successors(q2, y)
                 if not t2:
                     continue
                 nd = (md[0] + x - y, md[1])

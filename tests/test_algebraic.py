@@ -156,6 +156,10 @@ class TestDominantRootFieldContract:
         assert f.minpoly == (-5, -2, 1)
         assert abs(float(f.beta()) - (1 + 6**0.5)) < 1e-12
 
+    def test_trailing_zero_coefficients_are_dropped(self):
+        # the high coefficients past the leading 1 are zero, not a degree
+        assert dominant_root_field([-5, -1, -3, 1, 0, 0]).minpoly == (-5, -1, -3, 1)
+
 
 class TestNumberFieldContract:
     @pytest.mark.parametrize(
@@ -173,6 +177,22 @@ class TestNumberFieldContract:
         f = NumberField([-2, 0, 1], 1, 2)
         assert f.minpoly == (-2, 0, 1)
         assert (lift(f.beta()) * f.beta() - f.rational(2)).is_zero()
+
+    def test_trailing_zero_coefficients_are_dropped(self):
+        f = NumberField([-2, 0, 1, 0], 1, 2)
+        assert (f.minpoly, f.degree) == ((-2, 0, 1), 2)
+
+    @pytest.mark.parametrize("minpoly", [[], [0, 0], [3], [3, 0]])
+    def test_rejects_constant_minpoly(self, minpoly):
+        with pytest.raises(ValueError, match=r"^minimal polynomial must have degree >= 1$"):
+            NumberField(minpoly, 0, 10)
+
+    def test_division_by_zero_element(self, cubic):
+        # the zero element written with a multiple of the minimal polynomial
+        with pytest.raises(ZeroDivisionError, match=r"^division by the zero element of Q\(beta\)$"):
+            cubic.quotients([[1, 0, 0]], [-5, -1, -3, 1])
+        with pytest.raises(ZeroDivisionError, match=r"^division by the zero element of Q\(beta\)$"):
+            cubic.quotients([[1, 0, 0]], [0, 0, 0])
 
 
 class TestIntervalRefinement:

@@ -74,14 +74,6 @@ class TestConstructions:
 
 
 class TestDigitDFA:
-    def test_rejects_two_initial_states(self):
-        with pytest.raises(ValueError):
-            DigitDFA(("p", "q"), {"p": {0: ("p",)}, "q": {1: ("q",)}})
-
-    def test_rejects_two_targets_on_a_digit(self):
-        with pytest.raises(ValueError):
-            DigitDFA(("p",), {"p": {0: ("p", "q")}, "q": {1: ("q",)}})
-
     def test_flip_keeps_determinism(self):
         flipped = nfa_flip(nfa_cylinder((0, 4), 5), 5)
         assert isinstance(flipped, DigitDFA)
@@ -110,8 +102,8 @@ class TestDeterminize:
         nfa = DigitNFA(("p",), {"p": {0: ("q",), 1: ("p",)}, "q": {1: ("p",)}})
         det = nfa_determinize(nfa)
         assert isinstance(det, DigitDFA)
-        assert det.initials == (0,)
-        assert det.trans == {0: {0: (1,), 1: (0,)}, 1: {1: (0,)}}
+        assert det.initial == 0
+        assert det.trans == {0: {0: 1, 1: 0}, 1: {1: 0}}
 
     def test_matches_reference_construction(self, monkeypatch):
         nfas = [
@@ -146,7 +138,7 @@ class TestDeterminize:
         assert len(captured) == 5 + 7 + 9 + 11 + 13
         for nfa in nfas + captured:
             det = nfa_determinize(nfa)
-            assert det.initials == (0,)
+            assert det.initial == 0
             assert list(det.trans) == list(range(len(det.trans)))
             assert_isomorphic(det, reference_determinize(nfa))
 
@@ -156,10 +148,10 @@ def reference_determinize(nfa: DigitNFA) -> DigitDFA:
     tuples of original states, and a deterministic NFA keeps its own."""
     if isinstance(nfa, DigitDFA):
         return nfa
-    try:
-        return DigitDFA(nfa.initials, nfa.trans)
-    except ValueError:
-        pass
+    rows = nfa.trans.values()
+    if len(nfa.initials) == 1 and all(len(ts) == 1 for row in rows for ts in row.values()):
+        trans = {q: {d: t for d, (t,) in row.items()} for q, row in nfa.trans.items()}
+        return DigitDFA(nfa.initials[0], trans)
     # subset states as repr-sorted tuples: canonical and hash-seed independent
     start = tuple(sorted(set(nfa.initials), key=repr))
     trans: dict = {}
@@ -173,26 +165,26 @@ def reference_determinize(nfa: DigitNFA) -> DigitDFA:
             members = {t for q in subset for t in nfa.successors(q, d)}
             if members:
                 target = tuple(sorted(members, key=repr))
-                row[d] = (target,)
+                row[d] = target
                 if target not in seen:
                     seen.add(target)
                     frontier.append(target)
         trans[subset] = row
-    return DigitDFA((start,), trans)
+    return DigitDFA(start, trans)
 
 
 def assert_isomorphic(left: DigitDFA, right: DigitDFA) -> None:
     """Walk both DFAs in lockstep from their initial states, building a
     bijection between their states; every pair must have the same digits."""
-    pairs = {left.initials[0]: right.initials[0]}
-    frontier = [left.initials[0]]
+    pairs = {left.initial: right.initial}
+    frontier = [left.initial]
     while frontier:
         p = frontier.pop()
         q = pairs[p]
         lrow, rrow = left.trans.get(p, {}), right.trans.get(q, {})
         assert lrow.keys() == rrow.keys(), (p, q)
-        for d, (pt,) in lrow.items():
-            (qt,) = rrow[d]
+        for d, pt in lrow.items():
+            qt = rrow[d]
             if pt in pairs:
                 assert pairs[pt] == qt, (p, d)
             else:
@@ -313,36 +305,34 @@ def brute_product(left, right, sset, params, initial_diff=(0, 0)):
     every digit pair (a, a') of every state."""
     b = params.b
     allowed = frozenset(sset) | {(0, 0)}
+    initial = (left.initial, right.initial, initial_diff)
     if initial_diff not in allowed:
-        return IntersectionAutomaton(params, (), {}, set(), EMPTY)
+        return IntersectionAutomaton(params, initial, {}, set(), EMPTY)
     step = {}
     for delta in allowed:
         md = mat_vec(params.matrix, delta)
         for d in range(-(b - 1), b):
             t = (md[0] + d, md[1])
             step[(delta, d)] = t if t in allowed else None
-    initials = tuple((p, q, initial_diff) for p in left.initials for q in right.initials)
     trans = {}
-    seen = set(initials)
-    frontier = list(initials)
+    seen = {initial}
+    frontier = [initial]
     while frontier:
         node = frontier.pop()
         p, q, delta = node
         edges = []
-        for a, ltargets in left.trans.get(p, {}).items():
-            for ap, rtargets in right.trans.get(q, {}).items():
+        for a, pt in left.trans.get(p, {}).items():
+            for ap, qt in right.trans.get(q, {}).items():
                 nd = step.get((delta, a - ap))
                 if nd is None:
                     continue
-                for pt in ltargets:
-                    for qt in rtargets:
-                        child = (pt, qt, nd)
-                        edges.append((a, ap, child))
-                        if child not in seen:
-                            seen.add(child)
-                            frontier.append(child)
+                child = (pt, qt, nd)
+                edges.append((a, ap, child))
+                if child not in seen:
+                    seen.add(child)
+                    frontier.append(child)
         trans[node] = edges
-    return _classify_product(params, initials, trans, initial_diff, 20000)
+    return _classify_product(params, initial, trans, initial_diff, 20000)
 
 
 def reference_classification(res):
@@ -351,7 +341,7 @@ def reference_classification(res):
     none is, a live state is on a cycle when it reaches itself through live
     edges, a cycle state with two live edges means BRANCHING, and otherwise
     every run is a prefix plus the cycle it ends on.  Returns the kind, the
-    live states reachable from the initials, the runs, the distinct points
+    live states reachable from the initial state, the runs, the distinct points
     and the states reachable from a cycle state."""
     live = set(res.transitions)
     while True:
@@ -370,7 +360,7 @@ def reference_classification(res):
                     stack.append(t)
         return seen
 
-    inits = [q for q in res.initials if q in live]
+    inits = [res.initial] if res.initial in live else []
     if not inits:
         return EMPTY, set(), (), (), set()
     kept = set(inits) | reach(inits)
@@ -410,7 +400,7 @@ class TestProductReference:
     def _compare(left, right, sset, params, initial_diff=(0, 0)):
         res = product_intersection(left, right, ProductMoves(sset, params), initial_diff)
         ref = brute_product(left, right, sset, params, initial_diff)
-        assert res.initials == ref.initials
+        assert res.initial == ref.initial
         assert res.transitions.keys() == ref.transitions.keys()
         for q, edges in ref.transitions.items():
             assert Counter(res.transitions[q]) == Counter(edges), (params, q)
@@ -442,7 +432,7 @@ class TestProductReference:
         for a, b in [(0, 3), (4, 5), (5, 7)]:
             params = TileParams(a, b)
             sset = members(params)
-            wide = DigitDFA(("*",), {"*": {d: ("*",) for d in range(-b, 2 * b)}})
+            wide = DigitDFA(0, {0: {d: 0 for d in range(-b, 2 * b)}})
             for c in sset | {(0, 0)}:
                 self._compare(wide, wide, sset, params, c)
 

@@ -250,17 +250,15 @@ def same_language(left, right):
     state pair the digits that lead to live states must agree."""
 
     def live_rows(dfa):
-        alive = live_nodes(
-            {q: [t for ts in row.values() for t in ts] for q, row in dfa.trans.items()}
-        )
+        alive = live_nodes({q: list(row.values()) for q, row in dfa.trans.items()})
 
         def row(q):
-            return {d: ts[0] for d, ts in dfa.trans.get(q, {}).items() if ts[0] in alive}
+            return {d: t for d, t in dfa.trans.get(q, {}).items() if t in alive}
 
         return alive, row
 
     (alive_l, row_l), (alive_r, row_r) = live_rows(left), live_rows(right)
-    start = (left.initials[0], right.initials[0])
+    start = (left.initial, right.initial)
     if (start[0] in alive_l) != (start[1] in alive_r):
         return False
     seen = {start} if start[0] in alive_l else set()
@@ -443,13 +441,18 @@ class TestCurveLanguages:
     def test_curve_dfa_golden_digest(self):
         # sha256 of every alpha-curve and flipped-curve DFA (label, initial
         # state, rows by state) of (A, 2A - 3) for odd B from 5 to 39,
-        # recorded when each curve ran a subset construction of its own
+        # recorded when each curve ran a subset construction of its own and
+        # a DFA held an initials tuple and 1-tuple targets: the digest reads
+        # that form, (label, (initial,), rows with each target t as (t,))
         h = hashlib.sha256()
         for b in range(5, 40, 2):
             s = setup_for((b + 3) // 2, b)
             for c in s.curves + flipped_curves(s, s.curves):
                 lang = c.language
-                h.update(repr((c.label, lang.initials, sorted(lang.trans.items()))).encode())
+                rows = sorted(
+                    (q, {d: (t,) for d, t in row.items()}) for q, row in lang.trans.items()
+                )
+                h.update(repr((c.label, (lang.initial,), rows)).encode())
         assert h.hexdigest() == (
             "87d250bf525b3f93941759bdaf7c6442fc2bbb3927bc5865327c5a209c340bfa"
         )
@@ -649,10 +652,8 @@ class TestGamma:
         """A word the DFA accepts: the n-th step takes the (c mod k)-th of
         the k moves into live states, c being pre[n], then the period per
         over and over, cut where a (state, phase) pair repeats."""
-        live = live_nodes(
-            {q: [t for targets in row.values() for t in targets] for q, row in dfa.trans.items()}
-        )
-        digits, seen, q = [], {}, dfa.initials[0]
+        live = live_nodes({q: list(row.values()) for q, row in dfa.trans.items()})
+        digits, seen, q = [], {}, dfa.initial
         for n in count():
             if n < len(pre):
                 c = pre[n]
@@ -663,7 +664,7 @@ class TestGamma:
                     return Address((), tuple(digits[:k]), tuple(digits[k:]))
                 seen[key] = n
                 c = per[key[1]]
-            moves = sorted((d, t) for d, targets in dfa.trans[q].items() for t in targets if t in live)
+            moves = sorted((d, t) for d, t in dfa.trans[q].items() if t in live)
             d, q = moves[c % len(moves)]
             digits.append(d)
 

@@ -448,6 +448,12 @@ class TestOrdering:
         assert psi(Walk(5, (2,), (6,)), o) == parse_address("4(2)")
         assert psi(Walk(6, (1, 6, 4), (2,)), o) == parse_address("123(04)")
 
+    def test_psi_needs_a_periodic_tail(self):
+        o = ordered(4, 5)
+        for walk in (Walk(3, (2, 1, 3)), Walk(3)):
+            with pytest.raises(ValueError, match=r"^an infinite walk needs a periodic tail$"):
+                psi(walk, o)
+
     def test_minimal_walk_is_periodic_vertex(self):
         o = ordered(4, 5)
         for i in range(1, 7):

@@ -60,6 +60,12 @@ class TestSimpleClosed:
         for p in int_and_fraction((0, 0), (1, 0), (1, 1), (0, 1)):
             assert polygon_is_simple_closed(p)
 
+    def test_fewer_than_three_vertices(self):
+        # two vertices close into one segment run both ways, not a polygon
+        for p in int_and_fraction((0, 0), (1, 0)) + [((0, 0),), ()]:
+            assert polygon_is_simple_closed(p) is False
+        assert polygon_is_simple_closed(np.array([(0, 0), (1, 0)], dtype=np.int64)) is False
+
     def test_triangle(self):
         pts = ((0, 0), (3, 0), (0, 2))
         for p in int_and_fraction(*pts) + [np.array(pts, dtype=np.int64)]:

@@ -22,6 +22,7 @@ from tiletopo import (
     point_eval,
 )
 from tiletopo.numsys import periodic_tail_scaled
+from tiletopo.topology import cut_point_address
 
 from conftest import close, pairs, random_address, series_value
 from reference import (
@@ -390,6 +391,14 @@ class TestAddressText:
 
     def test_missing_period_terminates(self):
         assert parse_address("12") == Address((), (1, 2), (0,))
+
+    def test_empty_preperiod_spellings(self):
+        # the bracket form writes an empty preperiod as [], the digit form
+        # as nothing; recorded cut-point outputs with A >= 13 print 0.[](...)
+        cut = cut_point_address(TileParams(15, 20))
+        assert format_address(cut) == "[]([12,7])"
+        assert format_address(Address((1,), (), (0,))) == "1.(0)"
+        assert parse_address("[]([12,7])") == parse_address("([12,7])") == cut
 
     @pytest.mark.parametrize(
         "text,message",

@@ -129,6 +129,23 @@ class TestScene:
             (max(xs) + pad_x) / 4, (max(ys) + pad_y) / 4,
         )
 
+    def test_empty_scene_has_no_viewbox(self):
+        # a polygon drawn at no shift shows nothing, and no marker either
+        scene = Scene(4, ((0, 0), (8, 2), (3, -6)), [])
+        with pytest.raises(ValueError, match=r"^empty scene$"):
+            scene.viewbox()
+        with pytest.raises(ValueError, match=r"^empty scene$"):
+            scene_to_svg(scene)
+
+    def test_marker_without_translates_draws_no_polygon(self):
+        scene = Scene(4, ((0, 0), (8, 2), (3, -6)), [], [((40, 1), "far")])
+        svg = scene_to_svg(scene)
+        assert "<polygon" not in svg
+        assert svg.count("<circle") == 1 and "<title>far</title>" in svg
+        # one point: the box is the point padded by scale / 10 on each side
+        pad = Fraction(4, 10)
+        assert scene.viewbox() == ((40 - pad) / 4, (1 - pad) / 4, (40 + pad) / 4, (1 + pad) / 4)
+
 
 class TestJsonExport:
     def test_schema_and_exact_vertices(self):

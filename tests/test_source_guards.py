@@ -351,3 +351,130 @@ def test_no_silently_swallowed_exceptions():
             and all(isinstance(stmt, ast.Pass) for stmt in node.body)
         ]
     assert found == []
+
+
+_MUTATORS = {
+    "add", "append", "clear", "discard", "extend", "insert", "pop", "popitem",
+    "remove", "reverse", "setdefault", "sort", "update",
+    "difference_update", "intersection_update", "symmetric_difference_update",
+}
+
+
+def _root(node: ast.AST, through_calls: bool = False) -> str | None:
+    """The name under a chain of subscripts and attributes (and of calls,
+    if asked), or None if the chain starts elsewhere."""
+    while True:
+        if isinstance(node, (ast.Subscript, ast.Attribute)):
+            node = node.value
+        elif through_calls and isinstance(node, ast.Call):
+            node = node.func
+        else:
+            return node.id if isinstance(node, ast.Name) else None
+
+
+def _bound_names(target: ast.AST) -> list[str]:
+    """The names an assignment target binds, through tuple unpacking."""
+    if isinstance(target, ast.Name):
+        return [target.id]
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [n for elt in target.elts for n in _bound_names(elt)]
+    if isinstance(target, ast.Starred):
+        return _bound_names(target.value)
+    return []
+
+
+def _stores_into_parameters(source: str) -> list[tuple[str, int, str]]:
+    """(function, line, what) for each write into a parameter of a function
+    in ``source``: a store or del on a subscript or attribute, or a
+    mutating method call, whose base is a parameter (``self`` and ``cls``
+    left out) or a name bound from one, by a ``for`` target over it or by a
+    plain subscript or attribute read of it."""
+    hits = []
+
+    def visit(scope: list[str], body: list[ast.stmt]) -> None:
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                check(".".join(scope + [node.name]), node)
+                visit(scope + [node.name], node.body)
+            elif isinstance(node, ast.ClassDef):
+                visit(scope + [node.name], node.body)
+
+    def check(name: str, func: ast.FunctionDef) -> None:
+        args = func.args
+        every = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+        bound = {a.arg for a in every if a is not None} - {"self", "cls"}
+        nodes = list(ast.walk(func))
+        grown = True
+        while grown:  # names bound from parameters, until none is added
+            before = len(bound)
+            for node in nodes:
+                if isinstance(node, ast.For) and _root(node.iter, through_calls=True) in bound:
+                    targets = [node.target]
+                elif (
+                    isinstance(node, ast.Assign)
+                    and isinstance(node.value, (ast.Subscript, ast.Attribute))
+                    and _root(node.value) in bound
+                ):
+                    targets = node.targets
+                else:
+                    continue
+                bound |= {n for t in targets for n in _bound_names(t)}
+            grown = len(bound) > before
+        for node in nodes:
+            if (
+                isinstance(node, (ast.Subscript, ast.Attribute))
+                and isinstance(node.ctx, (ast.Store, ast.Del))
+                and _root(node) in bound
+            ):
+                hits.append((name, node.lineno, ast.unparse(node)))
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _MUTATORS
+                and _root(node.func.value) in bound
+            ):
+                hits.append((name, node.lineno, ast.unparse(node.func)))
+
+    visit([], ast.parse(source).body)
+    return sorted(hits)
+
+
+# function -> why it writes into what it is given
+_WRITES_INTO_PARAMETERS = {
+    "contact._junction": "fills the per-map memos `values` and `cycles` that its callers own",
+    "algebraic.NumberField.reduce": "reduces the list it is given in place, its callers' scratch",
+}
+
+
+def test_no_stores_into_parameters():
+    # a check reads what it checks and a report writes what it reports: a
+    # function that writes into an argument changes its caller's data
+    # elsewhere, as _check_cycle_pattern once wrote its expected addresses
+    # into the matrix it checked.  The allowed writers are named above
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        for name, line, what in _stores_into_parameters(path.read_text(encoding="utf-8")):
+            found.setdefault(f"{path.stem}.{name}", []).append(f"{path.name}:{line} {what}")
+    assert {name: hits for name, hits in found.items() if name not in _WRITES_INTO_PARAMETERS} == {}
+    assert set(_WRITES_INTO_PARAMETERS) <= set(found)
+
+
+def test_store_scan_sees_writes_through_bound_names():
+    source = (
+        "def check(matrix, rows, n):\n"
+        "    for (l1, l2), cell in matrix.items():\n"
+        "        cell['addresses'] = []\n"
+        "    row = rows[0]\n"
+        "    row.append(n)\n"
+        "    local = {}\n"
+        "    local['x'] = rows[2]\n"
+        "    local['y'].append(n)\n"
+        "    del rows[1:]\n"
+        "    copy = list(rows)\n"
+        "    copy.append(n)\n"
+    )
+    assert _stores_into_parameters(source) == [
+        ("check", 3, "cell['addresses']"),
+        ("check", 5, "row.append"),
+        ("check", 9, "rows[1:]"),
+    ]

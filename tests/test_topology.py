@@ -248,7 +248,7 @@ class TestCertificateFailures:
             d1, d2 = real(params)
             trans = {q: dict(row) for q, row in d1.trans.items()}
             del trans[topology.FREE][0]
-            return DigitDFA(d1.initials, trans), d2
+            return DigitDFA(d1.initial, trans), d2
 
         monkeypatch.setattr(topology, "build_d1_d2", halves)
 
@@ -276,7 +276,7 @@ class TestCertificateFailures:
         # one more live edge reads the digit pair (0, 0), which no word of
         # level 0 (2, 3 or 4 at (6, 7)) starts with
         def detour(res):
-            init = res.initials[0]
+            init = res.initial
             trans = dict(res.transitions)
             trans[init] = trans[init] + [(0, 0, init)]
             return dataclasses.replace(res, transitions=trans)

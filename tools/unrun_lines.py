@@ -7,7 +7,9 @@ runs the Tier-1 suite (pytest on ``tests/``) in this process under a
 src/tiletopo, then prints, per module, the executable lines that never ran
 and their count, and the total.  Executable lines are the line numbers of
 the compiled code objects, nested ones included, so docstrings, comments and
-blank lines do not count.  Tests that start a subprocess run the package
+blank lines do not count.  Every module's source is read once, before the
+run, and its executable lines come from that snapshot, so a module edited
+while the suite runs is still listed by the lines that ran.  Tests that start a subprocess run the package
 there, untraced, so lines that only such tests reach are listed too.  Only
 the standard library and pytest are used; the tracing makes the suite
 several times slower.
@@ -24,11 +26,11 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "tiletopo"
 
 
-def executable_lines(path: Path) -> set[int]:
-    """The line numbers that carry bytecode in the module or any function or
-    class body it defines."""
+def executable_lines(source: str, path: Path) -> set[int]:
+    """The line numbers that carry bytecode in the module source or any
+    function or class body it defines."""
     lines: set[int] = set()
-    stack = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+    stack = [compile(source, str(path), "exec")]
     while stack:
         code = stack.pop()
         lines.update(line for _, _, line in code.co_lines() if line is not None)
@@ -68,10 +70,11 @@ def run_traced() -> tuple[int, dict[str, set[int]]]:
 
 def main() -> int:
     sys.path.insert(0, str(PACKAGE.parent))
+    sources = {path: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     code, ran = run_traced()
     total = 0
-    for path in sorted(PACKAGE.glob("*.py")):
-        unrun = sorted(executable_lines(path) - ran.get(str(path), set()))
+    for path, source in sources.items():
+        unrun = sorted(executable_lines(source, path) - ran.get(str(path), set()))
         total += len(unrun)
         listing = ", ".join(map(str, unrun))
         print(f"{path.name:16} {len(unrun):4}  {listing}")
