@@ -12,11 +12,13 @@ digit sequences, not distinct resolutions of nondeterminism.  So
 built, and the product only checks the type.  A DFA holds one initial state
 and one bare target state per digit, so the type itself is deterministic
 and nothing is validated.  ``determinize_starts`` is the one subset
-construction: it reads one transition table with tuple targets from several
-start sets, merges each subset's row once and numbers each DFA's subsets as
-it finds them; no output prints those numbers.  An eventually periodic address
-is read by the DFA's one run, ``accepts_address``, which stops when its
-(state, position) pair repeats.
+construction: it reads one NFA table, whose states are ints and whose rows
+map each digit to the bitmask of its targets, from several start sets.  A
+subset is the bitmask of its members; the subsets are numbered once for all
+start sets, in the order the start sets come, so the DFAs share one table
+and differ only in their initial states.  No output prints those numbers.
+An eventually periodic address is read by the DFA's one run,
+``accepts_address``, which stops when its (state, position) pair repeats.
 
 A ``ProductMoves`` table holds the difference moves over S u {0}, and every
 product is handed one: the cells of a chain matrix share one, and a cell
@@ -35,7 +37,7 @@ periodic by construction and evaluate through the rational point machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Hashable, Iterable, Mapping
+from typing import Collection, Hashable, Iterable, Mapping, Sequence
 
 from .errors import BudgetExceeded, CertificateFailure
 from .numsys import Address, RationalPoint, TileParams, point_eval
@@ -83,42 +85,47 @@ def accepts_address(dfa: DigitDFA, addr: Address) -> bool:
 
 
 def determinize_starts(
-    trans: Mapping[State, Mapping[int, tuple[State, ...]]],
-    starts: Iterable[Iterable[State]],
+    rows: Sequence[Mapping[int, int]], starts: Iterable[int]
 ) -> list[DigitDFA]:
     """The subset construction over one transition table, one DFA for each
-    set of initial states.  Each DFA's states are the ints 0, 1, 2, ... in
-    breadth-first discovery order, digits ascending, the initial subset being
-    0, so the numbering depends neither on how the NFA names its states nor
-    on the other start sets.  A subset's row merges its members' digit rows
-    once per call: every start set that reaches the subset reuses it.  Each
-    frozenset is interned once."""
-    merged_rows: dict[frozenset, list[tuple[int, frozenset]]] = {}
-    dfas = []
-    for initials in starts:
-        subsets = [frozenset(initials)]
-        number = {subsets[0]: 0}
-        dfa: dict[State, dict[int, State]] = {}
-        for k, subset in enumerate(subsets):  # the list grows as subsets are found
-            merged_row = merged_rows.get(subset)
-            if merged_row is None:
-                merged: dict[int, set[State]] = {}
-                for q in subset:
-                    for d, targets in trans.get(q, {}).items():
-                        merged.setdefault(d, set()).update(targets)
-                merged_row = merged_rows[subset] = [
-                    (d, frozenset(merged[d])) for d in sorted(merged) if merged[d]
-                ]
-            row: dict[int, State] = {}
-            for d, target in merged_row:
+    start set, all sharing one table.  The NFA's states are the ints
+    0, 1, 2, ...: state k's row maps each digit to the bitmask of its target
+    states, and a subset is the bitmask of its members, so each start set is
+    a mask too.  The DFA's states are the ints 0, 1, 2, ... in breadth-first
+    discovery order, digits ascending, from each start set in turn: the first
+    start set is 0, and a later one continues the numbering where the ones
+    before it stopped.  Each subset is numbered and its row merged once for
+    all start sets; each DFA holds the number of its start set as its
+    initial state."""
+    number: dict[int, int] = {}
+    subsets: list[int] = []
+    table: dict[int, dict[int, int]] = {}
+    initials = []
+    for start in starts:
+        if start not in number:
+            number[start] = len(subsets)
+            subsets.append(start)
+        initials.append(number[start])
+        k = len(table)
+        while k < len(subsets):  # the list grows as subsets are found
+            merged: dict[int, int] = {}
+            rest = subsets[k]
+            while rest:
+                low = rest & -rest
+                for d, targets in rows[low.bit_length() - 1].items():
+                    merged[d] = merged.get(d, 0) | targets
+                rest ^= low
+            row: dict[int, int] = {}
+            for d in sorted(merged):
+                target = merged[d]
                 ref = number.get(target)
                 if ref is None:
                     ref = number[target] = len(subsets)
                     subsets.append(target)
                 row[d] = ref
-            dfa[k] = row
-        dfas.append(DigitDFA(0, dfa))
-    return dfas
+            table[k] = row
+            k += 1
+    return [DigitDFA(initial, table) for initial in initials]
 
 
 def live_nodes(succ: Mapping[State, Collection[State]]) -> set[State]:
@@ -271,13 +278,15 @@ def product_intersection(
         steps = known.get(delta)
         if steps is None:
             steps = moves.steps(delta)
-        pairs = [(a, a - d, nd) for a in lrow for d, nd in steps if a - d in rrow]
-        for a, ap, nd in pairs:
-            child = (lrow[a], rrow[ap], nd)
-            edges.append((a, ap, child))
-            if child not in seen:
-                seen.add(child)
-                frontier.append(child)
+        for a, lt in lrow.items():
+            for d, nd in steps:
+                rt = rrow.get(a - d)
+                if rt is not None:
+                    child = (lt, rt, nd)
+                    edges.append((a, a - d, child))
+                    if child not in seen:
+                        seen.add(child)
+                        frontier.append(child)
         trans[node] = edges
     return _classify_product(params, initial, trans, initial_diff, max_runs)
 

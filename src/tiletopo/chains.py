@@ -14,16 +14,23 @@ is decided mechanically: each curve language is a lexicographic walk
 interval, read by one automaton whose states pair the contact state with
 how far the walk still follows each bound.  The bounds are unrolled once,
 by ``walk_steps``, and ordered on those steps.  The B languages of a setup
-come out of one subset construction.  Intersections run through the exact
-product automaton; the cells of a chain matrix share one move table, and a
-cell whose product has no move out of its initial state is EMPTY without
-being built.  The circular chain's report is the one chain report: the open
+come out of one subset construction and share its table, each from its own
+initial state; their flips share one flip of that table.  Intersections run
+through the exact product automaton; the cells of a chain matrix share one
+move table, and a cell whose product has no move out of its initial state is
+EMPTY without being built.  The digit flip phi maps S to -S, so phi(X n Y) =
+phiX n phiY: a cell of two flipped curves is read off the cell of the two
+curves (its values top - v, its runs flipped and in reverse order), unless
+that cell is BRANCHING, and a cell (alpha_i, alpha_j'), i > j, is EMPTY when
+(alpha_j, alpha_i') is; every other cell with a live start is built.  The
+circular chain's report is the one chain report: the open
 chain alpha_1..alpha_B is read off it, since its expected pattern is the
 circular one restricted to the unprimed curves.  The expected junctions and
 the value of each junction address are computed once per setup, for the
 report and the gamma arcs alike.  The report's JSON is written directly in
 the fixed layout that ``json.dumps(..., indent=2, sort_keys=True)`` gives
-it, and its text grid reads each cell once.
+it, a cell that holds only its kind from one template, and its text grid
+reads each cell once.
 """
 
 from __future__ import annotations
@@ -178,9 +185,9 @@ def lex_interval_languages(
     ordered: OrderedContactGraph, bounds: list[tuple[Walk, Walk]]
 ) -> list[DigitDFA]:
     """Digit language of all infinite walks w with lo <= w <= hi, for each
-    interval (lo, hi) of ``bounds``, by one subset construction.  A pair
-    given high bound first is swapped, by ``_walk_order`` on the two
-    unrolled walks.
+    interval (lo, hi) of ``bounds``, by one subset construction; the
+    languages share its table.  A pair given high bound first is swapped, by
+    ``_walk_order`` on the two unrolled walks.
 
     A state (q, i, j, n) is the contact state q, with i the step of lo's
     unrolled walk while w still equals lo (None once w has gone above it),
@@ -188,9 +195,27 @@ def lex_interval_languages(
     and while j is set none above hi's; an index moves on only when w takes
     the bound's own letter, and wraps at the cycle start.  A state tracking
     a bound belongs to the n-th interval.  The free states (q, None, None,
-    None) follow every out-edge of q in every interval, so their rows, and
-    the rows of the subsets made of them, are built once for all intervals."""
-    trans: dict = {}
+    None) follow every out-edge of q in every interval: their targets are
+    free too, so each edge's free target is numbered once, and the rows of
+    the free states and of the subsets made of them are built once for all
+    intervals.  A tracking state reads only the letters from lo's to hi's;
+    the letters strictly between go to free states."""
+    number: dict[tuple, int] = {}
+    states: list[tuple] = []
+
+    def intern(node: tuple) -> int:
+        k = number.get(node)
+        if k is None:
+            k = number[node] = len(states)
+            states.append(node)
+        return k
+
+    # (digit, mask of the free target) of each out-edge, per state and letter
+    free_edges = [
+        [(e[1], 1 << intern((e[3], None, None, None))) for e in order]
+        for order in ordered.orders
+    ]
+    rows: list[dict[int, int]] = []
     starts = []
     for n, (lo, hi) in enumerate(bounds):
         lo_unrolled, hi_unrolled = ordered.walk_steps(lo), ordered.walk_steps(hi)
@@ -198,33 +223,29 @@ def lex_interval_languages(
             lo, hi, lo_unrolled, hi_unrolled = hi, lo, hi_unrolled, lo_unrolled
         (lo_steps, lo_wrap), (hi_steps, hi_wrap) = lo_unrolled, hi_unrolled
 
-        def state(q: int, i: int | None, j: int | None) -> tuple:
-            return (q, i, j, None if i is None and j is None else n)
+        def state(q: int, i: int | None, j: int | None) -> int:
+            return intern((q, i, j, None if i is None and j is None else n))
 
-        initials = tuple(
-            state(s, 0 if s == lo.start else None, 0 if s == hi.start else None)
-            for s in range(lo.start, hi.start + 1)
-        )
-        frontier = list(initials)
-        while frontier:
-            node = frontier.pop()
-            if node in trans:
-                continue
-            q, i, j, _ = node
-            row: dict = {}
-            for k, e in enumerate(ordered.orders[q - 1], start=1):
-                if i is not None and k < lo_steps[i][0]:
-                    continue
-                if j is not None and k > hi_steps[j][0]:
-                    continue
-                target = state(
-                    e[3], _follow(i, k, lo_steps, lo_wrap), _follow(j, k, hi_steps, hi_wrap)
-                )
-                row[e[1]] = row.get(e[1], ()) + (target,)
-                frontier.append(target)
-            trans[node] = row
-        starts.append(initials)
-    return determinize_starts(trans, starts)
+        start = 0
+        for s in range(lo.start, hi.start + 1):
+            start |= 1 << state(s, 0 if s == lo.start else None, 0 if s == hi.start else None)
+        starts.append(start)
+        while len(rows) < len(states):
+            q, i, j, _ = states[len(rows)]
+            edges = free_edges[q - 1]
+            first = 1 if i is None else lo_steps[i][0]
+            last = len(edges) if j is None else hi_steps[j][0]
+            row: dict[int, int] = {}
+            for k in range(first, last + 1):
+                d, target = edges[k - 1]
+                if k == first or k == last:  # the letters that may follow a bound
+                    e = ordered.orders[q - 1][k - 1]
+                    target = 1 << state(
+                        e[3], _follow(i, k, lo_steps, lo_wrap), _follow(j, k, hi_steps, hi_wrap)
+                    )
+                row[d] = row.get(d, 0) | target
+            rows.append(row)
+    return determinize_starts(rows, starts)
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +254,10 @@ def lex_interval_languages(
 
 @dataclass(frozen=True)
 class AlphaCurve:
-    """One curve of the chain, alpha_i (label "ai") or its digit flip (label
-    "ai'"): the digit language of a walk interval and its two endpoint
-    addresses."""
+    """One curve alpha_i (label "ai") of the chain: the digit language of a
+    walk interval and its two endpoint addresses.  Its digit flip alpha_i'
+    (label "ai'") is read by ``flipped_languages``."""
 
-    index: int
     label: str
     language: DigitDFA
     endpoint_addresses: tuple[Address, Address]
@@ -262,11 +282,14 @@ class ChainSetup:
     ordered: OrderedContactGraph
     sset: frozenset
     curves: list[AlphaCurve] = field(init=False)
+    top: RationalPoint = field(init=False)
     junctions: dict[tuple[str, str], list[Address]] = field(init=False)
     junction_values: dict[tuple[str, str], list[RationalPoint]] = field(init=False)
 
     def __post_init__(self) -> None:
         self.curves = alpha_curves(self)
+        # the value of 0.(B-1)bar: a digit flip maps each value v to top - v
+        self.top = point_eval(_addr((), (self.params.b - 1,)), self.params)
         self.junctions = expected_chain_junctions(self.params)
         self.junction_values = {
             pair: [point_eval(ad, self.params) for ad in addrs]
@@ -287,24 +310,17 @@ def alpha_curves(setup: ChainSetup) -> list[AlphaCurve]:
     out = []
     for i, ((s, t), lang) in enumerate(zip(table, langs), start=1):
         out.append(
-            AlphaCurve(i, f"a{i}", lang, (psi(s, setup.ordered), psi(t, setup.ordered)))
+            AlphaCurve(f"a{i}", lang, (psi(s, setup.ordered), psi(t, setup.ordered)))
         )
     return out
 
 
-def flipped_curves(setup: ChainSetup, curves: list[AlphaCurve]) -> list[AlphaCurve]:
-    b = setup.params.b
-    out = []
-    for c in curves:
-        out.append(
-            AlphaCurve(
-                c.index,
-                f"a{c.index}'",
-                nfa_flip(c.language, b),
-                tuple(flip(addr, setup.params) for addr in c.endpoint_addresses),
-            )
-        )
-    return out
+def flipped_languages(setup: ChainSetup) -> list[tuple[str, DigitDFA]]:
+    """The labels and digit languages of the flips alpha_i' of the setup's
+    curves.  The curves share one table, so their flips share one flip of
+    it, each read from its curve's own initial state."""
+    table = nfa_flip(setup.curves[0].language, setup.params.b).trans
+    return [(f"{c.label}'", DigitDFA(c.language.initial, table)) for c in setup.curves]
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +368,13 @@ def _json_strings(items: list[str], indent: int) -> str:
     return f"[{inner}{listing}\n{' ' * indent}]"
 
 
+# a report cell with neither addresses nor a value, as ``json.dumps`` writes
+# it: the quoted kind and the two quoted labels of its pair
+_KIND_ONLY_CELL = (
+    '    {\n      "kind": %s,\n      "pair": [\n        %s,\n        %s\n      ]\n    }'
+)
+
+
 @dataclass
 class ChainReport:
     params: TileParams
@@ -370,15 +393,26 @@ class ChainReport:
         """The report document of ``verify-chains`` in the fixed layout of
         ``json.dumps(doc, indent=2, sort_keys=True)``.  Every string goes
         through the escaper that ``json.dumps`` uses, so a violation's text
-        is escaped byte for byte as there."""
+        is escaped byte for byte as there.  Each label is quoted once, and a
+        cell that holds only its kind is written from one template."""
+        ordered = sorted(self.labels)
+        quoted = {label: encode_basestring_ascii(label) for label in ordered}
         cells = []
-        for (l1, l2), cell in sorted(self.matrix.items()):
+        # the cells in the order of their sorted pairs, which are pairs of
+        # labels: cheaper than sorting the pairs
+        pairs = [(l1, l2) for l1 in ordered for l2 in ordered if (l1, l2) in self.matrix]
+        for l1, l2 in pairs:
+            cell = self.matrix[(l1, l2)]
+            kind = encode_basestring_ascii(cell["kind"])
+            if "addresses" not in cell and "value" not in cell:
+                cells.append(_KIND_ONLY_CELL % (kind, quoted[l1], quoted[l2]))
+                continue
             fields = []
             if "addresses" in cell:
                 fields.append(
                     '"addresses": ' + _json_strings([str(ad) for ad in cell["addresses"]], 6)
                 )
-            fields.append('"kind": ' + encode_basestring_ascii(cell["kind"]))
+            fields.append('"kind": ' + kind)
             fields.append('"pair": ' + _json_strings([l1, l2], 6))
             if "value" in cell:
                 value = cell["value"]
@@ -428,24 +462,72 @@ def _classify_cell(res: IntersectionAutomaton) -> dict:
     return cell
 
 
+def _mirrored_cell(res: IntersectionAutomaton, setup: ChainSetup) -> dict:
+    """The cell of the flips of a product's two languages, read off the
+    product.  The flip a -> B-1-a maps S to -S, so the flipped product is
+    the product with each state (p, q, delta) renamed (p, q, -delta) and
+    each digit flipped: it has the same kind, each live state's edges sort
+    in reverse, so its runs are the product's runs flipped and in reverse
+    order, and each value v becomes top - v.  Not for BRANCHING, whose
+    witness is the least state by ``repr``, which the renaming does not
+    keep."""
+    cell: dict = {"kind": res.kind}
+    if res.kind in (UNIQUE_POINT, FINITE_POINTS):
+        (x, y), top = res.runs[-1].value, setup.top
+        cell["value"] = (top[0] - x, top[1] - y)
+        cell["addresses"] = [flip(r.left, setup.params) for r in res.runs[:-5:-1]]
+    return cell
+
+
 def _chain_matrix(
-    setup: ChainSetup, labeled: list[tuple[str, DigitDFA]]
+    setup: ChainSetup,
+    labeled: list[tuple[str, DigitDFA]],
+    flipped: list[tuple[str, DigitDFA]],
 ) -> dict[tuple[str, str], dict]:
-    """The cell of every pair of labeled languages, in pair order.  All
-    products share one move table; a pair whose product has no move out of
-    its initial state is EMPTY without being built."""
+    """The cell of every pair of the labeled languages followed by their
+    flips, in pair order; the k-th language of ``flipped`` is the digit flip
+    of the k-th of ``labeled``.  All products share one move table, and a
+    pair whose product has no move out of its initial state is EMPTY without
+    being built.
+
+    The flip phi maps a point set X to phiX, with phi(X n Y) = phiX n phiY.
+    So the cell of two flipped languages is read off the cell of the two
+    languages (``_mirrored_cell``), unless that cell is BRANCHING; and a
+    cell of L_i and the flip of L_j, i > j, is EMPTY when the cell of L_j
+    and the flip of L_i is, and built otherwise."""
     moves = ProductMoves(setup.sset, setup.params)
-    firsts = [moves.first_digits(lang) for _, lang in labeled]
+    n = len(labeled)
+    langs = labeled + flipped
+    labels = [label for label, _ in langs]
+    firsts = [moves.first_digits(lang) for _, lang in langs]
+    products: dict[tuple[int, int], IntersectionAutomaton] = {}
     matrix: dict[tuple[str, str], dict] = {}
-    for i, (l1, g1) in enumerate(labeled):
-        partners = moves.partners(firsts[i])
-        for j in range(i + 1, len(labeled)):
-            l2, g2 = labeled[j]
-            if partners.isdisjoint(firsts[j]):
-                matrix[(l1, l2)] = {"kind": EMPTY}
+
+    def built(x: int, y: int) -> dict:
+        res = product_intersection(langs[x][1], langs[y][1], moves)
+        if y < n:
+            products[(x, y)] = res
+        return _classify_cell(res)
+
+    for x in range(n):
+        partners = moves.partners(firsts[x])
+        for y in range(x + 1, 2 * n):
+            # (L_x, flip L_j) with x > j has the swap (L_j, flip L_x), built
+            # in an earlier row
+            swap = (labels[y - n], labels[x + n]) if n <= y < n + x else None
+            if partners.isdisjoint(firsts[y]) or (swap and matrix[swap]["kind"] == EMPTY):
+                matrix[(labels[x], labels[y])] = {"kind": EMPTY}
             else:
-                res = product_intersection(g1, g2, moves)
-                matrix[(l1, l2)] = _classify_cell(res)
+                matrix[(labels[x], labels[y])] = built(x, y)
+    for x in range(n, 2 * n):
+        for y in range(x + 1, 2 * n):
+            source = products.get((x - n, y - n))
+            if source is None:  # its start is dead, and so is the flip's
+                matrix[(labels[x], labels[y])] = {"kind": EMPTY}
+            elif source.kind == BRANCHING:
+                matrix[(labels[x], labels[y])] = built(x, y)
+            else:
+                matrix[(labels[x], labels[y])] = _mirrored_cell(source, setup)
     return matrix
 
 
@@ -457,15 +539,10 @@ def _check_cycle_pattern(
     and whose dual addresses agree.  The matrix is only read."""
     violations: list[str] = []
     addresses: dict[tuple[str, str], list[Address]] = {}
-    n = len(labels)
-    position = {label: k for k, label in enumerate(labels)}
-
-    def expected_adjacent(l1: str, l2: str) -> bool:
-        d = abs(position[l1] - position[l2])
-        return d == 1 or d == n - 1
-
+    cycle = list(zip(labels, labels[1:] + labels[:1]))
+    adjacent = set(cycle) | {(l2, l1) for l1, l2 in cycle}
     for (l1, l2), cell in matrix.items():
-        if expected_adjacent(l1, l2):
+        if (l1, l2) in adjacent:
             key = (l1, l2) if (l1, l2) in setup.junctions else (l2, l1)
             expect = setup.junctions.get(key)
             if cell["kind"] != UNIQUE_POINT:
@@ -477,7 +554,7 @@ def _check_cycle_pattern(
                 violations.append(f"{l1} & {l2}: no expected junction value")
                 continue
             values = setup.junction_values[key]
-            if len(set(values)) != 1:
+            if any(v != values[0] for v in values[1:]):
                 violations.append(
                     f"{l1} & {l2}: dual junction addresses disagree"
                 )
@@ -498,13 +575,10 @@ def _check_cycle_pattern(
 
 
 def circular_chain_report(setup: ChainSetup) -> ChainReport:
-    curves = setup.curves
-    flipped = flipped_curves(setup, curves)
-    labeled = [(c.label, c.language) for c in curves] + [
-        (c.label, c.language) for c in flipped
-    ]
-    matrix = _chain_matrix(setup, labeled)
-    labels = [l for l, _ in labeled]
+    labeled = [(c.label, c.language) for c in setup.curves]
+    flipped = flipped_languages(setup)
+    matrix = _chain_matrix(setup, labeled, flipped)
+    labels = [l for l, _ in labeled + flipped]
     violations, addresses = _check_cycle_pattern(setup, labels, matrix)
     # the report names an adjacent pair's point by its expected junction
     # addresses

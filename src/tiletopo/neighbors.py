@@ -32,8 +32,7 @@ from itertools import chain, count
 from json.encoder import encode_basestring_ascii
 
 from .automata import live_nodes
-from .errors import LengthMismatch
-from .numsys import DigitWord, Mat2, TileParams
+from .numsys import Mat2, TileParams
 
 IntVec = tuple[int, int]
 
@@ -230,17 +229,3 @@ def neighbor_set_search(params: TileParams) -> NeighborSet:
 def reflect_neighbor_set(sset: NeighborSet) -> NeighborSet:
     """Neighbor set of the mirror tile (original input had A < 0)."""
     return NeighborSet(frozenset((x, -y) for (x, y) in sset.members), sset.j)
-
-
-def subdivision_diff(u: DigitWord, v: DigitWord, params: TileParams) -> IntVec:
-    """The integer vector sum_i M^(m-i) (u_i - v_i, 0) separating two
-    depth-m cylinders."""
-    if len(u) != len(v):
-        raise LengthMismatch(f"|u|={len(u)} != |v|={len(v)}")
-    a, b = params.a, params.b
-    x, y = 0, 0
-    for du, dv in zip(u, v):
-        params.check_digit(du)
-        params.check_digit(dv)
-        x, y = -b * y + du - dv, x - a * y
-    return (x, y)

@@ -14,17 +14,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 from .automata import (
     UNIQUE_POINT,
     DigitDFA,
     IntersectionAutomaton,
+    IntVec,
     ProductMoves,
     product_intersection,
 )
 from .errors import CertificateFailure, OutOfRange, WrongRegime
-from .neighbors import neighbor_set_formula, subdivision_diff
-from .numsys import Address, RationalPoint, TileParams, alt_flip, point_eval
+from .neighbors import neighbor_set_formula
+from .numsys import Address, DigitWord, RationalPoint, TileParams, alt_flip, point_eval
 
 
 class Classification(Enum):
@@ -130,17 +132,36 @@ class CutPointCertificate:
         }
 
 
+def cylinder_levels(
+    params: TileParams, depth: int
+) -> Iterator[tuple[tuple[DigitWord, ...], tuple[IntVec, ...]]]:
+    """For each level n = 0..depth, the three words of n + 1 digits around
+    the cut point, (lo, mid, hi), and the separating vectors of the pairs
+    (lo, mid), (hi, mid) and (lo, hi).  The words share the point's first n
+    digits and end in A-4, A-3 and A-2, flipped at odd n; mid is the next
+    prefix.  A separating vector sum_i M^(m-i) (u_i - v_i, 0) gets nothing
+    from the shared prefix, so it is the last digits' difference (d, 0)."""
+    a = params.a
+    prefix: tuple[int, ...] = ()
+    for n in range(depth + 1):
+        lo, mid, hi = (alt_flip(n, c, params) for c in (a - 4, a - 3, a - 2))
+        words = (prefix + (lo,), prefix + (mid,), prefix + (hi,))
+        yield words, ((lo - mid, 0), (hi - mid, 0), (lo - hi, 0))
+        prefix = words[1]
+
+
 def verify_cut_point(params: TileParams, depth: int = 12) -> CutPointCertificate:
     """Certify that the two halves meet in exactly the claimed point.
 
     Also replays the inductive containment of the intersection in the union
     of three shrinking cylinders: at every level n <= depth, every cylinder
     pair still reachable in the live product is drawn from the three words
-    around the point, and the adjacency structure of the three words
-    matches the subdivision criterion (the two side words touch the middle
-    one but not each other).  The middle word is the point's own expansion
-    cut to n + 1 digits, so the point lies in the middle cylinder without a
-    check.  The D1 x D2 product is the only product built.
+    around the point (``cylinder_levels``), and the adjacency structure of
+    the three words matches the subdivision criterion (the two side words
+    touch the middle one but not each other).  The middle word is the
+    point's own expansion cut to n + 1 digits, so the point lies in the
+    middle cylinder without a check.  The D1 x D2 product is the only
+    product built.
     """
     a, b = params.a, params.b
     where = f"(A,B)=({a},{b})"
@@ -165,12 +186,7 @@ def verify_cut_point(params: TileParams, depth: int = 12) -> CutPointCertificate
     touching = members | {(0, 0)}
     # the point is UNIQUE_POINT's one run, so the initial state is live
     frontier: dict = {(res.initial, (), ()): None}
-    for n in range(depth + 1):
-        prefix = tuple(alt_flip(i, a - 3, params) for i in range(n))
-        lo_word = prefix + (alt_flip(n, a - 4, params),)
-        mid_word = prefix + (alt_flip(n, a - 3, params),)
-        hi_word = prefix + (alt_flip(n, a - 2, params),)
-        level = (lo_word, mid_word, hi_word)
+    for n, (level, (lo_mid, hi_mid, lo_hi)) in enumerate(cylinder_levels(params, depth)):
         nxt: dict = {}
         for (node, u, v) in frontier:
             for (x, y, t) in res.transitions.get(node, []):
@@ -182,11 +198,11 @@ def verify_cut_point(params: TileParams, depth: int = 12) -> CutPointCertificate
                 raise CertificateFailure(
                     f"live cylinder pair ({u}, {v}) escapes level {n} for {where}"
                 )
-        for side in (lo_word, hi_word):
-            if subdivision_diff(side, mid_word, params) not in touching:
+        for side, diff in ((level[0], lo_mid), (level[2], hi_mid)):
+            if diff not in touching:
                 raise CertificateFailure(
                     f"side cylinder {side} loses contact with the middle one for {where}"
                 )
-        if subdivision_diff(lo_word, hi_word, params) in touching:
+        if lo_hi in touching:
             raise CertificateFailure(f"outer cylinders must not touch each other for {where}")
     return CutPointCertificate(params, addr, value, res, depth)

@@ -13,14 +13,19 @@ replaced, and ``is_strongly_connected``, the reachability test it runs, left
 the package with it.
 ``subdivision_intersects`` is the cylinder-pair criterion that
 ``verify_cut_point`` reads off the neighbor set it already holds; here it
-builds the closed form itself.  ``segments_intersect`` is the scalar
+builds the closed form itself.  ``subdivision_diff``, the separating vector
+summed digit by digit, is the oracle of the vectors that ``cylinder_levels``
+reads off the words' last digits.  ``segments_intersect`` is the scalar
 closed-segment test that the array signs of the simple-closed test replaced,
 kept as the oracle of its all-pairs checks.  ``reference_chain_matrix`` is
 the chain matrix's per-pair loop, one product with a move table of its own
 for every cell, kept as the oracle of the shared-table matrix.
 ``nfa_determinize`` and ``lex_interval_language`` are the one-language cases
 of the package's subset construction and walk-interval languages, which the
-package itself only runs for whole setups.  ``DigitNFA``, ``nfa_union``,
+package itself only runs for whole setups; ``nfa_bit_rows`` numbers an NFA's
+states into the bitmask rows the construction reads, and ``dfa_renumbered``
+reads one curve's DFA out of a setup's shared table in the numbering of a
+construction of its own.  ``DigitNFA``, ``nfa_union``,
 ``nfa_accepts_address`` (an NFA x position graph trimmed by ``live_nodes``)
 and ``graph_language``, the contact graph's language of one start state,
 are the nondeterministic automata that left the package, whose one
@@ -97,7 +102,6 @@ from tiletopo.neighbors import (
     NeighborSet,
     _candidate_ball,
     neighbor_set_formula,
-    subdivision_diff,
 )
 from tiletopo.numsys import (
     Address,
@@ -597,6 +601,20 @@ def candidate_ball(params: TileParams) -> frozenset[IntVec]:
     return frozenset(_candidate_ball(params))
 
 
+def subdivision_diff(u: DigitWord, v: DigitWord, params: TileParams) -> IntVec:
+    """The integer vector sum_i M^(m-i) (u_i - v_i, 0) separating two
+    depth-m cylinders."""
+    if len(u) != len(v):
+        raise LengthMismatch(f"|u|={len(u)} != |v|={len(v)}")
+    a, b = params.a, params.b
+    x, y = 0, 0
+    for du, dv in zip(u, v):
+        params.check_digit(du)
+        params.check_digit(dv)
+        x, y = -b * y + du - dv, x - a * y
+    return (x, y)
+
+
 def subdivision_intersects(u: DigitWord, v: DigitWord, params: TileParams) -> bool:
     """Decide T_u meets T_v: the separating vector must be 0 or a neighbor."""
     s = subdivision_diff(u, v, params)
@@ -703,12 +721,58 @@ def product_prefix_agreement(params: TileParams, depth: int = 4) -> bool:
 # one-language cases of the package's constructions
 
 
+def nfa_bit_rows(nfa: DigitNFA) -> tuple[list[dict[int, int]], int]:
+    """The NFA in the input form of ``determinize_starts``: its states
+    numbered 0, 1, 2, ... as they are reached from the initial states, each
+    row a map from digit to the bitmask of its targets, and the bitmask of
+    the initial states."""
+    number: dict[State, int] = {}
+    states: list[State] = []
+
+    def bit(q: State) -> int:
+        if q not in number:
+            number[q] = len(states)
+            states.append(q)
+        return 1 << number[q]
+
+    start = 0
+    for q in nfa.initials:
+        start |= bit(q)
+    rows: list[dict[int, int]] = []
+    while len(rows) < len(states):
+        row = nfa.trans.get(states[len(rows)], {})
+        rows.append({d: sum(set(map(bit, targets))) for d, targets in row.items() if targets})
+    return rows, start
+
+
 def nfa_determinize(nfa: DigitNFA) -> DigitDFA:
     """The language as a DFA: a DFA comes back unchanged, any other NFA is
     the one-start case of the subset construction."""
     if isinstance(nfa, DigitDFA):
         return nfa
-    return determinize_starts(nfa.trans, [nfa.initials])[0]
+    rows, start = nfa_bit_rows(nfa)
+    return determinize_starts(rows, [start])[0]
+
+
+def dfa_renumbered(dfa: DigitDFA) -> DigitDFA:
+    """The states reachable from the initial state, renumbered 0, 1, 2, ...
+    in breadth-first order, each row's digits in the order the row lists
+    them.  On a table of ``determinize_starts``, whose rows list their
+    digits ascending, this is the numbering of a subset construction run
+    from this start alone; on its ``nfa_flip``, whose rows list them
+    descending, it is the flip of that numbering."""
+    number = {dfa.initial: 0}
+    order = [dfa.initial]
+    trans: dict[int, dict[int, int]] = {}
+    for k, q in enumerate(order):  # the list grows as states are found
+        row: dict[int, int] = {}
+        for d, t in dfa.trans.get(q, {}).items():
+            if t not in number:
+                number[t] = len(order)
+                order.append(t)
+            row[d] = number[t]
+        trans[k] = row
+    return DigitDFA(0, trans)
 
 
 def lex_interval_language(ordered: OrderedContactGraph, lo: Walk, hi: Walk) -> DigitDFA:

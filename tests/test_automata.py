@@ -18,7 +18,7 @@ from tiletopo.automata import (
     nfa_flip,
     product_intersection,
 )
-from tiletopo.chains import ChainSetup, flipped_curves
+from tiletopo.chains import ChainSetup, flipped_languages
 from tiletopo.contact import build_contact_graph
 from tiletopo.errors import BudgetExceeded, CertificateFailure
 from tiletopo.neighbors import neighbor_set_formula
@@ -28,6 +28,7 @@ from tiletopo.topology import build_d1_d2
 from conftest import fractional_digit, random_address
 from reference import (
     DigitNFA,
+    dfa_renumbered,
     graph_language,
     mat_vec,
     nfa_cylinder,
@@ -115,20 +116,27 @@ class TestDeterminize:
         captured = []
         real = chains.determinize_starts
 
-        def capture(trans, starts):
+        def bits(mask):
+            return tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
+
+        def capture(rows, starts):
             # one NFA per curve: its start set and the states it reaches in
-            # the table that all curves of the setup share
+            # the table that all curves of the setup share, with the bitmask
+            # targets read as tuples; each curve's DFA, renumbered from its
+            # own initial state, is that NFA's own subset construction
             starts = list(starts)
-            dfas = real(trans, starts)
-            for initials, dfa in zip(starts, dfas):
-                seen, frontier = set(initials), list(initials)
+            dfas = real(rows, starts)
+            assert all(dfa.trans is dfas[0].trans for dfa in dfas)
+            for start, dfa in zip(starts, dfas):
+                seen, frontier = set(bits(start)), list(bits(start))
                 while frontier:
-                    for targets in trans.get(frontier.pop(), {}).values():
-                        new = set(targets) - seen
+                    for mask in rows[frontier.pop()].values():
+                        new = set(bits(mask)) - seen
                         seen |= new
                         frontier.extend(new)
-                nfa = DigitNFA(tuple(initials), {q: trans[q] for q in seen if q in trans})
-                assert dfa.trans == nfa_determinize(nfa).trans
+                trans = {q: {d: bits(mask) for d, mask in rows[q].items()} for q in seen}
+                nfa = DigitNFA(bits(start), trans)
+                assert dfa_renumbered(dfa).trans == nfa_determinize(nfa).trans
                 captured.append(nfa)
             return dfas
 
@@ -466,7 +474,7 @@ class TestProductReference:
     def test_alpha_curve_cells(self, a, b):
         setup = ChainSetup.build(TileParams(a, b))
         langs = [c.language for c in setup.curves]
-        langs += [f.language for f in flipped_curves(setup, setup.curves)]
+        langs += [lang for _, lang in flipped_languages(setup)]
         kinds = set()
         for i, l1 in enumerate(langs):
             for l2 in langs[i + 1 :]:

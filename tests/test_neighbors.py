@@ -16,7 +16,6 @@ from tiletopo.neighbors import (
     neighbor_set_formula,
     neighbor_set_search,
     reflect_neighbor_set,
-    subdivision_diff,
 )
 
 from conftest import pairs
@@ -25,6 +24,7 @@ from reference import (
     mat_inv,
     mat_vec,
     neighbor_set_to_json,
+    subdivision_diff,
     subdivision_intersects,
 )
 

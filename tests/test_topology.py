@@ -29,6 +29,7 @@ from tiletopo.topology import (
     build_d1_d2,
     classify,
     cut_point_address,
+    cylinder_levels,
     union_is_universal,
     verify_cut_point,
 )
@@ -40,6 +41,7 @@ from reference import (
     nfa_full,
     nfa_single_address,
     product_prefix_agreement,
+    subdivision_diff,
 )
 
 
@@ -233,6 +235,28 @@ class TestCertificates:
         )
 
 
+class TestCylinderLevels:
+    def test_vectors_match_subdivision_diff(self):
+        # the three words of a level share the point's first n digits, so
+        # each separating vector is read off their last digits; against the
+        # digit-by-digit sum, on every cut-point pair B <= 20 to depth 12
+        pairs = [(a, b) for b in range(1, 21) for a in range(1, b + 1) if 2 * a - b >= 5]
+        assert len(pairs) == 72
+        for a, b in pairs:
+            params = TileParams(a, b)
+            period = cut_point_address(params).period
+            levels = list(cylinder_levels(params, 12))
+            assert len(levels) == 13
+            for n, ((lo, mid, hi), vectors) in enumerate(levels):
+                assert mid == tuple(period[i % len(period)] for i in range(n + 1))
+                assert lo[:n] == hi[:n] == mid[:n]
+                assert vectors == (
+                    subdivision_diff(lo, mid, params),
+                    subdivision_diff(hi, mid, params),
+                    subdivision_diff(lo, hi, params),
+                )
+
+
 class TestCertificateFailures:
     """Each ``CertificateFailure`` of ``verify_cut_point`` seen to fire at
     (6, 7), on one corrupted upstream result."""
@@ -296,9 +320,15 @@ class TestCertificateFailures:
 
     @staticmethod
     def outer_words_touch(monkeypatch):
-        # every subdivision difference read as 0: the side words still touch
-        # the middle one, and now also each other
-        monkeypatch.setattr(topology, "subdivision_diff", lambda u, v, params: (0, 0))
+        # (2, 0) and (-2, 0) read as neighbors: the outer words of level 0,
+        # whose last digits differ by 2, now touch each other
+        real = topology.neighbor_set_formula
+
+        def formula(params):
+            found = real(params)
+            return NeighborSet(found.members | {(2, 0), (-2, 0)}, found.j)
+
+        monkeypatch.setattr(topology, "neighbor_set_formula", formula)
 
     @pytest.mark.parametrize(
         "corrupt,message",
