@@ -59,7 +59,7 @@ from .contact import (
     ordered_extension,
     psi,
 )
-from .errors import ChainViolation, IdentityFailure, WrongRegime
+from .errors import CertificateFailure, ChainViolation, IdentityFailure, WrongRegime
 from .neighbors import neighbor_set_formula
 from .numsys import (
     Address,
@@ -275,7 +275,9 @@ class GammaArc:
 class ChainSetup:
     """Shared context for the chain checks of one parameter pair; the curves
     alpha_1..alpha_B, the expected junctions of the circular chain and the
-    value of each junction address are built once, here."""
+    value of each junction address are built once, here.  Building the
+    curves checks the ordering against the tabulated walk decodings, the
+    only code that reads the table."""
 
     params: TileParams
     graph: ContactGraph
@@ -305,14 +307,24 @@ class ChainSetup:
 
 
 def alpha_curves(setup: ChainSetup) -> list[AlphaCurve]:
-    table = alpha_table(setup.params)
+    """The curves alpha_1..alpha_B, once the setup's ordering decodes the
+    tabulated walks of ``alpha_calibration_rows`` to their tabulated
+    addresses; each endpoint walk is decoded once, for the check and the
+    curve alike."""
+    params = setup.params
+    table = alpha_table(params)
+    decoded = {walk: psi(walk, setup.ordered) for pair in table for walk in pair}
+    for walk, addr in alpha_calibration_rows(params):
+        if decoded[walk] != addr:
+            raise CertificateFailure(
+                f"walk {walk} does not decode to the tabulated 0.{addr} "
+                f"for (A,B)=({params.a},{params.b})"
+            )
     langs = lex_interval_languages(setup.ordered, table)
-    out = []
-    for i, ((s, t), lang) in enumerate(zip(table, langs), start=1):
-        out.append(
-            AlphaCurve(f"a{i}", lang, (psi(s, setup.ordered), psi(t, setup.ordered)))
-        )
-    return out
+    return [
+        AlphaCurve(f"a{i}", lang, (decoded[s], decoded[t]))
+        for i, ((s, t), lang) in enumerate(zip(table, langs), start=1)
+    ]
 
 
 def flipped_languages(setup: ChainSetup) -> list[tuple[str, DigitDFA]]:

@@ -28,18 +28,15 @@ a state that threads two ways raises; ``contact-graph`` runs it.
 ``ordered_extension`` is the ordering in closed form, the one ``param``,
 ``approx``, ``render`` and the chain setup of ``verify-chains`` call: states
 1..3 take their out-edges sorted, states 4..6 the digit flips of those
-orders (their own out-edges in reverse order), and the first edges form the
-first map of that search, phi_0.  Its
-six junctions are solved once, at one common scale S, so that each point
-f_b(V_t) is the integer key (S*V_t + (b*S, 0)); the orders are then checked
-edge to edge, each edge's end key against the next edge's start key.  A
-graph that fails the check is left to the search; no pair B <= 60 does.
-For the regime with tabulated endpoint data both check the ordering against
-the known walk decodings.
+orders (their own out-edges in reverse order), and the six junctions are
+read off (A, B).  Its docstring proves that these orders thread the first
+map of the search, phi_0, from junction to junction, so nothing is checked
+at run time.
 
 The Perron vector of the incidence matrix is read off the edge families of
 the contact graph, v = (beta - A + 1, A, beta (beta - A + 1)) on K1..K3 and
-again on K4..K6, as integer polynomials in beta, and checked on the graph.
+again on K4..K6, as integer polynomials in beta; its one run-time check is
+that v is positive.
 A walk's parameter is two integer Horner passes in Q(beta), over the prefix
 and over the period, and one division.
 The greedy walk of a parameter keeps its remainder as an integer vector
@@ -402,22 +399,6 @@ def _edge_tables(
     return outs, [_by_target(edges) for edges in outs]
 
 
-def _calibrated(ordered: OrderedContactGraph, where: str) -> OrderedContactGraph:
-    """The ordering, once it decodes the tabulated walks of the 2A - B = 3
-    regime (A != B) to their tabulated addresses."""
-    params = ordered.graph.params
-    if 2 * params.a - params.b == 3 and params.a != params.b:
-        from .chains import alpha_calibration_rows
-
-        for walk, addr in alpha_calibration_rows(params):
-            if psi(walk, ordered) != addr:
-                raise CertificateFailure(
-                    f"walk {walk} does not decode to the tabulated "
-                    f"0.{addr} for {where}"
-                )
-    return ordered
-
-
 def derive_order_extension(graph: ContactGraph) -> OrderedContactGraph:
     """The continuous edge ordering, certified unique by deciding every
     flip-equivariant first-edge map.
@@ -434,8 +415,11 @@ def derive_order_extension(graph: ContactGraph) -> OrderedContactGraph:
     (digit, junction) pairs.  On all 819 pairs 1 <= A <= B <= 40 state 1 has
     the single edge (1, 0, B-1, 3), and its test f_0(V_4) = V_2 rejects 95%
     of the maps; on more than half of all maps it reduces to comparing two
-    digits, with no junction solved.  ``ordered_extension`` decides only the
-    first map of this search.
+    digits, with no junction solved.  ``ordered_extension`` proves that the
+    sorted orders thread phi_0, the first map this search visits; what the
+    search adds is that no other map completes and no state threads two
+    ways, which is why ``contact-graph`` runs it.  It takes any graph,
+    including hand-built ones that no pair gives.
     """
     params = graph.params
     where = f"(A,B)=({params.a},{params.b})"
@@ -453,54 +437,71 @@ def derive_order_extension(graph: ContactGraph) -> OrderedContactGraph:
     if len(complete) > 1:
         raise CertificateFailure(f"{len(complete)} continuous edge orderings for {where}")
     (ordered,) = complete.values()
-    return _calibrated(ordered, where)
+    return ordered
 
 
 def ordered_extension(graph: ContactGraph) -> OrderedContactGraph:
     """The continuous edge ordering in closed form: states 1..3 take their
-    out-edges sorted (tuple order), states 4..6 theirs in reverse order.
+    out-edges sorted (tuple order), states 4..6 theirs in reverse order, and
+    the junctions V_1..V_6 are, over n = A + B + 1,
 
-    On a contact graph the reverse orders are the digit flips of the sorted
-    ones: the flip maps state s's edges onto state s+3's and reverses their
-    digits, and an edge's digits (a, a') fix its target.  The first edges
-    must form phi_0, the first map that ``derive_order_extension`` visits,
-    whose entries for 4..6 are the flips of those for 1..3.  Its six
-    junctions are solved and reduced once, and read as integer pairs
-    (X_t, Y_t) = S*V_t over their common denominator S.  The subpiece of an
-    edge (s, b, ., t) runs from f_b(V_t) to f_b(V_{t+1}), and as M^{-1} is
-    injective two such points are equal exactly when their integer keys
-    (X_t + b*S, Y_t) are.  The check: read in order, states 1..6 one after
-    the other, each edge's end key is the next edge's start key, and the
-    last edge's end is the start of the first, V_1.  The first edge of
-    state s starts at V_s by the junctions' definition, so each state's
-    chain runs through all its edges from V_s to V_{s+1}: the orders
-    complete phi_0, as ``_decide_map`` would find them.  Its orders and
-    junctions are then the ones the search returns, unless the search would
-    raise for a state that threads two ways or a second ordering; only the
-    search certifies uniqueness.  Where the first edges are not phi_0, or
-    the check fails, the graph is left to the search.  That the check
-    passes is an observation on every pair 1 <= A <= B <= 60, not a theorem.
+        (A+1, 1), (A^2+A-B, A+1), (-B, 1),
+        (-(A+1)B, -B), (1-A^2-AB, -(A+B)), (1+A-AB, -B).
+
+    Lemma: on a graph of ``build_contact_graph`` these orders thread phi_0,
+    the first map that ``derive_order_extension`` visits, and these are its
+    junctions.  Proof, with edges written (digit, target):
+
+    1. The orders.  By the edge families, state 1 has the one edge (0, 3);
+       state 2 has (a, 4) for a < A and (a, 5) for a < A-1; state 3 has
+       (a, 4) for A <= a < B and (a, 5) for A-1 <= a < B; on one digit the
+       edge to 4 has the smaller a'.  So state 2 reads (0,4), (0,5), (1,4),
+       ..., (A-1,4), and state 3 reads (A-1,5), (A,4), (A,5), ..., (B-1,5).
+       The digit flip a -> B-1-a maps state s's edges onto state s+3's and
+       reverses their tuple order, so the reverse orders of 4..6 are the
+       flips of the sorted orders of 1..3.  The first edges are phi_0:
+       (0,3), (0,4), (A-1,5), and their flips (B-1,6), (B-1,1), (B-A,2).
+    2. The junctions.  V_s = psi(s; 1bar) follows phi_0, so V_1 = f_0(V_3),
+       V_3 = f_{A-1}(V_5) and V_5 = f_{B-1}(V_1), where
+       B f_a(x, y) = (B y - A(x+a), -(x+a)).  The closed forms solve these:
+       f_0(V_3) = ((AB+B)/n, B/n)/B = V_1; V_1 + (B-1, 0) = (B(A+B), 1)/n, so
+       f_{B-1}(V_1) = (1 - A(A+B), -(A+B))/n = V_5; and
+       V_5 + (A-1, 0) = (-B, -(A+B))/n, so f_{A-1}(V_5) = V_3.  M expands,
+       so f_0 f_{A-1} f_{B-1} has one fixed point, and these are the
+       junctions.  The walk from s+3 reads the flipped digits of the walk
+       from s, so V_{s+3} = T - V_s with T = ((A+1)(1-B), 1-B)/n, the value
+       of 0.(B-1)bar; V_4 = T - V_1, V_2 = T - V_5 and V_6 = T - V_3 are the
+       other three closed forms.
+    3. The threading.  The subpiece of an edge (b, t) runs from f_b(V_t) to
+       f_b(V_{t+1}); M^{-1} is injective, so an edge (b, t) followed by
+       (b', t') chains when V_{t+1} + (b, 0) = V_{t'} + (b', 0).  In states 2
+       and 3, (a,4) then (a,5) asks V_5 = V_5, and (a,5) then (a+1,4) (or
+       state 3's (A-1,5) then (A,4)) asks V_6 = V_4 + (1, 0), which holds:
+       V_6 - V_4 = (1+A+B, 0)/n.  Each state's first edge starts at V_s by
+       phi_0, and its last edge ends at the start of the next state's first
+       edge, again by phi_0: f_0(V_4) = V_2, f_{A-1}(V_5) = V_3 and
+       f_{B-1}(V_6) = V_4.  States 4..6 are the flips: they ask the flipped
+       identity V_3 = V_1 - (1, 0), and end at V_5, V_6 and V_1.
+
+    So the orders complete phi_0 as ``_decide_map`` finds them; the cases
+    A = 1 (state 2 has one edge) and A = B (state 3 has one edge) only drop
+    steps.  Only the search certifies that no other map completes and that
+    no state threads two ways.  The graph is trusted to be
+    ``build_contact_graph``'s: its edges give the orders, and (A, B) alone
+    the junctions, kept as reduced triples.
     """
-    params = graph.params
-    b = params.b
-    outs = [graph.out_edges(i) for i in range(1, 7)]
-    orders = [tuple(sorted(edges)) for edges in outs[:3]]
-    orders += [tuple(sorted(edges, reverse=True)) for edges in outs[3:]]
-    if all(orders) and all(orders[i + 3][0] == _flip_edge(orders[i][0], b) for i in range(3)):
-        phi = tuple(order[0] for order in orders)
-        cycles: dict[tuple[int, ...], Triple] = {}
-        values: list[Triple | None] = [None] * 6
-        junctions = tuple(_reduced(_junction(i, phi, params, cycles, values)) for i in range(6))
-        scale = math.lcm(*(den for _, _, den in junctions))
-        xs = [x * (scale // den) for (x, _, den) in junctions]
-        ys = [y * (scale // den) for (_, y, den) in junctions]
-        edges = [e for order in orders for e in order]
-        starts = [(xs[t - 1] + a * scale, ys[t - 1]) for _, a, _, t in edges]
-        ends = [(xs[t % 6] + a * scale, ys[t % 6]) for _, a, _, t in edges]
-        if ends == starts[1:] + starts[:1]:
-            where = f"(A,B)=({params.a},{b})"
-            return _calibrated(OrderedContactGraph(graph, tuple(orders), junctions), where)
-    return derive_order_extension(graph)
+    a, b = graph.params.a, graph.params.b
+    orders = tuple(tuple(sorted(graph.out_edges(s), reverse=s > 3)) for s in range(1, 7))
+    n = a + b + 1
+    junctions = (
+        (a + 1, 1, n),
+        (a * a + a - b, a + 1, n),
+        (-b, 1, n),
+        (-(a + 1) * b, -b, n),
+        (1 - a * a - a * b, -(a + b), n),
+        (1 + a - a * b, -b, n),
+    )
+    return OrderedContactGraph(graph, orders, tuple(map(_reduced, junctions)))
 
 
 # ---------------------------------------------------------------------------
@@ -525,31 +526,25 @@ def perron_data(graph: ContactGraph) -> PerronData:
 
     On the edge families of ``build_contact_graph``, beta v = adj v with
     v_i = v_{i+3} reads v_3 = beta v_1, beta v_2 = A v_1 + (A-1) v_2 and
-    beta v_3 = (B-A) v_1 + (B-A+1) v_2.  Its solution
+    beta v_3 = (B-A) v_1 + (B-A+1) v_2: rows 4..6 are the flips of rows
+    1..3, as the families pair up under i -> i+3.  Its solution
     v = (beta - A + 1, A, beta (beta - A + 1)) turns the last row into the
-    boundary cubic.  v is kept as integer polynomials in beta, repeated for
-    K4..K6, and certified on the graph it is given by two checks:
-    (adj v)_i - beta v_i reduces to 0 modulo the minimal polynomial for each
-    of the six rows, so beta is an eigenvalue with eigenvector v; and
-    A >= 1 and beta - A + 1 > 0, so v_1 > 0, v_2 = A > 0, and
-    v_3 = beta v_1 > 0 as beta > A - 1 >= 0.  A positive eigenvector of a
+    boundary cubic, so beta is an eigenvalue with eigenvector v; checking
+    the rows on the graph would compare the family counts with themselves.
+    v is kept as integer polynomials in beta, repeated for K4..K6, and one
+    check certifies it: A >= 1 and beta - A + 1 > 0, so v_1 > 0, v_2 = A > 0,
+    and v_3 = beta v_1 > 0 as beta > A - 1 >= 0.  A positive eigenvector of a
     nonnegative matrix belongs to its spectral radius, so beta is the Perron
-    root.  v is normalized to sum 1 by one division in Q(beta).
+    root.  v is normalized to sum 1 by one division in Q(beta).  Only the
+    parameters of the graph are read.
     """
     a, b = graph.params.a, graph.params.b
-    where = f"(A,B)=({a},{b})"
-    # boundary cubic; the positive eigenvector below certifies that its root
-    # is the Perron root
+    # boundary cubic; the positive eigenvector v certifies that its root is
+    # the Perron root
     field = dominant_root_field([-b, a - b, 1 - a, 1])
-    v = [(1 - a, 1, 0), (a, 0, 0), (0, 1 - a, 1)]  # low degree first; v_{i+3} = v_i
-    for i, row in enumerate(graph.adjacency()):
-        # (adj v)_i = c0 v_1 + c1 v_2 + c2 v_3 with c_j = adj[i][j] + adj[i][j+3]
-        c0, c1, c2 = row[0] + row[3], row[1] + row[4], row[2] + row[5]
-        adj_v = (c0 * (1 - a) + c1 * a, c0 + c2 * (1 - a), c2, 0)
-        if any(field.reduce([x - y for x, y in zip(adj_v, (0, *v[i % 3]))])):
-            raise CertificateFailure(f"the boundary cubic's root is not an eigenvalue for {where}")
     if a < 1 or field.sign_of([1 - a, 1]) <= 0:
-        raise CertificateFailure(f"left eigenvector is not strictly positive for {where}")
+        raise CertificateFailure(f"left eigenvector is not strictly positive for (A,B)=({a},{b})")
+    v = [(1 - a, 1, 0), (a, 0, 0), (0, 1 - a, 1)]  # low degree first; v_{i+3} = v_i
     sol = [field.reduce(list(vi)) for vi in v]
     total = [2 * sum(col) for col in zip(*sol)]
     u = tuple(field.quotients(sol, total)) * 2  # u_{i+3} = u_i
@@ -701,23 +696,24 @@ class BoundaryApprox:
 
     Every level-n vertex is an integer vector over ``scale`` = D*B^n, where D
     is the LCM of the junction denominators, because B*M^{-1} is an integer
-    matrix.  ``point_array`` joins the first points of all length-n walks in
-    lexicographic order (consecutive duplicates merged); ``first_array`` and
-    ``last_array`` keep the unmerged per-walk endpoint pairs for continuity
-    checks.  Each is one (m, 2) integer array, int64 or Python ints.
-    ``vertices`` views ``point_array`` as exact rational pairs and
-    ``firsts`` views ``first_array`` as int pairs; each view is built once,
-    on first use.
+    matrix.  ``point_array`` holds the first point of each length-n walk in
+    lexicographic order, and ``last_array`` each walk's last point for
+    continuity checks.  Each is one (m, 2) integer array, int64 or Python
+    ints.  ``point_array`` is the polygon as it stands, with no vertex
+    repeated: each walk's last point is the next walk's first (the lemma of
+    ``ordered_extension``, cyclically), and differs from its own first, as
+    f_w is injective and consecutive junctions differ in y.  ``vertices``
+    views ``point_array`` as exact rational pairs and ``firsts`` as int
+    pairs; each view is built once, on first use.
     """
 
     scale: int
     point_array: np.ndarray
-    first_array: np.ndarray
     last_array: np.ndarray
 
     @cached_property
     def firsts(self) -> tuple[IntVec, ...]:
-        return tuple(map(tuple, self.first_array.tolist()))
+        return tuple(map(tuple, self.point_array.tolist()))
 
     @cached_property
     def vertices(self) -> tuple[RationalPoint, ...]:
@@ -782,14 +778,7 @@ def approx_boundary(
         xy = np.repeat(xy, count, axis=0) + moves[edge]
         state = targets[edge]
     end = np.array(ends, dtype=dtype)
-    firsts = xy + end[state]
-    lasts = xy + end[(state + 1) % 6]
-    keep = np.ones(len(firsts), dtype=bool)
-    keep[1:] = (firsts[1:] != firsts[:-1]).any(axis=1)
-    points = firsts[keep]
-    if len(points) > 1 and (points[0] == points[-1]).all():
-        points = points[:-1]
-    return BoundaryApprox(d * b**n, points, firsts, lasts)
+    return BoundaryApprox(d * b**n, xy + end[state], xy + end[(state + 1) % 6])
 
 
 # ---------------------------------------------------------------------------

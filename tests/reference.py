@@ -10,7 +10,10 @@ constants.  ``perron_data``, ``walk_to_param`` and the greedy
 integer forms replaced, kept as their oracles; ``perron_data`` is the
 cofactor solve of the flip-folded system that the package's closed form
 replaced, and ``is_strongly_connected``, the reachability test it runs, left
-the package with it.
+the package with it.  ``checked_sorted_orders`` is the edge-to-edge check of
+the sorted orders on phi_0's solved junctions, which the package ran on
+every ordering until the lemma of ``ordered_extension`` replaced it; it is
+that lemma's oracle past the grid where the search is affordable.
 ``subdivision_intersects`` is the cylinder-pair criterion that
 ``verify_cut_point`` reads off the neighbor set it already holds; here it
 builds the closed form itself.  ``subdivision_diff``, the separating vector
@@ -86,7 +89,14 @@ from tiletopo.chains import (
     circular_chain_report,
     lex_interval_languages,
 )
-from tiletopo.contact import ContactGraph, OrderedContactGraph, PerronData, Walk
+from tiletopo.contact import (
+    ContactGraph,
+    OrderedContactGraph,
+    PerronData,
+    Walk,
+    _flip_edge,
+    _junction,
+)
 from tiletopo.errors import (
     CertificateFailure,
     ChainViolation,
@@ -108,6 +118,7 @@ from tiletopo.numsys import (
     DigitWord,
     RationalPoint,
     TileParams,
+    _reduced,
     periodic_tail_scaled,
 )
 from tiletopo.topology import TIGHT_EVEN, build_d1_d2
@@ -423,6 +434,42 @@ def zero(field: NumberField) -> Element:
 
 def one(field: NumberField) -> Element:
     return lift(field.rational(1))
+
+
+# ---------------------------------------------------------------------------
+# the edge ordering by its run-time check
+
+
+def checked_sorted_orders(graph: ContactGraph) -> OrderedContactGraph | None:
+    """The sorted orders (states 4..6 reversed) with phi_0's junctions
+    solved by ``_junction``, once they pass the edge-to-edge check that the
+    lemma of ``contact.ordered_extension`` replaced; None where the first
+    edges are not phi_0 or the check fails.
+
+    The junctions are read as integer pairs (X_t, Y_t) = S*V_t over their
+    common denominator S, so that the subpiece of an edge (s, b, ., t) runs
+    from the key (X_t + b*S, Y_t) to (X_{t+1} + b*S, Y_{t+1}).  Read in
+    order, states 1..6 one after the other, each edge's end key must be the
+    next edge's start key, and the last edge's end the first edge's start.
+    """
+    params = graph.params
+    b = params.b
+    outs = [graph.out_edges(i) for i in range(1, 7)]
+    orders = [tuple(sorted(edges, reverse=i > 2)) for i, edges in enumerate(outs)]
+    if not all(orders) or any(orders[i + 3][0] != _flip_edge(orders[i][0], b) for i in range(3)):
+        return None
+    phi = tuple(order[0] for order in orders)
+    values: list = [None] * 6
+    junctions = tuple(_reduced(_junction(i, phi, params, {}, values)) for i in range(6))
+    scale = math.lcm(*(den for _, _, den in junctions))
+    xs = [x * (scale // den) for (x, _, den) in junctions]
+    ys = [y * (scale // den) for (_, y, den) in junctions]
+    edges = [e for order in orders for e in order]
+    starts = [(xs[t - 1] + a * scale, ys[t - 1]) for _, a, _, t in edges]
+    ends = [(xs[t % 6] + a * scale, ys[t % 6]) for _, a, _, t in edges]
+    if ends != starts[1:] + starts[:1]:
+        return None
+    return OrderedContactGraph(graph, tuple(orders), junctions)
 
 
 # ---------------------------------------------------------------------------

@@ -208,7 +208,7 @@ def test_criterion_6_parametrization_integrity():
                 ap = approxes[n]
                 assert polygon_is_simple_closed(ap.vertices), (a, b, n)
                 assert set(ap.vertices) <= set(approxes[n + 1].vertices), (a, b, n)
-                firsts, lasts = ap.first_array.tolist(), ap.last_array.tolist()
+                firsts, lasts = ap.point_array.tolist(), ap.last_array.tolist()
                 m = len(firsts)
                 for k in range(m):
                     assert lasts[k] == firsts[(k + 1) % m], (a, b, n, k)

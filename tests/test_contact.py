@@ -208,13 +208,10 @@ class TestContactGraph:
             adj[s - 1][t - 1] = n
         return tuple(map(tuple, adj))
 
-    def test_edge_families_on_grid(self, monkeypatch):
+    def test_edge_families_on_grid(self):
         # on every pair 1 <= A <= B <= 60 the graph has exactly the ten edge
-        # families, and its sorted orders pass ordered_extension's check: the
-        # search never runs
-        searches = []
-        search = contact.derive_order_extension
-        monkeypatch.setattr(contact, "derive_order_extension", lambda g: searches.append(g) or search(g))
+        # families, and ordered_extension's orders are the sorted orders of
+        # states 1..3 and their digit flips
         for b in range(2, 61):
             for a in range(1, b + 1):
                 graph = build_contact_graph(TileParams(a, b))
@@ -223,7 +220,6 @@ class TestContactGraph:
                 sorted_orders = [tuple(sorted(graph.out_edges(i))) for i in (1, 2, 3)]
                 flips = [tuple(contact._flip_edge(e, b) for e in order) for order in sorted_orders]
                 assert o.orders == tuple(sorted_orders + flips), (a, b)
-        assert searches == []
 
     @pytest.mark.parametrize("a,b", [(2, 2), (4, 5), (5, 5), (6, 9)])
     def test_flip_symmetry(self, a, b):
@@ -337,16 +333,19 @@ class TestPerron:
             "afd2e47cb195164bdfe7401f5de9cbb1c2bf031b429a30a8d81be953c9fc3187"
         )
 
-    def test_flip_asymmetric_graph_is_a_failure(self):
-        # without one edge the (4,5) graph is still strongly connected, but
-        # row 2 of its adjacency no longer has the edge family 2->4 of A
-        # edges, so the closed-form vector is no eigenvector
-        g = build_contact_graph(TileParams(4, 5))
-        assert (2, 0, 1, 4) in g.edges
-        graph = ContactGraph(g.params, g.states, tuple(e for e in g.edges if e != (2, 0, 1, 4)))
-        assert reference.is_strongly_connected(graph)
-        with pytest.raises(CertificateFailure, match=r"not an eigenvalue for \(A,B\)=\(4,5\)$"):
-            perron_data(graph)
+    def test_closed_form_rows_on_grid(self):
+        # on every pair 1 <= A <= B <= 60, each of the six rows of
+        # (adj v)_i - beta v_i, for v = (beta - A + 1, A, beta (beta - A + 1))
+        # repeated on K4..K6, is a multiple of the boundary cubic: the check
+        # perron_data ran on every graph, as integer polynomials in beta
+        for b in range(2, 61):
+            for a in range(1, b + 1):
+                cubic = (-b, a - b, 1 - a, 1)  # low degree first
+                v = [(1 - a, 1, 0, 0), (a, 0, 0, 0), (0, 1 - a, 1, 0)]
+                for i, row in enumerate(build_contact_graph(TileParams(a, b)).adjacency()):
+                    adj_v = [sum(row[j] * v[j % 3][k] for j in range(6)) for k in range(4)]
+                    diff = [x - y for x, y in zip(adj_v, (0, *v[i % 3][:3]))]
+                    assert diff == [diff[3] * c for c in cubic], (a, b, i)
 
     def test_negative_root_is_not_positive(self, monkeypatch):
         # x^3 - 10x - 11, the boundary cubic of (1,11), is irreducible and has
@@ -479,24 +478,21 @@ class TestOrdering:
             # level 3 only on the first three pairs; on all 77 it costs ~5 s more
             for n in range(0, 4 if (a, b) in [(2, 2), (4, 5), (5, 5)] else 3):
                 ap = approx_boundary(o, n)
-                firsts, lasts = ap.first_array.tolist(), ap.last_array.tolist()
+                firsts, lasts = ap.point_array.tolist(), ap.last_array.tolist()
                 m = len(firsts)
                 for k in range(m):
-                    assert lasts[k] == firsts[(k + 1) % m]
+                    # each walk ends where the next starts, and not where it
+                    # starts itself, so the polygon repeats no vertex
+                    assert lasts[k] == firsts[(k + 1) % m] != firsts[k]
 
     @pytest.mark.parametrize("dropped", [(2, 0, 1, 4), (3, 4, 1, 5)])
-    def test_missing_edge_has_no_ordering(self, dropped, order_fn=derive_order_extension):
-        # ordered_extension's first map does not complete, so it runs the
-        # search, which raises
+    def test_missing_edge_has_no_ordering(self, dropped):
+        # without one edge no flip-equivariant map threads every state
         g = build_contact_graph(TileParams(4, 5))
         assert dropped in g.edges
         edges = tuple(e for e in g.edges if e != dropped)
         with pytest.raises(NoConsistentOrdering, match=r"\(A,B\)=\(4,5\)"):
-            order_fn(ContactGraph(g.params, g.states, edges))
-
-    @pytest.mark.parametrize("dropped", [(2, 0, 1, 4), (3, 4, 1, 5)])
-    def test_missing_edge_has_no_ordering_first_map(self, dropped):
-        self.test_missing_edge_has_no_ordering(dropped, ordered_extension)
+            derive_order_extension(ContactGraph(g.params, g.states, edges))
 
     def test_orderings_golden_digest(self, order_fn=derive_order_extension):
         # sha256 of repr(orders) + repr(vertices) over all 209 pairs
@@ -514,19 +510,10 @@ class TestOrdering:
     def test_orderings_golden_digest_first_map(self):
         self.test_orderings_golden_digest(ordered_extension)
 
-    def test_orderings_golden_digest_large_b(self, monkeypatch, order_fn=derive_order_extension):
+    def test_orderings_golden_digest_large_b(self, order_fn=derive_order_extension):
         # the same digest over the 610 pairs 21 <= B <= 40, the rest of the
         # param benchmark's grid, recorded with the search that solved all six
-        # junctions of every map; the first map completes on every pair, so
-        # ordered_extension never falls back to the search
-        searches = []
-        search = contact.derive_order_extension
-
-        def counting(graph):
-            searches.append(graph.params)
-            return search(graph)
-
-        monkeypatch.setattr(contact, "derive_order_extension", counting)
+        # junctions of every map
         h = hashlib.sha256()
         for b in range(21, 41):
             for a in range(1, b + 1):
@@ -535,20 +522,14 @@ class TestOrdering:
         assert h.hexdigest() == (
             "c7d93d77cf5c1ceb2eb67f7f673a28b1579af9b6f61ff25e49bd5daca9249e92"
         )
-        if order_fn is ordered_extension:
-            assert searches == []
 
-    def test_orderings_golden_digest_large_b_first_map(self, monkeypatch):
-        self.test_orderings_golden_digest_large_b(monkeypatch, ordered_extension)
+    def test_orderings_golden_digest_large_b_first_map(self):
+        self.test_orderings_golden_digest_large_b(ordered_extension)
 
-    def test_start_point_table_matches_decide_map(self, monkeypatch):
-        # on every pair B <= 40 the closed-form orders and junctions are
-        # _decide_map's for phi_0, and ordered_extension never falls back to
-        # the search
-        searches = []
-        search = contact.derive_order_extension
-        monkeypatch.setattr(contact, "derive_order_extension", lambda g: searches.append(g) or search(g))
-        for b in range(2, 41):
+    def test_start_point_table_matches_decide_map(self):
+        # the lemma of ordered_extension on every pair B <= 60: its orders
+        # and closed-form junctions are _decide_map's for phi_0
+        for b in range(2, 61):
             for a in range(1, b + 1):
                 graph = build_contact_graph(TileParams(a, b))
                 outs, steps = contact._edge_tables(graph)
@@ -557,7 +538,16 @@ class TestOrdering:
                 o = ordered_extension(graph)
                 decided = contact._decide_map(phi, outs, steps, graph.params, {}, "")
                 assert (o.orders, o.junctions) == decided, (a, b)
-        assert searches == []
+
+    @given(st.integers(61, 10**4).flatmap(lambda b: st.tuples(st.integers(1, b), st.just(b))))
+    @settings(max_examples=12, deadline=None, database=None)
+    def test_closed_form_matches_checked_orders_drawn(self, pair):
+        # past the grid the lemma against its oracle, the edge-to-edge check
+        # of the sorted orders on phi_0's solved junctions; _decide_map takes
+        # seconds per pair at B = 10^4
+        graph = build_contact_graph(TileParams(*pair))
+        checked = reference.checked_sorted_orders(graph)
+        assert checked is not None and ordered_extension(graph) == checked
 
     @given(st.integers(61, 300).flatmap(lambda b: st.tuples(st.integers(1, b), st.just(b))))
     @settings(max_examples=6, deadline=None)
@@ -566,32 +556,6 @@ class TestOrdering:
         # search certifies unique
         graph = build_contact_graph(TileParams(*pair))
         assert ordered_extension(graph) == derive_order_extension(graph)
-
-    def test_shared_start_point_is_left_to_the_search(self, monkeypatch):
-        # junctions set by hand: state 1's edges (1,0,0,1) and (1,0,1,3) both
-        # start at V_1 = V_3 = P.  The one chain runs P -> V_2 by (1,0,0,1),
-        # back to P by (1,0,2,2), and on to V_4 = f_3(V_2), the start of
-        # state 2's edge, by (1,0,1,3), which is not the sorted order; states
-        # 2 and 3 close the cycle and states 4..6 have no edges, so
-        # ordered_extension leaves the graph to the search
-        junctions = [(0, 1, 1), (-6, 1, 1), (0, 1, 1), (-3, 1, 1), (0, 1, 1), (0, 1, 1)]
-        monkeypatch.setattr(contact, "_junction", lambda node, *rest: junctions[node])
-        p = TileParams(2, 4)
-        state1 = ((1, 0, 0, 1), (1, 0, 1, 3), (1, 0, 2, 2))
-        graph = ContactGraph(p, contact_states(p), state1 + ((2, 3, 0, 2), (3, 3, 0, 3)))
-        ordered_graph = ordered_extension(graph)
-        assert ordered_graph == derive_order_extension(graph)
-        assert ordered_graph.orders[0] == (state1[0], state1[2], state1[1])
-
-    def test_first_edges_that_are_not_flips_are_left_to_the_search(self):
-        # every edge has digit 0, so every junction is 0 and the sorted
-        # orders chain end to start; but state 4's first edge is not the flip
-        # of state 1's, so phi is no map the search visits, and the search
-        # finds no ordering
-        p = TileParams(4, 5)
-        edges = ((1, 0, 0, 2), (2, 0, 0, 3), (3, 0, 0, 1), (4, 0, 0, 5), (5, 0, 0, 6), (6, 0, 0, 4))
-        with pytest.raises(NoConsistentOrdering, match=r"\(A,B\)=\(4,5\)$"):
-            ordered_extension(ContactGraph(p, contact_states(p), edges))
 
     def test_thread_state_matches_fraction_threading(self):
         # every state of every first-edge map of every pair B <= 7, decided
@@ -628,14 +592,11 @@ class TestOrdering:
         assert len(verdicts) == 6 * 531
         assert verdicts.count(0) > 0 and verdicts.count(1) > 0
 
-    def test_state_threading_two_ways_is_a_failure(
-        self, monkeypatch, order_fn=derive_order_extension
-    ):
+    def test_state_threading_two_ways_is_a_failure(self, monkeypatch):
         # first edges all of digit 0 put V_1 = V_2 = V_3 at 0.(0), so both
         # edges of state 1 have the one-point subpiece f_0(0) = 0 and chain
-        # from V_1 to V_2 in either order.  They share their start point, so
-        # ordered_extension leaves phi_0 to the search, which visits phi_0
-        # first and raises there
+        # from V_1 to V_2 in either order; the search visits phi_0 first and
+        # raises there
         p = TileParams(4, 5)
         edges = ((1, 0, 0, 1), (1, 0, 0, 2), (2, 0, 0, 2), (3, 0, 0, 3))
         graph = ContactGraph(p, contact_states(p), edges)
@@ -643,24 +604,23 @@ class TestOrdering:
         monkeypatch.setattr(contact, "_decide_map", lambda *args: maps.append(args[0]) or decide(*args))
         two_ways = r"state 1 threads two ways for \(A,B\)=\(4,5\)"
         with pytest.raises(CertificateFailure, match=two_ways):
-            order_fn(graph)
+            derive_order_extension(graph)
         firsts = ((1, 0, 0, 1), (2, 0, 0, 2), (3, 0, 0, 3))
         assert maps == [firsts + tuple(contact._flip_edge(e, 5) for e in firsts)]
 
-    def test_state_threading_two_ways_is_a_failure_first_map(self, monkeypatch):
-        self.test_state_threading_two_ways_is_a_failure(monkeypatch, ordered_extension)
-
     @ORDERINGS
     def test_calibration_failure(self, order_fn, monkeypatch):
-        # (4,5) is in the 2A - B = 3 regime, so the ordering must decode the
-        # tabulated walks; a wrong tabulated address is a failure
+        # (4,5) is in the 2A - B = 3 regime, so the chain setup checks that
+        # the ordering it is given, the closed form or the search's, decodes
+        # the tabulated walks; a wrong tabulated address is a failure
         walk, _ = chains.alpha_calibration_rows(TileParams(4, 5))[0]
         monkeypatch.setattr(
             chains, "alpha_calibration_rows", lambda params: [(walk, Address((), (), (0,)))]
         )
+        monkeypatch.setattr(chains, "ordered_extension", order_fn)
         wrong = r"^walk .* does not decode to the tabulated 0\.\(0\) for \(A,B\)=\(4,5\)$"
         with pytest.raises(CertificateFailure, match=wrong):
-            order_fn(build_contact_graph(TileParams(4, 5)))
+            chains.ChainSetup.build(TileParams(4, 5))
 
     def test_two_complete_orderings_are_a_failure(self, monkeypatch):
         # a map decision that succeeds on every map, in sorted and reversed
@@ -796,9 +756,9 @@ class TestParametrization:
         pd = perron_data(o.graph)
         with pytest.raises(NonPeriodicWalk, match=r"within 64 steps for \(A,B\)=\(4,5\)$"):
             param_to_walk(Fraction(1, 3), pd, o, max_steps=64)
-        # 2 is no eigenvalue of the incidence matrix of (4,5)
+        # at the root 2 of x - 2, beta - A + 1 = -1 for (4,5)
         monkeypatch.setattr(contact, "dominant_root_field", lambda c: NumberField([-2, 1], 2, 2))
-        with pytest.raises(CertificateFailure, match=r"not an eigenvalue for \(A,B\)=\(4,5\)$"):
+        with pytest.raises(CertificateFailure, match=r"not strictly positive for \(A,B\)=\(4,5\)$"):
             perron_data(o.graph)
         with pytest.raises(OutOfRange, match=r"^parameter t=3/2 must lie in \[0, 1\] for \(A,B\)=\(4,5\)$"):
             param_to_walk(Fraction(3, 2), pd, o)
@@ -956,9 +916,9 @@ class TestApproxBoundary:
         narrow = approx_boundary(o, n)
         monkeypatch.setattr(contact, "_INT64_MAX", -1)
         wide = approx_boundary(o, n)
-        assert narrow.first_array.dtype == np.int64 and wide.first_array.dtype == object
+        assert narrow.point_array.dtype == np.int64 and wide.point_array.dtype == object
         assert narrow.scale == wide.scale
-        for name in ("point_array", "first_array", "last_array"):
+        for name in ("point_array", "last_array"):
             assert np.array_equal(getattr(narrow, name), getattr(wide, name)), name
 
     def test_stored_junctions_are_reduced(self):
@@ -979,7 +939,7 @@ class TestApproxBoundary:
         ap = approx_boundary(ordered(4, 5), 3)
         for name in ("firsts", "vertices"):
             assert getattr(ap, name) is getattr(ap, name), name
-        assert ap.firsts == tuple(map(tuple, ap.first_array.tolist()))
+        assert ap.firsts == tuple(map(tuple, ap.point_array.tolist()))
         assert ap.vertices == tuple(
             (Fraction(x, ap.scale), Fraction(y, ap.scale)) for (x, y) in ap.point_array.tolist()
         )

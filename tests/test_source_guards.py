@@ -49,6 +49,44 @@ def test_imports_are_stdlib_numpy_or_the_package():
     assert found == []
 
 
+def _package_imports() -> dict[str, set[str]]:
+    """Each module of the package and the modules it imports relatively, at
+    module level or inside a function."""
+    graph = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        graph[path.stem] = {
+            name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for name in ([node.module] if node.module else [a.name for a in node.names])
+        }
+    return graph
+
+
+def test_no_import_cycles():
+    # the modules import each other in one direction only, so each can be
+    # read, tested and loaded after the ones below it; a deferred import
+    # inside a function still counts, since it only hides the cycle
+    graph = _package_imports()
+    done: set[str] = set()
+    cycles = []
+
+    def visit(module: str, path: list[str]) -> None:
+        if module in path:
+            cycles.append(" -> ".join(path[path.index(module):] + [module]))
+            return
+        if module in done:
+            return
+        for target in sorted(graph.get(module, ())):
+            visit(target, path + [module])
+        done.add(module)
+
+    for module in sorted(graph):
+        visit(module, [])
+    assert cycles == []
+
+
 def test_no_module_level_memos():
     # the CLI runs one op per process, so a memo kept across calls can only
     # pay inside one call, where a local value does the same; the benchmark
