@@ -7,9 +7,10 @@ vector over one positive denominator in lowest terms, so one value has one
 form: equal values are equal elements with equal hashes.  Q(beta) has one
 arithmetic, on bare integer vectors over one denominator: ``reduce`` takes a
 product (an integer convolution) modulo the monic minimal polynomial,
-``times_beta`` shifts, ``sign_of`` decides a sign, and ``quotients`` divides
-by the cofactors of the integer matrix of multiplication by the divisor
-(Cramer's rule), building one element per quotient.  A ``FieldElement`` is
+``times_beta`` shifts and rewrites the one top entry, ``sign_of`` decides
+a sign, and ``quotients`` divides by the cofactors of the integer matrix of
+multiplication by the divisor (Cramer's rule), building one element per
+quotient.  A ``FieldElement`` is
 only built, signed (``sign``), converted to a float and printed; it has no
 arithmetic operators.  The element-by-element sums, products and inverses
 that the tests' oracles compute with live in ``tests/reference.py``.
@@ -18,9 +19,11 @@ The isolating interval is kept as integer endpoints over one denominator.
 Sign determination evaluates the numerator vector over it by interval Horner
 in integers, bisecting the interval (an integer sign test of the minimal
 polynomial at the midpoint) until the sign is certain; a rational field has
-the interval of one point.  ``Fraction`` appears only where rationals enter
-or leave (``element``, ``rational``, ``interval``, ``repr``), and no floating
-point enters any comparison.
+the interval of one point.  ``Fraction`` appears only where rationals that
+are not ints enter or leave (``element``, ``rational``, ``interval``,
+``repr``, and a minimal polynomial or interval end given as one): int
+coefficients and ends are taken as they are.  No floating point enters any
+comparison.
 
 ``dominant_root_field`` builds the field of a cubic's positive root in exact
 arithmetic too: Descartes' rule of signs, integer root tests and integer
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Sequence
 
 from .errors import CertificateFailure
@@ -63,7 +66,8 @@ class NumberField:
     """Q(beta) for a fixed real algebraic beta with isolating interval."""
 
     def __init__(self, minpoly: Sequence, lo, hi):
-        mp = [Fraction(c) for c in minpoly]
+        # ints are taken as they are; other input goes through Fraction
+        mp = [c if type(c) is int else Fraction(c) for c in minpoly]
         while mp and mp[-1] == 0:
             mp.pop()
         if len(mp) < 2:
@@ -73,12 +77,15 @@ class NumberField:
         self.minpoly = tuple(int(c) for c in mp)
         self.degree = len(mp) - 1
         if self.degree == 1:
-            lo = hi = -mp[0]
-        lo, hi = Fraction(lo), Fraction(hi)
+            lo = hi = -self.minpoly[0]
         # the interval is [_lo / _den, _hi / _den]
-        self._den = lcm(lo.denominator, hi.denominator)
-        self._lo = lo.numerator * (self._den // lo.denominator)
-        self._hi = hi.numerator * (self._den // hi.denominator)
+        if type(lo) is int and type(hi) is int:
+            self._lo, self._hi, self._den = lo, hi, 1
+        else:
+            lo, hi = Fraction(lo), Fraction(hi)
+            self._den = lcm(lo.denominator, hi.denominator)
+            self._lo = lo.numerator * (self._den // lo.denominator)
+            self._hi = hi.numerator * (self._den // hi.denominator)
 
     # -- element construction ------------------------------------------------
 
@@ -96,9 +103,13 @@ class NumberField:
         return vec
 
     def times_beta(self, vec: Sequence[int]) -> list[int]:
-        """beta times an integer vector of ``degree`` entries: a shift, then
-        the reduction of its one new top entry."""
-        return self.reduce([0, *vec])
+        """beta times an integer vector of ``degree`` entries: a shift, and
+        its one new top entry c beta^degree written as -c times the lower
+        terms of the minimal polynomial."""
+        c = vec[-1]
+        if not c:
+            return [0, *vec[:-1]]
+        return [x - c * m for x, m in zip((0, *vec[:-1]), self.minpoly)]
 
     def quotients(
         self, nums: Sequence[Sequence[int]], den: Sequence[int]
@@ -122,6 +133,8 @@ class NumberField:
         return [_canonical(self, self.reduce(_convolve(num, cof)), det) for num in nums]
 
     def element(self, coeffs: Sequence) -> "FieldElement":
+        if all(type(c) is int for c in coeffs):
+            return _canonical(self, self.reduce(list(coeffs)), 1)
         vec = [Fraction(c) for c in coeffs]
         den = lcm(*(c.denominator for c in vec))
         num = [c.numerator * (den // c.denominator) for c in vec]
@@ -245,8 +258,9 @@ def dominant_root_field(int_coeffs: Sequence[int]) -> NumberField:
     """Field of the positive root of a monic integer polynomial of degree at
     most 3 (low degree first) whose signs change once: by Descartes' rule its
     only positive root, so (0, 1 + max|c_i|] isolates it.  Rational roots are
-    integers dividing the constant term; with the negative ones divided out,
-    no rational root is left, so what is left is the minimal polynomial."""
+    integers dividing the constant term, found among its divisors by trial
+    division up to its square root; with the negative ones divided out, no
+    rational root is left, so what is left is the minimal polynomial."""
     poly = [int(c) for c in int_coeffs]
     while poly and poly[-1] == 0:
         poly.pop()
@@ -256,7 +270,11 @@ def dominant_root_field(int_coeffs: Sequence[int]) -> NumberField:
         raise ValueError("need a monic integer polynomial of degree <= 3 with one sign change")
     hi = 1 + max(abs(c) for c in poly)
     poly = poly[next(i for i, c in enumerate(poly) if c):]  # divide out the roots at 0
-    for r in range(1, hi):
+    # dividing out a root leaves a constant term that divides this one, so
+    # its divisors in increasing order, all below hi, are every candidate
+    c0 = abs(poly[0])
+    small = [r for r in range(1, isqrt(c0) + 1) if c0 % r == 0]
+    for r in small + [c0 // r for r in reversed(small) if r * r != c0]:
         if poly[0] % r == 0 and _poly_eval(poly, r) == 0:
             return NumberField([-r, 1], r, r)
         while poly[0] % r == 0 and _poly_eval(poly, -r) == 0:

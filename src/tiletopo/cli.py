@@ -13,6 +13,7 @@ import re
 import sys
 from collections.abc import Callable
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .errors import (
@@ -97,6 +98,29 @@ def _params_from(args) -> TileParams:
 
 def _dumps(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _param_json_text(doc: dict) -> str:
+    """``_dumps(doc)`` for a ``param`` document, written in its fixed layout:
+    strings go through json's own ASCII escaping, and floats (finite, as
+    ``float`` of a ``Fraction`` is) and ints through their ``repr``, as the
+    encoder writes them."""
+    quote, walk = encode_basestring_ascii, doc["walk"]
+
+    def listing(items: list[str], indent: str) -> str:
+        return f"[\n{indent}  " + f",\n{indent}  ".join(items) + f"\n{indent}]" if items else "[]"
+
+    return (
+        f'{{\n  "address": {quote(doc["address"])},\n'
+        f'  "approx": {listing([float.__repr__(x) for x in doc["approx"]], "  ")},\n'
+        f'  "schema": {quote(doc["schema"])},\n'
+        f'  "t": {quote(doc["t"])},\n'
+        f'  "value": {listing([quote(x) for x in doc["value"]], "  ")},\n'
+        f'  "walk": {{\n'
+        f'    "period": {listing([int.__repr__(x) for x in walk["period"]], "    ")},\n'
+        f'    "pre": {listing([int.__repr__(x) for x in walk["pre"]], "    ")},\n'
+        f'    "start": {int.__repr__(walk["start"])}\n  }}\n}}'
+    )
 
 
 def _emit(args, doc: dict | str | None, text: str) -> None:
@@ -236,20 +260,23 @@ def _cmd_param(args) -> int:
         walk = param_to_walk(t, data, ordered)
     addr = psi(walk, ordered)
     value = point_eval(addr, params)
-    payload = {
-        "schema": "tiletopo/boundary-param@1",
-        "t": str(t),
-        "walk": {"start": walk.start, "pre": list(walk.pre), "period": list(walk.period)},
-        "address": format_address(addr),
-        "value": [str(value[0]), str(value[1])],
-        "approx": [float(value[0]), float(value[1])],
-    }
-    text = (
-        f"t={t} -> walk ({walk.start}; {list(walk.pre)} {list(walk.period)}*)\n"
-        f"address 0.{format_address(addr)}\n"
-        f"C(t) = ({value[0]}, {value[1]})"
-    )
-    _emit(args, payload, text)
+    address = format_address(addr)
+    if args.format == "json":
+        doc = {
+            "schema": "tiletopo/boundary-param@1",
+            "t": str(t),
+            "walk": {"start": walk.start, "pre": list(walk.pre), "period": list(walk.period)},
+            "address": address,
+            "value": [str(value[0]), str(value[1])],
+            "approx": [float(value[0]), float(value[1])],
+        }
+        print(_param_json_text(doc))
+    else:
+        print(
+            f"t={t} -> walk ({walk.start}; {list(walk.pre)} {list(walk.period)}*)\n"
+            f"address 0.{address}\n"
+            f"C(t) = ({value[0]}, {value[1]})"
+        )
     return 0
 
 

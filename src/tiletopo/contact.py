@@ -24,26 +24,37 @@ denominator, solved only when a comparison reads it.  An ordering that comes
 out keeps its junctions as reduced triples (x, y, den); Fractions are built
 only when its ``vertices`` are read.  ``derive_order_extension`` decides
 every map and is the certificate that the ordering is unique: none, two, or
-a state that threads two ways raises; ``contact-graph`` runs it.
+a state that threads two ways raises, and so does an ordering that is not
+the letter table's below; ``contact-graph`` runs it.
+
 ``ordered_extension`` is the ordering in closed form, the one ``param``,
 ``approx``, ``render`` and the chain setup of ``verify-chains`` call: states
 1..3 take their out-edges sorted, states 4..6 the digit flips of those
 orders (their own out-edges in reverse order), and the six junctions are
 read off (A, B).  Its docstring proves that these orders thread the first
 map of the search, phi_0, from junction to junction, so nothing is checked
-at run time.
+at run time.  The orders follow the edge families, so the ordered graph
+reads every letter by index off a six-row table of (A, B): ``edge_at``,
+``out_count``, the letters before a letter counted by target, and the
+steps of a walk; ``orders`` is a view built from the table on first use.
+A ``ContactGraph`` is (A, B) and its six states, and its 4B+2 edges are
+built only when read: by the search, ``has_edge``, the adjacency counts
+and the exports.  So a ``param`` op builds no edge list, and its walk reads
+only the letters it takes.
 
 The Perron vector of the incidence matrix is read off the edge families of
 the contact graph, v = (beta - A + 1, A, beta (beta - A + 1)) on K1..K3 and
 again on K4..K6, as integer polynomials in beta; its one run-time check is
 that v is positive.
 A walk's parameter is two integer Horner passes in Q(beta), over the prefix
-and over the period, and one division.
+and over the period, and one division; the length below a letter is a count
+per target times u_t.
 The greedy walk of a parameter keeps its remainder as an integer vector
 over the one denominator of t and u: each step multiplies it by beta and
-subtracts the lengths before the chosen edge, so equal remainders are equal
-vectors and a dictionary lookup finds the cycle.  FieldElement values are
-built only at the ends: beta and u, a walk's parameter, and a rational t.
+subtracts the lengths before the chosen letter, found by bisection on those
+counts, so equal remainders are equal vectors and a dictionary lookup finds
+the cycle.  FieldElement values are built only at the ends: beta and u, a
+walk's parameter, and a rational t.
 
 The level-n boundary polygon, ``BoundaryApprox``, holds (m, 2) integer
 arrays over one common scale: int64 when the walk expansion's largest
@@ -58,6 +69,7 @@ polygon start without it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -100,17 +112,34 @@ def contact_states(params: TileParams) -> tuple[IntVec, ...]:
 class ContactGraph:
     params: TileParams
     states: tuple[IntVec, ...]
-    edges: tuple[Edge, ...]
 
-    # each state's out-edges and the edge counts source-by-target, read off
-    # the edges at most once per graph; not fields, so equality, hashing and
-    # repr read only the three above
+    # the edges, each state's out-edges and the edge counts source-by-target,
+    # each built on first use; not fields, so equality, hashing and repr read
+    # only the two above
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """All edges s -a|a'-> s' with M s + (a', 0) = s' + (a, 0), digits in
+        range: by source, then target, then digit.
+
+        M s = (-B s_y, s_x - A s_y), so s -> s' needs s'_y = s_x - A s_y, and
+        then a' = a + s'_x + B s_y for one offset per pair: one digit range
+        per family, as ``build_contact_graph`` lists them.
+        """
+        a_coef, b = self.params.a, self.params.b
+        edges: list[Edge] = []
+        for i, s in enumerate(self.states, start=1):
+            for j, t in enumerate(self.states, start=1):
+                if t[1] == s[0] - a_coef * s[1]:
+                    delta = t[0] + b * s[1]  # a' - a
+                    for a in range(max(0, -delta), min(b, b - delta)):
+                        edges.append((i, a, a + delta, j))
+        return tuple(edges)
+
     @cached_property
     def _outs(self) -> tuple[tuple[Edge, ...], ...]:
-        outs: list[list[Edge]] = [[] for _ in range(6)]
-        for e in self.edges:
-            outs[e[0] - 1].append(e)
-        return tuple(map(tuple, outs))
+        # the edges come grouped by source, in increasing order
+        cuts = [bisect_left(self.edges, (i,)) for i in range(1, 8)]
+        return tuple(self.edges[lo:hi] for lo, hi in zip(cuts, cuts[1:]))
 
     @cached_property
     def _adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -130,7 +159,7 @@ class ContactGraph:
 
 
 def build_contact_graph(params: TileParams) -> ContactGraph:
-    """All edges s -a|a'-> s' with M s + (a', 0) = s' + (a, 0), digits in range.
+    """The contact graph of (A, B); its edges are built only when read.
 
     The graph is strongly connected, as its edge families show.  For each
     target t of a state s the rule fixes a' - a, so the edges s -> t number
@@ -144,20 +173,7 @@ def build_contact_graph(params: TileParams) -> ContactGraph:
     """
     if params.a < 1:
         raise OutOfRange(f"contact graph requires A >= 1 for (A,B)=({params.a},{params.b})")
-    states = contact_states(params)
-    a_coef, b = params.a, params.b
-    edges: list[Edge] = []
-    for i, s in enumerate(states, start=1):
-        ms = (-b * s[1], s[0] - a_coef * s[1])  # M s
-        for j, t in enumerate(states, start=1):
-            if t[1] != ms[1]:
-                continue
-            delta = t[0] - ms[0]  # a' - a
-            for a in range(b):
-                ap = a + delta
-                if 0 <= ap < b:
-                    edges.append((i, a, ap, j))
-    return ContactGraph(params, states, tuple(edges))
+    return ContactGraph(params, contact_states(params))
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +198,54 @@ class Walk:
 # ordered extension
 
 
+# a state's row of the ordered graph: (out-degree, letter offset, digit
+# step, the step-0 edge of the even letters, of the odd ones)
+Row = tuple[int, int, int, Edge, Edge]
+
+
 @dataclass(frozen=True)
 class OrderedContactGraph:
+    """The contact graph with its edge orders, read by index off (A, B).
+
+    Letter k of a state is the edge row[3 + p] shifted by q digit steps,
+    with q, p = divmod(k + offset, 2): a shift adds q * step to both digits
+    and keeps the target.  k + offset >= 0, so q and p are a shift and a
+    mask.  Edges written (digit, target), the rows are those of the lemma
+    of ``ordered_extension``: state 1 has the one letter (0, 3); state 2's
+    2A - 1 letters read (0,4), (0,5), (1,4), ..., (A-1,4); state 3's
+    2(B-A) + 1 letters read (A-1,5), (A,4), (A,5), ..., (B-1,5); states 4..6
+    are the digit flips of 1..3, letter for letter.  So ``edge_at``,
+    ``out_count``, ``prefix_counts`` and ``walk_steps`` read no edge list,
+    and ``orders`` is a view built from the rows on first use.
+    """
+
     graph: ContactGraph
-    orders: tuple[tuple[Edge, ...], ...]  # per state 1..6, edges in order
     # V_1..V_6, junction of K_{i-1} and K_i, as reduced triples (x, y, den):
     # gcd(x, y, den) = 1 and den > 0
     junctions: tuple[Triple, ...]
+
+    @cached_property
+    def _rows(self) -> tuple[Row, ...]:
+        a, b = self.graph.params.a, self.graph.params.b
+        rows = (
+            (1, -1, 1, (1, 0, b - 1, 3), (1, 0, b - 1, 3)),
+            (2 * a - 1, -1, 1, (2, 0, b - a, 4), (2, 0, b - a + 1, 5)),
+            (2 * (b - a) + 1, 0, 1, (3, a - 1, -1, 4), (3, a - 1, 0, 5)),
+        )
+        return rows + tuple((n, k, -1, _flip_edge(e, b), _flip_edge(f, b)) for n, k, _, e, f in rows)
+
+    @cached_property
+    def orders(self) -> tuple[tuple[Edge, ...], ...]:
+        """Per state 1..6, its edges in letter order, read off its row."""
+        orders = []
+        for n, offset, step, *pair in self._rows:
+            order = []
+            for k in range(1 + offset, n + 1 + offset):
+                src, a, ap, dst = pair[k & 1]
+                q = (k >> 1) * step
+                order.append((src, a + q, ap + q, dst))
+            orders.append(tuple(order))
+        return tuple(orders)
 
     @cached_property
     def vertices(self) -> tuple[RationalPoint, ...]:
@@ -196,16 +253,28 @@ class OrderedContactGraph:
         return tuple((Fraction(x, den), Fraction(y, den)) for (x, y, den) in self.junctions)
 
     def out_count(self, state: int) -> int:
-        return len(self.orders[state - 1])
+        return self._rows[state - 1][0]
+
+    def _no_edge(self, state: int, letter: int) -> OutOfRange:
+        params = self.graph.params
+        return OutOfRange(f"state {state} has no edge #{letter} for (A,B)=({params.a},{params.b})")
 
     def edge_at(self, state: int, letter: int) -> Edge:
-        order = self.orders[state - 1]
-        if not 1 <= letter <= len(order):
-            params = self.graph.params
-            raise OutOfRange(
-                f"state {state} has no edge #{letter} for (A,B)=({params.a},{params.b})"
-            )
-        return order[letter - 1]
+        row = self._rows[state - 1]
+        if not 1 <= letter <= row[0]:
+            raise self._no_edge(state, letter)
+        k = letter + row[1]
+        src, a, ap, dst = row[3 + (k & 1)]
+        q = (k >> 1) * row[2]
+        return src, a + q, ap + q, dst
+
+    def prefix_counts(self, state: int, letter: int) -> tuple[IntVec, IntVec]:
+        """The state's letters before ``letter``, counted by target: the
+        pairs (target, count) of the letters k with k + offset even, and of
+        those with k + offset odd."""
+        _, offset, _, even, odd = self._rows[state - 1]
+        n = (letter - 1 - offset) // 2  # the even ones among 1..letter-1; offset is -1 or 0
+        return (even[3], n), (odd[3], letter - 1 - n)
 
     def vertex(self, i: int) -> RationalPoint:
         return self.vertices[(i - 1) % 6]
@@ -213,25 +282,31 @@ class OrderedContactGraph:
     def walk_steps(self, walk: Walk) -> tuple[list[tuple[int, Edge]], int]:
         """The (letter, edge) steps of an eventually periodic walk: the
         prefix, then the period until (state, phase) repeats; and the index
-        of the step where the cycle starts."""
+        of the step where the cycle starts.  Each edge is read off its row
+        here, as ``edge_at`` reads it."""
+        rows, pre, period = self._rows, walk.pre, walk.period
         steps: list[tuple[int, Edge]] = []
-        state = walk.start
-        for o in walk.pre:
-            edge = self.edge_at(state, o)
-            steps.append((o, edge))
-            state = edge[3]
-        if not walk.period:
-            raise ValueError("an infinite walk needs a periodic tail")
         seen: dict[tuple[int, int], int] = {}
-        phase = 0
-        while (state, phase) not in seen:
-            seen[(state, phase)] = len(steps)
-            o = walk.period[phase]
-            edge = self.edge_at(state, o)
-            steps.append((o, edge))
-            state = edge[3]
-            phase = (phase + 1) % len(walk.period)
-        return steps, seen[(state, phase)]
+        state, i, n = walk.start, 0, len(pre)
+        while True:
+            if i < n:
+                o = pre[i]
+            else:
+                if not period:
+                    raise ValueError("an infinite walk needs a periodic tail")
+                key = (state, (i - n) % len(period))
+                if key in seen:
+                    return steps, seen[key]
+                seen[key] = i
+                o = period[key[1]]
+            row = rows[state - 1]
+            if not 1 <= o <= row[0]:
+                raise self._no_edge(state, o)
+            k = o + row[1]
+            src, a, ap, state = row[3 + (k & 1)]
+            q = (k >> 1) * row[2]
+            steps.append((o, (src, a + q, ap + q, state)))
+            i += 1
 
 
 def psi(walk: Walk, ordered: OrderedContactGraph) -> Address:
@@ -419,31 +494,37 @@ def derive_order_extension(graph: ContactGraph) -> OrderedContactGraph:
     sorted orders thread phi_0, the first map this search visits; what the
     search adds is that no other map completes and no state threads two
     ways, which is why ``contact-graph`` runs it.  It takes any graph,
-    including hand-built ones that no pair gives.
+    including hand-built ones that no pair gives, and returns the ordered
+    graph of its junctions; the one ordering it finds must be the letter
+    table's for the graph's (A, B), or it raises CertificateFailure.
     """
     params = graph.params
     where = f"(A,B)=({params.a},{params.b})"
     outs, steps = _edge_tables(graph)
     cycles: dict[tuple[int, ...], Triple] = {}
-    complete: dict[tuple[tuple[Edge, ...], ...], OrderedContactGraph] = {}
+    complete: dict[tuple[tuple[Edge, ...], ...], tuple[Triple, ...]] = {}
     with_flips = [[(e, _flip_edge(e, params.b)) for e in sorted(outs[i])] for i in range(3)]
     for (e1, f1), (e2, f2), (e3, f3) in iproduct(*with_flips):
         phi = (e1, e2, e3, f1, f2, f3)
         found = _decide_map(phi, outs, steps, params, cycles, where)
-        if found is not None and found[0] not in complete:
-            complete[found[0]] = OrderedContactGraph(graph, *found)
+        if found is not None:
+            complete.setdefault(*found)
     if not complete:
         raise NoConsistentOrdering(f"no continuous edge ordering for {where}")
     if len(complete) > 1:
         raise CertificateFailure(f"{len(complete)} continuous edge orderings for {where}")
-    (ordered,) = complete.values()
+    ((orders, junctions),) = complete.items()
+    ordered = OrderedContactGraph(graph, junctions)
+    if orders != ordered.orders:
+        raise CertificateFailure(f"the ordering found is not the table's for {where}")
     return ordered
 
 
 def ordered_extension(graph: ContactGraph) -> OrderedContactGraph:
-    """The continuous edge ordering in closed form: states 1..3 take their
-    out-edges sorted (tuple order), states 4..6 theirs in reverse order, and
-    the junctions V_1..V_6 are, over n = A + B + 1,
+    """The continuous edge ordering in closed form: the letter table of
+    ``OrderedContactGraph``, which gives states 1..3 their out-edges sorted
+    (tuple order) and states 4..6 theirs in reverse order, and the junctions
+    V_1..V_6, over n = A + B + 1,
 
         (A+1, 1), (A^2+A-B, A+1), (-B, 1),
         (-(A+1)B, -B), (1-A^2-AB, -(A+B)), (1+A-AB, -B).
@@ -456,11 +537,14 @@ def ordered_extension(graph: ContactGraph) -> OrderedContactGraph:
        state 2 has (a, 4) for a < A and (a, 5) for a < A-1; state 3 has
        (a, 4) for A <= a < B and (a, 5) for A-1 <= a < B; on one digit the
        edge to 4 has the smaller a'.  So state 2 reads (0,4), (0,5), (1,4),
-       ..., (A-1,4), and state 3 reads (A-1,5), (A,4), (A,5), ..., (B-1,5).
-       The digit flip a -> B-1-a maps state s's edges onto state s+3's and
-       reverses their tuple order, so the reverse orders of 4..6 are the
-       flips of the sorted orders of 1..3.  The first edges are phi_0:
-       (0,3), (0,4), (A-1,5), and their flips (B-1,6), (B-1,1), (B-A,2).
+       ..., (A-1,4): letter k is (floor((k-1)/2), 4 if k is odd, else 5).
+       State 3 reads (A-1,5), (A,4), (A,5), ..., (B-1,5): letter k >= 2 is
+       (A-1+floor(k/2), 4 if k is even, else 5).  These are the table's
+       rows.  The digit flip a -> B-1-a maps state s's edges onto state
+       s+3's and reverses their tuple order, so the reverse orders of 4..6
+       are the flips of the sorted orders of 1..3, letter for letter, which
+       are the rows of 4..6.  The first edges are phi_0: (0,3), (0,4),
+       (A-1,5), and their flips (B-1,6), (B-1,1), (B-A,2).
     2. The junctions.  V_s = psi(s; 1bar) follows phi_0, so V_1 = f_0(V_3),
        V_3 = f_{A-1}(V_5) and V_5 = f_{B-1}(V_1), where
        B f_a(x, y) = (B y - A(x+a), -(x+a)).  The closed forms solve these:
@@ -487,11 +571,10 @@ def ordered_extension(graph: ContactGraph) -> OrderedContactGraph:
     A = 1 (state 2 has one edge) and A = B (state 3 has one edge) only drop
     steps.  Only the search certifies that no other map completes and that
     no state threads two ways.  The graph is trusted to be
-    ``build_contact_graph``'s: its edges give the orders, and (A, B) alone
-    the junctions, kept as reduced triples.
+    ``build_contact_graph``'s: (A, B) alone give the table and the
+    junctions, kept as reduced triples, and no edge is read.
     """
     a, b = graph.params.a, graph.params.b
-    orders = tuple(tuple(sorted(graph.out_edges(s), reverse=s > 3)) for s in range(1, 7))
     n = a + b + 1
     junctions = (
         (a + 1, 1, n),
@@ -501,7 +584,7 @@ def ordered_extension(graph: ContactGraph) -> OrderedContactGraph:
         (1 - a * a - a * b, -(a + b), n),
         (1 + a - a * b, -b, n),
     )
-    return OrderedContactGraph(graph, orders, tuple(map(_reduced, junctions)))
+    return OrderedContactGraph(graph, tuple(map(_reduced, junctions)))
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +640,13 @@ def _scaled_lengths(data: PerronData, den: int = 1) -> tuple[int, list[list[int]
     return d, [[c * (d // x.den) for c in x.num] for x in data.u]
 
 
+def _below(ordered: OrderedContactGraph, u: list[list[int]], state: int, letter: int) -> list[int]:
+    """D times the lengths of the state's letters before ``letter``: each
+    target's count times D*u_t, with u as ``_scaled_lengths`` scales it."""
+    (t0, n0), (t1, n1) = ordered.prefix_counts(state, letter)
+    return [n0 * x + n1 * y for x, y in zip(u[t0 - 1], u[t1 - 1])]
+
+
 def walk_to_param(
     walk: Walk, data: PerronData, ordered: OrderedContactGraph
 ) -> FieldElement:
@@ -566,39 +656,28 @@ def walk_to_param(
     t = sum_{i < start} u_i + sum_k c_k beta^-(k+1) + beta^-K x, where c_k is
     the length below the k-th step's letter and the periodic part
     x = sum_k c'_k beta^-(k+1) + beta^-p x.  With u over one denominator D as
-    integer vectors, so that every D*c is one entry of a state's prefix
-    sums, y = D (sum_{i < start} u_i beta^K + sum_k c_k beta^(K-1-k)) and
-    z = D sum_k c'_k beta^(p-1-k) are Horner passes, and
-    t = (y (beta^p - 1) + z) / (D beta^K (beta^p - 1)).  Multiplying by beta
-    is a shift reduced by the monic minimal polynomial; the one division and
-    the one canonical form come at the end.
+    integer vectors, each D*c is read off the letter table as a count per
+    target times D*u_t (``OrderedContactGraph.prefix_counts``), so no edge
+    list is read.  y = D (sum_{i < start} u_i beta^K +
+    sum_k c_k beta^(K-1-k)) and z = D sum_k c'_k beta^(p-1-k) are Horner
+    passes, and t = (y (beta^p - 1) + z) / (D beta^K (beta^p - 1)).
+    Multiplying by beta is a shift reduced by the monic minimal polynomial;
+    the one division and the one canonical form come at the end.
     """
     field = data.field
     d, u = _scaled_lengths(data)
     steps, k = ordered.walk_steps(walk)
-    # a state's prefix sums stop at the largest letter the walk reads there:
-    # a state has up to B out-edges, and the full sums made this function
-    # 1.4x slower over the param benchmark's 2,457 walks
-    top: dict[int, int] = {}
-    for letter, edge in steps:
-        top[edge[0]] = max(letter, top.get(edge[0], 0))
-    below: dict[int, list[list[int]]] = {}  # state -> prefix sums of u by letter
-    for state, letter in top.items():
-        sums = [[0] * field.degree]
-        for e in ordered.orders[state - 1][: letter - 1]:
-            sums.append([x + y for x, y in zip(sums[-1], u[e[3] - 1])])
-        below[state] = sums
     y = [0] * field.degree
     for v in u[: walk.start - 1]:
         y = [a + b for a, b in zip(y, v)]
     power = [1] + [0] * (field.degree - 1)  # beta^K
     for letter, edge in steps[:k]:
-        y = [a + b for a, b in zip(field.times_beta(y), below[edge[0]][letter - 1])]
+        y = [a + b for a, b in zip(field.times_beta(y), _below(ordered, u, edge[0], letter))]
         power = field.times_beta(power)
     z = [0] * field.degree
     y_p, power_p = y, power  # times beta^p
     for letter, edge in steps[k:]:
-        z = [a + b for a, b in zip(field.times_beta(z), below[edge[0]][letter - 1])]
+        z = [a + b for a, b in zip(field.times_beta(z), _below(ordered, u, edge[0], letter))]
         y_p, power_p = field.times_beta(y_p), field.times_beta(power_p)
     num = [a - b + c for a, b, c in zip(y_p, y, z)]
     (t,) = field.quotients([num], [d * (a - b) for a, b in zip(power_p, power)])
@@ -618,10 +697,12 @@ def param_to_walk(
     denominator D of t and u.  The start state is the first whose running
     sum of lengths reaches t.  Each step then reads beta*tau, whose
     subintervals are the lengths u of the state's edges in order: the
-    chosen edge is the first whose running sum reaches beta*tau, or the
-    state's last edge, and the new tau is beta*tau less the lengths before
-    it.  As D is fixed, equal remainders are equal vectors, so the pair
-    (state, vector) detects the cycle.
+    chosen letter is the first whose running sum reaches beta*tau, or the
+    state's last letter, and the new tau is beta*tau less the lengths before
+    it.  The running sums grow with the letter (u > 0), so the letter is
+    found by bisection on the table's prefix counts, with O(log B) sign
+    tests per step.  As D is fixed, equal remainders are equal vectors, so
+    the pair (state, vector) detects the cycle.
     """
     field = data.field
     if not isinstance(t, FieldElement):
@@ -649,15 +730,19 @@ def param_to_walk(
             k = seen[key]
             return Walk(start_state, tuple(letters[:k]), tuple(letters[k:]))
         seen[key] = step
-        order = ordered.orders[state - 1]
         tau = field.times_beta(tau)
-        for idx, e in enumerate(order, start=1):
-            rest = [x - y for x, y in zip(tau, u[e[3] - 1])]
-            if idx == len(order) or field.sign_of(rest) <= 0:
-                break
-            tau = rest
-        letters.append(idx)
-        state = e[3]
+        # the first letter lo whose running sum reaches beta*tau, else the last
+        lo, hi = 1, ordered.out_count(state)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            rest = [x - y for x, y in zip(tau, _below(ordered, u, state, mid + 1))]
+            if field.sign_of(rest) <= 0:
+                hi = mid
+            else:
+                lo = mid + 1
+        tau = [x - y for x, y in zip(tau, _below(ordered, u, state, lo))]
+        letters.append(lo)
+        state = ordered.edge_at(state, lo)[3]
     raise NonPeriodicWalk(
         f"greedy expansion did not become periodic within {max_steps} steps for {where}"
     )

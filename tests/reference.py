@@ -13,7 +13,10 @@ replaced, and ``is_strongly_connected``, the reachability test it runs, left
 the package with it.  ``checked_sorted_orders`` is the edge-to-edge check of
 the sorted orders on phi_0's solved junctions, which the package ran on
 every ordering until the lemma of ``ordered_extension`` replaced it; it is
-that lemma's oracle past the grid where the search is affordable.
+that lemma's oracle past the grid where the search is affordable, and
+returns the checked orders and junctions.  ``HandBuiltGraph`` is a contact
+graph that carries an edge tuple of its own, as the tests that remove or
+invent edges build it; the package's graph reads its edges off (A, B).
 ``subdivision_intersects`` is the cylinder-pair criterion that
 ``verify_cut_point`` reads off the neighbor set it already holds; here it
 builds the closed form itself.  ``subdivision_diff``, the separating vector
@@ -91,6 +94,7 @@ from tiletopo.chains import (
 )
 from tiletopo.contact import (
     ContactGraph,
+    Edge,
     OrderedContactGraph,
     PerronData,
     Walk,
@@ -118,6 +122,7 @@ from tiletopo.numsys import (
     DigitWord,
     RationalPoint,
     TileParams,
+    Triple,
     _reduced,
     periodic_tail_scaled,
 )
@@ -440,11 +445,22 @@ def one(field: NumberField) -> Element:
 # the edge ordering by its run-time check
 
 
-def checked_sorted_orders(graph: ContactGraph) -> OrderedContactGraph | None:
-    """The sorted orders (states 4..6 reversed) with phi_0's junctions
-    solved by ``_junction``, once they pass the edge-to-edge check that the
-    lemma of ``contact.ordered_extension`` replaced; None where the first
-    edges are not phi_0 or the check fails.
+@dataclass(frozen=True)
+class HandBuiltGraph(ContactGraph):
+    """A contact graph with an edge tuple of its own, which no (A, B) gives;
+    its edges come grouped by source, in increasing order, as
+    ``ContactGraph.out_edges`` reads them."""
+
+    edges: tuple[Edge, ...] = ()
+
+
+def checked_sorted_orders(
+    graph: ContactGraph,
+) -> tuple[tuple[tuple[Edge, ...], ...], tuple[Triple, ...]] | None:
+    """The sorted orders (states 4..6 reversed) and phi_0's junctions solved
+    by ``_junction``, once they pass the edge-to-edge check that the lemma of
+    ``contact.ordered_extension`` replaced; None where the first edges are
+    not phi_0 or the check fails.
 
     The junctions are read as integer pairs (X_t, Y_t) = S*V_t over their
     common denominator S, so that the subpiece of an edge (s, b, ., t) runs
@@ -469,7 +485,7 @@ def checked_sorted_orders(graph: ContactGraph) -> OrderedContactGraph | None:
     ends = [(xs[t % 6] + a * scale, ys[t % 6]) for _, a, _, t in edges]
     if ends != starts[1:] + starts[:1]:
         return None
-    return OrderedContactGraph(graph, tuple(orders), junctions)
+    return tuple(orders), junctions
 
 
 # ---------------------------------------------------------------------------

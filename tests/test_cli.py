@@ -3,10 +3,12 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,9 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiletopo import TileParams, chains, cli, neighbors
-from tiletopo.algebraic import FieldElement
+from tiletopo.algebraic import FieldElement, NumberField
 from tiletopo.cli import main
-from tiletopo.contact import build_contact_graph, ordered_extension, perron_data, walk_to_param
+from tiletopo.contact import (
+    ContactGraph,
+    build_contact_graph,
+    ordered_extension,
+    perron_data,
+    walk_to_param,
+)
 
 from conftest import cyclic_walk
 from reference import neighbor_set_to_json
@@ -471,6 +479,82 @@ class TestParamDigest:
         assert h.hexdigest() == (
             "0a20b99b712fd52802171602e898dace7ee56c543532abf18552d318a5201c88"
         )
+
+
+class TestParamJsonText:
+    """``param`` writes its document in a fixed layout, byte for byte what
+    ``json.dumps(doc, indent=2, sort_keys=True)`` writes."""
+
+    NUMBER = st.integers(-(10**40), 10**40)
+    RATIO = st.one_of(
+        st.builds(lambda n, d: str(Fraction(n, d)), NUMBER, st.integers(1, 10**30)), st.text()
+    )
+    FLOAT = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([1e-05, 1e16, -0.0, 5e-324, 1.7976931348623157e308]),
+    )
+    LETTERS = st.one_of(
+        st.just([]), st.lists(NUMBER, max_size=3), st.lists(NUMBER, min_size=40, max_size=60)
+    )
+    DOC = st.fixed_dictionaries(
+        {
+            "schema": st.one_of(st.just("tiletopo/boundary-param@1"), st.text()),
+            "t": RATIO,
+            "walk": st.fixed_dictionaries({"start": NUMBER, "pre": LETTERS, "period": LETTERS}),
+            "address": st.text(),
+            "value": st.lists(RATIO, min_size=2, max_size=2),
+            "approx": st.lists(FLOAT, min_size=2, max_size=2),
+        }
+    )
+
+    @given(DOC)
+    @settings(max_examples=150, deadline=None, database=None)
+    def test_matches_json_dumps(self, doc):
+        assert cli._param_json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+class TestGrowthInB:
+    """``param``'s growth in B pinned by counts, never by times: an op reads
+    no edge list of the contact graph, whose 4B + 2 edges are all a growing
+    B would add, and the greedy walk of a parameter signs O(log B) vectors
+    per step."""
+
+    @pytest.fixture(autouse=True)
+    def no_edge_list(self, monkeypatch):
+        def refuse(graph):
+            raise AssertionError(f"the edge list of {graph.params} was read")
+
+        monkeypatch.setattr(ContactGraph, "edges", property(refuse))
+
+    def test_walk_at_a_million(self, capsys):
+        """``param --walk`` at B = 10^6 reads no edge: the ordering's letters
+        come off the six rows of the letter table and the prefix sums of
+        ``walk_to_param`` off its counts per target, the junctions and the
+        Perron data off (A, B).  What is left to grow with B is the size of
+        the integers and the trial division of the cubic's constant term up
+        to its square root."""
+        argv = ["param", "--A", "500000", "--B", "1000000", "--walk", "2;1,1;1", "--format", "json"]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["walk"] == {"start": 2, "pre": [1, 1], "period": [1]}
+
+    def test_parameter_at_ten_thousand(self, capsys, monkeypatch):
+        """``param --t 1/2`` at B = 10^4 reads no edge either, and signs at
+        most 1 + 2 + 6 + k * ceil(log2(2B)) vectors for a walk of k letters:
+        one for the Perron vector, two for the range of t, at most six for
+        the start state, and for each letter a bisection over at most
+        2B - 1 letters, which halves the range with every sign.  The scan of
+        one sign per letter that bisection replaced made 20,004 here."""
+        signs = []
+        sign_of = NumberField.sign_of
+        monkeypatch.setattr(NumberField, "sign_of", lambda f, num: signs.append(1) or sign_of(f, num))
+        code, out, err = run(capsys, "param", "--A", "5000", "--B", "10000", "--t", "1/2", "--format", "json")
+        assert (code, err) == (0, "")
+        # t = 1/2 ends state 3's interval: its maximal walk, the last letter
+        # of states 3, 5 and 1
+        walk = json.loads(out)["walk"]
+        assert walk == {"start": 3, "pre": [], "period": [10001, 9999, 1]}
+        assert len(signs) <= 9 + 3 * math.ceil(math.log2(2 * 10**4))
 
 
 class TestNoFieldArithmetic:

@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from tiletopo import Address, TileParams, apply_contraction, chains, contact, parse_address, point_eval
 from tiletopo.contact import (
-    ContactGraph,
     PerronData,
     Walk,
     approx_boundary,
@@ -210,8 +209,10 @@ class TestContactGraph:
 
     def test_edge_families_on_grid(self):
         # on every pair 1 <= A <= B <= 60 the graph has exactly the ten edge
-        # families, and ordered_extension's orders are the sorted orders of
-        # states 1..3 and their digit flips
+        # families, ordered_extension's orders are the sorted orders of
+        # states 1..3 and their digit flips, and for every state and letter
+        # the letter table's edge_at, out_count and prefix_counts read the
+        # sorted out-edges (states 4..6 reversed) of the family edge list
         for b in range(2, 61):
             for a in range(1, b + 1):
                 graph = build_contact_graph(TileParams(a, b))
@@ -220,6 +221,18 @@ class TestContactGraph:
                 sorted_orders = [tuple(sorted(graph.out_edges(i))) for i in (1, 2, 3)]
                 flips = [tuple(contact._flip_edge(e, b) for e in order) for order in sorted_orders]
                 assert o.orders == tuple(sorted_orders + flips), (a, b)
+                for s in range(1, 7):
+                    order = sorted(graph.out_edges(s), reverse=s > 3)
+                    assert o.out_count(s) == len(order), (a, b, s)
+                    below = dict.fromkeys(range(1, 7), 0)
+                    for k, e in enumerate([*order, None], start=1):
+                        counts = dict.fromkeys(range(1, 7), 0)
+                        for t, n in o.prefix_counts(s, k):
+                            counts[t] += n
+                        assert counts == below, (a, b, s, k)
+                        if e is not None:
+                            assert o.edge_at(s, k) == e, (a, b, s, k)
+                            below[e[3]] += 1
 
     @pytest.mark.parametrize("a,b", [(2, 2), (4, 5), (5, 5), (6, 9)])
     def test_flip_symmetry(self, a, b):
@@ -362,7 +375,9 @@ class TestPerron:
         # leads only to state 5, whose entry is 0 too
         p = TileParams(0, 2)
         edges = ((1, 0, 0, 3), (2, 0, 0, 5), (3, 0, 0, 1), (3, 1, 1, 1))
-        graph = ContactGraph(p, contact_states(p), edges + tuple(contact._flip_edge(e, 2) for e in edges))
+        graph = reference.HandBuiltGraph(
+            p, contact_states(p), edges + tuple(contact._flip_edge(e, 2) for e in edges)
+        )
         with pytest.raises(CertificateFailure, match=r"not strictly positive for \(A,B\)=\(0,2\)$"):
             perron_data(graph)
 
@@ -374,7 +389,7 @@ class TestPerron:
         edges = tuple(
             (i + 1, k, k, j + 1) for i in range(6) for j in range(6) for k in range(adj[i][j])
         )
-        graph = ContactGraph(TileParams(4, 5), (), edges)
+        graph = reference.HandBuiltGraph(TileParams(4, 5), (), edges)
         assert reference.is_strongly_connected(graph)
         return graph
 
@@ -492,7 +507,7 @@ class TestOrdering:
         assert dropped in g.edges
         edges = tuple(e for e in g.edges if e != dropped)
         with pytest.raises(NoConsistentOrdering, match=r"\(A,B\)=\(4,5\)"):
-            derive_order_extension(ContactGraph(g.params, g.states, edges))
+            derive_order_extension(reference.HandBuiltGraph(g.params, g.states, edges))
 
     def test_orderings_golden_digest(self, order_fn=derive_order_extension):
         # sha256 of repr(orders) + repr(vertices) over all 209 pairs
@@ -546,8 +561,8 @@ class TestOrdering:
         # of the sorted orders on phi_0's solved junctions; _decide_map takes
         # seconds per pair at B = 10^4
         graph = build_contact_graph(TileParams(*pair))
-        checked = reference.checked_sorted_orders(graph)
-        assert checked is not None and ordered_extension(graph) == checked
+        o = ordered_extension(graph)
+        assert (o.orders, o.junctions) == reference.checked_sorted_orders(graph)
 
     @given(st.integers(61, 300).flatmap(lambda b: st.tuples(st.integers(1, b), st.just(b))))
     @settings(max_examples=6, deadline=None)
@@ -599,7 +614,7 @@ class TestOrdering:
         # raises there
         p = TileParams(4, 5)
         edges = ((1, 0, 0, 1), (1, 0, 0, 2), (2, 0, 0, 2), (3, 0, 0, 3))
-        graph = ContactGraph(p, contact_states(p), edges)
+        graph = reference.HandBuiltGraph(p, contact_states(p), edges)
         decide, maps = contact._decide_map, []
         monkeypatch.setattr(contact, "_decide_map", lambda *args: maps.append(args[0]) or decide(*args))
         two_ways = r"state 1 threads two ways for \(A,B\)=\(4,5\)"
@@ -621,6 +636,23 @@ class TestOrdering:
         wrong = r"^walk .* does not decode to the tabulated 0\.\(0\) for \(A,B\)=\(4,5\)$"
         with pytest.raises(CertificateFailure, match=wrong):
             chains.ChainSetup.build(TileParams(4, 5))
+
+    def test_ordering_off_the_table_is_a_failure(self, monkeypatch):
+        # a map decision that completes phi_0 alone, with state 2's letters
+        # reversed: one ordering, but not the letter table's
+        decide, maps = contact._decide_map, []
+
+        def first_map_reversed(phi, outs, *rest):
+            maps.append(phi)
+            if len(maps) > 1:
+                return None
+            orders, junctions = decide(phi, outs, *rest)
+            return (orders[0], orders[1][::-1], *orders[2:]), junctions
+
+        monkeypatch.setattr(contact, "_decide_map", first_map_reversed)
+        off_table = r"^the ordering found is not the table's for \(A,B\)=\(4,5\)$"
+        with pytest.raises(CertificateFailure, match=off_table):
+            ordered(4, 5)
 
     def test_two_complete_orderings_are_a_failure(self, monkeypatch):
         # a map decision that succeeds on every map, in sorted and reversed
