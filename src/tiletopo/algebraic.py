@@ -10,20 +10,17 @@ product (an integer convolution) modulo the monic minimal polynomial,
 ``times_beta`` shifts and rewrites the one top entry, ``sign_of`` decides
 a sign, and ``quotients`` divides by the cofactors of the integer matrix of
 multiplication by the divisor (Cramer's rule), building one element per
-quotient.  A ``FieldElement`` is
-only built, signed (``sign``), converted to a float and printed; it has no
-arithmetic operators.  The element-by-element sums, products and inverses
+quotient.  A ``FieldElement`` is only built, signed (``sign``), converted to
+a float and printed; it has no arithmetic operators.  The element-by-element sums, products and inverses
 that the tests' oracles compute with live in ``tests/reference.py``.
 
 The isolating interval is kept as integer endpoints over one denominator.
 Sign determination evaluates the numerator vector over it by interval Horner
 in integers, bisecting the interval (an integer sign test of the minimal
 polynomial at the midpoint) until the sign is certain; a rational field has
-the interval of one point.  ``Fraction`` appears only where rationals that
-are not ints enter or leave (``element``, ``rational``, ``interval``,
-``repr``, and a minimal polynomial or interval end given as one): int
-coefficients and ends are taken as they are.  No floating point enters any
-comparison.
+the interval of one point.  ``Fraction`` appears only where rationals enter
+or leave (``element``, ``rational``, ``interval``, ``repr``), and no floating
+point enters any comparison.
 
 ``dominant_root_field`` builds the field of a cubic's positive root in exact
 arithmetic too: Descartes' rule of signs, integer root tests and integer
@@ -66,8 +63,7 @@ class NumberField:
     """Q(beta) for a fixed real algebraic beta with isolating interval."""
 
     def __init__(self, minpoly: Sequence, lo, hi):
-        # ints are taken as they are; other input goes through Fraction
-        mp = [c if type(c) is int else Fraction(c) for c in minpoly]
+        mp = [Fraction(c) for c in minpoly]
         while mp and mp[-1] == 0:
             mp.pop()
         if len(mp) < 2:
@@ -77,15 +73,12 @@ class NumberField:
         self.minpoly = tuple(int(c) for c in mp)
         self.degree = len(mp) - 1
         if self.degree == 1:
-            lo = hi = -self.minpoly[0]
+            lo = hi = -mp[0]
+        lo, hi = Fraction(lo), Fraction(hi)
         # the interval is [_lo / _den, _hi / _den]
-        if type(lo) is int and type(hi) is int:
-            self._lo, self._hi, self._den = lo, hi, 1
-        else:
-            lo, hi = Fraction(lo), Fraction(hi)
-            self._den = lcm(lo.denominator, hi.denominator)
-            self._lo = lo.numerator * (self._den // lo.denominator)
-            self._hi = hi.numerator * (self._den // hi.denominator)
+        self._den = lcm(lo.denominator, hi.denominator)
+        self._lo = lo.numerator * (self._den // lo.denominator)
+        self._hi = hi.numerator * (self._den // hi.denominator)
 
     # -- element construction ------------------------------------------------
 
@@ -133,8 +126,6 @@ class NumberField:
         return [_canonical(self, self.reduce(_convolve(num, cof)), det) for num in nums]
 
     def element(self, coeffs: Sequence) -> "FieldElement":
-        if all(type(c) is int for c in coeffs):
-            return _canonical(self, self.reduce(list(coeffs)), 1)
         vec = [Fraction(c) for c in coeffs]
         den = lcm(*(c.denominator for c in vec))
         num = [c.numerator * (den // c.denominator) for c in vec]

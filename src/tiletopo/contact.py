@@ -236,16 +236,10 @@ class OrderedContactGraph:
 
     @cached_property
     def orders(self) -> tuple[tuple[Edge, ...], ...]:
-        """Per state 1..6, its edges in letter order, read off its row."""
-        orders = []
-        for n, offset, step, *pair in self._rows:
-            order = []
-            for k in range(1 + offset, n + 1 + offset):
-                src, a, ap, dst = pair[k & 1]
-                q = (k >> 1) * step
-                order.append((src, a + q, ap + q, dst))
-            orders.append(tuple(order))
-        return tuple(orders)
+        """Per state 1..6, its edges in letter order, read by ``edge_at``."""
+        return tuple(
+            tuple(self.edge_at(s, k) for k in range(1, self.out_count(s) + 1)) for s in range(1, 7)
+        )
 
     @cached_property
     def vertices(self) -> tuple[RationalPoint, ...]:

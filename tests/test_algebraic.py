@@ -178,14 +178,6 @@ class TestNumberFieldContract:
         assert f.minpoly == (-2, 0, 1)
         assert (lift(f.beta()) * f.beta() - f.rational(2)).is_zero()
 
-    def test_rational_input_goes_through_fraction(self):
-        # coefficients and interval ends that are not ints are read as
-        # Fractions; int-valued ones give the field that ints give
-        f = NumberField([Fraction(-2), 0.0, "1"], Fraction(7, 5), "3/2")
-        assert f.minpoly == (-2, 0, 1) and all(type(c) is int for c in f.minpoly)
-        assert f.interval() == (Fraction(7, 5), Fraction(3, 2))
-        assert (f.sign_of([-7, 5]), f.sign_of([-3, 2])) == (1, -1)  # 7/5 < beta < 3/2
-
     def test_trailing_zero_coefficients_are_dropped(self):
         f = NumberField([-2, 0, 1, 0], 1, 2)
         assert (f.minpoly, f.degree) == ((-2, 0, 1), 2)

@@ -1,6 +1,6 @@
 """Time CLI commands on ladders of growing B, to see how each grows.
 
-    python3 tools/scaling.py [--checkout DIR] [--repeat 3] [LADDER ...]
+    python3 tools/scaling.py [--checkout DIR] [LADDER ...]
 
 DIR is a checkout of the repository (a directory holding ``src/tiletopo``);
 it defaults to the one this script lies in.  Each LADDER is one of the
@@ -15,11 +15,10 @@ names below; without any, every ladder runs.
 Each ladder doubles B (verify-chains roughly doubles it, as B stays odd).
 For each ladder one fresh interpreter, started in DIR, imports that
 checkout's package and runs each rung once to warm up and then
-``--repeat`` more times, timing only the ``cli.main`` call with stdout
-captured.  The
-printout gives, per rung, the fastest time, the bytes printed, the exit
-code, and the growth exponent log(t2/t1) / log(B2/B1) fitted between the
-rung and the one below it.  Nothing is written to the checkout, not even
+``REPEAT`` (3) more times, timing only the ``cli.main`` call with stdout
+captured.  The printout gives, per rung, the fastest time, the bytes
+printed, the exit code, and the growth exponent log(t2/t1) / log(B2/B1)
+fitted between the rung and the one below it.  Nothing is written to the checkout, not even
 bytecode caches.  Only the standard library is used.
 """
 
@@ -33,6 +32,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+REPEAT = 3  # timed runs per rung; the fastest is kept
 
 
 def _halves(b: int) -> list[str]:
@@ -56,7 +56,7 @@ LADDERS = {
     ],
 }
 
-# run in the checkout: argv[1] is the repeat count, argv[2] a JSON list of
+# run in the checkout: argv[1] is REPEAT, argv[2] a JSON list of
 # argv lists; prints a JSON list of [fastest seconds, stdout bytes, exit code]
 WORKER = """
 import contextlib, gc, io, json, sys, time
@@ -82,9 +82,9 @@ print(json.dumps(rows))
 """
 
 
-def time_ladder(checkout: Path, rungs: list[tuple[int, list[str]]], repeat: int) -> list[list]:
+def time_ladder(checkout: Path, rungs: list[tuple[int, list[str]]]) -> list[list]:
     proc = subprocess.run(
-        [sys.executable, "-c", WORKER, str(repeat), json.dumps([argv for _, argv in rungs])],
+        [sys.executable, "-c", WORKER, str(REPEAT), json.dumps([argv for _, argv in rungs])],
         cwd=checkout,
         capture_output=True,
         text=True,
@@ -97,7 +97,6 @@ def time_ladder(checkout: Path, rungs: list[tuple[int, list[str]]], repeat: int)
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--checkout", type=Path, default=ROOT)
-    parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument("ladders", nargs="*", metavar="LADDER", help=", ".join(LADDERS))
     args = parser.parse_args(argv)
     unknown = [name for name in args.ladders if name not in LADDERS]
@@ -105,7 +104,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"unknown ladder {unknown[0]!r}; choose from {', '.join(LADDERS)}")
     for name in args.ladders or LADDERS:
         rungs = LADDERS[name]
-        rows = time_ladder(args.checkout, rungs, args.repeat)
+        rows = time_ladder(args.checkout, rungs)
         print(f"{name}: {' '.join(rungs[-1][1])}")
         print(f"{'B':>8} {'best ms':>10} {'bytes':>9} {'rc':>3} {'exponent':>9}")
         for k, ((b, _), (seconds, size, code)) in enumerate(zip(rungs, rows)):
