@@ -27,6 +27,10 @@ from .numsys import RawInstance, TileParams, format_address, normalize, point_ev
 
 
 class _Parser(argparse.ArgumentParser):
+    # set on the top-level parser by build_parser: each command's parser by
+    # name, the choices of its subparsers action
+    commands: dict[str, argparse.ArgumentParser]
+
     def error(self, message: str):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -382,9 +386,10 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> _Parser:
     parser = _Parser(prog="tiletopo", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     def common(p):
         p.add_argument("--A", type=int)
@@ -478,15 +483,40 @@ def _silence_stdout() -> None:
     os.close(devnull)
 
 
-_parser: argparse.ArgumentParser | None = None
+# built once per process: argparse keeps no state between parse calls
+_parser: _Parser | None = None
+
+
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, in one argparse pass where it can.
+
+    When argv[0] is exactly a command name, the top-level pass would only
+    hand argv[1:] to that command's parser: argparse's subparsers action
+    calls ``parse_known_args(argv[1:], None)`` on it, copies the namespace
+    and sets ``command``.  So that call is made directly, and its namespace
+    is the one ``parse_args`` returns; its help and its usage errors come
+    from the same parser object.  Every other argv goes through the
+    top-level parser: an empty one, an unknown command, a top-level -h, and
+    one that leaves arguments over, which the top-level parser reports.
+    """
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in _parser.commands:
+        args, rest = _parser.commands[argv[0]].parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return _parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    global _parser
+    """Run one command line (default ``sys.argv[1:]``) and return its exit
+    code; ``_parse`` parses it, in one argparse pass when it starts with a
+    command name."""
     try:
-        if _parser is None:  # argparse keeps no state between parse_args calls
-            _parser = build_parser()
-        args = _parser.parse_args(argv)
+        args = _parse(argv)
         code = args.fn(args)
         sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
         return code

@@ -37,24 +37,25 @@ at run time.  The orders follow the edge families, so the ordered graph
 reads every letter by index off a six-row table of (A, B): ``edge_at``,
 ``out_count``, the letters before a letter counted by target, and the
 steps of a walk; ``orders`` is a view built from the table on first use.
-A ``ContactGraph`` is (A, B) and its six states, and its 4B+2 edges are
-built only when read: by the search, ``has_edge``, the adjacency counts
-and the exports.  So a ``param`` op builds no edge list, and its walk reads
-only the letters it takes.
+A ``ContactGraph`` is (A, B) and its six states; ``has_edge`` and the
+adjacency counts read the family rule, and its 4B+2 edges are built only
+when read: by the search and the exports.  So no op but ``contact-graph``
+builds an edge list, and a ``param`` walk reads only the letters it takes.
 
 The Perron vector of the incidence matrix is read off the edge families of
 the contact graph, v = (beta - A + 1, A, beta (beta - A + 1)) on K1..K3 and
 again on K4..K6, as integer polynomials in beta; its one run-time check is
-that v is positive.
-A walk's parameter is two integer Horner passes in Q(beta), over the prefix
-and over the period, and one division; the length below a letter is a count
-per target times u_t.
-The greedy walk of a parameter keeps its remainder as an integer vector
-over the one denominator of t and u: each step multiplies it by beta and
-subtracts the lengths before the chosen letter, found by bisection on those
-counts, so equal remainders are equal vectors and a dictionary lookup finds
-the cycle.  FieldElement values are built only at the ends: beta and u, a
-walk's parameter, and a rational t.
+that v is positive.  It is never normalized: the interval lengths are
+u = v / total, total = sum v, and each use folds total into its own terms.
+A walk's parameter is two integer Horner passes in Q(beta) on v, over the
+prefix and over the period, and one division, which divides by total too;
+the length below a letter is a count per target times v_t.
+The greedy walk of a parameter t keeps its remainder as an integer vector,
+scaled by the denominator D of t and by total: each step multiplies it by
+beta and subtracts D times the v-lengths before the chosen letter, found by
+bisection on those counts, so equal remainders are equal vectors and a
+dictionary lookup finds the cycle; it divides nowhere.  FieldElement values
+are built only at the ends: a walk's parameter, and a rational t.
 
 The level-n boundary polygon, ``BoundaryApprox``, holds (m, 2) integer
 arrays over one common scale: int64 when the walk expansion's largest
@@ -74,9 +75,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import product as iproduct
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
-from .algebraic import FieldElement, NumberField, dominant_root_field
+from .algebraic import FieldElement, NumberField, _convolve, dominant_root_field
 from .errors import (
     BudgetExceeded,
     CertificateFailure,
@@ -113,24 +114,18 @@ class ContactGraph:
     params: TileParams
     states: tuple[IntVec, ...]
 
-    # the edges, each state's out-edges and the edge counts source-by-target,
-    # each built on first use; not fields, so equality, hashing and repr read
-    # only the two above
+    # the edges and each state's out-edges, built on first use; not fields,
+    # so equality, hashing and repr read only the two above
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
         """All edges s -a|a'-> s' with M s + (a', 0) = s' + (a, 0), digits in
-        range: by source, then target, then digit.
-
-        M s = (-B s_y, s_x - A s_y), so s -> s' needs s'_y = s_x - A s_y, and
-        then a' = a + s'_x + B s_y for one offset per pair: one digit range
-        per family, as ``build_contact_graph`` lists them.
-        """
-        a_coef, b = self.params.a, self.params.b
+        range: by source, then target, then digit."""
+        b = self.params.b
         edges: list[Edge] = []
-        for i, s in enumerate(self.states, start=1):
-            for j, t in enumerate(self.states, start=1):
-                if t[1] == s[0] - a_coef * s[1]:
-                    delta = t[0] + b * s[1]  # a' - a
+        for i in range(1, 7):
+            for j in range(1, 7):
+                delta = self._offset(i, j)
+                if delta is not None:
                     for a in range(max(0, -delta), min(b, b - delta)):
                         edges.append((i, a, a + delta, j))
         return tuple(edges)
@@ -141,21 +136,37 @@ class ContactGraph:
         cuts = [bisect_left(self.edges, (i,)) for i in range(1, 8)]
         return tuple(self.edges[lo:hi] for lo, hi in zip(cuts, cuts[1:]))
 
-    @cached_property
-    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
-        n = [[0] * 6 for _ in range(6)]
-        for e in self.edges:
-            n[e[0] - 1][e[3] - 1] += 1
-        return tuple(map(tuple, n))
-
     def out_edges(self, i: int) -> tuple[Edge, ...]:
         return self._outs[i - 1]
 
+    def _offset(self, src: int, dst: int) -> int | None:
+        """a' - a on the edges src -> dst, or None if no edge joins them.
+
+        M s = (-B s_y, s_x - A s_y), so s -> t needs t_y = s_x - A s_y, and
+        then a' = a + t_x + B s_y: one offset per pair, so the edges of a
+        pair are one family, the digits a with a and a + offset in [0, B-1].
+        """
+        s, t = self.states[src - 1], self.states[dst - 1]
+        if t[1] != s[0] - self.params.a * s[1]:
+            return None
+        return t[0] + self.params.b * s[1]
+
     def has_edge(self, src: int, digit: int, dst: int) -> bool:
-        return any(e[1] == digit and e[3] == dst for e in self.out_edges(src))
+        """Whether src -digit|.-> dst is an edge, off the family rule."""
+        delta, b = self._offset(src, dst), self.params.b
+        return delta is not None and 0 <= digit < b and 0 <= digit + delta < b
 
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        return self._adjacency
+        """The edge counts source-by-target, off the family rule: a family
+        of offset delta has B - |delta| digits where that is positive."""
+        b = self.params.b
+        counts = [[0] * 6 for _ in range(6)]
+        for i in range(6):
+            for j in range(6):
+                delta = self._offset(i + 1, j + 1)
+                if delta is not None:
+                    counts[i][j] = max(0, b - abs(delta))
+        return tuple(map(tuple, counts))
 
 
 def build_contact_graph(params: TileParams) -> ContactGraph:
@@ -587,19 +598,22 @@ def ordered_extension(graph: ContactGraph) -> OrderedContactGraph:
 
 @dataclass(frozen=True)
 class PerronData:
-    """The Perron root beta and the interval-length vector u: with the
-    incidence D counting edges target-by-source (the transpose of
-    ``ContactGraph.adjacency``), u is a left eigenvector, u @ D = beta u,
-    sum u = 1, u > 0."""
+    """The Perron vector of the boundary cubic's root beta, unnormalized:
+    with the incidence D counting edges target-by-source (the transpose of
+    ``ContactGraph.adjacency``), v is a left eigenvector, v @ D = beta v,
+    v > 0, and the interval lengths are u = v / total.  ``v`` holds the six
+    integer vectors of v_1..v_6 in ``field`` (low degree first, reduced by
+    the minimal polynomial) and ``total`` their sum, so no division made
+    them."""
 
     field: NumberField
-    beta: FieldElement
-    u: tuple[FieldElement, ...]
+    v: tuple[tuple[int, ...], ...]
+    total: tuple[int, ...]
 
 
 def perron_data(graph: ContactGraph) -> PerronData:
-    """The Perron root beta of the boundary cubic and the interval-length
-    vector u, in closed form.
+    """The Perron vector of the boundary cubic's root beta, in closed form
+    and unnormalized.
 
     On the edge families of ``build_contact_graph``, beta v = adj v with
     v_i = v_{i+3} reads v_3 = beta v_1, beta v_2 = A v_1 + (A-1) v_2 and
@@ -609,11 +623,12 @@ def perron_data(graph: ContactGraph) -> PerronData:
     boundary cubic, so beta is an eigenvalue with eigenvector v; checking
     the rows on the graph would compare the family counts with themselves.
     v is kept as integer polynomials in beta, repeated for K4..K6, and one
-    check certifies it: A >= 1 and beta - A + 1 > 0, so v_1 > 0, v_2 = A > 0,
-    and v_3 = beta v_1 > 0 as beta > A - 1 >= 0.  A positive eigenvector of a
-    nonnegative matrix belongs to its spectral radius, so beta is the Perron
-    root.  v is normalized to sum 1 by one division in Q(beta).  Only the
-    parameters of the graph are read.
+    check on the field certifies it: A >= 1 and beta - A + 1 > 0, so
+    v_1 > 0, v_2 = A > 0, and v_3 = beta v_1 > 0 as beta > A - 1 >= 0.  A
+    positive eigenvector of a nonnegative matrix belongs to its spectral
+    radius, so beta is the Perron root.  v is not normalized and no beta
+    element is built: the one division of a walk's parameter is
+    ``walk_to_param``'s.  Only the parameters of the graph are read.
     """
     a, b = graph.params.a, graph.params.b
     # boundary cubic; the positive eigenvector v certifies that its root is
@@ -621,24 +636,18 @@ def perron_data(graph: ContactGraph) -> PerronData:
     field = dominant_root_field([-b, a - b, 1 - a, 1])
     if a < 1 or field.sign_of([1 - a, 1]) <= 0:
         raise CertificateFailure(f"left eigenvector is not strictly positive for (A,B)=({a},{b})")
-    v = [(1 - a, 1, 0), (a, 0, 0), (0, 1 - a, 1)]  # low degree first; v_{i+3} = v_i
-    sol = [field.reduce(list(vi)) for vi in v]
-    total = [2 * sum(col) for col in zip(*sol)]
-    u = tuple(field.quotients(sol, total)) * 2  # u_{i+3} = u_i
-    return PerronData(field, field.beta(), u)
+    # low degree first; v_{i+3} = v_i
+    v = tuple(tuple(field.reduce(vi)) for vi in ([1 - a, 1, 0], [a, 0, 0], [0, 1 - a, 1]))
+    return PerronData(field, v * 2, tuple(2 * sum(col) for col in zip(*v)))
 
 
-def _scaled_lengths(data: PerronData, den: int = 1) -> tuple[int, list[list[int]]]:
-    """D = lcm(den, the denominators of u) and the integer vectors D*u."""
-    d = math.lcm(den, *(x.den for x in data.u))
-    return d, [[c * (d // x.den) for c in x.num] for x in data.u]
-
-
-def _below(ordered: OrderedContactGraph, u: list[list[int]], state: int, letter: int) -> list[int]:
-    """D times the lengths of the state's letters before ``letter``: each
-    target's count times D*u_t, with u as ``_scaled_lengths`` scales it."""
+def _below(
+    ordered: OrderedContactGraph, v: Sequence[Sequence[int]], state: int, letter: int
+) -> list[int]:
+    """The sum of the lengths of the state's letters before ``letter``: each
+    target's count times the integer vector v_t, in the scale of v."""
     (t0, n0), (t1, n1) = ordered.prefix_counts(state, letter)
-    return [n0 * x + n1 * y for x, y in zip(u[t0 - 1], u[t1 - 1])]
+    return [n0 * x + n1 * y for x, y in zip(v[t0 - 1], v[t1 - 1])]
 
 
 def walk_to_param(
@@ -649,32 +658,32 @@ def walk_to_param(
     A walk of K prefix steps and then a period of p steps has the parameter
     t = sum_{i < start} u_i + sum_k c_k beta^-(k+1) + beta^-K x, where c_k is
     the length below the k-th step's letter and the periodic part
-    x = sum_k c'_k beta^-(k+1) + beta^-p x.  With u over one denominator D as
-    integer vectors, each D*c is read off the letter table as a count per
-    target times D*u_t (``OrderedContactGraph.prefix_counts``), so no edge
-    list is read.  y = D (sum_{i < start} u_i beta^K +
-    sum_k c_k beta^(K-1-k)) and z = D sum_k c'_k beta^(p-1-k) are Horner
-    passes, and t = (y (beta^p - 1) + z) / (D beta^K (beta^p - 1)).
-    Multiplying by beta is a shift reduced by the monic minimal polynomial;
-    the one division and the one canonical form come at the end.
+    x = sum_k c'_k beta^-(k+1) + beta^-p x.  With u = v / total, each
+    total*c is read off the letter table as a count per target times v_t
+    (``OrderedContactGraph.prefix_counts``), so no edge list is read.
+    y = total (sum_{i < start} u_i beta^K + sum_k c_k beta^(K-1-k)) and
+    z = total sum_k c'_k beta^(p-1-k) are Horner passes on v, and
+    t = (y (beta^p - 1) + z) / (total beta^K (beta^p - 1)), whose divisor
+    is total itself run through the same passes.  Multiplying by beta is a
+    shift reduced by the monic minimal polynomial; the one division and the
+    one canonical form come at the end.
     """
-    field = data.field
-    d, u = _scaled_lengths(data)
+    field, v = data.field, data.v
     steps, k = ordered.walk_steps(walk)
     y = [0] * field.degree
-    for v in u[: walk.start - 1]:
-        y = [a + b for a, b in zip(y, v)]
-    power = [1] + [0] * (field.degree - 1)  # beta^K
+    for vi in v[: walk.start - 1]:
+        y = [a + b for a, b in zip(y, vi)]
+    power = list(data.total)  # total beta^K
     for letter, edge in steps[:k]:
-        y = [a + b for a, b in zip(field.times_beta(y), _below(ordered, u, edge[0], letter))]
+        y = [a + b for a, b in zip(field.times_beta(y), _below(ordered, v, edge[0], letter))]
         power = field.times_beta(power)
     z = [0] * field.degree
     y_p, power_p = y, power  # times beta^p
     for letter, edge in steps[k:]:
-        z = [a + b for a, b in zip(field.times_beta(z), _below(ordered, u, edge[0], letter))]
+        z = [a + b for a, b in zip(field.times_beta(z), _below(ordered, v, edge[0], letter))]
         y_p, power_p = field.times_beta(y_p), field.times_beta(power_p)
     num = [a - b + c for a, b, c in zip(y_p, y, z)]
-    (t,) = field.quotients([num], [d * (a - b) for a, b in zip(power_p, power)])
+    (t,) = field.quotients([num], [a - b for a, b in zip(power_p, power)])
     return t
 
 
@@ -687,29 +696,32 @@ def param_to_walk(
     """Greedy subdivision walk of a parameter in [0, 1]; boundary parameters
     resolve to the left interval's maximal walk.
 
-    The remainder tau is kept as the integer vector D*tau over the one
-    denominator D of t and u.  The start state is the first whose running
-    sum of lengths reaches t.  Each step then reads beta*tau, whose
-    subintervals are the lengths u of the state's edges in order: the
-    chosen letter is the first whose running sum reaches beta*tau, or the
-    state's last letter, and the new tau is beta*tau less the lengths before
-    it.  The running sums grow with the letter (u > 0), so the letter is
-    found by bisection on the table's prefix counts, with O(log B) sign
-    tests per step.  As D is fixed, equal remainders are equal vectors, so
-    the pair (state, vector) detects the cycle.
+    With D the denominator of t and u = v / total, the remainder tau is
+    kept as the integer vector D*total*tau: it starts as D*t*total, one
+    product, and the lengths it is compared with are the integer vectors
+    D*v.  The start state is the first whose running sum of lengths reaches
+    t.  Each step then reads beta*tau, whose subintervals are the lengths u
+    of the state's edges in order: the chosen letter is the first whose
+    running sum reaches beta*tau, or the state's last letter, and the new
+    tau is beta*tau less the lengths before it.  The running sums grow with
+    the letter (v > 0), so the letter is found by bisection on the table's
+    prefix counts, with O(log B) sign tests per step.  As D*total is fixed,
+    equal remainders are equal vectors, so the pair (state, vector) detects
+    the cycle.  Nothing is divided.
     """
     field = data.field
     if not isinstance(t, FieldElement):
         t = field.rational(t)
     where = f"(A,B)=({ordered.graph.params.a},{ordered.graph.params.b})"
-    d, u = _scaled_lengths(data, t.den)
-    tau = [c * (d // t.den) for c in t.num]
-    if field.sign_of(tau) < 0 or field.sign_of([tau[0] - d, *tau[1:]]) > 0:
+    d = t.den
+    if field.sign_of(t.num) < 0 or field.sign_of([t.num[0] - d, *t.num[1:]]) > 0:
         raise OutOfRange(f"parameter t={t} must lie in [0, 1] for {where}")
+    tau = field.reduce(_convolve(t.num, data.total))
+    v = [[d * c for c in vi] for vi in data.v]
 
     # the start state: the first i with t <= u_1 + ... + u_i
     for state in range(1, 7):
-        rest = [x - y for x, y in zip(tau, u[state - 1])]
+        rest = [x - y for x, y in zip(tau, v[state - 1])]
         if field.sign_of(rest) <= 0:
             break
         tau = rest
@@ -729,12 +741,12 @@ def param_to_walk(
         lo, hi = 1, ordered.out_count(state)
         while lo < hi:
             mid = (lo + hi) // 2
-            rest = [x - y for x, y in zip(tau, _below(ordered, u, state, mid + 1))]
+            rest = [x - y for x, y in zip(tau, _below(ordered, v, state, mid + 1))]
             if field.sign_of(rest) <= 0:
                 hi = mid
             else:
                 lo = mid + 1
-        tau = [x - y for x, y in zip(tau, _below(ordered, u, state, lo))]
+        tau = [x - y for x, y in zip(tau, _below(ordered, v, state, lo))]
         letters.append(lo)
         state = ordered.edge_at(state, lo)[3]
     raise NonPeriodicWalk(

@@ -7,16 +7,20 @@ sums, products, inverse and comparisons that left the package, which
 computes Q(beta) on integer vectors only; ``zero`` and ``one`` build its
 constants.  ``perron_data``, ``walk_to_param`` and the greedy
 ``param_to_walk`` here are that element arithmetic, which the package's
-integer forms replaced, kept as their oracles; ``perron_data`` is the
-cofactor solve of the flip-folded system that the package's closed form
-replaced, and ``is_strongly_connected``, the reachability test it runs, left
-the package with it.  ``checked_sorted_orders`` is the edge-to-edge check of
+integer forms replaced, kept as their oracles; they compute with
+``Lengths``, beta and the normalized lengths u as elements, and
+``lengths`` reads those off the package's unnormalized Perron data as
+v_i / total.  ``perron_data`` is the cofactor solve of the flip-folded
+system that the package's closed form replaced, and
+``is_strongly_connected``, the reachability test it runs, left the package
+with it.  ``checked_sorted_orders`` is the edge-to-edge check of
 the sorted orders on phi_0's solved junctions, which the package ran on
 every ordering until the lemma of ``ordered_extension`` replaced it; it is
 that lemma's oracle past the grid where the search is affordable, and
 returns the checked orders and junctions.  ``HandBuiltGraph`` is a contact
 graph that carries an edge tuple of its own, as the tests that remove or
-invent edges build it; the package's graph reads its edges off (A, B).
+invent edges build it, and reads its edge test and counts off it; the
+package's graph reads its edges, edge test and counts off (A, B).
 ``subdivision_intersects`` is the cylinder-pair criterion that
 ``verify_cut_point`` reads off the neighbor set it already holds; here it
 builds the closed form itself.  ``subdivision_diff``, the separating vector
@@ -449,9 +453,19 @@ def one(field: NumberField) -> Element:
 class HandBuiltGraph(ContactGraph):
     """A contact graph with an edge tuple of its own, which no (A, B) gives;
     its edges come grouped by source, in increasing order, as
-    ``ContactGraph.out_edges`` reads them."""
+    ``ContactGraph.out_edges`` reads them, and its edge test and counts read
+    that tuple, not the family rule of (A, B)."""
 
     edges: tuple[Edge, ...] = ()
+
+    def has_edge(self, src: int, digit: int, dst: int) -> bool:
+        return any(e[1] == digit and e[3] == dst for e in self.out_edges(src))
+
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        counts = [[0] * 6 for _ in range(6)]
+        for e in self.edges:
+            counts[e[0] - 1][e[3] - 1] += 1
+        return tuple(map(tuple, counts))
 
 
 def checked_sorted_orders(
@@ -510,7 +524,25 @@ def is_strongly_connected(graph: ContactGraph) -> bool:
     return len(reach(False)) == 6 and len(reach(True)) == 6
 
 
-def perron_data(graph: ContactGraph) -> PerronData:
+@dataclass(frozen=True)
+class Lengths:
+    """The Perron root beta and the interval-length vector u, sum u = 1, as
+    elements: what the oracles below compute with."""
+
+    field: NumberField
+    beta: Element
+    u: tuple[Element, ...]
+
+
+def lengths(data: PerronData) -> Lengths:
+    """beta and u = v / total of the package's unnormalized Perron data."""
+    field = data.field
+    total = canonical(field, list(data.total), 1)
+    u = tuple(canonical(field, list(v), 1) / total for v in data.v)
+    return Lengths(field, lift(field.beta()), u)
+
+
+def perron_data(graph: ContactGraph) -> Lengths:
     """The Perron root beta of the boundary cubic and the interval-length
     vector u, read off a row of cofactors of the flip-folded 3x3 system.
 
@@ -569,10 +601,10 @@ def perron_data(graph: ContactGraph) -> PerronData:
     half = sum(sol[1:], sol[0])
     inv_total = (half + half).inverse()
     u = tuple(v * inv_total for v in sol) * 2  # u_{i+3} = u_i
-    return PerronData(field, beta, u)
+    return Lengths(field, beta, u)
 
 
-def walk_to_param(walk: Walk, data: PerronData, ordered: OrderedContactGraph) -> Element:
+def walk_to_param(walk: Walk, data: Lengths, ordered: OrderedContactGraph) -> Element:
     """Exact parameter of an eventually periodic walk."""
     field = data.field
     beta_inv = lift(data.beta).inverse()
@@ -602,7 +634,7 @@ def walk_to_param(walk: Walk, data: PerronData, ordered: OrderedContactGraph) ->
 
 def param_to_walk(
     t: FieldElement | Fraction | int,
-    data: PerronData,
+    data: Lengths,
     ordered: OrderedContactGraph,
     max_steps: int = 2048,
 ) -> Walk:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import importlib.util
@@ -373,19 +374,26 @@ class TestDrawnArgv:
 
     COMMANDS = ["classify", "normalize", "neighbors", "param", "cutpoint", "contact-graph", "sweep", "approx"]
 
-    @given(st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_exit_code_contract(self, data):
-        command = data.draw(st.sampled_from(self.COMMANDS), label="command")
+    @classmethod
+    def draw_argv(cls, data, commands):
+        """A command of ``commands`` and its drawn options, with junk now
+        and then in place of a value or after the last option."""
+        command = data.draw(st.sampled_from(commands), label="command")
         argv = [command]
-        for option, (share, values) in self.options(command).items():
+        for option, (share, values) in cls.options(command).items():
             if data.draw(st.integers(0, 7), label=option) < share:
                 if data.draw(st.integers(0, 9), label="junk") == 0:
-                    values = self.JUNK
+                    values = cls.JUNK
                 value = data.draw(values, label=option)
                 argv += [option] if value is None else [option, value]
         if data.draw(st.integers(0, 7), label="extra") == 0:
-            argv.append(data.draw(self.JUNK | st.sampled_from(["--frob", "-h0", "--A"]), label="extra"))
+            argv.append(data.draw(cls.JUNK | st.sampled_from(["--frob", "-h0", "--A"]), label="extra"))
+        return argv
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_exit_code_contract(self, data):
+        argv = self.draw_argv(data, self.COMMANDS)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
@@ -393,6 +401,46 @@ class TestDrawnArgv:
         assert code in (0, 1, 2, 3), argv
         assert sum("error:" in line for line in err.splitlines()) <= 1, (argv, err)
         assert "Traceback" not in out + err, argv
+
+
+class TestOnePassParse:
+    """``main`` parses a command line in one argparse pass when argv[0] is
+    exactly a command name: that command's parser alone, as the top-level
+    parser's subparsers action would call it.  Its parse step must give what
+    ``build_parser().parse_args`` gives: equal namespaces, or the same exit
+    code with the same stdout and stderr."""
+
+    EXTRA = st.sampled_from(
+        ["-h", "--help", "--", "--for", "--fo=json", "--A=4", "--Bm", "--che", "--wa", "word", "-h0"]
+    )
+    UNKNOWN = st.sampled_from(["", "frob", "Param", "par", "-h", "--help", "--", "--A"])
+
+    @staticmethod
+    def parsed(parse, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                result = vars(parse(list(argv)))
+            except SystemExit as exc:
+                result = exc.code
+        return result, out.getvalue(), err.getvalue()
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None, database=None)
+    def test_matches_the_top_level_parser(self, data):
+        kind = data.draw(st.integers(0, 9), label="kind")
+        if kind == 0:
+            argv = []
+        elif kind == 1:
+            argv = [data.draw(self.UNKNOWN, label="unknown"), "--A", "4"]
+        else:
+            commands = TestDrawnArgv.COMMANDS + ["verify-chains", "render"]
+            argv = TestDrawnArgv.draw_argv(data, commands)
+        for _ in range(data.draw(st.integers(0, 2), label="extras")):
+            at = data.draw(st.integers(min(1, len(argv)), len(argv)), label="at")
+            argv.insert(at, data.draw(self.EXTRA, label="extra"))
+        want = self.parsed(cli.build_parser().parse_args, argv)
+        assert self.parsed(cli._parse, argv) == want, argv
 
 
 class TestCommands:
@@ -555,6 +603,75 @@ class TestGrowthInB:
         walk = json.loads(out)["walk"]
         assert walk == {"start": 3, "pre": [], "period": [10001, 9999, 1]}
         assert len(signs) <= 9 + 3 * math.ceil(math.log2(2 * 10**4))
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["approx", "--A", "4", "--B", "5", "--n", "2"],
+            ["render", "--A", "4", "--B", "5", "--n", "1"],
+            ["verify-chains", "--A", "4", "--B", "5"],
+        ],
+        ids=["approx", "render", "verify-chains"],
+    )
+    def test_other_commands_read_no_edge(self, capsys, argv):
+        """The polygon's walk counts come off ``ContactGraph.adjacency`` and
+        the gamma arcs' containment tests off ``has_edge``, both of which
+        read the family rule; the ordering is the letter table's.  Only the
+        search of ``contact-graph`` builds the edge list."""
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and out
+
+
+class TestWorkCounts:
+    """The work of one op pinned by counts, never by times."""
+
+    def test_param_divides_once_or_never(self, capsys, monkeypatch):
+        """``param --walk`` divides once in Q(beta): ``perron_data`` keeps v
+        unnormalized, so the one division is the one ``walk_to_param``
+        makes, with total folded into its divisor.  ``param --t`` divides
+        never: the greedy walk scales its remainder by D*total instead, and
+        a rational t is printed as it was read."""
+        calls = []
+        quotients = NumberField.quotients
+        monkeypatch.setattr(
+            NumberField, "quotients", lambda f, *args: calls.append(1) or quotients(f, *args)
+        )
+        for a, b in ((4, 5), (1, 10), (2, 6)):  # a cubic, a quadratic and a rational beta
+            base = ["param", "--A", str(a), "--B", str(b), "--format", "json"]
+            calls.clear()
+            assert run(capsys, *base, "--walk", "3;2,1;1")[0] == 0
+            assert len(calls) == 1, (a, b)
+            calls.clear()
+            assert run(capsys, *base, "--t", "1/2")[0] == 0
+            assert calls == [], (a, b)
+
+    def test_one_parse_pass(self, capsys, monkeypatch):
+        """A command line whose first word is a command name is parsed by
+        that command's parser alone: one ``parse_known_args`` call, where
+        the top-level pass that only handed it on made a second.  A
+        left-over word sends it through the top-level pass after all, whose
+        error names the word: three calls."""
+        calls = []
+        known = argparse.ArgumentParser.parse_known_args
+        monkeypatch.setattr(
+            argparse.ArgumentParser,
+            "parse_known_args",
+            lambda parser, *args: calls.append(parser.prog) or known(parser, *args),
+        )
+        for argv in (
+            ["param", "--A", "4", "--B", "5", "--walk", "3;2,1;1"],
+            ["param", "--A", "4", "--B", "5", "--t", "1/2", "--format", "json"],
+            ["sweep", "--Bmax", "3"],
+        ):
+            calls.clear()
+            assert run(capsys, *argv)[0] == 0
+            assert calls == [f"tiletopo {argv[0]}"], argv
+        # a left-over word is reported by the top-level pass, run as before
+        calls.clear()
+        code, out, err = run(capsys, "sweep", "--Bmax", "3", "word")
+        assert (code, out) == (1, "") and "tiletopo: error: unrecognized arguments: word" in err
+        assert calls == ["tiletopo sweep", "tiletopo", "tiletopo sweep"]
 
 
 class TestNoFieldArithmetic:

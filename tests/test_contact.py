@@ -106,8 +106,9 @@ def matches_field_sums(a, b):
     seeded walk equal the FieldElement sums of ``reference``."""
     o = ordered_extension(build_contact_graph(TileParams(a, b)))
     pd, ref = perron_data(o.graph), reference.perron_data(o.graph)
-    same = pd.field.minpoly == ref.field.minpoly and repr(pd.beta) == repr(ref.beta)
-    same = same and [(x.num, x.den) for x in pd.u] == [(x.num, x.den) for x in ref.u]
+    got = reference.lengths(pd)
+    same = pd.field.minpoly == ref.field.minpoly and repr(got.beta) == repr(ref.beta)
+    same = same and [(x.num, x.den) for x in got.u] == [(x.num, x.den) for x in ref.u]
     for s in range(1, 7):
         rng = random.Random(f"{a},{b},{s}")
         for w in (Walk(s, (), (1,)), maximal_walk(o, s), seeded_walk(o, s, rng)):
@@ -212,11 +213,25 @@ class TestContactGraph:
         # families, ordered_extension's orders are the sorted orders of
         # states 1..3 and their digit flips, and for every state and letter
         # the letter table's edge_at, out_count and prefix_counts read the
-        # sorted out-edges (states 4..6 reversed) of the family edge list
+        # sorted out-edges (states 4..6 reversed) of the family edge list.
+        # The two closed forms of the family rule read the edge list too:
+        # adjacency() counts its edges, and, for B <= 30 (A = 1 and A = B
+        # are the edge cases, at every B), has_edge(s, a, t) holds exactly
+        # for its edges s -a-> t, at every digit -1..B of every state pair
         for b in range(2, 61):
             for a in range(1, b + 1):
                 graph = build_contact_graph(TileParams(a, b))
                 assert graph.adjacency() == self.edge_families(a, b), (a, b)
+                counts = [[0] * 6 for _ in range(6)]
+                digits = {}
+                for s, x, _, t in graph.edges:
+                    counts[s - 1][t - 1] += 1
+                    digits.setdefault((s, t), set()).add(x)
+                assert graph.adjacency() == tuple(map(tuple, counts)), (a, b)
+                if b <= 30:
+                    for s, t in product(range(1, 7), repeat=2):
+                        edge_digits = {x for x in range(-1, b + 1) if graph.has_edge(s, x, t)}
+                        assert edge_digits == digits.get((s, t), set()), (a, b, s, t)
                 o = ordered_extension(graph)
                 sorted_orders = [tuple(sorted(graph.out_edges(i))) for i in (1, 2, 3)]
                 flips = [tuple(contact._flip_edge(e, b) for e in order) for order in sorted_orders]
@@ -276,7 +291,7 @@ class TestPerron:
     @pytest.mark.parametrize("a,b", [(4, 5), (2, 2), (5, 5), (6, 9)])
     def test_eigen_identity_exact(self, a, b):
         g = build_contact_graph(TileParams(a, b))
-        pd = perron_data(g)
+        pd = reference.lengths(perron_data(g))
         incidence = tuple(zip(*g.adjacency()))
         for j in range(6):
             lhs = reference.zero(pd.field)
@@ -292,7 +307,7 @@ class TestPerron:
 
     def test_beta_matches_power_iteration(self):
         g = build_contact_graph(TileParams(4, 5))
-        pd = perron_data(g)
+        pd = reference.lengths(perron_data(g))
         d = np.array(tuple(zip(*g.adjacency())), dtype=float)
         v = np.ones(6)
         lam = 0.0
@@ -308,7 +323,7 @@ class TestPerron:
         for b in range(2, 21):
             for a in range(1, b + 1):
                 g = build_contact_graph(TileParams(a, b))
-                pd = perron_data(g)
+                pd = reference.lengths(perron_data(g))
                 eig = np.linalg.eigvals(np.array(tuple(zip(*g.adjacency())), dtype=float))
                 assert abs(float(pd.beta) - abs(eig).max()) < 1e-9, (a, b)
 
@@ -322,8 +337,8 @@ class TestPerron:
             for a in range(1, b + 1):
                 o = ordered(a, b)
                 pd = perron_data(o.graph)
-                mp = tuple(map(Fraction, pd.field.minpoly))
-                text = repr(mp) + repr(pd.beta) + repr(pd.u)
+                mp, ref = tuple(map(Fraction, pd.field.minpoly)), reference.lengths(pd)
+                text = repr(mp) + repr(ref.beta) + repr(ref.u)
                 for s in range(1, 7):
                     for w in (Walk(s, (), (1,)), maximal_walk(o, s)):
                         text += str(walk_to_param(w, pd, o))
@@ -339,7 +354,7 @@ class TestPerron:
         h = hashlib.sha256()
         for b in range(21, 41):
             for a in range(1, b + 1):
-                pd = perron_data(build_contact_graph(TileParams(a, b)))
+                pd = reference.lengths(perron_data(build_contact_graph(TileParams(a, b))))
                 mp = tuple(map(Fraction, pd.field.minpoly))
                 h.update((repr(mp) + repr(pd.beta) + repr(pd.u)).encode())
         assert h.hexdigest() == (
@@ -802,11 +817,11 @@ class TestParametrization:
             build_contact_graph(TileParams(0, 5))
 
     def test_lengths_that_do_not_add_up_are_a_failure(self):
-        # u_6 set to 0, so the lengths add up to 1 - u_6 and t = 1 lies in
-        # no state's interval
+        # v_6 set to 0 with total kept, so the lengths add up to 1 - u_6 and
+        # t = 1 lies in no state's interval
         o = ordered(4, 5)
         pd = perron_data(o.graph)
-        short = PerronData(pd.field, pd.beta, pd.u[:5] + (pd.field.rational(0),))
+        short = PerronData(pd.field, pd.v[:5] + ((0,) * pd.field.degree,), pd.total)
         with pytest.raises(CertificateFailure, match=r"^interval lengths do not add up to 1 for \(A,B\)=\(4,5\)$"):
             param_to_walk(Fraction(1), short, o)
 
@@ -844,12 +859,13 @@ class TestParametrization:
                 probes = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2)]
                 for period, start in (((2,), 2), ((1, 3), 5), ((3, 1, 2), 1)):
                     probes.append(walk_to_param(cyclic_walk(o, start, period), pd, o))
+                ref = reference.lengths(pd)
                 for t in probes:
                     got = outcome(param_to_walk, t, pd, o)
-                    assert got == outcome(reference.param_to_walk, t, pd, o), (a, b, t)
+                    assert got == outcome(reference.param_to_walk, t, ref, o), (a, b, t)
                 for t in (Fraction(1, 3), Fraction(2, 7)):
                     got = outcome(param_to_walk, t, pd, o, max_steps=40)
-                    want = outcome(reference.param_to_walk, t, pd, o, max_steps=40)
+                    want = outcome(reference.param_to_walk, t, ref, o, max_steps=40)
                     assert got == want, (a, b, t)
 
     @given(st.data())
@@ -867,7 +883,7 @@ class TestParametrization:
         pd = perron_data(o.graph)
         t = walk_to_param(cyclic_walk(o, start, tuple(period), tuple(pre)), pd, o)
         back = param_to_walk(t, pd, o)
-        assert back == reference.param_to_walk(t, pd, o)
+        assert back == reference.param_to_walk(t, reference.lengths(pd), o)
         got = walk_to_param(back, pd, o)
         assert (got.num, got.den) == (t.num, t.den)
 
