@@ -23,7 +23,7 @@ from .errors import (
     OutOfRange,
     TileError,
 )
-from .numsys import RawInstance, TileParams, format_address, normalize, point_eval
+from .numsys import RationalPoint, RawInstance, TileParams, format_address, normalize, point_eval
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,26 +104,28 @@ def _dumps(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _param_json_text(doc: dict) -> str:
-    """``_dumps(doc)`` for a ``param`` document, written in its fixed layout:
-    strings go through json's own ASCII escaping, and floats (finite, as
-    ``float`` of a ``Fraction`` is) and ints through their ``repr``, as the
-    encoder writes them."""
-    quote, walk = encode_basestring_ascii, doc["walk"]
+def _param_json_text(t: Fraction | str, walk, address: str, value: RationalPoint) -> str:
+    """``_dumps`` of the ``param`` document, written in its fixed layout from
+    the values it reports, the parameter, the ``Walk``, the address and the
+    exact value: ``t`` and the address go through json's own ASCII
+    escaping, the value's coordinates are ``str`` of a ``Fraction``
+    (nothing to escape), and its floats (finite, as ``float`` of a
+    ``Fraction`` in float range is) and the walk's ints are written by their
+    ``repr``, as the encoder writes them."""
+    quote = encode_basestring_ascii
 
-    def listing(items: list[str], indent: str) -> str:
-        return f"[\n{indent}  " + f",\n{indent}  ".join(items) + f"\n{indent}]" if items else "[]"
+    def letters(items: tuple[int, ...]) -> str:
+        return "[\n      " + ",\n      ".join(map(repr, items)) + "\n    ]" if items else "[]"
 
+    x, y = value
     return (
-        f'{{\n  "address": {quote(doc["address"])},\n'
-        f'  "approx": {listing([float.__repr__(x) for x in doc["approx"]], "  ")},\n'
-        f'  "schema": {quote(doc["schema"])},\n'
-        f'  "t": {quote(doc["t"])},\n'
-        f'  "value": {listing([quote(x) for x in doc["value"]], "  ")},\n'
-        f'  "walk": {{\n'
-        f'    "period": {listing([int.__repr__(x) for x in walk["period"]], "    ")},\n'
-        f'    "pre": {listing([int.__repr__(x) for x in walk["pre"]], "    ")},\n'
-        f'    "start": {int.__repr__(walk["start"])}\n  }}\n}}'
+        f'{{\n  "address": {quote(address)},\n'
+        f'  "approx": [\n    {float(x)!r},\n    {float(y)!r}\n  ],\n'
+        f'  "schema": "tiletopo/boundary-param@1",\n'
+        f'  "t": {quote(str(t))},\n'
+        f'  "value": [\n    "{x}",\n    "{y}"\n  ],\n'
+        f'  "walk": {{\n    "period": {letters(walk.period)},\n    "pre": {letters(walk.pre)},\n'
+        f'    "start": {walk.start!r}\n  }}\n}}'
     )
 
 
@@ -231,11 +233,11 @@ def _cmd_contact_graph(args) -> int:
     graph = build_contact_graph(params)
     ordered = derive_order_extension(graph)
     if args.dot:
-        text = graph_to_dot(graph, ordered)
+        text = graph_to_dot(ordered)
         print(text, end="")
         _write(args, f"contact_A{params.a}_B{params.b}.dot", text)
     else:
-        text = _dumps(graph_to_json(graph, ordered))
+        text = _dumps(graph_to_json(ordered))
         print(text)
         _write(args, f"contact_A{params.a}_B{params.b}.json", text + "\n")
     return 0
@@ -266,15 +268,7 @@ def _cmd_param(args) -> int:
     value = point_eval(addr, params)
     address = format_address(addr)
     if args.format == "json":
-        doc = {
-            "schema": "tiletopo/boundary-param@1",
-            "t": str(t),
-            "walk": {"start": walk.start, "pre": list(walk.pre), "period": list(walk.period)},
-            "address": address,
-            "value": [str(value[0]), str(value[1])],
-            "approx": [float(value[0]), float(value[1])],
-        }
-        print(_param_json_text(doc))
+        print(_param_json_text(t, walk, address, value))
     else:
         print(
             f"t={t} -> walk ({walk.start}; {list(walk.pre)} {list(walk.period)}*)\n"
@@ -285,10 +279,10 @@ def _cmd_param(args) -> int:
 
 
 def _cmd_approx(args) -> int:
-    from .render import polygon_json_text, polygon_to_json
+    from .render import polygon_json_text
 
     params = _params_from(args)
-    text = polygon_json_text(polygon_to_json(params, args.n, args.budget))
+    text = polygon_json_text(params, args.n, args.budget)
     print(text)
     _write(args, f"boundary_A{params.a}_B{params.b}_n{args.n}.json", text + "\n")
     return 0

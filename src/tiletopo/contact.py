@@ -881,23 +881,20 @@ def _state_label(graph: ContactGraph, i: int) -> str:
     return f"K{i} ({v[0]},{v[1]})"
 
 
-def graph_to_dot(graph: ContactGraph, ordered: OrderedContactGraph | None = None) -> str:
+def graph_to_dot(ordered: OrderedContactGraph) -> str:
     lines = ["digraph contact {"]
     for i in range(1, 7):
-        lines.append(f'  s{i} [label="{_state_label(graph, i)}"];')
-    if ordered is None:
-        for (i, a, ap, j) in sorted(graph.edges):
-            lines.append(f'  s{i} -> s{j} [label="{a}|{ap}"];')
-    else:
-        for i in range(1, 7):
-            for k, (src, a, ap, j) in enumerate(ordered.orders[i - 1], start=1):
-                lines.append(f'  s{src} -> s{j} [label="{a}|{ap} #{k}"];')
+        lines.append(f'  s{i} [label="{_state_label(ordered.graph, i)}"];')
+    for i in range(1, 7):
+        for k, (src, a, ap, j) in enumerate(ordered.orders[i - 1], start=1):
+            lines.append(f'  s{src} -> s{j} [label="{a}|{ap} #{k}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def graph_to_json(graph: ContactGraph, ordered: OrderedContactGraph | None = None) -> dict:
-    doc: dict = {
+def graph_to_json(ordered: OrderedContactGraph) -> dict:
+    graph = ordered.graph
+    return {
         "schema": "tiletopo/contact-graph@1",
         "params": {"A": graph.params.a, "B": graph.params.b},
         "states": [
@@ -907,9 +904,7 @@ def graph_to_json(graph: ContactGraph, ordered: OrderedContactGraph | None = Non
             {"source": i, "target": j, "a": a, "a_prime": ap}
             for (i, a, ap, j) in sorted(graph.edges)
         ],
-    }
-    if ordered is not None:
-        doc["order"] = [
+        "order": [
             {
                 "state": i,
                 "edges": [
@@ -918,6 +913,6 @@ def graph_to_json(graph: ContactGraph, ordered: OrderedContactGraph | None = Non
                 ],
             }
             for i in range(1, 7)
-        ]
-        doc["vertices"] = [[str(x), str(y)] for (x, y) in ordered.vertices]
-    return doc
+        ],
+        "vertices": [[str(x), str(y)] for (x, y) in ordered.vertices],
+    }

@@ -173,7 +173,9 @@ def certified_series_bound(params: TileParams) -> tuple[Mat2, int]:
 def _candidate_ball(params: TileParams) -> set[IntVec]:
     """Integer points s with ||R @ s||_inf <= c, enumerated row by row:
     each row y is the integer x-interval cut out by the two slabs, by floor
-    division.  |s| <= c |R^{-1}| entrywise bounds the rows and columns."""
+    division.  |s| <= c |R^{-1}| entrywise bounds the rows and columns.  A
+    slab with cx = 0 cuts no x: it is a row (0, cy) of R, so r00 = 0 or
+    r10 = 0, and then y_max is c // |cy|, the slab's own bound."""
     r, c = certified_series_bound(params)
     (r00, r01), (r10, r11) = r
     det_r = abs(r00 * r11 - r01 * r10)
@@ -186,9 +188,7 @@ def _candidate_ball(params: TileParams) -> set[IntVec]:
         lo, hi = -x_max, x_max
         for cx, cy in slabs:
             if cx == 0:
-                if abs(cy * y) > c:
-                    lo, hi = 1, 0  # the whole row lies outside this slab
-                continue
+                continue  # cuts no x; y_max is this slab's bound on y
             lo, hi = max(lo, -((c + cy * y) // cx)), min(hi, (c - cy * y) // cx)
         ball.update((x, y) for x in range(lo, hi + 1))
     return ball

@@ -11,20 +11,18 @@ value among them is divided and formatted once: a patch repeats its
 coordinates many times.  The distinct values are found without building
 the shifted grid: per axis, the polygon's sorted distinct values plus each
 shift are sorted runs, and one stable sort merges them.  The polygon JSON is
-written in its fixed layout, with each distinct coordinate turned into a
-ratio once.  Ordering is fixed and nothing depends on hashes or time.  The y
-axis is flipped, in integers, so figures follow the mathematical
-orientation.
+written straight from the same array in its fixed layout, with each
+distinct coordinate turned into a ratio once.  Ordering is fixed and
+nothing depends on hashes or time.  The y axis is flipped, in integers, so
+figures follow the mathematical orientation.
 """
 
 from __future__ import annotations
 
 import colorsys
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 
@@ -43,8 +41,8 @@ class Scene:
     """One integer polygon drawn at integer shifts, and markers, in exact
     coordinates times ``scale``.
 
-    ``polygon`` is an (m, 2) integer array, int64 or Python ints; a tuple of
-    int pairs becomes one of Python ints.  A translate ``((sx, sy), style)``
+    ``polygon`` is an (m, 2) integer array, int64 or Python ints
+    (``dtype=object``).  A translate ``((sx, sy), style)``
     draws the polygon moved by ``(sx, sy) * scale``, that is by the lattice
     vector (sx, sy)."""
 
@@ -52,10 +50,6 @@ class Scene:
     polygon: np.ndarray
     translates: list[tuple[IntVec, Style]]
     markers: list[tuple[RationalPoint, str]] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.polygon, np.ndarray):
-            self.polygon = np.array(self.polygon, dtype=object).reshape(-1, 2)
 
     def viewbox(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         xs = [p[0] for p, _ in self.markers]
@@ -195,32 +189,23 @@ def _ratio(x: int, scale: int) -> str:
     return str(x // g) if g == scale else f"{x // g}/{scale // g}"
 
 
-def polygon_to_json(params: TileParams, n: int, budget: int = 10**6) -> dict:
+def polygon_json_text(params: TileParams, n: int, budget: int = 10**6) -> str:
+    """The ``approx`` document of the level-n boundary polygon, byte for byte
+    what ``json.dumps(..., indent=2, sort_keys=True)`` writes for
+    ``{"schema": "tiletopo/boundary-polygon@1", "params": {"A", "B"},
+    "level": n, "vertices": [[x, y], ...]}`` with each coordinate as its
+    ratio string.  Each distinct coordinate becomes a ratio once, a digit
+    ratio with nothing to escape; the ratios, in row order, fill one
+    template."""
     approx = _boundary_polygon(params, n, budget)
     s = approx.scale
-    # each distinct coordinate is turned into a ratio once
     distinct, inverse = np.unique(approx.point_array.ravel(), return_inverse=True)
-    vertices = np.array([_ratio(v, s) for v in distinct.tolist()], dtype=object)[inverse]
-    return {
-        "schema": "tiletopo/boundary-polygon@1",
-        "params": {"A": params.a, "B": params.b},
-        "level": n,
-        "vertices": vertices.reshape(-1, 2).tolist(),
-    }
-
-
-def polygon_json_text(doc: dict) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)`` for a ``polygon_to_json``
-    document, written in its fixed layout: every vertex string is a digit
-    ratio with nothing to escape."""
-    vertices = doc["vertices"]
-    items = ('    [\n      "%s",\n      "%s"\n    ],\n' * len(vertices)) % tuple(
-        chain.from_iterable(vertices)
-    )
-    listing = f"[\n{items[:-2]}\n  ]" if vertices else "[]"
+    ratios = np.array([_ratio(v, s) for v in distinct.tolist()], dtype=object)
+    vertex = '    [\n      "%s",\n      "%s"\n    ]'
+    vertices = ",\n".join([vertex] * len(approx.point_array)) % tuple(ratios[inverse].tolist())
     return (
-        f'{{\n  "level": {doc["level"]},\n'
-        f'  "params": {{\n    "A": {doc["params"]["A"]},\n    "B": {doc["params"]["B"]}\n  }},\n'
-        f'  "schema": {json.dumps(doc["schema"])},\n'
-        f'  "vertices": {listing}\n}}'
+        f'{{\n  "level": {n},\n'
+        f'  "params": {{\n    "A": {params.a},\n    "B": {params.b}\n  }},\n'
+        f'  "schema": "tiletopo/boundary-polygon@1",\n'
+        f'  "vertices": [\n{vertices}\n  ]\n}}'
     )

@@ -21,6 +21,7 @@ from tiletopo.algebraic import FieldElement, NumberField
 from tiletopo.cli import main
 from tiletopo.contact import (
     ContactGraph,
+    Walk,
     build_contact_graph,
     ordered_extension,
     perron_data,
@@ -530,35 +531,39 @@ class TestParamDigest:
 
 
 class TestParamJsonText:
-    """``param`` writes its document in a fixed layout, byte for byte what
-    ``json.dumps(doc, indent=2, sort_keys=True)`` writes."""
+    """``param`` writes its document in a fixed layout from the values it
+    reports, byte for byte what ``json.dumps(doc, indent=2, sort_keys=True)``
+    writes for the document dict built here."""
 
     NUMBER = st.integers(-(10**40), 10**40)
-    RATIO = st.one_of(
-        st.builds(lambda n, d: str(Fraction(n, d)), NUMBER, st.integers(1, 10**30)), st.text()
-    )
-    FLOAT = st.one_of(
-        st.floats(allow_nan=False, allow_infinity=False),
-        st.sampled_from([1e-05, 1e16, -0.0, 5e-324, 1.7976931348623157e308]),
+    RATIO = st.builds(Fraction, NUMBER, st.integers(1, 10**30))
+    # exact values inside float range, the smallest subnormal and the
+    # largest double among them
+    EXACT = st.one_of(
+        RATIO,
+        st.floats(allow_nan=False, allow_infinity=False).map(Fraction),
+        st.sampled_from([1e-05, 1e16, 5e-324, -5e-324, 1.7976931348623157e308]).map(Fraction),
     )
     LETTERS = st.one_of(
-        st.just([]), st.lists(NUMBER, max_size=3), st.lists(NUMBER, min_size=40, max_size=60)
+        st.just(()),
+        st.lists(NUMBER, max_size=3).map(tuple),
+        st.lists(NUMBER, min_size=40, max_size=60).map(tuple),
     )
-    DOC = st.fixed_dictionaries(
-        {
-            "schema": st.one_of(st.just("tiletopo/boundary-param@1"), st.text()),
-            "t": RATIO,
-            "walk": st.fixed_dictionaries({"start": NUMBER, "pre": LETTERS, "period": LETTERS}),
-            "address": st.text(),
-            "value": st.lists(RATIO, min_size=2, max_size=2),
-            "approx": st.lists(FLOAT, min_size=2, max_size=2),
-        }
-    )
+    WALK = st.builds(Walk, st.integers(1, 6), LETTERS, LETTERS)
 
-    @given(DOC)
+    @given(st.one_of(RATIO, st.text()), WALK, st.text(), st.tuples(EXACT, EXACT))
     @settings(max_examples=150, deadline=None, database=None)
-    def test_matches_json_dumps(self, doc):
-        assert cli._param_json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+    def test_matches_json_dumps(self, t, walk, address, value):
+        doc = {
+            "schema": "tiletopo/boundary-param@1",
+            "t": str(t),
+            "walk": {"start": walk.start, "pre": list(walk.pre), "period": list(walk.period)},
+            "address": address,
+            "value": [str(value[0]), str(value[1])],
+            "approx": [float(value[0]), float(value[1])],
+        }
+        text = cli._param_json_text(t, walk, address, value)
+        assert text == json.dumps(doc, indent=2, sort_keys=True)
 
 
 class TestGrowthInB:

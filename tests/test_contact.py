@@ -260,9 +260,9 @@ class TestContactGraph:
     def test_exports_are_stable(self):
         g = build_contact_graph(TileParams(4, 5))
         o = derive_order_extension(g)
-        assert graph_to_dot(g, o) == graph_to_dot(g, o)
-        assert graph_to_json(g, o) == graph_to_json(g, o)
-        assert "digraph" in graph_to_dot(g)
+        assert graph_to_dot(o) == graph_to_dot(o)
+        assert graph_to_json(o) == graph_to_json(o)
+        assert "digraph" in graph_to_dot(o)
 
 
 class TestLevelConvergence:

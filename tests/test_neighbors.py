@@ -159,6 +159,25 @@ class TestSearchGrid:
                 for y, xs in rows.items():
                     assert max(xs) - min(xs) + 1 == len(xs), (a, b, y)
 
+    def test_a_slab_without_x_is_bounded_by_the_rows(self):
+        # _candidate_ball skips a slab |cx x + cy y| <= c with cx = 0: it is
+        # a row (0, cy) of R, so r00 = 0 or r10 = 0, and y_max =
+        # c (|r10| + |r00|) // |det R| is then c // |cy|, so no row in
+        # range leaves it.  Every pair B <= 50 and the D = A^2 - 4B = 0
+        # pairs (2k, k^2), k <= 45, whose eigenbasis gives such a row
+        pairs = [(a, b) for b in range(2, 51) for a in range(0, b + 1)]
+        pairs += [(2 * k, k * k) for k in range(8, 46)]
+        slabs = 0
+        for a, b in pairs:
+            r, c = certified_series_bound(TileParams(a, b))
+            (r00, r01), (r10, r11) = r
+            y_max = c * (abs(r10) + abs(r00)) // abs(r00 * r11 - r01 * r10)
+            for cx, cy in r:
+                if cx == 0:
+                    slabs += 1
+                    assert y_max == c // abs(cy), (a, b)
+        assert (len(pairs), slabs) == (1361, 540)
+
     def test_ball_is_small_at_50_50(self):
         assert len(_candidate_ball(TileParams(50, 50))) < 1000
 

@@ -3,6 +3,7 @@ import json
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tiletopo import TileParams, WrongRegime, render
@@ -12,7 +13,6 @@ from tiletopo.render import (
     fmt,
     palette,
     polygon_json_text,
-    polygon_to_json,
     render_boundary,
     render_cutpoint,
     render_patch,
@@ -88,6 +88,7 @@ class TestScene:
     # int64 holds -2**63 but not its negation
     EDGE = NARROW + ((5, -(2**63)),)
     WIDE = EDGE + ((2**63 - 1, 0), (-(2**63), 5), (2**63, -(2**63)))
+    TRIANGLE = np.array([(0, 0), (8, 2), (3, -6)], dtype=object)
 
     @pytest.mark.parametrize("kind", ["NARROW", "EDGE", "WIDE"])
     @pytest.mark.parametrize(
@@ -102,7 +103,8 @@ class TestScene:
         # the edge and wide polygons always, Python ints take over
         polygon = getattr(self, kind) + ((-1, scale), (3 * scale + 1, -scale))
         shifts = [(0, 0), (1, -1), (-2, 3), (0, 1)]
-        scene = Scene(scale, polygon, [(shift, {"fill": "none"}) for shift in shifts])
+        translates = [(shift, {"fill": "none"}) for shift in shifts]
+        scene = Scene(scale, np.array(polygon, dtype=object), translates)
         got = re.findall(r'points="([^"]*)"', scene_to_svg(scene))
         expected = [
             " ".join(
@@ -117,7 +119,7 @@ class TestScene:
     def test_viewbox_covers_every_translate_and_marker(self):
         scene = Scene(
             4,
-            ((0, 0), (8, 2), (3, -6)),
+            self.TRIANGLE,
             [((0, 0), {}), ((2, -1), {}), ((-1, 3), {})],
             [((40, 1), "far")],
         )
@@ -131,14 +133,14 @@ class TestScene:
 
     def test_empty_scene_has_no_viewbox(self):
         # a polygon drawn at no shift shows nothing, and no marker either
-        scene = Scene(4, ((0, 0), (8, 2), (3, -6)), [])
+        scene = Scene(4, self.TRIANGLE, [])
         with pytest.raises(ValueError, match=r"^empty scene$"):
             scene.viewbox()
         with pytest.raises(ValueError, match=r"^empty scene$"):
             scene_to_svg(scene)
 
     def test_marker_without_translates_draws_no_polygon(self):
-        scene = Scene(4, ((0, 0), (8, 2), (3, -6)), [], [((40, 1), "far")])
+        scene = Scene(4, self.TRIANGLE, [], [((40, 1), "far")])
         svg = scene_to_svg(scene)
         assert "<polygon" not in svg
         assert svg.count("<circle") == 1 and "<title>far</title>" in svg
@@ -149,7 +151,7 @@ class TestScene:
 
 class TestJsonExport:
     def test_schema_and_exact_vertices(self):
-        doc = polygon_to_json(TileParams(4, 5), 0)
+        doc = json.loads(polygon_json_text(TileParams(4, 5), 0))
         assert doc["schema"] == "tiletopo/boundary-polygon@1"
         assert doc["vertices"][0] == ["1/2", "1/10"]
         assert len(doc["vertices"]) == 6
@@ -158,10 +160,8 @@ class TestJsonExport:
         for b in range(2, 13):
             for a in range(1, b + 1):
                 for n in (0, 1, 2):
-                    doc = polygon_to_json(TileParams(a, b), n)
-                    assert polygon_json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
-        empty = {**doc, "vertices": []}
-        assert polygon_json_text(empty) == json.dumps(empty, indent=2, sort_keys=True)
+                    text = polygon_json_text(TileParams(a, b), n)
+                    assert json.dumps(json.loads(text), indent=2, sort_keys=True) == text
 
 
 class TestGoldenBytes:
@@ -173,8 +173,7 @@ class TestGoldenBytes:
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     def test_polygon_json(self):
-        doc = polygon_to_json(TileParams(7, 11), 2)
-        assert self.digest(json.dumps(doc, indent=2, sort_keys=True)) == (
+        assert self.digest(polygon_json_text(TileParams(7, 11), 2)) == (
             "7db27046d55a4cc3660e01e4b2c904ce67a3654e7d21c2254f9760b94a00b17c"
         )
 
