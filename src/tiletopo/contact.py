@@ -59,12 +59,12 @@ are built only at the ends: a walk's parameter, and a rational t.
 
 The level-n boundary polygon, ``BoundaryApprox``, holds (m, 2) integer
 arrays over one common scale: int64 when the walk expansion's largest
-partial sum fits, Python ints otherwise.  The simple-closed test and the
-SVG and JSON writers read those arrays.  Its two views, the ``Fraction``
-vertices of the library sketch and the int pairs of ``firsts``, are built
-only on request.  numpy is
-imported by ``approx_boundary`` alone, so the commands that never build a
-polygon start without it.
+partial sum and the scale fit, Python ints otherwise.  The simple-closed
+test and the SVG and JSON writers read those arrays.  Its two views, the
+``Fraction`` vertices of the library sketch and the int pairs of
+``firsts``, are built only on request.  numpy is imported by
+``approx_boundary`` alone, so the commands that never build a polygon
+start without it.
 """
 
 from __future__ import annotations
@@ -825,7 +825,8 @@ def approx_boundary(
     out-edge of its state, and the edge's offset and target are read from
     one flat table of the ordered edges.  A state's children are contiguous
     and in order, so the walks stay in lex order.  Coordinates are int64
-    when the largest partial sum fits, and Python ints otherwise.
+    when the largest partial sum and the scale fit, and Python ints
+    otherwise.
     """
     import numpy as np
 
@@ -851,9 +852,10 @@ def approx_boundary(
     for x, y, den in ordered.junctions:
         x, y = x * (d // den), y * (d // den)
         ends.append((p00 * x + p01 * y, p10 * x + p11 * y))
-    # every coordinate met is a partial sum of digit * step plus an end
+    # every coordinate met is a partial sum of digit * step plus an end; the
+    # scale fits too, so that a writer's gcds with it stay in the dtype
     reach = (b - 1) * sum(max(map(abs, s)) for s in steps) + max(abs(c) for e in ends for c in e)
-    dtype = np.int64 if reach <= _INT64_MAX else object
+    dtype = np.int64 if max(reach, d * b**n) <= _INT64_MAX else object
     edges = [e for order in ordered.orders for e in order]
     digits = [e[1] for e in edges]
     targets = np.array([e[3] - 1 for e in edges], dtype=np.int64)

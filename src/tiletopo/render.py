@@ -5,22 +5,22 @@ scene holds one integer polygon over one ``scale``, the common denominator
 of the level-n boundary, and the integer lattice shifts it is drawn at.  The
 polygon is the (m, 2) integer array of ``contact.approx_boundary``, read as
 it is.  A coordinate p is written as ``"%.12g" % (p / scale)``, Python's
-correctly rounded int/int division.  The shifted points are int64 when
-every shifted coordinate fits and Python ints otherwise, and each distinct
-value among them is divided and formatted once: a patch repeats its
-coordinates many times.  The distinct values are found without building
-the shifted grid: per axis, the polygon's sorted distinct values plus each
-shift are sorted runs, and one stable sort merges them.  The polygon JSON is
-written straight from the same array in its fixed layout, with each
-distinct coordinate turned into a ratio once.  Ordering is fixed and
-nothing depends on hashes or time.  The y axis is flipped, in integers, so
-figures follow the mathematical orientation.
+correctly rounded int/int division.  The shifted points are int64, divided
+as float64, while every shifted coordinate and the scale are at most 2**53,
+where that division is exact int/int too, and Python ints otherwise.  Each
+distinct value on an axis is divided and formatted once: a patch repeats
+its coordinates many times.  The distinct values are found without building
+the shifted grid: per axis, one ``np.unique`` over the polygon's values plus
+each distinct shift on that axis.  The polygon JSON is written straight
+from the same array in its fixed layout, with each distinct coordinate
+turned into a ratio once.  Ordering is fixed and nothing depends on hashes
+or time.  The y axis is flipped, in integers, so figures follow the
+mathematical orientation.
 """
 
 from __future__ import annotations
 
 import colorsys
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -82,7 +82,9 @@ def palette(n: int) -> list[str]:
     return colors
 
 
-_INT64_MAX = 2**63 - 1
+# int64 to float64 is exact up to 2**53 in magnitude, and float division of
+# exact operands is correctly rounded, as Python's int / int is
+_FLOAT_EXACT = 2**53
 
 
 def _points_attributes(scene: Scene) -> list[str]:
@@ -90,32 +92,32 @@ def _points_attributes(scene: Scene) -> list[str]:
     as ``"%.12g" % (p / scale)`` and y negated.
 
     The translates' points form one integer grid, shifted and y-negated in
-    integers; int64 holds it unless a shifted coordinate could overflow, and
-    then the same code runs on Python ints.  The grid is never built: on
-    each axis its values are the runs "distinct base values + shift", one
-    sorted run per translate, and one ``np.unique`` gives their distinct
-    values and each run value's rank.  Each distinct value is divided by
-    Python's exact int/int and formatted once."""
+    integers; it is int64 and divided as float64 while every shifted
+    coordinate and the scale are at most 2**53, and Python ints divided by
+    exact int/int otherwise, with the same code.  The grid is never built:
+    per axis, one ``np.unique`` over the base values plus each distinct
+    shift on that axis gives the axis's distinct values and each one's
+    rank.  The distinct values are formatted in one ``%`` pass, each with
+    its separator (x with ",", y with " "), and gathered into one
+    interleaved row per translate that one join turns into text."""
     s = scene.scale
     base = scene.polygon
     shifts = [(sx * s, -sy * s) for (sx, sy), _ in scene.translates]
     if not len(base) or not shifts:
         return [""] * len(shifts)
     reach = max(-int(base.min()), int(base.max())) + max(abs(c) for sh in shifts for c in sh)
-    dtype = np.int64 if reach <= _INT64_MAX else object
+    dtype = np.int64 if max(reach, s) <= _FLOAT_EXACT else object
     base = base.astype(dtype) * np.array([1, -1], dtype=dtype)
     shift = np.array(shifts, dtype=dtype)
-    # per axis, the sorted distinct base values and each vertex's place in them
-    (ux, ix), (uy, iy) = (np.unique(base[:, c], return_inverse=True) for c in (0, 1))
-    runs = np.concatenate([(ux + shift[:, :1]).ravel(), (uy + shift[:, 1:]).ravel()])
-    distinct, rank = np.unique(runs, return_inverse=True)
-    strings = np.array(["%.12g" % (v / s) for v in distinct.tolist()], dtype=object)
-    # rank holds the x runs, then the y runs, one row per translate each
-    cut = len(shifts) * len(ux)
-    rx, ry = rank[:cut].reshape(len(shifts), -1), rank[cut:].reshape(len(shifts), -1)
-    rows = strings[np.stack([rx[:, ix], ry[:, iy]], axis=2)]
-    template = " ".join(["%s,%s"] * len(base))
-    return [template % tuple(row.ravel()) for row in rows]
+    rows = np.empty((len(shifts), 2 * len(base)), dtype=object)
+    for c, sep in ((0, ","), (1, " ")):
+        axis, which = np.unique(shift[:, c], return_inverse=True)
+        values, rank = np.unique(base[:, c] + axis[:, None], return_inverse=True)
+        text = ("%.12g" + sep + "\n") * len(values) % tuple((values / s).tolist())
+        strings = np.array(text.split("\n")[:-1], dtype=object)
+        rows[:, c::2] = strings[rank.reshape(len(axis), -1)[which]]
+    # every row ends in the last y's separator
+    return ["".join(row)[:-1] for row in rows.tolist()]
 
 
 def scene_to_svg(scene: Scene) -> str:
@@ -183,26 +185,27 @@ def render_cutpoint(params: TileParams, n: int, budget: int = 10**6) -> str:
     return scene_to_svg(Scene(s, approx.point_array, [((0, 0), style)], [marker]))
 
 
-def _ratio(x: int, scale: int) -> str:
-    """``str(Fraction(x, scale))`` without building the Fraction."""
-    g = math.gcd(x, scale)
-    return str(x // g) if g == scale else f"{x // g}/{scale // g}"
-
-
 def polygon_json_text(params: TileParams, n: int, budget: int = 10**6) -> str:
     """The ``approx`` document of the level-n boundary polygon, byte for byte
     what ``json.dumps(..., indent=2, sort_keys=True)`` writes for
     ``{"schema": "tiletopo/boundary-polygon@1", "params": {"A", "B"},
     "level": n, "vertices": [[x, y], ...]}`` with each coordinate as its
-    ratio string.  Each distinct coordinate becomes a ratio once, a digit
-    ratio with nothing to escape; the ratios, in row order, fill one
-    template."""
+    ratio string, a digit ratio with nothing to escape.  Each distinct
+    coordinate is reduced by one array ``gcd`` with the scale (int64 or
+    Python ints) and written by one ``%`` pass; the ratios and the JSON
+    punctuation around them make one row per vertex, joined once."""
     approx = _boundary_polygon(params, n, budget)
-    s = approx.scale
-    distinct, inverse = np.unique(approx.point_array.ravel(), return_inverse=True)
-    ratios = np.array([_ratio(v, s) for v in distinct.tolist()], dtype=object)
-    vertex = '    [\n      "%s",\n      "%s"\n    ]'
-    vertices = ",\n".join([vertex] * len(approx.point_array)) % tuple(ratios[inverse].tolist())
+    s, points = approx.scale, approx.point_array
+    distinct, inverse = np.unique(points, return_inverse=True)
+    g = np.gcd(distinct, s)
+    pairs = np.stack([distinct // g, s // g], axis=1).ravel().tolist()
+    # each line is "num/den", so "/1\n" matches only den == 1: write num alone
+    text = ("%d/%d\n" * len(distinct) % tuple(pairs)).replace("/1\n", "\n")
+    ratios = np.array(text.split("\n")[:-1], dtype=object)
+    rows = np.empty((len(points), 5), dtype=object)
+    rows[:, 0], rows[:, 2], rows[:, 4] = '    [\n      "', '",\n      "', '"\n    ],\n'
+    rows[:, 1::2] = ratios[inverse.reshape(-1, 2)]
+    vertices = "".join(rows.ravel().tolist())[:-2]
     return (
         f'{{\n  "level": {n},\n'
         f'  "params": {{\n    "A": {params.a},\n    "B": {params.b}\n  }},\n'

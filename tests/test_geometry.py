@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiletopo.contact import (
     approx_boundary,
@@ -338,6 +340,71 @@ class TestVectorizedPath:
             assert [polygon_is_simple_closed(p) for p in inputs] == [True] * 4, case
             cases += 1
         assert cases == 58
+
+
+@st.composite
+def _drawn_polygons(draw) -> list[tuple[int, int]]:
+    """3 to 8 points of a small grid; when at least three are distinct, the
+    distinct ones, as drawn (seldom simple) or in angular order about their
+    mean (often simple).  Then one defect goes in after vertex k: none, a
+    repeat of vertex j, the midpoint of edge j (a touch), the midpoint of
+    the edge into vertex k (a spike), or the quarter points of edge j (a
+    collinear overlap); with more than 3 points, all but a spike may take
+    the place of vertex k instead.  Coordinates are multiples of 4, so
+    every quarter point is an integer point."""
+    coord = st.integers(-3, 3)
+    drawn = draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=8))
+    pts = [(4 * x, 4 * y) for x, y in drawn]
+    if len(set(pts)) >= 3:
+        pts = list(dict.fromkeys(pts))
+        if draw(st.booleans()):
+            mx, my = sum(x for x, _ in pts) / len(pts), sum(y for _, y in pts) / len(pts)
+            pts.sort(key=lambda p: (math.atan2(p[1] - my, p[0] - mx), p))
+    m = len(pts)
+    j, k = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+    edge = (pts[j], pts[(j + 1) % m])
+    defect = draw(st.sampled_from(["none", "repeat", "touch", "spike", "overlap"]))
+    extra = {
+        "none": [],
+        "repeat": [pts[j]],
+        "touch": [_quarter(*edge, 2)],
+        "spike": [_quarter(pts[k - 1], pts[k], 2)],
+        "overlap": [_quarter(*edge, 1), _quarter(*edge, 3)],
+    }[defect]
+    replace = defect in ("repeat", "touch", "overlap") and m > 3 and draw(st.booleans())
+    return pts[: k + 1 - replace] + extra + pts[k + 1 :]
+
+
+class TestDrawnPolygons:
+    """Small drawn polygons with collinear overlaps, touches at vertices,
+    spikes and repeated vertices, against the all-pairs reference."""
+
+    @given(_drawn_polygons())
+    @settings(max_examples=400, deadline=None)
+    def test_agrees_with_all_pairs(self, pts):
+        simple = _valid(pts) and TestSimpleClosed._all_pairs_simple(pts)
+        wide = np.array(pts, dtype=object) * 2**31
+        inputs = [tuple(pts), np.array(pts, dtype=np.int64), wide, _as_fractions(pts)]
+        assert [polygon_is_simple_closed(p) for p in inputs] == [simple] * 4
+
+    @given(_drawn_polygons())
+    @settings(max_examples=400, deadline=None)
+    def test_candidates_cover_every_meeting_pair(self, pts):
+        """The candidates are non-adjacent pairs i < j in increasing order
+        of i * m + j, and they hold every non-adjacent pair of closed
+        segments that meet."""
+        m = len(pts)
+        seg = [(pts[i], pts[(i + 1) % m]) for i in range(m)]
+        need = {
+            (i, j)
+            for i in range(m)
+            for j in range(i + 2, m)
+            if (i, j) != (0, m - 1) and segments_intersect(*seg[i], *seg[j])
+        }
+        got = _candidate_pairs(_closed(pts)).tolist()
+        assert all(i + 2 <= j < m and (i, j) != (0, m - 1) for i, j in got)
+        assert got == sorted(got)
+        assert need <= set(map(tuple, got))
 
 
 def _comb(teeth: int, bent: int | None = None) -> list[tuple[int, int]]:

@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiletopo import TileParams, WrongRegime, render
+from tiletopo.contact import BoundaryApprox
 from tiletopo.errors import CertificateFailure
 from tiletopo.render import (
     Scene,
@@ -97,10 +100,10 @@ class TestScene:
          10**30],
     )
     def test_points_match_per_point_division(self, scale, kind):
-        # int64 holds the narrow polygon's shifted grid up to scale 2**58 + 3,
-        # values above 2**53 included.  At 2**61 + 1 the narrow polygon fits
-        # in int64 but a shifted coordinate does not; from there on, and for
-        # the edge and wide polygons always, Python ints take over
+        # int64 divided as float64 serves only shifted coordinates and scales
+        # up to 2**53, where that division is exact; every polygon here has
+        # a coordinate past 2**53, so Python ints and their exact int/int
+        # take over at every scale
         polygon = getattr(self, kind) + ((-1, scale), (3 * scale + 1, -scale))
         shifts = [(0, 0), (1, -1), (-2, 3), (0, 1)]
         translates = [(shift, {"fill": "none"}) for shift in shifts]
@@ -115,6 +118,58 @@ class TestScene:
         ]
         assert got == expected
         assert "-0," not in " ".join(got) and not re.search(r",-0( |$)", " ".join(got))
+
+    @pytest.mark.parametrize(
+        "x,scale,exact,rounded",
+        [
+            # x and the scale above 2**53, inside int64
+            (305171093300600465, 37383383775444992, "8.16328171719", "8.16328171718"),
+            # x between 2**53 and 2**54, the scale below 2**53
+            (9208255395171365, 2860254522241849, "3.21938321348", "3.21938321347"),
+        ],
+    )
+    def test_division_past_two_to_the_53_is_exact(self, x, scale, exact, rounded):
+        # the float64 images of x and the scale divide to a quotient that
+        # prints otherwise than the exact one does
+        assert "%.12g" % (float(x) / float(scale)) == rounded
+        polygon = np.array([(x, 0), (0, 0), (0, -scale)], dtype=np.int64)
+        scene = Scene(scale, polygon, [((0, 0), {})])
+        got = re.findall(r'points="([^"]*)"', scene_to_svg(scene))
+        assert got == [f"{exact},0 0,0 0,1"]
+
+    @staticmethod
+    @st.composite
+    def drawn_scenes(draw):
+        """A scale (a small one, one near 2**53, or a power of 2 or 5 up to
+        past 2**53), a polygon of 1 to 6 vertices within a few scales of the
+        origin, zeros and negative coordinates included, and 1 to 5 shifts."""
+        scale = draw(
+            st.integers(1, 10**4)
+            | st.integers(2**50, 2**56)
+            | st.sampled_from([2**k for k in range(61)] + [5**k for k in range(27)])
+        )
+        coord = st.integers(-3 * scale, 3 * scale) | st.integers(-40, 40)
+        polygon = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=6))
+        shift = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+        return scale, polygon, draw(st.lists(shift, min_size=1, max_size=5))
+
+    @given(drawn_scenes())
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_points_match_per_point_division(self, case):
+        # the same per-point oracle as above, on int64 and Python-int
+        # polygons whose shifted grid lies below or above 2**53
+        scale, polygon, shifts = case
+        translates = [(shift, {"fill": "none"}) for shift in shifts]
+        expected = [
+            " ".join(
+                "%.12g,%.12g" % ((x + sx * scale) / scale, -(y + sy * scale) / scale)
+                for (x, y) in polygon
+            )
+            for (sx, sy) in shifts
+        ]
+        for dtype in (np.int64, object):
+            scene = Scene(scale, np.array(polygon, dtype=dtype), translates)
+            assert re.findall(r'points="([^"]*)"', scene_to_svg(scene)) == expected
 
     def test_viewbox_covers_every_translate_and_marker(self):
         scene = Scene(
@@ -162,6 +217,19 @@ class TestJsonExport:
                 for n in (0, 1, 2):
                     text = polygon_json_text(TileParams(a, b), n)
                     assert json.dumps(json.loads(text), indent=2, sort_keys=True) == text
+
+    def test_python_int_coordinates_write_the_same_document(self, monkeypatch):
+        # the polygon and its scale times 3**50 lie past int64, so the gcds
+        # run on Python ints, and reduce to the same ratios
+        params = TileParams(7, 11)
+        text = polygon_json_text(params, 2)
+        approx = render._boundary_polygon(params, 2, 10**6)
+        k = 3**50
+        wide = BoundaryApprox(
+            approx.scale * k, approx.point_array.astype(object) * k, approx.last_array
+        )
+        monkeypatch.setattr(render, "_boundary_polygon", lambda *args: wide)
+        assert polygon_json_text(params, 2) == text
 
 
 class TestGoldenBytes:

@@ -11,8 +11,13 @@ names below; without any, every ladder runs.
     neighbors      neighbors --check at (B-2, B), B = 25 ... 6,400
     cutpoint       cutpoint at (B-2, B), B = 25 ... 6,400
     verify-chains  verify-chains at (A, 2A-3), B = 11 ... 161
+    approx         approx --n 3 at (B/2, B), B = 2, 5, 10, 20, 40
+    render-patch   render --kind patch --n 3 at (B/2, B), B = 2, 5, 10, 20, 40
 
-Each ladder doubles B (verify-chains roughly doubles it, as B stays odd).
+Each ladder doubles B (verify-chains roughly doubles it, as B stays odd;
+approx and render-patch from B = 5 on).  The approx and render-patch
+ladders hold the level n fixed, so the polygon grows with B: 22 vertices at
+B = 2 and 65,838 at B = 40.
 For each ladder one fresh interpreter, started in DIR, imports that
 checkout's package and runs each rung once to warm up and then
 ``REPEAT`` (3) more times, timing only the ``cli.main`` call with stdout
@@ -44,6 +49,7 @@ def _near(b: int) -> list[str]:
 
 
 DOUBLING = [25 * 2**k for k in range(11)]  # 25 ... 25,600
+SMALL = [2, 5, 10, 20, 40]  # the benchmark's range of B
 JSON = ["--format", "json"]
 LADDERS = {
     "param-walk": [(b, ["param", *_halves(b), "--walk", "2;1,1;1", *JSON]) for b in DOUBLING],
@@ -54,6 +60,8 @@ LADDERS = {
         (2 * a - 3, ["verify-chains", "--A", str(a), "--B", str(2 * a - 3), *JSON])
         for a in (7, 12, 22, 42, 82)
     ],
+    "approx": [(b, ["approx", *_halves(b), "--n", "3"]) for b in SMALL],
+    "render-patch": [(b, ["render", *_halves(b), "--n", "3", "--kind", "patch"]) for b in SMALL],
 }
 
 # run in the checkout: argv[1] is REPEAT, argv[2] a JSON list of
