@@ -141,16 +141,15 @@ class NumberField:
     # -- root interval -------------------------------------------------------
 
     def refine_interval(self) -> None:
-        """Halve the isolating interval once (exact bisection)."""
-        if self._lo == self._hi:
-            return
+        """Halve the isolating interval once (exact bisection).  Only a field
+        of degree >= 2 is refined: a degree-1 field's interval is its root,
+        over which ``sign_of`` signs every nonzero vector it is given at
+        once and ``to_float`` does not loop.  An irreducible minimal
+        polynomial of degree >= 2 has no rational root, so no midpoint is
+        one."""
         mid = self._lo + self._hi
         self._lo, self._hi, self._den = 2 * self._lo, 2 * self._hi, 2 * self._den
         fmid = _poly_eval(self.minpoly, mid, self._den)
-        if fmid == 0:
-            # cannot happen for an irreducible minpoly of degree >= 2
-            self._lo = self._hi = mid
-            return
         if (_poly_eval(self.minpoly, self._lo, self._den) < 0) == (fmid < 0):
             self._lo = mid
         else:

@@ -14,9 +14,12 @@ difference series.  The entrywise supremum U over all series then satisfies
 (I - P_k) U <= partial_k, and once (I - P_k)^{-1} >= 0 this gives
 U <= (I - P_k)^{-1} partial_k.  As N = B M^{-1} is an integer matrix,
 W^{-1} M^{-k} W = adj(W) N^k W / (det W B^k), and every quantity of the
-bound is an integer over a known denominator.  The integer points of the
-ball are listed row by row as x-intervals cut by floor division, so the
-successors of a state in the ball are one range of one row.  No float
+bound is an integer over a known denominator.  The ball is kept as its
+rows, one x-interval per y cut by floor division, and the search never
+lists its points.  The successors of a state in the ball are one range of
+one row, so its successor count is the length of that range; a dead state
+has its predecessors in at most two rows, one in each, and trimming takes
+one from each of their counts, killing those that reach 0.  No float
 enters: W itself is integer, its one irrational entry 2^30 sqrt|A^2 - 4B|
 rounded down by ``math.isqrt``, and it is invertible for every pair (see
 ``certified_series_bound``).  The neighbor-set document is written directly
@@ -31,7 +34,6 @@ from dataclasses import dataclass
 from itertools import chain, count
 from json.encoder import encode_basestring_ascii
 
-from .automata import live_nodes
 from .numsys import Mat2, TileParams
 
 IntVec = tuple[int, int]
@@ -170,28 +172,37 @@ def certified_series_bound(params: TileParams) -> tuple[Mat2, int]:
             return tuple(tuple(x // g for x in row) for row in rows), c // g
 
 
-def _candidate_ball(params: TileParams) -> set[IntVec]:
-    """Integer points s with ||R @ s||_inf <= c, enumerated row by row:
-    each row y is the integer x-interval cut out by the two slabs, by floor
-    division.  |s| <= c |R^{-1}| entrywise bounds the rows and columns.  A
-    slab with cx = 0 cuts no x: it is a row (0, cy) of R, so r00 = 0 or
-    r10 = 0, and then y_max is c // |cy|, the slab's own bound."""
+def _ball_rows(params: TileParams) -> dict[int, tuple[int, int]]:
+    """The certified ball by rows: y -> (lo, hi) for every row y that holds
+    an integer point s = (x, y) with ||R @ s||_inf <= c, whose points are
+    then the x of lo..hi.  |s| <= c |R^{-1}| entrywise bounds the rows and
+    columns, and each row is the x-interval cut out by the two slabs, by
+    floor division.  A slab with cx = 0 cuts no x: it is a row (0, cy) of
+    R, so r00 = 0 or r10 = 0, and then y_max is c // |cy|, the slab's own
+    bound."""
     r, c = certified_series_bound(params)
     (r00, r01), (r10, r11) = r
     det_r = abs(r00 * r11 - r01 * r10)
-    x_max = c * (abs(r11) + abs(r01)) // det_r
-    y_max = c * (abs(r10) + abs(r00)) // det_r
-    # each slab |cx x + cy y| <= c with cx >= 0
-    slabs = [(cx, cy) if cx >= 0 else (-cx, -cy) for cx, cy in r]
-    ball: set[IntVec] = set()
+    x_max, y_max = c * (abs(r11) + abs(r01)) // det_r, c * (abs(r10) + abs(r00)) // det_r
+    # each slab |cx x + cy y| <= c that cuts x, with cx > 0; y_max bounds
+    # the one with cx = 0
+    cuts = [(cx, cy) if cx > 0 else (-cx, -cy) for cx, cy in r if cx]
+    rows = {}
     for y in range(-y_max, y_max + 1):
         lo, hi = -x_max, x_max
-        for cx, cy in slabs:
-            if cx == 0:
-                continue  # cuts no x; y_max is this slab's bound on y
-            lo, hi = max(lo, -((c + cy * y) // cx)), min(hi, (c - cy * y) // cx)
-        ball.update((x, y) for x in range(lo, hi + 1))
-    return ball
+        for cx, cy in cuts:
+            low, high = -((c + cy * y) // cx), (c - cy * y) // cx
+            lo, hi = (low if low > lo else lo), (high if high < hi else hi)
+        if lo <= hi:
+            rows[y] = (lo, hi)
+    return rows
+
+
+def _predecessor_rows(t: int, b: int) -> range:
+    """The rows y with |t + B y| <= B - 1: from the ceiling of
+    (1 - B - t) / B to the floor of (B - 1 - t) / B, an interval of length
+    (2B - 2) / B < 2, so at most two rows."""
+    return range(-((t + b - 1) // b), (b - 1 - t) // b + 1)
 
 
 def neighbor_set_search(params: TileParams) -> NeighborSet:
@@ -200,30 +211,45 @@ def neighbor_set_search(params: TileParams) -> NeighborSet:
     States outside the certified ball cannot be difference-representable, so
     restricting transitions to the ball and repeatedly deleting states with
     no remaining successor leaves exactly the representable vectors.  The
-    ball is read row by row: each of its rows is one x-interval (see
-    ``_candidate_ball``), so the successors (Ms)_x + d, |d| <= B-1, that lie
-    in the ball are one range of the row (Ms)_y.  The search gives no J;
-    commands print the closed form's.
+    search works on the ball's rows {y: (lo, hi)} (``_ball_rows``) and
+    decides liveness by counting.  A state (x, y) has Ms = (-B y, x - A y),
+    so its successors (Ms)_x + d, |d| <= B - 1, in the ball are the overlap
+    of row x - A y with the window -B y +- (B - 1), and its successor count
+    is hi - lo + 1 of that overlap, at most 0 when it is empty.  A state
+    whose count is at most 0 is dead, and takes one from the count of each
+    of its predecessors, which this lemma finds:
+
+        (x, y) has the successor (t, r) exactly when x - A y = r and
+        |t + B y| <= B - 1.  So the predecessors of (t, r) in the ball are
+        the states (r + A y, y) in the at most two rows y with
+        |t + B y| <= B - 1 (``_predecessor_rows``).
+
+    The states left with a positive count are the live ones.  The search
+    gives no J; commands print the closed form's.
     """
     a, b = params.a, params.b
-    xs: dict[int, list[int]] = {}
-    for x, y in _candidate_ball(params):
-        xs.setdefault(y, []).append(x)
-    rows = {y: (min(row), max(row)) for y, row in xs.items()}
-    succ: dict[IntVec, list[IntVec]] = {}
+    rows = _ball_rows(params)
+    counts: dict[int, list[int]] = {}
+    dead: list[IntVec] = []
     for y, (lo, hi) in rows.items():
-        mx = -b * y  # (Ms)_x along the whole row
+        first, last = -b * y - b + 1, -b * y + b - 1  # the window of (Ms)_x
+        row = counts[y] = []
         for x in range(lo, hi + 1):
-            my = x - a * y
-            target = rows.get(my)
-            if target is None:
-                succ[(x, y)] = []
-                continue
-            first, last = max(target[0], mx - b + 1), min(target[1], mx + b - 1)
-            succ[(x, y)] = [(t, my) for t in range(first, last + 1)]
-    alive = live_nodes(succ)
-    alive.discard((0, 0))
-    return NeighborSet(frozenset(alive), None)
+            t_lo, t_hi = rows.get(x - a * y, (1, 0))  # (1, 0): a row without points
+            row.append((t_hi if t_hi < last else last) - (t_lo if t_lo > first else first) + 1)
+            if row[-1] <= 0:
+                dead.append((x, y))
+    while dead:
+        t, r = dead.pop()
+        for y in _predecessor_rows(t, b):
+            lo, hi = rows.get(y, (1, 0))
+            x = r + a * y
+            if lo <= x <= hi:
+                counts[y][x - lo] -= 1
+                if not counts[y][x - lo]:
+                    dead.append((x, y))
+    live = [(lo + i, y) for y, (lo, _) in rows.items() for i, n in enumerate(counts[y]) if n > 0]
+    return NeighborSet(frozenset(live) - {(0, 0)}, None)
 
 
 def reflect_neighbor_set(sset: NeighborSet) -> NeighborSet:

@@ -58,6 +58,10 @@ oracle.  ``chain_report_text`` is the text report with a lookup per ordered
 pair of labels, the oracle of the grid that reads each cell once.  The 2x2 ``Fraction`` matrix
 helpers are the linear algebra the package's integer forms replaced; the
 tests use them to build M^{-1}, its powers and linear solves independently.
+``candidate_ball`` is the certified ball as a point set, read off the
+package's rows, and ``point_set_search`` the search that regrouped that
+set into rows, listed each state's successors and trimmed them with
+``live_nodes``; it is the oracle of the package's counting search.
 pytest does not collect this
 module (its name has no ``test_`` prefix); the tests import it as
 ``reference``.
@@ -118,7 +122,7 @@ from tiletopo.geometry import Point
 from tiletopo.neighbors import (
     IntVec,
     NeighborSet,
-    _candidate_ball,
+    _ball_rows,
     neighbor_set_formula,
 )
 from tiletopo.numsys import (
@@ -692,8 +696,38 @@ def param_to_walk(
 
 @lru_cache(maxsize=64)
 def candidate_ball(params: TileParams) -> frozenset[IntVec]:
-    """Cached certified ball of difference-representable integer vectors."""
-    return frozenset(_candidate_ball(params))
+    """The certified ball as a point set, every x of every row of
+    ``_ball_rows``: the set the package's search read its rows off until it
+    kept the rows alone."""
+    return frozenset(
+        (x, y) for y, (lo, hi) in _ball_rows(params).items() for x in range(lo, hi + 1)
+    )
+
+
+def point_set_search(params: TileParams) -> NeighborSet:
+    """The search as it ran on the point set, the oracle of the package's
+    counting search: the ball regrouped into rows, every state's successors
+    listed as the range of its row (Ms)_y that the window (Ms)_x +- (B - 1)
+    leaves, and the lists trimmed by ``live_nodes``."""
+    a, b = params.a, params.b
+    xs: dict[int, list[int]] = {}
+    for x, y in candidate_ball(params):
+        xs.setdefault(y, []).append(x)
+    rows = {y: (min(row), max(row)) for y, row in xs.items()}
+    succ: dict[IntVec, list[IntVec]] = {}
+    for y, (lo, hi) in rows.items():
+        mx = -b * y  # (Ms)_x along the whole row
+        for x in range(lo, hi + 1):
+            my = x - a * y
+            target = rows.get(my)
+            if target is None:
+                succ[(x, y)] = []
+                continue
+            first, last = max(target[0], mx - b + 1), min(target[1], mx + b - 1)
+            succ[(x, y)] = [(t, my) for t in range(first, last + 1)]
+    alive = live_nodes(succ)
+    alive.discard((0, 0))
+    return NeighborSet(frozenset(alive), None)
 
 
 def subdivision_diff(u: DigitWord, v: DigitWord, params: TileParams) -> IntVec:

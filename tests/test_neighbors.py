@@ -11,7 +11,8 @@ from tiletopo import Address, TileParams, WrongRegime, point_eval
 from tiletopo.errors import LengthMismatch
 from tiletopo.neighbors import (
     NeighborSet,
-    _candidate_ball,
+    _ball_rows,
+    _predecessor_rows,
     certified_series_bound,
     neighbor_set_formula,
     neighbor_set_search,
@@ -21,9 +22,11 @@ from tiletopo.neighbors import (
 from conftest import pairs
 from reference import (
     adjacent_singleton_point,
+    candidate_ball,
     mat_inv,
     mat_vec,
     neighbor_set_to_json,
+    point_set_search,
     subdivision_diff,
     subdivision_intersects,
 )
@@ -136,7 +139,45 @@ class TestSearch:
 
 class TestSearchGrid:
     """The search without the whole ball: exact against the closed form for
-    every B <= 50, and a ball of a few hundred points at (50, 50)."""
+    every B <= 50, against the point-set search for every B <= 60, and a
+    ball of a few hundred points at (50, 50)."""
+
+    def test_search_equals_oracle_and_formula_up_to_60(self):
+        # the counting search, the point-set search it replaced (successor
+        # lists trimmed by live_nodes) and the closed form, on every pair
+        # 0 <= A <= B <= 60
+        for b in range(2, 61):
+            for a in range(0, b + 1):
+                p = TileParams(a, b)
+                searched = neighbor_set_search(p).members
+                assert searched == point_set_search(p).members, (a, b)
+                assert searched == neighbor_set_formula(p).members, (a, b)
+
+    def test_predecessor_rows_are_the_lemmas(self):
+        # the rows the trimming visits for a dead (t, r) are exactly the y
+        # with |t + B y| <= B - 1, one or two of them
+        for b in range(2, 51):
+            for t in range(-3 * b, 3 * b + 1):
+                rows = [y for y in range(-5, 6) if abs(t + b * y) <= b - 1]
+                assert list(_predecessor_rows(t, b)) == rows, (b, t)
+                assert 1 <= len(rows) <= 2, (b, t)
+
+    def test_predecessors_in_the_ball_are_the_lemmas(self):
+        # on the ball's graph: the predecessors of each state (t, r), found
+        # from every state's successors s -> Ms + (d, 0), are the states
+        # (r + A y, y) of the ball in the rows _predecessor_rows(t, B)
+        for b in range(2, 21):
+            for a in range(0, b + 1):
+                ball = candidate_ball(TileParams(a, b))
+                preds: dict = {s: set() for s in ball}
+                for x, y in ball:
+                    for d in range(1 - b, b):
+                        succ = (-b * y + d, x - a * y)
+                        if succ in preds:
+                            preds[succ].add((x, y))
+                for (t, r), found in preds.items():
+                    lemma = {(r + a * y, y) for y in _predecessor_rows(t, b)} & ball
+                    assert found == lemma, (a, b, (t, r))
 
     def test_matches_formula_up_to_50(self):
         for b in range(2, 51):
@@ -154,13 +195,13 @@ class TestSearchGrid:
         for b in range(2, 51):
             for a in range(0, b + 1):
                 rows: dict = {}
-                for x, y in _candidate_ball(TileParams(a, b)):
+                for x, y in candidate_ball(TileParams(a, b)):
                     rows.setdefault(y, []).append(x)
                 for y, xs in rows.items():
                     assert max(xs) - min(xs) + 1 == len(xs), (a, b, y)
 
     def test_a_slab_without_x_is_bounded_by_the_rows(self):
-        # _candidate_ball skips a slab |cx x + cy y| <= c with cx = 0: it is
+        # _ball_rows leaves out a slab |cx x + cy y| <= c with cx = 0: it is
         # a row (0, cy) of R, so r00 = 0 or r10 = 0, and y_max =
         # c (|r10| + |r00|) // |det R| is then c // |cy|, so no row in
         # range leaves it.  Every pair B <= 50 and the D = A^2 - 4B = 0
@@ -179,7 +220,7 @@ class TestSearchGrid:
         assert (len(pairs), slabs) == (1361, 540)
 
     def test_ball_is_small_at_50_50(self):
-        assert len(_candidate_ball(TileParams(50, 50))) < 1000
+        assert len(candidate_ball(TileParams(50, 50))) < 1000
 
     def test_ball_golden_digest(self):
         # sha256 of the sorted certified ball over all 1,323 pairs
@@ -188,7 +229,7 @@ class TestSearchGrid:
         h = hashlib.sha256()
         for b in range(2, 51):
             for a in range(0, b + 1):
-                h.update(repr(sorted(_candidate_ball(TileParams(a, b)))).encode())
+                h.update(repr(sorted(candidate_ball(TileParams(a, b)))).encode())
         assert h.hexdigest() == (
             "a133147982320990ed010011b12169dfec5876cd00e62b451ed9c8e39cd23058"
         )
@@ -222,7 +263,8 @@ class TestJsonText:
 
 class TestDrawnPairs:
     """The certified bound and the search on drawn pairs up to B = 200,
-    past the fixed grids' B = 20 and B = 50."""
+    past the fixed grids' B = 20 and B = 60, and the search again up to
+    B = 10^4."""
 
     @given(pairs(), st.data())
     @settings(max_examples=60, deadline=None)
@@ -251,6 +293,40 @@ class TestDrawnPairs:
     def test_search_matches_formula(self, p):
         assert neighbor_set_search(p).members == neighbor_set_formula(p).members
 
+    @given(pairs(min_b=201, max_b=10**4))
+    @settings(max_examples=60, deadline=None, database=None)
+    def test_search_matches_formula_up_to_ten_thousand(self, p):
+        assert neighbor_set_search(p).members == neighbor_set_formula(p).members
+
+
+class TestBallSize:
+    """The ball's point count pinned at every rung of the two ``neighbors``
+    ladders of ``tools/scaling.py``, (B - 2, B) and (B, B) for
+    B = 25 * 2^k up to 6,400.  The search does a bounded amount of work per
+    point and per dead state, so these counts pin its growth in B where a
+    timing could not.  Measured: at (B, B) the ball has exactly 4B + 7
+    points in 2B - 1 rows.  At (B - 2, B) it has about 4B / 3 points, under
+    the ceiling (4B + 30) / 3 by a margin of 1/3 at B = 25, 100, 400, 1,600
+    and 6,400 and of 11/3 at the other rungs.  (B, B) is not the largest
+    ball at every B: the pairs with A^2 - 4B = 1 have larger ones, 117
+    points at (9, 20) against 87 at (20, 20)."""
+
+    RUNGS = [25 * 2**k for k in range(9)]
+
+    @staticmethod
+    def points(a, b):
+        return sum(hi - lo + 1 for lo, hi in _ball_rows(TileParams(a, b)).values())
+
+    def test_square_ladder(self):
+        for b in self.RUNGS:
+            assert self.points(b, b) == 4 * b + 7, b
+            assert len(_ball_rows(TileParams(b, b))) == 2 * b - 1, b
+
+    def test_near_ladder(self):
+        counts = [self.points(b - 2, b) for b in self.RUNGS]
+        assert counts == [43, 73, 143, 273, 543, 1073, 2143, 4273, 8543]
+        assert [4 * b + 30 - 3 * n for b, n in zip(self.RUNGS, counts)] == [1, 11] * 4 + [1]
+
 
 class TestSubdivision:
     def test_equal_words(self):
@@ -274,11 +350,9 @@ class TestSubdivision:
 
     def test_depth_monotonicity(self):
         # non-neighbors map only to non-neighbors under s -> Ms + (d, 0)
-        from tiletopo.neighbors import _candidate_ball
-
         for a, b in [(4, 5), (5, 5), (2, 2)]:
             p = TileParams(a, b)
-            ball = _candidate_ball(p)
+            ball = candidate_ball(p)
             good = neighbor_set_formula(p).members | {(0, 0)}
             m = p.matrix
             for s in ball:

@@ -6,18 +6,20 @@ DIR is a checkout of the repository (a directory holding ``src/tiletopo``);
 it defaults to the one this script lies in.  Each LADDER is one of the
 names below; without any, every ladder runs.
 
-    param-walk     param --walk "2;1,1;1" at (B/2, B), B = 25 ... 25,600
-    param-t        param --t 1/2 at (B/2, B), B = 25 ... 25,600
-    neighbors      neighbors --check at (B-2, B), B = 25 ... 6,400
-    cutpoint       cutpoint at (B-2, B), B = 25 ... 6,400
-    verify-chains  verify-chains at (A, 2A-3), B = 11 ... 161
-    approx         approx --n 3 at (B/2, B), B = 2, 5, 10, 20, 40
-    render-patch   render --kind patch --n 3 at (B/2, B), B = 2, 5, 10, 20, 40
+    param-walk        param --walk "2;1,1;1" at (B/2, B), B = 25 ... 25,600
+    param-t           param --t 1/2 at (B/2, B), B = 25 ... 25,600
+    neighbors         neighbors --check at (B-2, B), B = 25 ... 6,400
+    neighbors-square  neighbors --check at (B, B), B = 25 ... 6,400
+    cutpoint          cutpoint at (B-2, B), B = 25 ... 6,400
+    verify-chains     verify-chains at (A, 2A-3), B = 11 ... 161
+    approx            approx --n 3 at (B/2, B), B = 2, 5, 10, 20, 40
+    render-patch      render --kind patch --n 3 at (B/2, B), B = 2, 5, 10, 20, 40
 
 Each ladder doubles B (verify-chains roughly doubles it, as B stays odd;
 approx and render-patch from B = 5 on).  The approx and render-patch
 ladders hold the level n fixed, so the polygon grows with B: 22 vertices at
-B = 2 and 65,838 at B = 40.
+B = 2 and 65,838 at B = 40.  The two neighbors ladders bracket the
+certified ball: about 4B/3 points at (B-2, B) and 4B + 7 at (B, B).
 For each ladder one fresh interpreter, started in DIR, imports that
 checkout's package and runs each rung once to warm up and then
 ``REPEAT`` (3) more times, timing only the ``cli.main`` call with stdout
@@ -48,6 +50,10 @@ def _near(b: int) -> list[str]:
     return ["--A", str(b - 2), "--B", str(b)]
 
 
+def _square(b: int) -> list[str]:
+    return ["--A", str(b), "--B", str(b)]
+
+
 DOUBLING = [25 * 2**k for k in range(11)]  # 25 ... 25,600
 SMALL = [2, 5, 10, 20, 40]  # the benchmark's range of B
 JSON = ["--format", "json"]
@@ -55,6 +61,7 @@ LADDERS = {
     "param-walk": [(b, ["param", *_halves(b), "--walk", "2;1,1;1", *JSON]) for b in DOUBLING],
     "param-t": [(b, ["param", *_halves(b), "--t", "1/2", *JSON]) for b in DOUBLING],
     "neighbors": [(b, ["neighbors", *_near(b), "--check", *JSON]) for b in DOUBLING[:9]],
+    "neighbors-square": [(b, ["neighbors", *_square(b), "--check", *JSON]) for b in DOUBLING[:9]],
     "cutpoint": [(b, ["cutpoint", *_near(b), *JSON]) for b in DOUBLING[:9]],
     "verify-chains": [
         (2 * a - 3, ["verify-chains", "--A", str(a), "--B", str(2 * a - 3), *JSON])
