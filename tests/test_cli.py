@@ -530,6 +530,23 @@ class TestParamDigest:
         )
 
 
+class TestContactGraphDigest:
+    def test_contact_graph_golden_digest(self, capsys):
+        # sha256 of the exit code, stdout and stderr of ``contact-graph`` as
+        # JSON and as --dot over the 1,829 pairs 1 <= A <= B <= 60, recorded
+        # with the exhaustive search over every flip-equivariant first-edge
+        # map that certified the ordering unique
+        h = hashlib.sha256()
+        for b in range(2, 61):
+            for a in range(1, b + 1):
+                base = ["contact-graph", "--A", str(a), "--B", str(b)]
+                h.update(repr(run(capsys, *base)).encode())
+                h.update(repr(run(capsys, *base, "--dot")).encode())
+        assert h.hexdigest() == (
+            "321bc8aa1f3456b758b8bb62c49a52a59c904531a596d79ad3bce67bd7197f79"
+        )
+
+
 class TestParamJsonText:
     """``param`` writes its document in a fixed layout from the values it
     reports, byte for byte what ``json.dumps(doc, indent=2, sort_keys=True)``
