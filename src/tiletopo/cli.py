@@ -227,11 +227,10 @@ def _cmd_neighbors(args) -> int:
 
 
 def _cmd_contact_graph(args) -> int:
-    from .contact import build_contact_graph, derive_order_extension, graph_to_dot, graph_to_json
+    from .contact import build_contact_graph, graph_to_dot, graph_to_json, ordered_extension
 
     params = _params_from(args)
-    graph = build_contact_graph(params)
-    ordered = derive_order_extension(graph)
+    ordered = ordered_extension(build_contact_graph(params))
     if args.dot:
         text = graph_to_dot(ordered)
         print(text, end="")

@@ -36,8 +36,10 @@ class NotIrreducible(TileError):
 
 
 class NoConsistentOrdering(TileError):
-    """No edge ordering satisfies the continuity constraints (signals a bug
-    or unsupported parameters)."""
+    """No edge ordering satisfies the continuity constraints.  The package
+    no longer raises it: the lemma of ``contact.ordered_extension`` proves
+    that exactly one ordering threads every graph of
+    ``build_contact_graph``.  It stays a public name."""
 
 
 class NonPeriodicWalk(TileError):

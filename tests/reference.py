@@ -13,14 +13,19 @@ integer forms replaced, kept as their oracles; they compute with
 v_i / total.  ``perron_data`` is the cofactor solve of the flip-folded
 system that the package's closed form replaced, and
 ``is_strongly_connected``, the reachability test it runs, left the package
-with it.  ``checked_sorted_orders`` is the edge-to-edge check of
-the sorted orders on phi_0's solved junctions, which the package ran on
-every ordering until the lemma of ``ordered_extension`` replaced it; it is
-that lemma's oracle past the grid where the search is affordable, and
-returns the checked orders and junctions.  ``HandBuiltGraph`` is a contact
-graph that carries an edge tuple of its own, as the tests that remove or
-invent edges build it, and reads its edge test and counts off it; the
-package's graph reads its edges, edge test and counts off (A, B).
+with it.  ``graph_edges`` and ``out_edges`` list a contact graph's edges, which the
+package never builds: its graph reads its edge test and counts off (A, B).
+``HandBuiltGraph`` is a contact graph that carries an edge tuple of its
+own, as the tests that remove or invent edges build it, and reads its edge
+test and counts off it.  ``order_search`` is the search over every
+flip-equivariant first-edge map that ``contact-graph`` ran until the lemma
+of ``ordered_extension`` proved its outcome; with ``decide_map``,
+``thread_state``, ``digit_onto``, ``map_junction`` and ``edge_tables`` it is
+that lemma's oracle, and it takes hand-built graphs, on which it raises.
+``checked_sorted_orders`` is the edge-to-edge check of the sorted orders on
+phi_0's solved junctions, which the package ran on every ordering until the
+lemma replaced it; it is the lemma's oracle past the grid where the search
+is affordable, and returns the checked orders and junctions.
 ``subdivision_intersects`` is the cylinder-pair criterion that
 ``verify_cut_point`` reads off the neighbor set it already holds; here it
 builds the closed form itself.  ``subdivision_diff``, the separating vector
@@ -73,6 +78,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from typing import Iterable, Mapping
 
 from tiletopo.algebraic import (
@@ -107,12 +113,12 @@ from tiletopo.contact import (
     PerronData,
     Walk,
     _flip_edge,
-    _junction,
 )
 from tiletopo.errors import (
     CertificateFailure,
     ChainViolation,
     LengthMismatch,
+    NoConsistentOrdering,
     NonPeriodicWalk,
     NotIrreducible,
     OutOfRange,
@@ -131,6 +137,7 @@ from tiletopo.numsys import (
     RationalPoint,
     TileParams,
     Triple,
+    _contract,
     _reduced,
     periodic_tail_scaled,
 )
@@ -252,7 +259,7 @@ def graph_language(graph: ContactGraph, start: int) -> DigitNFA:
     trans: dict[int, dict[int, tuple[int, ...]]] = {}
     for i in range(1, 7):
         row: dict[int, list[int]] = {}
-        for (src, a, _, dst) in graph.edges:
+        for (src, a, _, dst) in graph_edges(graph):
             if src == i:
                 row.setdefault(a, []).append(dst)
         trans[i] = {a: tuple(sorted(t)) for a, t in sorted(row.items())}
@@ -450,20 +457,40 @@ def one(field: NumberField) -> Element:
 
 
 # ---------------------------------------------------------------------------
-# the edge ordering by its run-time check
+# the edge list, and the edge ordering by search and by its run-time check
+
+
+def graph_edges(graph: ContactGraph) -> tuple[Edge, ...]:
+    """All edges s -a|a'-> s' of the graph: a ``HandBuiltGraph``'s own
+    tuple, and for a graph of (A, B) the digits a with a and a + offset in
+    [0, B-1] of each family, by source, then target, then digit."""
+    if isinstance(graph, HandBuiltGraph):
+        return graph.edges
+    b = graph.params.b
+    edges: list[Edge] = []
+    for i in range(1, 7):
+        for j in range(1, 7):
+            delta = graph._offset(i, j)
+            if delta is not None:
+                edges += [(i, a, a + delta, j) for a in range(max(0, -delta), min(b, b - delta))]
+    return tuple(edges)
+
+
+def out_edges(graph: ContactGraph, i: int) -> tuple[Edge, ...]:
+    """The out-edges of state i, in the order of ``graph_edges``."""
+    return tuple(e for e in graph_edges(graph) if e[0] == i)
 
 
 @dataclass(frozen=True)
 class HandBuiltGraph(ContactGraph):
     """A contact graph with an edge tuple of its own, which no (A, B) gives;
-    its edges come grouped by source, in increasing order, as
-    ``ContactGraph.out_edges`` reads them, and its edge test and counts read
-    that tuple, not the family rule of (A, B)."""
+    its edge test and counts read that tuple, not the family rule of
+    (A, B)."""
 
     edges: tuple[Edge, ...] = ()
 
     def has_edge(self, src: int, digit: int, dst: int) -> bool:
-        return any(e[1] == digit and e[3] == dst for e in self.out_edges(src))
+        return any(e[0] == src and e[1] == digit and e[3] == dst for e in self.edges)
 
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         counts = [[0] * 6 for _ in range(6)]
@@ -472,11 +499,197 @@ class HandBuiltGraph(ContactGraph):
         return tuple(map(tuple, counts))
 
 
+def map_junction(
+    node: int,
+    phi: tuple[Edge, ...],
+    params: TileParams,
+    cycles: dict[tuple[int, ...], Triple],
+    values: list[Triple | None],
+) -> Triple:
+    """The junction V_{node+1} = psi(node+1; 1bar) of a first-edge map
+    (phi[i-1] is the first edge of state i) as (x, y, den), the point
+    (x/den, y/den).
+
+    Only the nodes on the orbit of ``node`` under phi are solved, and each
+    is stored in ``values`` (one list per map, None where unsolved).  A
+    cycle's value comes from the integer periodic solve, cached in
+    ``cycles`` by digit word; a tree node's is f_a of its successor's, where
+    a is its first edge's digit.  Neither is reduced.
+    """
+    start = node
+    path: list[int] = []
+    while values[node] is None and node not in path:
+        path.append(node)
+        node = phi[node][3] - 1
+    if values[node] is None:
+        word = tuple(phi[i][1] for i in path[path.index(node):])
+        if word not in cycles:
+            cycles[word] = periodic_tail_scaled(word, params)
+        values[node] = cycles[word]
+    for node in reversed(path):
+        if values[node] is None:
+            values[node] = _contract(phi[node][1], values[phi[node][3] - 1], params)
+    return values[start]
+
+
+def digit_onto(
+    a: int,
+    j: int,
+    t: int,
+    phi: tuple[Edge, ...],
+    params: TileParams,
+    cycles: dict[tuple[int, ...], Triple],
+    values: list[Triple | None],
+) -> int | None:
+    """The digit b with f_b(V_t) = f_a(V_j), or None if no integer does it.
+
+    M^{-1} is injective, so the equality is V_t + (b, 0) = V_j + (a, 0):
+    b = a when t = j, with no junction solved, and otherwise the y parts of
+    the two junctions must agree and their x parts differ by an integer.
+    """
+    if t == j:
+        return a
+    xj, yj, dj = values[j - 1] or map_junction(j - 1, phi, params, cycles, values)
+    xt, yt, dt = values[t - 1] or map_junction(t - 1, phi, params, cycles, values)
+    if yj * dt != yt * dj:
+        return None
+    b, r = divmod(xj * dt - xt * dj, dj * dt)
+    return None if r else a + b
+
+
+def thread_state(
+    state: int,
+    edges: tuple[Edge, ...],
+    steps: dict[int, dict[int, list[Edge]]],
+    phi: tuple[Edge, ...],
+    params: TileParams,
+    cycles: dict[tuple[int, ...], Triple],
+    values: list[Triple | None],
+    where: str,
+) -> tuple[Edge, ...] | None:
+    """The ordering of the state's edges chaining endpoint-to-endpoint from
+    V_state to V_{state+1}, or None if there is none.
+
+    Every point of a chain is a pair (a, j), the point f_a(V_j): the start
+    V_state is f_a(V_t) for phi's first edge (state, a, ., t), the subpiece
+    of an edge (state, b, ., t) runs from f_b(V_t) to f_b(V_{t+1}), and the
+    goal V_{state+1} is read off phi's next entry the same way.  From a
+    point, ``digit_onto`` gives for each target t the one digit b whose
+    subpiece f_b(V_t) starts there, and ``steps`` holds the state's edges by
+    target, then digit.  The chain is searched depth first on an explicit
+    stack of untried edges.  A state whose one edge is phi's first edge
+    (state, a, ., t) starts at (a, t), so its first step is the digit a
+    itself and its test is the one comparison f_a(V_{t+1}) = V_{state+1}.
+    """
+    _, a, _, j = phi[state - 1]
+    _, a_goal, _, t_goal = phi[state % 6]
+    chain: list[Edge] = []
+    stack: list[tuple[int, Edge]] = []  # (chain length before the edge, edge)
+    found = None
+    while True:
+        depth = len(chain)
+        if depth < len(edges):
+            for t, by_digit in steps.items():
+                for e in by_digit.get(digit_onto(a, j, t, phi, params, cycles, values), ()):
+                    if e not in chain:
+                        stack.append((depth, e))
+        elif digit_onto(a, j, t_goal, phi, params, cycles, values) == a_goal:
+            if found is not None:
+                raise CertificateFailure(f"state {state} threads two ways for {where}")
+            found = tuple(chain)
+        if not stack:
+            return found
+        depth, e = stack.pop()
+        del chain[depth:]
+        chain.append(e)
+        a, j = e[1], e[3] % 6 + 1
+
+
+def decide_map(
+    phi: tuple[Edge, ...],
+    outs: list[tuple[Edge, ...]],
+    steps: list[dict[int, dict[int, list[Edge]]]],
+    params: TileParams,
+    cycles: dict[tuple[int, ...], Triple],
+    where: str,
+) -> tuple[tuple[tuple[Edge, ...], ...], tuple[Triple, ...]] | None:
+    """The orders and the junctions V_1..V_6, as reduced triples, of a
+    first-edge map whose states all thread, or None at the first state, in
+    order 1..6, that does not.
+
+    Every state goes to ``thread_state``, which solves a junction into
+    ``values`` (one list per map) only when a comparison reads it.  The
+    junctions are reduced only for a map that completes.
+    """
+    values: list[Triple | None] = [None] * 6
+    orders: list[tuple[Edge, ...]] = []
+    for state in range(1, 7):
+        order = thread_state(
+            state, outs[state - 1], steps[state - 1], phi, params, cycles, values, where
+        )
+        if order is None:
+            return None
+        orders.append(order)
+    junctions = tuple(_reduced(map_junction(i, phi, params, cycles, values)) for i in range(6))
+    return tuple(orders), junctions
+
+
+def edge_tables(
+    graph: ContactGraph,
+) -> tuple[list[tuple[Edge, ...]], list[dict[int, dict[int, list[Edge]]]]]:
+    """Each state's out-edges, and the same edges by target, then digit, as
+    ``thread_state`` reads them."""
+    edges = graph_edges(graph)
+    outs = [tuple(e for e in edges if e[0] == i) for i in range(1, 7)]
+    steps: list[dict[int, dict[int, list[Edge]]]] = []
+    for edges in outs:
+        steps.append({})
+        for e in edges:
+            steps[-1].setdefault(e[3], {}).setdefault(e[1], []).append(e)
+    return outs, steps
+
+
+def order_search(graph: ContactGraph) -> OrderedContactGraph:
+    """The continuous edge ordering, certified unique by deciding every
+    flip-equivariant first-edge map: the search that ``contact-graph`` ran
+    until the lemma of ``contact.ordered_extension`` proved its outcome.
+
+    Each map determines the six traversal junctions exactly, and every
+    state's subpieces must chain from V_i to V_{i+1} by endpoint equality
+    (``decide_map``, states in order 1..6).  No ordering raises
+    NoConsistentOrdering, more than one CertificateFailure, and so does a
+    state that threads two ways.  It takes any graph, including hand-built
+    ones that no pair gives, and returns the ordered graph of its
+    junctions; the one ordering it finds must be the letter table's for the
+    graph's (A, B), or it raises CertificateFailure.
+    """
+    params = graph.params
+    where = f"(A,B)=({params.a},{params.b})"
+    outs, steps = edge_tables(graph)
+    cycles: dict[tuple[int, ...], Triple] = {}
+    complete: dict[tuple[tuple[Edge, ...], ...], tuple[Triple, ...]] = {}
+    with_flips = [[(e, _flip_edge(e, params.b)) for e in sorted(outs[i])] for i in range(3)]
+    for (e1, f1), (e2, f2), (e3, f3) in product(*with_flips):
+        phi = (e1, e2, e3, f1, f2, f3)
+        found = decide_map(phi, outs, steps, params, cycles, where)
+        if found is not None:
+            complete.setdefault(*found)
+    if not complete:
+        raise NoConsistentOrdering(f"no continuous edge ordering for {where}")
+    if len(complete) > 1:
+        raise CertificateFailure(f"{len(complete)} continuous edge orderings for {where}")
+    ((orders, junctions),) = complete.items()
+    ordered = OrderedContactGraph(graph, junctions)
+    if orders != ordered.orders:
+        raise CertificateFailure(f"the ordering found is not the table's for {where}")
+    return ordered
+
+
 def checked_sorted_orders(
     graph: ContactGraph,
 ) -> tuple[tuple[tuple[Edge, ...], ...], tuple[Triple, ...]] | None:
     """The sorted orders (states 4..6 reversed) and phi_0's junctions solved
-    by ``_junction``, once they pass the edge-to-edge check that the lemma of
+    by ``map_junction``, once they pass the edge-to-edge check that the lemma of
     ``contact.ordered_extension`` replaced; None where the first edges are
     not phi_0 or the check fails.
 
@@ -488,13 +701,13 @@ def checked_sorted_orders(
     """
     params = graph.params
     b = params.b
-    outs = [graph.out_edges(i) for i in range(1, 7)]
+    outs = [out_edges(graph, i) for i in range(1, 7)]
     orders = [tuple(sorted(edges, reverse=i > 2)) for i, edges in enumerate(outs)]
     if not all(orders) or any(orders[i + 3][0] != _flip_edge(orders[i][0], b) for i in range(3)):
         return None
     phi = tuple(order[0] for order in orders)
     values: list = [None] * 6
-    junctions = tuple(_reduced(_junction(i, phi, params, {}, values)) for i in range(6))
+    junctions = tuple(_reduced(map_junction(i, phi, params, {}, values)) for i in range(6))
     scale = math.lcm(*(den for _, _, den in junctions))
     xs = [x * (scale // den) for (x, _, den) in junctions]
     ys = [y * (scale // den) for (_, y, den) in junctions]

@@ -43,7 +43,7 @@ from tiletopo.topology import build_d1_d2
 from tiletopo.contact import (
     Walk,
     build_contact_graph,
-    derive_order_extension,
+    ordered_extension,
     psi,
 )
 
@@ -55,6 +55,7 @@ from reference import (
     chain_report_to_json,
     dfa_renumbered,
     first_difference,
+    graph_edges,
     graph_language,
     lex_interval_language,
     nfa_accepts_address,
@@ -201,7 +202,7 @@ def reference_lex_interval_language(ordered, lo, hi):
     def add(key, digit, target):
         trans[key][digit] = trans[key].get(digit, ()) + (target,)
 
-    for e in ordered.graph.edges:
+    for e in graph_edges(ordered.graph):
         add(("free", e[0]), e[1], ("free", e[3]))
 
     def ensure(side, idx):
@@ -324,7 +325,7 @@ class TestLexIntervalLanguage:
     @pytest.mark.parametrize("b", range(5, 24, 2))
     def test_alpha_rows_match_reference(self, b):
         params = TileParams((b + 3) // 2, b)
-        ordered = derive_order_extension(build_contact_graph(params))
+        ordered = ordered_extension(build_contact_graph(params))
         for s, t in alpha_table(params):
             for lo, hi in ((s, t), (t, s)):
                 assert same_language(
@@ -1011,7 +1012,7 @@ class TestGammaFailures:
         # a copy of the (4, 5) setup whose contact graph lacks the edges
         # src -digit-> dst
         s = copy.copy(setup_for(4, 5))
-        edges = tuple(e for e in s.graph.edges if (e[0], e[1], e[3]) != (src, digit, dst))
+        edges = tuple(e for e in graph_edges(s.graph) if (e[0], e[1], e[3]) != (src, digit, dst))
         s.graph = HandBuiltGraph(s.graph.params, s.graph.states, edges)
         return s
 

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import importlib.util
 import io
@@ -584,17 +585,18 @@ class TestParamJsonText:
 
 
 class TestGrowthInB:
-    """``param``'s growth in B pinned by counts, never by times: an op reads
-    no edge list of the contact graph, whose 4B + 2 edges are all a growing
-    B would add, and the greedy walk of a parameter signs O(log B) vectors
+    """``param``'s growth in B pinned by counts, never by times: the
+    contact graph has no edge list, whose 4B + 2 edges are all a growing B
+    would add, and the greedy walk of a parameter signs O(log B) vectors
     per step."""
 
-    @pytest.fixture(autouse=True)
-    def no_edge_list(self, monkeypatch):
-        def refuse(graph):
-            raise AssertionError(f"the edge list of {graph.params} was read")
-
-        monkeypatch.setattr(ContactGraph, "edges", property(refuse))
+    def test_the_graph_has_no_edge_list(self):
+        """The graph is (A, B) and its six states: its edge test and counts
+        read the family rule, and the ordering's letters the letter table,
+        so no command builds the 4B + 2 edges."""
+        graph = build_contact_graph(TileParams(500000, 1000000))
+        assert [f.name for f in dataclasses.fields(ContactGraph)] == ["params", "states"]
+        assert not any(hasattr(graph, name) for name in ("edges", "out_edges", "_outs"))
 
     def test_walk_at_a_million(self, capsys):
         """``param --walk`` at B = 10^6 reads no edge: the ordering's letters
@@ -633,14 +635,15 @@ class TestGrowthInB:
             ["approx", "--A", "4", "--B", "5", "--n", "2"],
             ["render", "--A", "4", "--B", "5", "--n", "1"],
             ["verify-chains", "--A", "4", "--B", "5"],
+            ["contact-graph", "--A", "4", "--B", "5"],
         ],
-        ids=["approx", "render", "verify-chains"],
+        ids=["approx", "render", "verify-chains", "contact-graph"],
     )
     def test_other_commands_read_no_edge(self, capsys, argv):
         """The polygon's walk counts come off ``ContactGraph.adjacency`` and
         the gamma arcs' containment tests off ``has_edge``, both of which
-        read the family rule; the ordering is the letter table's.  Only the
-        search of ``contact-graph`` builds the edge list."""
+        read the family rule; the ordering is the letter table's, and
+        ``contact-graph`` lists the edges off the ordered rows."""
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "") and out
 

@@ -19,7 +19,6 @@ from tiletopo.contact import (
     build_contact_graph,
     contact_states,
     count_walks,
-    derive_order_extension,
     graph_to_dot,
     graph_to_json,
     ordered_extension,
@@ -44,15 +43,13 @@ from conftest import cyclic_walk
 
 
 def ordered(a, b):
-    return derive_order_extension(build_contact_graph(TileParams(a, b)))
+    return ordered_extension(build_contact_graph(TileParams(a, b)))
 
 
-# the exhaustive search, which certifies that the ordering is unique, and the
-# decision of the sorted first-edge map alone.  Tests that predate the second
-# take it as a defaulted argument and have a *_first_map twin, so their ids
-# stay as they were.
+# the exhaustive search over every first-edge map, the oracle of the lemma
+# of ordered_extension, and the closed form itself
 ORDERINGS = pytest.mark.parametrize(
-    "order_fn", [derive_order_extension, ordered_extension], ids=["search", "first_map"]
+    "order_fn", [reference.order_search, ordered_extension], ids=["search", "first_map"]
 )
 
 
@@ -178,19 +175,19 @@ class TestContactGraph:
     def test_edge_rule_4_5(self):
         g = build_contact_graph(TileParams(4, 5))
         # P1 (state 6) -> -R (state 1) exists exactly for (a, a') = (0, 4)
-        edges = [e for e in g.edges if e[0] == 6 and e[3] == 1]
+        edges = [e for e in reference.graph_edges(g) if e[0] == 6 and e[3] == 1]
         assert edges == [(6, 0, 4, 1)]
         # brute-force the congruence M s + (a',0) = s' + (a,0) for all pairs
         m = g.params.matrix
-        for (i, a, ap, j) in g.edges:
+        for (i, a, ap, j) in reference.graph_edges(g):
             s, t = g.states[i - 1], g.states[j - 1]
             ms = (m[0][0] * s[0] + m[0][1] * s[1], m[1][0] * s[0] + m[1][1] * s[1])
             assert (ms[0] + ap, ms[1]) == (t[0] + a, t[1])
 
     def test_a_equals_b_drops_p1_edges(self):
         g = build_contact_graph(TileParams(5, 5))
-        assert not any(e[0] == 6 and e[3] == 1 for e in g.edges)
-        assert not any(e[0] == 3 and e[3] == 4 for e in g.edges)
+        assert not any(e[0] == 6 and e[3] == 1 for e in reference.graph_edges(g))
+        assert not any(e[0] == 3 and e[3] == 4 for e in reference.graph_edges(g))
 
     @pytest.mark.parametrize("a,b", [(1, 2), (2, 2), (4, 5), (5, 5), (6, 9), (12, 12)])
     def test_strongly_connected(self, a, b):
@@ -224,7 +221,7 @@ class TestContactGraph:
                 assert graph.adjacency() == self.edge_families(a, b), (a, b)
                 counts = [[0] * 6 for _ in range(6)]
                 digits = {}
-                for s, x, _, t in graph.edges:
+                for s, x, _, t in reference.graph_edges(graph):
                     counts[s - 1][t - 1] += 1
                     digits.setdefault((s, t), set()).add(x)
                 assert graph.adjacency() == tuple(map(tuple, counts)), (a, b)
@@ -233,11 +230,11 @@ class TestContactGraph:
                         edge_digits = {x for x in range(-1, b + 1) if graph.has_edge(s, x, t)}
                         assert edge_digits == digits.get((s, t), set()), (a, b, s, t)
                 o = ordered_extension(graph)
-                sorted_orders = [tuple(sorted(graph.out_edges(i))) for i in (1, 2, 3)]
+                sorted_orders = [tuple(sorted(reference.out_edges(graph, i))) for i in (1, 2, 3)]
                 flips = [tuple(contact._flip_edge(e, b) for e in order) for order in sorted_orders]
                 assert o.orders == tuple(sorted_orders + flips), (a, b)
                 for s in range(1, 7):
-                    order = sorted(graph.out_edges(s), reverse=s > 3)
+                    order = sorted(reference.out_edges(graph, s), reverse=s > 3)
                     assert o.out_count(s) == len(order), (a, b, s)
                     below = dict.fromkeys(range(1, 7), 0)
                     for k, e in enumerate([*order, None], start=1):
@@ -253,13 +250,12 @@ class TestContactGraph:
     def test_flip_symmetry(self, a, b):
         g = build_contact_graph(TileParams(a, b))
         flip_state = {1: 4, 2: 5, 3: 6, 4: 1, 5: 2, 6: 3}
-        edges = set(g.edges)
-        for (i, x, xp, j) in g.edges:
+        edges = set(reference.graph_edges(g))
+        for (i, x, xp, j) in edges:
             assert (flip_state[i], b - 1 - x, b - 1 - xp, flip_state[j]) in edges
 
     def test_exports_are_stable(self):
-        g = build_contact_graph(TileParams(4, 5))
-        o = derive_order_extension(g)
+        o = ordered(4, 5)
         assert graph_to_dot(o) == graph_to_dot(o)
         assert graph_to_json(o) == graph_to_json(o)
         assert "digraph" in graph_to_dot(o)
@@ -519,62 +515,65 @@ class TestOrdering:
     def test_missing_edge_has_no_ordering(self, dropped):
         # without one edge no flip-equivariant map threads every state
         g = build_contact_graph(TileParams(4, 5))
-        assert dropped in g.edges
-        edges = tuple(e for e in g.edges if e != dropped)
+        assert dropped in reference.graph_edges(g)
+        edges = tuple(e for e in reference.graph_edges(g) if e != dropped)
         with pytest.raises(NoConsistentOrdering, match=r"\(A,B\)=\(4,5\)"):
-            derive_order_extension(reference.HandBuiltGraph(g.params, g.states, edges))
+            reference.order_search(reference.HandBuiltGraph(g.params, g.states, edges))
 
-    def test_orderings_golden_digest(self, order_fn=derive_order_extension):
+    def test_orderings_golden_digest(self):
         # sha256 of repr(orders) + repr(vertices) over all 209 pairs
         # 1 <= A <= B <= 20, recorded with the Fraction search the integer
         # search replaced
         h = hashlib.sha256()
         for b in range(2, 21):
             for a in range(1, b + 1):
-                o = order_fn(build_contact_graph(TileParams(a, b)))
+                o = ordered(a, b)
                 h.update((repr(o.orders) + repr(o.vertices)).encode())
         assert h.hexdigest() == (
             "7ea669d463a8af8a58187cb65e1e0e244e823ddfc0ea80415b35a25aebac6210"
         )
 
-    def test_orderings_golden_digest_first_map(self):
-        self.test_orderings_golden_digest(ordered_extension)
-
-    def test_orderings_golden_digest_large_b(self, order_fn=derive_order_extension):
+    def test_orderings_golden_digest_large_b(self):
         # the same digest over the 610 pairs 21 <= B <= 40, the rest of the
         # param benchmark's grid, recorded with the search that solved all six
         # junctions of every map
         h = hashlib.sha256()
         for b in range(21, 41):
             for a in range(1, b + 1):
-                o = order_fn(build_contact_graph(TileParams(a, b)))
+                o = ordered(a, b)
                 h.update((repr(o.orders) + repr(o.vertices)).encode())
         assert h.hexdigest() == (
             "c7d93d77cf5c1ceb2eb67f7f673a28b1579af9b6f61ff25e49bd5daca9249e92"
         )
 
-    def test_orderings_golden_digest_large_b_first_map(self):
-        self.test_orderings_golden_digest_large_b(ordered_extension)
+    def test_search_matches_closed_form(self):
+        # the lemma of ordered_extension on every pair B <= 40: the search
+        # over every flip-equivariant first-edge map finds one ordering, in
+        # which no state threads two ways, and it is the closed form's
+        for b in range(2, 41):
+            for a in range(1, b + 1):
+                graph = build_contact_graph(TileParams(a, b))
+                assert reference.order_search(graph) == ordered_extension(graph), (a, b)
 
     def test_start_point_table_matches_decide_map(self):
         # the lemma of ordered_extension on every pair B <= 60: its orders
-        # and closed-form junctions are _decide_map's for phi_0
+        # and closed-form junctions are the threading routine's for phi_0
         for b in range(2, 61):
             for a in range(1, b + 1):
                 graph = build_contact_graph(TileParams(a, b))
-                outs, steps = contact._edge_tables(graph)
+                outs, steps = reference.edge_tables(graph)
                 firsts = tuple(min(edges) for edges in outs[:3])
                 phi = firsts + tuple(contact._flip_edge(e, b) for e in firsts)
                 o = ordered_extension(graph)
-                decided = contact._decide_map(phi, outs, steps, graph.params, {}, "")
+                decided = reference.decide_map(phi, outs, steps, graph.params, {}, "")
                 assert (o.orders, o.junctions) == decided, (a, b)
 
     @given(st.integers(61, 10**4).flatmap(lambda b: st.tuples(st.integers(1, b), st.just(b))))
     @settings(max_examples=12, deadline=None, database=None)
     def test_closed_form_matches_checked_orders_drawn(self, pair):
         # past the grid the lemma against its oracle, the edge-to-edge check
-        # of the sorted orders on phi_0's solved junctions; _decide_map takes
-        # seconds per pair at B = 10^4
+        # of the sorted orders on phi_0's solved junctions; the threading
+        # routine takes seconds per pair at B = 10^4
         graph = build_contact_graph(TileParams(*pair))
         o = ordered_extension(graph)
         assert (o.orders, o.junctions) == reference.checked_sorted_orders(graph)
@@ -582,20 +581,88 @@ class TestOrdering:
     @given(st.integers(61, 300).flatmap(lambda b: st.tuples(st.integers(1, b), st.just(b))))
     @settings(max_examples=6, deadline=None)
     def test_closed_form_matches_search_drawn(self, pair):
-        # past the grid of B <= 60 the closed form is the ordering that the
+        # past the grid of B <= 40 the closed form is the ordering that the
         # search certifies unique
         graph = build_contact_graph(TileParams(*pair))
-        assert ordered_extension(graph) == derive_order_extension(graph)
+        assert ordered_extension(graph) == reference.order_search(graph)
+
+    @staticmethod
+    def junction_gaps(params, e2, e3, pairs):
+        """V_s - V_t for each (s, t) of ``pairs`` as an integer triple
+        (x, y, den), under the first-edge map whose edges of states 1..3 are
+        (0, 3), e2 and e3, written (digit, target), and whose edges of 4..6
+        are their flips; the digits may be any integers, as the junctions
+        solve affine equations in them."""
+        firsts = ((1, 0, 0, 3), (2, e2[0], 0, e2[1]), (3, e3[0], 0, e3[1]))
+        phi = firsts + tuple(contact._flip_edge(e, params.b) for e in firsts)
+        values = [None] * 6
+        v = {s: reference.map_junction(s - 1, phi, params, {}, values) for s in (4, 5, 6)}
+        return [
+            (v[s][0] * v[t][2] - v[t][0] * v[s][2], v[s][1] * v[t][2] - v[t][1] * v[s][2], v[s][2] * v[t][2])
+            for s, t in pairs
+        ]
+
+    @staticmethod
+    def affine_root(g0, g1, k):
+        """The a at which coordinate k of the affine g0 + a (g1 - g0) is 0,
+        for triples g0 and g1, or None where that coordinate is constant."""
+        n0, n1 = g0[k] * g1[2], g1[k] * g0[2]
+        return None if n0 == n1 else Fraction(n0, n0 - n1)
+
+    def test_uniqueness_identities_on_grid(self):
+        # step 5 of the lemma of ordered_extension on every pair B <= 200:
+        # each equation is affine in the free digits, so its coefficients
+        # come from the junctions at digits 0 and 1, and its one solution
+        # must be the closed form and lie out of range, or (case t = 4,
+        # t3 = 5, not solved here) be phi_0.  Edges are written (digit,
+        # target).
+        gaps, root = self.junction_gaps, self.affine_root
+        for b in range(2, 201):
+            for a in range(1, b + 1):
+                p = TileParams(a, b)
+                gap = Fraction(b - 1, a * (b - a) + b - 1)  # in (0, 1]
+                # a: state 1 ends at f_0(V_4) = f_a2(V_5), so
+                # V_4 - V_5 - (a2, 0) = 0, two equations in (a2, a3), solved
+                # by Cramer's rule over a common denominator, for either t3
+                for t3 in (4, 5):
+                    e = []
+                    for a2, a3 in ((0, 0), (1, 0), (0, 1)):
+                        ((x, y, d),) = gaps(p, (a2, 5), (a3, t3), [(4, 5)])
+                        e.append((x - a2 * d, y, d))
+                    den = e[0][2] * e[1][2] * e[2][2]
+                    (x0, y0), (x1, y1), (x2, y2) = ((x * den // d, y * den // d) for x, y, d in e)
+                    (ux, uy), (wx, wy) = (x1 - x0, y1 - y0), (x2 - x0, y2 - y0)
+                    det = ux * wy - wx * uy
+                    assert det != 0, (a, b, t3)
+                    assert Fraction(wx * y0 - x0 * wy, det) == -gap, (a, b, t3)
+                # b: state 2's last edge (b', t) ends at f_b'(V_{t+1}), which
+                # must be V_3 = f_a3(V_t3).  t = 5, t3 = 4: y(V_6) = y(V_4)
+                # only below A; t = 4, t3 = 4: y(V_5) = y(V_4) fixes a3, and
+                # then a3 - b' = x(V_5) - x(V_4) is the gap
+                g0, g1 = (gaps(p, (0, 4), (x, 4), [(6, 4), (5, 4)]) for x in (0, 1))
+                r = root(g0[0], g1[0], 1)
+                assert r == Fraction(a * (b - 1), a + b - 1) < a, (a, b)
+                r = root(g0[1], g1[1], 1)
+                assert r is not None and gap == (
+                    Fraction(g0[1][0], g0[1][2]) * (1 - r) + Fraction(g1[1][0], g1[1][2]) * r
+                ), (a, b)
+                assert (gap == 1) == (a == b), (a, b)
+                # t = 5, t3 = 5: y(V_6) = y(V_5) only below A - 1, wherever
+                # state 2 has an edge to 5
+                ((g0,), (g1,)) = (gaps(p, (0, 4), (x, 5), [(6, 5)]) for x in (0, 1))
+                r = root(g0, g1, 1)
+                assert r == Fraction((b - 1) * (a * a - b), a * (a - 1) + b * (b - 1)), (a, b)
+                assert a == 1 or r < a - 1, (a, b)
 
     def test_thread_state_matches_fraction_threading(self):
         # every state of every first-edge map of every pair B <= 7, decided
-        # by _thread_state and by a brute-force Fraction search whose
-        # junctions are point_eval of each state's phi-walk address
+        # by the oracle's thread_state and by a brute-force Fraction search
+        # whose junctions are point_eval of each state's phi-walk address
         verdicts = []
         for b in range(2, 8):
             for a in range(1, b + 1):
                 graph = build_contact_graph(TileParams(a, b))
-                outs = [graph.out_edges(i) for i in range(1, 7)]
+                outs = [reference.out_edges(graph, i) for i in range(1, 7)]
                 cycles = {}
                 for firsts in product(*(sorted(outs[i]) for i in range(3))):
                     phi = firsts + tuple(contact._flip_edge(e, b) for e in firsts)
@@ -607,7 +674,7 @@ class TestOrdering:
                             steps.setdefault(e[3], {}).setdefault(e[1], []).append(e)
                         expected = fraction_threadings(state, edges, junction, graph.params)
                         try:
-                            got = contact._thread_state(
+                            got = reference.thread_state(
                                 state, edges, steps, phi, graph.params, cycles, values, ""
                             )
                             got = [] if got is None else [got]
@@ -630,11 +697,11 @@ class TestOrdering:
         p = TileParams(4, 5)
         edges = ((1, 0, 0, 1), (1, 0, 0, 2), (2, 0, 0, 2), (3, 0, 0, 3))
         graph = reference.HandBuiltGraph(p, contact_states(p), edges)
-        decide, maps = contact._decide_map, []
-        monkeypatch.setattr(contact, "_decide_map", lambda *args: maps.append(args[0]) or decide(*args))
+        decide, maps = reference.decide_map, []
+        monkeypatch.setattr(reference, "decide_map", lambda *args: maps.append(args[0]) or decide(*args))
         two_ways = r"state 1 threads two ways for \(A,B\)=\(4,5\)"
         with pytest.raises(CertificateFailure, match=two_ways):
-            derive_order_extension(graph)
+            reference.order_search(graph)
         firsts = ((1, 0, 0, 1), (2, 0, 0, 2), (3, 0, 0, 3))
         assert maps == [firsts + tuple(contact._flip_edge(e, 5) for e in firsts)]
 
@@ -655,7 +722,7 @@ class TestOrdering:
     def test_ordering_off_the_table_is_a_failure(self, monkeypatch):
         # a map decision that completes phi_0 alone, with state 2's letters
         # reversed: one ordering, but not the letter table's
-        decide, maps = contact._decide_map, []
+        decide, maps = reference.decide_map, []
 
         def first_map_reversed(phi, outs, *rest):
             maps.append(phi)
@@ -664,10 +731,10 @@ class TestOrdering:
             orders, junctions = decide(phi, outs, *rest)
             return (orders[0], orders[1][::-1], *orders[2:]), junctions
 
-        monkeypatch.setattr(contact, "_decide_map", first_map_reversed)
+        monkeypatch.setattr(reference, "decide_map", first_map_reversed)
         off_table = r"^the ordering found is not the table's for \(A,B\)=\(4,5\)$"
         with pytest.raises(CertificateFailure, match=off_table):
-            ordered(4, 5)
+            reference.order_search(build_contact_graph(TileParams(4, 5)))
 
     def test_two_complete_orderings_are_a_failure(self, monkeypatch):
         # a map decision that succeeds on every map, in sorted and reversed
@@ -679,26 +746,26 @@ class TestOrdering:
             orders = tuple(tuple(sorted(edges, reverse=len(maps) % 2 == 0)) for edges in outs)
             return orders, ((Fraction(0), Fraction(0)),) * 6
 
-        monkeypatch.setattr(contact, "_decide_map", decide_alternately)
+        monkeypatch.setattr(reference, "decide_map", decide_alternately)
         two_orderings = r"^2 continuous edge orderings for \(A,B\)=\(4,5\)"
         with pytest.raises(CertificateFailure, match=two_orderings):
-            ordered(4, 5)
+            reference.order_search(build_contact_graph(TileParams(4, 5)))
 
     @pytest.mark.parametrize("a,b", [(4, 5), (5, 5), (7, 11), (19, 38)])
     def test_every_first_edge_map_is_visited(self, a, b, monkeypatch):
         # "exactly one ordering" certifies only if no map is skipped
         graph = build_contact_graph(TileParams(a, b))
-        decide = contact._decide_map
+        decide = reference.decide_map
         maps = []
 
         def counting(*args):
             maps.append(args[0])
             return decide(*args)
 
-        monkeypatch.setattr(contact, "_decide_map", counting)
-        derive_order_extension(graph)
+        monkeypatch.setattr(reference, "decide_map", counting)
+        reference.order_search(graph)
         assert len(maps) == len(set(maps))
-        assert len(maps) == math.prod(len(graph.out_edges(i)) for i in (1, 2, 3))
+        assert len(maps) == math.prod(len(reference.out_edges(graph, i)) for i in (1, 2, 3))
 
     def test_vertex_count_matches_walks(self):
         o = ordered(4, 5)

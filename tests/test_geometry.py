@@ -13,7 +13,7 @@ from tiletopo.contact import (
     approx_boundary,
     build_contact_graph,
     count_walks,
-    derive_order_extension,
+    ordered_extension,
 )
 from tiletopo.geometry import _candidate_pairs, polygon_is_simple_closed, polyline_hausdorff
 from tiletopo.numsys import TileParams
@@ -251,7 +251,7 @@ def _boundary_polygons():
     each at its first level with 1,000 walks or more, where that is at most 4."""
     for b in range(2, 13):
         for a in range(1, b + 1):
-            ordered = derive_order_extension(build_contact_graph(TileParams(a, b)))
+            ordered = ordered_extension(build_contact_graph(TileParams(a, b)))
             n = next(n for n in range(30) if count_walks(ordered.graph, n) >= 1000)
             if (a, b) != (1, 2) and n <= 4:
                 yield (a, b, n), approx_boundary(ordered, n).point_array
@@ -310,7 +310,7 @@ class TestVectorizedPath:
     def test_boundary_candidate_digests(self, a, b, n, sha):
         """Digests recorded with the per-cell bucket loop that the sorted
         grouping replaced; the pair array must not change."""
-        ordered = derive_order_extension(build_contact_graph(TileParams(a, b)))
+        ordered = ordered_extension(build_contact_graph(TileParams(a, b)))
         points = approx_boundary(ordered, n).point_array.tolist()
         pi = _candidate_pairs(_closed(points))
         assert pi.dtype == np.int64

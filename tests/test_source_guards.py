@@ -479,7 +479,6 @@ def _stores_into_parameters(source: str) -> list[tuple[str, int, str]]:
 
 # function -> why it writes into what it is given
 _WRITES_INTO_PARAMETERS = {
-    "contact._junction": "fills the per-map memos `values` and `cycles` that its callers own",
     "algebraic.NumberField.reduce": "reduces the list it is given in place, its callers' scratch",
 }
 
