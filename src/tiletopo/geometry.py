@@ -9,10 +9,11 @@ the LCM of the coordinate denominators (ints have denominator 1).  The
 integers are int64 when every coordinate is below 2**30, so that every
 orientation product fits, and Python ints otherwise.  Repeated vertices are
 found by sorting one integer key per vertex, x * 2**(b+1) + y for
-coordinates below 2**b, and comparing neighbours.  The spike test, the four
-orientation signs of each candidate pair, and the crossings and touches read
-off those signs are array expressions on it, whatever its dtype; no pair is
-looked at one by one.  The sweep's floats are that array divided by one
+coordinates below 2**b, and comparing neighbours.  The four orientation
+signs of each candidate pair, and the crossings and touches read off those
+signs, are array expressions on it, whatever its dtype; no pair is looked at
+one by one.  A spike is a touch too, except in a triangle, which is tested
+for collinearity instead.  The sweep's floats are that array divided by one
 power of two, which is exact for int64 and correctly rounded for Python
 ints, and never overflows.  The subdivision pieces are extremely anisotropic
 slivers sharing one elongation axis, so the sweep works on padded segment
@@ -101,7 +102,14 @@ def _candidate_pairs(iarr: np.ndarray) -> np.ndarray:
 def polygon_is_simple_closed(vertices: np.ndarray | tuple[Point, ...]) -> bool:
     """No repeated vertices, no spikes, and no contact between non-adjacent
     edges of the closed polygon.  ``vertices`` is an (m, 2) integer array,
-    int64 or Python ints, or a tuple of int or Fraction pairs."""
+    int64 or Python ints, or a tuple of int or Fraction pairs.
+
+    Only a triangle needs a spike test of its own, and for three distinct
+    vertices it is a collinearity test: all three edges are adjacent.  With
+    m >= 4 a spike p, q, r (r folding back along qp) puts r on edge pq or p
+    on edge qr.  Edge pq is not adjacent to r's outgoing edge rs, nor qr to
+    p's incoming edge op, as m >= 4, so a touch term of that pair already
+    rejects the polygon."""
     m = len(vertices)
     if m < 3:
         return False
@@ -120,12 +128,8 @@ def polygon_is_simple_closed(vertices: np.ndarray | tuple[Point, ...]) -> bool:
     keys = np.sort(iarr[:-1, 0] * 2 ** (bits + 1) + iarr[:-1, 1])
     if (keys[1:] == keys[:-1]).any():
         return False
-    # adjacent pairs may only share the common vertex; a spike folds back
-    p, q = iarr[:-1], iarr[1:]
-    r = np.roll(q, -1, axis=0)
-    inward = ((p - q) * (r - q)).sum(axis=1) > 0
-    if ((_cross(p, q, r) == 0) & inward).any():
-        return False
+    if m == 3:  # a flat triangle folds back at its middle vertex
+        return bool(_cross(iarr[:1], iarr[1:2], iarr[2:3])[0] != 0)
     pi = _candidate_pairs(iarr)
     a1, a2 = iarr[pi[:, 0]], iarr[pi[:, 0] + 1]
     b1, b2 = iarr[pi[:, 1]], iarr[pi[:, 1] + 1]

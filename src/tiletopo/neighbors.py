@@ -175,23 +175,22 @@ def certified_series_bound(params: TileParams) -> tuple[Mat2, int]:
 def _ball_rows(params: TileParams) -> dict[int, tuple[int, int]]:
     """The certified ball by rows: y -> (lo, hi) for every row y that holds
     an integer point s = (x, y) with ||R @ s||_inf <= c, whose points are
-    then the x of lo..hi.  |s| <= c |R^{-1}| entrywise bounds the rows and
-    columns, and each row is the x-interval cut out by the two slabs, by
-    floor division.  A slab with cx = 0 cuts no x: it is a row (0, cy) of
-    R, so r00 = 0 or r10 = 0, and then y_max is c // |cy|, the slab's own
-    bound."""
+    then the x of lo..hi.  |s| <= c |R^{-1}| entrywise bounds the rows, and
+    each row is the x-interval cut out by the slabs, by floor division.  R
+    is invertible, so at least one slab cuts x and every row is bounded.  A
+    slab with cx = 0 cuts no x: it is a row (0, cy) of R, so r00 = 0 or
+    r10 = 0, and then y_max is c // |cy|, the slab's own bound."""
     r, c = certified_series_bound(params)
     (r00, r01), (r10, r11) = r
-    det_r = abs(r00 * r11 - r01 * r10)
-    x_max, y_max = c * (abs(r11) + abs(r01)) // det_r, c * (abs(r10) + abs(r00)) // det_r
+    y_max = c * (abs(r10) + abs(r00)) // abs(r00 * r11 - r01 * r10)
     # each slab |cx x + cy y| <= c that cuts x, with cx > 0; y_max bounds
     # the one with cx = 0
-    cuts = [(cx, cy) if cx > 0 else (-cx, -cy) for cx, cy in r if cx]
+    (cx, cy), *others = [(cx, cy) if cx > 0 else (-cx, -cy) for cx, cy in r if cx]
     rows = {}
     for y in range(-y_max, y_max + 1):
-        lo, hi = -x_max, x_max
-        for cx, cy in cuts:
-            low, high = -((c + cy * y) // cx), (c - cy * y) // cx
+        lo, hi = -((c + cy * y) // cx), (c - cy * y) // cx
+        for dx, dy in others:
+            low, high = -((c + dy * y) // dx), (c - dy * y) // dx
             lo, hi = (low if low > lo else lo), (high if high < hi else hi)
         if lo <= hi:
             rows[y] = (lo, hi)

@@ -594,7 +594,7 @@ class TestGrowthInB:
         """The graph is (A, B) and its six states: its edge test and counts
         read the family rule, and the ordering's letters the letter table,
         so no command builds the 4B + 2 edges."""
-        graph = build_contact_graph(TileParams(500000, 1000000))
+        graph = build_contact_graph(TileParams(4, 5))
         assert [f.name for f in dataclasses.fields(ContactGraph)] == ["params", "states"]
         assert not any(hasattr(graph, name) for name in ("edges", "out_edges", "_outs"))
 

@@ -581,8 +581,8 @@ class TestOrdering:
     @given(st.integers(61, 300).flatmap(lambda b: st.tuples(st.integers(1, b), st.just(b))))
     @settings(max_examples=6, deadline=None)
     def test_closed_form_matches_search_drawn(self, pair):
-        # past the grid of B <= 40 the closed form is the ordering that the
-        # search certifies unique
+        # past the grids the closed form is the ordering that the search
+        # certifies unique
         graph = build_contact_graph(TileParams(*pair))
         assert ordered_extension(graph) == reference.order_search(graph)
 

@@ -2,17 +2,19 @@
 
     python3 tools/unrun_lines.py
 
-runs the Tier-1 suite (pytest on ``tests/``) in this process under a
-``sys.settrace`` line tracer that records only frames whose code lies in
-src/tiletopo, then prints, per module, the executable lines that never ran
-and their count, and the total.  Executable lines are the line numbers of
-the compiled code objects, nested ones included, so docstrings, comments and
-blank lines do not count.  Every module's source is read once, before the
-run, and its executable lines come from that snapshot, so a module edited
-while the suite runs is still listed by the lines that ran.  Tests that start a subprocess run the package
-there, untraced, so lines that only such tests reach are listed too.  Only
-the standard library and pytest are used; the tracing makes the suite
-several times slower.
+takes no arguments: ``--help`` (or ``-h``) prints this text, and any other
+argument prints it to stderr and exits with code 2.  It runs the Tier-1
+suite (pytest on ``tests/``) in this process under a ``sys.settrace`` line
+tracer that records only frames whose code lies in src/tiletopo, then
+prints, per module, the executable lines that never ran and their count,
+and the total.  Executable lines are the line numbers of the compiled code
+objects, nested ones included, so docstrings, comments and blank lines do
+not count.  Every module's source is read once, before the run, and its
+executable lines come from that snapshot, so a module edited while the
+suite runs is still listed by the lines that ran.  Tests that start a
+subprocess run the package there, untraced, so lines that only such tests
+reach are listed too.  Only the standard library and pytest are used; the
+tracing makes the suite several times slower.
 """
 
 from __future__ import annotations
@@ -68,7 +70,11 @@ def run_traced() -> tuple[int, dict[str, set[int]]]:
     return int(code), ran
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
+    if argv:
+        asked = argv in (["-h"], ["--help"])
+        print(__doc__, end="", file=sys.stdout if asked else sys.stderr)
+        return 0 if asked else 2
     sys.path.insert(0, str(PACKAGE.parent))
     sources = {path: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     code, ran = run_traced()
@@ -84,4 +90,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))
