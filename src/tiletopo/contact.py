@@ -367,7 +367,8 @@ def ordered_extension(graph: ContactGraph) -> OrderedContactGraph:
        b. State 2's last edge (b, t), b <= A-1, ends at f_b(V_{t+1}), which
           must be V_3 = f_{a3}(V_{t3}): V_{t+1} + (b, 0) = V_{t3} + (a3, 0).
           State 3's edges to 4 have a3 >= A, those to 5 have a3 >= A-1.
-          - t = 4, t3 = 5: V_5 = V_5 asks a3 = b, so a3 = A-1: phi_0.
+          - t = 4, t3 = 5: both are images of V_5, so this asks a3 = b,
+            and b <= A-1 <= a3 gives a3 = A-1: phi_0.
           - t = 5, t3 = 4: the y parts of V_6 and V_4 agree only at
             a3 = A(B-1)/(A+B-1) < A.
           - t = 5, t3 = 5: the y parts of V_6 and V_5 agree only at
