@@ -13,9 +13,9 @@ integer forms replaced, kept as their oracles; they compute with
 v_i / total.  ``perron_data`` is the cofactor solve of the flip-folded
 system that the package's closed form replaced, and
 ``is_strongly_connected``, the reachability test it runs, left the package
-with it.  ``graph_edges`` and ``out_edges`` list a contact graph's edges, which the
-package never builds: its graph reads its edge test and counts off (A, B).
-``HandBuiltGraph`` is a contact graph that carries an edge tuple of its
+with it.  ``graph_edges`` and ``out_edges`` list a contact graph's edges,
+which the package never builds: its graph reads its edge test and counts
+off (A, B).  ``HandBuiltGraph`` is a contact graph that carries an edge tuple of its
 own, as the tests that remove or invent edges build it, and reads its edge
 test and counts off it.  ``order_search`` is the search over every
 flip-equivariant first-edge map that ``contact-graph`` ran until the lemma

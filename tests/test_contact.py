@@ -597,10 +597,11 @@ class TestOrdering:
         phi = firsts + tuple(contact._flip_edge(e, params.b) for e in firsts)
         values = [None] * 6
         v = {s: reference.map_junction(s - 1, phi, params, {}, values) for s in (4, 5, 6)}
-        return [
-            (v[s][0] * v[t][2] - v[t][0] * v[s][2], v[s][1] * v[t][2] - v[t][1] * v[s][2], v[s][2] * v[t][2])
-            for s, t in pairs
-        ]
+        gaps = []
+        for s, t in pairs:
+            (xs, ys, ds), (xt, yt, dt) = v[s], v[t]
+            gaps.append((xs * dt - xt * ds, ys * dt - yt * ds, ds * dt))
+        return gaps
 
     @staticmethod
     def affine_root(g0, g1, k):
