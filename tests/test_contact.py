@@ -520,31 +520,37 @@ class TestOrdering:
         with pytest.raises(NoConsistentOrdering, match=r"\(A,B\)=\(4,5\)"):
             reference.order_search(reference.HandBuiltGraph(g.params, g.states, edges))
 
-    def test_orderings_golden_digest(self):
+    def test_orderings_golden_digest(self, order_fn=reference.order_search):
         # sha256 of repr(orders) + repr(vertices) over all 209 pairs
         # 1 <= A <= B <= 20, recorded with the Fraction search the integer
-        # search replaced
+        # search replaced; the search runs here, the closed form in the twin
         h = hashlib.sha256()
         for b in range(2, 21):
             for a in range(1, b + 1):
-                o = ordered(a, b)
+                o = order_fn(build_contact_graph(TileParams(a, b)))
                 h.update((repr(o.orders) + repr(o.vertices)).encode())
         assert h.hexdigest() == (
             "7ea669d463a8af8a58187cb65e1e0e244e823ddfc0ea80415b35a25aebac6210"
         )
 
-    def test_orderings_golden_digest_large_b(self):
+    def test_orderings_golden_digest_first_map(self):
+        self.test_orderings_golden_digest(ordered_extension)
+
+    def test_orderings_golden_digest_large_b(self, order_fn=reference.order_search):
         # the same digest over the 610 pairs 21 <= B <= 40, the rest of the
         # param benchmark's grid, recorded with the search that solved all six
         # junctions of every map
         h = hashlib.sha256()
         for b in range(21, 41):
             for a in range(1, b + 1):
-                o = ordered(a, b)
+                o = order_fn(build_contact_graph(TileParams(a, b)))
                 h.update((repr(o.orders) + repr(o.vertices)).encode())
         assert h.hexdigest() == (
             "c7d93d77cf5c1ceb2eb67f7f673a28b1579af9b6f61ff25e49bd5daca9249e92"
         )
+
+    def test_orderings_golden_digest_large_b_first_map(self):
+        self.test_orderings_golden_digest_large_b(ordered_extension)
 
     def test_search_matches_closed_form(self):
         # the lemma of ordered_extension on every pair B <= 40: the search
