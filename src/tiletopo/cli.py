@@ -15,6 +15,7 @@ from collections.abc import Callable
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import TextIO
 
 from .errors import (
     CertificateFailure,
@@ -145,14 +146,16 @@ def _document(args, make: Callable[[], str]) -> str | None:
     return make() if args.format == "json" or args.out is not None else None
 
 
-def _write(args, name: str, content: str) -> Path | None:
-    """Write a file under --out, if given."""
+def _write(args, name: str, fill: Callable[[TextIO], object]) -> Path | None:
+    """Write a file under --out, if given: ``fill`` writes its text to the
+    open file, in as many pieces as it likes."""
     if args.out is None:
         return None
     path = Path(args.out) / name
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(content, encoding="utf-8")
+        with path.open("w", encoding="utf-8") as fh:
+            fill(fh)
     except OSError as exc:
         print(f"error: cannot write {path}: {exc}", file=sys.stderr)
         raise SystemExit(1) from None
@@ -234,11 +237,11 @@ def _cmd_contact_graph(args) -> int:
     if args.dot:
         text = graph_to_dot(ordered)
         print(text, end="")
-        _write(args, f"contact_A{params.a}_B{params.b}.dot", text)
+        _write(args, f"contact_A{params.a}_B{params.b}.dot", lambda fh: fh.write(text))
     else:
         text = _dumps(graph_to_json(ordered))
         print(text)
-        _write(args, f"contact_A{params.a}_B{params.b}.json", text + "\n")
+        _write(args, f"contact_A{params.a}_B{params.b}.json", lambda fh: print(text, file=fh))
     return 0
 
 
@@ -283,7 +286,8 @@ def _cmd_approx(args) -> int:
     params = _params_from(args)
     text = polygon_json_text(params, args.n, args.budget)
     print(text)
-    _write(args, f"boundary_A{params.a}_B{params.b}_n{args.n}.json", text + "\n")
+    name = f"boundary_A{params.a}_B{params.b}_n{args.n}.json"
+    _write(args, name, lambda fh: print(text, file=fh))
     return 0
 
 
@@ -299,7 +303,7 @@ def _cmd_cutpoint(args) -> int:
     )
     _emit(args, doc, text)
     if doc is not None:
-        _write(args, f"cutpoint_A{params.a}_B{params.b}.json", doc + "\n")
+        _write(args, f"cutpoint_A{params.a}_B{params.b}.json", lambda fh: print(doc, file=fh))
     return 0
 
 
@@ -317,27 +321,23 @@ def _cmd_verify_chains(args) -> int:
     else:
         print(report.to_text(), end="")
     if doc is not None:
-        _write(args, f"chains_A{params.a}_B{params.b}.json", doc + "\n")
+        _write(args, f"chains_A{params.a}_B{params.b}.json", lambda fh: print(doc, file=fh))
     if not report.ok:
         return 3
     return 0
 
 
 def _cmd_render(args) -> int:
-    from .render import render_boundary, render_cutpoint, render_patch
+    from .render import boundary_scene, cutpoint_scene, patch_scene, write_svg
 
     params = _params_from(args)
-    kind = args.kind
-    if kind == "boundary":
-        svg = render_boundary(params, args.n, args.budget)
-    elif kind == "patch":
-        svg = render_patch(params, args.n, args.budget)
-    else:
-        svg = render_cutpoint(params, args.n, args.budget)
-    name = f"{kind}_A{params.a}_B{params.b}_n{args.n}.svg"
-    path = _write(args, name, svg)
+    build = {"boundary": boundary_scene, "patch": patch_scene, "cutpoint": cutpoint_scene}
+    # the scene, and its simple-closed check, come before the file is opened
+    scene = build[args.kind](params, args.n, args.budget)
+    name = f"{args.kind}_A{params.a}_B{params.b}_n{args.n}.svg"
+    path = _write(args, name, lambda fh: write_svg(scene, fh))
     if path is None:
-        print(svg, end="")
+        write_svg(scene, sys.stdout)
     else:
         print(str(path))
     return 0
@@ -374,8 +374,8 @@ def _cmd_sweep(args) -> int:
     doc = _document(args, lambda: _dumps(payload))
     _emit(args, doc, text)
     if doc is not None:
-        _write(args, "sweep.json", doc + "\n")
-    _write(args, "sweep.txt", text)
+        _write(args, "sweep.json", lambda fh: print(doc, file=fh))
+    _write(args, "sweep.txt", lambda fh: fh.write(text))
     return 0
 
 

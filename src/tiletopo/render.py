@@ -9,20 +9,25 @@ correctly rounded int/int division.  The shifted points are int64, divided
 as float64, while every shifted coordinate and the scale are at most 2**53,
 where that division is exact int/int too, and Python ints otherwise.  Each
 distinct value on an axis is divided and formatted once: a patch repeats
-its coordinates many times.  The distinct values are found without building
-the shifted grid: per axis, one ``np.unique`` over the polygon's values plus
-each distinct shift on that axis.  The polygon JSON is written straight
-from the same array in its fixed layout, with each distinct coordinate
-turned into a ratio once.  Ordering is fixed and nothing depends on hashes
-or time.  The y axis is flipped, in integers, so figures follow the
-mathematical orientation.
+its coordinates many times.  The shifted grid is never built: each axis's
+table of strings spans its distinct shifts times the polygon's distinct
+values, and a translate reads its points from one row of each.  The SVG
+is a stream: ``_svg_pieces`` yields the header, one complete line per
+translate, the markers and the footer, ``write_svg`` writes them to a file
+one by one and ``scene_to_svg`` joins them.  The polygon JSON is written
+straight from the same array in its fixed layout, with each distinct
+coordinate turned into a ratio once.  Ordering is fixed and nothing depends
+on hashes or time.  The y axis is flipped, in integers, so figures follow
+the mathematical orientation.
 """
 
 from __future__ import annotations
 
 import colorsys
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TextIO
 
 import numpy as np
 
@@ -87,61 +92,89 @@ def palette(n: int) -> list[str]:
 _FLOAT_EXACT = 2**53
 
 
-def _points_attributes(scene: Scene) -> list[str]:
-    """The ``points`` attribute of each translate, "x,y x,y ..." with x and y
-    as ``"%.12g" % (p / scale)`` and y negated.
+def _axis_tables(scene: Scene) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per axis, x and then y negated: the text of every shifted coordinate
+    as a (k, d) table over the axis's k distinct shifts and the polygon's d
+    distinct values, each string ``"%.12g" % (p / scale)`` with its
+    separator (x with ",", y with " "); the row of each translate; and the
+    column of each vertex.
 
-    The translates' points form one integer grid, shifted and y-negated in
-    integers; it is int64 and divided as float64 while every shifted
+    The coordinates are int64 and divided as float64 while every shifted
     coordinate and the scale are at most 2**53, and Python ints divided by
-    exact int/int otherwise, with the same code.  The grid is never built:
-    per axis, one ``np.unique`` over the base values plus each distinct
-    shift on that axis gives the axis's distinct values and each one's
-    rank.  The distinct values are formatted in one ``%`` pass, each with
-    its separator (x with ",", y with " "), and gathered into one
-    interleaved row per translate that one join turns into text."""
+    exact int/int otherwise, with the same code.  The k rows of sums are
+    each sorted, so one stable argsort merges them (timsort merges runs),
+    and the cumulative count of new values ranks each sum among the
+    distinct ones, which one ``%`` pass formats."""
     s = scene.scale
-    base = scene.polygon
     shifts = [(sx * s, -sy * s) for (sx, sy), _ in scene.translates]
-    if not len(base) or not shifts:
-        return [""] * len(shifts)
-    reach = max(-int(base.min()), int(base.max())) + max(abs(c) for sh in shifts for c in sh)
+    reach = max(-int(scene.polygon.min()), int(scene.polygon.max()))
+    reach += max(abs(c) for sh in shifts for c in sh)
     dtype = np.int64 if max(reach, s) <= _FLOAT_EXACT else object
-    base = base.astype(dtype) * np.array([1, -1], dtype=dtype)
+    base = scene.polygon.astype(dtype) * np.array([1, -1], dtype=dtype)
     shift = np.array(shifts, dtype=dtype)
-    rows = np.empty((len(shifts), 2 * len(base)), dtype=object)
     for c, sep in ((0, ","), (1, " ")):
-        axis, which = np.unique(shift[:, c], return_inverse=True)
-        values, rank = np.unique(base[:, c] + axis[:, None], return_inverse=True)
+        axis, row = np.unique(shift[:, c], return_inverse=True)
+        distinct, column = np.unique(base[:, c], return_inverse=True)
+        sums = (axis[:, None] + distinct).ravel()
+        order = np.argsort(sums, kind="stable")
+        merged = sums[order]
+        new = np.ones(len(merged), dtype=bool)
+        new[1:] = merged[1:] != merged[:-1]
+        rank = np.empty(len(merged), dtype=np.intp)
+        rank[order] = np.cumsum(new) - 1
+        values = merged[new]
         text = ("%.12g" + sep + "\n") * len(values) % tuple((values / s).tolist())
         strings = np.array(text.split("\n")[:-1], dtype=object)
-        rows[:, c::2] = strings[rank.reshape(len(axis), -1)[which]]
-    # every row ends in the last y's separator
-    return ["".join(row)[:-1] for row in rows.tolist()]
+        yield strings[rank.reshape(len(axis), -1)], row, column
 
 
-def scene_to_svg(scene: Scene) -> str:
+def _svg_pieces(scene: Scene) -> Iterator[str]:
+    """The document in order: the header, one ``<polygon .../>`` line per
+    translate, one ``<circle>`` line per marker and the footer.
+
+    A translate's line is one join of its points between the line's head
+    and tail: its row of each axis table, gathered at the vertices'
+    columns, interleaved x, y, x, y."""
     x0, y0, x1, y1 = scene.viewbox()
     w, h = x1 - x0, y1 - y0
     stroke = float(max(w, h)) / 600
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
+    yield (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'viewBox="{fmt(x0)} {fmt(-y1)} {fmt(w)} {fmt(h)}" '
-        f'width="640" height="{fmt(640*float(h)/float(w))}">',
-    ]
-    for pts, (_, style) in zip(_points_attributes(scene), scene.translates):
+        f'width="640" height="{fmt(640*float(h)/float(w))}">\n'
+    )
+    m = len(scene.polygon)
+    if m and scene.translates:
+        (xs, xrow, xcol), (ys, yrow, ycol) = _axis_tables(scene)
+    line = np.empty(2 * m + 2, dtype=object)
+    line[0] = '<polygon points="'
+    for t, (_, style) in enumerate(scene.translates):
         attrs = " ".join(f'{k}="{v}"' for k, v in sorted(style.items()))
-        lines.append(f'<polygon points="{pts}" stroke-width="{fmt(stroke)}" {attrs}/>')
+        line[-1] = f'" stroke-width="{fmt(stroke)}" {attrs}/>\n'
+        if m:
+            line[1:-1:2] = xs[xrow[t]][xcol]
+            line[2:-1:2] = ys[yrow[t]][ycol]
+            line[-2] = line[-2][:-1]  # the last y without its separator
+        yield "".join(line.tolist())
     s = scene.scale
     for point, label in scene.markers:
-        lines.append(
+        yield (
             f'<circle cx="{fmt(point[0] / s)}" cy="{fmt(-point[1] / s)}" '
             f'r="{fmt(4*stroke)}" fill="#c01010" stroke="none">'
-            f"<title>{label}</title></circle>"
+            f"<title>{label}</title></circle>\n"
         )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    yield "</svg>\n"
+
+
+def scene_to_svg(scene: Scene) -> str:
+    return "".join(_svg_pieces(scene))
+
+
+def write_svg(scene: Scene, fh: TextIO) -> None:
+    """Write ``scene_to_svg(scene)`` to the text file ``fh`` one piece at a
+    time, so that no whole document is built."""
+    fh.writelines(_svg_pieces(scene))
 
 
 def _boundary_polygon(params: TileParams, n: int, budget: int) -> BoundaryApprox:
@@ -154,14 +187,14 @@ def _boundary_polygon(params: TileParams, n: int, budget: int) -> BoundaryApprox
     return approx
 
 
-def render_boundary(params: TileParams, n: int, budget: int = 10**6) -> str:
+def boundary_scene(params: TileParams, n: int, budget: int = 10**6) -> Scene:
     """Closed polygonal approximation of the boundary at level n."""
     approx = _boundary_polygon(params, n, budget)
     style = {"fill": "none", "stroke": "#202060"}
-    return scene_to_svg(Scene(approx.scale, approx.point_array, [((0, 0), style)]))
+    return Scene(approx.scale, approx.point_array, [((0, 0), style)])
 
 
-def render_patch(params: TileParams, n: int, budget: int = 10**6) -> str:
+def patch_scene(params: TileParams, n: int, budget: int = 10**6) -> Scene:
     """The level-n boundary and its translates by every neighbor."""
     approx = _boundary_polygon(params, n, budget)
     shifts = [(0, 0)] + neighbor_set_formula(params).sorted_members()
@@ -169,10 +202,10 @@ def render_patch(params: TileParams, n: int, budget: int = 10**6) -> str:
         (shift, {"fill": color, "fill-opacity": "0.55", "stroke": "#303030"})
         for shift, color in zip(shifts, palette(len(shifts)))
     ]
-    return scene_to_svg(Scene(approx.scale, approx.point_array, translates))
+    return Scene(approx.scale, approx.point_array, translates)
 
 
-def render_cutpoint(params: TileParams, n: int, budget: int = 10**6) -> str:
+def cutpoint_scene(params: TileParams, n: int, budget: int = 10**6) -> Scene:
     """Boundary at level n with the cut point marked exactly."""
     a, b = params.a, params.b
     if 2 * a - b < 5:
@@ -182,7 +215,7 @@ def render_cutpoint(params: TileParams, n: int, budget: int = 10**6) -> str:
     z = point_eval(cut_point_address(params), params)
     style = {"fill": "none", "stroke": "#202060"}
     marker = ((z[0] * s, z[1] * s), "cut point")
-    return scene_to_svg(Scene(s, approx.point_array, [((0, 0), style)], [marker]))
+    return Scene(s, approx.point_array, [((0, 0), style)], [marker])
 
 
 def polygon_json_text(params: TileParams, n: int, budget: int = 10**6) -> str:
@@ -192,8 +225,8 @@ def polygon_json_text(params: TileParams, n: int, budget: int = 10**6) -> str:
     "level": n, "vertices": [[x, y], ...]}`` with each coordinate as its
     ratio string, a digit ratio with nothing to escape.  Each distinct
     coordinate is reduced by one array ``gcd`` with the scale (int64 or
-    Python ints) and written by one ``%`` pass; the ratios and the JSON
-    punctuation around them make one row per vertex, joined once."""
+    Python ints) and written by one ``%`` pass; the header, the ratios with
+    the JSON punctuation around them, and the footer are joined once."""
     approx = _boundary_polygon(params, n, budget)
     s, points = approx.scale, approx.point_array
     distinct, inverse = np.unique(points, return_inverse=True)
@@ -202,13 +235,15 @@ def polygon_json_text(params: TileParams, n: int, budget: int = 10**6) -> str:
     # each line is "num/den", so "/1\n" matches only den == 1: write num alone
     text = ("%d/%d\n" * len(distinct) % tuple(pairs)).replace("/1\n", "\n")
     ratios = np.array(text.split("\n")[:-1], dtype=object)
-    rows = np.empty((len(points), 5), dtype=object)
-    rows[:, 0], rows[:, 2], rows[:, 4] = '    [\n      "', '",\n      "', '"\n    ],\n'
-    rows[:, 1::2] = ratios[inverse.reshape(-1, 2)]
-    vertices = "".join(rows.ravel().tolist())[:-2]
-    return (
+    pieces = np.empty(5 * len(points) + 1, dtype=object)
+    pieces[0] = (
         f'{{\n  "level": {n},\n'
         f'  "params": {{\n    "A": {params.a},\n    "B": {params.b}\n  }},\n'
         f'  "schema": "tiletopo/boundary-polygon@1",\n'
-        f'  "vertices": [\n{vertices}\n  ]\n}}'
+        f'  "vertices": [\n'
     )
+    rows = pieces[1:].reshape(-1, 5)
+    rows[:, 0], rows[:, 2], rows[:, 4] = '    [\n      "', '",\n      "', '"\n    ],\n'
+    rows[-1, 4] = '"\n    ]\n  ]\n}'
+    rows[:, 1::2] = ratios[inverse.reshape(-1, 2)]
+    return "".join(pieces.tolist())

@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiletopo import TileParams, chains, cli, neighbors
+from tiletopo import TileParams, WrongRegime, chains, cli, neighbors, render
 from tiletopo.algebraic import FieldElement, NumberField
 from tiletopo.cli import main
 from tiletopo.contact import (
@@ -28,6 +29,7 @@ from tiletopo.contact import (
     perron_data,
     walk_to_param,
 )
+from tiletopo.render import scene_to_svg
 
 from conftest import cyclic_walk
 from reference import neighbor_set_to_json
@@ -492,6 +494,54 @@ class TestCommands:
         path = tmp_path / "patch_A2_B2_n1.svg"
         assert path.exists()
         assert path.read_text().count("<polygon") == 7
+
+
+class TestStreamedRender:
+    """``render`` streams its SVG: the file under --out and stdout get the
+    pieces that ``scene_to_svg`` joins, and no whole document is built."""
+
+    @pytest.mark.parametrize("kind", ["boundary", "patch", "cutpoint"])
+    def test_out_file_stdout_and_string_agree(self, capsys, tmp_path, kind):
+        build = getattr(render, f"{kind}_scene")
+        for b in range(2, 9):
+            for a in range(1, b + 1):
+                for n in (0, 1, 2):
+                    argv = ["render", "--A", str(a), "--B", str(b), "--kind", kind, "--n", str(n)]
+                    code, out, _ = run(capsys, *argv)
+                    path = tmp_path / f"{kind}_A{a}_B{b}_n{n}.svg"
+                    assert run(capsys, *argv, "--out", str(tmp_path))[0] == code
+                    if kind == "cutpoint" and 2 * a - b < 5:
+                        assert code == 2 and out == "" and not path.exists()
+                        with pytest.raises(WrongRegime):
+                            build(TileParams(a, b), n)
+                        continue
+                    svg = scene_to_svg(build(TileParams(a, b), n))
+                    assert code == 0 and out == path.read_text(encoding="utf-8") == svg, argv
+
+    def test_failed_certificate_leaves_no_file(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(render, "polygon_is_simple_closed", lambda points: False)
+        out = tmp_path / "out"
+        code, stdout, err = run(
+            capsys, "render", "--A", "4", "--B", "5", "--n", "1", "--out", str(out)
+        )
+        assert code == 3 and stdout == "" and err.startswith("verification failure: level-1")
+        assert not out.exists()
+
+    def test_patch_peak_memory_is_below_half_the_file(self, capsys, tmp_path):
+        # the traced peak of the whole command, the level-3 polygon, its
+        # simple-closed test and the axis tables included, against the
+        # 4.2 MB document it writes; a writer that builds the document as
+        # one string peaks at about three times its size
+        argv = ["render", "--A", "10", "--B", "10", "--kind", "patch", "--n", "3"]
+        tracemalloc.start()
+        try:
+            code = main(argv + ["--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        size = (tmp_path / "patch_A10_B10_n3.svg").stat().st_size
+        assert code == 0 and peak < size / 2, (peak, size)
 
 
 class TestParamDigest:

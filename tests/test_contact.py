@@ -593,21 +593,103 @@ class TestOrdering:
         assert ordered_extension(graph) == reference.order_search(graph)
 
     @staticmethod
-    def junction_gaps(params, e2, e3, pairs):
-        """V_s - V_t for each (s, t) of ``pairs`` as an integer triple
-        (x, y, den), under the first-edge map whose edges of states 1..3 are
-        (0, 3), e2 and e3, written (digit, target), and whose edges of 4..6
-        are their flips; the digits may be any integers, as the junctions
-        solve affine equations in them."""
-        firsts = ((1, 0, 0, 3), (2, e2[0], 0, e2[1]), (3, e3[0], 0, e3[1]))
-        phi = firsts + tuple(contact._flip_edge(e, params.b) for e in firsts)
-        values = [None] * 6
-        v = {s: reference.map_junction(s - 1, phi, params, {}, values) for s in (4, 5, 6)}
+    def family_junctions(a, b):
+        """The junctions (V_1, V_2, V_3) under the first-edge maps whose
+        edges of states 1..3 are (0, 3), (a2, t2) and (a3, t3), written
+        (digit, target), and whose edges of 4..6 are their flips, by target
+        family (t2, t3), each solved once as an affine function of the
+        digits: (x, y, den) with x and y the coefficient triples of 1, a2
+        and a3.  A and B may be ints or object arrays of them.
+
+        V_s = f_d(V_t) reads M V_s = V_t + (d, 0), M = [[0, -B], [1, -A]],
+        and V_{s+3} = T - V_s with T = ((A+1)(1-B), 1-B)/n (step 2 of the
+        lemma).  So states 1..3 close into one 2x2 system per family:
+        (M + I) V_2 = T + (a2, 0) where t2 = 5, (M^2 + I) V_1 = T + (a3, 0)
+        where t3 = 4, and (M^3 - I) V_1 = (M - I) T - (a2, 0) + (0, a3)
+        where the three states cycle, (t2, t3) = (4, 5).  The others follow
+        from M V_3 = T - V_2 + (a3, 0) (t3 = 5), M V_2 = T - V_1 + (a2, 0)
+        (t2 = 4) and M V_1 = V_3."""
+        n = a + b + 1
+        tx, ty = (a + 1) * (1 - b), 1 - b
+
+        def m(p):  # M (x, y) = (-B y, x - A y)
+            x, y, d = p
+            return tuple(-b * v for v in y), tuple(u - a * v for u, v in zip(x, y)), d
+
+        def m_inv(p):  # M^-1 (x, y) = (B y - A x, -x) / B
+            x, y, d = p
+            return tuple(b * v - a * u for u, v in zip(x, y)), tuple(-u for u in x), d * b
+
+        def t_minus(p, k):  # T - p + (a_k, 0), with a_1 = a2 and a_2 = a3
+            x, y, d = p
+            x, y = [-n * u for u in x], [-n * v for v in y]
+            x[0], y[0], x[k] = x[0] + tx * d, y[0] + ty * d, x[k] + n * d
+            return tuple(x), tuple(y), n * d
+
+        def solve(k, p):  # k z = p, k a 2x2 integer matrix, by Cramer's rule
+            ((k11, k12), (k21, k22)), (x, y, d) = k, p
+            return (
+                tuple(k22 * u - k12 * v for u, v in zip(x, y)),
+                tuple(k11 * v - k21 * u for u, v in zip(x, y)),
+                d * (k11 * k22 - k12 * k21),
+            )
+
+        v2 = solve(((1, -b), (1, 1 - a)), ((tx, n, 0), (ty, 0, 0), n))
+        v1 = solve(((1 - b, a * b), (-a, a * a - b + 1)), ((tx, 0, n), (ty, 0, 0), n))
+        m3_minus_i = ((a * b - 1, b * b - a * a * b), (a * a - b, 2 * a * b - a**3 - 1))
+        cycle = solve(m3_minus_i, ((-b * ty - tx, -n, 0), (tx - a * ty - ty, 0, n), n))
+        v3 = m_inv(t_minus(v2, 2))
+        return {
+            (5, 4): (v1, v2, m(v1)),
+            (4, 4): (v1, m_inv(t_minus(v1, 1)), m(v1)),
+            (5, 5): (m_inv(v3), v2, v3),
+            (4, 5): (cycle, m_inv(t_minus(cycle, 1)), m(cycle)),
+        }
+
+    @staticmethod
+    def junction_at(junction, a2, a3):
+        """One junction of ``family_junctions`` at the digits (a2, a3), as
+        an integer triple (x, y, den); a zero digit adds nothing."""
+        x, y, d = junction
+        point = []
+        for c0, c2, c3 in (x, y):
+            if a2:
+                c0 = c0 + a2 * c2
+            if a3:
+                c0 = c0 + a3 * c3
+            point.append(c0)
+        return point[0], point[1], d
+
+    @classmethod
+    def junction_gaps(cls, junctions, a2, a3, pairs):
+        """V_s - V_t for each (s, t) of ``pairs``, s and t in 4..6, as an
+        integer triple (x, y, den), from the junctions (V_1, V_2, V_3) of
+        ``family_junctions`` at the digits (a2, a3): by the flip,
+        V_s - V_t = V_{t-3} - V_{s-3}.  Only the junctions named are read."""
+        flip = {s: cls.junction_at(junctions[s - 4], a2, a3) for pair in pairs for s in pair}
         gaps = []
-        for s, t in pairs:
-            (xs, ys, ds), (xt, yt, dt) = v[s], v[t]
-            gaps.append((xs * dt - xt * ds, ys * dt - yt * ds, ds * dt))
+        for s, t in pairs:  # V_{t-3} - V_{s-3}
+            (xa, ya, da), (xb, yb, db) = flip[t], flip[s]
+            gaps.append((xa * db - xb * da, ya * db - yb * da, da * db))
         return gaps
+
+    def test_family_junctions_match_the_orbit_walk(self):
+        # the closed systems against the oracle's orbit walk of each map, on
+        # every pair B <= 12, every target family and digits from -1 to 2
+        for b in range(2, 13):
+            for a in range(1, b + 1):
+                p = TileParams(a, b)
+                for (t2, t3), junctions in self.family_junctions(a, b).items():
+                    for a2, a3 in product(range(-1, 3), repeat=2):
+                        firsts = ((1, 0, 0, 3), (2, a2, 0, t2), (3, a3, 0, t3))
+                        phi = firsts + tuple(contact._flip_edge(e, b) for e in firsts)
+                        values = [None] * 6
+                        for s, junction in enumerate(junctions):
+                            x, y, d = reference.map_junction(s, phi, p, {}, values)
+                            u, v, e = self.junction_at(junction, a2, a3)
+                            where = (a, b, t2, t3, a2, a3, s)
+                            assert Fraction(u, e) == Fraction(x, d), where
+                            assert Fraction(v, e) == Fraction(y, d), where
 
     @staticmethod
     def affine_root(g0, g1, k):
@@ -622,44 +704,55 @@ class TestOrdering:
         # come from the junctions at digits 0 and 1, and its one solution
         # must be the closed form and lie out of range, or (case t = 4,
         # t3 = 5, not solved here) be phi_0.  Edges are written (digit,
-        # target).
-        gaps, root = self.junction_gaps, self.affine_root
-        for b in range(2, 201):
-            for a in range(1, b + 1):
-                p = TileParams(a, b)
-                gap = Fraction(b - 1, a * (b - a) + b - 1)  # in (0, 1]
-                # a: state 1 ends at f_0(V_4) = f_a2(V_5), so
-                # V_4 - V_5 - (a2, 0) = 0, two equations in (a2, a3), solved
-                # by Cramer's rule over a common denominator, for either t3
-                for t3 in (4, 5):
-                    e = []
-                    for a2, a3 in ((0, 0), (1, 0), (0, 1)):
-                        ((x, y, d),) = gaps(p, (a2, 5), (a3, t3), [(4, 5)])
-                        e.append((x - a2 * d, y, d))
-                    den = e[0][2] * e[1][2] * e[2][2]
-                    (x0, y0), (x1, y1), (x2, y2) = ((x * den // d, y * den // d) for x, y, d in e)
-                    (ux, uy), (wx, wy) = (x1 - x0, y1 - y0), (x2 - x0, y2 - y0)
-                    det = ux * wy - wx * uy
-                    assert det != 0, (a, b, t3)
-                    assert Fraction(wx * y0 - x0 * wy, det) == -gap, (a, b, t3)
-                # b: state 2's last edge (b', t) ends at f_b'(V_{t+1}), which
-                # must be V_3 = f_a3(V_t3).  t = 5, t3 = 4: y(V_6) = y(V_4)
-                # only below A; t = 4, t3 = 4: y(V_5) = y(V_4) fixes a3, and
-                # then a3 - b' = x(V_5) - x(V_4) is the gap
-                g0, g1 = (gaps(p, (0, 4), (x, 4), [(6, 4), (5, 4)]) for x in (0, 1))
-                r = root(g0[0], g1[0], 1)
-                assert r == Fraction(a * (b - 1), a + b - 1) < a, (a, b)
-                r = root(g0[1], g1[1], 1)
-                assert r is not None and gap == (
-                    Fraction(g0[1][0], g0[1][2]) * (1 - r) + Fraction(g1[1][0], g1[1][2]) * r
-                ), (a, b)
-                assert (gap == 1) == (a == b), (a, b)
-                # t = 5, t3 = 5: y(V_6) = y(V_5) only below A - 1, wherever
-                # state 2 has an edge to 5
-                ((g0,), (g1,)) = (gaps(p, (0, 4), (x, 5), [(6, 5)]) for x in (0, 1))
-                r = root(g0, g1, 1)
-                assert r == Fraction((b - 1) * (a * a - b), a * (a - 1) + b * (b - 1)), (a, b)
-                assert a == 1 or r < a - 1, (a, b)
+        # target).  The junctions of each target family are solved once,
+        # over the whole grid, as affine functions of the digits, and read
+        # at the maps named here: one list over the grid per gap
+        grid = [(a, b) for b in range(2, 201) for a in range(1, b + 1)]
+        family = self.family_junctions(*(np.array(c, dtype=object) for c in zip(*grid)))
+
+        def read(t2, t3, a2, a3, pairs):
+            gaps = self.junction_gaps(family[t2, t3], a2, a3, pairs)
+            return [list(zip(*(c.tolist() for c in g))) for g in gaps]
+
+        digits = ((0, 0), (1, 0), (0, 1))
+        to_5 = {t3: [read(5, t3, a2, a3, [(4, 5)])[0] for a2, a3 in digits] for t3 in (4, 5)}
+        to_4_4 = [read(4, 4, 0, x, [(6, 4), (5, 4)]) for x in (0, 1)]
+        to_4_5 = [read(4, 5, 0, x, [(6, 5)])[0] for x in (0, 1)]
+        root = self.affine_root
+        for i, (a, b) in enumerate(grid):
+            gap = Fraction(b - 1, a * (b - a) + b - 1)  # in (0, 1]
+            # a: state 1 ends at f_0(V_4) = f_a2(V_5), so
+            # V_4 - V_5 - (a2, 0) = 0, two equations in (a2, a3), solved
+            # by Cramer's rule over a common denominator, for either t3
+            for t3 in (4, 5):
+                e = []
+                for (a2, a3), gaps in zip(digits, to_5[t3]):
+                    x, y, d = gaps[i]
+                    e.append((x - a2 * d, y, d))
+                den = e[0][2] * e[1][2] * e[2][2]
+                (x0, y0), (x1, y1), (x2, y2) = ((x * den // d, y * den // d) for x, y, d in e)
+                (ux, uy), (wx, wy) = (x1 - x0, y1 - y0), (x2 - x0, y2 - y0)
+                det = ux * wy - wx * uy
+                assert det != 0, (a, b, t3)
+                assert Fraction(wx * y0 - x0 * wy, det) == -gap, (a, b, t3)
+            # b: state 2's last edge (b', t) ends at f_b'(V_{t+1}), which
+            # must be V_3 = f_a3(V_t3).  t = 5, t3 = 4: y(V_6) = y(V_4)
+            # only below A; t = 4, t3 = 4: y(V_5) = y(V_4) fixes a3, and
+            # then a3 - b' = x(V_5) - x(V_4) is the gap
+            g0, g1 = ([gaps[i] for gaps in by_pair] for by_pair in to_4_4)
+            r = root(g0[0], g1[0], 1)
+            assert r == Fraction(a * (b - 1), a + b - 1) < a, (a, b)
+            r = root(g0[1], g1[1], 1)
+            assert r is not None and gap == (
+                Fraction(g0[1][0], g0[1][2]) * (1 - r) + Fraction(g1[1][0], g1[1][2]) * r
+            ), (a, b)
+            assert (gap == 1) == (a == b), (a, b)
+            # t = 5, t3 = 5: y(V_6) = y(V_5) only below A - 1, wherever
+            # state 2 has an edge to 5
+            g0, g1 = (gaps[i] for gaps in to_4_5)
+            r = root(g0, g1, 1)
+            assert r == Fraction((b - 1) * (a * a - b), a * (a - 1) + b * (b - 1)), (a, b)
+            assert a == 1 or r < a - 1, (a, b)
 
     def test_thread_state_matches_fraction_threading(self):
         # every state of every first-edge map of every pair B <= 7, decided
@@ -902,12 +995,12 @@ class TestParametrization:
     def test_regime_errors_name_their_inputs(self):
         from tiletopo.errors import WrongRegime
         from reference import adjacent_singleton_point
-        from tiletopo.render import render_cutpoint
+        from tiletopo.render import cutpoint_scene
         from tiletopo.topology import build_d1_d2, cut_point_address, verify_cut_point
 
         p = TileParams(4, 5)
-        for fn in (render_cutpoint, cut_point_address, build_d1_d2, verify_cut_point):
-            args = (p, 1) if fn is render_cutpoint else (p,)
+        for fn in (cutpoint_scene, cut_point_address, build_d1_d2, verify_cut_point):
+            args = (p, 1) if fn is cutpoint_scene else (p,)
             with pytest.raises(WrongRegime, match=r"2A - B >= 5 for \(A,B\)=\(4,5\)$"):
                 fn(*args)
         with pytest.raises(WrongRegime, match=r"2A - B = 3 for \(A,B\)=\(5,5\)$"):

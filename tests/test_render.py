@@ -13,14 +13,26 @@ from tiletopo.contact import BoundaryApprox
 from tiletopo.errors import CertificateFailure
 from tiletopo.render import (
     Scene,
+    boundary_scene,
+    cutpoint_scene,
     fmt,
     palette,
+    patch_scene,
     polygon_json_text,
-    render_boundary,
-    render_cutpoint,
-    render_patch,
     scene_to_svg,
 )
+
+
+def render_boundary(params, n):
+    return scene_to_svg(boundary_scene(params, n))
+
+
+def render_patch(params, n):
+    return scene_to_svg(patch_scene(params, n))
+
+
+def render_cutpoint(params, n):
+    return scene_to_svg(cutpoint_scene(params, n))
 
 
 class TestBoundary:

@@ -374,6 +374,7 @@ def test_library_sketch_runs():
     boundary_point, data, ordered = scope["boundary_point"], scope["data"], scope["ordered"]
     assert boundary_point(Fraction(0), data, ordered) == boundary_point(Fraction(1), data, ordered)
     assert abs(scope["polyline_hausdorff"](*scope["levels"]) - 0.9615758416) < 1e-9
+    assert scope["stream"].getvalue() == scope["svg"]
 
 
 def test_no_silently_swallowed_exceptions():

@@ -23,10 +23,13 @@ certified ball: about 4B/3 points at (B-2, B) and 4B + 7 at (B, B).
 For each ladder one fresh interpreter, started in DIR, imports that
 checkout's package and runs each rung once to warm up and then
 ``REPEAT`` (3) more times, timing only the ``cli.main`` call with stdout
-captured.  The printout gives, per rung, the fastest time, the bytes
-printed, the exit code, and the growth exponent log(t2/t1) / log(B2/B1)
-fitted between the rung and the one below it.  Nothing is written to the checkout, not even
-bytecode caches.  Only the standard library is used.
+counted and not kept.  The printout gives, per rung, the fastest time, the
+bytes printed, the exit code, and the growth exponent log(t2/t1) /
+log(B2/B1) fitted between the rung and the one below it.  The approx and
+render-patch ladders also give the peak memory that ``tracemalloc`` traced
+in the untimed warm-up run, the whole command with its polygon, so that
+memory growth in B shows next to time.  Nothing is written to the checkout,
+not even bytecode caches.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 REPEAT = 3  # timed runs per rung; the fastest is kept
+TRACED = {"approx", "render-patch"}  # ladders whose warm-up run is traced
 
 
 def _halves(b: int) -> list[str]:
@@ -71,35 +75,49 @@ LADDERS = {
     "render-patch": [(b, ["render", *_halves(b), "--n", "3", "--kind", "patch"]) for b in SMALL],
 }
 
-# run in the checkout: argv[1] is REPEAT, argv[2] a JSON list of
-# argv lists; prints a JSON list of [fastest seconds, stdout bytes, exit code]
+# run in the checkout: argv[1] is REPEAT, argv[2] a JSON list of argv
+# lists, argv[3] "1" to trace the warm-up runs; prints a JSON list of
+# [fastest seconds, stdout bytes, exit code, traced peak bytes or 0]
 WORKER = """
-import contextlib, gc, io, json, sys, time
+import contextlib, gc, io, json, sys, time, tracemalloc
 sys.dont_write_bytecode = True
 sys.path.insert(0, "src")
 import tiletopo.cli as cli
-repeat, argvs = int(sys.argv[1]), json.loads(sys.argv[2])
+import tiletopo.render  # numpy's import is in no rung's trace
+repeat, argvs, traced = int(sys.argv[1]), json.loads(sys.argv[2]), sys.argv[3] == "1"
+
+class Sink(io.TextIOBase):
+    size = 0
+
+    def write(self, text):
+        self.size += len(text.encode())
+        return len(text)
 
 def run(argv):
-    out = io.StringIO()
+    out = Sink()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         t0 = time.perf_counter()
         code = cli.main(argv)
         seconds = time.perf_counter() - t0
-    return seconds, len(out.getvalue().encode()), code
+    return seconds, out.size, code
 
 rows = []
 for argv in argvs:
+    if traced:
+        tracemalloc.start()
     _, size, code = run(argv)
+    peak = tracemalloc.get_traced_memory()[1]  # 0 when not tracing
+    tracemalloc.stop()
     gc.collect()
-    rows.append([min(run(argv)[0] for _ in range(repeat)), size, code])
+    rows.append([min(run(argv)[0] for _ in range(repeat)), size, code, peak])
 print(json.dumps(rows))
 """
 
 
-def time_ladder(checkout: Path, rungs: list[tuple[int, list[str]]]) -> list[list]:
+def time_ladder(checkout: Path, rungs: list[tuple[int, list[str]]], traced: bool) -> list[list]:
+    argvs = json.dumps([argv for _, argv in rungs])
     proc = subprocess.run(
-        [sys.executable, "-c", WORKER, str(REPEAT), json.dumps([argv for _, argv in rungs])],
+        [sys.executable, "-c", WORKER, str(REPEAT), argvs, str(int(traced))],
         cwd=checkout,
         capture_output=True,
         text=True,
@@ -119,15 +137,18 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"unknown ladder {unknown[0]!r}; choose from {', '.join(LADDERS)}")
     for name in args.ladders or LADDERS:
         rungs = LADDERS[name]
-        rows = time_ladder(args.checkout, rungs)
+        traced = name in TRACED
+        rows = time_ladder(args.checkout, rungs, traced)
         print(f"{name}: {' '.join(rungs[-1][1])}")
-        print(f"{'B':>8} {'best ms':>10} {'bytes':>9} {'rc':>3} {'exponent':>9}")
-        for k, ((b, _), (seconds, size, code)) in enumerate(zip(rungs, rows)):
+        peak_head = f" {'peak MB':>9}" if traced else ""
+        print(f"{'B':>8} {'best ms':>10}{peak_head} {'bytes':>9} {'rc':>3} {'exponent':>9}")
+        for k, ((b, _), (seconds, size, code, peak)) in enumerate(zip(rungs, rows)):
             exponent = ""
             if k:
-                (b0, _), (s0, _, _) = rungs[k - 1], rows[k - 1]
+                (b0, _), s0 = rungs[k - 1], rows[k - 1][0]
                 exponent = f"{math.log(seconds / s0) / math.log(b / b0):.2f}"
-            print(f"{b:>8} {seconds * 1e3:>10.3f} {size:>9} {code:>3} {exponent:>9}")
+            peak_mb = f" {peak / 1e6:>9.2f}" if traced else ""
+            print(f"{b:>8} {seconds * 1e3:>10.3f}{peak_mb} {size:>9} {code:>3} {exponent:>9}")
         print()
     return 0
 
