@@ -12,11 +12,8 @@ from .errors import (
     ChainViolation,
     DegenerateBasis,
     IdentityFailure,
-    LengthMismatch,
-    NoConsistentOrdering,
     NonPeriodicWalk,
     NotExpanding,
-    NotIrreducible,
     OutOfRange,
     TileError,
     WrongRegime,
@@ -54,11 +51,8 @@ __all__ = [
     "ChainViolation",
     "DegenerateBasis",
     "IdentityFailure",
-    "LengthMismatch",
-    "NoConsistentOrdering",
     "NonPeriodicWalk",
     "NotExpanding",
-    "NotIrreducible",
     "OutOfRange",
     "WrongRegime",
 ]

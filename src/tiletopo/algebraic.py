@@ -184,10 +184,10 @@ class NumberField:
             f"polynomial {list(self.minpoly)} (low degree first)"
         )
 
-    def to_float(self, num: Sequence[int], den: int, bits: int = 60) -> float:
+    def to_float(self, num: Sequence[int], den: int) -> float:
         """sum(num[i] * beta**i) / den, from the interval's midpoint once the
-        interval is at most 2**-bits wide."""
-        while (self._hi - self._lo) << bits > self._den:
+        interval is at most 2**-60 wide."""
+        while (self._hi - self._lo) << 60 > self._den:
             self.refine_interval()
         d = 2 * self._den
         return _poly_eval(num, self._lo + self._hi, d) / (d ** (len(num) - 1) * den)

@@ -162,7 +162,6 @@ class Run:
 class IntersectionAutomaton:
     """Product of two digit automata with difference-state tracking."""
 
-    params: TileParams
     initial: State
     transitions: dict[State, list[tuple[int, int, State]]]
     live: set[State]
@@ -260,10 +259,9 @@ def product_intersection(
     difference, and a meets only a - d on the right.
     """
     _require_dfa(left, right)
-    params = moves.params
     initial = (left.initial, right.initial, initial_diff)
     if initial_diff not in moves.allowed:
-        return IntersectionAutomaton(params, initial, {}, set(), EMPTY)
+        return IntersectionAutomaton(initial, {}, set(), EMPTY)
 
     known = moves._steps  # looked up once per state; misses go through moves.steps
     trans: dict[State, list[tuple[int, int, State]]] = {}
@@ -288,7 +286,7 @@ def product_intersection(
                         seen.add(child)
                         frontier.append(child)
         trans[node] = edges
-    return _classify_product(params, initial, trans, initial_diff, max_runs)
+    return _classify_product(moves.params, initial, trans, initial_diff, max_runs)
 
 
 def _classify_product(
@@ -311,7 +309,7 @@ def _classify_product(
     cycles, one live edge per state."""
     alive = live_nodes({node: [t for (_, _, t) in edges] for node, edges in trans.items()})
     if initial not in alive:
-        return IntersectionAutomaton(params, initial, trans, set(), EMPTY)
+        return IntersectionAutomaton(initial, trans, set(), EMPTY)
 
     # the (a, a') pairs of a state are distinct for DFA languages, so the
     # sort never reaches the target
@@ -325,7 +323,7 @@ def _classify_product(
     branching = [q for q in cyclic if len(live_edges[q]) > 1]
     if branching:
         return IntersectionAutomaton(
-            params, initial, trans, alive, BRANCHING, branch_witness=min(branching, key=repr)
+            initial, trans, alive, BRANCHING, branch_witness=min(branching, key=repr)
         )
 
     # finitely many runs: enumerate them
@@ -369,6 +367,4 @@ def _classify_product(
         if run.value not in values:
             values.append(run.value)
     kind = UNIQUE_POINT if len(values) == 1 else FINITE_POINTS
-    return IntersectionAutomaton(
-        params, initial, trans, alive, kind, tuple(runs), tuple(values)
-    )
+    return IntersectionAutomaton(initial, trans, alive, kind, tuple(runs), tuple(values))

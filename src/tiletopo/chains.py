@@ -13,7 +13,7 @@ neither an arc nor the union has an automaton of its own.  Everything here
 is decided mechanically: each curve language is a lexicographic walk
 interval, read by one automaton whose states pair the contact state with
 how far the walk still follows each bound.  The bounds are unrolled once,
-by ``walk_steps``, and ordered on those steps.  The B languages of a setup
+by ``walk_steps``, each interval low bound first.  The B languages of a setup
 come out of one subset construction and share its table, each from its own
 initial state; their flips share one flip of that table.  Intersections run
 through the exact product automaton; the cells of a chain matrix share one
@@ -52,7 +52,6 @@ from .automata import (
     product_intersection,
 )
 from .contact import (
-    ContactGraph,
     OrderedContactGraph,
     Walk,
     build_contact_graph,
@@ -162,32 +161,14 @@ def _follow(idx: int | None, letter: int, steps: list, wrap: int) -> int | None:
     return idx + 1 if idx + 1 < len(steps) else wrap
 
 
-def _walk_order(x: Walk, x_unrolled: tuple, y: Walk, y_unrolled: tuple) -> int:
-    """-1, 0 or 1 as the infinite walk x is below, equal to or above y in
-    lexicographic order, read on their ``walk_steps``: start state first,
-    then letters, until a letter differs or the pair of step indices
-    repeats, after which both walks repeat together."""
-    if x.start != y.start:
-        return -1 if x.start < y.start else 1
-    (x_steps, x_wrap), (y_steps, y_wrap) = x_unrolled, y_unrolled
-    i, j = 0, 0
-    seen = set()
-    while (i, j) not in seen:
-        seen.add((i, j))
-        x_letter, y_letter = x_steps[i][0], y_steps[j][0]
-        if x_letter != y_letter:
-            return -1 if x_letter < y_letter else 1
-        i, j = _follow(i, x_letter, x_steps, x_wrap), _follow(j, y_letter, y_steps, y_wrap)
-    return 0
-
-
 def lex_interval_languages(
     ordered: OrderedContactGraph, bounds: list[tuple[Walk, Walk]]
 ) -> list[DigitDFA]:
     """Digit language of all infinite walks w with lo <= w <= hi, for each
     interval (lo, hi) of ``bounds``, by one subset construction; the
-    languages share its table.  A pair given high bound first is swapped, by
-    ``_walk_order`` on the two unrolled walks.
+    languages share its table.  Each pair gives its low bound first; a pair
+    given high bound first is the empty interval, and its language accepts
+    no infinite word.
 
     A state (q, i, j, n) is the contact state q, with i the step of lo's
     unrolled walk while w still equals lo (None once w has gone above it),
@@ -218,10 +199,7 @@ def lex_interval_languages(
     rows: list[dict[int, int]] = []
     starts = []
     for n, (lo, hi) in enumerate(bounds):
-        lo_unrolled, hi_unrolled = ordered.walk_steps(lo), ordered.walk_steps(hi)
-        if _walk_order(lo, lo_unrolled, hi, hi_unrolled) > 0:
-            lo, hi, lo_unrolled, hi_unrolled = hi, lo, hi_unrolled, lo_unrolled
-        (lo_steps, lo_wrap), (hi_steps, hi_wrap) = lo_unrolled, hi_unrolled
+        (lo_steps, lo_wrap), (hi_steps, hi_wrap) = ordered.walk_steps(lo), ordered.walk_steps(hi)
 
         def state(q: int, i: int | None, j: int | None) -> int:
             return intern((q, i, j, None if i is None and j is None else n))
@@ -266,9 +244,7 @@ class AlphaCurve:
 @dataclass(frozen=True)
 class GammaArc:
     index: int
-    label: str
     endpoints: tuple[RationalPoint, RationalPoint]
-    through: RationalPoint
 
 
 @dataclass
@@ -280,7 +256,6 @@ class ChainSetup:
     only code that reads the table."""
 
     params: TileParams
-    graph: ContactGraph
     ordered: OrderedContactGraph
     sset: frozenset
     curves: list[AlphaCurve] = field(init=False)
@@ -301,9 +276,8 @@ class ChainSetup:
     @classmethod
     def build(cls, params: TileParams) -> "ChainSetup":
         _require_regime(params)
-        graph = build_contact_graph(params)
-        ordered = ordered_extension(graph)
-        return cls(params, graph, ordered, neighbor_set_formula(params).members)
+        ordered = ordered_extension(build_contact_graph(params))
+        return cls(params, ordered, neighbor_set_formula(params).members)
 
 
 def alpha_curves(setup: ChainSetup) -> list[AlphaCurve]:
@@ -320,7 +294,11 @@ def alpha_curves(setup: ChainSetup) -> list[AlphaCurve]:
                 f"walk {walk} does not decode to the tabulated 0.{addr} "
                 f"for (A,B)=({params.a},{params.b})"
             )
-    langs = lex_interval_languages(setup.ordered, table)
+    # row B-1 lists its high bound first: its walks (5; 2, (2A-2)bar) and
+    # (5; 2, 2A-2, 4, 2bar) part at letter 3, where 2A-2 >= 6 > 4
+    bounds = table[:]
+    bounds[-2] = bounds[-2][::-1]
+    langs = lex_interval_languages(setup.ordered, bounds)
     return [
         AlphaCurve(f"a{i}", lang, (decoded[s], decoded[t]))
         for i, ((s, t), lang) in enumerate(zip(table, langs), start=1)
@@ -633,12 +611,11 @@ def gamma_arcs(setup: ChainSetup) -> list[GammaArc]:
                 f"the gamma arcs' {name} is not on alpha_{b - 1} u alpha_{b} for {where}"
             )
     junction_values = {values[0] for values in setup.junction_values.values()}
-    graph = setup.graph
+    graph = setup.ordered.graph
     arcs: list[GammaArc] = []
     for i in range(1, b - 1):
         end1 = point_eval(_addr((i, a - 2, b - 2), (0, b - 1)), params)
         end2 = point_eval(_addr((i, b - 1, 0), (0, b - 1)), params)
-        through = point_eval(_addr((i,), (a - 2,)), params)
         if end1 not in junction_values or end2 not in junction_values:
             raise ChainViolation(f"gamma_{i} endpoints leave the junction set for {where}")
         # containment facts: 0.i[K_s] inside K_t iff the edge t -i-> s exists
@@ -651,7 +628,7 @@ def gamma_arcs(setup: ChainSetup) -> list[GammaArc]:
         want_t = 2 if i <= a - 2 else 3
         if not graph.has_edge(want_t, i, 5):
             raise ChainViolation(f"0.{i}[K5] not inside K{want_t} for {where}")
-        arcs.append(GammaArc(i, f"g{i}", (end1, end2), through))
+        arcs.append(GammaArc(i, (end1, end2)))
     return arcs
 
 

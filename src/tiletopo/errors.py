@@ -21,25 +21,8 @@ class OutOfRange(TileError):
     """Parameter outside the supported range for this operation."""
 
 
-class LengthMismatch(TileError):
-    """Digit words of different lengths where equal lengths are required."""
-
-
 class WrongRegime(TileError):
     """Operation invoked for (A, B) outside the regime where it is defined."""
-
-
-class NotIrreducible(TileError):
-    """Contact graph is not strongly connected.  The package no longer
-    raises it: every graph of ``build_contact_graph`` is strongly connected
-    by the lemma in its docstring.  It stays a public name."""
-
-
-class NoConsistentOrdering(TileError):
-    """No edge ordering satisfies the continuity constraints.  The package
-    no longer raises it: the lemma of ``contact.ordered_extension`` proves
-    that exactly one ordering threads every graph of
-    ``build_contact_graph``.  It stays a public name."""
 
 
 class NonPeriodicWalk(TileError):

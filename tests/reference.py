@@ -37,7 +37,9 @@ the chain matrix's per-pair loop, one product with a move table of its own
 for every cell, kept as the oracle of the shared-table matrix.
 ``nfa_determinize`` and ``lex_interval_language`` are the one-language cases
 of the package's subset construction and walk-interval languages, which the
-package itself only runs for whole setups; ``nfa_bit_rows`` numbers an NFA's
+package itself only runs for whole setups; ``lex_interval_language`` takes
+its two bounds in either order, and hands them over low bound first, as the
+package's construction reads them; ``nfa_bit_rows`` numbers an NFA's
 states into the bitmask rows the construction reads, and ``dfa_renumbered``
 reads one curve's DFA out of a setup's shared table in the numbering of a
 construction of its own.  ``DigitNFA``, ``nfa_union``,
@@ -53,8 +55,8 @@ type.  The test languages ``nfa_full``, ``nfa_cylinder`` and
 ``nfa_single_address`` are DFAs whose states are ints, so the states of a
 product built from them sort.
 ``walk_letter``, ``first_difference`` and ``walk_compare`` read walks
-letter by letter, the oracle of the bound order that ``chains`` reads off
-``walk_steps``.  ``nfa_remap_first_digit`` builds the arc gamma_i as its
+letter by letter; ``walk_compare`` orders the bounds of the walk-interval
+languages.  ``nfa_remap_first_digit`` builds the arc gamma_i as its
 own automaton, the definition that the package's gamma arcs, decided once
 on alpha_{B-1} and alpha_B, are tested against.  ``neighbor_set_to_json`` and
 ``chain_report_to_json`` are the documents as dicts, which the package now
@@ -67,7 +69,8 @@ tests use them to build M^{-1}, its powers and linear solves independently.
 package's rows, and ``point_set_search`` the search that regrouped that
 set into rows, listed each state's successors and trimmed them with
 ``live_nodes``; it is the oracle of the package's counting search.
-pytest does not collect this
+``NotIrreducible``, ``NoConsistentOrdering`` and ``LengthMismatch`` are
+the error types that only these oracles raise.  pytest does not collect this
 module (its name has no ``test_`` prefix); the tests import it as
 ``reference``.
 """
@@ -117,11 +120,9 @@ from tiletopo.contact import (
 from tiletopo.errors import (
     CertificateFailure,
     ChainViolation,
-    LengthMismatch,
-    NoConsistentOrdering,
     NonPeriodicWalk,
-    NotIrreducible,
     OutOfRange,
+    TileError,
     WrongRegime,
 )
 from tiletopo.geometry import Point
@@ -142,6 +143,26 @@ from tiletopo.numsys import (
     periodic_tail_scaled,
 )
 from tiletopo.topology import TIGHT_EVEN, build_d1_d2
+
+
+# ---------------------------------------------------------------------------
+# error types that only the oracles here raise
+
+
+class NotIrreducible(TileError):
+    """Contact graph is not strongly connected, or its Perron eigenvalue is
+    not simple.  Every graph of ``build_contact_graph`` is strongly
+    connected, as its docstring shows, so its Perron eigenvalue is simple."""
+
+
+class NoConsistentOrdering(TileError):
+    """No edge ordering satisfies the continuity constraints.  The lemma of
+    ``contact.ordered_extension`` proves that exactly one ordering threads
+    every graph of ``build_contact_graph``."""
+
+
+class LengthMismatch(TileError):
+    """Digit words of different lengths where equal lengths are required."""
 
 
 # ---------------------------------------------------------------------------
@@ -1118,7 +1139,10 @@ def dfa_renumbered(dfa: DigitDFA) -> DigitDFA:
 
 
 def lex_interval_language(ordered: OrderedContactGraph, lo: Walk, hi: Walk) -> DigitDFA:
-    """The walk-interval language of one interval."""
+    """The walk-interval language of one interval, whose bounds may come in
+    either order."""
+    if walk_compare(lo, hi) > 0:
+        lo, hi = hi, lo
     return lex_interval_languages(ordered, [(lo, hi)])[0]
 
 

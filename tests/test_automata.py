@@ -315,7 +315,7 @@ def brute_product(left, right, sset, params, initial_diff=(0, 0)):
     allowed = frozenset(sset) | {(0, 0)}
     initial = (left.initial, right.initial, initial_diff)
     if initial_diff not in allowed:
-        return IntersectionAutomaton(params, initial, {}, set(), EMPTY)
+        return IntersectionAutomaton(initial, {}, set(), EMPTY)
     step = {}
     for delta in allowed:
         md = mat_vec(params.matrix, delta)
@@ -343,14 +343,15 @@ def brute_product(left, right, sset, params, initial_diff=(0, 0)):
     return _classify_product(params, initial, trans, initial_diff, 20000)
 
 
-def reference_classification(res):
-    """Classify a product from its raw edges by the definitions alone: the
-    live states are left when states without a successor are removed until
-    none is, a live state is on a cycle when it reaches itself through live
-    edges, a cycle state with two live edges means BRANCHING, and otherwise
-    every run is a prefix plus the cycle it ends on.  Returns the kind, the
-    live states reachable from the initial state, the runs, the distinct points
-    and the states reachable from a cycle state."""
+def reference_classification(res, params):
+    """Classify a product over ``params`` from its raw edges by the
+    definitions alone: the live states are left when states without a
+    successor are removed until none is, a live state is on a cycle when it
+    reaches itself through live edges, a cycle state with two live edges
+    means BRANCHING, and otherwise every run is a prefix plus the cycle it
+    ends on.  Returns the kind, the live states reachable from the initial
+    state, the runs, the distinct points and the states reachable from a
+    cycle state."""
     live = set(res.transitions)
     while True:
         kept = {q for q in live if any(t in live for _, _, t in res.transitions[q])}
@@ -389,7 +390,7 @@ def reference_classification(res):
             lper.append(a)
             rper.append(ap)
         la = Address((), left, tuple(lper))
-        runs.append(Run(la, Address((), right, tuple(rper)), point_eval(la, res.params)))
+        runs.append(Run(la, Address((), right, tuple(rper)), point_eval(la, params)))
 
     for q in inits:
         walk(q, (), ())
@@ -418,7 +419,7 @@ class TestProductReference:
         assert res.points == ref.points
         assert res.branch_witness == ref.branch_witness
         assert res.to_json() == ref.to_json()
-        kind, live, runs, points, after_cycle = reference_classification(res)
+        kind, live, runs, points, after_cycle = reference_classification(res, params)
         assert (res.kind, res.live, res.runs, res.points) == (kind, live, runs, points)
         if kind == BRANCHING:
             witness = res.branch_witness

@@ -1,8 +1,10 @@
 import copy
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
 from itertools import count
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -27,7 +29,6 @@ from tiletopo.chains import (
     ChainSetup,
     _chain_matrix,
     _check_cycle_pattern,
-    _walk_order,
     alpha_calibration_rows,
     alpha_curves,
     alpha_table,
@@ -118,7 +119,7 @@ class TestAlphaTable:
 
 
 def _k_prefixes(setup, state, depth):
-    return nfa_prefixes(graph_language(setup.graph, state), depth)
+    return nfa_prefixes(graph_language(setup.ordered.graph, state), depth)
 
 
 def _family(setup, head, states, depth=4):
@@ -173,7 +174,7 @@ class TestAlphaLanguage:
 
     def test_language_inside_boundary_language(self):
         s = setup_for(4, 5)
-        boundary = nfa_union([graph_language(s.graph, i) for i in range(1, 7)])
+        boundary = nfa_union([graph_language(s.ordered.graph, i) for i in range(1, 7)])
         bprefixes = nfa_prefixes(boundary, 5)
         for c in alpha_curves(s):
             assert nfa_prefixes(c.language, 5) <= bprefixes
@@ -377,12 +378,34 @@ def drawn_walk(data, ordered, start, head=()):
 
 
 class TestWalkOrder:
-    """``lex_interval_languages`` orders its bounds on their ``walk_steps``;
-    ``reference.walk_compare`` reads the letters by index."""
+    """``lex_interval_languages`` reads each interval low bound first, and
+    gives a pair with its high bound first the empty language.
+    ``alpha_curves`` hands over row B-1 of ``alpha_table``, the one row that
+    lists its high bound first, as (t, s); ``reference.walk_compare`` reads
+    the letters by index."""
 
     @staticmethod
-    def order(ordered, x, y):
-        return _walk_order(x, ordered.walk_steps(x), y, ordered.walk_steps(y))
+    def is_empty(lang):
+        alive = live_nodes({q: list(row.values()) for q, row in lang.trans.items()})
+        return lang.initial not in alive
+
+    @pytest.mark.parametrize("a", range(4, 22))
+    def test_alpha_bounds_ascend(self, monkeypatch, a):
+        b = 2 * a - 3
+        params = TileParams(a, b)
+        table = alpha_table(params)
+        assert [k for k, (s, t) in enumerate(table) if walk_compare(s, t) > 0] == [b - 2]
+        passed = []
+
+        def record(ordered, bounds):
+            passed.extend(bounds)
+            return [None] * len(bounds)
+
+        monkeypatch.setattr(chains, "lex_interval_languages", record)
+        ordered = ordered_extension(build_contact_graph(params))
+        alpha_curves(SimpleNamespace(params=params, ordered=ordered))
+        assert passed == [(t, s) if k == b - 2 else (s, t) for k, (s, t) in enumerate(table)]
+        assert all(walk_compare(lo, hi) < 0 for lo, hi in passed)
 
     def test_one_sequence_spelled_two_ways(self):
         ordered = setup_for(4, 5).ordered
@@ -392,14 +415,17 @@ class TestWalkOrder:
             (Walk(5, (2,), (2, 2)), Walk(5, (2,), (2, 4))),
             (Walk(2, (1,), (1,)), Walk(3, (1,), (1,))),
         ]
+        assert [walk_compare(x, y) for x, y in pairs] == [0, 0, -1, -1]
         for x, y in pairs:
-            for u, v in ((x, y), (y, x)):
-                assert self.order(ordered, u, v) == walk_compare(u, v)
-        assert [self.order(ordered, x, y) for x, y in pairs] == [0, 0, -1, -1]
+            for lo, hi in ((x, y), (y, x)):
+                lang = chains.lex_interval_languages(ordered, [(lo, hi)])[0]
+                assert self.is_empty(lang) == (walk_compare(lo, hi) > 0)
 
     @given(st.sampled_from([(4, 5), (5, 7)]), st.data())
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None, database=None)
     def test_matches_walk_compare(self, ab, data):
+        # a drawn pair, in both orders: the empty language exactly when
+        # walk_compare puts the high bound first, the reference one otherwise
         ordered = setup_for(*ab).ordered
         x = drawn_walk(data, ordered, data.draw(st.integers(1, 6), label="start"))
         kind = data.draw(st.sampled_from(["respelled", "branch", "any"]), label="kind")
@@ -414,8 +440,12 @@ class TestWalkOrder:
             y = drawn_walk(data, ordered, x.start, [walk_letter(x, n) for n in range(1, m + 1)])
         else:
             y = drawn_walk(data, ordered, data.draw(st.integers(1, 6), label="other start"))
-        assert self.order(ordered, x, y) == walk_compare(x, y)
-        assert self.order(ordered, y, x) == walk_compare(y, x)
+        for lo, hi in ((x, y), (y, x)):
+            lang = chains.lex_interval_languages(ordered, [(lo, hi)])[0]
+            if walk_compare(lo, hi) > 0:
+                assert self.is_empty(lang)
+            else:
+                assert same_language(lang, reference_lex_interval_language(ordered, lo, hi))
         if kind == "respelled":
             assert walk_compare(x, y) == 0
 
@@ -484,7 +514,9 @@ class TestChainMatrix:
         # K_1..K_6 of (4,5) and their flips start with one to four, so some
         # cells die at the start, some after a first step, some branch
         s = setup_for(4, 5)
-        labeled = [(f"K{q}", nfa_determinize(graph_language(s.graph, q))) for q in range(1, 7)]
+        labeled = [
+            (f"K{q}", nfa_determinize(graph_language(s.ordered.graph, q))) for q in range(1, 7)
+        ]
         flipped = [(f"{label}'", nfa_flip(lang, 5)) for label, lang in labeled]
         built = []
         real = chains.product_intersection
@@ -651,14 +683,14 @@ class TestCircularChain:
 
     def test_report_and_arcs_read_junction_values_off_the_setup(self, monkeypatch):
         # the setup evaluates every junction address once; the report then
-        # evaluates none, and each arc only its two ends and interior point
+        # evaluates none, and each arc only its two ends
         s = setup_for(5, 7)
         calls = []
         monkeypatch.setattr(chains, "point_eval", lambda ad, p: calls.append(ad) or point_eval(ad, p))
         assert circular_chain_report(s).ok
         assert calls == []
         gamma_arcs(s)
-        assert len(calls) == 3 * (7 - 2)
+        assert len(calls) == 2 * (7 - 2)
 
     def test_junction_statement_variants_agree(self):
         # the two equivalent spellings of the a_B n a_1' junction
@@ -686,10 +718,12 @@ class TestCircularChain:
 
 class TestGamma:
     def test_4_5_through_points(self):
+        # gamma_1 passes through P_1 = 0.1(A-2)bar, whose value the symmetry
+        # check evaluates and checks against f_1(S)
         s = setup_for(4, 5)
-        arcs = gamma_arcs(s)
-        assert len(arcs) == 3
-        assert arcs[0].through == point_eval(parse_address("1(2)"), s.params)
+        assert len(gamma_arcs(s)) == 3
+        p_1 = symmetry_and_junctions(s.params)["contact_points"][1]
+        assert p_1 == point_eval(parse_address("1(2)"), s.params)
 
     def test_4_5_endpoints(self):
         s = setup_for(4, 5)
@@ -732,8 +766,8 @@ class TestGamma:
     def test_containment_fact_4_5(self):
         # i=2 > B-A=1, so 0.2[K2] sits inside K5, realized by the edge 5 -2-> 2
         s = setup_for(4, 5)
-        assert s.graph.has_edge(5, 2, 2)
-        assert not s.graph.has_edge(6, 2, 2)
+        assert s.ordered.graph.has_edge(5, 2, 2)
+        assert not s.ordered.graph.has_edge(6, 2, 2)
 
     def test_5_7(self):
         assert len(gamma_arcs(setup_for(5, 7))) == 5
@@ -1012,8 +1046,10 @@ class TestGammaFailures:
         # a copy of the (4, 5) setup whose contact graph lacks the edges
         # src -digit-> dst
         s = copy.copy(setup_for(4, 5))
-        edges = tuple(e for e in graph_edges(s.graph) if (e[0], e[1], e[3]) != (src, digit, dst))
-        s.graph = HandBuiltGraph(s.graph.params, s.graph.states, edges)
+        graph = s.ordered.graph
+        edges = tuple(e for e in graph_edges(graph) if (e[0], e[1], e[3]) != (src, digit, dst))
+        hand_built = HandBuiltGraph(graph.params, graph.states, edges)
+        s.ordered = dataclasses.replace(s.ordered, graph=hand_built)
         return s
 
     def test_question_answered_false(self, monkeypatch):

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiletopo import Address, TileParams, WrongRegime, point_eval
-from tiletopo.errors import LengthMismatch
 from tiletopo.neighbors import (
     NeighborSet,
     _ball_rows,
@@ -21,6 +20,7 @@ from tiletopo.neighbors import (
 
 from conftest import pairs
 from reference import (
+    LengthMismatch,
     adjacent_singleton_point,
     candidate_ball,
     mat_inv,

@@ -392,6 +392,29 @@ def test_no_silently_swallowed_exceptions():
     assert found == []
 
 
+def test_every_error_type_is_raised():
+    # an error type of errors.py is raised somewhere in the package, or no
+    # command can give it; the error types that only the tests' oracles
+    # raise live in tests/reference.py beside them
+    raised = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    errors = tiletopo.errors
+    found = [
+        name
+        for name, value in vars(errors).items()
+        if isinstance(value, type)
+        and issubclass(value, errors.TileError)
+        and value is not errors.TileError
+        and name not in raised
+    ]
+    assert found == []
+
+
 _MUTATORS = {
     "add", "append", "clear", "discard", "extend", "insert", "pop", "popitem",
     "remove", "reverse", "setdefault", "sort", "update",
