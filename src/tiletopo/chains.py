@@ -125,15 +125,14 @@ def _addr(pre: tuple[int, ...], per: tuple[int, ...]) -> Address:
     return Address((), pre, per)
 
 
-def alpha_calibration_rows(params: TileParams) -> list[tuple[Walk, Address]]:
-    """Endpoint decodings pinned by the table: walk -> digit address.
+def alpha_calibration_rows(params: TileParams, table) -> list[tuple[Walk, Address]]:
+    """Endpoint decodings pinned by ``table``, ``alpha_table(params)``:
+    walk -> digit address.
 
     The middle rows pin only their walks, not all decodings; unpinned cells
     are reported from the walks and never asserted, so they are absent here.
     """
-    _require_regime(params)
     a, b = params.a, params.b
-    table = alpha_table(params)
     rows: list[tuple[Walk, Address]] = []
     for i in range(1, b - a + 1):
         s, t = table[i - 1]
@@ -249,15 +248,16 @@ class GammaArc:
 
 @dataclass
 class ChainSetup:
-    """Shared context for the chain checks of one parameter pair; the curves
-    alpha_1..alpha_B, the expected junctions of the circular chain and the
-    value of each junction address are built once, here.  Building the
-    curves checks the ordering against the tabulated walk decodings, the
-    only code that reads the table."""
+    """Shared context for the chain checks of one parameter pair; the walk
+    table, the curves alpha_1..alpha_B, the expected junctions of the
+    circular chain and the value of each junction address are built once,
+    here.  Building the curves checks the ordering against the tabulated
+    walk decodings."""
 
     params: TileParams
     ordered: OrderedContactGraph
     sset: frozenset
+    table: list[tuple[Walk, Walk]]
     curves: list[AlphaCurve] = field(init=False)
     top: RationalPoint = field(init=False)
     junctions: dict[tuple[str, str], list[Address]] = field(init=False)
@@ -275,9 +275,9 @@ class ChainSetup:
 
     @classmethod
     def build(cls, params: TileParams) -> "ChainSetup":
-        _require_regime(params)
+        table = alpha_table(params)  # the one regime check
         ordered = ordered_extension(build_contact_graph(params))
-        return cls(params, ordered, neighbor_set_formula(params).members)
+        return cls(params, ordered, neighbor_set_formula(params).members, table)
 
 
 def alpha_curves(setup: ChainSetup) -> list[AlphaCurve]:
@@ -285,10 +285,9 @@ def alpha_curves(setup: ChainSetup) -> list[AlphaCurve]:
     tabulated walks of ``alpha_calibration_rows`` to their tabulated
     addresses; each endpoint walk is decoded once, for the check and the
     curve alike."""
-    params = setup.params
-    table = alpha_table(params)
+    params, table = setup.params, setup.table
     decoded = {walk: psi(walk, setup.ordered) for pair in table for walk in pair}
-    for walk, addr in alpha_calibration_rows(params):
+    for walk, addr in alpha_calibration_rows(params, table):
         if decoded[walk] != addr:
             raise CertificateFailure(
                 f"walk {walk} does not decode to the tabulated 0.{addr} "

@@ -28,9 +28,31 @@ from .numsys import RationalPoint, RawInstance, TileParams, format_address, norm
 
 
 class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors exit with code 1.  A command's
+    parser also keeps the table ``_read`` reads a well-formed command line
+    off: ``options``, the action ``add_argument`` returned for each option
+    string declared on it, and ``one_of``, the actions of its required
+    mutually exclusive group, if it has one."""
+
     # set on the top-level parser by build_parser: each command's parser by
     # name, the choices of its subparsers action
-    commands: dict[str, argparse.ArgumentParser]
+    commands: dict[str, _Parser]
+    one_of: tuple[argparse.Action, ...] = ()
+
+    def __init__(self, **kwargs) -> None:
+        # before argparse's __init__, which adds -h/--help by add_argument
+        self.options: dict[str, argparse.Action] = {}
+        super().__init__(**kwargs)
+
+    def add_argument(self, *args, **kwargs) -> argparse.Action:
+        return self.record(super().add_argument(*args, **kwargs))[0]
+
+    def record(self, *actions: argparse.Action) -> tuple[argparse.Action, ...]:
+        """Enter options' actions in the table: ``add_argument`` does, and
+        build_parser for the options of a group.  argparse's own -h and
+        --help (dest "help") stay out: only argparse parses them."""
+        self.options.update((s, a) for a in actions for s in a.option_strings if a.dest != "help")
+        return actions
 
     def error(self, message: str):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
@@ -322,9 +344,7 @@ def _cmd_verify_chains(args) -> int:
         print(report.to_text(), end="")
     if doc is not None:
         _write(args, f"chains_A{params.a}_B{params.b}.json", lambda fh: print(doc, file=fh))
-    if not report.ok:
-        return 3
-    return 0
+    return 0 if report.ok else 3
 
 
 def _cmd_render(args) -> int:
@@ -423,8 +443,11 @@ def build_parser() -> _Parser:
     formatted(p)
     # exactly one of the two: both, or neither, is a usage error
     point = p.add_mutually_exclusive_group(required=True)
-    point.add_argument("--t", type=_fraction, help="rational parameter p/q in [0,1]")
-    point.add_argument("--walk", type=_walk, help="walk 'start;o1,o2,...;p1,p2' (periodic tail)")
+    t = point.add_argument("--t", type=_fraction, help="rational parameter p/q in [0,1]")
+    walk = point.add_argument(
+        "--walk", type=_walk, help="walk 'start;o1,o2,...;p1,p2' (periodic tail)"
+    )
+    p.one_of = p.record(t, walk)
     p.set_defaults(fn=_cmd_param)
 
     p = sub.add_parser("approx", help="boundary polygon vertices")
@@ -480,34 +503,58 @@ def _silence_stdout() -> None:
 _parser: _Parser | None = None
 
 
-def _parse(argv: list[str] | None) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, in one argparse pass where it can.
+def _read(command: _Parser, argv: list[str]) -> argparse.Namespace | None:
+    """The namespace of ``argv``, whose first word names ``command``, read
+    off the command's table if argv is well formed: each later word is an
+    exact option string of the command, given at most once; each store
+    option is followed by a value that does not start with "-" and passes
+    the action's own ``type`` and ``choices``; and the required options and
+    exactly one of ``one_of`` are given.  Otherwise None."""
+    args, given = {a.dest: a.default for a in command.options.values()}, set()
+    words = iter(argv[1:])
+    for word in words:
+        action = command.options.get(word)
+        if action is None or action in given:
+            return None
+        given.add(action)
+        if action.nargs == 0:  # a store_true flag
+            args[action.dest] = action.const
+            continue
+        text = next(words, "-")  # a missing value goes to argparse as "-x" does
+        try:
+            value = args[action.dest] = action.type(text) if action.type else text
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if text.startswith("-") or action.choices is not None and value not in action.choices:
+            return None
+    missing = any(a.required and a not in given for a in command.options.values())
+    if missing or command.one_of and len(given.intersection(command.one_of)) != 1:
+        return None
+    return argparse.Namespace(**args, command=argv[0], fn=command.get_default("fn"))
 
-    When argv[0] is exactly a command name, the top-level pass would only
-    hand argv[1:] to that command's parser: argparse's subparsers action
-    calls ``parse_known_args(argv[1:], None)`` on it, copies the namespace
-    and sets ``command``.  So that call is made directly, and its namespace
-    is the one ``parse_args`` returns; its help and its usage errors come
-    from the same parser object.  Every other argv goes through the
-    top-level parser: an empty one, an unknown command, a top-level -h, and
-    one that leaves arguments over, which the top-level parser reports.
+
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, read off the command's table
+    where ``_read`` finds the command line well formed.
+
+    Its namespace is the one argparse would return: each option's default
+    and ``fn``, each given option's value as its action's ``type`` converts
+    it, and ``command``.  Every other argv goes to the top-level parser
+    unchanged, so argparse parses help, "--", "--x=y", abbreviations,
+    repeated options, values that start with "-", missing values, unknown
+    words and every type or choice error, and prints what it always did.
     """
     global _parser
     if _parser is None:
         _parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] in _parser.commands:
-        args, rest = _parser.commands[argv[0]].parse_known_args(argv[1:])
-        if not rest:
-            args.command = argv[0]
-            return args
-    return _parser.parse_args(argv)
+    args = argv and argv[0] in _parser.commands and _read(_parser.commands[argv[0]], argv)
+    return args or _parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command line (default ``sys.argv[1:]``) and return its exit
-    code; ``_parse`` parses it, in one argparse pass when it starts with a
-    command name."""
+    code; ``_parse`` parses it, with no argparse pass when it is well formed."""
     try:
         args = _parse(argv)
         code = args.fn(args)

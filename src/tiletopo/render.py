@@ -104,7 +104,9 @@ def _axis_tables(scene: Scene) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndar
     exact int/int otherwise, with the same code.  The k rows of sums are
     each sorted, so one stable argsort merges them (timsort merges runs),
     and the cumulative count of new values ranks each sum among the
-    distinct ones, which one ``%`` pass formats."""
+    distinct ones, which one ``%`` pass formats.  An axis with one shift
+    (every scene but a patch) has one row, already the distinct values in
+    order, and skips the merge."""
     s = scene.scale
     shifts = [(sx * s, -sy * s) for (sx, sy), _ in scene.translates]
     reach = max(-int(scene.polygon.min()), int(scene.polygon.max()))
@@ -116,16 +118,18 @@ def _axis_tables(scene: Scene) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndar
         axis, row = np.unique(shift[:, c], return_inverse=True)
         distinct, column = np.unique(base[:, c], return_inverse=True)
         sums = (axis[:, None] + distinct).ravel()
-        order = np.argsort(sums, kind="stable")
-        merged = sums[order]
-        new = np.ones(len(merged), dtype=bool)
-        new[1:] = merged[1:] != merged[:-1]
-        rank = np.empty(len(merged), dtype=np.intp)
-        rank[order] = np.cumsum(new) - 1
-        values = merged[new]
+        values, rank = sums, slice(None)  # one shift: the sums are distinct and sorted
+        if len(axis) > 1:
+            order = np.argsort(sums, kind="stable")
+            merged = sums[order]
+            new = np.ones(len(merged), dtype=bool)
+            new[1:] = merged[1:] != merged[:-1]
+            rank = np.empty(len(merged), dtype=np.intp)
+            rank[order] = np.cumsum(new) - 1
+            values = merged[new]
         text = ("%.12g" + sep + "\n") * len(values) % tuple((values / s).tolist())
         strings = np.array(text.split("\n")[:-1], dtype=object)
-        yield strings[rank.reshape(len(axis), -1)], row, column
+        yield strings[rank].reshape(len(axis), -1), row, column
 
 
 def _svg_pieces(scene: Scene) -> Iterator[str]:

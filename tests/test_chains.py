@@ -108,8 +108,24 @@ class TestAlphaTable:
     def test_calibration_rows_decode(self):
         for a, b in [(4, 5), (5, 7)]:
             s = setup_for(a, b)
-            for walk, addr in alpha_calibration_rows(TileParams(a, b)):
+            for walk, addr in alpha_calibration_rows(TileParams(a, b), s.table):
                 assert psi(walk, s.ordered) == addr
+
+    def test_one_table_and_one_regime_check_per_setup(self, monkeypatch):
+        """``ChainSetup.build`` builds the walk table once, and its one
+        regime check is the table's: the curves and their calibration read
+        the setup's table."""
+        tables, checks = [], []
+        table, require = chains.alpha_table, chains._require_regime
+        monkeypatch.setattr(chains, "alpha_table", lambda p: tables.append(p) or table(p))
+        monkeypatch.setattr(chains, "_require_regime", lambda p: checks.append(p) or require(p))
+        params = TileParams(12, 21)
+        setup = ChainSetup.build(params)
+        assert (tables, checks) == ([params], [params])
+        assert setup.table == table(params)
+        assert [c.endpoint_addresses for c in setup.curves] == [
+            (psi(s, setup.ordered), psi(t, setup.ordered)) for s, t in setup.table
+        ]
 
     def test_wrong_regime(self):
         with pytest.raises(WrongRegime):
@@ -403,7 +419,7 @@ class TestWalkOrder:
 
         monkeypatch.setattr(chains, "lex_interval_languages", record)
         ordered = ordered_extension(build_contact_graph(params))
-        alpha_curves(SimpleNamespace(params=params, ordered=ordered))
+        alpha_curves(SimpleNamespace(params=params, ordered=ordered, table=table))
         assert passed == [(t, s) if k == b - 2 else (s, t) for k, (s, t) in enumerate(table)]
         assert all(walk_compare(lo, hi) < 0 for lo, hi in passed)
 

@@ -408,15 +408,25 @@ class TestDrawnArgv:
 
 
 class TestOnePassParse:
-    """``main`` parses a command line in one argparse pass when argv[0] is
-    exactly a command name: that command's parser alone, as the top-level
-    parser's subparsers action would call it.  Its parse step must give what
-    ``build_parser().parse_args`` gives: equal namespaces, or the same exit
-    code with the same stdout and stderr."""
+    """``main`` reads a well-formed command line off the command's table,
+    with no argparse pass, and hands every other one to the top-level
+    parser.  Its parse step must give what ``build_parser().parse_args``
+    gives: equal namespaces, or the same exit code with the same stdout and
+    stderr."""
 
+    # word runs inserted into a drawn command line: help, "--", "--x=y",
+    # abbreviations, left-over words, values that start with "-", a flag
+    # followed by a word, each of which goes to argparse, and a value with
+    # a space, which the table reads
     EXTRA = st.sampled_from(
-        ["-h", "--help", "--", "--for", "--fo=json", "--A=4", "--Bm", "--che", "--wa", "word", "-h0"]
+        [
+            ["-h"], ["--help"], ["--"], ["--for"], ["--fo=json"], ["--A=4"], ["--Bm"], ["--che"],
+            ["--wa"], ["word"], ["-h0"], ["--A", "-3"], ["--B", "-"], ["--t", "-1/3"],
+            ["--walk", "-1;1;1"], ["--out", "a b"], ["--format", "json "], ["--check", "word"],
+            ["--dot", "word"],
+        ]
     )
+    LAST = st.sampled_from(["--A", "--t", "--walk", "--format", "--out", "--check", "--dot"])
     UNKNOWN = st.sampled_from(["", "frob", "Param", "par", "-h", "--help", "--", "--A"])
 
     @staticmethod
@@ -442,9 +452,39 @@ class TestOnePassParse:
             argv = TestDrawnArgv.draw_argv(data, commands)
         for _ in range(data.draw(st.integers(0, 2), label="extras")):
             at = data.draw(st.integers(min(1, len(argv)), len(argv)), label="at")
-            argv.insert(at, data.draw(self.EXTRA, label="extra"))
+            argv[at:at] = data.draw(self.EXTRA, label="extra")
+        if len(argv) > 2 and data.draw(st.integers(0, 3), label="repeat") == 0:
+            argv += argv[1:3]  # the first option again, with its value if it has one
+        if data.draw(st.integers(0, 5), label="last") == 0:
+            argv.append(data.draw(self.LAST, label="last"))
         want = self.parsed(cli.build_parser().parse_args, argv)
         assert self.parsed(cli._parse, argv) == want, argv
+
+    def test_every_recorded_argv_is_read_off_the_table(self, monkeypatch):
+        """Each argv of the benchmark's record parses with no argparse pass,
+        to the namespace ``build_parser().parse_args`` gives.  The table
+        knows two kinds of action, store and store_true, and is built from
+        no others."""
+        parser = cli.build_parser()
+        kinds = {type(a).__name__ for p in parser.commands.values() for a in p.options.values()}
+        assert kinds == {"_StoreAction", "_StoreTrueAction"}
+        record = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
+        items = [
+            item
+            for items in json.loads(record.read_text(encoding="utf-8"))["workloads"].values()
+            for item in items
+        ]
+        want = [vars(parser.parse_args(item["argv"])) for item in items]
+        calls = []
+        known = argparse.ArgumentParser.parse_known_args
+        monkeypatch.setattr(
+            argparse.ArgumentParser,
+            "parse_known_args",
+            lambda parser, *args: calls.append(parser.prog) or known(parser, *args),
+        )
+        got = [vars(cli._parse(list(item["argv"]))) for item in items]
+        assert calls == []
+        assert len(got) == 2976 and got == want
 
 
 class TestCommands:
@@ -722,11 +762,13 @@ class TestWorkCounts:
             assert calls == [], (a, b)
 
     def test_one_parse_pass(self, capsys, monkeypatch):
-        """A command line whose first word is a command name is parsed by
-        that command's parser alone: one ``parse_known_args`` call, where
-        the top-level pass that only handed it on made a second.  A
-        left-over word sends it through the top-level pass after all, whose
-        error names the word: three calls."""
+        """A well-formed command line that starts with a command name is
+        read off that command's table: no ``parse_known_args`` call.  A
+        command line outside the table's rules goes to the top-level
+        parser, whose subparsers action hands it to the command's parser:
+        argparse's own two passes, the first of which reports a left-over
+        word.  Each such argv parses as ``build_parser().parse_args`` parses
+        it."""
         calls = []
         known = argparse.ArgumentParser.parse_known_args
         monkeypatch.setattr(
@@ -737,16 +779,39 @@ class TestWorkCounts:
         for argv in (
             ["param", "--A", "4", "--B", "5", "--walk", "3;2,1;1"],
             ["param", "--A", "4", "--B", "5", "--t", "1/2", "--format", "json"],
+            ["neighbors", "--A", "3", "--B", "4", "--check"],
+            ["normalize", "--matrix", "0,-5,1,4"],
             ["sweep", "--Bmax", "3"],
         ):
             calls.clear()
             assert run(capsys, *argv)[0] == 0
-            assert calls == [f"tiletopo {argv[0]}"], argv
-        # a left-over word is reported by the top-level pass, run as before
-        calls.clear()
+            assert calls == [], argv
+        # a left-over word is reported by the top-level pass
         code, out, err = run(capsys, "sweep", "--Bmax", "3", "word")
         assert (code, out) == (1, "") and "tiletopo: error: unrecognized arguments: word" in err
-        assert calls == ["tiletopo sweep", "tiletopo", "tiletopo sweep"]
+        assert calls == ["tiletopo", "tiletopo sweep"]
+        parse = TestOnePassParse.parsed
+        for argv in (
+            ["sweep", "--Bmax", "3", "--Bmax", "4"],  # a repeated option
+            ["param", "--A", "4", "--B", "5", "--t", "-1/3"],  # a value that starts with "-"
+            ["classify", "--A", "-3", "--B", "5"],
+            ["classify", "--A", "-", "--B", "5"],
+            ["classify", "--A=4", "--B", "5"],
+            ["classify", "--A", "4", "--B", "5", "--", "x"],
+            ["classify", "--A", "4", "--fo", "json", "--B", "5"],  # an abbreviation
+            ["classify", "--A", "4", "--B"],  # an option as the last word
+            ["neighbors", "--check", "word", "--A", "4", "--B", "5"],
+            ["classify", "--A", "x", "--B", "5"],  # a type error
+            ["classify", "--A", "4", "--B", "5", "--format", "xml"],  # a choice error
+            ["normalize", "--format", "json"],  # no required --matrix
+            ["param", "--A", "4", "--B", "5"],  # neither --t nor --walk
+            ["param", "--A", "4", "--B", "5", "--t", "1/2", "--walk", "3;2,1;1"],
+            ["render", "-h"],
+        ):
+            want = parse(cli.build_parser().parse_args, argv)
+            calls.clear()
+            assert parse(cli._parse, argv) == want, argv
+            assert calls[:2] == ["tiletopo", f"tiletopo {argv[0]}"], argv
 
 
 class TestNoFieldArithmetic:

@@ -808,14 +808,15 @@ class TestOrdering:
         # (4,5) is in the 2A - B = 3 regime, so the chain setup checks that
         # the ordering it is given, the closed form or the search's, decodes
         # the tabulated walks; a wrong tabulated address is a failure
-        walk, _ = chains.alpha_calibration_rows(TileParams(4, 5))[0]
+        params = TileParams(4, 5)
+        walk, _ = chains.alpha_calibration_rows(params, chains.alpha_table(params))[0]
         monkeypatch.setattr(
-            chains, "alpha_calibration_rows", lambda params: [(walk, Address((), (), (0,)))]
+            chains, "alpha_calibration_rows", lambda params, table: [(walk, Address((), (), (0,)))]
         )
         monkeypatch.setattr(chains, "ordered_extension", order_fn)
         wrong = r"^walk .* does not decode to the tabulated 0\.\(0\) for \(A,B\)=\(4,5\)$"
         with pytest.raises(CertificateFailure, match=wrong):
-            chains.ChainSetup.build(TileParams(4, 5))
+            chains.ChainSetup.build(params)
 
     def test_ordering_off_the_table_is_a_failure(self, monkeypatch):
         # a map decision that completes phi_0 alone, with state 2's letters
